@@ -13,13 +13,16 @@ with an optional exponent.  ``abs`` is recognized and rejected at parse time
 must be constant subexpressions; they are folded to a number during parsing.
 Non-integer exponents additionally require a positive base at evaluation.
 
-Derivatives are computed in a single forward pass carrying
-(value, gradient, Hessian) triples -- no nested first-order passes and no
-finite differences -- so the Hessian is exact and symmetric to the last bit.
+Derivatives are forward-mode (value, gradient, Hessian) triples -- no nested
+first-order passes and no finite differences -- computed by straight-line
+Python generated once per (expression, active-index tuple) on first use and
+cached on the :class:`Expression` (see the Evaluation section).  A value or
+derivative that overflows to inf/NaN raises ``EvalDomainError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -127,6 +130,9 @@ class Expression:
     root: object
     variables: tuple[str, ...]
     source: str = field(compare=False, default="")
+    # compiled kernels, keyed by active-index tuple (see eval_dual2)
+    _kernels: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def eval(self, point) -> float:
         return evaluate(self, point)
@@ -238,7 +244,10 @@ class _Parser:
     def base(self):
         kind, text, col = self.next()
         if kind == "number":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text} overflows", col)
+            return Num(value)
         if kind == "ident":
             return self._ident(text, col)
         if kind == "op" and text == "(":
@@ -314,6 +323,39 @@ def _fold_const(node) -> float:
     raise TypeError(f"unknown node {node!r}")
 
 
+def _call_value(func: str, x: float, node) -> float:
+    if func == "sin":
+        return math.sin(x)
+    if func == "cos":
+        return math.cos(x)
+    if func == "tan":
+        return math.tan(x)
+    if func == "exp":
+        return math.exp(x)
+    if func == "ln":
+        if x <= 0.0:
+            raise EvalDomainError(f"ln of non-positive value {x!r}", to_source(node))
+        return math.log(x)
+    if func == "sqrt":
+        if x < 0.0:
+            raise EvalDomainError(f"sqrt of negative value {x!r}", to_source(node))
+        return math.sqrt(x)
+    raise TypeError(f"unknown function {func!r}")  # pragma: no cover
+
+
+def _pow_value(x: float, b: float, node) -> float:
+    n = round(b)
+    if b == n:  # integer exponent: any base, except 0 with n < 0
+        if x == 0.0 and n < 0:
+            raise EvalDomainError("zero raised to a negative power", to_source(node))
+        return float(x ** int(n))
+    if x <= 0.0:
+        raise EvalDomainError(
+            f"non-integer power of non-positive base {x!r}", to_source(node)
+        )
+    return x ** b
+
+
 def parse(source: str, variables) -> Expression:
     """Parse ``source`` over an ordered variable table.
 
@@ -342,7 +384,7 @@ _PREC_EXPR = 1
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -426,11 +468,27 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 
 
 # --------------------------------------------------------------------------
-# Evaluation: forward pass with (value, gradient, Hessian) triples
+# Evaluation
 # --------------------------------------------------------------------------
+#
+# Each expression is compiled on first use into one Python function per
+# active-index tuple, plus one value-only function for ``evaluate``.  The
+# function takes the point as plain floats and runs straight-line code, one
+# statement per operation: every value, gradient and Hessian entry goes
+# through the operations a forward pass over (value, gradient, Hessian)
+# triples performs, in its order.  Operations on constants are done while
+# generating (the same float arithmetic, so nothing changes), and derivative
+# terms known to be zero are dropped, which can flip the sign of a zero
+# entry and nothing else.
+#
+# Overflow: the function computes unchecked, then tests the sum of its
+# outputs for finiteness.  If that fails, or an operation raised (``x ** n``
+# and ``exp`` raise ``OverflowError``; dividing by an underflowed square
+# raises ``ZeroDivisionError``), it reruns a checked variant that tests every
+# node and raises ``EvalDomainError`` quoting the first one that overflowed.
 
 class Dual2:
-    """Value, gradient, and symmetric Hessian of one scalar quantity.
+    """Value, gradient, and Hessian of one scalar quantity.
 
     The gradient has one slot per *active* variable, in the order the active
     index list was given; the Hessian is square over the same slots.
@@ -443,157 +501,398 @@ class Dual2:
         self.grad = grad
         self.hess = hess
 
-    @staticmethod
-    def constant(value: float, m: int) -> "Dual2":
-        return Dual2(float(value), np.zeros(m), np.zeros((m, m)))
-
     def __repr__(self):
         return f"Dual2(value={self.value!r}, grad={self.grad!r}, hess={self.hess!r})"
 
-    def __add__(self, o):
-        return Dual2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
 
-    def __sub__(self, o):
-        return Dual2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+_FAULTS = (OverflowError, ZeroDivisionError, ValueError)
+_NONFINITE = "overflow to a non-finite value or derivative"
+_VALUE_ONLY = object()  # cache key of the kernel behind ``evaluate``
+_MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
+         "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 
-    def __neg__(self):
-        return Dual2(-self.value, -self.grad, -self.hess)
 
-    def __mul__(self, o):
-        cross = np.outer(self.grad, o.grad)
-        return Dual2(
-            self.value * o.value,
-            self.grad * o.value + o.grad * self.value,
-            self.hess * o.value + o.hess * self.value + cross + cross.T,
+def _zero(q) -> bool:
+    return q == 0.0
+
+
+def _all_finite(*xs) -> bool:
+    return all(map(math.isfinite, xs))
+
+
+class _Codegen:
+    """Emit the straight-line body of one kernel.
+
+    A quantity is either a float known at generation time or the name of a
+    local of the generated function.  ``active`` is the tuple of variable
+    indices to differentiate against, or None for a value-only kernel with
+    the value-only domain rules (``sqrt(0)`` allowed).  In ``checked`` mode
+    every operation is guarded and every node's outputs are tested, so the
+    first node that overflows raises with its own fragment.
+    """
+
+    def __init__(self, active, checked):
+        self.value_only = active is None
+        self.m = 0 if self.value_only else len(active)
+        self.slot = {a: k for k, a in enumerate(active or ())}
+        self.checked = checked
+        self.lines = []
+        self.memo = {}      # operation text -> local holding its result
+        self.frags = []     # checked mode: fragment of the node being emitted
+        self.ns = dict(_MATH, _E=EvalDomainError, _FAULTS=_FAULTS,
+                       _NONFINITE=_NONFINITE, _finite=_all_finite,
+                       _isfinite=math.isfinite, _array=np.array,
+                       _zeros=np.zeros, _Dual2=Dual2)
+
+    def const(self, obj) -> str:
+        name = f"_k{len(self.ns)}"
+        self.ns[name] = obj
+        return name
+
+    def lit(self, q) -> str:
+        if isinstance(q, str):
+            return q
+        if not math.isfinite(q):
+            return self.const(q)
+        text = repr(q)
+        return f"({text})" if text[0] == "-" else text
+
+    # -- operations ---------------------------------------------------------
+
+    def op(self, template: str, *args):
+        """Emit ``template`` over quantities, or fold it if all are known."""
+        text = template.format(*map(self.lit, args))
+        if all(isinstance(a, float) for a in args):
+            try:
+                q = eval(text, self.ns)
+            except _FAULTS:
+                q = None
+            if isinstance(q, float) and math.isfinite(q):
+                return q
+        name = self.memo.get(text)
+        if name is None:
+            name = self.memo[text] = f"t{len(self.memo)}"
+            if self.checked:
+                self.lines += ["try:", f"    {name} = {text}",
+                               "except _FAULTS:",
+                               f"    raise _E(_NONFINITE, {self.frags[-1]}) from None"]
+            else:
+                self.lines.append(f"{name} = {text}")
+        return name
+
+    def guard(self, test: str, x, message: str, node, show_value=True):
+        """Raise EvalDomainError quoting ``node`` where ``test`` holds for x."""
+        cond = test.format(self.lit(x))
+        if isinstance(x, float):
+            if not eval(cond, self.ns):
+                return
+            cond = "True"
+        msg = repr(message) + (f" + repr({self.lit(x)})" if show_value else "")
+        frag = self.const(to_source(node))
+        self.lines.append(f"if {cond}: raise _E({msg}, {frag})")
+
+    # Derivative arithmetic: known zeros drop out, factors of 1.0 vanish, and
+    # commutative operands are ordered so that equal products are shared.
+
+    def dneg(self, a):
+        return self.op("-{}", a)
+
+    def dadd(self, a, b):
+        if _zero(a):
+            return b
+        if _zero(b):
+            return a
+        a, b = sorted((a, b), key=self.lit)
+        return self.op("{} + {}", a, b)
+
+    def dsub(self, a, b):
+        if _zero(b):
+            return a
+        if _zero(a):
+            return self.dneg(b)
+        return self.op("{} - {}", a, b)
+
+    def dmul(self, a, b):
+        if _zero(a) or _zero(b):
+            return 0.0
+        for u, w in ((a, b), (b, a)):
+            if u == 1.0:
+                return w
+            if u == -1.0:
+                return self.dneg(w)
+        a, b = sorted((a, b), key=self.lit)
+        return self.op("{} * {}", a, b)
+
+    # -- nodes ----------------------------------------------------------------
+
+    def visit(self, node):
+        """Emit ``node`` after its subtree; checked mode tests its outputs."""
+        if not self.checked:
+            return self.node(node)
+        self.frags.append(self.const(to_source(node)))
+        out = self.node(node)
+        every = ", ".join(map(self.lit, self.flat(out)))
+        self.lines.append(
+            f"if not _finite({every}): raise _E(_NONFINITE, {self.frags.pop()})"
         )
+        return out
 
-    def chain(self, f0: float, f1: float, f2: float) -> "Dual2":
-        """Compose with a scalar map given f(x), f'(x), f''(x) at self.value."""
-        return Dual2(
-            f0,
-            f1 * self.grad,
-            f1 * self.hess + f2 * np.outer(self.grad, self.grad),
-        )
+    def node(self, node):
+        return self._value(node) if self.value_only else self._dual(node)
 
+    def flat(self, out) -> list:
+        if self.value_only:
+            return [out]
+        v, g, h = out
+        return [v, *g, *(x for row in h for x in row)]
 
-def _call_value(func: str, x: float, node) -> float:
-    if func == "sin":
-        return math.sin(x)
-    if func == "cos":
-        return math.cos(x)
-    if func == "tan":
-        return math.tan(x)
-    if func == "exp":
-        return math.exp(x)
-    if func == "ln":
-        if x <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {x!r}", to_source(node))
-        return math.log(x)
-    if func == "sqrt":
-        if x < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {x!r}", to_source(node))
-        return math.sqrt(x)
-    raise TypeError(f"unknown function {func!r}")  # pragma: no cover
+    def _value(self, node):
+        if isinstance(node, Num):
+            return float(node.value)
+        if isinstance(node, Var):
+            return f"x{node.index}"
+        if isinstance(node, Neg):
+            return self.op("-{}", self.visit(node.arg))
+        if isinstance(node, (Add, Sub, Mul)):
+            sym = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
+            left = self.visit(node.left)
+            return self.op(f"{{}} {sym} {{}}", left, self.visit(node.right))
+        if isinstance(node, Div):
+            den = self.visit(node.right)
+            self.guard("{} == 0.0", den, "division by zero", node, False)
+            return self.op("{} / {}", self.visit(node.left), den)
+        if isinstance(node, Pow):
+            x = self.visit(node.base)
+            b = node.exponent
+            n = round(b)
+            if b == n:
+                if n < 0:
+                    self.guard("{} == 0.0", x, "zero raised to a negative power",
+                               node, False)
+                return self.op(f"{{}} ** {_int_lit(n)}", x)
+            self.guard("{} <= 0.0", x,
+                       "non-integer power of non-positive base ", node)
+            return self.op(f"{{}} ** {self.lit(b)}", x)
+        if isinstance(node, Call):
+            x = self.visit(node.arg)
+            if node.func == "ln":
+                self.guard("{} <= 0.0", x, "ln of non-positive value ", node)
+                return self.op("log({})", x)
+            if node.func == "sqrt":
+                self.guard("{} < 0.0", x, "sqrt of negative value ", node)
+            return self.op(f"{node.func}({{}})", x)
+        raise TypeError(f"unknown node {node!r}")
 
+    # -- value, gradient and Hessian ------------------------------------------
 
-def _call_dual(func: str, u: Dual2, node) -> Dual2:
-    x = u.value
-    if func == "sin":
-        s = math.sin(x)
-        return u.chain(s, math.cos(x), -s)
-    if func == "cos":
-        c = math.cos(x)
-        return u.chain(c, -math.sin(x), -c)
-    if func == "tan":
-        t = math.tan(x)
-        d = 1.0 + t * t
-        return u.chain(t, d, 2.0 * t * d)
-    if func == "exp":
-        ex = math.exp(x)
-        return u.chain(ex, ex, ex)
-    if func == "ln":
-        if x <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {x!r}", to_source(node))
-        return u.chain(math.log(x), 1.0 / x, -1.0 / (x * x))
-    if func == "sqrt":
-        if x <= 0.0:
-            raise EvalDomainError(
-                f"sqrt needs a positive argument for derivatives, got {x!r}",
-                to_source(node),
+    def zeros(self):
+        m = self.m
+        return [0.0] * m, [[0.0] * m for _ in range(m)]
+
+    def chain(self, u, f0, f1, f2):
+        """Compose u with a scalar map; f1 and f2 are emitted only if used."""
+        _, g, h = u
+        r = range(self.m)
+        grad = [0.0 if _zero(g[i]) else self.dmul(f1(), g[i]) for i in r]
+        hess = [[self.dadd(
+                    0.0 if _zero(h[i][j]) else self.dmul(f1(), h[i][j]),
+                    0.0 if _zero(g[i]) or _zero(g[j])
+                    else self.dmul(f2(), self.dmul(g[i], g[j])))
+                 for j in r] for i in r]
+        return f0, grad, hess
+
+    def mul(self, a, b):
+        av, ga, ha = a
+        bv, gb, hb = b
+        r = range(self.m)
+        grad = [self.dadd(self.dmul(ga[i], bv), self.dmul(gb[i], av)) for i in r]
+        hess = [[self.dadd(self.dadd(self.dadd(
+                    self.dmul(ha[i][j], bv), self.dmul(hb[i][j], av)),
+                    self.dmul(ga[i], gb[j])), self.dmul(ga[j], gb[i]))
+                 for j in r] for i in r]
+        return self.op("{} * {}", av, bv), grad, hess
+
+    def _dual(self, node):
+        if isinstance(node, Num):
+            return (float(node.value), *self.zeros())
+        if isinstance(node, Var):
+            grad, hess = self.zeros()
+            k = self.slot.get(node.index)
+            if k is not None:
+                grad[k] = 1.0
+            return f"x{node.index}", grad, hess
+        if isinstance(node, Neg):
+            v, g, h = self.visit(node.arg)
+            return (self.op("-{}", v), [self.dneg(x) for x in g],
+                    [[self.dneg(x) for x in row] for row in h])
+        if isinstance(node, (Add, Sub)):
+            a = self.visit(node.left)
+            b = self.visit(node.right)
+            sym, f = ("+", self.dadd) if isinstance(node, Add) else ("-", self.dsub)
+            return (self.op(f"{{}} {sym} {{}}", a[0], b[0]),
+                    [f(x, y) for x, y in zip(a[1], b[1])],
+                    [[f(x, y) for x, y in zip(p, q)] for p, q in zip(a[2], b[2])])
+        if isinstance(node, Mul):
+            return self.mul(self.visit(node.left), self.visit(node.right))
+        if isinstance(node, Div):
+            num = self.visit(node.left)
+            den = self.visit(node.right)
+            x = den[0]
+            self.guard("{} == 0.0", x, "division by zero", node, False)
+            xx = lambda: self.op("{} * {}", x, x)  # noqa: E731
+            inv = self.chain(
+                den, self.op("1.0 / {}", x),
+                lambda: self.op("-1.0 / {}", xx()),
+                lambda: self.op("2.0 / {}", self.op("{} * {}", xx(), x)),
             )
-        s = math.sqrt(x)
-        return u.chain(s, 0.5 / s, -0.25 / (x * s))
-    raise TypeError(f"unknown function {func!r}")  # pragma: no cover
+            return self.mul(num, inv)
+        if isinstance(node, Pow):
+            return self._pow(self.visit(node.base), node.exponent, node)
+        if isinstance(node, Call):
+            return self._call(self.visit(node.arg), node.func, node)
+        raise TypeError(f"unknown node {node!r}")
 
-
-def _pow_value(x: float, b: float, node) -> float:
-    n = round(b)
-    if b == n:  # integer exponent: any base, except 0 with n < 0
-        if x == 0.0 and n < 0:
-            raise EvalDomainError("zero raised to a negative power", to_source(node))
-        return float(x ** int(n))
-    if x <= 0.0:
-        raise EvalDomainError(
-            f"non-integer power of non-positive base {x!r}", to_source(node)
-        )
-    return x ** b
-
-
-def _pow_dual(u: Dual2, b: float, node) -> Dual2:
-    x = u.value
-    n = round(b)
-    if b == n:
+    def _pow(self, u, b, node):
+        x = u[0]
+        n = round(b)
+        if b != n:
+            self.guard("{} <= 0.0", x,
+                       "non-integer power of non-positive base ", node)
+            return self.chain(
+                u, self.op(f"{{}} ** {self.lit(b)}", x),
+                lambda: self.op(f"{self.lit(b)} * {{}}",
+                                self.op(f"{{}} ** {self.lit(b - 1.0)}", x)),
+                lambda: self.op(f"{self.lit(b * (b - 1.0))} * {{}}",
+                                self.op(f"{{}} ** {self.lit(b - 2.0)}", x)),
+            )
         n = int(n)
-        if x == 0.0 and n < 3:
-            # keep the limits finite where they exist
-            if n < 0:
-                raise EvalDomainError(
-                    "zero raised to a negative power", to_source(node)
-                )
-            table = {0: (1.0, 0.0, 0.0), 1: (0.0, 1.0, 0.0), 2: (0.0, 0.0, 2.0)}
-            return u.chain(*table[n])
-        f0 = float(x ** n)
-        f1 = n * float(x ** (n - 1)) if n != 0 else 0.0
-        f2 = n * (n - 1) * float(x ** (n - 2)) if n not in (0, 1) else 0.0
-        return u.chain(f0, f1, f2)
-    if x <= 0.0:
-        raise EvalDomainError(
-            f"non-integer power of non-positive base {x!r}", to_source(node)
+        if n == 0:  # x^0 = 1 for every x, including the 0 limit
+            return self.chain(u, 1.0, lambda: 0.0, lambda: 0.0)
+        if n == 1:  # at x == 0 the value is +0.0, as the forward pass has it
+            return self.chain(u, self.op("0.0 if {0} == 0.0 else {0} ** 1", x),
+                              lambda: 1.0, lambda: 0.0)
+        if n == 2:  # (+-0)^2 = +0 already; at 0 f1 can differ only in sign
+            return self.chain(u, self.op("{} ** 2", x),
+                              lambda: self.op("2 * {}", self.op("{} ** 1", x)),
+                              lambda: 2.0)
+        if n < 0:
+            self.guard("{} == 0.0", x, "zero raised to a negative power",
+                       node, False)
+        return self.chain(
+            u, self.op(f"{{}} ** {_int_lit(n)}", x),
+            lambda: self.op(f"{_int_lit(n)} * {{}}",
+                            self.op(f"{{}} ** {_int_lit(n - 1)}", x)),
+            lambda: self.op(f"{n * (n - 1)} * {{}}",
+                            self.op(f"{{}} ** {_int_lit(n - 2)}", x)),
         )
-    f0 = x ** b
-    return u.chain(f0, b * x ** (b - 1.0), b * (b - 1.0) * x ** (b - 2.0))
+
+    def _call(self, u, func, node):
+        x = u[0]
+        op = self.op
+        if func == "sin":
+            s = op("sin({})", x)
+            return self.chain(u, s, lambda: op("cos({})", x), lambda: op("-{}", s))
+        if func == "cos":
+            c = op("cos({})", x)
+            return self.chain(u, c, lambda: op("-{}", op("sin({})", x)),
+                              lambda: op("-{}", c))
+        if func == "tan":
+            t = op("tan({})", x)
+            d = lambda: op("1.0 + {}", op("{} * {}", t, t))  # noqa: E731
+            return self.chain(u, t, d,
+                              lambda: op("{} * {}", op("2.0 * {}", t), d()))
+        if func == "exp":
+            ex = op("exp({})", x)
+            return self.chain(u, ex, lambda: ex, lambda: ex)
+        if func == "ln":
+            self.guard("{} <= 0.0", x, "ln of non-positive value ", node)
+            return self.chain(u, op("log({})", x), lambda: op("1.0 / {}", x),
+                              lambda: op("-1.0 / {}", op("{} * {}", x, x)))
+        if func == "sqrt":
+            self.guard("{} <= 0.0", x,
+                       "sqrt needs a positive argument for derivatives, got ",
+                       node)
+            s = op("sqrt({})", x)
+            return self.chain(u, s, lambda: op("0.5 / {}", s),
+                              lambda: op("-0.25 / {}", op("{} * {}", x, s)))
+        raise TypeError(f"unknown function {func!r}")  # pragma: no cover
 
 
-def _d2(node, point, slot, m) -> Dual2:
-    if isinstance(node, Num):
-        return Dual2.constant(node.value, m)
-    if isinstance(node, Var):
-        x = point[node.index]
-        grad = np.zeros(m)
-        k = slot.get(node.index)
-        if k is not None:
-            grad[k] = 1.0
-        return Dual2(x, grad, np.zeros((m, m)))
-    if isinstance(node, Neg):
-        return -_d2(node.arg, point, slot, m)
-    if isinstance(node, Add):
-        return _d2(node.left, point, slot, m) + _d2(node.right, point, slot, m)
-    if isinstance(node, Sub):
-        return _d2(node.left, point, slot, m) - _d2(node.right, point, slot, m)
-    if isinstance(node, Mul):
-        return _d2(node.left, point, slot, m) * _d2(node.right, point, slot, m)
-    if isinstance(node, Div):
-        num = _d2(node.left, point, slot, m)
-        den = _d2(node.right, point, slot, m)
-        if den.value == 0.0:
-            raise EvalDomainError("division by zero", to_source(node))
-        x = den.value
-        return num * den.chain(1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
-    if isinstance(node, Pow):
-        return _pow_dual(_d2(node.base, point, slot, m), node.exponent, node)
-    if isinstance(node, Call):
-        return _call_dual(node.func, _d2(node.arg, point, slot, m), node)
-    raise TypeError(f"unknown node {node!r}")
+def _int_lit(n: int) -> str:
+    return str(n) if n >= 0 else f"({n})"
+
+
+def _compile(root, nvars: int, active, checked=False):
+    """Generate, compile and return the kernel for one active tuple.
+
+    ``active`` None gives the value-only kernel.  The kernel takes the point
+    as a list of floats and returns a float or a :class:`Dual2`.
+    """
+    cg = _Codegen(active, checked)
+    out = cg.visit(root)
+    outputs = cg.flat(out)
+    if cg.value_only:
+        result = cg.lit(out)
+    else:
+        v, g, h = out
+        if cg.m:
+            grad = f"_array(({''.join(cg.lit(x) + ', ' for x in g)}))"
+            rows = ", ".join(f"({''.join(cg.lit(x) + ', ' for x in row)})"
+                             for row in h)
+            hess = f"_array(({rows},))"
+        else:
+            grad, hess = "_zeros(0)", "_zeros((0, 0))"
+        result = f"_Dual2({cg.lit(v)}, {grad}, {hess})"
+    src = ["def kernel(p):"]
+    if nvars:
+        src.append("    " + "".join(f"x{i}, " for i in range(nvars)) + "= p")
+    if checked:
+        src += ["    " + line for line in cg.lines]
+    else:
+        cg.ns["_slow"] = functools.partial(_run_checked, root, nvars, active, [])
+        if cg.lines:
+            src += ["    try:"] + ["        " + line for line in cg.lines]
+            src += ["    except _FAULTS:", "        return _slow(p)"]
+        # One finiteness test on the sum: any inf or NaN makes it non-finite.
+        # A finite sum that overflows only sends the call down the slow path.
+        live = dict.fromkeys(cg.lit(q) for q in outputs
+                             if isinstance(q, str) or not math.isfinite(q))
+        if live:
+            src.append(f"    if not _isfinite({' + '.join(live)}): return _slow(p)")
+    src.append(f"    return {result}")
+    exec(compile("\n".join(src), "<legclair kernel>", "exec"), cg.ns)
+    return cg.ns.pop("kernel")  # no cycle through its own globals
+
+
+def _run_checked(root, nvars, active, cell, p):
+    """Slow path: rerun with every node checked; raises at the first overflow."""
+    if not cell:
+        cell.append(_compile(root, nvars, active, checked=True))
+    return cell[0](p)
+
+
+def _point(e: Expression, point) -> list:
+    point = np.asarray(point, dtype=float)
+    nv = len(e.variables)
+    if point.shape != (nv,):
+        raise ValueError(f"point has shape {point.shape}, expected ({nv},)")
+    return point.tolist()
+
+
+def _dual_kernel(e: Expression, active):
+    nv = len(e.variables)
+    key = tuple(range(nv)) if active is None else tuple(int(a) for a in active)
+    if len(set(key)) != len(key):
+        raise ValueError(f"duplicate active indices {key!r}")
+    for a in key:
+        if not 0 <= a < nv:
+            raise ValueError(f"active index {a} out of range for {nv} variables")
+    kernel = e._kernels.get(key)
+    if kernel is None:
+        kernel = e._kernels[key] = _compile(e.root, nv, key)
+    if active is None or type(active) in (tuple, range):
+        e._kernels[active] = kernel  # the caller's own form hits next time
+    return kernel
 
 
 def eval_dual2(e: Expression, point, active=None) -> Dual2:
@@ -605,46 +904,16 @@ def eval_dual2(e: Expression, point, active=None) -> Dual2:
     point : full coordinate vector, one entry per variable in ``e.variables``.
     active : iterable of variable indices to differentiate against, in slot
         order; ``None`` means all variables.
+
+    Raises ``EvalDomainError`` outside a function's domain and where the
+    value, gradient or Hessian overflows to a non-finite number.
     """
-    point = np.asarray(point, dtype=float)
-    nv = len(e.variables)
-    if point.shape != (nv,):
-        raise ValueError(f"point has shape {point.shape}, expected ({nv},)")
-    if active is None:
-        active = range(nv)
-    active = tuple(int(a) for a in active)
-    if len(set(active)) != len(active):
-        raise ValueError(f"duplicate active indices {active!r}")
-    for a in active:
-        if not 0 <= a < nv:
-            raise ValueError(f"active index {a} out of range for {nv} variables")
-    slot = {a: k for k, a in enumerate(active)}
-    return _d2(e.root, point, slot, len(active))
-
-
-def _ev(node, point) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return point[node.index]
-    if isinstance(node, Neg):
-        return -_ev(node.arg, point)
-    if isinstance(node, Add):
-        return _ev(node.left, point) + _ev(node.right, point)
-    if isinstance(node, Sub):
-        return _ev(node.left, point) - _ev(node.right, point)
-    if isinstance(node, Mul):
-        return _ev(node.left, point) * _ev(node.right, point)
-    if isinstance(node, Div):
-        den = _ev(node.right, point)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", to_source(node))
-        return _ev(node.left, point) / den
-    if isinstance(node, Pow):
-        return _pow_value(_ev(node.base, point), node.exponent, node)
-    if isinstance(node, Call):
-        return _call_value(node.func, _ev(node.arg, point), node)
-    raise TypeError(f"unknown node {node!r}")
+    p = _point(e, point)
+    try:
+        kernel = e._kernels[active]
+    except (KeyError, TypeError):  # first use of this tuple, or unhashable
+        kernel = _dual_kernel(e, active)
+    return kernel(p)
 
 
 def evaluate(e: Expression, point) -> float:
@@ -652,10 +921,14 @@ def evaluate(e: Expression, point) -> float:
 
     Value-only twin of :func:`eval_dual2`: plain floats, and the slightly
     wider domains that come with them (``sqrt(0)`` is legal here, while the
-    derivative pass must reject it).
+    derivative pass must reject it).  A non-finite result raises
+    ``EvalDomainError``.
     """
-    point = np.asarray(point, dtype=float)
-    nv = len(e.variables)
-    if point.shape != (nv,):
-        raise ValueError(f"point has shape {point.shape}, expected ({nv},)")
-    return float(_ev(e.root, point))
+    p = _point(e, point)
+    try:
+        kernel = e._kernels[_VALUE_ONLY]
+    except KeyError:
+        kernel = e._kernels[_VALUE_ONLY] = _compile(
+            e.root, len(e.variables), None
+        )
+    return kernel(p)

@@ -91,6 +91,33 @@ def test_rank_straddle_exits_3(tmp_path, capsys):
     assert "not constant" in err
 
 
+@pytest.mark.parametrize(
+    "lagrangian, domain, fragment",
+    [
+        ("0.5*v1^2 + exp(q1)", {"q1": [800, 900]}, "exp(q1)"),
+        ("0.5*v1^2 + v1^400", {"v1": [1e10, 2e10]}, "v1^400"),
+    ],
+)
+def test_overflow_exits_5(tmp_path, capsys, lagrangian, domain, fragment):
+    path = write_problem(tmp_path, n=1, lagrangian=lagrangian, domain=domain)
+    code = main(["analyze", path])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error: overflow") and f"'{fragment}'" in err
+
+
+def test_blowing_up_flow_exits_5(tmp_path, capsys):
+    # q'' = 4 q^3 escapes to infinity in finite time
+    path = write_problem(
+        tmp_path, n=1, lagrangian="0.5*v1^2 + q1^4",
+        initial={"q": [1.0], "v": [1.0]},
+        integrate={"t0": 0.0, "t1": 3.0, "dt": 0.01},
+    )
+    code = main(["--out", str(tmp_path / "w"), "integrate", path])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("error: overflow")
+
+
 def test_unknown_problem_key_exits_2(tmp_path, capsys):
     path = write_problem(tmp_path, n=1, lagrangian="0.5*v1^2", extra=1)
     assert main(["analyze", path]) == 2

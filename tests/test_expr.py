@@ -109,6 +109,12 @@ def test_parse_rejects_bad_variable_tables():
         parse("v1", ["v1", "sin"])
 
 
+def test_parse_rejects_overflowing_number():
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse("2*1e999*v1", ["v1"])
+    assert err.value.column == 3
+
+
 def test_parse_numbers_and_constants():
     assert evaluate(parse("1.5e2", []), []) == 150.0
     assert evaluate(parse(".5", []), []) == 0.5

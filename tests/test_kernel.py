@@ -1,0 +1,340 @@
+"""The compiled kernels behind eval_dual2/evaluate: oracle, cache, overflow.
+
+The oracle is the forward-mode tree walker in ``oracle.py``.  Where no
+operation of the oracle overflows, the kernels must agree with it exactly:
+``==`` on value, gradient and Hessian (zero folding may flip the sign of a
+zero entry, which ``==`` ignores), and the same domain error at the same
+node.  Where the oracle overflows (numpy flags it, or it ends in inf/NaN),
+the kernels must raise ``EvalDomainError`` or return finite numbers that
+agree with every finite entry the oracle produced.
+"""
+
+import gc
+import math
+import re
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from legclair import expr
+from legclair.expr import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Div,
+    EvalDomainError,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Var,
+    Expression,
+    eval_dual2,
+    evaluate,
+    parse,
+    to_source,
+    with_variables,
+)
+from oracle import oracle_eval_dual2, oracle_evaluate
+
+NAMES = ("q1", "q2", "v1", "v2")
+EXPONENTS = (0.0, 1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, 0.5, -0.5, 1.5, 2.5)
+
+numbers = st.one_of(
+    st.sampled_from((0.0, 1.0, 2.0, 0.5, 3.0, 0.25)),
+    st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False),
+)
+leaves = st.one_of(
+    st.builds(Num, numbers),
+    st.integers(0, len(NAMES) - 1).map(lambda i: Var(i, NAMES[i])),
+)
+
+
+def _extend(kids):
+    return st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        st.builds(Pow, kids, st.sampled_from(EXPONENTS)),
+        *(st.builds(ctor, kids, kids) for ctor in (Add, Sub, Mul, Div)),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=12)
+points = st.lists(
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+    min_size=len(NAMES), max_size=len(NAMES),
+)
+# None, or an ordered subset in any order, passed as a tuple or a list
+actives = st.one_of(
+    st.none(),
+    st.tuples(st.permutations(range(len(NAMES))), st.integers(0, len(NAMES)),
+              st.booleans()).map(lambda t: tuple(t[0][:t[1]]) if t[2]
+                                 else list(t[0][:t[1]])),
+)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=400,
+                    deadline=None)
+
+
+def _expression(tree):
+    return Expression(tree, NAMES, to_source(tree))
+
+
+def _all_finite(result):
+    if isinstance(result, float):
+        return math.isfinite(result)
+    return (math.isfinite(result.value) and np.all(np.isfinite(result.grad))
+            and np.all(np.isfinite(result.hess)))
+
+
+def _oracle(call):
+    """('ok', result), ('domain', error) or ('overflow', None)."""
+    with np.errstate(over="raise", divide="raise", invalid="raise",
+                     under="ignore"):
+        try:
+            result = call()
+        except EvalDomainError as err:
+            return "domain", err
+        except (FloatingPointError, OverflowError, ZeroDivisionError,
+                ValueError):
+            return "overflow", None
+    return ("ok", result) if _all_finite(result) else ("overflow", None)
+
+
+def _plain(message):
+    # the tree walker reports numpy scalars, the kernels plain floats
+    return re.sub(r"np\.float64\((.*?)\)", r"\1", message)
+
+
+def _same_where_finite(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    finite = np.isfinite(want)
+    return np.array_equal(got[finite], want[finite])
+
+
+def _check_against_oracle(call, oracle_call):
+    kind, want = _oracle(oracle_call)
+    try:
+        got = call()
+    except EvalDomainError as err:
+        got = err
+    if kind == "ok":
+        assert not isinstance(got, EvalDomainError), got
+        if isinstance(want, float):
+            assert type(got) is float and got == want
+        else:
+            assert type(got.value) is float and got.value == want.value
+            assert got.grad.dtype == want.grad.dtype
+            assert got.grad.shape == want.grad.shape
+            assert got.hess.shape == want.hess.shape
+            assert np.array_equal(got.grad, want.grad)
+            assert np.array_equal(got.hess, want.hess)
+    elif kind == "domain":
+        assert isinstance(got, EvalDomainError), got
+        assert got.fragment == want.fragment
+        assert str(got) == _plain(str(want))
+    elif not isinstance(got, EvalDomainError):
+        assert _all_finite(got)
+        with np.errstate(all="ignore"):
+            try:
+                plain = oracle_call()
+            except (OverflowError, ZeroDivisionError, ValueError):
+                return
+        if isinstance(plain, float):
+            assert got == plain or not math.isfinite(plain)
+        else:
+            assert got.value == plain.value or not math.isfinite(plain.value)
+            assert _same_where_finite(got.grad, plain.grad)
+            assert _same_where_finite(got.hess, plain.hess)
+
+
+# --------------------------------------------------------------------------
+# agreement with the tree walker
+# --------------------------------------------------------------------------
+
+@PROPERTY
+@given(trees, points, actives)
+def test_eval_dual2_matches_tree_walker(tree, point, active):
+    e = _expression(tree)
+    _check_against_oracle(lambda: eval_dual2(e, point, active),
+                          lambda: oracle_eval_dual2(e, point, active))
+
+
+@PROPERTY
+@given(trees, points)
+def test_evaluate_matches_tree_walker(tree, point):
+    e = _expression(tree)
+    _check_against_oracle(lambda: evaluate(e, point),
+                          lambda: oracle_evaluate(e, point))
+
+
+@PROPERTY
+@given(trees, st.lists(points, min_size=2, max_size=4), actives)
+def test_one_kernel_serves_many_points(tree, pts, active):
+    e = _expression(tree)
+    for point in pts:
+        _check_against_oracle(lambda: eval_dual2(e, point, active),
+                              lambda: oracle_eval_dual2(e, point, active))
+
+
+@PROPERTY
+@given(trees)
+def test_to_source_parse_round_trip(tree):
+    printed = to_source(tree)
+    reparsed = parse(printed, NAMES)
+    assert reparsed.root == tree, printed
+    assert to_source(reparsed) == printed
+
+
+# --------------------------------------------------------------------------
+# the kernel cache
+# --------------------------------------------------------------------------
+
+SOURCE = "0.5*(v1+v2)^2 - 0.5*q1^2*v1 + q2*v2"
+POINT = [0.3, -0.7, 1.0, 2.0]
+
+
+def test_cache_leaves_equality_hash_and_repr_unchanged():
+    e, twin = parse(SOURCE, NAMES), parse(SOURCE, NAMES)
+    text, code = repr(e), hash(e)
+    eval_dual2(e, POINT)
+    eval_dual2(e, POINT, [2, 3])
+    evaluate(e, POINT)
+    assert e._kernels and not twin._kernels
+    assert e == twin
+    assert hash(e) == code == hash(twin)
+    assert repr(e) == text == repr(twin)
+    assert "_kernels" not in repr(e)
+
+
+def test_reparse_and_with_variables_compile_their_own_kernels():
+    e = parse(SOURCE, NAMES)
+    eval_dual2(e, POINT)
+    again = parse(SOURCE, NAMES)
+    assert not again._kernels
+    d = eval_dual2(again, POINT)
+    assert again._kernels[None] is not e._kernels[None]
+    assert np.array_equal(d.hess, eval_dual2(e, POINT).hess)
+
+    # lift onto a wider table: q1 -> slot 1, v1 -> slot 3
+    small = parse("q1*v1^2", ["q1", "v1"])
+    eval_dual2(small, [2.0, 3.0])
+    lifted = with_variables(small, ["x", "q1", "y", "v1"], {0: 1, 1: 3})
+    assert not lifted._kernels
+    d = eval_dual2(lifted, [9.0, 2.0, 9.0, 3.0], [3, 1])
+    assert d.value == 18.0
+    assert np.array_equal(d.grad, [12.0, 9.0])
+    assert np.array_equal(d.hess, [[4.0, 6.0], [6.0, 0.0]])
+
+
+def test_bad_arguments_raise_on_every_call():
+    e = parse(SOURCE, NAMES)
+    eval_dual2(e, POINT, (0,))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="shape"):
+            eval_dual2(e, POINT[:3], (0,))
+        with pytest.raises(ValueError, match="shape"):
+            eval_dual2(e, [POINT])
+        with pytest.raises(ValueError, match="shape"):
+            evaluate(e, POINT + [1.0])
+        for dup in ((1, 1), [2, 0, 2]):
+            with pytest.raises(ValueError, match="duplicate active indices"):
+                eval_dual2(e, POINT, dup)
+        for bad in ((4,), [0, -1], range(3, 6)):
+            with pytest.raises(ValueError, match="out of range"):
+                eval_dual2(e, POINT, bad)
+    assert set(e._kernels) == {(0,)}
+
+
+def test_failures_leave_no_half_built_cache_entry(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("compile failed")
+
+    e = parse("ln(v1) + v1^400", ["v1"])
+    monkeypatch.setattr(expr, "compile", broken, raising=False)
+    with pytest.raises(RuntimeError):
+        eval_dual2(e, [2.0])
+    with pytest.raises(RuntimeError):
+        evaluate(e, [2.0])
+    assert e._kernels == {}
+    monkeypatch.undo()
+
+    # a domain error at run time leaves a whole, working kernel
+    with pytest.raises(EvalDomainError, match="ln"):
+        eval_dual2(e, [-1.0])
+    kernels = dict(e._kernels)
+    assert eval_dual2(e, [2.0]).value == math.log(2.0) + 2.0 ** 400
+    assert e._kernels == kernels
+
+    # the checked variant is built on the first overflow; a failure there
+    # must not stick either
+    monkeypatch.setattr(expr, "compile", broken, raising=False)
+    with pytest.raises(RuntimeError):
+        eval_dual2(e, [1e10])
+    monkeypatch.undo()
+    with pytest.raises(EvalDomainError, match="v1\\^400"):
+        eval_dual2(e, [1e10])
+    assert eval_dual2(e, [2.0]).value == math.log(2.0) + 2.0 ** 400
+
+
+def test_kernels_are_freed_with_the_expression():
+    e = parse(SOURCE, NAMES)
+    eval_dual2(e, POINT)
+    with pytest.raises(EvalDomainError):
+        eval_dual2(e, [0.0, 0.0, 1e200, 1e200])  # builds the checked variant
+    refs = [weakref.ref(k) for k in e._kernels.values()]
+    gc.disable()
+    try:
+        del e
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+
+
+# --------------------------------------------------------------------------
+# overflow and non-finite results
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "source, x, fragment",
+    [
+        ("v1^400", 1e10, "v1^400"),
+        ("exp(v1)", 1e3, "exp(v1)"),
+        ("1 + 2*v1^400", 1e10, "v1^400"),
+        ("sin(exp(v1))", 1e3, "exp(v1)"),
+        ("v1*v1*v1", 1e200, "v1*v1"),  # multiplication overflows silently
+        ("v1", math.nan, "v1"),
+        ("v1 - v1", math.inf, "v1"),
+    ],
+)
+def test_overflow_raises_domain_error_quoting_fragment(source, x, fragment):
+    e = parse(source, ["v1"])
+    for call in (lambda: evaluate(e, [x]), lambda: eval_dual2(e, [x])):
+        for _ in range(2):  # the slow path is compiled once, then reused
+            with pytest.raises(EvalDomainError, match="overflow") as err:
+                call()
+            assert err.value.fragment == fragment
+
+
+def test_derivative_overflow_raises_where_the_value_is_finite():
+    # 1/v1 at 1e-110: the value 1e110 is fine, 2/v1^3 is not
+    e = parse("1/v1", ["v1"])
+    assert evaluate(e, [1e-110]) == 1e110
+    with pytest.raises(EvalDomainError, match="overflow") as err:
+        eval_dual2(e, [1e-110])
+    assert err.value.fragment == "1/v1"
+    # only the Hessian needs 2/v1^3, and nothing differentiates v1 here
+    d = eval_dual2(parse("q1/v1", ["q1", "v1"]), [3.0, 1e-110], [0])
+    assert d.value == 3.0 * (1.0 / 1e-110)
+    assert np.array_equal(d.hess, [[0.0]])
+
+
+def test_finite_sum_overflow_takes_the_slow_path_and_returns():
+    # each entry is finite; only their sum, used as the quick test, is not
+    d = eval_dual2(parse("1e308*v1 + 1e308*v2", ["v1", "v2"]), [1.0, 0.5])
+    assert d.value == 1e308 + 5e307
+    assert np.array_equal(d.grad, [1e308, 1e308])

@@ -32,6 +32,7 @@ from .clairaut import (
 from .dynamics import (
     ComparisonReport,
     GaugeChoice,
+    NonFiniteStateError,
     PrimaryConstraintError,
     Trajectory,
     compare_trajectories,
@@ -73,6 +74,7 @@ __all__ = [
     "MixedHamiltonian",
     "NewtonDivergedError",
     "NoValidMinorError",
+    "NonFiniteStateError",
     "ParseError",
     "PrimaryConstraintError",
     "RankNotConstantError",

@@ -29,6 +29,7 @@ from .expr import Expression, eval_dual2, evaluate, with_variables
 from .partition import (
     HessianPartition,
     LagrangianSystem,
+    checked_vector,
     partition_indices,
     qv_names,
 )
@@ -62,7 +63,19 @@ class SingularJacobianError(Exception):
 
 
 def _inf_norm(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.abs(x).max()) if x.size else 0.0
+
+
+def check_w11(w11: np.ndarray, tol: float, where: str, **at) -> None:
+    """Raise ``SingularJacobianError`` if W11's smallest singular value is at
+    most ``tol * max(largest, 1)``.  The message is ``where`` followed by
+    the ``name=value`` pairs of ``at``, built only on failure."""
+    sv = np.linalg.svd(w11, compute_uv=False)
+    if sv[-1] <= tol * max(sv[0], 1.0):
+        point = ", ".join(f"{name}={x.tolist()}" for name, x in at.items())
+        raise SingularJacobianError(
+            f"{where} {point} (smallest singular value {sv[-1]:.3e})"
+        )
 
 
 @dataclass
@@ -95,58 +108,51 @@ class EnvelopeSolver:
             return np.zeros(self.partition.k)
         return self.system.center()[self.system.n + self._reg]
 
-    def _point(self, q, v1, c2) -> np.ndarray:
-        v = np.empty(self.system.n)
-        v[self._reg] = v1
-        v[self._nonreg] = c2
-        return np.concatenate([np.asarray(q, float), v])
-
     def solve(self, q, p1, c2, v1_guess=None) -> np.ndarray:
         """Return v1 = V(q, p1, c2) with ||p1 - dL/dv1||_inf <= newton_tol."""
-        k = self.partition.k
-        p1 = np.asarray(p1, dtype=float)
-        c2 = np.asarray(c2, dtype=float)
-        if p1.shape != (k,):
-            raise ValueError(f"p1 has shape {p1.shape}, expected ({k},)")
-        if c2.shape != (len(self._nonreg),):
-            raise ValueError(
-                f"c2 has shape {c2.shape}, expected ({len(self._nonreg)},)"
-            )
+        n, k = self.system.n, self.partition.k
+        q = checked_vector(q, n, "q")
+        p1 = checked_vector(p1, k, "p1")
+        c2 = checked_vector(c2, n - k, "c2")
         if k == 0:
             return np.zeros(0)
 
         v1 = np.array(v1_guess, dtype=float) if v1_guess is not None else (
             self.default_guess()
         )
-        lag = self.system.lagrangian
+        # (q, v) with v2 = c2 fixed; each trial overwrites only the v1 slots
+        point = np.empty(2 * n)
+        point[:n] = q
+        point[n + self._nonreg] = c2
+        v1_slots = n + self._reg
+        point[v1_slots] = v1
+        lag, active = self.system.lagrangian, self._v1_active
+        d = eval_dual2(lag, point, active)
+        r = p1 - d.grad
         history = []
         for _ in range(self.max_iter):
-            d = eval_dual2(lag, self._point(q, v1, c2), self._v1_active)
-            r = p1 - d.grad
             rnorm = _inf_norm(r)
             history.append(rnorm)
             if rnorm <= self.newton_tol:
                 return v1
-            w11 = d.hess
-            sv = np.linalg.svd(w11, compute_uv=False)
-            if sv[-1] <= self.partition.rank_tolerance * max(sv[0], 1.0):
-                raise SingularJacobianError(
-                    f"W11 is singular at Newton iterate v1={v1.tolist()} "
-                    f"(smallest singular value {sv[-1]:.3e})"
-                )
-            delta = np.linalg.solve(w11, r)
+            check_w11(d.hess, self.partition.rank_tolerance,
+                      "W11 is singular at Newton iterate", v1=v1)
+            delta = np.linalg.solve(d.hess, r)
             alpha = 1.0
             for _ in range(self.max_backtracks + 1):
                 trial = v1 + alpha * delta
-                d_trial = eval_dual2(lag, self._point(q, trial, c2), self._v1_active)
-                if _inf_norm(p1 - d_trial.grad) < rnorm:
+                point[v1_slots] = trial
+                d_trial = eval_dual2(lag, point, active)
+                r_trial = p1 - d_trial.grad
+                if _inf_norm(r_trial) < rnorm:
                     break
                 alpha *= 0.5
             else:
                 raise NewtonDivergedError(
                     "backtracking could not reduce the envelope residual", history
                 )
-            v1 = trial
+            # the accepted trial's evaluation serves the next iterate
+            v1, d, r = trial, d_trial, r_trial
         raise NewtonDivergedError(
             f"no convergence within {self.max_iter} Newton iterations", history
         )
@@ -192,9 +198,7 @@ class MixedHamiltonian:
         return self.partition.k
 
     def split_momenta(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.n,):
-            raise ValueError(f"p has shape {p.shape}, expected ({self.n},)")
+        p = checked_vector(p, self.n, "p")
         return p[self._reg], p[self._nonreg]
 
     def assemble_velocity(self, v1, v2) -> np.ndarray:
@@ -288,16 +292,10 @@ class MixedHamiltonian:
         damped Newton; since dV/dp1 = W11^{-1}, the Newton step is a plain
         multiplication by W11 evaluated on the current envelope point.
         """
-        v = np.asarray(v, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"v has shape {v.shape}, expected ({self.n},)")
+        v = checked_vector(v, self.n, "v")
+        p2 = checked_vector(p2, self.n - self.k, "p2")
         v1 = v[self._reg]
         v2 = v[self._nonreg]
-        if p2.shape != (len(self._nonreg),):
-            raise ValueError(
-                f"p2 has shape {p2.shape}, expected ({len(self._nonreg)},)"
-            )
         solver = self.solver
         p1 = (
             np.array(p1_guess, dtype=float)

@@ -50,6 +50,7 @@ from .clairaut import (
 )
 from .dynamics import (
     GaugeChoice,
+    NonFiniteStateError,
     PrimaryConstraintError,
     compare_trajectories,
     integrate_el,
@@ -857,7 +858,7 @@ def main(argv=None) -> int:
             PrimaryConstraintError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OutOfDomainError, EvalDomainError) as exc:
+    except (OutOfDomainError, EvalDomainError, NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -31,6 +31,10 @@ On the Hamiltonian side only (q, p1) is integrated.  The non-regular momenta
 are reconstructed as p2 = Psi(q, p1) + Phi_0 with the constant initial
 offset Phi_0; this is exact because the corrected momentum equation forces
 d(p2)/dt = d(Psi)/dt.
+
+Both flows run on one RK4 driver, which names the step and time of any
+failure.  Their right-hand sides build the index plan once per run and test
+W11 with the envelope solver's own check, ``clairaut.check_w11``.
 """
 
 from __future__ import annotations
@@ -40,13 +44,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clairaut import MixedHamiltonian, SingularJacobianError
-from .expr import Expression, eval_dual2, evaluate, parse
-from .partition import HessianPartition, LagrangianSystem, qv_names
+from .clairaut import (
+    MixedHamiltonian,
+    NewtonDivergedError,
+    SingularJacobianError,
+    check_w11,
+)
+from .expr import EvalDomainError, Expression, eval_dual2, evaluate, parse
+from .partition import (
+    HessianPartition,
+    LagrangianSystem,
+    checked_vector,
+    qv_names,
+)
 
 __all__ = [
     "GaugeChoice",
     "PrimaryConstraintError",
+    "NonFiniteStateError",
     "Trajectory",
     "ComparisonReport",
     "el_rhs",
@@ -101,15 +116,13 @@ class GaugeChoice:
         return cls.from_sources(n, [repr(v) for v in vals])
 
     def value(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
         return np.array([evaluate(e, q) for e in self.exprs])
 
     def jacobian(self, q) -> np.ndarray:
         """dC2/dq, shape (n - k, n)."""
-        q = np.asarray(q, dtype=float)
         if not self.exprs:
             return np.zeros((0, self.n))
-        return np.stack([eval_dual2(e, q).grad for e in self.exprs])
+        return np.array([eval_dual2(e, q).grad for e in self.exprs])
 
 
 def _resolve_gauge(gauge, partition: HessianPartition, n: int) -> GaugeChoice:
@@ -140,59 +153,101 @@ def _validate_span(t_span, dt):
 
 
 # --------------------------------------------------------------------------
+# The RK4 driver
+# --------------------------------------------------------------------------
+
+class NonFiniteStateError(ArithmeticError):
+    """An RK4 step left the state with an inf or NaN entry."""
+
+
+def _rk4(rhs, y0, t0, h, nsteps, record):
+    """Classical RK4 over the nodes t0 + i*h, i = 0..nsteps.
+
+    ``rhs(y)`` returns (dy/dt, info); ``record(i, t, y, info)`` stores node
+    i from its first stage.  Step i starts at node i (step nsteps only
+    records).  Errors raised in step i, including ``NonFiniteStateError``
+    when it leaves y non-finite, get ``step``/``t`` attributes and
+    "at RK4 step i (t = ...)" appended to their message.
+    """
+    y = y0
+    for i in range(nsteps + 1):
+        t = t0 + i * h
+        try:
+            k1, info = rhs(y)
+            record(i, t, y, info)
+            if i == nsteps:
+                break
+            k2, _ = rhs(y + 0.5 * h * k1)
+            k3, _ = rhs(y + 0.5 * h * k2)
+            k4, _ = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(y).all():
+                raise NonFiniteStateError("overflow to a non-finite state")
+        except (EvalDomainError, SingularJacobianError, NewtonDivergedError,
+                NonFiniteStateError) as exc:
+            exc.step, exc.t = i, t
+            exc.args = (f"{exc} at RK4 step {i} (t = {t:.6g})",)
+            raise
+
+
+# --------------------------------------------------------------------------
 # Euler-Lagrange side
 # --------------------------------------------------------------------------
 
-def _el_core(system: LagrangianSystem, partition, gauge, q, v1):
-    """One gauge-fixed Euler-Lagrange evaluation.
+def _el_field(system: LagrangianSystem, partition, gauge):
+    """The gauge-fixed Euler-Lagrange right-hand side on y = (q, v1).
 
-    Solves the regular rows  W11 a1 = K1 - W12 v2dot  of
+    It solves the regular rows  W11 a1 = K1 - W12 v2dot  of
     W vdot = K,  K_i = dL/dq_i - sum_j (d2L/dv_i dq_j) v_j,
-    with v2dot given by the chain rule through the gauge.  Returns
-    (a1, non-regular row defect, full velocity, dL/dv).
+    with v2dot from the chain rule through the gauge, and returns
+    ((v, a1), (non-regular row defect, full velocity v, dL/dv)).
     """
-    n = system.n
+    n, k = system.n, partition.k
+    lag, tol = system.lagrangian, partition.rank_tolerance
     reg = np.asarray(partition.regular, dtype=int)
     nonreg = np.asarray(partition.nonregular, dtype=int)
-    q = np.asarray(q, dtype=float)
-    v = np.empty(n)
-    v[reg] = v1
-    v[nonreg] = gauge.value(q)
-    d = eval_dual2(system.lagrangian, np.concatenate([q, v]))
-    lq = d.grad[:n]
-    lv = d.grad[n:]
-    w = d.hess[n:, n:]
-    kvec = lq - d.hess[n:, :n] @ v
-    v2dot = gauge.jacobian(q) @ v
-    if partition.k:
-        w11 = w[np.ix_(reg, reg)]
-        sv = np.linalg.svd(w11, compute_uv=False)
-        if sv[-1] <= partition.rank_tolerance * max(sv[0], 1.0):
-            raise SingularJacobianError(
-                f"regular velocity block is singular at q={q.tolist()}, "
-                f"v={v.tolist()} (smallest singular value {sv[-1]:.3e})"
-            )
-        accel1 = np.linalg.solve(
-            w11, kvec[reg] - w[np.ix_(reg, nonreg)] @ v2dot
-        )
-    else:
-        accel1 = np.zeros(0)
-    vdot = np.empty(n)
-    vdot[reg] = accel1
-    vdot[nonreg] = v2dot
-    defect = w[nonreg] @ vdot - kvec[nonreg]
-    i2_res = float(np.max(np.abs(defect))) if defect.size else 0.0
-    return accel1, i2_res, v, lv
+    v1_slots, v2_slots = n + reg, n + nonreg
+    w11_ix, w12_ix = np.ix_(reg, reg), np.ix_(reg, nonreg)
+
+    def rhs(y):
+        q = y[:n]
+        x = np.empty(2 * n)
+        x[:n] = q
+        x[v1_slots] = y[n:]
+        x[v2_slots] = gauge.value(q)
+        v = x[n:]
+        d = eval_dual2(lag, x)
+        lq = d.grad[:n]
+        lv = d.grad[n:]
+        w = d.hess[n:, n:]
+        kvec = lq - d.hess[n:, :n] @ v
+        v2dot = gauge.jacobian(q) @ v
+        if k:
+            w11 = w[w11_ix]
+            check_w11(w11, tol, "regular velocity block is singular at",
+                      q=q, v=v)
+            accel1 = np.linalg.solve(w11, kvec[reg] - w[w12_ix] @ v2dot)
+        else:
+            accel1 = np.zeros(0)
+        vdot = np.empty(n)
+        vdot[reg] = accel1
+        vdot[nonreg] = v2dot
+        defect = w[nonreg] @ vdot - kvec[nonreg]
+        i2_res = float(np.max(np.abs(defect))) if defect.size else 0.0
+        return np.concatenate([v, accel1]), (i2_res, v, lv)
+
+    return rhs
 
 
 def el_rhs(system, partition, gauge, q, v1):
     """Gauge-fixed regular accelerations and the non-regular row defect."""
     gauge = _resolve_gauge(gauge, partition, system.n)
-    v1 = np.asarray(v1, dtype=float)
-    if v1.shape != (partition.k,):
-        raise ValueError(f"v1 has shape {v1.shape}, expected ({partition.k},)")
-    accel1, i2_res, _, _ = _el_core(system, partition, gauge, q, v1)
-    return accel1, i2_res
+    y = np.concatenate([
+        checked_vector(q, system.n, "q"),
+        checked_vector(v1, partition.k, "v1"),
+    ])
+    dy, (i2_res, _, _) = _el_field(system, partition, gauge)(y)
+    return dy[system.n:], i2_res
 
 
 def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
@@ -206,42 +261,24 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
     n, k = system.n, partition.k
     gauge = _resolve_gauge(gauge, partition, n)
     t0, _, nsteps, h = _validate_span(t_span, dt)
-    reg = np.asarray(partition.regular, dtype=int)
-    nonreg = np.asarray(partition.nonregular, dtype=int)
-    q = np.asarray(q0, dtype=float).copy()
-    v1 = np.asarray(v10, dtype=float).copy()
-    if q.shape != (n,):
-        raise ValueError(f"q0 has shape {q.shape}, expected ({n},)")
-    if v1.shape != (k,):
-        raise ValueError(f"v10 has shape {v1.shape}, expected ({k},)")
-
+    y0 = np.concatenate([
+        checked_vector(q0, n, "q0"), checked_vector(v10, k, "v10"),
+    ])
+    reg, nonreg = ham._reg, ham._nonreg
     traj = _alloc(nsteps, n, k, partition.regular)
-    for i in range(nsteps + 1):
-        accel1, i2_res, v, lv = _el_core(system, partition, gauge, q, v1)
-        traj.times[i] = t0 + i * h
+
+    def record(i, t, y, info):
+        i2_res, v, lv = info
+        q = y[:n]
+        traj.times[i] = t
         traj.q[i] = q
         traj.v[i] = v
         traj.p[i] = lv
-        psi = ham.psi(q, lv[reg], v2_probe=v[nonreg], v1_guess=v1)
+        psi = ham.psi(q, lv[reg], v2_probe=v[nonreg], v1_guess=y[n:])
         traj.phi[i] = lv[nonreg] - psi
         traj.el_i2_res[i] = i2_res
-        if i == nsteps:
-            break
-        k1q, k1v = v, accel1
-        a2, _, vf, _ = _el_core(
-            system, partition, gauge, q + 0.5 * h * k1q, v1 + 0.5 * h * k1v
-        )
-        k2q, k2v = vf, a2
-        a3, _, vf, _ = _el_core(
-            system, partition, gauge, q + 0.5 * h * k2q, v1 + 0.5 * h * k2v
-        )
-        k3q, k3v = vf, a3
-        a4, _, vf, _ = _el_core(
-            system, partition, gauge, q + h * k3q, v1 + h * k3v
-        )
-        k4q, k4v = vf, a4
-        q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        v1 = v1 + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+
+    _rk4(_el_field(system, partition, gauge), y0, t0, h, nsteps, record)
     return traj
 
 
@@ -249,13 +286,14 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
 # Hamiltonian side
 # --------------------------------------------------------------------------
 
-def _ham_core(ham: MixedHamiltonian, gauge, q, p1, phi, include_r, v1_guess=None):
-    """One mixed-Hamiltonian evaluation at known constraint values.
+def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
+    """The mixed-Hamiltonian right-hand side on y = (q, p1) at constraint
+    values ``phi``: ((qdot, p1dot), (qdot, ``hs3_res``, dL/dv)).
 
-    Uses the composite-derivative identity from the module docstring for
-    dH/dq, so no finite differencing of H enters the flow.  The ``hs3_res``
-    channel is the residual of the non-regular momentum equation given that
-    p2 is reconstructed from Psi:
+    Each call warm-starts the envelope solve at the previous call's v1 (the
+    first at ``v1``).  dH/dq is the composite derivative from the module
+    docstring.  ``hs3_res`` is the residual of the non-regular momentum
+    equation given that p2 is reconstructed from Psi:
 
         d(Psi)/dt + dH/dq2|_comp - R2   (R2 dropped when include_r=False)
 
@@ -264,52 +302,52 @@ def _ham_core(ham: MixedHamiltonian, gauge, q, p1, phi, include_r, v1_guess=None
     """
     system, partition = ham.system, ham.partition
     n, k = system.n, partition.k
-    reg = np.asarray(partition.regular, dtype=int)
-    nonreg = np.asarray(partition.nonregular, dtype=int)
-    q = np.asarray(q, dtype=float)
-    c2 = gauge.value(q)
-    v1 = ham.solve_velocity(q, p1, c2, v1_guess)
-    d = eval_dual2(
-        system.lagrangian,
-        np.concatenate([q, ham.assemble_velocity(v1, c2)]),
-    )
-    lq = d.grad[:n]
-    lv = d.grad[n:]
-    w = d.hess[n:, n:]
-    lvq = d.hess[n:, :n]
-    gjac = gauge.jacobian(q)
-    r_full = gjac.T @ phi
-    dhdq = -lq + r_full
-    p1dot = -dhdq[reg] + (r_full[reg] if include_r else 0.0)
-    qdot = np.empty(n)
-    qdot[reg] = v1
-    qdot[nonreg] = c2
-
     m = n - k
-    if m:
-        w11 = w[np.ix_(reg, reg)]
-        w12 = w[np.ix_(reg, nonreg)]
-        w21 = w[np.ix_(nonreg, reg)]
-        w22 = w[np.ix_(nonreg, nonreg)]
-        if k:
-            sv = np.linalg.svd(w11, compute_uv=False)
-            if sv[-1] <= partition.rank_tolerance * max(sv[0], 1.0):
-                raise SingularJacobianError(
-                    f"regular velocity block is singular at q={q.tolist()} "
-                    f"(smallest singular value {sv[-1]:.3e})"
-                )
-            dvdq = -np.linalg.solve(w11, lvq[reg] + w12 @ gjac)
-            dpsi_dp1 = np.linalg.solve(w11.T, w21.T).T
-        else:
-            dvdq = np.zeros((0, n))
-            dpsi_dp1 = np.zeros((m, 0))
-        dpsi_dq = lvq[nonreg] + w21 @ dvdq + w22 @ gjac
-        psidot = dpsi_dq @ qdot + dpsi_dp1 @ p1dot
-        defect = dhdq[nonreg] + psidot - (r_full[nonreg] if include_r else 0.0)
-        hs3_res = float(np.max(np.abs(defect)))
-    else:
+    lag, tol = system.lagrangian, partition.rank_tolerance
+    reg, nonreg = ham._reg, ham._nonreg
+    v1_slots, v2_slots = n + reg, n + nonreg
+    w11_ix, w12_ix = np.ix_(reg, reg), np.ix_(reg, nonreg)
+    w21_ix, w22_ix = np.ix_(nonreg, reg), np.ix_(nonreg, nonreg)
+
+    def rhs(y):
+        nonlocal v1
+        q, p1 = y[:n], y[n:]
+        c2 = gauge.value(q)
+        v1 = ham.solve_velocity(q, p1, c2, v1)
+        x = np.empty(2 * n)
+        x[:n] = q
+        x[v1_slots] = v1
+        x[v2_slots] = c2
+        qdot = x[n:]
+        d = eval_dual2(lag, x)
+        lq = d.grad[:n]
+        lv = d.grad[n:]
+        w = d.hess[n:, n:]
+        lvq = d.hess[n:, :n]
+        gjac = gauge.jacobian(q)
+        r_full = gjac.T @ phi
+        dhdq = -lq + r_full
+        p1dot = -dhdq[reg] + (r_full[reg] if include_r else 0.0)
         hs3_res = 0.0
-    return qdot, p1dot, hs3_res, v1, lv
+        if m:
+            w12 = w[w12_ix]
+            w21 = w[w21_ix]
+            if k:
+                w11 = w[w11_ix]
+                check_w11(w11, tol, "regular velocity block is singular at",
+                          q=q)
+                dvdq = -np.linalg.solve(w11, lvq[reg] + w12 @ gjac)
+                dpsi_dp1 = np.linalg.solve(w11.T, w21.T).T
+            else:
+                dvdq = np.zeros((0, n))
+                dpsi_dp1 = np.zeros((m, 0))
+            dpsi_dq = lvq[nonreg] + w21 @ dvdq + w[w22_ix] @ gjac
+            psidot = dpsi_dq @ qdot + dpsi_dp1 @ p1dot
+            r2 = r_full[nonreg] if include_r else 0.0
+            hs3_res = float(np.max(np.abs(dhdq[nonreg] + psidot - r2)))
+        return np.concatenate([qdot, p1dot]), (qdot, hs3_res, lv)
+
+    return rhs
 
 
 def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
@@ -323,10 +361,9 @@ def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
     c2 = gauge.value(q)
     v1 = ham.solve_velocity(q, p1, c2)
     phi = p2 - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
-    qdot, p1dot, hs3_res, _, _ = _ham_core(
-        ham, gauge, q, p1, phi, include_r, v1_guess=v1
-    )
-    return qdot, p1dot, hs3_res
+    rhs = _ham_field(ham, gauge, phi, include_r, v1)
+    dy, (qdot, hs3_res, _) = rhs(np.concatenate([q, p1]))
+    return qdot, dy[ham.n:], hs3_res
 
 
 def integrate_ham(
@@ -349,15 +386,10 @@ def integrate_ham(
     n, k = system.n, partition.k
     gauge = _resolve_gauge(gauge, partition, n)
     t0, _, nsteps, h = _validate_span(t_span, dt)
-    reg = np.asarray(partition.regular, dtype=int)
-    nonreg = np.asarray(partition.nonregular, dtype=int)
-    q = np.asarray(q0, dtype=float).copy()
-    p0 = np.asarray(p0, dtype=float)
-    if q.shape != (n,):
-        raise ValueError(f"q0 has shape {q.shape}, expected ({n},)")
-    if p0.shape != (n,):
-        raise ValueError(f"p0 has shape {p0.shape}, expected ({n},)")
-    p1 = p0[reg].copy()
+    reg, nonreg = ham._reg, ham._nonreg
+    q = checked_vector(q0, n, "q0")
+    p0 = checked_vector(p0, n, "p0")
+    p1 = p0[reg]
 
     c2 = gauge.value(q)
     v1 = ham.solve_velocity(q, p1, c2)
@@ -375,36 +407,20 @@ def integrate_ham(
         )
 
     traj = _alloc(nsteps, n, k, partition.regular)
-    for i in range(nsteps + 1):
-        qdot, p1dot, hs3_res, v1, lv = _ham_core(
-            ham, gauge, q, p1, phi0, include_r, v1_guess=v1
-        )
+
+    def record(i, t, y, info):
+        qdot, hs3_res, lv = info
         p2 = lv[nonreg] + phi0
-        traj.times[i] = t0 + i * h
-        traj.q[i] = q
-        traj.v[i][reg] = v1
-        traj.v[i][nonreg] = qdot[nonreg]
-        traj.p[i][reg] = p1
+        traj.times[i] = t
+        traj.q[i] = y[:n]
+        traj.v[i] = qdot
+        traj.p[i][reg] = y[n:]
         traj.p[i][nonreg] = p2
         traj.phi[i] = p2 - lv[nonreg]
         traj.hs3_res[i] = hs3_res
-        if i == nsteps:
-            break
-        k1q, k1p = qdot, p1dot
-        d2q, d2p, _, v1, _ = _ham_core(
-            ham, gauge, q + 0.5 * h * k1q, p1 + 0.5 * h * k1p, phi0,
-            include_r, v1_guess=v1,
-        )
-        d3q, d3p, _, v1, _ = _ham_core(
-            ham, gauge, q + 0.5 * h * d2q, p1 + 0.5 * h * d2p, phi0,
-            include_r, v1_guess=v1,
-        )
-        d4q, d4p, _, v1, _ = _ham_core(
-            ham, gauge, q + h * d3q, p1 + h * d3p, phi0,
-            include_r, v1_guess=v1,
-        )
-        q = q + (h / 6.0) * (k1q + 2.0 * d2q + 2.0 * d3q + d4q)
-        p1 = p1 + (h / 6.0) * (k1p + 2.0 * d2p + 2.0 * d3p + d4p)
+
+    rhs = _ham_field(ham, gauge, phi0, include_r, v1)
+    _rk4(rhs, np.concatenate([q, p1]), t0, h, nsteps, record)
     return traj
 
 

@@ -52,19 +52,16 @@ def qv_names(n: int) -> tuple[str, ...]:
 
 @dataclass
 class LagrangianSystem:
-    """A Lagrangian, its sampling box, and (optionally) a gauge.
+    """A Lagrangian and its sampling box.
 
     ``domain_lo``/``domain_hi`` are aligned with the variable table
-    (q1..qn, v1..vn); every interval must have positive width.  ``gauge``
-    holds the unresolved-velocity expressions C2 over q once a partition is
-    known; it is not needed for the transform itself.
+    (q1..qn, v1..vn); every interval must have positive width.
     """
 
     n: int
     lagrangian: Expression
     domain_lo: np.ndarray
     domain_hi: np.ndarray
-    gauge: tuple[Expression, ...] | None = None
 
     def __post_init__(self):
         names = qv_names(self.n)
@@ -118,11 +115,23 @@ class HessianPartition:
     """
 
     k: int
-    sigma: tuple[int, ...]
     regular: tuple[int, ...]
     nonregular: tuple[int, ...]
     rank_tolerance: float
     samples_checked: int
+
+    @property
+    def sigma(self) -> tuple[int, ...]:
+        return self.regular + self.nonregular
+
+
+def checked_vector(x, size: int, name: str) -> np.ndarray:
+    """``x`` as a float vector, or ValueError naming it unless it has ``size``
+    entries."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (size,):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({size},)")
+    return x
 
 
 def hessian(system: LagrangianSystem, q, v) -> np.ndarray:
@@ -248,7 +257,6 @@ def partition_indices(
 
     return HessianPartition(
         k=k,
-        sigma=regular + nonregular,
         regular=regular,
         nonregular=nonregular,
         rank_tolerance=rel_tol,

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import root
 
 import corpus
 import helpers
+from legclair import clairaut
 from legclair.clairaut import (
     EnvelopeSolver,
     MixedHamiltonian,
@@ -13,7 +16,7 @@ from legclair.clairaut import (
     general_solution,
     generic_transform,
 )
-from legclair.expr import eval_dual2, evaluate, parse
+from legclair.expr import EvalDomainError, eval_dual2, evaluate, parse
 from legclair.partition import (
     LagrangianSystem,
     RankNotConstantError,
@@ -166,6 +169,181 @@ def test_solver_validates_shapes():
         ham.solve_velocity([0.0, 0.0], [1.0, 2.0], [0.0])
     with pytest.raises(ValueError):
         ham.solve_velocity([0.0, 0.0], [1.0], [])
+
+
+# --------------------------------------------------------------------------
+# the envelope Newton loop against the loop that evaluates every iterate
+# --------------------------------------------------------------------------
+
+def reference_newton(solver, q, p1, c2, v1_guess=None):
+    """The envelope Newton loop as it was before the accepted trial's
+    evaluation was reused: every iterate is evaluated afresh.  Returns the
+    solution, or raises what the solver raised then."""
+    system, part = solver.system, solver.partition
+    n, reg, nonreg = system.n, list(part.regular), list(part.nonregular)
+    p1 = np.asarray(p1, dtype=float)
+
+    def point(v1):
+        v = np.empty(n)
+        v[reg] = v1
+        v[nonreg] = c2
+        return np.concatenate([np.asarray(q, float), v])
+
+    v1 = (
+        np.array(v1_guess, dtype=float)
+        if v1_guess is not None else solver.default_guess()
+    )
+    history = []
+    for _ in range(solver.max_iter):
+        d = eval_dual2(system.lagrangian, point(v1), solver._v1_active)
+        r = p1 - d.grad
+        rnorm = float(np.max(np.abs(r)))
+        history.append(rnorm)
+        if rnorm <= solver.newton_tol:
+            return v1
+        sv = np.linalg.svd(d.hess, compute_uv=False)
+        if sv[-1] <= part.rank_tolerance * max(sv[0], 1.0):
+            raise SingularJacobianError(
+                f"W11 is singular at Newton iterate v1={v1.tolist()} "
+                f"(smallest singular value {sv[-1]:.3e})"
+            )
+        delta = np.linalg.solve(d.hess, r)
+        alpha = 1.0
+        for _ in range(solver.max_backtracks + 1):
+            trial = v1 + alpha * delta
+            d_trial = eval_dual2(
+                system.lagrangian, point(trial), solver._v1_active
+            )
+            if float(np.max(np.abs(p1 - d_trial.grad))) < rnorm:
+                break
+            alpha *= 0.5
+        else:
+            raise NewtonDivergedError(
+                "backtracking could not reduce the envelope residual", history
+            )
+        v1 = trial
+    raise NewtonDivergedError(
+        f"no convergence within {solver.max_iter} Newton iterations", history
+    )
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (NewtonDivergedError, SingularJacobianError, EvalDomainError) as exc:
+        return exc
+
+
+def assert_same_outcome(solver, *args):
+    got = outcome(solver.solve, *args)
+    want = outcome(reference_newton, solver, *args)
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        if isinstance(want, NewtonDivergedError):
+            assert got.residual_history == want.residual_history
+    else:
+        assert np.array_equal(got, want)
+    return got
+
+
+def test_quadratic_cold_start_takes_two_evaluations(monkeypatch):
+    # one evaluation at the guess and one at the Newton point, which is
+    # exact for a quadratic and is accepted without a second evaluation
+    ham = make_ham("deg3")
+    calls = []
+    counted = clairaut.eval_dual2
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(clairaut, "eval_dual2", counting)
+    v1 = ham.solve_velocity([0.1, 0.2, 0.3], [1.0, -0.5], [0.4])
+    assert len(calls) == 2
+    assert_allclose(v1, [0.7, -0.2], rtol=0, atol=1e-12)
+
+
+def test_residual_history_matches_the_reference_loop():
+    # linear convergence exhausts the iterations; a zero Hessian at the
+    # guess is singular; a reachable momentum converges
+    sys = LagrangianSystem.from_source(1, "0.25*v1^4")
+    solver = MixedHamiltonian.from_system(sys).solver
+    err = assert_same_outcome(solver, [0.0], [0.0], [], [1e12])
+    assert isinstance(err, NewtonDivergedError)
+    assert len(err.residual_history) == solver.max_iter
+    assert isinstance(
+        assert_same_outcome(solver, [0.0], [0.5], []), SingularJacobianError
+    )
+    assert_same_outcome(solver, [0.0], [0.5], [], [1.0])
+
+
+def test_nan_momentum_ends_in_a_domain_error():
+    # the Newton step from a NaN residual is NaN, and evaluating the trial
+    # point raises before any iterate is accepted
+    ham = make_ham("deg3")
+    err = assert_same_outcome(
+        ham.solver, [0.0, 0.0, 0.0], [np.nan, 0.0], ham.default_probe()
+    )
+    assert isinstance(err, EvalDomainError)
+
+
+# name -> (n, source); rank and inertia are constant on every box, and W11
+# is bounded away from zero except for "flat", whose W11 = 3 v1^2 vanishes
+# at v1 = 0 and converges only linearly towards p1 = 0, and "exp", which
+# cannot reach p1 <= 0 and runs into a vanishing W11 = exp(v1) instead
+NEWTON_SYSTEMS = {
+    **{name: corpus.SYSTEMS[name][:2] for name in corpus.SYSTEMS},
+    "quartic": (1, "0.5*(1+q1^2)*v1^2 + 0.1*v1^4 + q1*v1"),
+    "exp": (2, "exp(v1) + 0.5*v2^2 + q1*v2"),
+    "flat": (2, "0.25*v1^4 + 0.5*v2^2 + q1*v2"),
+    "singular_quartic": (2, "0.5*(v1+v2)^2 + 0.1*(v1+v2)^4 + q2*v1"),
+}
+
+
+@st.composite
+def newton_cases(draw):
+    name = draw(st.sampled_from(sorted(NEWTON_SYSTEMS)))
+    n, source = NEWTON_SYSTEMS[name]
+    lo = draw(st.lists(st.floats(-3.0, 1.0), min_size=2 * n, max_size=2 * n))
+    width = draw(
+        st.lists(st.floats(0.5, 4.0), min_size=2 * n, max_size=2 * n)
+    )
+    frac = draw(st.lists(st.floats(0.0, 1.0), min_size=2 * n, max_size=2 * n))
+    momentum = draw(st.sampled_from(["reachable", "free", "zero"]))
+    free = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+    shift = draw(st.none() | st.floats(-1.0, 1.0))
+    return name, source, n, lo, width, frac, momentum, free, shift
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(newton_cases())
+def test_newton_converges_or_raises_a_solver_error_on_random_boxes(case):
+    name, source, n, lo, width, frac, momentum, free, shift = case
+    lo = np.array(lo)
+    hi = lo + np.array(width)
+    names = [f"q{i + 1}" for i in range(n)] + [f"v{i + 1}" for i in range(n)]
+    system = LagrangianSystem.from_source(
+        n, source, {name: (a, b) for name, a, b in zip(names, lo, hi)}
+    )
+    ham = MixedHamiltonian.from_system(system)
+    solver = ham.solver
+    reg, nonreg = list(ham.partition.regular), list(ham.partition.nonregular)
+    x = lo + np.array(frac) * (hi - lo)
+    q, v = x[:n], x[n:]
+    if momentum == "reachable":
+        p1 = eval_dual2(system.lagrangian, x, solver._v1_active).grad
+    else:
+        p1 = np.array(free)[reg] if momentum == "free" else np.zeros(ham.k)
+    guess = None if shift is None else v[reg] + shift
+    got = assert_same_outcome(solver, q, p1, v[nonreg], guess)
+    if isinstance(got, Exception):
+        assert isinstance(got, (NewtonDivergedError, SingularJacobianError))
+    else:
+        at = system.point(q, ham.assemble_velocity(got, v[nonreg]))
+        grad = eval_dual2(system.lagrangian, at, solver._v1_active).grad
+        assert np.max(np.abs(p1 - grad)) <= solver.newton_tol
 
 
 # --------------------------------------------------------------------------

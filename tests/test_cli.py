@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -116,6 +117,20 @@ def test_blowing_up_flow_exits_5(tmp_path, capsys):
     code = main(["--out", str(tmp_path / "w"), "integrate", path])
     assert code == 5
     assert capsys.readouterr().err.startswith("error: overflow")
+
+
+def test_blowing_up_flow_names_the_step_and_time(tmp_path, capsys):
+    path = write_problem(
+        tmp_path, n=1, lagrangian="0.5*v1^2 + q1^4",
+        initial={"q": [1.0], "v": [1.0]},
+        integrate={"t0": 0.0, "t1": 3.0, "dt": 0.01},
+    )
+    code = main(["--out", str(tmp_path / "w"), "integrate", path])
+    assert code == 5
+    err = capsys.readouterr().err.strip()
+    step = int(re.search(r"at RK4 step (\d+) \(t = ", err).group(1))
+    assert 0 < step < 300
+    assert err.endswith(f"at RK4 step {step} (t = {0.01 * step:.6g})")
 
 
 def test_unknown_problem_key_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import io
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,10 +7,13 @@ from numpy.testing import assert_allclose
 
 import corpus
 import helpers
-from legclair.clairaut import MixedHamiltonian
+import rk4_oracle
+from legclair.clairaut import MixedHamiltonian, SingularJacobianError
+from legclair.cli import _initial_data, build_gauge, load_problem
 from legclair.dynamics import (
     ComparisonReport,
     GaugeChoice,
+    NonFiniteStateError,
     PrimaryConstraintError,
     compare_trajectories,
     el_rhs,
@@ -18,8 +22,8 @@ from legclair.dynamics import (
     integrate_ham,
     write_trajectory_csv,
 )
-from legclair.expr import eval_dual2
-from legclair.partition import qv_names
+from legclair.expr import EvalDomainError, eval_dual2
+from legclair.partition import LagrangianSystem, qv_names
 
 
 def make_ham(name, **kw):
@@ -339,6 +343,128 @@ def test_r_term_negative_control():
     assert compare_trajectories(el, off, tol=1e-6).max_discrepancy > 1e-3
     # analytic check on the broken flow: p1' = -Phi_0 at t = 0
     assert_allclose(off.p[1, 0] - off.p[0, 0], -3.0 * 1e-3, rtol=1e-6)
+
+
+# --------------------------------------------------------------------------
+# the RK4 driver: the hand-rolled loops as oracle, located failures
+# --------------------------------------------------------------------------
+
+PROBLEMS = sorted(
+    (pathlib.Path(__file__).resolve().parent.parent / "problems").glob("*.json")
+)
+
+# q-dependent gauges, so the gauge Jacobian and the R terms are nonzero
+CORPUS_GAUGES = {"deg1": "0.5*sin(q1)", "deg2": "sin(q1)", "deg3": "0.5*sin(q1)"}
+
+
+def assert_same_trajectory(got, want):
+    for channel in ("times", "q", "v", "p", "phi", "el_i2_res", "hs3_res"):
+        assert np.array_equal(
+            getattr(got, channel), getattr(want, channel), equal_nan=True
+        ), channel
+    assert (got.n, got.k, got.regular) == (want.n, want.k, want.regular)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.SYSTEMS))
+def test_rk4_driver_matches_hand_rolled_loops_on_corpus(name):
+    ham = make_ham(name)
+    n, nonreg = ham.n, list(ham.partition.nonregular)
+    gauge = gauge_of(n, CORPUS_GAUGES[name]) if nonreg else None
+    q0 = np.linspace(0.1, 0.3, n)
+    v10 = np.linspace(0.4, -0.2, ham.k)
+    c2 = gauge.value(q0) if gauge else np.zeros(0)
+    x0 = ham.system.point(q0, ham.assemble_velocity(v10, c2))
+    p0 = eval_dual2(ham.system.lagrangian, x0, range(n, 2 * n)).grad
+    p0[nonreg] += 0.25  # off the constraint surface: Phi_0 != 0
+    span, dt = (0.0, 0.3), 3e-3
+    assert_same_trajectory(
+        integrate_el(ham, gauge, q0, v10, span, dt),
+        rk4_oracle.integrate_el(ham, gauge, q0, v10, span, dt),
+    )
+    for include_r in (True, False):
+        assert_same_trajectory(
+            integrate_ham(ham, gauge, q0, p0, span, dt, include_r=include_r),
+            rk4_oracle.integrate_ham(
+                ham, gauge, q0, p0, span, dt, include_r=include_r
+            ),
+        )
+
+
+@pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
+def test_rk4_driver_matches_hand_rolled_loops_on_shipped_problems(path):
+    problem = load_problem(str(path))
+    ham = MixedHamiltonian.from_system(problem.system)
+    gauge = build_gauge(problem, ham)
+    q0, v10, p0 = _initial_data(problem, ham, gauge)
+    cfg = problem.integrate
+    dt = cfg["dt"]
+    span = (cfg["t0"], cfg["t0"] + 500 * dt)  # the first 500 of its steps
+    enforce = cfg.get("enforce_primary", False)
+    assert_same_trajectory(
+        integrate_el(ham, gauge, q0, v10, span, dt),
+        rk4_oracle.integrate_el(ham, gauge, q0, v10, span, dt),
+    )
+    assert_same_trajectory(
+        integrate_ham(ham, gauge, q0, p0, span, dt, enforce_primary=enforce),
+        rk4_oracle.integrate_ham(
+            ham, gauge, q0, p0, span, dt, enforce_primary=enforce
+        ),
+    )
+
+
+def test_singular_block_in_a_flow_keeps_its_message():
+    # W = diag(3 v1^2, 0): at v1 = 0 both right-hand sides meet W11 = 0
+    # (Newton converges there at once, since p1 = v1^3 = 0)
+    ham = MixedHamiltonian.from_system(
+        LagrangianSystem.from_source(2, "0.25*v1^4 + q1*v2")
+    )
+    gauge = GaugeChoice.constant(2, [0.0])
+    for ours, oracle, x10 in (
+        (integrate_el, rk4_oracle.integrate_el, [0.0]),
+        (integrate_ham, rk4_oracle.integrate_ham, [0.0, 0.5]),
+    ):
+        args = (ham, gauge, [0.5, 0.0], x10, (0.0, 0.1), 0.01)
+        with pytest.raises(SingularJacobianError) as want:
+            oracle(*args)
+        with pytest.raises(SingularJacobianError) as got:
+            ours(*args)
+        assert "regular velocity block is singular" in str(want.value)
+        assert str(got.value) == f"{want.value} at RK4 step 0 (t = 0)"
+
+
+def test_non_finite_state_stops_the_flow_at_its_step():
+    # a free particle ignores q, so no evaluation overflows; with v = 2 and
+    # h = 5e307 the step from node 1 (t = h) carries q from 1e308 to inf
+    ham = MixedHamiltonian.from_system(
+        LagrangianSystem.from_source(1, "0.5*v1^2")
+    )
+    span, dt = (0.0, 1.5e308), 5e307
+    for run in (
+        lambda: integrate_el(ham, None, [0.0], [2.0], span, dt),
+        lambda: integrate_ham(ham, None, [0.0], [2.0], span, dt),
+    ):
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteStateError, match=r"^overflow"
+        ) as err:
+            run()
+        assert (err.value.step, err.value.t) == (1, 5e307)
+        assert "at RK4 step 1 (t = 5e+307)" in str(err.value)
+
+
+def test_domain_error_inside_a_step_names_the_step_and_time():
+    # q'' = 4 q^3 from q = v = 1 escapes to infinity before t = 1
+    ham = MixedHamiltonian.from_system(
+        LagrangianSystem.from_source(1, "0.5*v1^2 + q1^4")
+    )
+    for run in (
+        lambda: integrate_el(ham, None, [1.0], [1.0], (0.0, 3.0), 0.01),
+        lambda: integrate_ham(ham, None, [1.0], [1.0], (0.0, 3.0), 0.01),
+    ):
+        with pytest.raises(EvalDomainError, match=r"^overflow") as err:
+            run()
+        step, t = err.value.step, err.value.t
+        assert 0 < step < 100 and t == 0.01 * step
+        assert str(err.value).endswith(f"at RK4 step {step} (t = {t:.6g})")
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expression, eval_dual2, evaluate, with_variables
+from .expr import (
+    EvalDomainError,
+    Expression,
+    eval_dual2,
+    evaluate,
+    with_variables,
+)
 from .partition import (
     HessianPartition,
     LagrangianSystem,
@@ -82,10 +88,11 @@ def check_w11(w11: np.ndarray, tol: float, where: str, **at) -> None:
 class EnvelopeSolver:
     """Damped Newton solver for the envelope condition p1 = dL/dv1.
 
-    ``guess_strategy`` seeds the iteration at the domain-box center of the
-    regular velocities ("center") or at zero ("zero"); a per-call guess
-    overrides either.  Steps are halved (up to ``max_backtracks`` times)
-    whenever the residual fails to decrease.
+    The iteration starts at the domain-box center of the regular velocities
+    unless a per-call guess overrides it.  Steps are halved (up to
+    ``max_backtracks`` times) whenever the residual fails to decrease or a
+    finite trial point lies outside the domain of L (its evaluation raises
+    ``EvalDomainError``, e.g. by overflow).
     """
 
     system: LagrangianSystem
@@ -93,19 +100,14 @@ class EnvelopeSolver:
     newton_tol: float = NEWTON_TOL
     max_iter: int = NEWTON_MAX_ITER
     max_backtracks: int = NEWTON_MAX_BACKTRACKS
-    guess_strategy: str = "center"
 
     def __post_init__(self):
-        if self.guess_strategy not in ("center", "zero"):
-            raise ValueError(f"unknown guess strategy {self.guess_strategy!r}")
         n = self.system.n
         self._v1_active = tuple(n + i for i in self.partition.regular)
         self._reg = np.array(self.partition.regular, dtype=int)
         self._nonreg = np.array(self.partition.nonregular, dtype=int)
 
     def default_guess(self) -> np.ndarray:
-        if self.guess_strategy == "zero":
-            return np.zeros(self.partition.k)
         return self.system.center()[self.system.n + self._reg]
 
     def solve(self, q, p1, c2, v1_guess=None) -> np.ndarray:
@@ -142,10 +144,16 @@ class EnvelopeSolver:
             for _ in range(self.max_backtracks + 1):
                 trial = v1 + alpha * delta
                 point[v1_slots] = trial
-                d_trial = eval_dual2(lag, point, active)
-                r_trial = p1 - d_trial.grad
-                if _inf_norm(r_trial) < rnorm:
-                    break
+                try:
+                    d_trial = eval_dual2(lag, point, active)
+                except EvalDomainError:
+                    # halving cannot make a non-finite step finite
+                    if not np.isfinite(trial).all():
+                        raise
+                else:
+                    r_trial = p1 - d_trial.grad
+                    if _inf_norm(r_trial) < rnorm:
+                        break
                 alpha *= 0.5
             else:
                 raise NewtonDivergedError(
@@ -182,10 +190,9 @@ class MixedHamiltonian:
         num_samples: int = 64,
         seed: int = 0,
         rel_tol: float = 1e-9,
-        **solver_options,
     ) -> "MixedHamiltonian":
         part = partition_indices(system, num_samples, seed, rel_tol)
-        return cls(system, part, EnvelopeSolver(system, part, **solver_options))
+        return cls(system, part)
 
     # -- index helpers ------------------------------------------------------
 
@@ -389,7 +396,6 @@ def generic_transform(
     domain=None,
     num_samples: int = 64,
     seed: int = 0,
-    **solver_options,
 ) -> float:
     """Mixed transform of a coordinate-free function F over its box.
 
@@ -401,7 +407,7 @@ def generic_transform(
     """
     system = _as_lagrangian(F, domain)
     ham = MixedHamiltonian.from_system(
-        system, num_samples=num_samples, seed=seed, **solver_options
+        system, num_samples=num_samples, seed=seed
     )
     c2 = np.asarray(c2, dtype=float)
     expected = len(ham.partition.nonregular)

@@ -4,7 +4,9 @@ For a Lagrangian L(q, v) the velocity Hessian W = d2L/dv dv decides which
 velocities the Legendre map can invert.  This module samples W over the
 declared domain box, insists its rank (and inertia) is constant, and picks a
 maximal nonsingular principal block W11.  Indices in that block are the
-*regular* velocities; the rest stay unresolved downstream.
+*regular* velocities; the rest stay unresolved downstream.  One symmetric
+eigendecomposition per sample gives the rank, the inertia and the scale the
+certificate needs, and all samples are decomposed in one batched call.
 """
 
 from __future__ import annotations
@@ -157,21 +159,6 @@ def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
-def _inertia(w: np.ndarray, rel_tol: float) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts above the relative cutoff."""
-    eig = np.linalg.eigvalsh(w)
-    scale = float(np.max(np.abs(eig))) if eig.size else 0.0
-    if scale == 0.0:
-        return (0, 0)
-    cut = rel_tol * scale
-    return (int(np.count_nonzero(eig > cut)), int(np.count_nonzero(eig < -cut)))
-
-
-def _smallest_singular_value(matrix: np.ndarray) -> float:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    return float(sv[-1])
-
-
 def partition_indices(
     system: LagrangianSystem,
     num_samples: int = DEFAULT_SAMPLES,
@@ -180,14 +167,17 @@ def partition_indices(
 ) -> HessianPartition:
     """Sample W over the box and choose the regular index set.
 
-    The rank must be identical at every sample, and so must the inertia
-    signature: a sign flip of some eigenvalue between two samples proves (by
-    continuity) that it crosses zero inside the box even when no sample lands
-    exactly on the crossing, so borderline systems are rejected rather than
-    silently partitioned.  Regular indices are grown greedily on the
-    sample-averaged Hessian, each step taking the candidate that maximizes
-    the smallest singular value of the block (ties to the lowest index), and
-    the final block is re-checked for nonsingularity at every sample.
+    One symmetric eigendecomposition per sample gives its scale (the largest
+    |eigenvalue|), its inertia (the eigenvalues above ``rel_tol`` times the
+    scale, and those below minus that) and its rank (their sum).  The rank
+    must be identical at every sample, and so must the inertia signature: a
+    sign flip of some eigenvalue between two samples proves (by continuity)
+    that it crosses zero inside the box even when no sample lands exactly on
+    the crossing, so borderline systems are rejected rather than silently
+    partitioned.  Regular indices are grown greedily on the sample-averaged
+    Hessian, each step taking the candidate that maximizes the smallest
+    singular value of the block (ties to the lowest index), and the final
+    block is re-checked for nonsingularity at every sample.
     """
     if num_samples < 2:
         raise ValueError("need at least two samples to certify constancy")
@@ -196,15 +186,19 @@ def partition_indices(
     n = system.n
 
     hessians = np.empty((num_samples, n, n))
-    ranks = np.empty(num_samples, dtype=int)
-    signatures = []
     for s, x in enumerate(points):
-        w = eval_dual2(system.lagrangian, x, range(n, 2 * n)).hess
-        hessians[s] = w
-        ranks[s] = numerical_rank(w, rel_tol)
-        signatures.append(_inertia(w, rel_tol))
+        hessians[s] = eval_dual2(system.lagrangian, x, range(n, 2 * n)).hess
 
-    for s in range(1, num_samples):
+    eig = np.linalg.eigvalsh(hessians)
+    scale = np.abs(eig).max(axis=1)
+    cut = rel_tol * scale[:, None]
+    positive = np.count_nonzero(eig > cut, axis=1)
+    negative = np.count_nonzero(eig < -cut, axis=1)
+    ranks = positive + negative
+
+    differs = (positive != positive[0]) | (negative != negative[0])
+    if differs.any():
+        s = int(np.argmax(differs))
         if ranks[s] != ranks[0]:
             raise RankNotConstantError(
                 f"Hessian rank is not constant over the domain: rank {ranks[0]} "
@@ -213,15 +207,15 @@ def partition_indices(
                 points[0],
                 points[s],
             )
-        if signatures[s] != signatures[0]:
-            raise RankNotConstantError(
-                "Hessian inertia is not constant over the domain (an eigenvalue "
-                f"crosses zero inside the box): signature {signatures[0]} at "
-                f"(q, v) = {points[0].tolist()} but {signatures[s]} at "
-                f"(q, v) = {points[s].tolist()}",
-                points[0],
-                points[s],
-            )
+        first, other = ((int(positive[i]), int(negative[i])) for i in (0, s))
+        raise RankNotConstantError(
+            "Hessian inertia is not constant over the domain (an eigenvalue "
+            f"crosses zero inside the box): signature {first} at "
+            f"(q, v) = {points[0].tolist()} but {other} at "
+            f"(q, v) = {points[s].tolist()}",
+            points[0],
+            points[s],
+        )
 
     k = int(ranks[0])
     mean_w = hessians.mean(axis=0)
@@ -234,7 +228,8 @@ def partition_indices(
             if j in chosen:
                 continue
             idx = chosen + [j]
-            s_min = _smallest_singular_value(mean_w[np.ix_(idx, idx)])
+            block = mean_w[np.ix_(idx, idx)]
+            s_min = np.linalg.svd(block, compute_uv=False)[-1]
             if s_min > best_s:
                 best_j, best_s = j, s_min
         chosen.append(best_j)
@@ -244,16 +239,17 @@ def partition_indices(
 
     if k > 0:
         reg = np.array(regular)
-        for s in range(num_samples):
-            w = hessians[s]
-            block = w[np.ix_(reg, reg)]
-            scale = float(np.linalg.svd(w, compute_uv=False)[0])
-            if _smallest_singular_value(block) <= rel_tol * scale:
-                raise NoValidMinorError(
-                    f"the k x k block on indices {regular} is singular at "
-                    f"(q, v) = {points[s].tolist()} although the sampled rank "
-                    f"is {k}; no valid minor found"
-                )
+        smallest = np.linalg.svd(
+            hessians[:, reg[:, None], reg], compute_uv=False
+        )[:, -1]
+        singular = smallest <= rel_tol * scale
+        if singular.any():
+            s = int(np.argmax(singular))
+            raise NoValidMinorError(
+                f"the k x k block on indices {regular} is singular at "
+                f"(q, v) = {points[s].tolist()} although the sampled rank "
+                f"is {k}; no valid minor found"
+            )
 
     return HessianPartition(
         k=k,

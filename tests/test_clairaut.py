@@ -123,14 +123,10 @@ def test_solve_envelope_residual_meets_tolerance():
 def test_solver_guess_strategies_and_override():
     sys = corpus.make_system("osc")
     part = partition_indices(sys)
-    center = EnvelopeSolver(sys, part, guess_strategy="center")
-    zero = EnvelopeSolver(sys, part, guess_strategy="zero")
+    center = EnvelopeSolver(sys, part)
     assert_allclose(center.default_guess(), [0.0])
-    assert_allclose(zero.default_guess(), [0.0])
     got = center.solve([0.0], [1.5], [], v1_guess=[40.0])
     assert_allclose(got, [1.5], atol=1e-10)
-    with pytest.raises(ValueError):
-        EnvelopeSolver(sys, part, guess_strategy="newton")
 
 
 def test_unreachable_momentum_hits_singular_jacobian():
@@ -211,11 +207,17 @@ def reference_newton(solver, q, p1, c2, v1_guess=None):
         alpha = 1.0
         for _ in range(solver.max_backtracks + 1):
             trial = v1 + alpha * delta
-            d_trial = eval_dual2(
-                system.lagrangian, point(trial), solver._v1_active
-            )
-            if float(np.max(np.abs(p1 - d_trial.grad))) < rnorm:
-                break
+            try:
+                d_trial = eval_dual2(
+                    system.lagrangian, point(trial), solver._v1_active
+                )
+            except EvalDomainError:
+                # a finite trial outside L's domain is a rejected trial
+                if not np.all(np.isfinite(trial)):
+                    raise
+            else:
+                if float(np.max(np.abs(p1 - d_trial.grad))) < rnorm:
+                    break
             alpha *= 0.5
         else:
             raise NewtonDivergedError(
@@ -276,6 +278,18 @@ def test_residual_history_matches_the_reference_loop():
         assert_same_outcome(solver, [0.0], [0.5], []), SingularJacobianError
     )
     assert_same_outcome(solver, [0.0], [0.5], [], [1.0])
+
+
+def test_overflowing_trial_is_rejected_and_halved():
+    # from the guess -10 the first Newton point is near v1 = 22,000, where
+    # exp(v1) overflows; halving the step reaches the root v1 = 0
+    sys = LagrangianSystem.from_source(1, "exp(v1)", {"v1": (-12.0, -8.0)})
+    solver = MixedHamiltonian.from_system(sys).solver
+    v1 = assert_same_outcome(solver, [0.0], [1.0], [])
+    assert abs(v1[0]) <= 1e-12
+    # an overflow at the starting point is not a trial, and still raises
+    with pytest.raises(EvalDomainError, match="overflow"):
+        solver.solve([0.0], [1.0], [], v1_guess=[800.0])
 
 
 def test_nan_momentum_ends_in_a_domain_error():

@@ -285,6 +285,31 @@ def test_integrate_initial_out_of_domain_exits_5(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "span,message",
+    [
+        ({"t0": 1.0, "t1": 0.0, "dt": 0.01}, "need t1 > t0"),
+        ({"t0": 0.0, "t1": 1.0, "dt": 0.0}, "need a positive finite step"),
+        ({"t0": 0.0, "t1": 1.0, "dt": -0.01}, "need a positive finite step"),
+        ({"t0": 0.0, "t1": "1", "dt": 0.01}, "'t1' must be a number"),
+        ({"t0": 0.0, "t1": 1.0, "dt": None}, "'dt' must be a number"),
+    ],
+)
+def test_integrate_bad_span_exits_2_before_writing(tmp_path, capsys, span,
+                                                   message):
+    path = write_problem(
+        tmp_path,
+        n=1,
+        lagrangian="0.5*v1^2 - 0.5*q1^2",
+        initial={"q": [1.0], "v": [0.0]},
+        integrate=span,
+    )
+    out_dir = tmp_path / "run"
+    assert main(["--out", str(out_dir), "integrate", path]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------

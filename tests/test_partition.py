@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import corpus
+import partition_oracle
 from legclair.partition import (
+    HessianPartition,
     LagrangianSystem,
     NoValidMinorError,
     RankNotConstantError,
@@ -168,6 +170,81 @@ def test_partition_invariants_on_corpus(name):
             perm = np.array(part.sigma, dtype=int)
             shuffled = w[np.ix_(perm, perm)]
             assert_allclose(shuffled[: part.k, : part.k], block, rtol=0, atol=0)
+
+
+def test_partition_names_the_sample_where_no_minor_is_valid():
+    # W = [[1, q1], [q1, q1^2]] has rank 1; the mean Hessian favours v2,
+    # whose block q1^2 is at most rel_tol times the scale 1 + q1^2 wherever
+    # |q1| <= 1
+    sys = LagrangianSystem.from_source(
+        2, "0.5*(v1+q1*v2)^2", {"q1": (-3.0, 3.0)}
+    )
+    with pytest.raises(NoValidMinorError, match=r"indices \(1,\) is singular"):
+        partition_indices(sys, rel_tol=0.5)
+
+
+# --------------------------------------------------------------------------
+# partition_indices against the sample-by-sample reference
+# --------------------------------------------------------------------------
+
+def partition_outcome(fn, system, **kwargs):
+    try:
+        return fn(system, **kwargs)
+    except (RankNotConstantError, NoValidMinorError) as exc:
+        return exc
+
+
+def assert_same_partition(system, **kwargs):
+    got = partition_outcome(partition_indices, system, **kwargs)
+    want = partition_outcome(partition_oracle.partition_indices, system,
+                             **kwargs)
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        if isinstance(want, RankNotConstantError):
+            assert np.array_equal(got.point_a, want.point_a)
+            assert np.array_equal(got.point_b, want.point_b)
+    else:
+        assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", corpus.SYSTEMS)
+def test_partition_matches_reference_on_corpus(name):
+    sys = corpus.make_system(name)
+    for seed in range(32):
+        part = assert_same_partition(sys, seed=seed)
+        assert part.k == corpus.expected_rank(name)
+
+
+@pytest.mark.parametrize(
+    "n,source,domain,kwargs,outcome",
+    [
+        # W = diag(0, q1): rank 1 throughout, the v2 eigenvalue flips sign
+        (2, "0.5*q1*v2^2", {"q1": (-1.0, 1.0)}, {}, "inertia is not constant"),
+        (2, "0.5*q1*v2^2", {"q1": (0.5, 1.0)}, {}, HessianPartition),
+        (1, "v1^3", None, {}, "inertia is not constant"),
+        (1, "q1*v1", None, {}, HessianPartition),
+        # W = diag(1, q1): the cutoff 0.5 drops q1 <= 0.5, so the rank moves
+        (2, "0.5*v1^2 + 0.5*q1*v2^2", {"q1": (0.1, 1.0)}, {"rel_tol": 0.5},
+         "rank is not constant"),
+        (2, "0.5*(v1+q1*v2)^2", {"q1": (-3.0, 3.0)}, {"rel_tol": 0.5},
+         NoValidMinorError),
+        # the same with W negative semidefinite: the scale is max |eigenvalue|
+        (2, "-0.5*(v1+q1*v2)^2", {"q1": (-3.0, 3.0)}, {"rel_tol": 0.5},
+         NoValidMinorError),
+    ],
+)
+def test_partition_matches_reference_on_edge_cases(n, source, domain, kwargs,
+                                                   outcome):
+    sys = LagrangianSystem.from_source(n, source, domain)
+    for seed in range(32):
+        got = assert_same_partition(sys, seed=seed, **kwargs)
+        if isinstance(outcome, str):
+            assert isinstance(got, RankNotConstantError)
+            assert outcome in str(got)
+        else:
+            assert isinstance(got, outcome)
 
 
 def test_variable_table_helpers():

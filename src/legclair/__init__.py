@@ -48,7 +48,9 @@ from .expr import (
     Expression,
     ParseError,
     eval_dual2,
+    eval_dual2_many,
     evaluate,
+    evaluate_many,
     parse,
 )
 from .partition import (
@@ -83,7 +85,9 @@ __all__ = [
     "compare_trajectories",
     "el_rhs",
     "eval_dual2",
+    "eval_dual2_many",
     "evaluate",
+    "evaluate_many",
     "general_solution",
     "generic_transform",
     "ham_rhs",

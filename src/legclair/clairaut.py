@@ -29,12 +29,15 @@ from .expr import (
     EvalDomainError,
     Expression,
     eval_dual2,
+    eval_dual2_many,
     evaluate,
+    evaluate_many,
     with_variables,
 )
 from .partition import (
     HessianPartition,
     LagrangianSystem,
+    checked_rows,
     checked_vector,
     partition_indices,
     qv_names,
@@ -75,8 +78,24 @@ def _inf_norm(x: np.ndarray) -> float:
 def check_w11(w11: np.ndarray, tol: float, where: str, **at) -> None:
     """Raise ``SingularJacobianError`` if W11's smallest singular value is at
     most ``tol * max(largest, 1)``.  The message is ``where`` followed by
-    the ``name=value`` pairs of ``at``, built only on failure."""
-    sv = np.linalg.svd(w11, compute_uv=False)
+    the ``name=value`` pairs of ``at``, built only on failure.
+
+    A stack of blocks (count, k, k) is checked block by block, with one row
+    of each ``at`` value per block; the first singular block is named.
+    """
+    if w11.ndim == 3:
+        if w11.shape[1] == 1:
+            sv = np.abs(w11[:, 0])  # what svd returns for 1 x 1 blocks
+        else:
+            sv = np.linalg.svd(w11, compute_uv=False)
+        singular = sv[:, -1] <= tol * np.maximum(sv[:, 0], 1.0)
+        if not singular.any():
+            return
+        first = int(np.argmax(singular))
+        sv = sv[first]
+        at = {name: x[first] for name, x in at.items()}
+    else:
+        sv = np.linalg.svd(w11, compute_uv=False)
     if sv[-1] <= tol * max(sv[0], 1.0):
         point = ", ".join(f"{name}={x.tolist()}" for name, x in at.items())
         raise SingularJacobianError(
@@ -163,6 +182,79 @@ class EnvelopeSolver:
             v1, d, r = trial, d_trial, r_trial
         raise NewtonDivergedError(
             f"no convergence within {self.max_iter} Newton iterations", history
+        )
+
+    def solve_many(self, q, p1, c2, v1_guess=None) -> np.ndarray:
+        """:meth:`solve` at every row of q (count, n), p1 (count, k) and c2
+        (count, n - k), with an optional (count, k) guess.
+
+        Each lane runs :meth:`solve`'s iteration (same damping, backtracking,
+        tolerance and limits), so row i of the result equals ``solve`` at row
+        i bit for bit.  Every Newton iteration makes one stacked evaluation
+        and one stacked W11 check and solve over the lanes still iterating.
+        It raises where :meth:`solve` raises on some lane, and also where a
+        trial evaluation fails on some lane: :meth:`solve` would reject that
+        trial and halve the step, so a caller that needs its outcome reruns
+        the lanes through it.  Residual histories are not kept.
+        """
+        n, k = self.system.n, self.partition.k
+        q = checked_rows(q, n, "q")
+        count = len(q)
+        p1 = checked_rows(p1, k, "p1", count)
+        c2 = checked_rows(c2, n - k, "c2", count)
+        if k == 0:
+            return np.zeros((count, 0))
+        v1 = (checked_rows(v1_guess, k, "v1_guess", count).copy()
+              if v1_guess is not None
+              else np.tile(self.default_guess(), (count, 1)))
+        slots = n + self._reg
+        point = np.empty((count, 2 * n))
+        point[:, :n] = q
+        point[:, n + self._nonreg] = c2
+        point[:, slots] = v1
+        lag, active = self.system.lagrangian, self._v1_active
+        d = eval_dual2_many(lag, point, active)
+        r = p1 - d.grad
+        hess = d.hess
+        out = v1.copy()
+        lanes = np.arange(count)  # original row of each lane still iterating
+        for _ in range(self.max_iter):
+            rnorm = np.abs(r).max(axis=1)
+            live = ~(rnorm <= self.newton_tol)  # a NaN residual stays live
+            if not live.all():
+                out[lanes[~live]] = v1[~live]
+                lanes, v1, r, hess, rnorm, point, p1 = (
+                    x[live] for x in (lanes, v1, r, hess, rnorm, point, p1))
+                if not lanes.size:
+                    return out
+            check_w11(hess, self.partition.rank_tolerance,
+                      "W11 is singular at Newton iterate", v1=v1)
+            delta = np.linalg.solve(hess, r[:, :, None])[:, :, 0]
+            alpha = np.ones(len(lanes))
+            pending = np.arange(len(lanes))  # lanes still backtracking
+            for _ in range(self.max_backtracks + 1):
+                trial = v1[pending] + alpha[pending, None] * delta[pending]
+                trial_point = point[pending]
+                trial_point[:, slots] = trial
+                d_trial = eval_dual2_many(lag, trial_point, active)
+                r_trial = p1[pending] - d_trial.grad
+                better = np.abs(r_trial).max(axis=1) < rnorm[pending]
+                done = pending[better]
+                # the accepted trial's evaluation serves the next iterate
+                v1[done] = trial[better]
+                r[done] = r_trial[better]
+                hess[done] = d_trial.hess[better]
+                pending = pending[~better]
+                if not pending.size:
+                    break
+                alpha[pending] *= 0.5
+            else:
+                raise NewtonDivergedError(
+                    "backtracking could not reduce the envelope residual", []
+                )
+            point[:, slots] = v1
+        raise NewtonDivergedError(
+            f"no convergence within {self.max_iter} Newton iterations", []
         )
 
 
@@ -351,6 +443,173 @@ class MixedHamiltonian:
         p_full[self._nonreg] = p2
         h_val = self.value(q, p_full, v2, v1_guess=v_cur)
         return float(v1 @ p1 + v2 @ p2 - h_val)
+
+
+    # -- stacked maps -----------------------------------------------------------
+    #
+    # Each ``*_many`` map takes one row per point (q as (count, n), and so
+    # on) and runs the single-point map's arithmetic on every row at once,
+    # so row i equals the single-point map at row i bit for bit (row-wise
+    # dot products use ``np.vecdot``, which matches ``a @ b``).  They raise
+    # wherever the single-point map raises on some row, and may also raise
+    # where its Newton solve would reject a trial and halve the step (see
+    # ``EnvelopeSolver.solve_many``).
+
+    def _points(self, q, v1, v2) -> np.ndarray:
+        """Rows (q, v) with the regular/nonregular velocity columns set."""
+        n = self.n
+        x = np.empty((len(q), 2 * n))
+        x[:, :n] = q
+        x[:, n + self._reg] = v1
+        x[:, n + self._nonreg] = v2
+        return x
+
+    def _probes(self, probe, count) -> np.ndarray:
+        if probe is None:
+            return np.broadcast_to(self.default_probe(), (count, self.n - self.k))
+        return checked_rows(probe, self.n - self.k, "v2 probe", count)
+
+    def value_many(self, q, p, v2, v1_guess=None) -> np.ndarray:
+        """:meth:`value` at every row."""
+        p = checked_rows(p, self.n, "p")
+        p1, p2 = p[:, self._reg], p[:, self._nonreg]
+        v1 = self.solver.solve_many(q, p1, v2, v1_guess)
+        lval = evaluate_many(self.system.lagrangian, self._points(q, v1, v2))
+        return np.vecdot(p1, v1) + np.vecdot(p2, v2) - lval
+
+    def psi_many(self, q, p1, v2_probe=None, v1_guess=None) -> np.ndarray:
+        """:meth:`psi` at every row; the default probe serves every row."""
+        probe = self._probes(v2_probe, len(q))
+        v1 = self.solver.solve_many(q, p1, probe, v1_guess)
+        x = self._points(q, v1, probe)
+        grad_v = eval_dual2_many(self.system.lagrangian, x, self._v_active).grad
+        return grad_v[:, self._nonreg]
+
+    def phi_many(self, q, p, v2_probe=None, v1_guess=None) -> np.ndarray:
+        """:meth:`phi` at every row."""
+        p = checked_rows(p, self.n, "p")
+        psi = self.psi_many(q, p[:, self._reg], v2_probe, v1_guess)
+        return p[:, self._nonreg] - psi
+
+    def h_zero_many(self, q, p1, c2_probe=None) -> np.ndarray:
+        """:meth:`h_zero` at every row; the default probe serves every row."""
+        c2 = self._probes(c2_probe, len(q))
+        p1 = np.asarray(p1, dtype=float)
+        v1 = self.solver.solve_many(q, p1, c2)
+        x = self._points(q, v1, c2)
+        d = eval_dual2_many(self.system.lagrangian, x, self._v_active)
+        psi_here = d.grad[:, self._nonreg]
+        return np.vecdot(p1, v1) + np.vecdot(c2, psi_here) - d.value
+
+    def momentum_gradient_many(self, q, p, v2):
+        """(V, H, dH/dp) at every row: V and H at (q, p, v2), and dH/dp by
+        the central differences of :meth:`clairaut_residual`.
+
+        H at p and at the 2n shifted momenta of every row is one stacked
+        :meth:`value_many` call, warm-started from V at p as in the
+        single-point map.
+        """
+        q = checked_rows(q, self.n, "q")
+        p = checked_rows(p, self.n, "p", len(q))
+        v2 = checked_rows(v2, self.n - self.k, "v2", len(q))
+        n, count = self.n, len(q)
+        v1_warm = self.solver.solve_many(q, p[:, self._reg], v2)
+        step = FD_MOMENTUM_STEP * (1.0 + np.abs(p))
+        shifted = np.repeat(p[None], 2 * n + 1, axis=0)  # p, then +e_i, -e_i
+        for i in range(n):
+            shifted[1 + i, :, i] += step[:, i]
+            shifted[1 + n + i, :, i] -= step[:, i]
+        blocks = 2 * n + 1
+        h_all = self.value_many(
+            np.tile(q, (blocks, 1)), shifted.reshape(blocks * count, n),
+            np.tile(v2, (blocks, 1)), v1_guess=np.tile(v1_warm, (blocks, 1)),
+        ).reshape(blocks, count)
+        dhdp = np.empty((count, n))
+        for i in range(n):
+            dhdp[:, i] = (h_all[1 + i] - h_all[1 + n + i]) / (2.0 * step[:, i])
+        return v1_warm, h_all[0], dhdp
+
+    def clairaut_residual_many(self, q, p, v2) -> np.ndarray:
+        """:meth:`clairaut_residual` at every row."""
+        _, h_val, dhdp = self.momentum_gradient_many(q, p, v2)
+        q = np.asarray(q, dtype=float)
+        lval = evaluate_many(self.system.lagrangian,
+                             np.concatenate([q, dhdp], axis=1))
+        return np.abs(h_val - np.vecdot(np.asarray(p, dtype=float), dhdp)
+                      + lval)
+
+    def inverse_transform_many(self, q, v, p2, p1_guess=None) -> np.ndarray:
+        """:meth:`inverse_transform` at every row: the outer Newton on P runs
+        lane by lane as in the single-point map, each iteration one stacked
+        W11 evaluation and one stacked nested solve per backtracking round.
+        """
+        q = checked_rows(q, self.n, "q")
+        count = len(q)
+        v = checked_rows(v, self.n, "v", count)
+        p2 = checked_rows(p2, self.n - self.k, "p2", count)
+        v1 = v[:, self._reg]
+        v2 = v[:, self._nonreg]
+        solver = self.solver
+        p1 = (checked_rows(p1_guess, self.k, "p1_guess", count).copy()
+              if p1_guess is not None else np.zeros((count, self.k)))
+        v_cur = None
+        if self.k:
+            v_cur = solver.solve_many(q, p1, v2)
+            out_p1, out_v = p1.copy(), v_cur.copy()
+            lanes = np.arange(count)
+            lq, lv1, lv2 = q, v1, v2
+            for _ in range(solver.max_iter):
+                rho = lv1 - v_cur
+                rnorm = np.abs(rho).max(axis=1)
+                live = ~(rnorm <= solver.newton_tol)
+                if not live.all():
+                    out_p1[lanes[~live]] = p1[~live]
+                    out_v[lanes[~live]] = v_cur[~live]
+                    lanes, lq, lv1, lv2, p1, v_cur, rho, rnorm = (
+                        x[live]
+                        for x in (lanes, lq, lv1, lv2, p1, v_cur, rho, rnorm))
+                    if not lanes.size:
+                        break
+                x = self._points(lq, v_cur, lv2)
+                w11 = eval_dual2_many(
+                    self.system.lagrangian, x, solver._v1_active
+                ).hess
+                delta = np.matmul(w11, rho[:, :, None])[:, :, 0]
+                alpha = np.ones(len(lanes))
+                pending = np.arange(len(lanes))
+                for _ in range(solver.max_backtracks + 1):
+                    trial = p1[pending] + alpha[pending, None] * delta[pending]
+                    v_trial = solver.solve_many(
+                        lq[pending], trial, lv2[pending],
+                        v1_guess=v_cur[pending],
+                    )
+                    better = (np.abs(lv1[pending] - v_trial).max(axis=1)
+                              < rnorm[pending])
+                    done = pending[better]
+                    p1[done] = trial[better]
+                    v_cur[done] = v_trial[better]
+                    pending = pending[~better]
+                    if not pending.size:
+                        break
+                    alpha[pending] *= 0.5
+                else:
+                    raise NewtonDivergedError(
+                        "backtracking could not reduce the inverse-transform "
+                        "residual",
+                        [],
+                    )
+            else:
+                raise NewtonDivergedError(
+                    f"no convergence within {solver.max_iter} Newton iterations "
+                    "of the inverse transform",
+                    [],
+                )
+            p1, v_cur = out_p1, out_v
+        p_full = np.empty((count, self.n))
+        p_full[:, self._reg] = p1
+        p_full[:, self._nonreg] = p2
+        h_val = self.value_many(q, p_full, v2, v1_guess=v_cur)
+        return np.vecdot(v1, p1) + np.vecdot(v2, p2) - h_val
 
 
 # --------------------------------------------------------------------------

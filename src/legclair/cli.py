@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -110,6 +111,10 @@ def _require(cond, message):
         raise ProblemError(message)
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def load_problem(path) -> Problem:
     try:
         with open(path) as fh:
@@ -126,7 +131,7 @@ def load_problem(path) -> Problem:
     _require("n" in raw, "problem key 'n' is required")
     _require("lagrangian" in raw, "problem key 'lagrangian' is required")
     n = raw["n"]
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _require(_is_int(n) and n >= 1, "'n' must be a positive integer")
     src = raw["lagrangian"]
     _require(isinstance(src, str), "'lagrangian' must be a string")
 
@@ -167,12 +172,18 @@ def load_problem(path) -> Problem:
     for key, val in user_verify.items():
         _require(key in VERIFY_DEFAULTS, f"unknown verify key {key!r}")
         verify[key] = val
-    verify["samples"] = int(verify["samples"])
-    verify["seed"] = int(verify["seed"])
+    for key, least in (("samples", 1), ("seed", 0)):
+        val = verify[key]
+        _require(_is_int(val) and val >= least,
+                 f"verify {key!r} must be an integer >= {least}")
     for key in ("tol_residual", "tol_involution", "tol_equiv"):
-        verify[key] = float(verify[key])
-        _require(verify[key] > 0, f"verify {key!r} must be positive")
-    _require(verify["samples"] >= 1, "verify 'samples' must be >= 1")
+        val = verify[key]
+        _require(
+            isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val) and val > 0,
+            f"verify {key!r} must be a finite positive number",
+        )
+        verify[key] = float(val)
 
     return Problem(system, gauge_sources, initial, integrate, verify)
 
@@ -624,6 +635,13 @@ def cmd_verify(problem: Problem, args, out):
 # entry point
 # --------------------------------------------------------------------------
 
+def _seed(text) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="legclair",
@@ -636,8 +654,8 @@ def build_parser():
     parser.add_argument("--out", default=None,
                         help="output file (analyze/transform/verify) or "
                              "directory (integrate)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the sampling seed")
+    parser.add_argument("--seed", type=_seed, default=None,
+                        help="override the sampling seed (an integer >= 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="partition report and constraints")

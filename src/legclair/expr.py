@@ -23,7 +23,9 @@ derivative that overflows to inf/NaN raises ``EvalDomainError``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -37,7 +39,9 @@ __all__ = [
     "Dual2",
     "parse",
     "evaluate",
+    "evaluate_many",
     "eval_dual2",
+    "eval_dual2_many",
     "to_source",
     "with_variables",
 ]
@@ -486,12 +490,29 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # and ``exp`` raise ``OverflowError``; dividing by an underflowed square
 # raises ``ZeroDivisionError``), it reruns a checked variant that tests every
 # node and raises ``EvalDomainError`` quoting the first one that overflowed.
+#
+# Stacked kernels (``eval_dual2_many``/``evaluate_many``) run the same
+# operations in the same order on numpy columns, one entry per point.
+# ``+ - * /`` and ``sqrt`` are correctly rounded in numpy as in Python, so
+# they run as array operations; powers, ``exp``, ``ln``, ``tan``, ``sin``
+# and ``cos`` are applied entry by entry with the Python operator or
+# ``math`` function the scalar kernel calls, because numpy's versions differ
+# in the last ulp (``x**2`` included).  Every row therefore equals the scalar
+# kernel's result bit for bit.  Domain guards only mark their rows, and so
+# does a non-finite output sum; a marked row, or every row if a Python
+# operation raised, is rerun through the scalar kernel, which returns its
+# value or raises its exact error (the lowest row first).  Where numpy
+# divides by an underflowed square without raising, the inf or NaN it gets
+# enters derivative entries only through products and sums, so the output
+# sum marks that row too.
 
 class Dual2:
     """Value, gradient, and Hessian of one scalar quantity.
 
     The gradient has one slot per *active* variable, in the order the active
-    index list was given; the Hessian is square over the same slots.
+    index list was given; the Hessian is square over the same slots.  From
+    :func:`eval_dual2_many` each field carries one more leading axis, one
+    entry per point.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -528,14 +549,17 @@ class _Codegen:
     indices to differentiate against, or None for a value-only kernel with
     the value-only domain rules (``sqrt(0)`` allowed).  In ``checked`` mode
     every operation is guarded and every node's outputs are tested, so the
-    first node that overflows raises with its own fragment.
+    first node that overflows raises with its own fragment.  In ``stacked``
+    mode the locals are numpy columns: each operation takes its stacked form
+    and a guard marks its rows in ``_bad`` instead of raising.
     """
 
-    def __init__(self, active, checked):
+    def __init__(self, active, checked, stacked=False):
         self.value_only = active is None
         self.m = 0 if self.value_only else len(active)
         self.slot = {a: k for k, a in enumerate(active or ())}
         self.checked = checked
+        self.stacked = stacked
         self.lines = []
         self.memo = {}      # operation text -> local holding its result
         self.frags = []     # checked mode: fragment of the node being emitted
@@ -562,13 +586,19 @@ class _Codegen:
     def op(self, template: str, *args):
         """Emit ``template`` over quantities, or fold it if all are known."""
         text = template.format(*map(self.lit, args))
-        if all(isinstance(a, float) for a in args):
+        known = all(isinstance(a, float) for a in args)
+        if known:
             try:
                 q = eval(text, self.ns)
             except _FAULTS:
                 q = None
             if isinstance(q, float) and math.isfinite(q):
                 return q
+        if self.stacked:
+            if template == "{} ** 1" and not known:  # pow(x, 1) is x exactly
+                return args[0]
+            text = _stacked_form(template, not known).format(
+                *map(self.lit, args))
         name = self.memo.get(text)
         if name is None:
             name = self.memo[text] = f"t{len(self.memo)}"
@@ -587,6 +617,9 @@ class _Codegen:
             if not eval(cond, self.ns):
                 return
             cond = "True"
+        if self.stacked:
+            self.lines.append(f"_bad |= {cond}")
+            return
         msg = repr(message) + (f" + repr({self.lit(x)})" if show_value else "")
         frag = self.const(to_source(node))
         self.lines.append(f"if {cond}: raise _E({msg}, {frag})")
@@ -822,6 +855,41 @@ def _int_lit(n: int) -> str:
     return str(n) if n >= 0 else f"({n})"
 
 
+_INT_EXPONENT = re.compile(r"\(?-?\d+\)?")
+_CALL = re.compile(r"(\w+)\(\{\}\)")
+
+
+def _stacked_form(template: str, column: bool) -> str:
+    """The stacked form of one scalar operation template (see Evaluation).
+
+    ``column`` is False for an operation on constants that did not fold: it
+    stays a Python float operation, except that a non-integer power raises
+    (``math.pow``) where ``**`` would return a complex number.
+    """
+    if template.startswith("{} ** "):
+        expo = template[len("{} ** "):]
+        if _INT_EXPONENT.fullmatch(expo):
+            return f"_each(_ipow, {{}}, {expo})" if column else template
+        return f"_each(_fpow, {{}}, {expo})" if column else f"_fpow({{}}, {expo})"
+    if not column:
+        return template
+    if template == "0.0 if {0} == 0.0 else {0} ** 1":
+        return "{0} + 0.0"  # the same map: -0.0 to +0.0, every other x to x
+    call = _CALL.fullmatch(template)
+    if call:
+        func = call.group(1)
+        return "_sqrt({})" if func == "sqrt" else f"_each({func}, {{}})"
+    return template
+
+
+def _each(func, column, *args) -> np.ndarray:
+    """``func(x, *args)`` for every entry x of ``column``, as Python floats."""
+    return np.fromiter(
+        map(func, column.tolist(), *map(itertools.repeat, args)),
+        float, len(column),
+    )
+
+
 def _compile(root, nvars: int, active, checked=False):
     """Generate, compile and return the kernel for one active tuple.
 
@@ -871,6 +939,47 @@ def _run_checked(root, nvars, active, cell, p):
     return cell[0](p)
 
 
+def _compile_many(root, nvars: int, active):
+    """Generate and compile the stacked kernel for one active tuple.
+
+    The kernel takes the points as an (nvars, count) array of columns and
+    returns the flat outputs, one row per point ((value, gradient, Hessian
+    row by row), or the value alone when ``active`` is None), and a mask of
+    the rows that must be rerun through the scalar kernel.
+    """
+    cg = _Codegen(active, checked=False, stacked=True)
+    outputs = cg.flat(cg.visit(root))
+    src = ["def kernel(p, _n):", "    _bad = _zeros(_n, bool)"]
+    if nvars:
+        src.append("    " + "".join(f"x{i}, " for i in range(nvars)) + "= p")
+    src += ["    " + line for line in cg.lines]
+    src.append(f"    _out = _empty((_n, {len(outputs)}))")
+    src += [f"    _out[:, {j}] = {cg.lit(q)}" for j, q in enumerate(outputs)]
+    live = dict.fromkeys(cg.lit(q) for q in outputs
+                         if isinstance(q, str) or not math.isfinite(q))
+    if live:
+        src.append(f"    _bad |= ~_isfinite({' + '.join(live)})")
+    src.append("    return _out, _bad")
+    return _stacked_function("\n".join(src))
+
+
+@functools.lru_cache(maxsize=128)
+def _stacked_function(source: str):
+    """Compile one stacked kernel.
+
+    Every name the source uses comes from one fixed namespace, so equal
+    source text makes an equal function, and it is compiled once per
+    process: the CLI parses its Lagrangian again on every command, and
+    compiling the same kernels again on every ``verify`` command cost a
+    few percent of its time and raised peak memory.
+    """
+    ns = dict(_MATH, _zeros=np.zeros, _empty=np.empty,
+              _isfinite=np.isfinite, _each=_each, _ipow=operator.pow,
+              _fpow=math.pow, _sqrt=np.sqrt)
+    exec(compile(source, "<legclair stacked kernel>", "exec"), ns)
+    return ns.pop("kernel")
+
+
 def _point(e: Expression, point) -> list:
     point = np.asarray(point, dtype=float)
     nv = len(e.variables)
@@ -879,7 +988,7 @@ def _point(e: Expression, point) -> list:
     return point.tolist()
 
 
-def _dual_kernel(e: Expression, active):
+def _active_key(e: Expression, active) -> tuple:
     nv = len(e.variables)
     key = tuple(range(nv)) if active is None else tuple(int(a) for a in active)
     if len(set(key)) != len(key):
@@ -887,9 +996,14 @@ def _dual_kernel(e: Expression, active):
     for a in key:
         if not 0 <= a < nv:
             raise ValueError(f"active index {a} out of range for {nv} variables")
+    return key
+
+
+def _dual_kernel(e: Expression, active):
+    key = _active_key(e, active)
     kernel = e._kernels.get(key)
     if kernel is None:
-        kernel = e._kernels[key] = _compile(e.root, nv, key)
+        kernel = e._kernels[key] = _compile(e.root, len(e.variables), key)
     if active is None or type(active) in (tuple, range):
         e._kernels[active] = kernel  # the caller's own form hits next time
     return kernel
@@ -928,7 +1042,73 @@ def evaluate(e: Expression, point) -> float:
     try:
         kernel = e._kernels[_VALUE_ONLY]
     except KeyError:
+        kernel = _value_kernel(e)
+    return kernel(p)
+
+
+def _value_kernel(e: Expression):
+    kernel = e._kernels.get(_VALUE_ONLY)
+    if kernel is None:
         kernel = e._kernels[_VALUE_ONLY] = _compile(
             e.root, len(e.variables), None
         )
-    return kernel(p)
+    return kernel
+
+
+_STACKED = object()  # first half of the cache key of every stacked kernel
+
+
+def _run_many(e: Expression, points, key, scalar, width) -> np.ndarray:
+    """Flat outputs of the stacked kernel for ``key`` at every row of
+    ``points``; the rows it marks are rerun through ``scalar``."""
+    points = np.asarray(points, dtype=float)
+    nv = len(e.variables)
+    if points.ndim != 2 or points.shape[1] != nv:
+        raise ValueError(
+            f"points have shape {points.shape}, expected (count, {nv})"
+        )
+    kernel = e._kernels.get((_STACKED, key))
+    if kernel is None:
+        kernel = e._kernels[_STACKED, key] = _compile_many(
+            e.root, nv, None if key is _VALUE_ONLY else key
+        )
+    count = len(points)
+    try:
+        with np.errstate(all="ignore"):
+            out, bad = kernel(points.T.copy(), count)
+    except _FAULTS:  # a Python operation overflowed or left its domain
+        out, bad = np.empty((count, width)), np.ones(count, dtype=bool)
+    for i in np.flatnonzero(bad):
+        d = scalar(points[i].tolist())
+        if key is _VALUE_ONLY:
+            out[i, 0] = d
+        else:
+            m = len(d.grad)
+            out[i, 0] = d.value
+            out[i, 1:m + 1] = d.grad
+            out[i, m + 1:] = d.hess.ravel()
+    return out
+
+
+def eval_dual2_many(e: Expression, points, active=None) -> Dual2:
+    """:func:`eval_dual2` at every row of ``points`` (shape (count, nvars)).
+
+    Returns a :class:`Dual2` of arrays: value (count,), grad (count, m) and
+    hess (count, m, m).  Row i equals ``eval_dual2(e, points[i], active)``
+    bit for bit; if any row raises there, the lowest such row's error is
+    raised here.
+    """
+    key = _active_key(e, active)
+    m = len(key)
+    out = _run_many(e, points, key, _dual_kernel(e, key), 1 + m + m * m)
+    return Dual2(out[:, 0], out[:, 1:m + 1],
+                 out[:, m + 1:].reshape(len(out), m, m))
+
+
+def evaluate_many(e: Expression, points) -> np.ndarray:
+    """:func:`evaluate` at every row of ``points`` (shape (count, nvars)).
+
+    Entry i equals ``evaluate(e, points[i])`` bit for bit; if any row raises
+    there, the lowest such row's error is raised here.
+    """
+    return _run_many(e, points, _VALUE_ONLY, _value_kernel(e), 1)[:, 0]

@@ -57,7 +57,8 @@ class LagrangianSystem:
     """A Lagrangian and its sampling box.
 
     ``domain_lo``/``domain_hi`` are aligned with the variable table
-    (q1..qn, v1..vn); every interval must have positive width.
+    (q1..qn, v1..vn); every interval must have finite bounds and a positive,
+    finite width.
     """
 
     n: int
@@ -78,8 +79,15 @@ class LagrangianSystem:
             2 * self.n,
         ):
             raise ValueError("domain bounds must each have one entry per variable")
+        if not (np.isfinite(self.domain_lo).all()
+                and np.isfinite(self.domain_hi).all()):
+            raise ValueError("domain bounds must be finite")
         if not np.all(self.domain_lo < self.domain_hi):
             raise ValueError("every domain interval needs lo < hi")
+        with np.errstate(over="ignore"):
+            width = self.domain_hi - self.domain_lo
+        if not np.isfinite(width).all():
+            raise ValueError("every domain interval needs a finite width")
 
     @classmethod
     def from_source(cls, n: int, source: str, domain: dict | None = None,
@@ -133,6 +141,16 @@ def checked_vector(x, size: int, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (size,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({size},)")
+    return x
+
+
+def checked_rows(x, size: int, name: str, count=None) -> np.ndarray:
+    """``x`` as a float (count, size) array, or ValueError naming it; any
+    count is accepted when ``count`` is None."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != size or count not in (None, len(x)):
+        rows = "count" if count is None else count
+        raise ValueError(f"{name} has shape {x.shape}, expected ({rows}, {size})")
     return x
 
 

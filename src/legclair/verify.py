@@ -5,6 +5,17 @@ transform is from one of its defining identities: the Clairaut equation,
 the envelope gradients dH/dp = (V, v2), probe independence of Psi and H0,
 the split H = H0 + v2*Phi, involutivity, the rank of H's momentum Hessian
 and, for k = n, agreement with a plain classical Legendre transform.
+
+Each property runs on stacked samples: a chunk of up to ``CHUNK_ROWS``
+samples is drawn with one ``Generator.uniform`` call and evaluated by the
+stacked maps of ``MixedHamiltonian`` (``value_many`` and the rest), so a
+Newton iteration is one kernel call and one batched solve for the whole
+chunk.  A sample row holds the numbers in the order the sample-by-sample
+suite drew them, so the stream, the samples and the worst values are the
+same.  If a stacked evaluation raises, the chunk is rerun sample by sample
+through the single-point maps, which reject and halve where the stacked
+Newton gives up, and otherwise end in the error the first failing sample
+raises there.
 """
 
 from __future__ import annotations
@@ -13,46 +24,85 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clairaut import MixedHamiltonian, NewtonDivergedError
-from .expr import eval_dual2, evaluate
+from .clairaut import (
+    MixedHamiltonian,
+    NewtonDivergedError,
+    SingularJacobianError,
+)
+from .expr import EvalDomainError, eval_dual2_many, evaluate, evaluate_many
 
 __all__ = ["PropertyResult", "run_property_suite"]
 
+CHUNK_ROWS = 128  # samples evaluated together: bounds the suite's memory
+
+# what a stacked evaluation raises where the single-point maps may not
+_STACKED_ERRORS = (EvalDomainError, NewtonDivergedError,
+                   SingularJacobianError, np.linalg.LinAlgError)
+
 
 def _fd_hessian(f, x, h=1e-4):
+    """Central-difference Hessians of f at every row of x (count, d).
+
+    ``f`` maps stencil points (count, m, d) to their values (count, m).
+    Each row's m points come in the order x, then for each i: x + e_i,
+    x - e_i, and x + e_i + e_j, x + e_i - e_j, x - e_i + e_j, x - e_i - e_j
+    for j > i.
+    """
     x = np.asarray(x, dtype=float)
-    d = x.size
-    out = np.empty((d, d))
-    f0 = f(x)
+    count, d = x.shape
+    stencil = [x]
     for i in range(d):
         ei = np.zeros(d)
         ei[i] = h
-        out[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / (h * h)
+        stencil += [x + ei, x - ei]
         for j in range(i + 1, d):
             ej = np.zeros(d)
             ej[j] = h
-            out[i, j] = out[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej)
-                - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h * h)
+            stencil += [x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
+    values = f(np.stack(stencil, axis=1))
+    f0 = values[:, 0]
+    out = np.empty((count, d, d))
+    at = 1
+    for i in range(d):
+        out[:, i, i] = (values[:, at] - 2.0 * f0 + values[:, at + 1]) / (h * h)
+        at += 2
+        for j in range(i + 1, d):
+            pp, pm, mp, mm = values[:, at:at + 4].T
+            out[:, i, j] = out[:, j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+            at += 4
     return out
 
 
 def _full_newton_legendre(system, q, p, tol=1e-12, max_iter=60):
-    """Classical transform via plain full-Hessian Newton (self-check only).
+    """Classical transform at every row of q, p (count, n) via plain
+    full-Hessian Newton (self-check only).
 
-    Independent of the envelope machinery: no partition, no damping.
+    Independent of the envelope machinery: no partition, no damping.  Lanes
+    leave as they converge; one that does not converge fails the call.
     """
     n = system.n
-    v = np.zeros(n)
+    p = np.asarray(p, dtype=float)
+    count = len(p)
+    x = np.zeros((count, 2 * n))
+    x[:, :n] = q
+    v = x[:, n:].copy()
+    out = np.empty(count)
+    lanes = np.arange(count)
     for _ in range(max_iter):
-        d = eval_dual2(
-            system.lagrangian, system.point(q, v), range(n, 2 * n)
-        )
-        r = np.asarray(p, float) - d.grad
-        if np.max(np.abs(r)) <= tol:
-            return float(np.asarray(p, float) @ v - d.value)
-        v = v + np.linalg.solve(d.hess, r)
+        d = eval_dual2_many(system.lagrangian, x, range(n, 2 * n))
+        r = p - d.grad
+        done = np.abs(r).max(axis=1) <= tol
+        if done.any():
+            out[lanes[done]] = np.vecdot(p[done], v[done]) - d.value[done]
+            live = ~done
+            lanes, x, v, p, r = (a[live] for a in (lanes, x, v, p, r))
+            if not lanes.size:
+                return out
+            hess = d.hess[live]
+        else:
+            hess = d.hess
+        v = v + np.linalg.solve(hess, r[:, :, None])[:, :, 0]
+        x[:, n:] = v
     raise NewtonDivergedError("classical transform did not converge", [])
 
 
@@ -78,7 +128,9 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
     reg = list(ham.partition.regular)
     nonreg = list(ham.partition.nonregular)
     rng = np.random.default_rng(seed)
-    vlo, vhi = system.domain_lo[n:], system.domain_hi[n:]
+    lo, hi = system.domain_lo, system.domain_hi
+    vlo, vhi = lo[n:], hi[n:]
+    lo2, hi2 = vlo[nonreg,], vhi[nonreg,]
     results = []
 
     def record(name, count, worst, tol):
@@ -91,39 +143,64 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
                            f"vacuous ({reason})")
         )
 
-    def draw():
-        x = system.sample(rng, 1)[0]
-        q = x[:n]
-        p = rng.uniform(vlo, vhi)
-        v2 = x[n:][nonreg,]
-        return q, p, v2
+    def sweep(count, low, high, stacked, single):
+        """Worst value of one property (per column, if it has several)
+        over ``count`` samples, each one row drawn from [low, high)."""
+        low, high = np.concatenate(low), np.concatenate(high)
+        worst = 0.0
+        for start in range(0, count, CHUNK_ROWS):
+            size = (min(CHUNK_ROWS, count - start), len(low))
+            rows = rng.uniform(low, high, size=size)
+            try:
+                values = stacked(rows)
+            except _STACKED_ERRORS:
+                values = np.array([single(row) for row in rows])
+            # NaN never becomes the worst value, as with max(worst, value)
+            worst = np.fmax(worst, np.fmax.reduce(values, axis=0, initial=0.0))
+        return worst
 
-    worst = 0.0
-    for _ in range(samples):
-        q, p, v2 = draw()
-        worst = max(worst, ham.clairaut_residual(q, p, v2))
+    def parts(rows):
+        """(q, p, v2) of a row, or of every row of a chunk."""
+        return rows[..., :n], rows[..., 2 * n:3 * n], rows[..., n:2 * n][..., nonreg]
+
+    # one row of the sample-by-sample suite's draw(): (q, v), then p
+    drawn = ([lo, vlo], [hi, vhi])
+
+    worst = sweep(
+        samples, *drawn,
+        lambda rows: ham.clairaut_residual_many(*parts(rows)),
+        lambda row: ham.clairaut_residual(*parts(row)),
+    )
     record("clairaut_residual", samples, worst, tol_residual)
 
-    grad_samples = min(samples, 50)
-    worst_p1, worst_p2 = 0.0, 0.0
-    for _ in range(grad_samples):
-        q, p, v2 = draw()
+    def grad_errors(v1, v2, slope):
+        return np.stack([
+            np.fmax.reduce(np.abs(slope[:, reg] - v1), axis=1, initial=0.0),
+            np.fmax.reduce(np.abs(slope[:, nonreg] - v2), axis=1, initial=0.0),
+        ], axis=1)
+
+    def grad_stacked(rows):
+        q, p, v2 = parts(rows)
+        v1, _, slope = ham.momentum_gradient_many(q, p, v2)
+        return grad_errors(v1, v2, slope)
+
+    def grad_single(row):
+        q, p, v2 = parts(row)
         v1 = ham.solve_velocity(q, p[reg,], v2)
+        slope = np.empty(n)
         for i in range(n):
             h = 1e-6 * (1.0 + abs(p[i]))
             plus, minus = p.copy(), p.copy()
             plus[i] += h
             minus[i] -= h
-            slope = (
+            slope[i] = (
                 ham.value(q, plus, v2, v1_guess=v1)
                 - ham.value(q, minus, v2, v1_guess=v1)
             ) / (2 * h)
-            if i in reg:
-                worst_p1 = max(worst_p1, abs(slope - v1[reg.index(i)]))
-            else:
-                worst_p2 = max(
-                    worst_p2, abs(slope - v2[nonreg.index(i)])
-                )
+        return grad_errors(v1[None], v2[None], slope[None])[0]
+
+    grad_samples = min(samples, 50)
+    worst_p1, worst_p2 = sweep(grad_samples, *drawn, grad_stacked, grad_single)
     record("envelope_grad_p1", grad_samples, worst_p1, 1e-6)
     if k < n:
         record("envelope_grad_p2", grad_samples, worst_p2, 1e-8)
@@ -131,66 +208,122 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
         vacuous("envelope_grad_p2", "k = n")
 
     if k < n:
-        ind_samples = min(samples, 25)
-        worst = 0.0
-        lo2 = vlo[nonreg,]
-        hi2 = vhi[nonreg,]
-        for _ in range(ind_samples):
-            q, p, _ = draw()
+        def probe_stacked(rows):
+            q, p, _ = parts(rows)
+            count = len(rows)
+            p1 = p[:, reg]
+            psi_ref = ham.psi_many(q, p1)
+            h0_ref = ham.h_zero_many(q, p1)
+            # block j holds probe j of every row
+            probes = rows[:, 3 * n:].reshape(count, 5, n - k).swapaxes(0, 1)
+            probes = probes.reshape(5 * count, n - k)
+            qs, p1s = np.tile(q, (5, 1)), np.tile(p1, (5, 1))
+            psi = ham.psi_many(qs, p1s, probes).reshape(5, count, n - k)
+            h0 = ham.h_zero_many(qs, p1s, probes).reshape(5, count)
+            dpsi = np.abs(psi - psi_ref).max(axis=2)
+            scale = 1.0 + np.abs(psi_ref).max(axis=1)
+            dh0 = np.abs(h0 - h0_ref)
+            return np.fmax.reduce(
+                [dpsi / scale, dh0 / (1.0 + np.abs(h0_ref))], axis=(0, 1)
+            )
+
+        def probe_single(row):
+            q, p, _ = parts(row)
             p1 = p[reg,]
             psi_ref = ham.psi(q, p1)
             h0_ref = ham.h_zero(q, p1)
             scale = 1.0 + float(np.max(np.abs(psi_ref)))
-            for _ in range(5):
-                probe = rng.uniform(lo2, hi2)
+            worst = 0.0
+            for probe in row[3 * n:].reshape(5, n - k):
                 dpsi = float(np.max(np.abs(ham.psi(q, p1, probe) - psi_ref)))
                 dh0 = abs(ham.h_zero(q, p1, probe) - h0_ref)
-                worst = max(
-                    worst, dpsi / scale, dh0 / (1.0 + abs(h0_ref))
-                )
+                worst = max(worst, dpsi / scale, dh0 / (1.0 + abs(h0_ref)))
+            return worst
+
+        ind_samples = min(samples, 25)
+        worst = sweep(ind_samples, drawn[0] + [lo2] * 5, drawn[1] + [hi2] * 5,
+                      probe_stacked, probe_single)
         record("probe_independence", ind_samples, worst, 1e-8)
     else:
         vacuous("probe_independence", "k = n")
 
-    worst = 0.0
-    for _ in range(samples):
-        q, p, v2 = draw()
+    def split_stacked(rows):
+        q, p, v2 = parts(rows)
+        h = ham.value_many(q, p, v2)
+        split = (ham.h_zero_many(q, p[:, reg])
+                 + np.vecdot(v2, ham.phi_many(q, p)))
+        return np.abs(h - split) / (1.0 + np.abs(h))
+
+    def split_single(row):
+        q, p, v2 = parts(row)
         h = ham.value(q, p, v2)
         split = ham.h_zero(q, p[reg,]) + float(v2 @ ham.phi(q, p))
-        worst = max(worst, abs(h - split) / (1.0 + abs(h)))
+        return abs(h - split) / (1.0 + abs(h))
+
+    worst = sweep(samples, *drawn, split_stacked, split_single)
     record("decomposition", samples, worst, 1e-8)
 
-    worst = 0.0
-    for _ in range(samples):
-        x = system.sample(rng, 1)[0]
-        q, v = x[:n], x[n:]
-        p2 = rng.uniform(vlo[nonreg,], vhi[nonreg,])
+    def involution_stacked(rows):
+        x, p2 = rows[:, :2 * n], rows[:, 2 * n:]
+        lval = evaluate_many(system.lagrangian, x)
+        back = ham.inverse_transform_many(x[:, :n], x[:, n:], p2)
+        return np.abs(back - lval) / (1.0 + np.abs(lval))
+
+    def involution_single(row):
+        x, p2 = row[:2 * n], row[2 * n:]
         lval = evaluate(system.lagrangian, x)
-        back = ham.inverse_transform(q, v, p2)
-        worst = max(worst, abs(back - lval) / (1.0 + abs(lval)))
+        back = ham.inverse_transform(x[:n], x[n:], p2)
+        return abs(back - lval) / (1.0 + abs(lval))
+
+    worst = sweep(samples, [lo, lo2], [hi, hi2],
+                  involution_stacked, involution_single)
     record("involutivity", samples, worst, tol_involution)
 
-    rank_samples = min(samples, 8)
-    worst = 0
-    for _ in range(rank_samples):
-        q, _, v2 = draw()
-        p0 = rng.uniform(-1, 1, size=n)
-        hess = _fd_hessian(lambda pp: ham.value(q, pp, v2), p0)
+    def rank_errors(hess):
         sv = np.linalg.svd(hess, compute_uv=False)
-        rank = int(np.sum(sv > 1e-6 * max(float(sv[0]), 1.0)))
-        worst = max(worst, abs(rank - k))
+        cut = 1e-6 * np.maximum(sv[:, :1], 1.0)
+        return np.abs(np.count_nonzero(sv > cut, axis=1) - k).astype(float)
+
+    def rank_stacked(rows):
+        q, _, v2 = parts(rows)
+        m = 2 * n * n + 1  # stencil points per row
+
+        def values(points):
+            flat = points.reshape(-1, n)
+            return ham.value_many(np.repeat(q, m, axis=0), flat,
+                                  np.repeat(v2, m, axis=0)).reshape(-1, m)
+
+        return rank_errors(_fd_hessian(values, rows[:, 3 * n:]))
+
+    def rank_single(row):
+        q, _, v2 = parts(row)
+        hess = _fd_hessian(
+            lambda points: np.array([[ham.value(q, pp, v2) for pp in points[0]]]),
+            row[None, 3 * n:],
+        )
+        return rank_errors(hess)[0]
+
+    rank_samples = min(samples, 8)
+    ones = np.ones(n)
+    worst = sweep(rank_samples, drawn[0] + [-ones], drawn[1] + [ones],
+                  rank_stacked, rank_single)
     record("rank_agreement", rank_samples, float(worst), 0.0)
 
     if k == n:
-        red_samples = min(samples, 50)
-        worst = 0.0
-        for _ in range(red_samples):
-            q, p, _ = draw()
+        def reduction_stacked(rows):
+            q, p, v2 = parts(rows)
             classical = _full_newton_legendre(system, q, p)
+            mixed = ham.value_many(q, p, v2)
+            return np.abs(mixed - classical) / (1.0 + np.abs(classical))
+
+        def reduction_single(row):
+            q, p, _ = parts(row)
+            classical = _full_newton_legendre(system, q[None], p[None])[0]
             mixed = ham.value(q, p, np.zeros(0))
-            worst = max(
-                worst, abs(mixed - classical) / (1.0 + abs(classical))
-            )
+            return abs(mixed - classical) / (1.0 + abs(classical))
+
+        red_samples = min(samples, 50)
+        worst = sweep(red_samples, *drawn, reduction_stacked, reduction_single)
         record("regular_reduction", red_samples, worst, 1e-9)
     else:
         vacuous("regular_reduction", "k < n")

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import subprocess
 import sys
@@ -148,6 +149,52 @@ def test_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"n": True}, "'n' must be a positive integer"),
+        ({"verify": {"samples": "abc"}}, "'samples' must be an integer >= 1"),
+        ({"verify": {"samples": 2.7}}, "'samples' must be an integer >= 1"),
+        ({"verify": {"samples": True}}, "'samples' must be an integer >= 1"),
+        ({"verify": {"samples": 0}}, "'samples' must be an integer >= 1"),
+        ({"verify": {"seed": -1}}, "'seed' must be an integer >= 0"),
+        ({"verify": {"seed": 1.5}}, "'seed' must be an integer >= 0"),
+        ({"verify": {"seed": False}}, "'seed' must be an integer >= 0"),
+        ({"verify": {"tol_residual": "1e-6"}},
+         "'tol_residual' must be a finite positive number"),
+        ({"verify": {"tol_involution": math.inf}},
+         "'tol_involution' must be a finite positive number"),
+        ({"verify": {"tol_equiv": math.nan}},
+         "'tol_equiv' must be a finite positive number"),
+        ({"verify": {"tol_equiv": 0}},
+         "'tol_equiv' must be a finite positive number"),
+        ({"verify": {"tol_residual": True}},
+         "'tol_residual' must be a finite positive number"),
+        ({"domain": {"q1": [-math.inf, 1]}}, "domain bounds must be finite"),
+        ({"domain": {"v1": [0, math.nan]}}, "domain bounds must be finite"),
+        ({"domain": {"q1": [-1e308, 1e308]}}, "needs a finite width"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_bad_problem_values_exit_2(tmp_path, capsys, fields, message,
+                                   command):
+    raw = {"n": 1, "lagrangian": "0.5*v1^2"}
+    raw.update(fields)
+    path = write_problem(tmp_path, **raw)
+    assert main([command, path]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_negative_seed_option_exits_2(tmp_path, capsys, command):
+    path = osc_problem(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["--seed", "-1", command, path])
+    assert exit_.value.code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["--seed", "0", command, path]) == 0
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,10 @@ zero entry, which ``==`` ignores), and the same domain error at the same
 node.  Where the oracle overflows (numpy flags it, or it ends in inf/NaN),
 the kernels must raise ``EvalDomainError`` or return finite numbers that
 agree with every finite entry the oracle produced.
+
+The stacked kernels behind eval_dual2_many/evaluate_many must reproduce the
+scalar kernels row by row, bytes included, or raise the lowest failing
+row's error; and both must agree with sympy's symbolic derivatives.
 """
 
 import gc
@@ -16,7 +20,8 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from legclair import expr
@@ -34,7 +39,9 @@ from legclair.expr import (
     Var,
     Expression,
     eval_dual2,
+    eval_dual2_many,
     evaluate,
+    evaluate_many,
     parse,
     to_source,
     with_variables,
@@ -234,6 +241,14 @@ def test_reparse_and_with_variables_compile_their_own_kernels():
 def test_bad_arguments_raise_on_every_call():
     e = parse(SOURCE, NAMES)
     eval_dual2(e, POINT, (0,))
+    for call in (lambda x: eval_dual2_many(e, x), lambda x: evaluate_many(e, x)):
+        for bad in (POINT, [POINT[:3]], [[POINT]]):
+            with pytest.raises(ValueError, match="shape"):
+                call(bad)
+    with pytest.raises(ValueError, match="out of range"):
+        eval_dual2_many(e, [POINT], (4,))
+    e = parse(SOURCE, NAMES)
+    eval_dual2(e, POINT, (0,))
     for _ in range(3):
         with pytest.raises(ValueError, match="shape"):
             eval_dual2(e, POINT[:3], (0,))
@@ -338,3 +353,185 @@ def test_finite_sum_overflow_takes_the_slow_path_and_returns():
     d = eval_dual2(parse("1e308*v1 + 1e308*v2", ["v1", "v2"]), [1.0, 0.5])
     assert d.value == 1e308 + 5e307
     assert np.array_equal(d.grad, [1e308, 1e308])
+
+
+# --------------------------------------------------------------------------
+# stacked kernels: every row as the scalar kernel computes it
+# --------------------------------------------------------------------------
+
+def _stack(seed, box, count, special):
+    rows = np.random.default_rng(seed).uniform(*box, (count, len(NAMES)))
+    for row, col, x in special:
+        rows[row % count, col] = x
+    return rows
+
+
+# Random points, where numpy's powers, exp, ln and tan would miss the
+# scalar kernel by an ulp somewhere, and a few values that overflow,
+# underflow a square or hit a domain boundary.
+stacks = st.builds(
+    _stack,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(((-3.0, 3.0), (0.1, 3.0))),
+    st.integers(1, 40),
+    st.lists(st.tuples(
+        st.integers(0, 39), st.integers(0, len(NAMES) - 1),
+        st.sampled_from((0.0, -0.0, 1e3, -800.0, 1e200, 1e-110, math.nan)),
+    ), max_size=3),
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EvalDomainError as err:
+        return err
+
+
+def _check_stacked(stacked, rows):
+    """``stacked`` (a result or error) against the scalar results ``rows``,
+    computed in order up to the first error."""
+    if isinstance(rows[-1], EvalDomainError):
+        assert isinstance(stacked, EvalDomainError), stacked
+        assert (str(stacked), stacked.fragment) == (str(rows[-1]),
+                                                    rows[-1].fragment)
+        return
+    assert not isinstance(stacked, EvalDomainError), stacked
+    if isinstance(rows[0], float):
+        assert stacked.tobytes() == np.array(rows).tobytes()
+        return
+    for field in ("value", "grad", "hess"):
+        want = np.array([getattr(d, field) for d in rows])
+        assert getattr(stacked, field).tobytes() == want.tobytes(), field
+
+
+def _scalar_rows(call, points):
+    rows = []
+    for x in points:
+        rows.append(_outcome(lambda: call(x)))
+        if isinstance(rows[-1], EvalDomainError):
+            break
+    return rows
+
+
+@PROPERTY
+@given(trees, stacks, actives)
+def test_stacked_kernels_match_scalar_kernels_row_by_row(tree, points, active):
+    # bit for bit on every function: powers, exp, ln, tan, sin and cos go
+    # through the scalar kernel's own Python operations entry by entry
+    e = _expression(tree)
+    _check_stacked(_outcome(lambda: evaluate_many(e, points)),
+                   _scalar_rows(lambda x: evaluate(e, x), points))
+    _check_stacked(_outcome(lambda: eval_dual2_many(e, points, active)),
+                   _scalar_rows(lambda x: eval_dual2(e, x, active), points))
+
+
+@pytest.mark.parametrize(
+    "source, x, fragment",
+    [
+        ("v1^400", 1e10, "v1^400"),
+        ("exp(v1)", 1e3, "exp(v1)"),
+        ("v1*v1*v1", 1e200, "v1*v1"),
+        ("ln(v1)", -1.0, "ln(v1)"),
+        ("1/v1", 0.0, "1/v1"),
+        ("v1", math.nan, "v1"),
+    ],
+)
+def test_stacked_kernels_raise_the_lowest_failing_row(source, x, fragment):
+    e = parse(source, ["v1"])
+    rows = [[0.5], [x], [2.0], [x]]
+    for call in (evaluate_many, eval_dual2_many):
+        with pytest.raises(EvalDomainError) as err:
+            call(e, rows)
+        assert err.value.fragment == fragment
+        with pytest.raises(EvalDomainError) as one:
+            (evaluate if call is evaluate_many else eval_dual2)(e, [x])
+        assert str(err.value) == str(one.value)
+    assert evaluate_many(e, [[0.5], [2.0]]).tolist() == [
+        evaluate(e, [0.5]), evaluate(e, [2.0])]
+
+
+def test_stacked_kernels_take_any_number_of_rows():
+    e = parse(SOURCE, NAMES)
+    d = eval_dual2_many(e, np.empty((0, 4)), (2, 3))
+    assert (d.value.shape, d.grad.shape, d.hess.shape) == ((0,), (0, 2),
+                                                           (0, 2, 2))
+    assert evaluate_many(e, np.empty((0, 4))).shape == (0,)
+    d = eval_dual2_many(e, [POINT], ())
+    assert (d.grad.shape, d.hess.shape) == ((1, 0), (1, 0, 0))
+    assert d.value[0] == evaluate(e, POINT)
+
+
+# --------------------------------------------------------------------------
+# derivatives against sympy
+# --------------------------------------------------------------------------
+
+_SYMBOLS = sympy.symbols(NAMES)
+_SYMPY_CALLS = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan,
+                "exp": sympy.exp, "ln": sympy.log, "sqrt": sympy.sqrt}
+
+
+def _to_sympy(node):
+    if isinstance(node, Num):
+        return sympy.Float(node.value, 30)
+    if isinstance(node, Var):
+        return _SYMBOLS[node.index]
+    if isinstance(node, Neg):
+        return -_to_sympy(node.arg)
+    if isinstance(node, Call):
+        return _SYMPY_CALLS[node.func](_to_sympy(node.arg))
+    if isinstance(node, Pow):
+        b = node.exponent
+        expo = sympy.Integer(int(b)) if b == int(b) else sympy.Float(b, 30)
+        return sympy.Pow(_to_sympy(node.base), expo)
+    left, right = _to_sympy(node.left), _to_sympy(node.right)
+    return {Add: left + right, Sub: left - right, Mul: left * right,
+            Div: left / right}[type(node)]
+
+
+# smooth building blocks on a box where every argument stays well inside
+# its domain: points in [0.5, 1.5], constants in [0.5, 2]
+smooth_leaves = st.one_of(
+    st.builds(Num, st.floats(0.5, 2.0)),
+    st.integers(0, len(NAMES) - 1).map(lambda i: Var(i, NAMES[i])),
+)
+
+
+def _smooth(kids):
+    return st.one_of(
+        st.builds(Call, st.sampled_from(("sin", "cos", "exp", "sqrt")), kids),
+        st.builds(Call, st.just("ln"),
+                  st.builds(Add, kids, st.builds(Num, st.just(2.0)))),
+        st.builds(Pow, kids, st.sampled_from((2.0, 3.0, -1.0, 0.5, 1.5))),
+        *(st.builds(ctor, kids, kids) for ctor in (Add, Sub, Mul)),
+    )
+
+
+smooth_trees = st.recursive(smooth_leaves, _smooth, max_leaves=6)
+smooth_points = st.lists(st.floats(0.5, 1.5), min_size=len(NAMES),
+                         max_size=len(NAMES))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(smooth_trees, smooth_points)
+def test_derivatives_match_sympy(tree, point):
+    e = _expression(tree)
+    try:
+        d = eval_dual2(e, point)
+    except EvalDomainError:
+        assume(False)  # e.g. a power of a non-positive subexpression
+    many = eval_dual2_many(e, [point])
+    sym = _to_sympy(tree)
+    at = dict(zip(_SYMBOLS, point))
+
+    def exact(expr):
+        return complex(expr.evalf(30, subs=at))
+
+    want_grad = [exact(sympy.diff(sym, x)) for x in _SYMBOLS]
+    want_hess = [[exact(sympy.diff(sym, x, y)) for y in _SYMBOLS]
+                 for x in _SYMBOLS]
+    for got, want in ((d.grad, want_grad), (d.hess, want_hess),
+                      (many.grad[0], want_grad), (many.hess[0], want_hess)):
+        want = np.array(want)
+        assert np.all(want.imag == 0.0)
+        assert np.allclose(got, want.real, rtol=1e-9, atol=1e-9), (got, want)

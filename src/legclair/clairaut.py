@@ -83,19 +83,14 @@ def check_w11(w11: np.ndarray, tol: float, where: str, **at) -> None:
     A stack of blocks (count, k, k) is checked block by block, with one row
     of each ``at`` value per block; the first singular block is named.
     """
+    sv = np.linalg.svd(w11, compute_uv=False)
     if w11.ndim == 3:
-        if w11.shape[1] == 1:
-            sv = np.abs(w11[:, 0])  # what svd returns for 1 x 1 blocks
-        else:
-            sv = np.linalg.svd(w11, compute_uv=False)
         singular = sv[:, -1] <= tol * np.maximum(sv[:, 0], 1.0)
         if not singular.any():
             return
         first = int(np.argmax(singular))
         sv = sv[first]
         at = {name: x[first] for name, x in at.items()}
-    else:
-        sv = np.linalg.svd(w11, compute_uv=False)
     if sv[-1] <= tol * max(sv[0], 1.0):
         point = ", ".join(f"{name}={x.tolist()}" for name, x in at.items())
         raise SingularJacobianError(

@@ -960,24 +960,11 @@ def _compile_many(root, nvars: int, active):
     if live:
         src.append(f"    _bad |= ~_isfinite({' + '.join(live)})")
     src.append("    return _out, _bad")
-    return _stacked_function("\n".join(src))
-
-
-@functools.lru_cache(maxsize=128)
-def _stacked_function(source: str):
-    """Compile one stacked kernel.
-
-    Every name the source uses comes from one fixed namespace, so equal
-    source text makes an equal function, and it is compiled once per
-    process: the CLI parses its Lagrangian again on every command, and
-    compiling the same kernels again on every ``verify`` command cost a
-    few percent of its time and raised peak memory.
-    """
-    ns = dict(_MATH, _zeros=np.zeros, _empty=np.empty,
-              _isfinite=np.isfinite, _each=_each, _ipow=operator.pow,
-              _fpow=math.pow, _sqrt=np.sqrt)
-    exec(compile(source, "<legclair stacked kernel>", "exec"), ns)
-    return ns.pop("kernel")
+    cg.ns.update(_zeros=np.zeros, _empty=np.empty, _isfinite=np.isfinite,
+                 _each=_each, _ipow=operator.pow, _fpow=math.pow,
+                 _sqrt=np.sqrt)
+    exec(compile("\n".join(src), "<legclair stacked kernel>", "exec"), cg.ns)
+    return cg.ns.pop("kernel")
 
 
 def _point(e: Expression, point) -> list:
@@ -1058,9 +1045,10 @@ def _value_kernel(e: Expression):
 _STACKED = object()  # first half of the cache key of every stacked kernel
 
 
-def _run_many(e: Expression, points, key, scalar, width) -> np.ndarray:
+def _run_many(e: Expression, points, key, width) -> np.ndarray:
     """Flat outputs of the stacked kernel for ``key`` at every row of
-    ``points``; the rows it marks are rerun through ``scalar``."""
+    ``points``; the rows it marks are rerun through the scalar kernel,
+    which is compiled only then."""
     points = np.asarray(points, dtype=float)
     nv = len(e.variables)
     if points.ndim != 2 or points.shape[1] != nv:
@@ -1078,7 +1066,11 @@ def _run_many(e: Expression, points, key, scalar, width) -> np.ndarray:
             out, bad = kernel(points.T.copy(), count)
     except _FAULTS:  # a Python operation overflowed or left its domain
         out, bad = np.empty((count, width)), np.ones(count, dtype=bool)
-    for i in np.flatnonzero(bad):
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        scalar = (_value_kernel(e) if key is _VALUE_ONLY
+                  else _dual_kernel(e, key))
+    for i in rows:
         d = scalar(points[i].tolist())
         if key is _VALUE_ONLY:
             out[i, 0] = d
@@ -1100,7 +1092,7 @@ def eval_dual2_many(e: Expression, points, active=None) -> Dual2:
     """
     key = _active_key(e, active)
     m = len(key)
-    out = _run_many(e, points, key, _dual_kernel(e, key), 1 + m + m * m)
+    out = _run_many(e, points, key, 1 + m + m * m)
     return Dual2(out[:, 0], out[:, 1:m + 1],
                  out[:, m + 1:].reshape(len(out), m, m))
 
@@ -1111,4 +1103,4 @@ def evaluate_many(e: Expression, points) -> np.ndarray:
     Entry i equals ``evaluate(e, points[i])`` bit for bit; if any row raises
     there, the lowest such row's error is raised here.
     """
-    return _run_many(e, points, _VALUE_ONLY, _value_kernel(e), 1)[:, 0]
+    return _run_many(e, points, _VALUE_ONLY, 1)[:, 0]

@@ -37,14 +37,7 @@ SYSTEMS.update({name: shipped_system for name in SHIPPED})
 
 
 def assert_same_results(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.name, a.samples, a.status) == (b.name, b.samples, b.status)
-        if np.isnan(b.tol):
-            assert np.isnan(a.tol) and np.isnan(a.worst) and np.isnan(b.worst)
-        else:
-            assert a.tol == b.tol
-            assert abs(a.worst - b.worst) <= 1e-3 * b.tol, (a, b)
+    assert list(map(repr, got)) == list(map(repr, want))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -142,7 +135,7 @@ def test_chunk_size_does_not_change_results(name, monkeypatch):
     want = verify.run_property_suite(ham, 60, 3, 1e-6, 1e-7)
     monkeypatch.setattr(verify, "CHUNK_ROWS", 7)
     got = verify.run_property_suite(ham, 60, 3, 1e-6, 1e-7)
-    assert list(map(repr, got)) == list(map(repr, want))
+    assert_same_results(got, want)
 
 
 # --------------------------------------------------------------------------

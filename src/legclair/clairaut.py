@@ -21,6 +21,7 @@ sample over the domain box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,27 +76,55 @@ def _inf_norm(x: np.ndarray) -> float:
     return float(np.abs(x).max()) if x.size else 0.0
 
 
-def check_w11(w11: np.ndarray, tol: float, where: str, **at) -> None:
+def check_w11(w11: np.ndarray, tol: float, where: str, **at):
     """Raise ``SingularJacobianError`` if W11's smallest singular value is at
-    most ``tol * max(largest, 1)``.  The message is ``where`` followed by
-    the ``name=value`` pairs of ``at``, built only on failure.
+    most ``tol * max(largest, 1)``, else return (smallest, largest).  The
+    message is ``where`` followed by the ``name=value`` pairs of ``at``,
+    built only on failure.
 
     A stack of blocks (count, k, k) is checked block by block, with one row
-    of each ``at`` value per block; the first singular block is named.
+    of each ``at`` value per block; the first singular block is named, and
+    the singular values come back as one entry per block.  A single finite
+    1×1 block [[w]] has the singular value |w|, which is used directly; a
+    non-finite one goes through the SVD like every other block.
     """
-    sv = np.linalg.svd(w11, compute_uv=False)
-    if w11.ndim == 3:
-        singular = sv[:, -1] <= tol * np.maximum(sv[:, 0], 1.0)
-        if not singular.any():
-            return
-        first = int(np.argmax(singular))
-        sv = sv[first]
-        at = {name: x[first] for name, x in at.items()}
-    if sv[-1] <= tol * max(sv[0], 1.0):
+    if w11.shape == (1, 1) and math.isfinite(w11[0, 0]):
+        smallest = largest = abs(float(w11[0, 0]))
+    else:
+        sv = np.linalg.svd(w11, compute_uv=False)
+        smallest, largest = sv[..., -1], sv[..., 0]
+        if w11.ndim == 3:
+            singular = smallest <= tol * np.maximum(largest, 1.0)
+            if not singular.any():
+                return smallest, largest
+            first = int(np.argmax(singular))
+            sv = sv[first]
+            at = {name: x[first] for name, x in at.items()}
+            smallest, largest = sv[-1], sv[0]
+    if smallest <= tol * max(largest, 1.0):
         point = ", ".join(f"{name}={x.tolist()}" for name, x in at.items())
         raise SingularJacobianError(
-            f"{where} {point} (smallest singular value {sv[-1]:.3e})"
+            f"{where} {point} (smallest singular value {smallest:.3e})"
         )
+    return smallest, largest
+
+
+def solve_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for one block (k, k) or a stack
+    (count, k, k), bit for bit.
+
+    A 1×1 block with a single right-hand column is solved as ``b / w``:
+    LAPACK divides in that case, so the bits are the same without its
+    dispatch.  With several columns OpenBLAS multiplies by the reciprocal
+    1/w instead, which rounds differently from ``b / w``, so those systems,
+    like every block with k >= 2, stay on LAPACK.
+    """
+    if a.shape[-2:] == (1, 1):
+        if b.ndim == a.ndim and b.shape[-1] == 1:
+            return b / a
+        if a.ndim == 2 and b.shape == (1,):
+            return b / a[0]
+    return np.linalg.solve(a, b)
 
 
 @dataclass
@@ -153,7 +182,7 @@ class EnvelopeSolver:
                 return v1
             check_w11(d.hess, self.partition.rank_tolerance,
                       "W11 is singular at Newton iterate", v1=v1)
-            delta = np.linalg.solve(d.hess, r)
+            delta = solve_block(d.hess, r)
             alpha = 1.0
             for _ in range(self.max_backtracks + 1):
                 trial = v1 + alpha * delta
@@ -224,7 +253,7 @@ class EnvelopeSolver:
                     return out
             check_w11(hess, self.partition.rank_tolerance,
                       "W11 is singular at Newton iterate", v1=v1)
-            delta = np.linalg.solve(hess, r[:, :, None])[:, :, 0]
+            delta = solve_block(hess, r[:, :, None])[:, :, 0]
             alpha = np.ones(len(lanes))
             pending = np.arange(len(lanes))  # lanes still backtracking
             for _ in range(self.max_backtracks + 1):

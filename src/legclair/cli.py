@@ -115,6 +115,10 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
+def _is_real(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def load_problem(path) -> Problem:
     try:
         with open(path) as fh:
@@ -140,7 +144,7 @@ def load_problem(path) -> Problem:
     for name, pair in domain.items():
         _require(
             isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(x, (int, float)) for x in pair),
+            and all(_is_real(x) for x in pair),
             f"domain entry {name!r} must be [lo, hi]",
         )
     try:
@@ -179,8 +183,7 @@ def load_problem(path) -> Problem:
     for key in ("tol_residual", "tol_involution", "tol_equiv"):
         val = verify[key]
         _require(
-            isinstance(val, (int, float)) and not isinstance(val, bool)
-            and math.isfinite(val) and val > 0,
+            _is_real(val) and math.isfinite(val) and val > 0,
             f"verify {key!r} must be a finite positive number",
         )
         verify[key] = float(val)
@@ -251,7 +254,7 @@ def cmd_analyze(problem: Problem, args, out):
     samples = []
     nonreg = list(part.nonregular)
     vlo, vhi = system.domain_lo[n:], system.domain_hi[n:]
-    for _ in range(max(0, args.points)):
+    for _ in range(args.points):
         q = rng.uniform(system.domain_lo[:n], system.domain_hi[:n])
         p1 = rng.uniform(vlo[reg,], vhi[reg,]) if k else np.zeros(0)
         p2 = rng.uniform(vlo[nonreg,], vhi[nonreg,]) if k < n else np.zeros(0)
@@ -493,11 +496,7 @@ def cmd_integrate(problem: Problem, args, out):
     _require(icfg, "an 'integrate' block is required")
     for key in ("t0", "t1", "dt"):
         _require(key in icfg, f"integrate needs {key!r}")
-        _require(
-            isinstance(icfg[key], (int, float))
-            and not isinstance(icfg[key], bool),
-            f"integrate {key!r} must be a number",
-        )
+        _require(_is_real(icfg[key]), f"integrate {key!r} must be a number")
     t_span = (float(icfg["t0"]), float(icfg["t1"]))
     dt = float(icfg["dt"])
     try:
@@ -635,11 +634,16 @@ def cmd_verify(problem: Problem, args, out):
 # entry point
 # --------------------------------------------------------------------------
 
-def _seed(text) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+def _at_least_zero(what):
+    """An argparse type for an integer option ``what`` that must be >= 0."""
+    def parse(text) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= 0, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports other text as "invalid int value"
+    return parse
 
 
 def build_parser():
@@ -654,13 +658,13 @@ def build_parser():
     parser.add_argument("--out", default=None,
                         help="output file (analyze/transform/verify) or "
                              "directory (integrate)")
-    parser.add_argument("--seed", type=_seed, default=None,
+    parser.add_argument("--seed", type=_at_least_zero("seed"), default=None,
                         help="override the sampling seed (an integer >= 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="partition report and constraints")
     p.add_argument("problem")
-    p.add_argument("--points", type=int, default=3,
+    p.add_argument("--points", type=_at_least_zero("points"), default=3,
                    help="number of sampled constraint evaluations")
 
     p = sub.add_parser("transform", help="tabulate H over value grids")

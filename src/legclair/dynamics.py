@@ -34,7 +34,15 @@ d(p2)/dt = d(Psi)/dt.
 
 Both flows run on one RK4 driver, which names the step and time of any
 failure.  Their right-hand sides build the index plan once per run and test
-W11 with the envelope solver's own check, ``clairaut.check_w11``.
+W11 with the envelope solver's own check, ``clairaut.check_w11``, at every
+stage.  The monitors above come from the recorded stage only, the first of
+each step: the other three stages return the derivative alone.
+
+Every W11 solve goes through ``clairaut.solve_block``.  A 1×1 block with one
+right-hand column is solved as b / w, bit for bit what LAPACK returns.  With
+several columns (dV/dq whenever n >= 2) OpenBLAS multiplies by 1/w, which
+rounds differently, so those solves, and every block with k >= 2, stay on
+LAPACK.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from .clairaut import (
     NewtonDivergedError,
     SingularJacobianError,
     check_w11,
+    solve_block,
 )
 from .expr import EvalDomainError, Expression, eval_dual2, evaluate, parse
 from .partition import (
@@ -163,8 +172,10 @@ class NonFiniteStateError(ArithmeticError):
 def _rk4(rhs, y0, t0, h, nsteps, record):
     """Classical RK4 over the nodes t0 + i*h, i = 0..nsteps.
 
-    ``rhs(y)`` returns (dy/dt, info); ``record(i, t, y, info)`` stores node
-    i from its first stage.  Step i starts at node i (step nsteps only
+    ``rhs(y, monitor)`` returns (dy/dt, info); ``record(i, t, y, info)``
+    stores node i from its first stage.  Only that stage is called with
+    ``monitor`` true: the other three return info None and skip the
+    diagnostics nothing records.  Step i starts at node i (step nsteps only
     records).  Errors raised in step i, including ``NonFiniteStateError``
     when it leaves y non-finite, get ``step``/``t`` attributes and
     "at RK4 step i (t = ...)" appended to their message.
@@ -173,13 +184,13 @@ def _rk4(rhs, y0, t0, h, nsteps, record):
     for i in range(nsteps + 1):
         t = t0 + i * h
         try:
-            k1, info = rhs(y)
+            k1, info = rhs(y, True)
             record(i, t, y, info)
             if i == nsteps:
                 break
-            k2, _ = rhs(y + 0.5 * h * k1)
-            k3, _ = rhs(y + 0.5 * h * k2)
-            k4, _ = rhs(y + h * k3)
+            k2, _ = rhs(y + 0.5 * h * k1, False)
+            k3, _ = rhs(y + 0.5 * h * k2, False)
+            k4, _ = rhs(y + h * k3, False)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(y).all():
                 raise NonFiniteStateError("overflow to a non-finite state")
@@ -199,8 +210,9 @@ def _el_field(system: LagrangianSystem, partition, gauge):
 
     It solves the regular rows  W11 a1 = K1 - W12 v2dot  of
     W vdot = K,  K_i = dL/dq_i - sum_j (d2L/dv_i dq_j) v_j,
-    with v2dot from the chain rule through the gauge, and returns
-    ((v, a1), (non-regular row defect, full velocity v, dL/dv)).
+    with v2dot from the chain rule through the gauge.  ``rhs(y, monitor)``
+    returns ((v, a1), (non-regular row defect, full velocity v, dL/dv)),
+    with None in place of the second entry when ``monitor`` is false.
     """
     n, k = system.n, partition.k
     lag, tol = system.lagrangian, partition.rank_tolerance
@@ -209,7 +221,7 @@ def _el_field(system: LagrangianSystem, partition, gauge):
     v1_slots, v2_slots = n + reg, n + nonreg
     w11_ix, w12_ix = np.ix_(reg, reg), np.ix_(reg, nonreg)
 
-    def rhs(y):
+    def rhs(y, monitor):
         q = y[:n]
         x = np.empty(2 * n)
         x[:n] = q
@@ -226,15 +238,18 @@ def _el_field(system: LagrangianSystem, partition, gauge):
             w11 = w[w11_ix]
             check_w11(w11, tol, "regular velocity block is singular at",
                       q=q, v=v)
-            accel1 = np.linalg.solve(w11, kvec[reg] - w[w12_ix] @ v2dot)
+            accel1 = solve_block(w11, kvec[reg] - w[w12_ix] @ v2dot)
         else:
             accel1 = np.zeros(0)
+        dy = np.concatenate([v, accel1])
+        if not monitor:
+            return dy, None
         vdot = np.empty(n)
         vdot[reg] = accel1
         vdot[nonreg] = v2dot
         defect = w[nonreg] @ vdot - kvec[nonreg]
         i2_res = float(np.max(np.abs(defect))) if defect.size else 0.0
-        return np.concatenate([v, accel1]), (i2_res, v, lv)
+        return dy, (i2_res, v, lv)
 
     return rhs
 
@@ -246,7 +261,7 @@ def el_rhs(system, partition, gauge, q, v1):
         checked_vector(q, system.n, "q"),
         checked_vector(v1, partition.k, "v1"),
     ])
-    dy, (i2_res, _, _) = _el_field(system, partition, gauge)(y)
+    dy, (i2_res, _, _) = _el_field(system, partition, gauge)(y, True)
     return dy[system.n:], i2_res
 
 
@@ -288,7 +303,9 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
 
 def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
     """The mixed-Hamiltonian right-hand side on y = (q, p1) at constraint
-    values ``phi``: ((qdot, p1dot), (qdot, ``hs3_res``, dL/dv)).
+    values ``phi``: ``rhs(y, monitor)`` returns ((qdot, p1dot), (qdot,
+    ``hs3_res``, dL/dv)).  When ``monitor`` is false the second entry is
+    None and ``hs3_res`` is not built, but W11 is still checked.
 
     Each call warm-starts the envelope solve at the previous call's v1 (the
     first at ``v1``).  dH/dq is the composite derivative from the module
@@ -309,7 +326,7 @@ def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
     w11_ix, w12_ix = np.ix_(reg, reg), np.ix_(reg, nonreg)
     w21_ix, w22_ix = np.ix_(nonreg, reg), np.ix_(nonreg, nonreg)
 
-    def rhs(y):
+    def rhs(y, monitor):
         nonlocal v1
         q, p1 = y[:n], y[n:]
         c2 = gauge.value(q)
@@ -328,16 +345,19 @@ def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
         r_full = gjac.T @ phi
         dhdq = -lq + r_full
         p1dot = -dhdq[reg] + (r_full[reg] if include_r else 0.0)
+        if k and m:
+            w11 = w[w11_ix]
+            check_w11(w11, tol, "regular velocity block is singular at", q=q)
+        dy = np.concatenate([qdot, p1dot])
+        if not monitor:
+            return dy, None
         hs3_res = 0.0
         if m:
             w12 = w[w12_ix]
             w21 = w[w21_ix]
             if k:
-                w11 = w[w11_ix]
-                check_w11(w11, tol, "regular velocity block is singular at",
-                          q=q)
-                dvdq = -np.linalg.solve(w11, lvq[reg] + w12 @ gjac)
-                dpsi_dp1 = np.linalg.solve(w11.T, w21.T).T
+                dvdq = -solve_block(w11, lvq[reg] + w12 @ gjac)
+                dpsi_dp1 = solve_block(w11.T, w21.T).T
             else:
                 dvdq = np.zeros((0, n))
                 dpsi_dp1 = np.zeros((m, 0))
@@ -345,7 +365,7 @@ def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
             psidot = dpsi_dq @ qdot + dpsi_dp1 @ p1dot
             r2 = r_full[nonreg] if include_r else 0.0
             hs3_res = float(np.max(np.abs(dhdq[nonreg] + psidot - r2)))
-        return np.concatenate([qdot, p1dot]), (qdot, hs3_res, lv)
+        return dy, (qdot, hs3_res, lv)
 
     return rhs
 
@@ -362,7 +382,7 @@ def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
     v1 = ham.solve_velocity(q, p1, c2)
     phi = p2 - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
     rhs = _ham_field(ham, gauge, phi, include_r, v1)
-    dy, (qdot, hs3_res, _) = rhs(np.concatenate([q, p1]))
+    dy, (qdot, hs3_res, _) = rhs(np.concatenate([q, p1]), True)
     return qdot, dy[ham.n:], hs3_res
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -358,6 +360,116 @@ def test_newton_converges_or_raises_a_solver_error_on_random_boxes(case):
         at = system.point(q, ham.assemble_velocity(got, v[nonreg]))
         grad = eval_dual2(system.lagrangian, at, solver._v1_active).grad
         assert np.max(np.abs(p1 - grad)) <= solver.newton_tol
+
+
+# --------------------------------------------------------------------------
+# block helpers: 1x1 shortcuts against LAPACK
+# --------------------------------------------------------------------------
+
+BLOCK_PROPERTY = settings(derandomize=True, database=None, max_examples=300,
+                          deadline=None)
+# |w|, |b| from 1e-8 to 1e8, either sign
+entries = st.builds(lambda mag, sign: sign * mag,
+                    st.floats(1e-8, 1e8), st.sampled_from([-1.0, 1.0]))
+
+
+def assert_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@BLOCK_PROPERTY
+@given(st.integers(1, 5).flatmap(lambda count: st.tuples(
+    st.lists(entries, min_size=count, max_size=count),
+    st.lists(st.lists(entries, min_size=3, max_size=3),
+             min_size=count, max_size=count),
+)))
+def test_solve_block_equals_lapack_on_1x1_systems(case):
+    a = np.array(case[0])[:, None, None]
+    b = np.array(case[1])[:, None, :]
+    for cols in (1, 2, 3):
+        rhs = b[:, :, :cols]
+        assert_bits(clairaut.solve_block(a, rhs), np.linalg.solve(a, rhs))
+        assert_bits(clairaut.solve_block(a[0], rhs[0]),
+                    np.linalg.solve(a[0], rhs[0]))
+    assert_bits(clairaut.solve_block(a[0], b[0, :, 0]),
+                np.linalg.solve(a[0], b[0, :, 0]))
+
+
+def test_solve_block_equals_lapack_on_many_random_1x1_systems():
+    rng = np.random.default_rng(6)
+    count = 20_000
+    w, b = (10.0 ** rng.uniform(-8, 8, (2, count))
+            * rng.choice([-1.0, 1.0], (2, count)))
+    a, rhs = w[:, None, None], b[:, None, None]
+    assert_bits(clairaut.solve_block(a, rhs), np.linalg.solve(a, rhs))
+    for i in range(0, count, 20):
+        assert_bits(clairaut.solve_block(a[i], rhs[i, 0]),
+                    np.linalg.solve(a[i], rhs[i, 0]))
+    # 2x2 blocks go to LAPACK as they are
+    a2 = rng.normal(size=(50, 2, 2)) + 3.0 * np.eye(2)
+    rhs2 = rng.normal(size=(50, 2, 1))
+    assert_bits(clairaut.solve_block(a2, rhs2), np.linalg.solve(a2, rhs2))
+
+
+def svd_check(w11, tol, where, **at):
+    """``check_w11`` with the SVD on every block, 1x1 ones included."""
+    sv = np.linalg.svd(w11, compute_uv=False)
+    if sv[-1] <= tol * max(sv[0], 1.0):
+        point = ", ".join(f"{name}={x.tolist()}" for name, x in at.items())
+        raise SingularJacobianError(
+            f"{where} {point} (smallest singular value {sv[-1]:.3e})"
+        )
+
+
+def check_outcome(check, w, tol):
+    """The exception type and message a check ends in, or None."""
+    try:
+        with np.errstate(invalid="ignore"):
+            check(np.array([[w]]), tol, "W11 is singular at", v1=np.array([w]))
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+    return None
+
+
+TOL = 1e-9
+EDGE_BLOCKS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-200,
+    TOL, -TOL, np.nextafter(TOL, 1.0), np.nextafter(TOL, 0.0), 1.0, -1.0,
+    1e150, 1e300, -1e300, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("w", EDGE_BLOCKS)
+def test_check_w11_1x1_decides_as_the_svd_at_the_edges(w):
+    want = check_outcome(svd_check, w, TOL)
+    assert check_outcome(clairaut.check_w11, w, TOL) == want
+    # the tolerance boundary itself: |w| <= tol is singular
+    if w == TOL:
+        assert want is not None and want[0] is SingularJacobianError
+    if w == np.nextafter(TOL, 1.0) or w == 1e300:
+        assert want is None
+
+
+@BLOCK_PROPERTY
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(1e-15, 0.5))
+def test_check_w11_1x1_decides_as_the_svd(w, tol):
+    want = check_outcome(svd_check, w, tol)
+    assert check_outcome(clairaut.check_w11, w, tol) == want
+    if want is None:
+        assert clairaut.check_w11(np.array([[w]]), tol, "") == (abs(w), abs(w))
+
+
+def test_check_w11_returns_the_extreme_singular_values():
+    blocks = np.array([[[2.0, 0.0], [0.0, -0.5]], [[3.0, 0.0], [0.0, 1.0]]])
+    smallest, largest = clairaut.check_w11(blocks[0], TOL, "")
+    assert (smallest, largest) == (0.5, 2.0)
+    smallest, largest = clairaut.check_w11(blocks, TOL, "", v1=np.zeros(2))
+    assert_allclose(smallest, [0.5, 1.0], rtol=1e-15)
+    assert_allclose(largest, [2.0, 3.0], rtol=1e-15)
+    assert clairaut.check_w11(np.array([[-4.0]]), TOL, "") == (4.0, 4.0)
 
 
 # --------------------------------------------------------------------------

@@ -175,6 +175,8 @@ def test_bad_json_exits_2(tmp_path, capsys):
         ({"domain": {"q1": [-math.inf, 1]}}, "domain bounds must be finite"),
         ({"domain": {"v1": [0, math.nan]}}, "domain bounds must be finite"),
         ({"domain": {"q1": [-1e308, 1e308]}}, "needs a finite width"),
+        ({"domain": {"v1": [True, 2]}}, "domain entry 'v1' must be [lo, hi]"),
+        ({"domain": {"q1": [-1, False]}}, "domain entry 'q1' must be [lo, hi]"),
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "verify"])
@@ -195,6 +197,16 @@ def test_negative_seed_option_exits_2(tmp_path, capsys, command):
     assert exit_.value.code == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert main(["--seed", "0", command, path]) == 0
+
+
+def test_negative_points_option_exits_2(tmp_path, capsys):
+    path = deg1_problem(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "--points", "-2", path])
+    assert exit_.value.code == 2
+    assert "points must be >= 0, got -2" in capsys.readouterr().err
+    assert main(["analyze", "--points", "0", path]) == 0
+    assert "constraints (0 sample points" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from legclair.dynamics import (
     integrate_el,
     integrate_ham,
     write_trajectory_csv,
+    _el_field,
+    _ham_field,
 )
 from legclair.expr import EvalDomainError, eval_dual2
 from legclair.partition import LagrangianSystem, qv_names
@@ -365,11 +367,9 @@ def assert_same_trajectory(got, want):
     assert (got.n, got.k, got.regular) == (want.n, want.k, want.regular)
 
 
-@pytest.mark.parametrize("name", sorted(corpus.SYSTEMS))
-def test_rk4_driver_matches_hand_rolled_loops_on_corpus(name):
-    ham = make_ham(name)
+def assert_driver_matches_oracle(ham, gauge):
+    """Both flows, with and without R, against the hand-rolled loops."""
     n, nonreg = ham.n, list(ham.partition.nonregular)
-    gauge = gauge_of(n, CORPUS_GAUGES[name]) if nonreg else None
     q0 = np.linspace(0.1, 0.3, n)
     v10 = np.linspace(0.4, -0.2, ham.k)
     c2 = gauge.value(q0) if gauge else np.zeros(0)
@@ -388,6 +388,25 @@ def test_rk4_driver_matches_hand_rolled_loops_on_corpus(name):
                 ham, gauge, q0, p0, span, dt, include_r=include_r
             ),
         )
+
+
+@pytest.mark.parametrize("name", sorted(corpus.SYSTEMS))
+def test_rk4_driver_matches_hand_rolled_loops_on_corpus(name):
+    ham = make_ham(name)
+    gauge = gauge_of(ham.n, CORPUS_GAUGES[name]) if ham.n > ham.k else None
+    assert_driver_matches_oracle(ham, gauge)
+
+
+def test_rk4_driver_matches_hand_rolled_loops_on_a_varying_w11():
+    # W11 = 1 + q1^2 changes along the flow, so the block solves round;
+    # every k = 1 system above has W11 = 1, where any division is exact.
+    # dV/dq has two right-hand columns here, so its 1x1 solve must stay on
+    # LAPACK (which multiplies by 1/w) for hs3_res to keep its bits.
+    ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(
+        2, "0.5*(1+q1^2)*(v1+v2)^2 + 0.3*q2*v1 - 0.5*q1^2"
+    ))
+    assert ham.k == 1
+    assert_driver_matches_oracle(ham, gauge_of(2, "0.5*sin(q1)"))
 
 
 @pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
@@ -430,6 +449,27 @@ def test_singular_block_in_a_flow_keeps_its_message():
             ours(*args)
         assert "regular velocity block is singular" in str(want.value)
         assert str(got.value) == f"{want.value} at RK4 step 0 (t = 0)"
+
+
+def test_singular_block_at_a_stage_that_is_not_recorded():
+    # stages 2-4 skip the monitors but must still check W11, with the
+    # message of the recorded stage
+    ham = MixedHamiltonian.from_system(
+        LagrangianSystem.from_source(2, "0.25*v1^4 + q1*v2")
+    )
+    gauge = GaugeChoice.constant(2, [0.0])
+    y = np.array([0.5, 0.0, 0.0])  # (q, v1) and (q, p1), both at v1 = 0
+    for field in (
+        _el_field(ham.system, ham.partition, gauge),
+        _ham_field(ham, gauge, np.zeros(1), True, np.zeros(1)),
+    ):
+        messages = []
+        for monitor in (True, False):
+            with pytest.raises(SingularJacobianError) as err:
+                field(y, monitor)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("regular velocity block is singular")
 
 
 def test_non_finite_state_stops_the_flow_at_its_step():

@@ -31,6 +31,7 @@ from .expr import (
     Expression,
     eval_dual2,
     eval_dual2_many,
+    eval_dual2_rows,
     evaluate,
     evaluate_many,
     with_variables,
@@ -209,17 +210,21 @@ class EnvelopeSolver:
         )
 
     def solve_many(self, q, p1, c2, v1_guess=None) -> np.ndarray:
-        """:meth:`solve` at every row of q (count, n), p1 (count, k) and c2
-        (count, n - k), with an optional (count, k) guess.
+        """:meth:`solve_lanes`'s solutions; raises the lowest row's error."""
+        out, failed = self.solve_lanes(q, p1, c2, v1_guess)
+        if failed:
+            raise failed[min(failed)]
+        return out
 
-        Each lane runs :meth:`solve`'s iteration (same damping, backtracking,
-        tolerance and limits), so row i of the result equals ``solve`` at row
-        i bit for bit.  Every Newton iteration makes one stacked evaluation
-        and one stacked W11 check and solve over the lanes still iterating.
-        It raises where :meth:`solve` raises on some lane, and also where a
-        trial evaluation fails on some lane: :meth:`solve` would reject that
-        trial and halve the step, so a caller that needs its outcome reruns
-        the lanes through it.  Residual histories are not kept.
+    def solve_lanes(self, q, p1, c2, v1_guess=None):
+        """:meth:`solve` at every row of q (count, n), p1 (count, k) and c2
+        (count, n - k), with an optional (count, k) guess, and ``{row:
+        error}`` for the rows where :meth:`solve` raises.
+
+        Each lane runs :meth:`solve`'s iteration and ends as it ends: row i
+        equals ``solve`` at row i bit for bit, or is NaN and files the error
+        ``solve`` raises there, residual history included.  An iteration
+        makes one stacked evaluation, W11 check and solve over its lanes.
         """
         n, k = self.system.n, self.partition.k
         q = checked_rows(q, n, "q")
@@ -227,7 +232,7 @@ class EnvelopeSolver:
         p1 = checked_rows(p1, k, "p1", count)
         c2 = checked_rows(c2, n - k, "c2", count)
         if k == 0:
-            return np.zeros((count, 0))
+            return np.zeros((count, 0)), {}
         v1 = (checked_rows(v1_guess, k, "v1_guess", count).copy()
               if v1_guess is not None
               else np.tile(self.default_guess(), (count, 1)))
@@ -237,49 +242,80 @@ class EnvelopeSolver:
         point[:, n + self._nonreg] = c2
         point[:, slots] = v1
         lag, active = self.system.lagrangian, self._v1_active
-        d = eval_dual2_many(lag, point, active)
-        r = p1 - d.grad
-        hess = d.hess
-        out = v1.copy()
+        tol = self.partition.rank_tolerance
+        d, failed = eval_dual2_rows(lag, point, active)
+        r, hess = p1 - d.grad, d.hess
+        out = np.full((count, k), np.nan)
         lanes = np.arange(count)  # original row of each lane still iterating
+        ok = ~np.isnan(d.value)  # a row that failed is NaN
+        norms = []  # (lanes, their residual norms) at every iteration
         for _ in range(self.max_iter):
+            # lanes leave here, converged or failed; a NaN residual stays live
             rnorm = np.abs(r).max(axis=1)
-            live = ~(rnorm <= self.newton_tol)  # a NaN residual stays live
+            converged = rnorm <= self.newton_tol
+            live = ok & ~converged
             if not live.all():
-                out[lanes[~live]] = v1[~live]
+                out[lanes[converged]] = v1[converged]
                 lanes, v1, r, hess, rnorm, point, p1 = (
                     x[live] for x in (lanes, v1, r, hess, rnorm, point, p1))
                 if not lanes.size:
-                    return out
-            check_w11(hess, self.partition.rank_tolerance,
-                      "W11 is singular at Newton iterate", v1=v1)
+                    return out, failed
+                ok = np.ones(len(lanes), dtype=bool)
+            norms.append((lanes, rnorm))
+            try:
+                check_w11(hess, tol, "W11 is singular at Newton iterate", v1=v1)
+            except SingularJacobianError:
+                # each singular lane ends in its own block's error, as in solve
+                for j in range(len(lanes)):
+                    try:
+                        check_w11(hess[j], tol,
+                                  "W11 is singular at Newton iterate", v1=v1[j])
+                    except SingularJacobianError as err:
+                        failed[int(lanes[j])] = err
+                        ok[j] = False
+                        hess[j] = np.eye(k)  # solved for, never used
             delta = solve_block(hess, r[:, :, None])[:, :, 0]
             alpha = np.ones(len(lanes))
-            pending = np.arange(len(lanes))  # lanes still backtracking
+            pending = np.flatnonzero(ok)  # lanes still backtracking
             for _ in range(self.max_backtracks + 1):
                 trial = v1[pending] + alpha[pending, None] * delta[pending]
                 trial_point = point[pending]
                 trial_point[:, slots] = trial
-                d_trial = eval_dual2_many(lag, trial_point, active)
+                d_trial, bad = eval_dual2_rows(lag, trial_point, active)
                 r_trial = p1[pending] - d_trial.grad
-                better = np.abs(r_trial).max(axis=1) < rnorm[pending]
-                done = pending[better]
+                # a row that failed is NaN, so it is never better
+                stop = np.abs(r_trial).max(axis=1) < rnorm[pending]
+                done = pending[stop]
                 # the accepted trial's evaluation serves the next iterate
-                v1[done] = trial[better]
-                r[done] = r_trial[better]
-                hess[done] = d_trial.hess[better]
-                pending = pending[~better]
+                v1[done] = trial[stop]
+                r[done] = r_trial[stop]
+                hess[done] = d_trial.hess[stop]
+                for j, err in bad.items():
+                    # halving cannot make a non-finite step finite
+                    if not np.isfinite(trial[j]).all():
+                        failed[int(lanes[pending[j]])] = err
+                        ok[pending[j]] = False
+                        stop[j] = True
+                pending = pending[~stop]
                 if not pending.size:
                     break
                 alpha[pending] *= 0.5
-            else:
-                raise NewtonDivergedError(
-                    "backtracking could not reduce the envelope residual", []
-                )
+            if pending.size:
+                _diverged(failed, lanes[pending], norms,
+                          "backtracking could not reduce the envelope residual")
+                ok[pending] = False
             point[:, slots] = v1
-        raise NewtonDivergedError(
-            f"no convergence within {self.max_iter} Newton iterations", []
-        )
+        _diverged(failed, lanes[ok], norms,
+                  f"no convergence within {self.max_iter} Newton iterations")
+        return out, failed
+
+
+def _diverged(failed, lanes, norms, message):
+    """File a ``NewtonDivergedError`` under each of ``lanes``; its residual
+    history comes from the (sorted lanes, norms) pair of every iteration."""
+    for lane in lanes:
+        history = [rn[np.searchsorted(ls, lane)] for ls, rn in norms]
+        failed[int(lane)] = NewtonDivergedError(message, history)
 
 
 @dataclass
@@ -474,10 +510,10 @@ class MixedHamiltonian:
     # Each ``*_many`` map takes one row per point (q as (count, n), and so
     # on) and runs the single-point map's arithmetic on every row at once,
     # so row i equals the single-point map at row i bit for bit (row-wise
-    # dot products use ``np.vecdot``, which matches ``a @ b``).  They raise
-    # wherever the single-point map raises on some row, and may also raise
-    # where its Newton solve would reject a trial and halve the step (see
-    # ``EnvelopeSolver.solve_many``).
+    # dot products use ``np.vecdot``, which matches ``a @ b``).  Newton
+    # lanes end as the single-point solves end (``solve_lanes``).  A map
+    # raises if some row fails; on one row it raises what the single-point
+    # map raises, as shifted points are stacked in that map's call order.
 
     def _points(self, q, v1, v2) -> np.ndarray:
         """Rows (q, v) with the regular/nonregular velocity columns set."""
@@ -539,18 +575,17 @@ class MixedHamiltonian:
         n, count = self.n, len(q)
         v1_warm = self.solver.solve_many(q, p[:, self._reg], v2)
         step = FD_MOMENTUM_STEP * (1.0 + np.abs(p))
-        shifted = np.repeat(p[None], 2 * n + 1, axis=0)  # p, then +e_i, -e_i
-        for i in range(n):
-            shifted[1 + i, :, i] += step[:, i]
-            shifted[1 + n + i, :, i] -= step[:, i]
+        # p, then +e_i and -e_i for each i: the single-point map's call order
         blocks = 2 * n + 1
+        shifted = np.repeat(p[None], blocks, axis=0)
+        for i in range(n):
+            shifted[1 + 2 * i, :, i] += step[:, i]
+            shifted[2 + 2 * i, :, i] -= step[:, i]
         h_all = self.value_many(
             np.tile(q, (blocks, 1)), shifted.reshape(blocks * count, n),
             np.tile(v2, (blocks, 1)), v1_guess=np.tile(v1_warm, (blocks, 1)),
         ).reshape(blocks, count)
-        dhdp = np.empty((count, n))
-        for i in range(n):
-            dhdp[:, i] = (h_all[1 + i] - h_all[1 + n + i]) / (2.0 * step[:, i])
+        dhdp = ((h_all[1::2] - h_all[2::2]) / (2.0 * step.T)).T
         return v1_warm, h_all[0], dhdp
 
     def clairaut_residual_many(self, q, p, v2) -> np.ndarray:
@@ -564,8 +599,9 @@ class MixedHamiltonian:
 
     def inverse_transform_many(self, q, v, p2, p1_guess=None) -> np.ndarray:
         """:meth:`inverse_transform` at every row: the outer Newton on P runs
-        lane by lane as in the single-point map, each iteration one stacked
-        W11 evaluation and one stacked nested solve per backtracking round.
+        lane by lane and ends each lane as the single-point map ends it, each
+        iteration one stacked W11 evaluation and one stacked nested solve per
+        backtracking round.  The lowest failing lane's error is raised.
         """
         q = checked_rows(q, self.n, "q")
         count = len(q)
@@ -578,57 +614,62 @@ class MixedHamiltonian:
               if p1_guess is not None else np.zeros((count, self.k)))
         v_cur = None
         if self.k:
-            v_cur = solver.solve_many(q, p1, v2)
-            out_p1, out_v = p1.copy(), v_cur.copy()
+            v_cur, failed = solver.solve_lanes(q, p1, v2)
             lanes = np.arange(count)
-            lq, lv1, lv2 = q, v1, v2
+            ok = ~np.isnan(v_cur[:, 0])  # a row that failed is NaN
+            lq, lv1, lv2, lp1, lv = q, v1, v2, p1.copy(), v_cur.copy()
+            norms = []  # (lanes, their residual norms) at every iteration
             for _ in range(solver.max_iter):
-                rho = lv1 - v_cur
+                # lanes leave here, converged or failed
+                rho = lv1 - lv
                 rnorm = np.abs(rho).max(axis=1)
-                live = ~(rnorm <= solver.newton_tol)
+                converged = rnorm <= solver.newton_tol
+                live = ok & ~converged
                 if not live.all():
-                    out_p1[lanes[~live]] = p1[~live]
-                    out_v[lanes[~live]] = v_cur[~live]
-                    lanes, lq, lv1, lv2, p1, v_cur, rho, rnorm = (
+                    p1[lanes[converged]] = lp1[converged]
+                    v_cur[lanes[converged]] = lv[converged]
+                    lanes, lq, lv1, lv2, lp1, lv, rho, rnorm = (
                         x[live]
-                        for x in (lanes, lq, lv1, lv2, p1, v_cur, rho, rnorm))
+                        for x in (lanes, lq, lv1, lv2, lp1, lv, rho, rnorm))
                     if not lanes.size:
                         break
-                x = self._points(lq, v_cur, lv2)
-                w11 = eval_dual2_many(
-                    self.system.lagrangian, x, solver._v1_active
-                ).hess
+                    ok = np.ones(len(lanes), dtype=bool)
+                norms.append((lanes, rnorm))
+                w11 = eval_dual2_many(self.system.lagrangian, self._points(
+                    lq, lv, lv2), solver._v1_active).hess
                 delta = np.matmul(w11, rho[:, :, None])[:, :, 0]
                 alpha = np.ones(len(lanes))
                 pending = np.arange(len(lanes))
                 for _ in range(solver.max_backtracks + 1):
-                    trial = p1[pending] + alpha[pending, None] * delta[pending]
-                    v_trial = solver.solve_many(
+                    trial = lp1[pending] + alpha[pending, None] * delta[pending]
+                    v_trial, bad = solver.solve_lanes(
                         lq[pending], trial, lv2[pending],
-                        v1_guess=v_cur[pending],
+                        v1_guess=lv[pending],
                     )
-                    better = (np.abs(lv1[pending] - v_trial).max(axis=1)
-                              < rnorm[pending])
-                    done = pending[better]
-                    p1[done] = trial[better]
-                    v_cur[done] = v_trial[better]
-                    pending = pending[~better]
+                    # a nested solve that failed is NaN, so never better
+                    stop = (np.abs(lv1[pending] - v_trial).max(axis=1)
+                            < rnorm[pending])
+                    done = pending[stop]
+                    lp1[done] = trial[stop]
+                    lv[done] = v_trial[stop]
+                    for j, err in bad.items():
+                        failed[int(lanes[pending[j]])] = err
+                        ok[pending[j]] = False
+                        stop[j] = True
+                    pending = pending[~stop]
                     if not pending.size:
                         break
                     alpha[pending] *= 0.5
-                else:
-                    raise NewtonDivergedError(
-                        "backtracking could not reduce the inverse-transform "
-                        "residual",
-                        [],
-                    )
+                if pending.size:
+                    _diverged(failed, lanes[pending], norms, "backtracking "
+                              "could not reduce the inverse-transform residual")
+                    ok[pending] = False
             else:
-                raise NewtonDivergedError(
-                    f"no convergence within {solver.max_iter} Newton iterations "
-                    "of the inverse transform",
-                    [],
-                )
-            p1, v_cur = out_p1, out_v
+                _diverged(failed, lanes[ok], norms,
+                          f"no convergence within {solver.max_iter} Newton "
+                          "iterations of the inverse transform")
+            if failed:
+                raise failed[min(failed)]
         p_full = np.empty((count, self.n))
         p_full[:, self._reg] = p1
         p_full[:, self._nonreg] = p2

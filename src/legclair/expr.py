@@ -138,12 +138,6 @@ class Expression:
     _kernels: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
-    def eval(self, point) -> float:
-        return evaluate(self, point)
-
-    def dual2(self, point, active=None) -> "Dual2":
-        return eval_dual2(self, point, active)
-
     def __str__(self) -> str:
         return to_source(self.root)
 
@@ -1045,10 +1039,11 @@ def _value_kernel(e: Expression):
 _STACKED = object()  # first half of the cache key of every stacked kernel
 
 
-def _run_many(e: Expression, points, key, width) -> np.ndarray:
+def _run_many(e: Expression, points, key, width):
     """Flat outputs of the stacked kernel for ``key`` at every row of
-    ``points``; the rows it marks are rerun through the scalar kernel,
-    which is compiled only then."""
+    ``points``, and ``{row: error}`` for the rows that raise.  The rows the
+    kernel marks are rerun through the scalar kernel, which is compiled only
+    then; a row that raises there is left NaN."""
     points = np.asarray(points, dtype=float)
     nv = len(e.variables)
     if points.ndim != 2 or points.shape[1] != nv:
@@ -1070,31 +1065,44 @@ def _run_many(e: Expression, points, key, width) -> np.ndarray:
     if rows.size:
         scalar = (_value_kernel(e) if key is _VALUE_ONLY
                   else _dual_kernel(e, key))
-    for i in rows:
-        d = scalar(points[i].tolist())
-        if key is _VALUE_ONLY:
-            out[i, 0] = d
+    failed = {}
+    for i in rows.tolist():
+        try:
+            d = scalar(points[i].tolist())
+        except EvalDomainError as err:
+            out[i], failed[i] = np.nan, err
         else:
-            m = len(d.grad)
-            out[i, 0] = d.value
-            out[i, 1:m + 1] = d.grad
-            out[i, m + 1:] = d.hess.ravel()
-    return out
+            out[i] = d if key is _VALUE_ONLY else np.concatenate(
+                ([d.value], d.grad, d.hess.ravel()))
+    return out, failed
+
+
+def eval_dual2_rows(e: Expression, points, active=None):
+    """:func:`eval_dual2` at every row of ``points`` (shape (count, nvars)),
+    and ``{row: error}`` for the rows where it raises.
+
+    Returns a :class:`Dual2` of arrays, value (count,), grad (count, m) and
+    hess (count, m, m), and the dict.  Row i equals
+    ``eval_dual2(e, points[i], active)`` bit for bit, or is NaN where that
+    raises the error filed under i.
+    """
+    key = _active_key(e, active)
+    m = len(key)
+    out, failed = _run_many(e, points, key, 1 + m + m * m)
+    return Dual2(out[:, 0], out[:, 1:m + 1],
+                 out[:, m + 1:].reshape(len(out), m, m)), failed
 
 
 def eval_dual2_many(e: Expression, points, active=None) -> Dual2:
     """:func:`eval_dual2` at every row of ``points`` (shape (count, nvars)).
 
-    Returns a :class:`Dual2` of arrays: value (count,), grad (count, m) and
-    hess (count, m, m).  Row i equals ``eval_dual2(e, points[i], active)``
-    bit for bit; if any row raises there, the lowest such row's error is
-    raised here.
+    Returns :func:`eval_dual2_rows`'s arrays; if any row raises, the lowest
+    such row's error is raised here.
     """
-    key = _active_key(e, active)
-    m = len(key)
-    out = _run_many(e, points, key, 1 + m + m * m)
-    return Dual2(out[:, 0], out[:, 1:m + 1],
-                 out[:, m + 1:].reshape(len(out), m, m))
+    d, failed = eval_dual2_rows(e, points, active)
+    if failed:
+        raise failed[min(failed)]
+    return d
 
 
 def evaluate_many(e: Expression, points) -> np.ndarray:
@@ -1103,4 +1111,7 @@ def evaluate_many(e: Expression, points) -> np.ndarray:
     Entry i equals ``evaluate(e, points[i])`` bit for bit; if any row raises
     there, the lowest such row's error is raised here.
     """
-    return _run_many(e, points, _VALUE_ONLY, 1)[:, 0]
+    out, failed = _run_many(e, points, _VALUE_ONLY, 1)
+    if failed:
+        raise failed[min(failed)]
+    return out[:, 0]

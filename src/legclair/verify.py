@@ -12,10 +12,9 @@ stacked maps of ``MixedHamiltonian`` (``value_many`` and the rest), so a
 Newton iteration is one kernel call and one batched solve for the whole
 chunk.  A sample row holds the numbers in the order the sample-by-sample
 suite drew them, so the stream, the samples and the worst values are the
-same.  If a stacked evaluation raises, the chunk is rerun sample by sample
-through the single-point maps, which reject and halve where the stacked
-Newton gives up, and otherwise end in the error the first failing sample
-raises there.
+same.  On one row the stacked maps raise what the single-point maps raise,
+so a chunk that raises is rerun one row at a time, and the first failing
+sample's error is the sample-by-sample suite's error.
 """
 
 from __future__ import annotations
@@ -29,15 +28,11 @@ from .clairaut import (
     NewtonDivergedError,
     SingularJacobianError,
 )
-from .expr import EvalDomainError, eval_dual2_many, evaluate, evaluate_many
+from .expr import eval_dual2_many, evaluate_many
 
 __all__ = ["PropertyResult", "run_property_suite"]
 
 CHUNK_ROWS = 128  # samples evaluated together: bounds the suite's memory
-
-# what a stacked evaluation raises where the single-point maps may not
-_STACKED_ERRORS = (EvalDomainError, NewtonDivergedError,
-                   SingularJacobianError, np.linalg.LinAlgError)
 
 
 def _fd_hessian(f, x, h=1e-4):
@@ -78,7 +73,8 @@ def _full_newton_legendre(system, q, p, tol=1e-12, max_iter=60):
     full-Hessian Newton (self-check only).
 
     Independent of the envelope machinery: no partition, no damping.  Lanes
-    leave as they converge; one that does not converge fails the call.
+    leave as they converge; one that does not converge, or meets a singular
+    velocity Hessian, fails the call.
     """
     n = system.n
     p = np.asarray(p, dtype=float)
@@ -92,16 +88,25 @@ def _full_newton_legendre(system, q, p, tol=1e-12, max_iter=60):
         d = eval_dual2_many(system.lagrangian, x, range(n, 2 * n))
         r = p - d.grad
         done = np.abs(r).max(axis=1) <= tol
+        hess = d.hess
         if done.any():
             out[lanes[done]] = np.vecdot(p[done], v[done]) - d.value[done]
-            live = ~done
-            lanes, x, v, p, r = (a[live] for a in (lanes, x, v, p, r))
+            lanes, x, v, p, r, hess = (a[~done]
+                                       for a in (lanes, x, v, p, r, hess))
             if not lanes.size:
                 return out
-            hess = d.hess[live]
-        else:
-            hess = d.hess
-        v = v + np.linalg.solve(hess, r[:, :, None])[:, :, 0]
+        try:
+            v = v + np.linalg.solve(hess, r[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            for lane in range(len(v)):  # name the first singular lane
+                try:
+                    np.linalg.solve(hess[lane], r[lane])
+                except np.linalg.LinAlgError:
+                    raise SingularJacobianError(
+                        "velocity Hessian is singular at classical Newton "
+                        f"iterate v={v[lane].tolist()}"
+                    ) from None
+            raise
         x[:, n:] = v
     raise NewtonDivergedError("classical transform did not converge", [])
 
@@ -143,7 +148,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
                            f"vacuous ({reason})")
         )
 
-    def sweep(count, low, high, stacked, single):
+    def sweep(count, low, high, stacked):
         """Worst value of one property (per column, if it has several)
         over ``count`` samples, each one row drawn from [low, high)."""
         low, high = np.concatenate(low), np.concatenate(high)
@@ -153,8 +158,11 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
             rows = rng.uniform(low, high, size=size)
             try:
                 values = stacked(rows)
-            except _STACKED_ERRORS:
-                values = np.array([single(row) for row in rows])
+            except Exception:
+                # the first sample that fails on its own raises its error
+                for row in rows:
+                    stacked(row[None])
+                raise
             # NaN never becomes the worst value, as with max(worst, value)
             worst = np.fmax(worst, np.fmax.reduce(values, axis=0, initial=0.0))
         return worst
@@ -166,41 +174,20 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
     # one row of the sample-by-sample suite's draw(): (q, v), then p
     drawn = ([lo, vlo], [hi, vhi])
 
-    worst = sweep(
-        samples, *drawn,
-        lambda rows: ham.clairaut_residual_many(*parts(rows)),
-        lambda row: ham.clairaut_residual(*parts(row)),
-    )
+    worst = sweep(samples, *drawn,
+                  lambda rows: ham.clairaut_residual_many(*parts(rows)))
     record("clairaut_residual", samples, worst, tol_residual)
 
-    def grad_errors(v1, v2, slope):
+    def grad(rows):
+        q, p, v2 = parts(rows)
+        v1, _, slope = ham.momentum_gradient_many(q, p, v2)
         return np.stack([
             np.fmax.reduce(np.abs(slope[:, reg] - v1), axis=1, initial=0.0),
             np.fmax.reduce(np.abs(slope[:, nonreg] - v2), axis=1, initial=0.0),
         ], axis=1)
 
-    def grad_stacked(rows):
-        q, p, v2 = parts(rows)
-        v1, _, slope = ham.momentum_gradient_many(q, p, v2)
-        return grad_errors(v1, v2, slope)
-
-    def grad_single(row):
-        q, p, v2 = parts(row)
-        v1 = ham.solve_velocity(q, p[reg,], v2)
-        slope = np.empty(n)
-        for i in range(n):
-            h = 1e-6 * (1.0 + abs(p[i]))
-            plus, minus = p.copy(), p.copy()
-            plus[i] += h
-            minus[i] -= h
-            slope[i] = (
-                ham.value(q, plus, v2, v1_guess=v1)
-                - ham.value(q, minus, v2, v1_guess=v1)
-            ) / (2 * h)
-        return grad_errors(v1[None], v2[None], slope[None])[0]
-
     grad_samples = min(samples, 50)
-    worst_p1, worst_p2 = sweep(grad_samples, *drawn, grad_stacked, grad_single)
+    worst_p1, worst_p2 = sweep(grad_samples, *drawn, grad)
     record("envelope_grad_p1", grad_samples, worst_p1, 1e-6)
     if k < n:
         record("envelope_grad_p2", grad_samples, worst_p2, 1e-8)
@@ -208,7 +195,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
         vacuous("envelope_grad_p2", "k = n")
 
     if k < n:
-        def probe_stacked(rows):
+        def independence(rows):
             q, p, _ = parts(rows)
             count = len(rows)
             p1 = p[:, reg]
@@ -227,64 +214,33 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
                 [dpsi / scale, dh0 / (1.0 + np.abs(h0_ref))], axis=(0, 1)
             )
 
-        def probe_single(row):
-            q, p, _ = parts(row)
-            p1 = p[reg,]
-            psi_ref = ham.psi(q, p1)
-            h0_ref = ham.h_zero(q, p1)
-            scale = 1.0 + float(np.max(np.abs(psi_ref)))
-            worst = 0.0
-            for probe in row[3 * n:].reshape(5, n - k):
-                dpsi = float(np.max(np.abs(ham.psi(q, p1, probe) - psi_ref)))
-                dh0 = abs(ham.h_zero(q, p1, probe) - h0_ref)
-                worst = max(worst, dpsi / scale, dh0 / (1.0 + abs(h0_ref)))
-            return worst
-
         ind_samples = min(samples, 25)
         worst = sweep(ind_samples, drawn[0] + [lo2] * 5, drawn[1] + [hi2] * 5,
-                      probe_stacked, probe_single)
+                      independence)
         record("probe_independence", ind_samples, worst, 1e-8)
     else:
         vacuous("probe_independence", "k = n")
 
-    def split_stacked(rows):
+    def decomposition(rows):
         q, p, v2 = parts(rows)
         h = ham.value_many(q, p, v2)
         split = (ham.h_zero_many(q, p[:, reg])
                  + np.vecdot(v2, ham.phi_many(q, p)))
         return np.abs(h - split) / (1.0 + np.abs(h))
 
-    def split_single(row):
-        q, p, v2 = parts(row)
-        h = ham.value(q, p, v2)
-        split = ham.h_zero(q, p[reg,]) + float(v2 @ ham.phi(q, p))
-        return abs(h - split) / (1.0 + abs(h))
-
-    worst = sweep(samples, *drawn, split_stacked, split_single)
+    worst = sweep(samples, *drawn, decomposition)
     record("decomposition", samples, worst, 1e-8)
 
-    def involution_stacked(rows):
+    def involution(rows):
         x, p2 = rows[:, :2 * n], rows[:, 2 * n:]
         lval = evaluate_many(system.lagrangian, x)
         back = ham.inverse_transform_many(x[:, :n], x[:, n:], p2)
         return np.abs(back - lval) / (1.0 + np.abs(lval))
 
-    def involution_single(row):
-        x, p2 = row[:2 * n], row[2 * n:]
-        lval = evaluate(system.lagrangian, x)
-        back = ham.inverse_transform(x[:n], x[n:], p2)
-        return abs(back - lval) / (1.0 + abs(lval))
-
-    worst = sweep(samples, [lo, lo2], [hi, hi2],
-                  involution_stacked, involution_single)
+    worst = sweep(samples, [lo, lo2], [hi, hi2], involution)
     record("involutivity", samples, worst, tol_involution)
 
-    def rank_errors(hess):
-        sv = np.linalg.svd(hess, compute_uv=False)
-        cut = 1e-6 * np.maximum(sv[:, :1], 1.0)
-        return np.abs(np.count_nonzero(sv > cut, axis=1) - k).astype(float)
-
-    def rank_stacked(rows):
+    def rank(rows):
         q, _, v2 = parts(rows)
         m = 2 * n * n + 1  # stencil points per row
 
@@ -293,37 +249,25 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
             return ham.value_many(np.repeat(q, m, axis=0), flat,
                                   np.repeat(v2, m, axis=0)).reshape(-1, m)
 
-        return rank_errors(_fd_hessian(values, rows[:, 3 * n:]))
-
-    def rank_single(row):
-        q, _, v2 = parts(row)
-        hess = _fd_hessian(
-            lambda points: np.array([[ham.value(q, pp, v2) for pp in points[0]]]),
-            row[None, 3 * n:],
-        )
-        return rank_errors(hess)[0]
+        hess = _fd_hessian(values, rows[:, 3 * n:])
+        sv = np.linalg.svd(hess, compute_uv=False)
+        cut = 1e-6 * np.maximum(sv[:, :1], 1.0)
+        return np.abs(np.count_nonzero(sv > cut, axis=1) - k).astype(float)
 
     rank_samples = min(samples, 8)
     ones = np.ones(n)
-    worst = sweep(rank_samples, drawn[0] + [-ones], drawn[1] + [ones],
-                  rank_stacked, rank_single)
+    worst = sweep(rank_samples, drawn[0] + [-ones], drawn[1] + [ones], rank)
     record("rank_agreement", rank_samples, float(worst), 0.0)
 
     if k == n:
-        def reduction_stacked(rows):
+        def reduction(rows):
             q, p, v2 = parts(rows)
             classical = _full_newton_legendre(system, q, p)
             mixed = ham.value_many(q, p, v2)
             return np.abs(mixed - classical) / (1.0 + np.abs(classical))
 
-        def reduction_single(row):
-            q, p, _ = parts(row)
-            classical = _full_newton_legendre(system, q[None], p[None])[0]
-            mixed = ham.value(q, p, np.zeros(0))
-            return abs(mixed - classical) / (1.0 + abs(classical))
-
         red_samples = min(samples, 50)
-        worst = sweep(red_samples, *drawn, reduction_stacked, reduction_single)
+        worst = sweep(red_samples, *drawn, reduction)
         record("regular_reduction", red_samples, worst, 1e-9)
     else:
         vacuous("regular_reduction", "k < n")

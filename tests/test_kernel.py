@@ -449,6 +449,15 @@ def test_stacked_kernels_raise_the_lowest_failing_row(source, x, fragment):
         assert str(err.value) == str(one.value)
     assert evaluate_many(e, [[0.5], [2.0]]).tolist() == [
         evaluate(e, [0.5]), evaluate(e, [2.0])]
+    # every failing row files its own error and is NaN; the others stand
+    d, failed = expr.eval_dual2_rows(e, rows)
+    assert sorted(failed) == [1, 3] and np.isnan(d.value[[1, 3]]).all()
+    assert {str(err) for err in failed.values()} == {str(one.value)}
+    for i in (0, 2):
+        want = eval_dual2(e, rows[i])
+        for field in ("value", "grad", "hess"):
+            got = getattr(d, field)[i]
+            assert got.tobytes() == np.asarray(getattr(want, field)).tobytes()
 
 
 def test_stacked_kernels_take_any_number_of_rows():

@@ -17,8 +17,11 @@ import pytest
 import corpus
 import verify_oracle
 from legclair import cli, verify
-from legclair.clairaut import MixedHamiltonian, SingularJacobianError
-from legclair.expr import EvalDomainError
+from legclair.clairaut import (
+    EnvelopeSolver,
+    MixedHamiltonian,
+    SingularJacobianError,
+)
 from legclair.partition import LagrangianSystem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,11 +73,13 @@ def test_shipped_reports_are_byte_identical_to_reference(name, capsys,
 
 # (lagrangian, domain): W11 = v1^2 is singular at the Newton start v1 = 0;
 # exp(v1) has a first Newton trial that overflows and is halved, after
-# which the inverse transform cannot reduce its residual
+# which the inverse transform cannot reduce its residual; exp(v1) - exp(v2)
+# cannot reach p1 <= 0 or p2 >= 0, and its Newton meets a singular W11
 FAILING = {
     "singular_start": ("v1^4/12", {"v1": [-1, 1]}),
     "overflowing_trial": ("exp(v1) + 5e-7*v1^2 - 13*v1", {"v1": [-12, -8]}),
     "unreachable_momenta": ("exp(v1)", {"v1": [-12, -8]}),
+    "two_exponentials": ("exp(v1) - exp(v2)", {"v1": [-1, 1], "v2": [-1, 1]}),
 }
 
 
@@ -83,7 +88,7 @@ def test_failing_inputs_end_in_the_reference_error(case, tmp_path, capsys,
                                                    monkeypatch):
     lagrangian, domain = FAILING[case]
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps({"n": 1, "lagrangian": lagrangian,
+    path.write_text(json.dumps({"n": len(domain), "lagrangian": lagrangian,
                                 "domain": domain, "verify": {"samples": 30}}))
     single_calls = []
     residual = MixedHamiltonian.clairaut_residual
@@ -100,21 +105,157 @@ def test_failing_inputs_end_in_the_reference_error(case, tmp_path, capsys,
         want = run_cli(["verify", str(path)], capsys)
     assert got == want
     assert got[0] == cli.EXIT_SOLVER and got[2].startswith("error: ")
+    # the suite reaches the reference error through the stacked maps alone
+    assert single_calls == []
     if case == "overflowing_trial":
-        # the stacked solve gave up on the overflow, and the single-point
-        # maps took over the chunk and halved the step
-        assert len(single_calls) == 30
         assert got[2].startswith(
             "error: backtracking could not reduce the inverse-transform "
             "residual; residual history [11.1574")
 
 
-def test_stacked_solve_gives_up_where_solve_halves():
-    system = LagrangianSystem.from_source(1, "exp(v1)", {"v1": (-12.0, -8.0)})
-    solver = MixedHamiltonian.from_system(system).solver
-    assert abs(solver.solve([0.0], [1.0], [])[0]) <= 1e-12
-    with pytest.raises(EvalDomainError, match="overflow"):
-        solver.solve_many([[0.0]], [[1.0]], np.zeros((1, 0)))
+def test_singular_classical_start_exits_with_a_solver_error(tmp_path, capsys):
+    # regular on [0.5, 1], but the classical Newton of regular_reduction
+    # starts at v1 = 0, where the velocity Hessian v1^2 vanishes
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"n": 1, "lagrangian": "v1^4/12",
+                                "domain": {"v1": [0.5, 1]}}))
+    code, _, err = run_cli(["verify", str(path)], capsys)
+    assert code == cli.EXIT_SOLVER
+    assert err == ("error: velocity Hessian is singular at classical Newton "
+                   "iterate v=[0.0]\n")
+
+
+def test_stacked_residual_meets_errors_in_the_single_point_order():
+    # the shifted momenta p - e1 and p + e2 both meet a singular W11, at
+    # mirrored iterates; the single-point map calls p - e1 first, so a stack
+    # ordered p, +e1, +e2, -e1, -e2 would name the other iterate
+    system = LagrangianSystem.from_source(
+        2, "exp(v1) - exp(v2)", {"v1": (-1.0, 1.0), "v2": (-1.0, 1.0)})
+    ham = MixedHamiltonian.from_system(system)
+    q, p, v2 = np.zeros(2), np.array([1e-7, -1e-7]), np.zeros(0)
+    with pytest.raises(Exception) as one:
+        ham.clairaut_residual(q, p, v2)
+    with pytest.raises(Exception) as many:
+        ham.clairaut_residual_many(q[None], p[None], v2[None])
+    assert type(many.value) is type(one.value)
+    assert str(many.value) == str(one.value)
+
+
+def outcome(call):
+    """The value of ``call()``, or its error as (type, message)."""
+    try:
+        return call()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# (lagrangian, domain, p1 rows, guess rows or None, solver limits, how
+# solve ends at each row)
+LANE_STACKS = {
+    # p1 = 1 from v1 = -10: the first trial overflows, is finite, and is
+    # halved; p1 = -1 is out of reach; a NaN guess fails the first evaluation
+    "overflowing_trial": (
+        "exp(v1)", {"v1": (-12.0, -8.0)}, [1.0, 1e-4, -1.0, 3.0],
+        [-10.0, -10.0, -10.0, np.nan], {},
+        ["converged", "converged", "SingularJacobianError", "EvalDomainError"],
+    ),
+    "singular_guess": (
+        "v1^4/12", {"v1": (-1.0, 1.0)}, [0.5, 0.5, 0.5, 0.5, -0.2],
+        [1.0, 0.0, 0.5, -0.0, 2.0], {},
+        ["converged", "SingularJacobianError", "converged",
+         "SingularJacobianError", "converged"],
+    ),
+    # an exactly singular 2x2 block must not stop the other lanes' solve
+    "singular_2x2_guess": (
+        "v1^4/12 + v2^4/12", {"v1": (-1.0, 1.0), "v2": (-1.0, 1.0)},
+        [[0.5, 0.5], [0.5, 0.5], [0.1, -0.2]],
+        [[1.0, 1.0], [0.0, 0.0], [0.5, -0.5]], {},
+        ["converged", "SingularJacobianError", "converged"],
+    ),
+    "backtracking_exhausted": (
+        "-cos(v1)", {"v1": (-1.0, 1.0)}, [2.0, 0.5, -1.2, 0.99], None, {},
+        ["NewtonDivergedError", "converged", "NewtonDivergedError",
+         "converged"],
+    ),
+    "iterations_exhausted": (
+        "exp(v1)", {"v1": (-12.0, -8.0)}, [1.0, -1.0, 1e-4, 1e-5], None,
+        {"max_iter": 4},
+        ["NewtonDivergedError", "SingularJacobianError",
+         "NewtonDivergedError", "NewtonDivergedError"],
+    ),
+    "two_dof": (
+        "exp(v1) - exp(v2)", {"v1": (-1.0, 1.0), "v2": (-1.0, 1.0)},
+        [[1e-7, -1e-7], [1.1000001e-6, -1e-7], [-9.000001e-7, -1e-7],
+         [1e-7, 9.000001e-7], [1e-7, -1.1000001e-6]], None, {},
+        ["converged", "converged", "SingularJacobianError",
+         "SingularJacobianError", "converged"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LANE_STACKS))
+def test_solve_lanes_end_as_solve_ends(case):
+    source, domain, p1, guess, limits, kinds = LANE_STACKS[case]
+    n = len(domain)
+    system = LagrangianSystem.from_source(n, source, domain)
+    partition = MixedHamiltonian.from_system(system).partition
+    solver = EnvelopeSolver(system, partition, **limits)
+    count = len(p1)
+    q, c2 = np.zeros((count, n)), np.zeros((count, 0))
+    p1 = np.array(p1, dtype=float).reshape(count, n)
+    guess = None if guess is None else np.c_[guess]
+    out, failed = solver.solve_lanes(q, p1, c2, guess)
+    want = [outcome(lambda: solver.solve(q[i], p1[i], c2[i],
+                                         None if guess is None else guess[i]))
+            for i in range(count)]
+    for i, w in enumerate(want):
+        if i in failed:
+            err = failed.pop(i)
+            assert np.isnan(out[i]).all()
+            assert_same_outcome((type(err), str(err)), w)
+        else:
+            assert_same_outcome(out[i], w)
+    assert not failed
+    assert [w[0].__name__ if isinstance(w, tuple) else "converged"
+            for w in want] == kinds
+    first = next((w for w in want if isinstance(w, tuple)), out)
+    assert_same_outcome(outcome(lambda: solver.solve_many(q, p1, c2, guess)),
+                        first)
+
+
+@pytest.mark.parametrize("source, domain", [
+    # nested envelope solves that exhaust their backtracking
+    ("-cos(v1)", (-1.5, 1.5)),
+    # an outer inverse-transform Newton that exhausts its backtracking, or
+    # (for 8 and 11 iterations) its iterations while others converge
+    ("exp(v1) + 5e-7*v1^2 - 13*v1", (-12.0, -8.0)),
+])
+@pytest.mark.parametrize("max_iter", [2, 8, 11, 50])
+def test_inverse_transform_many_ends_as_inverse_transform_ends(
+        source, domain, max_iter):
+    system = LagrangianSystem.from_source(1, source, {"v1": domain})
+    partition = MixedHamiltonian.from_system(system).partition
+    ham = MixedHamiltonian(system, partition,
+                           EnvelopeSolver(system, partition, max_iter=max_iter))
+    v = np.linspace(*domain, 9)[::-1, None]
+    q, p2 = np.zeros((9, 1)), np.zeros((9, 0))
+    want = [outcome(lambda: ham.inverse_transform(*a)) for a in zip(q, v, p2)]
+    assert any(isinstance(w, tuple) for w in want)
+    for row, w in enumerate(want):
+        one = slice(row, row + 1)
+        got = outcome(lambda: ham.inverse_transform_many(q[one], v[one],
+                                                         p2[one]))
+        assert_same_outcome(got if isinstance(got, tuple) else got[0], w)
+    first = next((w for w in want if isinstance(w, tuple)), None)
+    assert_same_outcome(outcome(lambda: ham.inverse_transform_many(q, v, p2)),
+                        first)
 
 
 def test_stacked_solve_names_the_first_singular_lane():
@@ -199,6 +340,33 @@ def test_worst_values_skip_nan_samples_as_max_does(monkeypatch):
     got = verify.run_property_suite(ham, 4, 0, 1e-6, 1e-7)[0]
     want = verify_oracle.run_property_suite(ham, 4, 0, 1e-6, 1e-7)[0]
     assert vars(got) == vars(want) and got.worst == 2e-7
+
+
+def test_a_failing_chunk_ends_in_the_first_failing_sample_error(monkeypatch):
+    # a stacked map may meet a later sample's error first, as when that
+    # sample fails at an earlier stage; the suite must still end in the
+    # first failing sample's error, as the reference does
+    ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
+
+    def single(q, p, v2):
+        if q[0] > 0.0:
+            raise SingularJacobianError(f"sample at q={q.tolist()}")
+        return 0.0
+
+    def stacked(q, p, v2):
+        failing = [i for i, row in enumerate(q) if row[0] > 0.0]
+        if failing:
+            single(q[failing[-1]], p, v2)
+        return np.zeros(len(q))
+
+    monkeypatch.setattr(ham, "clairaut_residual", single)
+    monkeypatch.setattr(ham, "clairaut_residual_many", stacked)
+    errors = []
+    for suite in (verify.run_property_suite, verify_oracle.run_property_suite):
+        with pytest.raises(SingularJacobianError) as err:
+            suite(ham, 20, 0, 1e-6, 1e-7)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
 
 
 def test_stacked_maps_check_shapes():

@@ -154,12 +154,17 @@ class EnvelopeSolver:
     def default_guess(self) -> np.ndarray:
         return self.system.center()[self.system.n + self._reg]
 
+    def _checked(self, q, p1, c2):
+        """q, p1 and c2 as float vectors, or ValueError naming the first
+        with the wrong shape."""
+        n, k = self.system.n, self.partition.k
+        return (checked_vector(q, n, "q"), checked_vector(p1, k, "p1"),
+                checked_vector(c2, n - k, "c2"))
+
     def solve(self, q, p1, c2, v1_guess=None) -> np.ndarray:
         """Return v1 = V(q, p1, c2) with ||p1 - dL/dv1||_inf <= newton_tol."""
         n, k = self.system.n, self.partition.k
-        q = checked_vector(q, n, "q")
-        p1 = checked_vector(p1, k, "p1")
-        c2 = checked_vector(c2, n - k, "c2")
+        q, p1, c2 = self._checked(q, p1, c2)
         if k == 0:
             return np.zeros(0)
 
@@ -310,6 +315,11 @@ class EnvelopeSolver:
         return out, failed
 
 
+def _guess_row(x):
+    """A per-point guess as one row, or None."""
+    return None if x is None else np.asarray(x, dtype=float)[None]
+
+
 def _diverged(failed, lanes, norms, message):
     """File a ``NewtonDivergedError`` under each of ``lanes``; its residual
     history comes from the (sorted lanes, norms) pair of every iteration."""
@@ -376,16 +386,6 @@ class MixedHamiltonian:
         """V(q, p1, v2): the envelope solution for the regular velocities."""
         return self.solver.solve(q, p1, v2, v1_guess)
 
-    def value(self, q, p, v2, v1_guess=None) -> float:
-        """H(q, p, v2) = p1*V + p2*v2 - L(q, V, v2)."""
-        v2 = np.asarray(v2, dtype=float)
-        p1, p2 = self.split_momenta(p)
-        v1 = self.solve_velocity(q, p1, v2, v1_guess)
-        lval = evaluate(self.system.lagrangian, self.system.point(
-            q, self.assemble_velocity(v1, v2)
-        ))
-        return float(p1 @ v1 + p2 @ v2 - lval)
-
     def psi(self, q, p1, v2_probe=None, v1_guess=None) -> np.ndarray:
         """Psi(q, p1) = dL/dv2 on the envelope; independent of the probe."""
         probe = (
@@ -398,23 +398,33 @@ class MixedHamiltonian:
         grad_v = eval_dual2(self.system.lagrangian, x, self._v_active).grad
         return grad_v[self._nonreg]
 
+    # The other single-point maps are one-row calls of their stacked twins
+    # below, after the single-point solve's argument checks.  ``psi`` and
+    # ``solve_velocity`` stay scalar: the RK4 flows call them at every stage,
+    # where a one-row stacked call costs several times as much.
+
+    def _row(self, q, p, c2):
+        """q, p and c2 as one row each, checked as a single point: p as a
+        full momentum vector, then q, p1 and c2 as in ``solve``."""
+        p = checked_vector(p, self.n, "p")
+        q, _, c2 = self.solver._checked(q, p[self._reg], c2)
+        return q[None], p[None], c2[None]
+
+    def value(self, q, p, v2, v1_guess=None) -> float:
+        """H(q, p, v2) = p1*V + p2*v2 - L(q, V, v2)."""
+        return float(self.value_many(*self._row(q, p, v2),
+                                     _guess_row(v1_guess))[0])
+
     def phi(self, q, p, v2_probe=None, v1_guess=None) -> np.ndarray:
         """Primary constraints Phi(q, p) = p2 - Psi(q, p1)."""
-        p1, p2 = self.split_momenta(p)
-        return p2 - self.psi(q, p1, v2_probe, v1_guess)
+        probe = self.default_probe() if v2_probe is None else v2_probe
+        return self.phi_many(*self._row(q, p, probe), _guess_row(v1_guess))[0]
 
     def h_zero(self, q, p1, c2_probe=None) -> float:
         """H0(q, p1) = p1*V + c2*Psi - L(q, V, c2), any probe c2."""
-        c2 = (
-            np.asarray(c2_probe, dtype=float)
-            if c2_probe is not None
-            else self.default_probe()
-        )
-        v1 = self.solve_velocity(q, np.asarray(p1, dtype=float), c2)
-        x = self.system.point(q, self.assemble_velocity(v1, c2))
-        d = eval_dual2(self.system.lagrangian, x, self._v_active)
-        psi_here = d.grad[self._nonreg]
-        return float(np.asarray(p1, float) @ v1 + c2 @ psi_here - d.value)
+        probe = self.default_probe() if c2_probe is None else c2_probe
+        rows = (x[None] for x in self.solver._checked(q, p1, probe))
+        return float(self.h_zero_many(*rows)[0])
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -425,24 +435,7 @@ class MixedHamiltonian:
         step 1e-6*(1+|p_i|); the velocity argument handed to L is the full
         derivative vector in original index order.
         """
-        p = np.asarray(p, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
-        p1, _ = self.split_momenta(p)
-        v1_warm = self.solve_velocity(q, p1, v2)
-        h_val = self.value(q, p, v2, v1_guess=v1_warm)
-        dhdp = np.empty(self.n)
-        for i in range(self.n):
-            step = FD_MOMENTUM_STEP * (1.0 + abs(p[i]))
-            plus = p.copy()
-            plus[i] += step
-            minus = p.copy()
-            minus[i] -= step
-            dhdp[i] = (
-                self.value(q, plus, v2, v1_guess=v1_warm)
-                - self.value(q, minus, v2, v1_guess=v1_warm)
-            ) / (2.0 * step)
-        lval = evaluate(self.system.lagrangian, self.system.point(q, dhdp))
-        return float(abs(h_val - p @ dhdp + lval))
+        return float(self.clairaut_residual_many(*self._row(q, p, v2))[0])
 
     def inverse_transform(self, q, v, p2, p1_guess=None) -> float:
         """Transform H back: value of v1*P + v2*p2 - H(q, P, p2, v2).
@@ -453,67 +446,22 @@ class MixedHamiltonian:
         """
         v = checked_vector(v, self.n, "v")
         p2 = checked_vector(p2, self.n - self.k, "p2")
-        v1 = v[self._reg]
-        v2 = v[self._nonreg]
-        solver = self.solver
-        p1 = (
-            np.array(p1_guess, dtype=float)
-            if p1_guess is not None
-            else np.zeros(self.k)
-        )
-        history = []
-        v_cur = None
-        if self.k:
-            v_cur = self.solve_velocity(q, p1, v2)
-            converged = False
-            for _ in range(solver.max_iter):
-                rho = v1 - v_cur
-                rnorm = _inf_norm(rho)
-                history.append(rnorm)
-                if rnorm <= solver.newton_tol:
-                    converged = True
-                    break
-                x = self.system.point(q, self.assemble_velocity(v_cur, v2))
-                w11 = eval_dual2(
-                    self.system.lagrangian, x, solver._v1_active
-                ).hess
-                delta = w11 @ rho
-                alpha = 1.0
-                for _ in range(solver.max_backtracks + 1):
-                    trial = p1 + alpha * delta
-                    v_trial = self.solve_velocity(q, trial, v2, v1_guess=v_cur)
-                    if _inf_norm(v1 - v_trial) < rnorm:
-                        break
-                    alpha *= 0.5
-                else:
-                    raise NewtonDivergedError(
-                        "backtracking could not reduce the inverse-transform "
-                        "residual",
-                        history,
-                    )
-                p1, v_cur = trial, v_trial
-            if not converged:
-                raise NewtonDivergedError(
-                    f"no convergence within {solver.max_iter} Newton iterations "
-                    "of the inverse transform",
-                    history,
-                )
-        p_full = np.empty(self.n)
-        p_full[self._reg] = p1
-        p_full[self._nonreg] = p2
-        h_val = self.value(q, p_full, v2, v1_guess=v_cur)
-        return float(v1 @ p1 + v2 @ p2 - h_val)
-
+        p1 = np.zeros(self.k) if p1_guess is None else p1_guess
+        q, p1, _ = self.solver._checked(q, p1, v[self._nonreg])
+        return float(self.inverse_transform_many(q[None], v[None], p2[None],
+                                                 p1[None])[0])
 
     # -- stacked maps -----------------------------------------------------------
     #
     # Each ``*_many`` map takes one row per point (q as (count, n), and so
-    # on) and runs the single-point map's arithmetic on every row at once,
-    # so row i equals the single-point map at row i bit for bit (row-wise
-    # dot products use ``np.vecdot``, which matches ``a @ b``).  Newton
-    # lanes end as the single-point solves end (``solve_lanes``).  A map
-    # raises if some row fails; on one row it raises what the single-point
-    # map raises, as shifted points are stacked in that map's call order.
+    # on) and is the one body of its map: ``value``, ``phi``, ``h_zero``,
+    # ``clairaut_residual`` and ``inverse_transform`` call it on one row.
+    # No row depends on the others: Newton lanes end as ``solve`` ends
+    # (``solve_lanes``), and row-wise dot products use ``np.vecdot``, which
+    # matches ``a @ b``, so ``psi_many`` equals ``psi`` row by row too.  A
+    # map raises if some row fails, the lowest row's error; on one row it
+    # meets that row's errors in a point's own order, as shifted momenta are
+    # stacked in central-difference order.
 
     def _points(self, q, v1, v2) -> np.ndarray:
         """Rows (q, v) with the regular/nonregular velocity columns set."""
@@ -530,7 +478,7 @@ class MixedHamiltonian:
         return checked_rows(probe, self.n - self.k, "v2 probe", count)
 
     def value_many(self, q, p, v2, v1_guess=None) -> np.ndarray:
-        """:meth:`value` at every row."""
+        """H = p1*V + p2*v2 - L(q, V, v2) at every row."""
         p = checked_rows(p, self.n, "p")
         p1, p2 = p[:, self._reg], p[:, self._nonreg]
         v1 = self.solver.solve_many(q, p1, v2, v1_guess)
@@ -546,13 +494,14 @@ class MixedHamiltonian:
         return grad_v[:, self._nonreg]
 
     def phi_many(self, q, p, v2_probe=None, v1_guess=None) -> np.ndarray:
-        """:meth:`phi` at every row."""
+        """Phi = p2 - Psi(q, p1) at every row."""
         p = checked_rows(p, self.n, "p")
         psi = self.psi_many(q, p[:, self._reg], v2_probe, v1_guess)
         return p[:, self._nonreg] - psi
 
     def h_zero_many(self, q, p1, c2_probe=None) -> np.ndarray:
-        """:meth:`h_zero` at every row; the default probe serves every row."""
+        """H0 = p1*V + c2*Psi - L(q, V, c2) at every row; the default probe
+        serves every row."""
         c2 = self._probes(c2_probe, len(q))
         p1 = np.asarray(p1, dtype=float)
         v1 = self.solver.solve_many(q, p1, c2)
@@ -566,8 +515,7 @@ class MixedHamiltonian:
         the central differences of :meth:`clairaut_residual`.
 
         H at p and at the 2n shifted momenta of every row is one stacked
-        :meth:`value_many` call, warm-started from V at p as in the
-        single-point map.
+        :meth:`value_many` call, warm-started from V at p.
         """
         q = checked_rows(q, self.n, "q")
         p = checked_rows(p, self.n, "p", len(q))
@@ -575,7 +523,7 @@ class MixedHamiltonian:
         n, count = self.n, len(q)
         v1_warm = self.solver.solve_many(q, p[:, self._reg], v2)
         step = FD_MOMENTUM_STEP * (1.0 + np.abs(p))
-        # p, then +e_i and -e_i for each i: the single-point map's call order
+        # p, then +e_i and -e_i for each i: the order a point meets errors in
         blocks = 2 * n + 1
         shifted = np.repeat(p[None], blocks, axis=0)
         for i in range(n):
@@ -589,7 +537,8 @@ class MixedHamiltonian:
         return v1_warm, h_all[0], dhdp
 
     def clairaut_residual_many(self, q, p, v2) -> np.ndarray:
-        """:meth:`clairaut_residual` at every row."""
+        """|H - p*dH/dp + L(dH/dp)| at every row (see
+        :meth:`clairaut_residual`)."""
         _, h_val, dhdp = self.momentum_gradient_many(q, p, v2)
         q = np.asarray(q, dtype=float)
         lval = evaluate_many(self.system.lagrangian,
@@ -598,10 +547,10 @@ class MixedHamiltonian:
                       + lval)
 
     def inverse_transform_many(self, q, v, p2, p1_guess=None) -> np.ndarray:
-        """:meth:`inverse_transform` at every row: the outer Newton on P runs
-        lane by lane and ends each lane as the single-point map ends it, each
-        iteration one stacked W11 evaluation and one stacked nested solve per
-        backtracking round.  The lowest failing lane's error is raised.
+        """The inverse transform (see :meth:`inverse_transform`) at every
+        row: the outer Newton on P runs lane by lane, each iteration one
+        stacked W11 evaluation and one stacked nested solve per backtracking
+        round.  The lowest failing lane's error is raised.
         """
         q = checked_rows(q, self.n, "q")
         count = len(q)

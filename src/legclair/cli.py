@@ -35,7 +35,6 @@ failures from ``verify``.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -66,7 +65,7 @@ from .partition import (
     RankNotConstantError,
     qv_names,
 )
-from .verify import run_property_suite
+from .verify import CHUNK_ROWS, run_property_suite
 
 EXIT_OK = 0
 EXIT_PROBLEM = 2
@@ -251,24 +250,34 @@ def cmd_analyze(problem: Problem, args, out):
         else:
             dets.append(0.0)
 
-    samples = []
     nonreg = list(part.nonregular)
-    vlo, vhi = system.domain_lo[n:], system.domain_hi[n:]
-    for _ in range(args.points):
-        q = rng.uniform(system.domain_lo[:n], system.domain_hi[:n])
-        p1 = rng.uniform(vlo[reg,], vhi[reg,]) if k else np.zeros(0)
-        p2 = rng.uniform(vlo[nonreg,], vhi[nonreg,]) if k < n else np.zeros(0)
-        psi = ham.psi(q, p1)
-        samples.append(
-            {
-                "q": [float(x) for x in q],
-                "p1": [float(x) for x in p1],
-                "p2": [float(x) for x in p2],
-                "psi": [float(x) for x in psi],
-                "phi": [float(x) for x in p2 - psi],
-                "h_zero": float(ham.h_zero(q, p1)),
-            }
-        )
+    lo, hi = system.domain_lo, system.domain_hi
+    # one row per sample: q, p1, p2, drawn in the order of one sample at a time
+    rows = rng.uniform(
+        np.concatenate([lo[:n], lo[n:][reg], lo[n:][nonreg]]),
+        np.concatenate([hi[:n], hi[n:][reg], hi[n:][nonreg]]),
+        size=(args.points, 2 * n),
+    )
+    q, p1, p2 = rows[:, :n], rows[:, n:n + k], rows[:, n + k:]
+    try:
+        psi, h_zero = ham.psi_many(q, p1), ham.h_zero_many(q, p1)
+    except (NewtonDivergedError, SingularJacobianError, EvalDomainError):
+        # the first sample that fails on its own raises its error
+        for one in range(len(rows)):
+            ham.psi_many(q[one:one + 1], p1[one:one + 1])
+            ham.h_zero_many(q[one:one + 1], p1[one:one + 1])
+        raise
+    samples = [
+        {
+            "q": q[i].tolist(),
+            "p1": p1[i].tolist(),
+            "p2": p2[i].tolist(),
+            "psi": psi[i].tolist(),
+            "phi": (p2[i] - psi[i]).tolist(),
+            "h_zero": float(h_zero[i]),
+        }
+        for i in range(len(rows))
+    ]
 
     report = {
         "n": n,
@@ -358,16 +367,7 @@ def cmd_transform(problem: Problem, args, out):
     pnames = [f"p{i + 1}" for i in range(n)]
     v2names = [names[n + i] for i in nonreg]
 
-    q = system.center()[:n].copy()
-    p = np.zeros(n)
-    v2 = ham.default_probe().copy()
-    slots = {}
-    for i in range(n):
-        slots[names[i]] = (q, i)
-        slots[pnames[i]] = (p, i)
-    for j, name in enumerate(v2names):
-        slots[name] = (v2, j)
-
+    columns = [*names[:n], *pnames, *v2names]  # of one grid row
     grids = [_parse_grid_spec(s) for s in args.grid] or [("p1", np.array([0.0]))]
     for name, _ in grids:
         if name in {names[n + i] for i in reg}:
@@ -375,64 +375,59 @@ def cmd_transform(problem: Problem, args, out):
                 f"{name!r} is resolved by the envelope; vary its momentum "
                 "instead"
             )
-        if name not in slots:
+        if name not in columns:
             raise ProblemError(f"unknown grid variable {name!r}")
-
-    header = (
-        [names[i] for i in range(n)]
-        + pnames
-        + v2names
-        + ["H", "H0"]
-        + [f"phi_{j + 1}" for j in range(n - k)]
-        + ["status"]
+    values = [vals for _, vals in grids]
+    rows = np.tile(
+        np.concatenate([system.center()[:n], np.zeros(n), ham.default_probe()]),
+        (math.prod(map(len, values)), 1),
     )
+    # the last grid varies fastest; a repeated name takes its last grid
+    for (name, _), column in zip(grids, np.meshgrid(*values, indexing="ij")):
+        rows[:, columns.index(name)] = column.ravel()
+    boxed = rows[:, list(range(n)) + list(range(2 * n, 3 * n - k))]
+    lo = np.concatenate([system.domain_lo[:n], system.domain_lo[n:][nonreg]])
+    hi = np.concatenate([system.domain_hi[:n], system.domain_hi[n:][nonreg]])
+    inside = ((lo <= boxed) & (boxed <= hi)).all(axis=1)
+
+    table = np.full((len(rows), 2 + n - k), np.nan)  # H, H0, phi per row
+    status = ["ok" if ok else "domain" for ok in inside]
+
+    def evaluate(at):
+        """Fill the table at rows ``at``, each map's column once it returns."""
+        q, p, v2 = rows[at, :n], rows[at, n:2 * n], rows[at, 2 * n:]
+        p1 = p[:, reg]
+        v1 = ham.solver.solve_many(q, p1, v2)
+        table[at, 0] = ham.value_many(q, p, v2, v1_guess=v1)
+        table[at, 1] = ham.h_zero_many(q, p1, c2_probe=v2)
+        table[at, 2:] = ham.phi_many(q, p, v2_probe=v2, v1_guess=v1)
+
+    live = np.flatnonzero(inside)
+    for start in range(0, len(live), CHUNK_ROWS):
+        chunk = live[start:start + CHUNK_ROWS]
+        try:
+            evaluate(chunk)
+        except (NewtonDivergedError, SingularJacobianError, EvalDomainError):
+            # one row at a time: each row takes its own status and keeps the
+            # columns computed before its error
+            table[chunk] = np.nan
+            for i in chunk:
+                try:
+                    evaluate([i])
+                except (NewtonDivergedError, SingularJacobianError):
+                    status[i] = "solver"
+                except EvalDomainError:
+                    status[i] = "domain"
+
+    header = (columns + ["H", "H0"] + [f"phi_{j + 1}" for j in range(n - k)]
+              + ["status"])
     lines = [",".join(header)]
-    saw_domain = saw_solver = False
-    for combo in itertools.product(*(vals for _, vals in grids)):
-        for (name, _), value in zip(grids, combo):
-            arr, idx = slots[name]
-            arr[idx] = value
-        ok = all(
-            _in_box(q[i], system.domain_lo[i], system.domain_hi[i])
-            for i in range(n)
-        ) and all(
-            _in_box(
-                v2[j],
-                system.domain_lo[n + nonreg[j]],
-                system.domain_hi[n + nonreg[j]],
-            )
-            for j in range(len(nonreg))
-        )
-        hval = h0val = np.nan
-        phi = np.full(n - k, np.nan)
-        if not ok:
-            status = "domain"
-            saw_domain = True
-        else:
-            try:
-                v1 = ham.solve_velocity(q, p[reg,], v2)
-                hval = ham.value(q, p, v2, v1_guess=v1)
-                h0val = ham.h_zero(q, p[reg,], c2_probe=v2)
-                phi = ham.phi(q, p, v2_probe=v2, v1_guess=v1)
-                status = "ok"
-            except (NewtonDivergedError, SingularJacobianError):
-                status = "solver"
-                saw_solver = True
-            except EvalDomainError:
-                status = "domain"
-                saw_domain = True
-        row = (
-            [q[i] for i in range(n)]
-            + [p[i] for i in range(n)]
-            + [v2[j] for j in range(len(nonreg))]
-            + [hval, h0val]
-            + list(phi)
-        )
-        lines.append(",".join(_fmt(x) for x in row) + "," + status)
+    for row, cells, state in zip(rows.tolist(), table.tolist(), status):
+        lines.append(",".join(map(_fmt, row + cells)) + "," + state)
     out.write("\n".join(lines) + "\n")
-    if saw_solver:
+    if "solver" in status:
         return EXIT_SOLVER
-    if saw_domain:
+    if "domain" in status:
         return EXIT_DOMAIN
     return EXIT_OK
 

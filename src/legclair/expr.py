@@ -495,10 +495,11 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # kernel's result bit for bit.  Domain guards only mark their rows, and so
 # does a non-finite output sum; a marked row, or every row if a Python
 # operation raised, is rerun through the scalar kernel, which returns its
-# value or raises its exact error (the lowest row first).  Where numpy
-# divides by an underflowed square without raising, the inf or NaN it gets
-# enters derivative entries only through products and sums, so the output
-# sum marks that row too.
+# value or raises its exact error (the lowest row first).  Every division
+# also marks the rows where its divisor is zero, an underflowed square or
+# cube included: Python's ``/`` raises there and sends the scalar kernel
+# down its checked path, while numpy returns an inf that a constant factor
+# of 0 can drop from every output.
 
 class Dual2:
     """Value, gradient, and Hessian of one scalar quantity.
@@ -556,6 +557,7 @@ class _Codegen:
         self.stacked = stacked
         self.lines = []
         self.memo = {}      # operation text -> local holding its result
+        self.divisors = set()  # stacked mode: locals whose zero rows are marked
         self.frags = []     # checked mode: fragment of the node being emitted
         self.ns = dict(_MATH, _E=EvalDomainError, _FAULTS=_FAULTS,
                        _NONFINITE=_NONFINITE, _finite=_all_finite,
@@ -602,6 +604,12 @@ class _Codegen:
                                f"    raise _E(_NONFINITE, {self.frags[-1]}) from None"]
             else:
                 self.lines.append(f"{name} = {text}")
+            divisor = args[-1] if template.endswith("/ {}") else None
+            if (self.stacked and isinstance(divisor, str)
+                    and divisor not in self.divisors):
+                # the rows where Python's / raises (see Evaluation)
+                self.divisors.add(divisor)
+                self.lines.append(f"_bad |= {divisor} == 0.0")
         return name
 
     def guard(self, test: str, x, message: str, node, show_value=True):

@@ -12,9 +12,12 @@ stacked maps of ``MixedHamiltonian`` (``value_many`` and the rest), so a
 Newton iteration is one kernel call and one batched solve for the whole
 chunk.  A sample row holds the numbers in the order the sample-by-sample
 suite drew them, so the stream, the samples and the worst values are the
-same.  On one row the stacked maps raise what the single-point maps raise,
-so a chunk that raises is rerun one row at a time, and the first failing
-sample's error is the sample-by-sample suite's error.
+same.  The stacked maps are the only bodies of the maps (``value`` and
+the rest are their one-row calls), so a row alone raises that sample's own
+error.  A property calls several maps in turn, and a later sample may fail
+in an earlier map than the first failing sample does, so a chunk that
+raises is rerun one row at a time through the same body: the first failing
+sample's error is raised, as the sample-by-sample suite raised it.
 """
 
 from __future__ import annotations

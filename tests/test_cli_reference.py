@@ -1,0 +1,177 @@
+"""``transform`` and ``analyze`` on stacked rows against the row-by-row
+reference.
+
+``transform_oracle.py`` keeps both commands as they were before they ran on
+stacked rows.  Each command must write the same bytes, to stdout and to an
+``--out`` file, and exit with the same code: on the shipped problems, on
+every corpus system, and on grids with rows outside the box, rows whose
+envelope solve fails, rows whose evaluation leaves the domain of L, and a
+grid of more than one chunk whose only failing row sits in the second.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+
+import corpus
+import transform_oracle
+from legclair import cli, verify
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHIPPED = ("chained_pair", "oscillator")
+
+
+def run_both(argv, capsys, monkeypatch, out_file=None):
+    """(exit code, stdout, stderr, --out bytes) of the command and of the
+    reference, in that order."""
+    results = []
+    for reference in (False, True):
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(cli, "cmd_transform", transform_oracle.cmd_transform)
+                m.setattr(cli, "cmd_analyze", transform_oracle.cmd_analyze)
+            code = cli.main(argv)
+        out, err = capsys.readouterr()
+        written = None
+        if out_file is not None:
+            with open(out_file, "rb") as fh:
+                written = fh.read()
+            os.remove(out_file)
+        results.append((code, out, err, written))
+    return results
+
+
+def assert_same_as_reference(argv, capsys, monkeypatch, out_file=None):
+    got, want = run_both(argv, capsys, monkeypatch, out_file)
+    assert got == want
+    return got
+
+
+def corpus_problem(tmp_path, name):
+    n, source, _ = corpus.SYSTEMS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"n": n, "lagrangian": source}))
+    return str(path), n
+
+
+def problem(tmp_path, lagrangian, domain):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"n": 1, "lagrangian": lagrangian,
+                                "domain": domain}))
+    return str(path)
+
+
+# --------------------------------------------------------------------------
+# transform
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_transform_shipped_problems_match_reference(name, tmp_path, capsys,
+                                                    monkeypatch):
+    path = os.path.join(ROOT, "problems", name + ".json")
+    grids = ["--grid", "p1=-2.5:2.5:11", "--grid", "q1=-6,-1,0.3,5,6"]
+    if name == "chained_pair":
+        grids += ["--grid", "v2=-4,0.5,1", "--grid", "p2=0.25"]
+    got = assert_same_as_reference(["transform", path] + grids, capsys,
+                                   monkeypatch)
+    assert got[0] == cli.EXIT_DOMAIN  # |q1| = 6 lies outside the box
+    out_file = str(tmp_path / "table.csv")
+    got = assert_same_as_reference(
+        ["--out", out_file, "transform", path] + grids, capsys, monkeypatch,
+        out_file)
+    assert got[1] == "" and got[3].count(b"\n") > 50
+    assert_same_as_reference(["transform", path], capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.SYSTEMS))
+def test_transform_corpus_systems_match_reference(name, tmp_path, capsys,
+                                                  monkeypatch):
+    path, n = corpus_problem(tmp_path, name)
+    # every momentum varies; q1 = 5 lies outside the default box [-2, 2]
+    grids = [a for i in range(n)
+             for a in ("--grid", f"p{i + 1}=-1.5:1.5:{4 + i}")]
+    grids += ["--grid", "q1=-1,0.5,5"]
+    got = assert_same_as_reference(["transform", path] + grids, capsys,
+                                   monkeypatch)
+    assert got[0] == cli.EXIT_DOMAIN
+    assert "," + "domain\n" in got[1] and ",ok\n" in got[1]
+
+
+def test_transform_out_of_box_rows_match_reference(tmp_path, capsys,
+                                                   monkeypatch):
+    path = problem(tmp_path, "0.5*v1^2", {"q1": [-2, 2]})
+    got = assert_same_as_reference(["transform", path, "--grid", "q1=5"],
+                                   capsys, monkeypatch)
+    assert got[0] == cli.EXIT_DOMAIN
+
+
+def test_transform_solver_rows_match_reference(tmp_path, capsys, monkeypatch):
+    # W = 3 v1^2 vanishes at the start v1 = 0, so only p1 = 0 converges
+    path = problem(tmp_path, "0.25*v1^4 + 0.5*q1^2", {"v1": [-1, 1]})
+    got = assert_same_as_reference(["transform", path, "--grid", "p1=-2:2:9"],
+                                   capsys, monkeypatch)
+    assert got[0] == cli.EXIT_SOLVER
+    statuses = [row.rsplit(",", 1)[1] for row in got[1].splitlines()[1:]]
+    assert statuses == ["solver"] * 4 + ["ok"] + ["solver"] * 4
+
+
+def test_transform_domain_error_rows_match_reference(tmp_path, capsys,
+                                                     monkeypatch):
+    # exp(v1) = p1 from v1 = -10: p1 = 1e308 takes an infinite first step,
+    # whose evaluation overflows; p1 = -1 is out of reach of exp
+    path = problem(tmp_path, "exp(v1)", {"v1": [-12, -8]})
+    grid = "p1=1e-4,1e308,0.5,-1,1e308"
+    got = assert_same_as_reference(["transform", path, "--grid", grid],
+                                   capsys, monkeypatch)
+    assert got[0] == cli.EXIT_SOLVER
+    statuses = [row.rsplit(",", 1)[1] for row in got[1].splitlines()[1:]]
+    assert statuses == ["ok", "domain", "ok", "solver", "domain"]
+    got = assert_same_as_reference(
+        ["transform", path, "--grid", "p1=1e-4,1e308,0.5"], capsys,
+        monkeypatch)
+    assert got[0] == cli.EXIT_DOMAIN
+
+
+def test_transform_failing_row_in_the_second_chunk_matches_reference(
+        tmp_path, capsys, monkeypatch):
+    path = problem(tmp_path, "exp(v1)", {"v1": [-12, -8]})
+    p1 = np.linspace(1e-4, 1.0, verify.CHUNK_ROWS + 40)
+    p1[verify.CHUNK_ROWS + 17] = -1.0
+    grid = "p1=" + ",".join(map(repr, p1.tolist()))
+    got = assert_same_as_reference(["transform", path, "--grid", grid],
+                                   capsys, monkeypatch)
+    assert got[0] == cli.EXIT_SOLVER
+    statuses = [row.rsplit(",", 1)[1] for row in got[1].splitlines()[1:]]
+    assert len(statuses) == len(p1) > verify.CHUNK_ROWS
+    assert [i for i, s in enumerate(statuses) if s != "ok"] == [
+        verify.CHUNK_ROWS + 17]
+
+
+# --------------------------------------------------------------------------
+# analyze
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("points", [0, 3, 17])
+def test_analyze_matches_reference(points, tmp_path, capsys, monkeypatch):
+    paths = [os.path.join(ROOT, "problems", name + ".json")
+             for name in SHIPPED]
+    paths += [corpus_problem(tmp_path, name)[0]
+              for name in sorted(corpus.SYSTEMS)]
+    for path in paths:
+        for seed in (0, 5, 11):
+            for json_flag in ([], ["--json"]):
+                argv = json_flag + ["--seed", str(seed), "analyze", path,
+                                    "--points", str(points)]
+                got = assert_same_as_reference(argv, capsys, monkeypatch)
+                assert got[0] == cli.EXIT_OK
+
+
+def test_analyze_failing_sample_matches_reference(tmp_path, capsys,
+                                                  monkeypatch):
+    # W = 3 v1^2 vanishes at the start v1 = 0: the first sample's solve fails
+    path = problem(tmp_path, "0.25*v1^4 + 0.5*q1^2", {"v1": [-1, 1]})
+    got = assert_same_as_reference(["analyze", path, "--points", "5"],
+                                   capsys, monkeypatch)
+    assert got[0] == cli.EXIT_SOLVER and got[2].startswith("error: ")

@@ -21,7 +21,7 @@ import weakref
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from legclair import expr
@@ -416,6 +416,8 @@ def _scalar_rows(call, points):
 
 @PROPERTY
 @given(trees, stacks, actives)
+@example(Div(Num(0.0), Var(0, "q1")), np.array([[1e-110, 0.5, 0.5, 0.5]]),
+         None)
 def test_stacked_kernels_match_scalar_kernels_row_by_row(tree, points, active):
     # bit for bit on every function: powers, exp, ln, tan, sin and cos go
     # through the scalar kernel's own Python operations entry by entry
@@ -424,6 +426,20 @@ def test_stacked_kernels_match_scalar_kernels_row_by_row(tree, points, active):
                    _scalar_rows(lambda x: evaluate(e, x), points))
     _check_stacked(_outcome(lambda: eval_dual2_many(e, points, active)),
                    _scalar_rows(lambda x: eval_dual2(e, x, active), points))
+
+
+@pytest.mark.parametrize("source, x", [("0.0/v1", 1e-110),
+                                       ("0*sqrt(v1)", 1e-300)])
+def test_stacked_kernels_mark_a_division_by_an_underflowed_power(source, x):
+    # the Hessian divides by v1^3 (or v1*sqrt(v1)), which underflows to 0:
+    # the scalar kernel raises there, though a factor of 0 drops the term
+    e = parse(source, ["v1"])
+    with pytest.raises(EvalDomainError) as one:
+        eval_dual2(e, [x])
+    with pytest.raises(EvalDomainError) as many:
+        eval_dual2_many(e, [[0.5], [x]])
+    assert str(many.value) == str(one.value)
+    assert evaluate_many(e, [[0.5], [x]]).tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(

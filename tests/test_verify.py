@@ -4,8 +4,10 @@
 stacked samples.  The stacked suite must report the same statuses, sample
 counts and worst values, end in the same CLI error where a property cannot
 be evaluated, and give the same results whatever its chunk size.  The
-stacked maps of ``MixedHamiltonian`` must equal the single-point maps row by
-row.
+stacked maps of ``MixedHamiltonian`` must equal the reference single-point
+maps of ``maps_oracle.py`` (and the scalar ``psi`` and ``solve``) row by
+row, and the single-point maps, now one-row calls of the stacked ones, must
+check their arguments and return as the reference does.
 """
 
 import json
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 import corpus
+import maps_oracle
 import verify_oracle
 from legclair import cli, verify
 from legclair.clairaut import (
@@ -134,7 +137,7 @@ def test_stacked_residual_meets_errors_in_the_single_point_order():
     ham = MixedHamiltonian.from_system(system)
     q, p, v2 = np.zeros(2), np.array([1e-7, -1e-7]), np.zeros(0)
     with pytest.raises(Exception) as one:
-        ham.clairaut_residual(q, p, v2)
+        maps_oracle.clairaut_residual(ham, q, p, v2)
     with pytest.raises(Exception) as many:
         ham.clairaut_residual_many(q[None], p[None], v2[None])
     assert type(many.value) is type(one.value)
@@ -246,7 +249,8 @@ def test_inverse_transform_many_ends_as_inverse_transform_ends(
                            EnvelopeSolver(system, partition, max_iter=max_iter))
     v = np.linspace(*domain, 9)[::-1, None]
     q, p2 = np.zeros((9, 1)), np.zeros((9, 0))
-    want = [outcome(lambda: ham.inverse_transform(*a)) for a in zip(q, v, p2)]
+    want = [outcome(lambda: maps_oracle.inverse_transform(ham, *a))
+            for a in zip(q, v, p2)]
     assert any(isinstance(w, tuple) for w in want)
     for row, w in enumerate(want):
         one = slice(row, row + 1)
@@ -298,20 +302,58 @@ def test_stacked_maps_equal_single_point_maps(name):
     pairs = [
         (ham.solver.solve_many(q, p[:, reg], v2),
          [ham.solver.solve(*a) for a in zip(q, p[:, reg], v2)]),
-        (ham.value_many(q, p, v2), [ham.value(*a) for a in zip(q, p, v2)]),
+        (ham.value_many(q, p, v2),
+         [maps_oracle.value(ham, *a) for a in zip(q, p, v2)]),
         (ham.psi_many(q, p[:, reg], probe),
          [ham.psi(*a) for a in zip(q, p[:, reg], probe)]),
-        (ham.phi_many(q, p), [ham.phi(*a) for a in zip(q, p)]),
+        (ham.phi_many(q, p), [maps_oracle.phi(ham, *a) for a in zip(q, p)]),
         (ham.h_zero_many(q, p[:, reg]),
-         [ham.h_zero(*a) for a in zip(q, p[:, reg])]),
+         [maps_oracle.h_zero(ham, *a) for a in zip(q, p[:, reg])]),
         (ham.clairaut_residual_many(q, p, v2),
-         [ham.clairaut_residual(*a) for a in zip(q, p, v2)]),
+         [maps_oracle.clairaut_residual(ham, *a) for a in zip(q, p, v2)]),
         (ham.inverse_transform_many(q, v, p[:, nonreg]),
-         [ham.inverse_transform(*a) for a in zip(q, v, p[:, nonreg])]),
+         [maps_oracle.inverse_transform(ham, *a)
+          for a in zip(q, v, p[:, nonreg])]),
     ]
     for got, want in pairs:
         want = np.array(want).reshape(got.shape)
         assert got.tobytes() == want.tobytes()
+
+
+# (map, arguments): deg1 has n = 2 and k = 1; the last call of each map is
+# well formed
+ONE_ROW_CALLS = [
+    ("value", ([0.1, 0.2], [1.0, 2.0, 3.0], [0.5])),
+    ("value", ([0.1], [1.0, 2.0], [0.5])),
+    ("value", ([0.1, 0.2], [1.0, 2.0], [0.5, 0.5])),
+    ("value", ([0.1, 0.2], [1.0, 2.0], [0.5], [0.7])),
+    ("phi", ([0.1, 0.2], [1.0])),
+    ("phi", ([0.1, 0.2, 0.3], [1.0, 2.0])),
+    ("phi", ([0.1, 0.2], [1.0, 2.0], [])),
+    ("phi", ([0.1, 0.2], [1.0, 2.0], [0.5], [0.3])),
+    ("h_zero", ([0.1], [1.0])),
+    ("h_zero", ([0.1, 0.2], [1.0, 2.0])),
+    ("h_zero", ([0.1, 0.2], [1.0], [0.5, 0.5])),
+    ("h_zero", ([0.1, 0.2], [1.0], [0.5])),
+    ("clairaut_residual", ([0.1, 0.2], [1.0], [0.5])),
+    ("clairaut_residual", ([], [1.0, 2.0], [0.5])),
+    ("clairaut_residual", ([0.1, 0.2], [1.0, 2.0], [])),
+    ("clairaut_residual", ([0.1, 0.2], [1.0, 2.0], [0.5])),
+    ("inverse_transform", ([0.1, 0.2], [1.0], [0.5])),
+    ("inverse_transform", ([0.1, 0.2], [1.0, 1.0], [0.5, 0.5])),
+    ("inverse_transform", ([0.1], [1.0, 1.0], [0.5])),
+    ("inverse_transform", ([0.1, 0.2], [1.0, 1.0], [0.5], [0.0, 0.0])),
+    ("inverse_transform", ([0.1, 0.2], [1.0, 1.0], [0.5], [0.9])),
+]
+
+
+@pytest.mark.parametrize("name, args", ONE_ROW_CALLS)
+def test_single_point_maps_check_and_return_as_the_reference(name, args):
+    ham = MixedHamiltonian.from_system(corpus.make_system("deg1"))
+    got = outcome(lambda: getattr(ham, name)(*args))
+    want = outcome(lambda: getattr(maps_oracle, name)(ham, *args))
+    assert type(got) is type(want)
+    assert_same_outcome(got, want)
 
 
 def test_stacked_solve_backtracks_like_solve():
@@ -336,7 +378,8 @@ def test_worst_values_skip_nan_samples_as_max_does(monkeypatch):
     monkeypatch.setattr(ham, "clairaut_residual_many",
                         lambda *args: np.array(values))
     stream = iter(values)
-    monkeypatch.setattr(ham, "clairaut_residual", lambda *args: next(stream))
+    monkeypatch.setattr(maps_oracle, "clairaut_residual",
+                        lambda *args: next(stream))
     got = verify.run_property_suite(ham, 4, 0, 1e-6, 1e-7)[0]
     want = verify_oracle.run_property_suite(ham, 4, 0, 1e-6, 1e-7)[0]
     assert vars(got) == vars(want) and got.worst == 2e-7
@@ -348,7 +391,7 @@ def test_a_failing_chunk_ends_in_the_first_failing_sample_error(monkeypatch):
     # first failing sample's error, as the reference does
     ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
 
-    def single(q, p, v2):
+    def single(ham, q, p, v2):
         if q[0] > 0.0:
             raise SingularJacobianError(f"sample at q={q.tolist()}")
         return 0.0
@@ -356,10 +399,10 @@ def test_a_failing_chunk_ends_in_the_first_failing_sample_error(monkeypatch):
     def stacked(q, p, v2):
         failing = [i for i, row in enumerate(q) if row[0] > 0.0]
         if failing:
-            single(q[failing[-1]], p, v2)
+            single(ham, q[failing[-1]], p, v2)
         return np.zeros(len(q))
 
-    monkeypatch.setattr(ham, "clairaut_residual", single)
+    monkeypatch.setattr(maps_oracle, "clairaut_residual", single)
     monkeypatch.setattr(ham, "clairaut_residual_many", stacked)
     errors = []
     for suite in (verify.run_property_suite, verify_oracle.run_property_suite):

@@ -2,10 +2,12 @@
 
 This is ``legclair.verify`` as it was before the suite ran each property on
 stacked samples: every sample is drawn with its own ``Generator.uniform``
-calls and sent through the single-point maps of ``MixedHamiltonian`` one at
-a time.  ``tests/test_verify.py`` requires the stacked suite to report the
-same statuses, sample counts and worst values, and the CLI to end in the
-same error on inputs where a property fails.
+calls and sent through the single-point maps one at a time: the scalar
+``solve_velocity`` and ``psi`` of ``MixedHamiltonian``, and the reference
+bodies of the others in ``maps_oracle.py``.  ``tests/test_verify.py``
+requires the stacked suite to report the same statuses, sample counts and
+worst values, and the CLI to end in the same error on inputs where a
+property fails.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import maps_oracle
 from legclair.clairaut import MixedHamiltonian, NewtonDivergedError
 from legclair.expr import eval_dual2, evaluate
 
@@ -100,7 +103,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
     worst = 0.0
     for _ in range(samples):
         q, p, v2 = draw()
-        worst = max(worst, ham.clairaut_residual(q, p, v2))
+        worst = max(worst, maps_oracle.clairaut_residual(ham, q, p, v2))
     record("clairaut_residual", samples, worst, tol_residual)
 
     grad_samples = min(samples, 50)
@@ -114,8 +117,8 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
             plus[i] += h
             minus[i] -= h
             slope = (
-                ham.value(q, plus, v2, v1_guess=v1)
-                - ham.value(q, minus, v2, v1_guess=v1)
+                maps_oracle.value(ham, q, plus, v2, v1_guess=v1)
+                - maps_oracle.value(ham, q, minus, v2, v1_guess=v1)
             ) / (2 * h)
             if i in reg:
                 worst_p1 = max(worst_p1, abs(slope - v1[reg.index(i)]))
@@ -138,12 +141,12 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
             q, p, _ = draw()
             p1 = p[reg,]
             psi_ref = ham.psi(q, p1)
-            h0_ref = ham.h_zero(q, p1)
+            h0_ref = maps_oracle.h_zero(ham, q, p1)
             scale = 1.0 + float(np.max(np.abs(psi_ref)))
             for _ in range(5):
                 probe = rng.uniform(lo2, hi2)
                 dpsi = float(np.max(np.abs(ham.psi(q, p1, probe) - psi_ref)))
-                dh0 = abs(ham.h_zero(q, p1, probe) - h0_ref)
+                dh0 = abs(maps_oracle.h_zero(ham, q, p1, probe) - h0_ref)
                 worst = max(
                     worst, dpsi / scale, dh0 / (1.0 + abs(h0_ref))
                 )
@@ -154,8 +157,9 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
     worst = 0.0
     for _ in range(samples):
         q, p, v2 = draw()
-        h = ham.value(q, p, v2)
-        split = ham.h_zero(q, p[reg,]) + float(v2 @ ham.phi(q, p))
+        h = maps_oracle.value(ham, q, p, v2)
+        split = (maps_oracle.h_zero(ham, q, p[reg,])
+                 + float(v2 @ maps_oracle.phi(ham, q, p)))
         worst = max(worst, abs(h - split) / (1.0 + abs(h)))
     record("decomposition", samples, worst, 1e-8)
 
@@ -165,7 +169,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
         q, v = x[:n], x[n:]
         p2 = rng.uniform(vlo[nonreg,], vhi[nonreg,])
         lval = evaluate(system.lagrangian, x)
-        back = ham.inverse_transform(q, v, p2)
+        back = maps_oracle.inverse_transform(ham, q, v, p2)
         worst = max(worst, abs(back - lval) / (1.0 + abs(lval)))
     record("involutivity", samples, worst, tol_involution)
 
@@ -174,7 +178,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
     for _ in range(rank_samples):
         q, _, v2 = draw()
         p0 = rng.uniform(-1, 1, size=n)
-        hess = _fd_hessian(lambda pp: ham.value(q, pp, v2), p0)
+        hess = _fd_hessian(lambda pp: maps_oracle.value(ham, q, pp, v2), p0)
         sv = np.linalg.svd(hess, compute_uv=False)
         rank = int(np.sum(sv > 1e-6 * max(float(sv[0]), 1.0)))
         worst = max(worst, abs(rank - k))
@@ -186,7 +190,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
         for _ in range(red_samples):
             q, p, _ = draw()
             classical = _full_newton_legendre(system, q, p)
-            mixed = ham.value(q, p, np.zeros(0))
+            mixed = maps_oracle.value(ham, q, p, np.zeros(0))
             worst = max(
                 worst, abs(mixed - classical) / (1.0 + abs(classical))
             )

@@ -73,24 +73,40 @@ class SingularJacobianError(Exception):
     """The W11 block dropped below tolerance at a Newton iterate."""
 
 
-def _inf_norm(x: np.ndarray) -> float:
-    return float(np.abs(x).max()) if x.size else 0.0
+def _inf_norm(x) -> float:
+    """max |x_i| of a float list, NaN if an entry is NaN (as ``np.max``
+    has it, where Python's ``max`` may skip it), 0.0 if it is empty."""
+    norm = 0.0
+    for value in x:
+        value = abs(value)
+        if not value <= norm:  # larger, or NaN
+            if value != value:
+                return value
+            norm = value
+    return norm
 
 
-def check_w11(w11: np.ndarray, tol: float, where: str, **at):
+def check_w11(w11, tol: float, where: str, **at):
     """Raise ``SingularJacobianError`` if W11's smallest singular value is at
     most ``tol * max(largest, 1)``, else return (smallest, largest).  The
-    message is ``where`` followed by the ``name=value`` pairs of ``at``,
-    built only on failure.
+    message is ``where`` followed by the ``name=value`` pairs of ``at``
+    (arrays or float lists), built only on failure.
 
     A stack of blocks (count, k, k) is checked block by block, with one row
     of each ``at`` value per block; the first singular block is named, and
-    the singular values come back as one entry per block.  A single finite
-    1×1 block [[w]] has the singular value |w|, which is used directly; a
-    non-finite one goes through the SVD like every other block.
+    the singular values come back as one entry per block.  A single 1×1
+    block, given as the array [[w]] or as the float w, has the singular
+    value |w|, which is used directly when w is finite; a non-finite one
+    goes through the SVD like every other block.
     """
-    if w11.shape == (1, 1) and math.isfinite(w11[0, 0]):
-        smallest = largest = abs(float(w11[0, 0]))
+    if type(w11) is not float and w11.shape == (1, 1):
+        w11 = float(w11[0, 0])
+    if type(w11) is float:
+        if math.isfinite(w11):
+            smallest = largest = abs(w11)
+        else:
+            sv = np.linalg.svd(np.array([[w11]]), compute_uv=False)
+            smallest, largest = sv[-1], sv[0]
     else:
         sv = np.linalg.svd(w11, compute_uv=False)
         smallest, largest = sv[..., -1], sv[..., 0]
@@ -103,7 +119,8 @@ def check_w11(w11: np.ndarray, tol: float, where: str, **at):
             at = {name: x[first] for name, x in at.items()}
             smallest, largest = sv[-1], sv[0]
     if smallest <= tol * max(largest, 1.0):
-        point = ", ".join(f"{name}={x.tolist()}" for name, x in at.items())
+        point = ", ".join(f"{name}={np.asarray(x, dtype=float).tolist()}"
+                          for name, x in at.items())
         raise SingularJacobianError(
             f"{where} {point} (smallest singular value {smallest:.3e})"
         )
@@ -111,21 +128,28 @@ def check_w11(w11: np.ndarray, tol: float, where: str, **at):
 
 
 def solve_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for one block (k, k) or a stack
-    (count, k, k), bit for bit.
+    """``np.linalg.solve(a, b)`` for one block (k, k) with a matrix of
+    right-hand columns, or a stack (count, k, k), bit for bit.
 
     A 1×1 block with a single right-hand column is solved as ``b / w``:
     LAPACK divides in that case, so the bits are the same without its
     dispatch.  With several columns OpenBLAS multiplies by the reciprocal
     1/w instead, which rounds differently from ``b / w``, so those systems,
-    like every block with k >= 2, stay on LAPACK.
+    like every block with k >= 2, stay on LAPACK.  (A single system with
+    a right-hand side in floats goes through :func:`solve_w11`.)
     """
-    if a.shape[-2:] == (1, 1):
-        if b.ndim == a.ndim and b.shape[-1] == 1:
-            return b / a
-        if a.ndim == 2 and b.shape == (1,):
-            return b / a[0]
+    if a.shape[-2:] == (1, 1) and b.ndim == a.ndim and b.shape[-1] == 1:
+        return b / a
     return np.linalg.solve(a, b)
+
+
+def solve_w11(w11, r: list) -> list:
+    """W11^{-1} r for a float list r, as a float list: r / w for a 1×1
+    block given as the float w (what LAPACK returns), else through
+    :func:`solve_block` on the (k, k) array."""
+    if type(w11) is float:
+        return [r[0] / w11]
+    return solve_block(w11, np.array(r)).tolist()
 
 
 @dataclass
@@ -148,6 +172,7 @@ class EnvelopeSolver:
     def __post_init__(self):
         n = self.system.n
         self._v1_active = tuple(n + i for i in self.partition.regular)
+        self._v2_slots = tuple(n + i for i in self.partition.nonregular)
         self._reg = np.array(self.partition.regular, dtype=int)
         self._nonreg = np.array(self.partition.nonregular, dtype=int)
 
@@ -163,44 +188,57 @@ class EnvelopeSolver:
 
     def solve(self, q, p1, c2, v1_guess=None) -> np.ndarray:
         """Return v1 = V(q, p1, c2) with ||p1 - dL/dv1||_inf <= newton_tol."""
-        n, k = self.system.n, self.partition.k
         q, p1, c2 = self._checked(q, p1, c2)
-        if k == 0:
+        if not p1.size:
             return np.zeros(0)
+        v1 = self.default_guess() if v1_guess is None else v1_guess
+        v1 = np.broadcast_to(np.asarray(v1, dtype=float), p1.shape)
+        # (q, v) with v2 = c2 fixed; the iteration sets the v1 slots
+        point = q.tolist() + [0.0] * len(q)
+        for slot, x in zip(self._v2_slots, c2.tolist()):
+            point[slot] = x
+        return np.array(self.iterate(point, p1.tolist(), v1.tolist()))
 
-        v1 = np.array(v1_guess, dtype=float) if v1_guess is not None else (
-            self.default_guess()
-        )
-        # (q, v) with v2 = c2 fixed; each trial overwrites only the v1 slots
-        point = np.empty(2 * n)
-        point[:n] = q
-        point[n + self._nonreg] = c2
-        v1_slots = n + self._reg
-        point[v1_slots] = v1
-        lag, active = self.system.lagrangian, self._v1_active
+    def iterate(self, point: list, p1: list, v1: list) -> list:
+        """:meth:`solve`'s damped Newton iteration on Python floats.
+
+        ``point`` is the list (q, v) with its v2 entries set, ``p1`` the
+        regular momenta and ``v1`` the starting regular velocities.  Returns
+        V as a list and leaves ``point`` at (q, V, v2).  Element-wise float
+        arithmetic has numpy's bits, and :func:`solve_w11` solves a 1×1 W11
+        as r / w, what LAPACK returns.
+        """
+        active = self._v1_active
+        if not active:
+            return []
+        lag, tol = self.system.lagrangian, self.partition.rank_tolerance
+        single = len(active) == 1
+        for slot, x in zip(active, v1):
+            point[slot] = x
         d = eval_dual2(lag, point, active)
-        r = p1 - d.grad
+        r = [p - g for p, g in zip(p1, d.floats()[0])]
         history = []
         for _ in range(self.max_iter):
             rnorm = _inf_norm(r)
             history.append(rnorm)
             if rnorm <= self.newton_tol:
                 return v1
-            check_w11(d.hess, self.partition.rank_tolerance,
-                      "W11 is singular at Newton iterate", v1=v1)
-            delta = solve_block(d.hess, r)
+            w11 = d.floats()[1][0][0] if single else d.hess
+            check_w11(w11, tol, "W11 is singular at Newton iterate", v1=v1)
+            delta = solve_w11(w11, r)
             alpha = 1.0
             for _ in range(self.max_backtracks + 1):
-                trial = v1 + alpha * delta
-                point[v1_slots] = trial
+                trial = [x + alpha * dx for x, dx in zip(v1, delta)]
+                for slot, x in zip(active, trial):
+                    point[slot] = x
                 try:
                     d_trial = eval_dual2(lag, point, active)
                 except EvalDomainError:
                     # halving cannot make a non-finite step finite
-                    if not np.isfinite(trial).all():
+                    if not all(map(math.isfinite, trial)):
                         raise
                 else:
-                    r_trial = p1 - d_trial.grad
+                    r_trial = [p - g for p, g in zip(p1, d_trial.floats()[0])]
                     if _inf_norm(r_trial) < rnorm:
                         break
                 alpha *= 0.5
@@ -279,7 +317,8 @@ class EnvelopeSolver:
                         failed[int(lanes[j])] = err
                         ok[j] = False
                         hess[j] = np.eye(k)  # solved for, never used
-            delta = solve_block(hess, r[:, :, None])[:, :, 0]
+            with np.errstate(over="ignore"):  # an inf step fails its trial
+                delta = solve_block(hess, r[:, :, None])[:, :, 0]
             alpha = np.ones(len(lanes))
             pending = np.flatnonzero(ok)  # lanes still backtracking
             for _ in range(self.max_backtracks + 1):
@@ -400,8 +439,9 @@ class MixedHamiltonian:
 
     # The other single-point maps are one-row calls of their stacked twins
     # below, after the single-point solve's argument checks.  ``psi`` and
-    # ``solve_velocity`` stay scalar: the RK4 flows call them at every stage,
-    # where a one-row stacked call costs several times as much.
+    # ``solve_velocity`` stay scalar, on the float iteration that the RK4
+    # flows call at every stage (``EnvelopeSolver.iterate``), where a
+    # one-row stacked call costs several times as much.
 
     def _row(self, q, p, c2):
         """q, p and c2 as one row each, checked as a single point: p as a

@@ -38,11 +38,29 @@ W11 with the envelope solver's own check, ``clairaut.check_w11``, at every
 stage.  The monitors above come from the recorded stage only, the first of
 each step: the other three stages return the derivative alone.
 
-Every W11 solve goes through ``clairaut.solve_block``.  A 1×1 block with one
-right-hand column is solved as b / w, bit for bit what LAPACK returns.  With
-several columns (dV/dq whenever n >= 2) OpenBLAS multiplies by 1/w, which
-rounds differently, so those solves, and every block with k >= 2, stay on
-LAPACK.
+The RK4 state, the stage points and all per-stage algebra, the monitors
+and the envelope Newton (``EnvelopeSolver.iterate``) included, are lists
+of Python floats.
+numpy enters only where Python cannot reproduce its bits (measured with
+numpy 2.4 and its OpenBLAS):
+
+* element-wise ``+ - * /`` and ``abs`` round as numpy's do, so the stage
+  points, the update y + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that
+  order, and the finiteness check run on floats;
+* a contraction over one term (a matrix product of inner dimension 1) is
+  a*b + 0.0, numpy's result to the sign of a zero, and one over no term is
+  +0.0; contractions over two or more terms (K for n >= 2, the gauge chain
+  rule, R and W12 v2dot for m >= 2) stay numpy ``@``, whose BLAS fuses the
+  multiply-adds;
+* a 1×1 W11 with one right-hand column is solved as r / w, what LAPACK
+  returns; blocks with k >= 2, and 1×1 blocks with several columns (dV/dq
+  whenever n >= 2, where OpenBLAS multiplies by 1/w), stay on LAPACK
+  through ``clairaut.solve_block``;
+* residual norms keep ``np.max``'s NaN propagation (``clairaut._inf_norm``).
+
+The gauge takes one evaluation per stage: one ``eval_dual2`` per
+expression, whose value is C2 wherever it has ``evaluate``'s bits.  A
+gauge free of q is evaluated once per run, and R with it.
 """
 
 from __future__ import annotations
@@ -56,10 +74,21 @@ from .clairaut import (
     MixedHamiltonian,
     NewtonDivergedError,
     SingularJacobianError,
+    _inf_norm,
     check_w11,
     solve_block,
+    solve_w11,
 )
-from .expr import EvalDomainError, Expression, eval_dual2, evaluate, parse
+from .expr import (
+    Div,
+    EvalDomainError,
+    Expression,
+    Pow,
+    Var,
+    eval_dual2,
+    evaluate,
+    parse,
+)
 from .partition import (
     HessianPartition,
     LagrangianSystem,
@@ -162,7 +191,7 @@ def _validate_span(t_span, dt):
 
 
 # --------------------------------------------------------------------------
-# The RK4 driver
+# The RK4 driver and the per-stage algebra on float lists
 # --------------------------------------------------------------------------
 
 class NonFiniteStateError(ArithmeticError):
@@ -170,7 +199,8 @@ class NonFiniteStateError(ArithmeticError):
 
 
 def _rk4(rhs, y0, t0, h, nsteps, record):
-    """Classical RK4 over the nodes t0 + i*h, i = 0..nsteps.
+    """Classical RK4 over the nodes t0 + i*h, i = 0..nsteps, on a state
+    held as a list of floats.
 
     ``rhs(y, monitor)`` returns (dy/dt, info); ``record(i, t, y, info)``
     stores node i from its first stage.  Only that stage is called with
@@ -181,6 +211,7 @@ def _rk4(rhs, y0, t0, h, nsteps, record):
     "at RK4 step i (t = ...)" appended to their message.
     """
     y = y0
+    half, sixth = 0.5 * h, h / 6.0
     for i in range(nsteps + 1):
         t = t0 + i * h
         try:
@@ -188,17 +219,113 @@ def _rk4(rhs, y0, t0, h, nsteps, record):
             record(i, t, y, info)
             if i == nsteps:
                 break
-            k2, _ = rhs(y + 0.5 * h * k1, False)
-            k3, _ = rhs(y + 0.5 * h * k2, False)
-            k4, _ = rhs(y + h * k3, False)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
+            k2, _ = rhs([a + half * b for a, b in zip(y, k1)], False)
+            k3, _ = rhs([a + half * b for a, b in zip(y, k2)], False)
+            k4, _ = rhs([a + h * b for a, b in zip(y, k3)], False)
+            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, y)):
                 raise NonFiniteStateError("overflow to a non-finite state")
         except (EvalDomainError, SingularJacobianError, NewtonDivergedError,
                 NonFiniteStateError) as exc:
             exc.step, exc.t = i, t
             exc.args = (f"{exc} at RK4 step {i} (t = {t:.6g})",)
             raise
+
+
+def _dot(a, x) -> list:
+    """``a @ x`` as a float list, with numpy's bits, for a matrix ``a`` (an
+    array or a list of float rows) and a float list ``x``.
+
+    A contraction over one term is a*b + 0.0, numpy's result to the sign of
+    a zero; over none it is +0.0.  Longer ones stay on numpy: its BLAS fuses
+    the multiply-adds, which no Python sum reproduces.
+    """
+    if len(x) > 1:
+        return (np.asarray(a) @ np.array(x)).tolist()
+    if type(a) is np.ndarray:
+        a = a.tolist()
+    return [row[0] * x[0] + 0.0 for row in a] if x else [0.0] * len(a)
+
+
+def _matmul(a, b) -> list:
+    """``a @ b`` for two matrices given as float rows, with numpy's bits
+    (the rule of :func:`_dot`; ``b`` has at least one row)."""
+    if len(b) > 1:
+        return (np.array(a) @ np.array(b)).tolist()
+    return [[row[0] * y + 0.0 for y in b[0]] for row in a]
+
+
+def _r_term(jac, phi, n) -> list:
+    """R = (dC2/dq)^T phi from the n-entry Jacobian rows, with the bits of
+    ``gjac.T @ phi`` (see :func:`_dot`)."""
+    if len(phi) > 1:
+        return (np.array(jac).T @ np.array(phi)).tolist()
+    return [g * phi[0] + 0.0 for g in jac[0]] if phi else [0.0] * n
+
+
+def _nodes(node):
+    """Every node of an expression tree."""
+    yield node
+    for child in (getattr(node, name, None)
+                  for name in ("arg", "left", "right", "base")):
+        if child is not None:
+            yield from _nodes(child)
+
+
+def _gauge_terms(gauge: GaugeChoice, phi=None):
+    """The gauge at one stage: a function q -> (C2, dC2/dq rows, R), all
+    float lists, with R = (dC2/dq)^T phi (None without ``phi``).
+
+    Each expression is evaluated once, by ``eval_dual2``, whose value is C2
+    wherever it has ``evaluate``'s bits.  It does not for a quotient (the
+    dual pass multiplies by the reciprocal) or a power 1 (+0.0 at -0.0), so
+    such an expression takes its value from ``evaluate`` as well.  A failing
+    evaluation raises ``value``'s error if the value fails too, as
+    ``value`` runs first in a stage.  A gauge free of q (constant, or no
+    gauge) is evaluated once, at the first stage, and R with it.
+    """
+    exprs, n = gauge.exprs, gauge.n
+    inexact = [
+        any(isinstance(x, Div) or (isinstance(x, Pow) and x.exponent == 1.0)
+            for x in _nodes(e.root))
+        for e in exprs
+    ]
+
+    def terms(q):
+        try:
+            duals = [eval_dual2(e, q) for e in exprs]
+        except EvalDomainError:
+            gauge.value(q)
+            raise
+        c2 = [evaluate(e, q) if bad else d.value
+              for e, d, bad in zip(exprs, duals, inexact)]
+        jac = [d.floats()[0] for d in duals]
+        return c2, jac, None if phi is None else _r_term(jac, phi, n)
+
+    if any(isinstance(x, Var) for e in exprs for x in _nodes(e.root)):
+        return terms
+    once = []
+
+    def constant(q):
+        if not once:
+            once.append(terms(q))
+        return once[0]
+
+    return constant
+
+
+def _block(hess, rows, cols) -> list:
+    """The block of a Hessian given as float rows."""
+    return [[hess[i][j] for j in cols] for i in rows]
+
+
+def _w11(hess, slots):
+    """W11 from the Hessian rows at (q, v) and the v1 slots: the float entry
+    for k = 1, else the block as an array."""
+    if len(slots) == 1:
+        return hess[slots[0]][slots[0]]
+    return np.array(_block(hess, slots, slots))
 
 
 # --------------------------------------------------------------------------
@@ -216,40 +343,45 @@ def _el_field(system: LagrangianSystem, partition, gauge):
     """
     n, k = system.n, partition.k
     lag, tol = system.lagrangian, partition.rank_tolerance
-    reg = np.asarray(partition.regular, dtype=int)
-    nonreg = np.asarray(partition.nonregular, dtype=int)
-    v1_slots, v2_slots = n + reg, n + nonreg
-    w11_ix, w12_ix = np.ix_(reg, reg), np.ix_(reg, nonreg)
+    reg, nonreg = list(partition.regular), list(partition.nonregular)
+    v1_slots, v2_slots = [n + i for i in reg], [n + j for j in nonreg]
+    gauge_at = _gauge_terms(gauge)
 
     def rhs(y, monitor):
         q = y[:n]
-        x = np.empty(2 * n)
-        x[:n] = q
-        x[v1_slots] = y[n:]
-        x[v2_slots] = gauge.value(q)
-        v = x[n:]
-        d = eval_dual2(lag, x)
-        lq = d.grad[:n]
-        lv = d.grad[n:]
-        w = d.hess[n:, n:]
-        kvec = lq - d.hess[n:, :n] @ v
-        v2dot = gauge.jacobian(q) @ v
+        c2, jac, _ = gauge_at(q)
+        v = [0.0] * n
+        for i, x in zip(reg, y[n:]):
+            v[i] = x
+        for j, x in zip(nonreg, c2):
+            v[j] = x
+        d = eval_dual2(lag, q + v)
+        grad, hess = d.floats()
+        lvq = [row[:n] for row in hess[n:]]
+        kvec = [a - b for a, b in zip(grad[:n], _dot(lvq, v))]
+        v2dot = _dot(jac, v) if jac else []
         if k:
-            w11 = w[w11_ix]
+            w11 = _w11(hess, v1_slots)
             check_w11(w11, tol, "regular velocity block is singular at",
                       q=q, v=v)
-            accel1 = solve_block(w11, kvec[reg] - w[w12_ix] @ v2dot)
+            w12 = _block(hess, v1_slots, v2_slots)
+            accel1 = solve_w11(w11, [kvec[i] - b for i, b in
+                                     zip(reg, _dot(w12, v2dot))])
         else:
-            accel1 = np.zeros(0)
-        dy = np.concatenate([v, accel1])
+            accel1 = []
+        dy = v + accel1
         if not monitor:
             return dy, None
-        vdot = np.empty(n)
-        vdot[reg] = accel1
-        vdot[nonreg] = v2dot
-        defect = w[nonreg] @ vdot - kvec[nonreg]
-        i2_res = float(np.max(np.abs(defect))) if defect.size else 0.0
-        return dy, (i2_res, v, lv)
+        defect = []
+        if nonreg:
+            vdot = [0.0] * n
+            for i, a in zip(reg, accel1):
+                vdot[i] = a
+            for j, a in zip(nonreg, v2dot):
+                vdot[j] = a
+            w2 = [hess[n + j][n:] for j in nonreg]
+            defect = [a - kvec[j] for a, j in zip(_dot(w2, vdot), nonreg)]
+        return dy, (_inf_norm(defect), v, grad[n:])
 
     return rhs
 
@@ -257,12 +389,10 @@ def _el_field(system: LagrangianSystem, partition, gauge):
 def el_rhs(system, partition, gauge, q, v1):
     """Gauge-fixed regular accelerations and the non-regular row defect."""
     gauge = _resolve_gauge(gauge, partition, system.n)
-    y = np.concatenate([
-        checked_vector(q, system.n, "q"),
-        checked_vector(v1, partition.k, "v1"),
-    ])
+    y = (checked_vector(q, system.n, "q").tolist()
+         + checked_vector(v1, partition.k, "v1").tolist())
     dy, (i2_res, _, _) = _el_field(system, partition, gauge)(y, True)
-    return dy[system.n:], i2_res
+    return np.array(dy[system.n:]), i2_res
 
 
 def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
@@ -276,25 +406,24 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
     n, k = system.n, partition.k
     gauge = _resolve_gauge(gauge, partition, n)
     t0, _, nsteps, h = _validate_span(t_span, dt)
-    y0 = np.concatenate([
-        checked_vector(q0, n, "q0"), checked_vector(v10, k, "v10"),
-    ])
-    reg, nonreg = ham._reg, ham._nonreg
-    traj = _alloc(nsteps, n, k, partition.regular)
+    y0 = (checked_vector(q0, n, "q0").tolist()
+          + checked_vector(v10, k, "v10").tolist())
+    reg, nonreg = list(partition.regular), list(partition.nonregular)
+    lag, solver = system.lagrangian, ham.solver
+    v_active = tuple(range(n, 2 * n))
+    rows = []
 
     def record(i, t, y, info):
         i2_res, v, lv = info
         q = y[:n]
-        traj.times[i] = t
-        traj.q[i] = q
-        traj.v[i] = v
-        traj.p[i] = lv
-        psi = ham.psi(q, lv[reg], v2_probe=v[nonreg], v1_guess=y[n:])
-        traj.phi[i] = lv[nonreg] - psi
-        traj.el_i2_res[i] = i2_res
+        # Psi at (q, p1 = dL/dv1) with the probe v2, warm-started at v1
+        point = q + v
+        solver.iterate(point, [lv[r] for r in reg], y[n:])
+        psi = eval_dual2(lag, point, v_active).floats()[0]
+        rows.append((t, q, v, lv, [lv[j] - psi[j] for j in nonreg], i2_res))
 
     _rk4(_el_field(system, partition, gauge), y0, t0, h, nsteps, record)
-    return traj
+    return _trajectory(rows, n, k, partition.regular, el=True)
 
 
 # --------------------------------------------------------------------------
@@ -321,51 +450,56 @@ def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
     n, k = system.n, partition.k
     m = n - k
     lag, tol = system.lagrangian, partition.rank_tolerance
-    reg, nonreg = ham._reg, ham._nonreg
-    v1_slots, v2_slots = n + reg, n + nonreg
-    w11_ix, w12_ix = np.ix_(reg, reg), np.ix_(reg, nonreg)
-    w21_ix, w22_ix = np.ix_(nonreg, reg), np.ix_(nonreg, nonreg)
+    reg, nonreg = list(partition.regular), list(partition.nonregular)
+    v1_slots, v2_slots = [n + i for i in reg], [n + j for j in nonreg]
+    gauge_at = _gauge_terms(gauge, np.asarray(phi, dtype=float).tolist())
+    solver = ham.solver
+    v1 = np.asarray(v1, dtype=float).tolist()
+    no_r = [0.0] * n  # include_r=False adds 0.0 in place of R
 
     def rhs(y, monitor):
         nonlocal v1
         q, p1 = y[:n], y[n:]
-        c2 = gauge.value(q)
-        v1 = ham.solve_velocity(q, p1, c2, v1)
-        x = np.empty(2 * n)
-        x[:n] = q
-        x[v1_slots] = v1
-        x[v2_slots] = c2
+        c2, jac, r_full = gauge_at(q)
+        x = q + [0.0] * n
+        for slot, c in zip(v2_slots, c2):
+            x[slot] = c
+        v1 = solver.iterate(x, p1, v1)
         qdot = x[n:]
         d = eval_dual2(lag, x)
-        lq = d.grad[:n]
-        lv = d.grad[n:]
-        w = d.hess[n:, n:]
-        lvq = d.hess[n:, :n]
-        gjac = gauge.jacobian(q)
-        r_full = gjac.T @ phi
-        dhdq = -lq + r_full
-        p1dot = -dhdq[reg] + (r_full[reg] if include_r else 0.0)
+        grad, hess = d.floats()
+        dhdq = [-a + b for a, b in zip(grad[:n], r_full)]
+        r_kept = r_full if include_r else no_r
+        p1dot = [-dhdq[i] + r_kept[i] for i in reg]
         if k and m:
-            w11 = w[w11_ix]
-            check_w11(w11, tol, "regular velocity block is singular at", q=q)
-        dy = np.concatenate([qdot, p1dot])
+            check_w11(_w11(hess, v1_slots), tol,
+                      "regular velocity block is singular at", q=q)
+        dy = qdot + p1dot
         if not monitor:
             return dy, None
         hs3_res = 0.0
         if m:
-            w12 = w[w12_ix]
-            w21 = w[w21_ix]
+            lvq = [row[:n] for row in hess[n:]]
+            w21 = _block(hess, v2_slots, v1_slots)
             if k:
-                dvdq = -solve_block(w11, lvq[reg] + w12 @ gjac)
-                dpsi_dp1 = solve_block(w11.T, w21.T).T
+                w11 = np.array(_block(hess, v1_slots, v1_slots))
+                b = _matmul(_block(hess, v1_slots, v2_slots), jac)
+                b = [[x + y for x, y in zip(lvq[i], row)]
+                     for i, row in zip(reg, b)]
+                dvdq = (-solve_block(w11, np.array(b))).tolist()
+                dpsi_dp1 = solve_block(w11.T, np.array(w21).T).T
+                w21_dvdq = _matmul(w21, dvdq)
+                psi_p1 = _dot(dpsi_dp1, p1dot)
             else:
-                dvdq = np.zeros((0, n))
-                dpsi_dp1 = np.zeros((m, 0))
-            dpsi_dq = lvq[nonreg] + w21 @ dvdq + w[w22_ix] @ gjac
-            psidot = dpsi_dq @ qdot + dpsi_dp1 @ p1dot
-            r2 = r_full[nonreg] if include_r else 0.0
-            hs3_res = float(np.max(np.abs(dhdq[nonreg] + psidot - r2)))
-        return dy, (qdot, hs3_res, lv)
+                w21_dvdq = [[0.0] * n for _ in nonreg]
+                psi_p1 = [0.0] * m
+            w22_jac = _matmul(_block(hess, v2_slots, v2_slots), jac)
+            dpsi_dq = [[x + y + z for x, y, z in zip(lvq[j], row1, row2)]
+                       for j, row1, row2 in zip(nonreg, w21_dvdq, w22_jac)]
+            psidot = [x + y for x, y in zip(_dot(dpsi_dq, qdot), psi_p1)]
+            defect = [dhdq[j] + x - r_kept[j] for j, x in zip(nonreg, psidot)]
+            hs3_res = _inf_norm(defect)
+        return dy, (qdot, hs3_res, grad[n:])
 
     return rhs
 
@@ -382,8 +516,9 @@ def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
     v1 = ham.solve_velocity(q, p1, c2)
     phi = p2 - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
     rhs = _ham_field(ham, gauge, phi, include_r, v1)
-    dy, (qdot, hs3_res, _) = rhs(np.concatenate([q, p1]), True)
-    return qdot, dy[ham.n:], hs3_res
+    y = checked_vector(q, ham.n, "q").tolist() + p1.tolist()
+    dy, (qdot, hs3_res, _) = rhs(y, True)
+    return np.array(qdot), np.array(dy[ham.n:]), hs3_res
 
 
 def integrate_ham(
@@ -406,7 +541,7 @@ def integrate_ham(
     n, k = system.n, partition.k
     gauge = _resolve_gauge(gauge, partition, n)
     t0, _, nsteps, h = _validate_span(t_span, dt)
-    reg, nonreg = ham._reg, ham._nonreg
+    reg, nonreg = list(partition.regular), list(partition.nonregular)
     q = checked_vector(q0, n, "q0")
     p0 = checked_vector(p0, n, "p0")
     p1 = p0[reg]
@@ -426,22 +561,23 @@ def integrate_ham(
             phi0,
         )
 
-    traj = _alloc(nsteps, n, k, partition.regular)
+    offset = phi0.tolist()
+    rows = []
 
     def record(i, t, y, info):
         qdot, hs3_res, lv = info
-        p2 = lv[nonreg] + phi0
-        traj.times[i] = t
-        traj.q[i] = y[:n]
-        traj.v[i] = qdot
-        traj.p[i][reg] = y[n:]
-        traj.p[i][nonreg] = p2
-        traj.phi[i] = p2 - lv[nonreg]
-        traj.hs3_res[i] = hs3_res
+        p2 = [lv[j] + off for j, off in zip(nonreg, offset)]
+        p = [0.0] * n
+        for r, x in zip(reg, y[n:]):
+            p[r] = x
+        for j, x in zip(nonreg, p2):
+            p[j] = x
+        phi = [x - lv[j] for j, x in zip(nonreg, p2)]
+        rows.append((t, y[:n], qdot, p, phi, hs3_res))
 
     rhs = _ham_field(ham, gauge, phi0, include_r, v1)
-    _rk4(rhs, np.concatenate([q, p1]), t0, h, nsteps, record)
-    return traj
+    _rk4(rhs, q.tolist() + p1.tolist(), t0, h, nsteps, record)
+    return _trajectory(rows, n, k, partition.regular, el=False)
 
 
 # --------------------------------------------------------------------------
@@ -483,6 +619,21 @@ def _alloc(nsteps, n, k, regular) -> Trajectory:
         k=k,
         regular=tuple(regular),
     )
+
+
+def _trajectory(rows, n, k, regular, el) -> Trajectory:
+    """The trajectory of a flow's node rows (t, q, v, p, phi, monitor); the
+    monitor fills ``el_i2_res`` for the Euler-Lagrange flow (``el``), else
+    ``hs3_res``."""
+    traj = _alloc(len(rows) - 1, n, k, regular)
+    times, q, v, p, phi, monitor = zip(*rows)
+    traj.times[:] = times
+    traj.q[:] = q
+    traj.v[:] = v
+    traj.p[:] = p
+    traj.phi[:] = phi
+    (traj.el_i2_res if el else traj.hs3_res)[:] = monitor
+    return traj
 
 
 @dataclass(frozen=True)
@@ -528,17 +679,10 @@ def write_trajectory_csv(traj: Trajectory, path):
         + [f"phi_{j + 1}" for j in range(n - k)]
         + ["el_i2_res", "hs3_res"]
     )
-    lines = [",".join(header)]
-    for i in range(traj.times.size):
-        row = (
-            [traj.times[i]]
-            + list(traj.q[i])
-            + list(traj.v[i])
-            + list(traj.p[i])
-            + list(traj.phi[i])
-            + [traj.el_i2_res[i], traj.hs3_res[i]]
-        )
-        lines.append(",".join("%.17g" % x for x in row))
+    table = np.column_stack([traj.times, traj.q, traj.v, traj.p, traj.phi,
+                             traj.el_i2_res, traj.hs3_res])
+    row = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [row % tuple(x) for x in table.tolist()]
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
         path.write(text)

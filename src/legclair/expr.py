@@ -508,14 +508,37 @@ class Dual2:
     index list was given; the Hessian is square over the same slots.  From
     :func:`eval_dual2_many` each field carries one more leading axis, one
     entry per point.
+
+    A scalar kernel hands over its gradient and Hessian as tuples of floats:
+    ``grad`` and ``hess`` build their arrays at first use, and
+    :meth:`floats` gives the floats without building any.
     """
 
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value", "_grad", "_hess")
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray):
+    def __init__(self, value, grad, hess):
         self.value = value
-        self.grad = grad
-        self.hess = hess
+        self._grad = grad
+        self._hess = hess
+
+    @property
+    def grad(self) -> np.ndarray:
+        if type(self._grad) is tuple:
+            self._grad = np.array(self._grad, dtype=float)
+        return self._grad
+
+    @property
+    def hess(self) -> np.ndarray:
+        if type(self._hess) is tuple:
+            self._hess = (np.array(self._hess, dtype=float) if self._hess
+                          else np.zeros((0, 0)))
+        return self._hess
+
+    def floats(self):
+        """(gradient, Hessian rows) of a single point as float sequences."""
+        g, h = self._grad, self._hess
+        return (g if type(g) is tuple else g.tolist(),
+                h if type(h) is tuple else h.tolist())
 
     def __repr__(self):
         return f"Dual2(value={self.value!r}, grad={self.grad!r}, hess={self.hess!r})"
@@ -561,8 +584,7 @@ class _Codegen:
         self.frags = []     # checked mode: fragment of the node being emitted
         self.ns = dict(_MATH, _E=EvalDomainError, _FAULTS=_FAULTS,
                        _NONFINITE=_NONFINITE, _finite=_all_finite,
-                       _isfinite=math.isfinite, _array=np.array,
-                       _zeros=np.zeros, _Dual2=Dual2)
+                       _isfinite=math.isfinite, _Dual2=Dual2)
 
     def const(self, obj) -> str:
         name = f"_k{len(self.ns)}"
@@ -892,6 +914,10 @@ def _each(func, column, *args) -> np.ndarray:
     )
 
 
+def _tuple_source(items) -> str:
+    return f"({''.join(item + ', ' for item in items)})"
+
+
 def _compile(root, nvars: int, active, checked=False):
     """Generate, compile and return the kernel for one active tuple.
 
@@ -905,13 +931,8 @@ def _compile(root, nvars: int, active, checked=False):
         result = cg.lit(out)
     else:
         v, g, h = out
-        if cg.m:
-            grad = f"_array(({''.join(cg.lit(x) + ', ' for x in g)}))"
-            rows = ", ".join(f"({''.join(cg.lit(x) + ', ' for x in row)})"
-                             for row in h)
-            hess = f"_array(({rows},))"
-        else:
-            grad, hess = "_zeros(0)", "_zeros((0, 0))"
+        grad = _tuple_source(map(cg.lit, g))
+        hess = _tuple_source(_tuple_source(map(cg.lit, row)) for row in h)
         result = f"_Dual2({cg.lit(v)}, {grad}, {hess})"
     src = ["def kernel(p):"]
     if nvars:
@@ -969,7 +990,13 @@ def _compile_many(root, nvars: int, active):
     return cg.ns.pop("kernel")
 
 
+_FLOAT = {float}
+
+
 def _point(e: Expression, point) -> list:
+    if (type(point) is list and len(point) == len(e.variables)
+            and set(map(type, point)) == _FLOAT):
+        return point  # already what the kernels take
     point = np.asarray(point, dtype=float)
     nv = len(e.variables)
     if point.shape != (nv,):

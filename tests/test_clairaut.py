@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,22 @@ def test_overflowing_trial_is_rejected_and_halved():
     # an overflow at the starting point is not a trial, and still raises
     with pytest.raises(EvalDomainError, match="overflow"):
         solver.solve([0.0], [1.0], [], v1_guess=[800.0])
+
+
+def test_an_overflowing_newton_step_fails_without_a_warning():
+    # p1 = 1e308 from v1 = -10: the step r / w = 1e308 / exp(-10) overflows
+    # to inf, which no halving makes finite; one point and a stack of two
+    # both end in the evaluation's error, and numpy prints nothing
+    sys = LagrangianSystem.from_source(1, "exp(v1)", {"v1": (-12.0, -8.0)})
+    solver = MixedHamiltonian.from_system(sys).solver
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = assert_same_outcome(solver, [0.0], [1e308], [])
+        _, failed = solver.solve_lanes([[0.0], [0.0]], [[1e308], [0.5]],
+                                       np.zeros((2, 0)))
+    assert isinstance(err, EvalDomainError)
+    assert list(failed) == [0] and str(failed[0]) == str(err)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_nan_momentum_ends_in_a_domain_error():

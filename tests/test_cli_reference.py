@@ -11,6 +11,7 @@ grid of more than one chunk whose only failing row sits in the second.
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,21 @@ def test_transform_domain_error_rows_match_reference(tmp_path, capsys,
         ["transform", path, "--grid", "p1=1e-4,1e308,0.5"], capsys,
         monkeypatch)
     assert got[0] == cli.EXIT_DOMAIN
+
+
+def test_transform_overflowing_newton_step_prints_nothing_to_stderr(
+        tmp_path, capsys, monkeypatch):
+    # the rows p1 = 1e308 take a Newton step that overflows to inf; they end
+    # as domain rows, as in the reference, with no numpy warning on stderr
+    path = problem(tmp_path, "exp(v1)", {"v1": [-12, -8]})
+    argv = ["transform", path, "--grid", "p1=1e-4,1e308,0.5,-1,1e308"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (cli.EXIT_SOLVER, "")
+    assert [str(w.message) for w in caught] == []
+    assert run_both(argv, capsys, monkeypatch)[1] == (code, out, err, None)
 
 
 def test_transform_failing_row_in_the_second_chunk_matches_reference(

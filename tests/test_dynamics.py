@@ -3,11 +3,14 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import corpus
 import helpers
 import rk4_oracle
+from legclair import dynamics
 from legclair.clairaut import MixedHamiltonian, SingularJacobianError
 from legclair.cli import _initial_data, build_gauge, load_problem
 from legclair.dynamics import (
@@ -21,10 +24,27 @@ from legclair.dynamics import (
     integrate_el,
     integrate_ham,
     write_trajectory_csv,
+    _alloc,
     _el_field,
+    _gauge_terms,
     _ham_field,
 )
-from legclair.expr import EvalDomainError, eval_dual2
+from legclair.expr import (
+    FUNCTIONS,
+    Add,
+    Call,
+    Div,
+    EvalDomainError,
+    Expression,
+    Mul,
+    Neg,
+    Num,
+    Pow,
+    Sub,
+    Var,
+    eval_dual2,
+    to_source,
+)
 from legclair.partition import LagrangianSystem, qv_names
 
 
@@ -65,6 +85,81 @@ def test_gauge_count_checked_against_partition():
         el_rhs(ham.system, ham.partition, gauge_of(2, "q1", "q2"), [0, 0], [1.0])
     with pytest.raises(ValueError, match="required"):
         el_rhs(ham.system, ham.partition, None, [0, 0], [1.0])
+
+
+# --------------------------------------------------------------------------
+# one gauge evaluation per stage
+# --------------------------------------------------------------------------
+
+QNAMES = ("q1", "q2")
+gauge_trees = st.recursive(
+    st.one_of(
+        st.builds(Num, st.sampled_from((0.0, 0.5, 1.0, 3.0))
+                  | st.floats(-4.0, 4.0, allow_nan=False)),
+        st.sampled_from((Var(0, "q1"), Var(1, "q2"))),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        st.builds(Pow, kids, st.sampled_from((1.0, 2.0, 3.0, -1.0, 0.5))),
+        *(st.builds(ctor, kids, kids) for ctor in (Add, Sub, Mul, Div)),
+    ),
+    max_leaves=8,
+)
+q_points = st.lists(
+    st.sampled_from((0.0, -0.0, 1.0)) | st.floats(-3.0, 3.0, allow_nan=False),
+    min_size=2, max_size=2,
+)
+
+
+def outcome(call):
+    try:
+        return "ok", call()
+    except EvalDomainError as err:
+        return "error", str(err)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.lists(gauge_trees, min_size=1, max_size=2), q_points)
+@example([Pow(Var(0, "q1"), 1.0)], [-0.0, 1.0])  # -0.0 by value, +0.0 by dual
+@example([Div(Var(0, "q1"), Num(3.0))], [0.1, 0.0])  # q1 * (1/3) by dual
+def test_one_dual_evaluation_per_stage_gives_the_gauge_value_and_jacobian(
+        trees, q):
+    # each stage used to call value and then jacobian; its one evaluation
+    # must give their bits (quotients and powers 1 included) or their error
+    gauge = GaugeChoice(2, tuple(Expression(t, QNAMES, to_source(t))
+                                 for t in trees))
+    kind, want = outcome(lambda: (gauge.value(q), gauge.jacobian(q)))
+    got_kind, got = outcome(lambda: _gauge_terms(gauge)(q))
+    assert got_kind == kind
+    if kind == "ok":
+        c2, jac, r = got
+        assert np.array(c2).tobytes() == want[0].tobytes()
+        assert np.array(jac).tobytes() == want[1].tobytes()
+        assert r is None
+    else:
+        assert got == want
+
+
+def test_a_gauge_free_of_q_is_evaluated_once_per_flow(monkeypatch):
+    ham = make_ham("deg1")
+    calls = []
+    for name in ("eval_dual2", "evaluate"):
+        def counting(e, *args, _f=getattr(dynamics, name), _name=name):
+            if e in gauge.exprs:
+                calls.append(_name)
+            return _f(e, *args)
+        monkeypatch.setattr(dynamics, name, counting)
+    span, dt = (0.0, 0.1), 0.01  # 10 steps: 41 stages
+    for source, per_flow in (("1.0", 1), ("0.5*sin(q1)", 41)):
+        gauge = gauge_of(2, source)
+        integrate_el(ham, gauge, [0.0, 0.3], [1.0], span, dt)
+        assert calls == ["eval_dual2"] * per_flow
+        calls.clear()
+        integrate_ham(ham, gauge, [0.0, 0.3], [2.0, 2.5], span, dt)
+        # the initial Phi_0 takes its value, then the flow its stages
+        assert calls == ["evaluate"] + ["eval_dual2"] * per_flow
+        calls.clear()
 
 
 # --------------------------------------------------------------------------
@@ -361,21 +456,23 @@ CORPUS_GAUGES = {"deg1": "0.5*sin(q1)", "deg2": "sin(q1)", "deg3": "0.5*sin(q1)"
 
 def assert_same_trajectory(got, want):
     for channel in ("times", "q", "v", "p", "phi", "el_i2_res", "hs3_res"):
-        assert np.array_equal(
-            getattr(got, channel), getattr(want, channel), equal_nan=True
-        ), channel
+        a, b = getattr(got, channel), getattr(want, channel)
+        assert np.array_equal(a, b, equal_nan=True), channel
+        # the bytes too: the sign of a zero and the payload of a NaN
+        assert (a.shape, a.dtype, a.tobytes()) == (
+            b.shape, b.dtype, b.tobytes()), channel
     assert (got.n, got.k, got.regular) == (want.n, want.k, want.regular)
 
 
-def assert_driver_matches_oracle(ham, gauge):
+def assert_driver_matches_oracle(ham, gauge, q0=None, v10=None, offset=0.25):
     """Both flows, with and without R, against the hand-rolled loops."""
     n, nonreg = ham.n, list(ham.partition.nonregular)
-    q0 = np.linspace(0.1, 0.3, n)
-    v10 = np.linspace(0.4, -0.2, ham.k)
+    q0 = np.linspace(0.1, 0.3, n) if q0 is None else np.asarray(q0)
+    v10 = np.linspace(0.4, -0.2, ham.k) if v10 is None else np.asarray(v10)
     c2 = gauge.value(q0) if gauge else np.zeros(0)
     x0 = ham.system.point(q0, ham.assemble_velocity(v10, c2))
     p0 = eval_dual2(ham.system.lagrangian, x0, range(n, 2 * n)).grad
-    p0[nonreg] += 0.25  # off the constraint surface: Phi_0 != 0
+    p0[nonreg] += offset  # off the constraint surface: Phi_0 != 0
     span, dt = (0.0, 0.3), 3e-3
     assert_same_trajectory(
         integrate_el(ham, gauge, q0, v10, span, dt),
@@ -407,6 +504,40 @@ def test_rk4_driver_matches_hand_rolled_loops_on_a_varying_w11():
     ))
     assert ham.k == 1
     assert_driver_matches_oracle(ham, gauge_of(2, "0.5*sin(q1)"))
+
+
+def test_rk4_driver_matches_hand_rolled_loops_with_two_gauged_velocities():
+    # n = 3, k = 1: the gauge Jacobian has two rows, so R and W12 v2dot
+    # contract over m = 2 terms (numpy's), while the varying 1x1 W11 meets
+    # dV/dq and dPsi/dp1 with two right-hand columns.  Offsets that are not
+    # dyadic make R's products round, so a Python sum would show.
+    ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(
+        3, "0.5*(1+q1^2)*(v1+v2+v3)^2 + 0.3*q2*v1 + 0.2*q3*v2 - 0.5*q1^2"
+    ))
+    assert (ham.k, ham.partition.nonregular) == (1, (1, 2))
+    assert_driver_matches_oracle(
+        ham, gauge_of(3, "0.5*sin(q1)", "0.3*q2*q3 - 0.1*q1"),
+        offset=np.array([0.3, -0.7]))
+
+
+@pytest.mark.parametrize("name", ["osc", "deg1", "deg2", "deg3",
+                                  "varying_w11"])
+def test_rk4_driver_matches_hand_rolled_loops_from_rest_below_the_surface(
+        name):
+    # velocity -0.0 at q1 = 0, where the gauges vanish too, and Phi_0 < 0:
+    # the one-term contractions of the flows meet signed zeros (the
+    # oscillator stays at rest, so the sign of each zero reaches its CSV)
+    if name == "varying_w11":
+        ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(
+            2, "0.5*(1+q1^2)*(v1+v2)^2 + 0.3*q2*v1 - 0.5*q1^2"
+        ))
+        gauge = gauge_of(2, "0.5*sin(q1)")
+    else:
+        ham = make_ham(name)
+        gauge = gauge_of(ham.n, CORPUS_GAUGES[name]) if ham.n > ham.k else None
+    assert_driver_matches_oracle(
+        ham, gauge, q0=np.linspace(0.0, -0.3, ham.n), v10=-np.zeros(ham.k),
+        offset=-0.25)
 
 
 @pytest.mark.parametrize("path", PROBLEMS, ids=lambda p: p.stem)
@@ -458,7 +589,8 @@ def test_singular_block_at_a_stage_that_is_not_recorded():
         LagrangianSystem.from_source(2, "0.25*v1^4 + q1*v2")
     )
     gauge = GaugeChoice.constant(2, [0.0])
-    y = np.array([0.5, 0.0, 0.0])  # (q, v1) and (q, p1), both at v1 = 0
+    # (q, v1) and (q, p1), both at v1 = 0; the fields run on float lists
+    y = np.array([0.5, 0.0, 0.0]).tolist()
     for field in (
         _el_field(ham.system, ham.partition, gauge),
         _ham_field(ham, gauge, np.zeros(1), True, np.zeros(1)),
@@ -552,3 +684,40 @@ def test_write_trajectory_csv_regular_system_has_no_phi_columns():
     write_trajectory_csv(traj, buf)
     header = buf.getvalue().splitlines()[0]
     assert header == "t,q1,v1,p1,el_i2_res,hs3_res"
+
+
+def reference_trajectory_csv(traj):
+    """The row loop ``write_trajectory_csv`` ran before it formatted whole
+    rows at once, kept as the reference for its bytes."""
+    n, k = traj.n, traj.k
+    names = qv_names(n)
+    header = (
+        ["t"] + list(names[:n]) + list(names[n:])
+        + [f"p{i + 1}" for i in range(n)]
+        + [f"phi_{j + 1}" for j in range(n - k)]
+        + ["el_i2_res", "hs3_res"]
+    )
+    lines = [",".join(header)]
+    for i in range(traj.times.size):
+        row = (
+            [traj.times[i]] + list(traj.q[i]) + list(traj.v[i])
+            + list(traj.p[i]) + list(traj.phi[i])
+            + [traj.el_i2_res[i], traj.hs3_res[i]]
+        )
+        lines.append(",".join("%.17g" % x for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (2, 2), (1, 1)])
+def test_write_trajectory_csv_matches_the_row_loop(n, k):
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308,
+               -1e308, 0.1, 1 / 3, 2.5e-17]
+    rng = np.random.default_rng(n + 10 * k)
+    traj = _alloc(6, n, k, range(k))
+    for channel in ("times", "q", "v", "p", "phi", "el_i2_res", "hs3_res"):
+        values = getattr(traj, channel)
+        values[...] = rng.choice(special, values.shape)
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    assert buf.getvalue() == reference_trajectory_csv(traj)
+    assert "-0," in buf.getvalue() and "nan" in buf.getvalue()

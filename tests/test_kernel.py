@@ -188,6 +188,42 @@ def test_one_kernel_serves_many_points(tree, pts, active):
                               lambda: oracle_eval_dual2(e, point, active))
 
 
+def _dual_bytes(d):
+    return (np.float64(d.value).tobytes(), d.grad.shape, d.grad.tobytes(),
+            d.hess.shape, d.hess.tobytes())
+
+
+@PROPERTY
+@given(trees, points, actives)
+def test_floats_are_the_array_entries_for_every_form_of_point(
+        tree, point, active):
+    # a scalar kernel hands over float tuples, which floats() returns before
+    # and after grad and hess build their arrays; a list of floats is passed
+    # through as is, and every other form of the point gives the same bits
+    e = _expression(tree)
+    forms = (np.array(point), tuple(point), [np.float64(x) for x in point])
+    try:
+        d = eval_dual2(e, point, active)
+    except EvalDomainError as err:
+        for form in forms:
+            with pytest.raises(EvalDomainError) as again:
+                eval_dual2(e, form, active)
+            assert str(again.value) == str(err)
+        return
+    grad, hess = d.floats()
+    assert {type(x) for x in (*grad, *(x for row in hess for x in row))} <= {
+        float}
+    m = len(grad)
+    assert (d.grad.shape, d.hess.shape) == ((m,), (m, m))
+    assert np.array(grad, float).tobytes() == d.grad.tobytes()
+    assert np.array(hess, float).reshape(m, m).tobytes() == d.hess.tobytes()
+    after = d.floats()
+    assert np.array(after[0], float).tobytes() == d.grad.tobytes()
+    assert np.array(after[1], float).reshape(m, m).tobytes() == d.hess.tobytes()
+    for form in forms:
+        assert _dual_bytes(eval_dual2(e, form, active)) == _dual_bytes(d)
+
+
 @PROPERTY
 @given(trees)
 def test_to_source_parse_round_trip(tree):

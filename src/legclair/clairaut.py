@@ -86,20 +86,32 @@ def _inf_norm(x) -> float:
     return norm
 
 
+def contract(a, b):
+    """0.0 + a1*b1 + a2*b2 + ... left to right, on floats or numpy columns
+    (a stacked row has a point's bits): a BLAS product's bits follow the
+    CPU's kernel, and ``sum`` compensates float sums from Python 3.12 on."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total = total + x * y
+    return total
+
+
 def check_w11(w11, tol: float, where: str, **at):
     """Raise ``SingularJacobianError`` if W11's smallest singular value is at
     most ``tol * max(largest, 1)``, else return (smallest, largest).  The
     message is ``where`` followed by the ``name=value`` pairs of ``at``
     (arrays or float lists), built only on failure.
 
-    A stack of blocks (count, k, k) is checked block by block, with one row
-    of each ``at`` value per block; the first singular block is named, and
-    the singular values come back as one entry per block.  A single 1×1
-    block, given as the array [[w]] or as the float w, has the singular
-    value |w|, which is used directly when w is finite; a non-finite one
-    goes through the SVD like every other block.
+    W11 is one block, as an array (k, k) or as k float rows, or a stack of
+    blocks (count, k, k), checked block by block with one row of each
+    ``at`` value per block; the first singular block is named, and the
+    singular values come back as one entry per block.  A single 1×1 block
+    [[w]] has the singular value |w|, which is used directly when w is
+    finite; a non-finite one goes through the SVD like every other block.
     """
-    if type(w11) is not float and w11.shape == (1, 1):
+    if type(w11) is not np.ndarray:
+        w11 = np.array(w11) if len(w11) > 1 else float(w11[0][0])
+    elif w11.shape == (1, 1):
         w11 = float(w11[0, 0])
     if type(w11) is float:
         if math.isfinite(w11):
@@ -127,29 +139,70 @@ def check_w11(w11, tol: float, where: str, **at):
     return smallest, largest
 
 
-def solve_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)`` for one block (k, k) with a matrix of
-    right-hand columns, or a stack (count, k, k), bit for bit.
+def _eliminate(a, cols, pivot):
+    """Solve the k rows ``a`` for the columns ``cols`` (lists of k entries,
+    floats or numpy columns), in place, by Gaussian elimination with partial
+    pivoting (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., ch. 9) in one order, so the bits depend on the inputs alone:
+    ``pivot(a, cols, c)`` swaps the first row of largest |a_rc| into row c;
+    each row r below takes f = a_rc / a_cc and its entries become x - f*y;
+    back substitution takes s = b_i - a_ij*x_j over ascending j, then x_i =
+    s / a_ii (so a 1×1 block with one column gives r / w)."""
+    k = len(a)
+    for c in range(k - 1):
+        pivot(a, cols, c)
+        for r in range(c + 1, k):
+            row, top = a[r], a[c]
+            f = row[c] / top[c]
+            row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], top[c + 1:])]
+            for col in cols:
+                col[r] = col[r] - f * col[c]
+    for col in cols:
+        for i in range(k - 1, -1, -1):
+            s = col[i]
+            for j in range(i + 1, k):
+                s = s - a[i][j] * col[j]
+            col[i] = s / a[i][i]
+    return cols
 
-    A 1×1 block with a single right-hand column is solved as ``b / w``:
-    LAPACK divides in that case, so the bits are the same without its
-    dispatch.  With several columns OpenBLAS multiplies by the reciprocal
-    1/w instead, which rounds differently from ``b / w``, so those systems,
-    like every block with k >= 2, stay on LAPACK.  (A single system with
-    a right-hand side in floats goes through :func:`solve_w11`.)
-    """
-    if a.shape[-2:] == (1, 1) and b.ndim == a.ndim and b.shape[-1] == 1:
-        return b / a
-    return np.linalg.solve(a, b)
+
+def _pivot_floats(a, cols, c):
+    p = max(range(c, len(a)), key=lambda r: abs(a[r][c]))  # the first largest
+    a[c], a[p] = a[p], a[c]
+    for col in cols:
+        col[c], col[p] = col[p], col[c]
 
 
-def solve_w11(w11, r: list) -> list:
-    """W11^{-1} r for a float list r, as a float list: r / w for a 1×1
-    block given as the float w (what LAPACK returns), else through
-    :func:`solve_block` on the (k, k) array."""
-    if type(w11) is float:
-        return [r[0] / w11]
-    return solve_block(w11, np.array(r)).tolist()
+def _pivot_lanes(a, cols, c):
+    """:func:`_pivot_floats` lane by lane, one row swap per lane."""
+    p, best = c, np.abs(a[c][c])
+    for r in range(c + 1, len(a)):
+        mag = np.abs(a[r][c])
+        larger = mag > best
+        p, best = np.where(larger, r, p), np.where(larger, mag, best)
+    for r in range(c + 1, len(a)):
+        lane = p == r
+        if lane.any():
+            for x in (a, *cols):  # whole rows of a, entries of a column
+                x[c], x[r] = (np.where(lane, x[r], x[c]),
+                              np.where(lane, x[c], x[r]))
+
+
+def gepp(a, cols) -> list:
+    """W11^{-1} b, a list, for each list b of ``cols``; W11 is k float rows."""
+    return _eliminate([list(row) for row in a], [list(col) for col in cols],
+                      _pivot_floats)
+
+
+def gepp_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`gepp` on each lane of a (count, k, k) and b (count, k, m), bit
+    for bit; a lane that overflows ends non-finite, with no warning."""
+    k, m = b.shape[1:]
+    rows = [[a[:, i, j] for j in range(k)] for i in range(k)]
+    cols = [[b[:, i, j] for i in range(k)] for j in range(m)]
+    with np.errstate(all="ignore"):
+        cols = _eliminate(rows, cols, _pivot_lanes)
+    return np.array(cols).transpose(2, 1, 0)
 
 
 @dataclass
@@ -204,15 +257,14 @@ class EnvelopeSolver:
 
         ``point`` is the list (q, v) with its v2 entries set, ``p1`` the
         regular momenta and ``v1`` the starting regular velocities.  Returns
-        V as a list and leaves ``point`` at (q, V, v2).  Element-wise float
-        arithmetic has numpy's bits, and :func:`solve_w11` solves a 1×1 W11
-        as r / w, what LAPACK returns.
+        V as a list and leaves ``point`` at (q, V, v2).  The Newton step is
+        :func:`gepp`'s, and element-wise float arithmetic has numpy's bits,
+        so :meth:`solve_lanes` reproduces every lane.
         """
         active = self._v1_active
         if not active:
             return []
         lag, tol = self.system.lagrangian, self.partition.rank_tolerance
-        single = len(active) == 1
         for slot, x in zip(active, v1):
             point[slot] = x
         d = eval_dual2(lag, point, active)
@@ -223,9 +275,9 @@ class EnvelopeSolver:
             history.append(rnorm)
             if rnorm <= self.newton_tol:
                 return v1
-            w11 = d.floats()[1][0][0] if single else d.hess
+            w11 = d.floats()[1]
             check_w11(w11, tol, "W11 is singular at Newton iterate", v1=v1)
-            delta = solve_w11(w11, r)
+            delta = gepp(w11, [r])[0]
             alpha = 1.0
             for _ in range(self.max_backtracks + 1):
                 trial = [x + alpha * dx for x, dx in zip(v1, delta)]
@@ -317,8 +369,7 @@ class EnvelopeSolver:
                         failed[int(lanes[j])] = err
                         ok[j] = False
                         hess[j] = np.eye(k)  # solved for, never used
-            with np.errstate(over="ignore"):  # an inf step fails its trial
-                delta = solve_block(hess, r[:, :, None])[:, :, 0]
+            delta = gepp_many(hess, r[:, :, None])[:, :, 0]
             alpha = np.ones(len(lanes))
             pending = np.flatnonzero(ok)  # lanes still backtracking
             for _ in range(self.max_backtracks + 1):
@@ -497,8 +548,8 @@ class MixedHamiltonian:
     # on) and is the one body of its map: ``value``, ``phi``, ``h_zero``,
     # ``clairaut_residual`` and ``inverse_transform`` call it on one row.
     # No row depends on the others: Newton lanes end as ``solve`` ends
-    # (``solve_lanes``), and row-wise dot products use ``np.vecdot``, which
-    # matches ``a @ b``, so ``psi_many`` equals ``psi`` row by row too.  A
+    # (``solve_lanes``), and row-wise dot products are :func:`contract` over
+    # columns, so ``psi_many`` equals ``psi`` row by row too.  A
     # map raises if some row fails, the lowest row's error; on one row it
     # meets that row's errors in a point's own order, as shifted momenta are
     # stacked in central-difference order.
@@ -519,11 +570,11 @@ class MixedHamiltonian:
 
     def value_many(self, q, p, v2, v1_guess=None) -> np.ndarray:
         """H = p1*V + p2*v2 - L(q, V, v2) at every row."""
-        p = checked_rows(p, self.n, "p")
+        p, v2 = checked_rows(p, self.n, "p"), np.asarray(v2, dtype=float)
         p1, p2 = p[:, self._reg], p[:, self._nonreg]
         v1 = self.solver.solve_many(q, p1, v2, v1_guess)
         lval = evaluate_many(self.system.lagrangian, self._points(q, v1, v2))
-        return np.vecdot(p1, v1) + np.vecdot(p2, v2) - lval
+        return contract(p1.T, v1.T) + contract(p2.T, v2.T) - lval
 
     def psi_many(self, q, p1, v2_probe=None, v1_guess=None) -> np.ndarray:
         """:meth:`psi` at every row; the default probe serves every row."""
@@ -548,7 +599,7 @@ class MixedHamiltonian:
         x = self._points(q, v1, c2)
         d = eval_dual2_many(self.system.lagrangian, x, self._v_active)
         psi_here = d.grad[:, self._nonreg]
-        return np.vecdot(p1, v1) + np.vecdot(c2, psi_here) - d.value
+        return contract(p1.T, v1.T) + contract(c2.T, psi_here.T) - d.value
 
     def momentum_gradient_many(self, q, p, v2):
         """(V, H, dH/dp) at every row: V and H at (q, p, v2), and dH/dp by
@@ -580,11 +631,10 @@ class MixedHamiltonian:
         """|H - p*dH/dp + L(dH/dp)| at every row (see
         :meth:`clairaut_residual`)."""
         _, h_val, dhdp = self.momentum_gradient_many(q, p, v2)
-        q = np.asarray(q, dtype=float)
+        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
         lval = evaluate_many(self.system.lagrangian,
                              np.concatenate([q, dhdp], axis=1))
-        return np.abs(h_val - np.vecdot(np.asarray(p, dtype=float), dhdp)
-                      + lval)
+        return np.abs(h_val - contract(p.T, dhdp.T) + lval)
 
     def inverse_transform_many(self, q, v, p2, p1_guess=None) -> np.ndarray:
         """The inverse transform (see :meth:`inverse_transform`) at every
@@ -626,7 +676,8 @@ class MixedHamiltonian:
                 norms.append((lanes, rnorm))
                 w11 = eval_dual2_many(self.system.lagrangian, self._points(
                     lq, lv, lv2), solver._v1_active).hess
-                delta = np.matmul(w11, rho[:, :, None])[:, :, 0]
+                # W11 rho, one column of W11 per term
+                delta = contract(w11.transpose(2, 0, 1), rho.T[:, :, None])
                 alpha = np.ones(len(lanes))
                 pending = np.arange(len(lanes))
                 for _ in range(solver.max_backtracks + 1):
@@ -663,7 +714,7 @@ class MixedHamiltonian:
         p_full[:, self._reg] = p1
         p_full[:, self._nonreg] = p2
         h_val = self.value_many(q, p_full, v2, v1_guess=v_cur)
-        return np.vecdot(v1, p1) + np.vecdot(v2, p2) - h_val
+        return contract(v1.T, p1.T) + contract(v2.T, p2.T) - h_val
 
 
 # --------------------------------------------------------------------------
@@ -679,7 +730,7 @@ def general_solution(F: Expression, p, c) -> float:
         raise ValueError(
             f"p and c must each have {m} entries for F over {F.variables}"
         )
-    return float(p @ c - evaluate(F, c))
+    return float(contract(p.tolist(), c.tolist()) - evaluate(F, c))
 
 
 def _as_lagrangian(F: Expression, domain) -> LagrangianSystem:

@@ -40,27 +40,15 @@ each step: the other three stages return the derivative alone.
 
 The RK4 state, the stage points and all per-stage algebra, the monitors
 and the envelope Newton (``EnvelopeSolver.iterate``) included, are lists
-of Python floats.
-numpy enters only where Python cannot reproduce its bits (measured with
-numpy 2.4 and its OpenBLAS):
-
-* element-wise ``+ - * /`` and ``abs`` round as numpy's do, so the stage
-  points, the update y + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in that
-  order, and the finiteness check run on floats;
-* a contraction over one term (a matrix product of inner dimension 1) is
-  a*b + 0.0, numpy's result to the sign of a zero, and one over no term is
-  +0.0; contractions over two or more terms (K for n >= 2, the gauge chain
-  rule, R and W12 v2dot for m >= 2) stay numpy ``@``, whose BLAS fuses the
-  multiply-adds;
-* a 1×1 W11 with one right-hand column is solved as r / w, what LAPACK
-  returns; blocks with k >= 2, and 1×1 blocks with several columns (dV/dq
-  whenever n >= 2, where OpenBLAS multiplies by 1/w), stay on LAPACK
-  through ``clairaut.solve_block``;
-* residual norms keep ``np.max``'s NaN propagation (``clairaut._inf_norm``).
+of Python floats, and their bits are fixed by Python's float arithmetic
+in a fixed order: every contraction (K, the gauge chain rule, R, the
+blocks of d(Psi)/dt) is ``clairaut.contract``, summed left to right, and
+every W11 solve is ``clairaut.gepp``, Gaussian elimination with partial
+pivoting in a fixed order.  No output depends on the BLAS kernel.
 
 The gauge takes one evaluation per stage: one ``eval_dual2`` per
-expression, whose value is C2 wherever it has ``evaluate``'s bits.  A
-gauge free of q is evaluated once per run, and R with it.
+expression, whose value is C2.  A gauge free of q is evaluated once per
+run, and R with it.
 """
 
 from __future__ import annotations
@@ -76,14 +64,12 @@ from .clairaut import (
     SingularJacobianError,
     _inf_norm,
     check_w11,
-    solve_block,
-    solve_w11,
+    contract,
+    gepp,
 )
 from .expr import (
-    Div,
     EvalDomainError,
     Expression,
-    Pow,
     Var,
     eval_dual2,
     evaluate,
@@ -234,34 +220,9 @@ def _rk4(rhs, y0, t0, h, nsteps, record):
 
 
 def _dot(a, x) -> list:
-    """``a @ x`` as a float list, with numpy's bits, for a matrix ``a`` (an
-    array or a list of float rows) and a float list ``x``.
-
-    A contraction over one term is a*b + 0.0, numpy's result to the sign of
-    a zero; over none it is +0.0.  Longer ones stay on numpy: its BLAS fuses
-    the multiply-adds, which no Python sum reproduces.
-    """
-    if len(x) > 1:
-        return (np.asarray(a) @ np.array(x)).tolist()
-    if type(a) is np.ndarray:
-        a = a.tolist()
-    return [row[0] * x[0] + 0.0 for row in a] if x else [0.0] * len(a)
-
-
-def _matmul(a, b) -> list:
-    """``a @ b`` for two matrices given as float rows, with numpy's bits
-    (the rule of :func:`_dot`; ``b`` has at least one row)."""
-    if len(b) > 1:
-        return (np.array(a) @ np.array(b)).tolist()
-    return [[row[0] * y + 0.0 for y in b[0]] for row in a]
-
-
-def _r_term(jac, phi, n) -> list:
-    """R = (dC2/dq)^T phi from the n-entry Jacobian rows, with the bits of
-    ``gjac.T @ phi`` (see :func:`_dot`)."""
-    if len(phi) > 1:
-        return (np.array(jac).T @ np.array(phi)).tolist()
-    return [g * phi[0] + 0.0 for g in jac[0]] if phi else [0.0] * n
+    """a x as a float list, for a matrix ``a`` given as float rows: one
+    :func:`~legclair.clairaut.contract` per row."""
+    return [contract(row, x) for row in a]
 
 
 def _nodes(node):
@@ -277,20 +238,13 @@ def _gauge_terms(gauge: GaugeChoice, phi=None):
     """The gauge at one stage: a function q -> (C2, dC2/dq rows, R), all
     float lists, with R = (dC2/dq)^T phi (None without ``phi``).
 
-    Each expression is evaluated once, by ``eval_dual2``, whose value is C2
-    wherever it has ``evaluate``'s bits.  It does not for a quotient (the
-    dual pass multiplies by the reciprocal) or a power 1 (+0.0 at -0.0), so
-    such an expression takes its value from ``evaluate`` as well.  A failing
-    evaluation raises ``value``'s error if the value fails too, as
-    ``value`` runs first in a stage.  A gauge free of q (constant, or no
-    gauge) is evaluated once, at the first stage, and R with it.
+    Each expression is evaluated once, by ``eval_dual2``, whose value has
+    ``evaluate``'s bits.  A failing evaluation raises ``value``'s error if
+    the value fails too, as ``value`` runs first in a stage.  A gauge free
+    of q (constant, or no gauge) is evaluated once, at the first stage, and
+    R with it.
     """
     exprs, n = gauge.exprs, gauge.n
-    inexact = [
-        any(isinstance(x, Div) or (isinstance(x, Pow) and x.exponent == 1.0)
-            for x in _nodes(e.root))
-        for e in exprs
-    ]
 
     def terms(q):
         try:
@@ -298,10 +252,12 @@ def _gauge_terms(gauge: GaugeChoice, phi=None):
         except EvalDomainError:
             gauge.value(q)
             raise
-        c2 = [evaluate(e, q) if bad else d.value
-              for e, d, bad in zip(exprs, duals, inexact)]
         jac = [d.floats()[0] for d in duals]
-        return c2, jac, None if phi is None else _r_term(jac, phi, n)
+        if phi is None:
+            r = None
+        else:
+            r = _dot(zip(*jac), phi) if jac else [0.0] * n
+        return [d.value for d in duals], jac, r
 
     if any(isinstance(x, Var) for e in exprs for x in _nodes(e.root)):
         return terms
@@ -318,14 +274,6 @@ def _gauge_terms(gauge: GaugeChoice, phi=None):
 def _block(hess, rows, cols) -> list:
     """The block of a Hessian given as float rows."""
     return [[hess[i][j] for j in cols] for i in rows]
-
-
-def _w11(hess, slots):
-    """W11 from the Hessian rows at (q, v) and the v1 slots: the float entry
-    for k = 1, else the block as an array."""
-    if len(slots) == 1:
-        return hess[slots[0]][slots[0]]
-    return np.array(_block(hess, slots, slots))
 
 
 # --------------------------------------------------------------------------
@@ -359,16 +307,14 @@ def _el_field(system: LagrangianSystem, partition, gauge):
         grad, hess = d.floats()
         lvq = [row[:n] for row in hess[n:]]
         kvec = [a - b for a, b in zip(grad[:n], _dot(lvq, v))]
-        v2dot = _dot(jac, v) if jac else []
+        v2dot = _dot(jac, v)
+        w11 = _block(hess, v1_slots, v1_slots)
         if k:
-            w11 = _w11(hess, v1_slots)
             check_w11(w11, tol, "regular velocity block is singular at",
                       q=q, v=v)
-            w12 = _block(hess, v1_slots, v2_slots)
-            accel1 = solve_w11(w11, [kvec[i] - b for i, b in
-                                     zip(reg, _dot(w12, v2dot))])
-        else:
-            accel1 = []
+        w12 = _block(hess, v1_slots, v2_slots)
+        accel1 = gepp(w11, [[kvec[i] - b for i, b in
+                             zip(reg, _dot(w12, v2dot))]])[0]
         dy = v + accel1
         if not monitor:
             return dy, None
@@ -471,29 +417,29 @@ def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
         dhdq = [-a + b for a, b in zip(grad[:n], r_full)]
         r_kept = r_full if include_r else no_r
         p1dot = [-dhdq[i] + r_kept[i] for i in reg]
+        w11 = _block(hess, v1_slots, v1_slots)
         if k and m:
-            check_w11(_w11(hess, v1_slots), tol,
-                      "regular velocity block is singular at", q=q)
+            check_w11(w11, tol, "regular velocity block is singular at", q=q)
         dy = qdot + p1dot
         if not monitor:
             return dy, None
         hs3_res = 0.0
         if m:
             lvq = [row[:n] for row in hess[n:]]
+            w12 = _block(hess, v1_slots, v2_slots)
             w21 = _block(hess, v2_slots, v1_slots)
-            if k:
-                w11 = np.array(_block(hess, v1_slots, v1_slots))
-                b = _matmul(_block(hess, v1_slots, v2_slots), jac)
-                b = [[x + y for x, y in zip(lvq[i], row)]
-                     for i, row in zip(reg, b)]
-                dvdq = (-solve_block(w11, np.array(b))).tolist()
-                dpsi_dp1 = solve_block(w11.T, np.array(w21).T).T
-                w21_dvdq = _matmul(w21, dvdq)
-                psi_p1 = _dot(dpsi_dp1, p1dot)
-            else:
-                w21_dvdq = [[0.0] * n for _ in nonreg]
-                psi_p1 = [0.0] * m
-            w22_jac = _matmul(_block(hess, v2_slots, v2_slots), jac)
+            w22 = _block(hess, v2_slots, v2_slots)
+            jac_cols = list(zip(*jac))
+            # dV/dq column by column: one right-hand column per q_j
+            dvdq_cols = gepp(w11, [
+                [lvq[i][j] + u for i, u in zip(reg, _dot(w12, col))]
+                for j, col in enumerate(jac_cols)])
+            dvdq_cols = [[-u for u in col] for col in dvdq_cols]
+            # dPsi/dp1 row by row, from the transposed system W11^T X = W21^T
+            dpsi_dp1 = gepp(list(zip(*w11)), w21)
+            w21_dvdq = [_dot(dvdq_cols, row) for row in w21]
+            psi_p1 = _dot(dpsi_dp1, p1dot)
+            w22_jac = [_dot(jac_cols, row) for row in w22]
             dpsi_dq = [[x + y + z for x, y, z in zip(lvq[j], row1, row2)]
                        for j, row1, row2 in zip(nonreg, w21_dvdq, w22_jac)]
             psidot = [x + y for x, y in zip(_dot(dpsi_dq, qdot), psi_p1)]

@@ -474,10 +474,11 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # function takes the point as plain floats and runs straight-line code, one
 # statement per operation: every value, gradient and Hessian entry goes
 # through the operations a forward pass over (value, gradient, Hessian)
-# triples performs, in its order.  Operations on constants are done while
-# generating (the same float arithmetic, so nothing changes), and derivative
-# terms known to be zero are dropped, which can flip the sign of a zero
-# entry and nothing else.
+# triples performs, in its order, except that a value is computed as
+# ``evaluate`` computes it (a quotient as num / den, x^1 as x).  Operations
+# on constants are done while generating (the same float arithmetic, so
+# nothing changes), and derivative terms known to be zero are dropped, which
+# can flip the sign of a zero entry and nothing else.
 #
 # Overflow: the function computes unchecked, then tests the sum of its
 # outputs for finiteness.  If that fails, or an operation raised (``x ** n``
@@ -613,8 +614,6 @@ class _Codegen:
             if isinstance(q, float) and math.isfinite(q):
                 return q
         if self.stacked:
-            if template == "{} ** 1" and not known:  # pow(x, 1) is x exactly
-                return args[0]
             text = _stacked_form(template, not known).format(
                 *map(self.lit, args))
         name = self.memo.get(text)
@@ -726,7 +725,7 @@ class _Codegen:
                 if n < 0:
                     self.guard("{} == 0.0", x, "zero raised to a negative power",
                                node, False)
-                return self.op(f"{{}} ** {_int_lit(n)}", x)
+                return self.ipow(x, n)
             self.guard("{} <= 0.0", x,
                        "non-integer power of non-positive base ", node)
             return self.op(f"{{}} ** {self.lit(b)}", x)
@@ -758,7 +757,14 @@ class _Codegen:
                  for j in r] for i in r]
         return f0, grad, hess
 
-    def mul(self, a, b):
+    def ipow(self, x, n: int):
+        """x ** n for an integer n: 1.0 for n = 0 and x for n = 1, as
+        Python's ``**`` gives them for every float x."""
+        return 1.0 if n == 0 else x if n == 1 else self.op(
+            f"{{}} ** {_int_lit(n)}", x)
+
+    def mul(self, a, b, value=None):
+        """The product of two triples; ``value`` replaces its value."""
         av, ga, ha = a
         bv, gb, hb = b
         r = range(self.m)
@@ -767,7 +773,9 @@ class _Codegen:
                     self.dmul(ha[i][j], bv), self.dmul(hb[i][j], av)),
                     self.dmul(ga[i], gb[j])), self.dmul(ga[j], gb[i]))
                  for j in r] for i in r]
-        return self.op("{} * {}", av, bv), grad, hess
+        if value is None:
+            value = self.op("{} * {}", av, bv)
+        return value, grad, hess
 
     def _dual(self, node):
         if isinstance(node, Num):
@@ -802,7 +810,8 @@ class _Codegen:
                 lambda: self.op("-1.0 / {}", xx()),
                 lambda: self.op("2.0 / {}", self.op("{} * {}", xx(), x)),
             )
-            return self.mul(num, inv)
+            # the derivatives are num * (1/x)'s; the value is evaluate's
+            return self.mul(num, inv, self.op("{} / {}", num[0], x))
         if isinstance(node, Pow):
             return self._pow(self.visit(node.base), node.exponent, node)
         if isinstance(node, Call):
@@ -825,22 +834,15 @@ class _Codegen:
         n = int(n)
         if n == 0:  # x^0 = 1 for every x, including the 0 limit
             return self.chain(u, 1.0, lambda: 0.0, lambda: 0.0)
-        if n == 1:  # at x == 0 the value is +0.0, as the forward pass has it
-            return self.chain(u, self.op("0.0 if {0} == 0.0 else {0} ** 1", x),
-                              lambda: 1.0, lambda: 0.0)
-        if n == 2:  # (+-0)^2 = +0 already; at 0 f1 can differ only in sign
-            return self.chain(u, self.op("{} ** 2", x),
-                              lambda: self.op("2 * {}", self.op("{} ** 1", x)),
-                              lambda: 2.0)
+        if n == 1:
+            return self.chain(u, x, lambda: 1.0, lambda: 0.0)
         if n < 0:
             self.guard("{} == 0.0", x, "zero raised to a negative power",
                        node, False)
         return self.chain(
-            u, self.op(f"{{}} ** {_int_lit(n)}", x),
-            lambda: self.op(f"{_int_lit(n)} * {{}}",
-                            self.op(f"{{}} ** {_int_lit(n - 1)}", x)),
-            lambda: self.op(f"{n * (n - 1)} * {{}}",
-                            self.op(f"{{}} ** {_int_lit(n - 2)}", x)),
+            u, self.ipow(x, n),
+            lambda: self.op(f"{_int_lit(n)} * {{}}", self.ipow(x, n - 1)),
+            lambda: self.op(f"{n * (n - 1)} * {{}}", self.ipow(x, n - 2)),
         )
 
     def _call(self, u, func, node):
@@ -897,8 +899,6 @@ def _stacked_form(template: str, column: bool) -> str:
         return f"_each(_fpow, {{}}, {expo})" if column else f"_fpow({{}}, {expo})"
     if not column:
         return template
-    if template == "0.0 if {0} == 0.0 else {0} ** 1":
-        return "{0} + 0.0"  # the same map: -0.0 to +0.0, every other x to x
     call = _CALL.fullmatch(template)
     if call:
         func = call.group(1)

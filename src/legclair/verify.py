@@ -30,6 +30,7 @@ from .clairaut import (
     MixedHamiltonian,
     NewtonDivergedError,
     SingularJacobianError,
+    contract,
 )
 from .expr import eval_dual2_many, evaluate_many
 
@@ -93,7 +94,7 @@ def _full_newton_legendre(system, q, p, tol=1e-12, max_iter=60):
         done = np.abs(r).max(axis=1) <= tol
         hess = d.hess
         if done.any():
-            out[lanes[done]] = np.vecdot(p[done], v[done]) - d.value[done]
+            out[lanes[done]] = contract(p[done].T, v[done].T) - d.value[done]
             lanes, x, v, p, r, hess = (a[~done]
                                        for a in (lanes, x, v, p, r, hess))
             if not lanes.size:
@@ -228,7 +229,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
         q, p, v2 = parts(rows)
         h = ham.value_many(q, p, v2)
         split = (ham.h_zero_many(q, p[:, reg])
-                 + np.vecdot(v2, ham.phi_many(q, p)))
+                 + contract(v2.T, ham.phi_many(q, p).T))
         return np.abs(h - split) / (1.0 + np.abs(h))
 
     worst = sweep(samples, *drawn, decomposition)

@@ -101,6 +101,58 @@ def check_expr_against_fd(expr, point, tol=1e-6, h=FD_STEP):
 
 
 # --------------------------------------------------------------------------
+# The arithmetic contract of the outputs, on arrays
+# --------------------------------------------------------------------------
+#
+# legclair defines its output bits by float operations in a fixed order.
+# These references spell the same order out on numpy arrays, apart from the
+# library's bodies, for the oracles that follow it.
+
+def lr_dot(a, b):
+    """``a @ b`` for 1-D and 2-D arrays, with every entry summed left to
+    right as 0.0 + a_1 b_1 + a_2 b_2 + ..., one rounding per operation."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    rows = a if a.ndim == 2 else a[None, :]
+    cols = b if b.ndim == 2 else b[:, None]
+    out = np.zeros((rows.shape[0], cols.shape[1]))
+    for term in range(rows.shape[1]):
+        out = out + rows[:, term, None] * cols[None, term, :]
+    if b.ndim == 1:
+        out = out[:, 0]
+    return out[0] if a.ndim == 1 else out
+
+
+def gepp_solve(a, b):
+    """The solution of ``a x = b`` (b 1-D, or 2-D with one column per
+    system) by Gaussian elimination with partial pivoting: the pivot is the
+    first entry of largest magnitude on or below the diagonal, multipliers
+    are true quotients, updates are x - f*y, and back substitution
+    subtracts the known unknowns in ascending order before it divides.
+    Like LAPACK, it prints no warning where a step overflows."""
+    a = np.array(a, dtype=float)
+    x = np.array(b, dtype=float)
+    vector = x.ndim == 1
+    if vector:
+        x = x[:, None]
+    k = len(a)
+    with np.errstate(all="ignore"):
+        for c in range(k):
+            p = c + int(np.argmax(np.abs(a[c:, c])))
+            a[[c, p]] = a[[p, c]]
+            x[[c, p]] = x[[p, c]]
+            for r in range(c + 1, k):
+                f = a[r, c] / a[c, c]
+                a[r, c + 1:] = a[r, c + 1:] - f * a[c, c + 1:]
+                x[r] = x[r] - f * x[c]
+        for i in reversed(range(k)):
+            for j in range(i + 1, k):
+                x[i] = x[i] - a[i, j] * x[j]
+            x[i] = x[i] / a[i, i]
+    return x[:, 0] if vector else x
+
+
+# --------------------------------------------------------------------------
 # Random sources
 # --------------------------------------------------------------------------
 

@@ -6,12 +6,14 @@ stacked twin (``value_many`` and the rest): one scalar envelope solve and
 scalar kernel calls per point.  Each takes the ``MixedHamiltonian`` first.
 The tests require the stacked maps to equal them row by row, values and
 errors included, and ``verify_oracle.py`` runs the property suite on them.
+Their dot products follow the output contract through ``helpers.lr_dot``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from helpers import lr_dot
 from legclair.clairaut import FD_MOMENTUM_STEP, NewtonDivergedError
 from legclair.expr import eval_dual2, evaluate
 from legclair.partition import checked_vector
@@ -29,7 +31,7 @@ def value(ham, q, p, v2, v1_guess=None) -> float:
     lval = evaluate(ham.system.lagrangian, ham.system.point(
         q, ham.assemble_velocity(v1, v2)
     ))
-    return float(p1 @ v1 + p2 @ v2 - lval)
+    return float(lr_dot(p1, v1) + lr_dot(p2, v2) - lval)
 
 
 def phi(ham, q, p, v2_probe=None, v1_guess=None) -> np.ndarray:
@@ -49,7 +51,7 @@ def h_zero(ham, q, p1, c2_probe=None) -> float:
     x = ham.system.point(q, ham.assemble_velocity(v1, c2))
     d = eval_dual2(ham.system.lagrangian, x, ham._v_active)
     psi_here = d.grad[ham._nonreg]
-    return float(np.asarray(p1, float) @ v1 + c2 @ psi_here - d.value)
+    return float(lr_dot(p1, v1) + lr_dot(c2, psi_here) - d.value)
 
 
 def clairaut_residual(ham, q, p, v2) -> float:
@@ -76,7 +78,7 @@ def clairaut_residual(ham, q, p, v2) -> float:
             - value(ham, q, minus, v2, v1_guess=v1_warm)
         ) / (2.0 * step)
     lval = evaluate(ham.system.lagrangian, ham.system.point(q, dhdp))
-    return float(abs(h_val - p @ dhdp + lval))
+    return float(abs(h_val - lr_dot(p, dhdp) + lval))
 
 
 def inverse_transform(ham, q, v, p2, p1_guess=None) -> float:
@@ -112,7 +114,7 @@ def inverse_transform(ham, q, v, p2, p1_guess=None) -> float:
             w11 = eval_dual2(
                 ham.system.lagrangian, x, solver._v1_active
             ).hess
-            delta = w11 @ rho
+            delta = lr_dot(w11, rho)
             alpha = 1.0
             for _ in range(solver.max_backtracks + 1):
                 trial = p1 + alpha * delta
@@ -137,4 +139,4 @@ def inverse_transform(ham, q, v, p2, p1_guess=None) -> float:
     p_full[ham._reg] = p1
     p_full[ham._nonreg] = p2
     h_val = value(ham, q, p_full, v2, v1_guess=v_cur)
-    return float(v1 @ p1 + v2 @ p2 - h_val)
+    return float(lr_dot(v1, p1) + lr_dot(v2, p2) - h_val)

@@ -7,7 +7,9 @@ tests compare :func:`legclair.expr.eval_dual2` and
 :func:`legclair.expr.evaluate` against :func:`oracle_eval_dual2` and
 :func:`oracle_evaluate` here.  Being numpy-based, it overflows silently to
 inf/NaN (or raises the stdlib ``OverflowError``) where the kernels raise
-``EvalDomainError``; the tests account for that.
+``EvalDomainError``; the tests account for that.  A quotient's value is
+num / x and a power 1's value is x itself, the bits of ``evaluate``; their
+derivatives are those of the forward pass.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ def _pow_dual(u: Dual2, b: float, node) -> Dual2:
                 raise EvalDomainError(
                     "zero raised to a negative power", to_source(node)
                 )
-            table = {0: (1.0, 0.0, 0.0), 1: (0.0, 1.0, 0.0), 2: (0.0, 0.0, 2.0)}
+            table = {0: (1.0, 0.0, 0.0), 1: (x, 1.0, 0.0), 2: (0.0, 0.0, 2.0)}
             return u.chain(*table[n])
         f0 = float(x ** n)
         f1 = n * float(x ** (n - 1)) if n != 0 else 0.0
@@ -190,7 +192,8 @@ def _d2(node, point, slot, m) -> Dual2:
         if den.value == 0.0:
             raise EvalDomainError("division by zero", to_source(node))
         x = den.value
-        return num * den.chain(1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
+        prod = num * den.chain(1.0 / x, -1.0 / (x * x), 2.0 / (x * x * x))
+        return Dual2(num.value / x, prod.grad, prod.hess)
     if isinstance(node, Pow):
         return _pow_dual(_d2(node.base, point, slot, m), node.exponent, node)
     if isinstance(node, Call):

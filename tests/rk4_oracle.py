@@ -6,13 +6,15 @@ four-stage loop inline and rebuilds its index arrays and ``np.ix_`` blocks
 on every right-hand-side call.  ``tests/test_dynamics.py`` requires
 :func:`legclair.dynamics.integrate_el` and
 :func:`legclair.dynamics.integrate_ham` to reproduce every channel of these
-trajectories bit for bit.
+trajectories bit for bit.  Their contractions and W11 solves follow the
+output contract through ``helpers.lr_dot`` and ``helpers.gepp_solve``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from helpers import gepp_solve, lr_dot
 from legclair.clairaut import MixedHamiltonian, SingularJacobianError
 from legclair.dynamics import (
     PRIMARY_TOL,
@@ -44,8 +46,8 @@ def _el_core(system: LagrangianSystem, partition, gauge, q, v1):
     lq = d.grad[:n]
     lv = d.grad[n:]
     w = d.hess[n:, n:]
-    kvec = lq - d.hess[n:, :n] @ v
-    v2dot = gauge.jacobian(q) @ v
+    kvec = lq - lr_dot(d.hess[n:, :n], v)
+    v2dot = lr_dot(gauge.jacobian(q), v)
     if partition.k:
         w11 = w[np.ix_(reg, reg)]
         sv = np.linalg.svd(w11, compute_uv=False)
@@ -54,15 +56,15 @@ def _el_core(system: LagrangianSystem, partition, gauge, q, v1):
                 f"regular velocity block is singular at q={q.tolist()}, "
                 f"v={v.tolist()} (smallest singular value {sv[-1]:.3e})"
             )
-        accel1 = np.linalg.solve(
-            w11, kvec[reg] - w[np.ix_(reg, nonreg)] @ v2dot
+        accel1 = gepp_solve(
+            w11, kvec[reg] - lr_dot(w[np.ix_(reg, nonreg)], v2dot)
         )
     else:
         accel1 = np.zeros(0)
     vdot = np.empty(n)
     vdot[reg] = accel1
     vdot[nonreg] = v2dot
-    defect = w[nonreg] @ vdot - kvec[nonreg]
+    defect = lr_dot(w[nonreg], vdot) - kvec[nonreg]
     i2_res = float(np.max(np.abs(defect))) if defect.size else 0.0
     return accel1, i2_res, v, lv
 
@@ -146,7 +148,7 @@ def _ham_core(ham: MixedHamiltonian, gauge, q, p1, phi, include_r, v1_guess=None
     w = d.hess[n:, n:]
     lvq = d.hess[n:, :n]
     gjac = gauge.jacobian(q)
-    r_full = gjac.T @ phi
+    r_full = lr_dot(gjac.T, phi)
     dhdq = -lq + r_full
     p1dot = -dhdq[reg] + (r_full[reg] if include_r else 0.0)
     qdot = np.empty(n)
@@ -166,13 +168,13 @@ def _ham_core(ham: MixedHamiltonian, gauge, q, p1, phi, include_r, v1_guess=None
                     f"regular velocity block is singular at q={q.tolist()} "
                     f"(smallest singular value {sv[-1]:.3e})"
                 )
-            dvdq = -np.linalg.solve(w11, lvq[reg] + w12 @ gjac)
-            dpsi_dp1 = np.linalg.solve(w11.T, w21.T).T
+            dvdq = -gepp_solve(w11, lvq[reg] + lr_dot(w12, gjac))
+            dpsi_dp1 = gepp_solve(w11.T, w21.T).T
         else:
             dvdq = np.zeros((0, n))
             dpsi_dp1 = np.zeros((m, 0))
-        dpsi_dq = lvq[nonreg] + w21 @ dvdq + w22 @ gjac
-        psidot = dpsi_dq @ qdot + dpsi_dp1 @ p1dot
+        dpsi_dq = lvq[nonreg] + lr_dot(w21, dvdq) + lr_dot(w22, gjac)
+        psidot = lr_dot(dpsi_dq, qdot) + lr_dot(dpsi_dp1, p1dot)
         defect = dhdq[nonreg] + psidot - (r_full[nonreg] if include_r else 0.0)
         hs3_res = float(np.max(np.abs(defect)))
     else:

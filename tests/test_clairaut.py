@@ -1,8 +1,10 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -206,7 +208,7 @@ def reference_newton(solver, q, p1, c2, v1_guess=None):
                 f"W11 is singular at Newton iterate v1={v1.tolist()} "
                 f"(smallest singular value {sv[-1]:.3e})"
             )
-        delta = np.linalg.solve(d.hess, r)
+        delta = helpers.gepp_solve(d.hess, r)
         alpha = 1.0
         for _ in range(solver.max_backtracks + 1):
             trial = v1 + alpha * delta
@@ -380,7 +382,7 @@ def test_newton_converges_or_raises_a_solver_error_on_random_boxes(case):
 
 
 # --------------------------------------------------------------------------
-# block helpers: 1x1 shortcuts against LAPACK
+# the W11 solve: one elimination order, on floats and on stacks
 # --------------------------------------------------------------------------
 
 BLOCK_PROPERTY = settings(derandomize=True, database=None, max_examples=300,
@@ -388,6 +390,9 @@ BLOCK_PROPERTY = settings(derandomize=True, database=None, max_examples=300,
 # |w|, |b| from 1e-8 to 1e8, either sign
 entries = st.builds(lambda mag, sign: sign * mag,
                     st.floats(1e-8, 1e8), st.sampled_from([-1.0, 1.0]))
+# the same, plus signed zeros and small values that tie for the pivot
+tied_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0]),
+                         entries)
 
 
 def assert_bits(got, want):
@@ -395,38 +400,115 @@ def assert_bits(got, want):
     assert got.tobytes() == want.tobytes(), (got, want)
 
 
+def gepp_floats(a, b):
+    """``clairaut.gepp`` on one lane: a (k, k) and b (k, m) as arrays."""
+    return np.array(clairaut.gepp(a.tolist(), b.T.tolist())).T
+
+
 @BLOCK_PROPERTY
 @given(st.integers(1, 5).flatmap(lambda count: st.tuples(
     st.lists(entries, min_size=count, max_size=count),
-    st.lists(st.lists(entries, min_size=3, max_size=3),
-             min_size=count, max_size=count),
+    st.lists(entries, min_size=count, max_size=count),
 )))
-def test_solve_block_equals_lapack_on_1x1_systems(case):
+def test_gepp_solves_a_1x1_one_column_system_as_lapack(case):
+    # r / w is what LAPACK computes for a 1x1 block with one column
     a = np.array(case[0])[:, None, None]
-    b = np.array(case[1])[:, None, :]
-    for cols in (1, 2, 3):
-        rhs = b[:, :, :cols]
-        assert_bits(clairaut.solve_block(a, rhs), np.linalg.solve(a, rhs))
-        assert_bits(clairaut.solve_block(a[0], rhs[0]),
-                    np.linalg.solve(a[0], rhs[0]))
-    assert_bits(clairaut.solve_block(a[0], b[0, :, 0]),
-                np.linalg.solve(a[0], b[0, :, 0]))
+    b = np.array(case[1])[:, None, None]
+    assert_bits(clairaut.gepp_many(a, b), np.linalg.solve(a, b))
+    for i in range(len(a)):
+        assert_bits(gepp_floats(a[i], b[i]), np.linalg.solve(a[i], b[i]))
 
 
-def test_solve_block_equals_lapack_on_many_random_1x1_systems():
+def test_gepp_solves_many_random_1x1_one_column_systems_as_lapack():
     rng = np.random.default_rng(6)
     count = 20_000
     w, b = (10.0 ** rng.uniform(-8, 8, (2, count))
             * rng.choice([-1.0, 1.0], (2, count)))
     a, rhs = w[:, None, None], b[:, None, None]
-    assert_bits(clairaut.solve_block(a, rhs), np.linalg.solve(a, rhs))
+    assert_bits(clairaut.gepp_many(a, rhs), np.linalg.solve(a, rhs))
     for i in range(0, count, 20):
-        assert_bits(clairaut.solve_block(a[i], rhs[i, 0]),
-                    np.linalg.solve(a[i], rhs[i, 0]))
-    # 2x2 blocks go to LAPACK as they are
-    a2 = rng.normal(size=(50, 2, 2)) + 3.0 * np.eye(2)
-    rhs2 = rng.normal(size=(50, 2, 1))
-    assert_bits(clairaut.solve_block(a2, rhs2), np.linalg.solve(a2, rhs2))
+        assert_bits(gepp_floats(a[i], rhs[i]), np.linalg.solve(a[i], rhs[i]))
+
+
+def systems(element):
+    """(a, b): 1 to 3 lanes of a (k, k) block and b (k, m), k = 1..4 and
+    m = 1..3, with entries drawn from ``element``."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 4),
+                     st.integers(1, 3)).flatmap(
+        lambda dims: st.tuples(*(
+            st.lists(element, min_size=size, max_size=size).map(
+                lambda x, shape=shape: np.array(x).reshape(shape))
+            for size, shape in (
+                (dims[0] * dims[1] ** 2, (dims[0], dims[1], dims[1])),
+                (dims[0] * dims[1] * dims[2], (dims[0], dims[1], dims[2])),
+            ))))
+
+
+@BLOCK_PROPERTY
+@given(systems(tied_entries))
+def test_gepp_on_floats_and_on_stacks_agree_bit_for_bit(system):
+    a, b = system
+    stacked = clairaut.gepp_many(a, b)
+    for i in range(len(a)):
+        try:
+            want = gepp_floats(a[i], b[i])
+        except ZeroDivisionError:
+            # a zero pivot: the stacked lane ends non-finite instead
+            assert not np.isfinite(stacked[i]).all()
+        else:
+            assert_bits(stacked[i], want)
+            assert_bits(want, helpers.gepp_solve(a[i], b[i]))
+
+
+def backward_error(a, x, b):
+    """max over columns of |b - a x|_inf / (|a|_inf |x|_inf), exactly."""
+    worst = 0.0
+    for col, rhs in zip(x.T, b.T):
+        residual = [Fraction(r) - sum(Fraction(u) * Fraction(v)
+                                      for u, v in zip(row, col))
+                    for row, r in zip(a.tolist(), rhs.tolist())]
+        scale = np.abs(a).sum(axis=1).max() * np.abs(col).max()
+        worst = max(worst, float(max(map(abs, residual))) / scale)
+    return worst
+
+
+@settings(BLOCK_PROPERTY, max_examples=100)  # exact residuals are slow
+@given(systems(entries))
+def test_gepp_agrees_with_scipy_within_the_backward_error_bound(system):
+    # GEPP's backward error (Higham, ch. 9): |dA| <= gamma_3k |L||U|, with
+    # |L||U| <= (1 + 2(k^2 - k) rho) |A| for the growth factor rho <=
+    # 2^(k-1); the same bound holds for LAPACK's solve
+    a, b = system
+    k, u = a.shape[1], 2.0 ** -53
+    bound = 1.01 * 3 * k * u * (1 + 2 * (k * k - k) * 2.0 ** (k - 1))
+    got = clairaut.gepp_many(a, b)
+    for i in range(len(a)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                want = scipy.linalg.solve(a[i], b[i])
+        except np.linalg.LinAlgError:
+            continue  # exactly singular
+        assert backward_error(a[i], got[i], b[i]) <= bound
+        assert backward_error(a[i], want, b[i]) <= bound
+        # so both solve systems within bound of a: their distance follows
+        kappa = np.linalg.cond(a[i], np.inf)
+        if kappa * bound < 0.25:
+            scale = np.abs(want).max()
+            assert (np.abs(got[i] - want).max()
+                    <= 4.0 * kappa * bound * scale)
+
+
+def test_an_overflowing_stacked_solve_prints_no_warning():
+    # the update -1e308 - 1e308 and the back substitution overflow in lane 0
+    a = np.array([[[1.0, 1e308], [1.0, -1e308]], [[2.0, 1.0], [1.0, 3.0]]])
+    b = np.array([[[1e308], [-1e308]], [[1.0], [2.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = clairaut.gepp_many(a, b)
+    assert not np.isfinite(got[0]).all()
+    for i in range(2):
+        assert_bits(got[i], gepp_floats(a[i], b[i]))
 
 
 def svd_check(w11, tol, where, **at):

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -445,3 +447,59 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "no primary constraints" in proc.stdout
+
+
+def _cpu_has_fma():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return " fma " in fh.read().replace("\n", " ")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _cpu_has_fma(), reason="no FMA: every BLAS kernel "
+                    "available then sums without it")
+def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    # W11 = diag(1 + q1^2 + q2^2, 2 + sin q2) + 0.3 off the diagonal varies
+    # along the flow, so its solves and the contractions round; a BLAS kernel
+    # with fused multiply-adds (OpenBLAS picks one on FMA CPUs) and one
+    # without used to give different bytes on 32 of 41 integrate nodes
+    path = write_problem(
+        tmp_path,
+        n=3,
+        lagrangian="0.5*(1+q1^2+q2^2)*v1^2 + 0.5*(2+sin(q2))*v2^2"
+                   " + 0.3*v1*v2 + q3*(v1-v2)",
+        domain={name: [-1, 1] for name in ("q1", "q2", "q3",
+                                           "v1", "v2", "v3")},
+        gauge={"v3": "0.5*sin(q1)"},
+        initial={"q": [0.3, -0.2, 0.1], "v": [0.4, 0.4, 0.5 * math.sin(0.3)]},
+        integrate={"t0": 0.0, "t1": 2.0, "dt": 0.05},
+        verify={"samples": 20},
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    commands = {
+        "integrate": ["--out", ".", "integrate", path],
+        "transform": ["transform", path, "--grid", "p1=-1:1:20",
+                      "--grid", "p2=0.3,0.7", "--grid", "q1=-1,0.5"],
+        "verify": ["--json", "verify", path],
+    }
+    outputs = []
+    for coretype in (None, "Sandybridge"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / (coretype or "default")  # each run's working dir
+        out.mkdir()
+        got = {}
+        for name, argv in commands.items():
+            proc = subprocess.run([sys.executable, "-m", "legclair.cli"] + argv,
+                                  capture_output=True, text=True, env=env,
+                                  cwd=out)
+            assert proc.returncode == 0, proc.stderr
+            got[name] = proc.stdout
+        for name in ("trajectory_el.csv", "trajectory_ham.csv"):
+            got[name] = (out / name).read_text()
+        outputs.append(got)
+    assert outputs[0] == outputs[1]

@@ -497,8 +497,7 @@ def test_rk4_driver_matches_hand_rolled_loops_on_corpus(name):
 def test_rk4_driver_matches_hand_rolled_loops_on_a_varying_w11():
     # W11 = 1 + q1^2 changes along the flow, so the block solves round;
     # every k = 1 system above has W11 = 1, where any division is exact.
-    # dV/dq has two right-hand columns here, so its 1x1 solve must stay on
-    # LAPACK (which multiplies by 1/w) for hs3_res to keep its bits.
+    # dV/dq has two right-hand columns here, each solved as r / w.
     ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(
         2, "0.5*(1+q1^2)*(v1+v2)^2 + 0.3*q2*v1 - 0.5*q1^2"
     ))
@@ -508,9 +507,9 @@ def test_rk4_driver_matches_hand_rolled_loops_on_a_varying_w11():
 
 def test_rk4_driver_matches_hand_rolled_loops_with_two_gauged_velocities():
     # n = 3, k = 1: the gauge Jacobian has two rows, so R and W12 v2dot
-    # contract over m = 2 terms (numpy's), while the varying 1x1 W11 meets
-    # dV/dq and dPsi/dp1 with two right-hand columns.  Offsets that are not
-    # dyadic make R's products round, so a Python sum would show.
+    # contract over m = 2 terms (left to right), while the varying 1x1 W11
+    # meets dV/dq and dPsi/dp1 with two right-hand columns.  Offsets that
+    # are not dyadic make R's products round, so another order would show.
     ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(
         3, "0.5*(1+q1^2)*(v1+v2+v3)^2 + 0.3*q2*v1 + 0.2*q3*v2 - 0.5*q1^2"
     ))

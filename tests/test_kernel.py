@@ -40,6 +40,7 @@ from legclair.expr import (
     Expression,
     eval_dual2,
     eval_dual2_many,
+    eval_dual2_rows,
     evaluate,
     evaluate_many,
     parse,
@@ -380,7 +381,7 @@ def test_derivative_overflow_raises_where_the_value_is_finite():
     assert err.value.fragment == "1/v1"
     # only the Hessian needs 2/v1^3, and nothing differentiates v1 here
     d = eval_dual2(parse("q1/v1", ["q1", "v1"]), [3.0, 1e-110], [0])
-    assert d.value == 3.0 * (1.0 / 1e-110)
+    assert d.value == 3.0 / 1e-110
     assert np.array_equal(d.hess, [[0.0]])
 
 
@@ -462,6 +463,32 @@ def test_stacked_kernels_match_scalar_kernels_row_by_row(tree, points, active):
                    _scalar_rows(lambda x: evaluate(e, x), points))
     _check_stacked(_outcome(lambda: eval_dual2_many(e, points, active)),
                    _scalar_rows(lambda x: eval_dual2(e, x, active), points))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(PROPERTY, max_examples=200)
+@given(trees, stacks)
+@example(Div(Var(0, "q1"), Num(3.0)),  # q1 * (1/3) rounds differently
+         np.array([[0.261749948792537, 0.5, 0.5, 0.5]]))
+@example(Pow(Var(0, "q1"), 1.0), np.array([[-0.0, 0.5, 0.5, 0.5]]))
+def test_the_dual_value_has_the_bits_of_evaluate(tree, points):
+    # a quotient's value is num / den and a power 1's is its base, so the
+    # value of eval_dual2 is evaluate's wherever both succeed, on the
+    # scalar kernels and on the stacked ones
+    e = _expression(tree)
+    duals, failed = eval_dual2_rows(e, points)
+    values = _outcome(lambda: evaluate_many(e, points))
+    for i, x in enumerate(points):
+        want = _outcome(lambda: evaluate(e, x))
+        if i in failed or isinstance(want, EvalDomainError):
+            continue
+        assert _bits(eval_dual2(e, x).value) == _bits(want)
+        assert _bits(duals.value[i]) == _bits(want)
+        if not isinstance(values, EvalDomainError):
+            assert _bits(values[i]) == _bits(want)
 
 
 @pytest.mark.parametrize("source, x", [("0.0/v1", 1e-110),

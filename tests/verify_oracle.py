@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import maps_oracle
+from helpers import lr_dot
 from legclair.clairaut import MixedHamiltonian, NewtonDivergedError
 from legclair.expr import eval_dual2, evaluate
 
@@ -53,7 +54,7 @@ def _full_newton_legendre(system, q, p, tol=1e-12, max_iter=60):
         )
         r = np.asarray(p, float) - d.grad
         if np.max(np.abs(r)) <= tol:
-            return float(np.asarray(p, float) @ v - d.value)
+            return float(lr_dot(p, v) - d.value)
         v = v + np.linalg.solve(d.hess, r)
     raise NewtonDivergedError("classical transform did not converge", [])
 
@@ -159,7 +160,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
         q, p, v2 = draw()
         h = maps_oracle.value(ham, q, p, v2)
         split = (maps_oracle.h_zero(ham, q, p[reg,])
-                 + float(v2 @ maps_oracle.phi(ham, q, p)))
+                 + float(lr_dot(v2, maps_oracle.phi(ham, q, p))))
         worst = max(worst, abs(h - split) / (1.0 + abs(h)))
     record("decomposition", samples, worst, 1e-8)
 

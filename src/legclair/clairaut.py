@@ -226,11 +226,11 @@ class EnvelopeSolver:
         n = self.system.n
         self._v1_active = tuple(n + i for i in self.partition.regular)
         self._v2_slots = tuple(n + i for i in self.partition.nonregular)
-        self._reg = np.array(self.partition.regular, dtype=int)
-        self._nonreg = np.array(self.partition.nonregular, dtype=int)
+        self._v1_cols = np.array(self._v1_active, dtype=int)
+        self._v2_cols = np.array(self._v2_slots, dtype=int)
 
     def default_guess(self) -> np.ndarray:
-        return self.system.center()[self.system.n + self._reg]
+        return self.system.center()[self._v1_cols]
 
     def _checked(self, q, p1, c2):
         """q, p1 and c2 as float vectors, or ValueError naming the first
@@ -319,7 +319,8 @@ class EnvelopeSolver:
         Each lane runs :meth:`solve`'s iteration and ends as it ends: row i
         equals ``solve`` at row i bit for bit, or is NaN and files the error
         ``solve`` raises there, residual history included.  An iteration
-        makes one stacked evaluation, W11 check and solve over its lanes.
+        makes one stacked evaluation, W11 check and solve over its lanes
+        (see :func:`_newton_lanes`).
         """
         n, k = self.system.n, self.partition.k
         q = checked_rows(q, n, "q")
@@ -331,83 +332,144 @@ class EnvelopeSolver:
         v1 = (checked_rows(v1_guess, k, "v1_guess", count).copy()
               if v1_guess is not None
               else np.tile(self.default_guess(), (count, 1)))
-        slots = n + self._reg
-        point = np.empty((count, 2 * n))
-        point[:, :n] = q
-        point[:, n + self._nonreg] = c2
-        point[:, slots] = v1
         lag, active = self.system.lagrangian, self._v1_active
         tol = self.partition.rank_tolerance
-        d, failed = eval_dual2_rows(lag, point, active)
-        r, hess = p1 - d.grad, d.hess
-        out = np.full((count, k), np.nan)
-        lanes = np.arange(count)  # original row of each lane still iterating
-        ok = ~np.isnan(d.value)  # a row that failed is NaN
-        norms = []  # (lanes, their residual norms) at every iteration
-        for _ in range(self.max_iter):
-            # lanes leave here, converged or failed; a NaN residual stays live
-            rnorm = np.abs(r).max(axis=1)
-            converged = rnorm <= self.newton_tol
-            live = ok & ~converged
-            if not live.all():
-                out[lanes[converged]] = v1[converged]
-                lanes, v1, r, hess, rnorm, point, p1 = (
-                    x[live] for x in (lanes, v1, r, hess, rnorm, point, p1))
-                if not lanes.size:
-                    return out, failed
-                ok = np.ones(len(lanes), dtype=bool)
-            norms.append((lanes, rnorm))
+        where = "W11 is singular at Newton iterate"
+        point = self._points(q, v1, c2)
+
+        def step(lanes, v1, r, state):
+            hess, = state
+            ended = {}
             try:
-                check_w11(hess, tol, "W11 is singular at Newton iterate", v1=v1)
+                check_w11(hess, tol, where, v1=v1)
             except SingularJacobianError:
                 # each singular lane ends in its own block's error, as in solve
                 for j in range(len(lanes)):
                     try:
-                        check_w11(hess[j], tol,
-                                  "W11 is singular at Newton iterate", v1=v1[j])
+                        check_w11(hess[j], tol, where, v1=v1[j])
                     except SingularJacobianError as err:
-                        failed[int(lanes[j])] = err
-                        ok[j] = False
+                        ended[j] = err
                         hess[j] = np.eye(k)  # solved for, never used
-            delta = gepp_many(hess, r[:, :, None])[:, :, 0]
-            alpha = np.ones(len(lanes))
-            pending = np.flatnonzero(ok)  # lanes still backtracking
-            for _ in range(self.max_backtracks + 1):
-                trial = v1[pending] + alpha[pending, None] * delta[pending]
-                trial_point = point[pending]
-                trial_point[:, slots] = trial
-                d_trial, bad = eval_dual2_rows(lag, trial_point, active)
-                r_trial = p1[pending] - d_trial.grad
-                # a row that failed is NaN, so it is never better
-                stop = np.abs(r_trial).max(axis=1) < rnorm[pending]
-                done = pending[stop]
-                # the accepted trial's evaluation serves the next iterate
-                v1[done] = trial[stop]
-                r[done] = r_trial[stop]
-                hess[done] = d_trial.hess[stop]
-                for j, err in bad.items():
-                    # halving cannot make a non-finite step finite
-                    if not np.isfinite(trial[j]).all():
-                        failed[int(lanes[pending[j]])] = err
-                        ok[pending[j]] = False
-                        stop[j] = True
-                pending = pending[~stop]
-                if not pending.size:
-                    break
-                alpha[pending] *= 0.5
-            if pending.size:
-                _diverged(failed, lanes[pending], norms,
-                          "backtracking could not reduce the envelope residual")
-                ok[pending] = False
-            point[:, slots] = v1
-        _diverged(failed, lanes[ok], norms,
-                  f"no convergence within {self.max_iter} Newton iterations")
+            return gepp_many(hess, r[:, :, None])[:, :, 0], ended
+
+        def trial(rows, v1, _):
+            x = point[rows]
+            x[:, self._v1_cols] = v1
+            d, bad = eval_dual2_rows(lag, x, active)
+            # a finite trial that fails is halved; halving cannot make a
+            # non-finite step finite
+            ended = {j: err for j, err in bad.items()
+                     if not np.isfinite(v1[j]).all()}
+            return p1[rows] - d.grad, [d.hess], ended
+
+        d, failed = eval_dual2_rows(lag, point, active)
+        out, _, failed = _newton_lanes(self, v1, p1 - d.grad, [d.hess], failed,
+                                       step, trial, "envelope",
+                                       return_state=False)
         return out, failed
+
+    def _points(self, q, v1, v2) -> np.ndarray:
+        """Rows (q, v) with the regular/nonregular velocity columns set."""
+        n = self.system.n
+        x = np.empty((len(q), 2 * n))
+        x[:, :n] = q
+        x[:, self._v1_cols] = v1
+        x[:, self._v2_cols] = v2
+        return x
 
 
 def _guess_row(x):
     """A per-point guess as one row, or None."""
     return None if x is None else np.asarray(x, dtype=float)[None]
+
+
+def _newton_lanes(solver, x, r, state, failed, step, trial, residual, of="",
+                  return_state=True):
+    """Damped Newton on stacked lanes, each ending as one scalar iteration
+    ends; the body behind :meth:`EnvelopeSolver.solve_lanes` and
+    :meth:`MixedHamiltonian.inverse_transform_many`.
+
+    ``x`` (count, k) holds the starting iterates and ``r`` their residuals,
+    ``state`` a list of per-lane arrays that an accepted trial replaces
+    (both updated in place), and ``failed`` ``{row: error}`` for the rows
+    that have already failed, whose residuals are NaN.  The caller
+    supplies the step and the trial:
+
+    - ``step(lanes, x, r, state)`` returns the Newton steps of the live
+      lanes, whose original rows are ``lanes``, and ``{lane: error}`` for
+      the lanes that end there;
+    - ``trial(rows, x, state)`` returns the residuals and the state at the
+      trial iterates ``x`` of the lanes at original ``rows``, and ``{lane:
+      error}`` for the lanes that end there.  A trial whose residual is NaN
+      is never accepted.
+
+    A lane converges once its residual's max-norm is at most
+    ``solver.newton_tol``.  Each iteration halves a lane's step, up to
+    ``solver.max_backtracks`` times, until the trial residual's norm drops
+    below the current one; a lane whose halving runs out, or that is still
+    iterating after ``solver.max_iter`` iterations, files a
+    ``NewtonDivergedError`` that names the ``residual`` (the iteration
+    limit's message ends in ``of``) and carries its residual history.
+    Returns x and (unless ``return_state`` is false) the state where each
+    lane converged, NaN elsewhere, and ``failed``, with every error under
+    its lane's original row.
+    """
+    out = np.full(x.shape, np.nan)
+    out_state = [np.full(s.shape, np.nan) for s in state if return_state]
+    lanes = np.arange(len(x))  # original row of each lane still iterating
+    ok = np.ones(len(x), dtype=bool)
+    if failed:
+        ok[list(failed)] = False
+    norms = []  # (lanes, their residual norms) at every iteration
+    for _ in range(solver.max_iter):
+        # lanes leave here, converged or failed; a NaN residual stays live
+        rnorm = np.abs(r).max(axis=1)
+        converged = rnorm <= solver.newton_tol
+        live = ok & ~converged
+        if not live.all():
+            rows = lanes[converged]
+            out[rows] = x[converged]
+            for o, s in zip(out_state, state):
+                o[rows] = s[converged]
+            if not live.any():
+                return out, out_state, failed
+            lanes, x, r, rnorm = (a[live] for a in (lanes, x, r, rnorm))
+            state = [s[live] for s in state]
+            ok = np.ones(len(lanes), dtype=bool)
+        norms.append((lanes, rnorm))
+        delta, ended = step(lanes, x, r, state)
+        for j, err in ended.items():
+            failed[int(lanes[j])] = err
+            ok[j] = False
+        alpha = np.ones(len(lanes))
+        pending = np.flatnonzero(ok)  # lanes still backtracking
+        for _ in range(solver.max_backtracks + 1):
+            x_trial = x[pending] + alpha[pending, None] * delta[pending]
+            r_trial, s_trial, ended = trial(
+                lanes[pending], x_trial, [s[pending] for s in state])
+            # a NaN residual is never better
+            stop = np.abs(r_trial).max(axis=1) < rnorm[pending]
+            done = pending[stop]
+            # the accepted trial's evaluation serves the next iterate
+            x[done] = x_trial[stop]
+            r[done] = r_trial[stop]
+            for s, t in zip(state, s_trial):
+                s[done] = t[stop]
+            for j, err in ended.items():
+                failed[int(lanes[pending[j]])] = err
+                ok[pending[j]] = False
+                stop[j] = True
+            pending = pending[~stop]
+            if not pending.size:
+                break
+            alpha[pending] *= 0.5
+        if pending.size:
+            _diverged(failed, lanes[pending], norms,
+                      f"backtracking could not reduce the {residual} residual")
+            ok[pending] = False
+    _diverged(failed, lanes[ok], norms,
+              f"no convergence within {solver.max_iter} Newton iterations{of}")
+    return out, out_state, failed
 
 
 def _diverged(failed, lanes, norms, message):
@@ -554,15 +616,6 @@ class MixedHamiltonian:
     # meets that row's errors in a point's own order, as shifted momenta are
     # stacked in central-difference order.
 
-    def _points(self, q, v1, v2) -> np.ndarray:
-        """Rows (q, v) with the regular/nonregular velocity columns set."""
-        n = self.n
-        x = np.empty((len(q), 2 * n))
-        x[:, :n] = q
-        x[:, n + self._reg] = v1
-        x[:, n + self._nonreg] = v2
-        return x
-
     def _probes(self, probe, count) -> np.ndarray:
         if probe is None:
             return np.broadcast_to(self.default_probe(), (count, self.n - self.k))
@@ -573,14 +626,15 @@ class MixedHamiltonian:
         p, v2 = checked_rows(p, self.n, "p"), np.asarray(v2, dtype=float)
         p1, p2 = p[:, self._reg], p[:, self._nonreg]
         v1 = self.solver.solve_many(q, p1, v2, v1_guess)
-        lval = evaluate_many(self.system.lagrangian, self._points(q, v1, v2))
+        x = self.solver._points(q, v1, v2)
+        lval = evaluate_many(self.system.lagrangian, x)
         return contract(p1.T, v1.T) + contract(p2.T, v2.T) - lval
 
     def psi_many(self, q, p1, v2_probe=None, v1_guess=None) -> np.ndarray:
         """:meth:`psi` at every row; the default probe serves every row."""
         probe = self._probes(v2_probe, len(q))
         v1 = self.solver.solve_many(q, p1, probe, v1_guess)
-        x = self._points(q, v1, probe)
+        x = self.solver._points(q, v1, probe)
         grad_v = eval_dual2_many(self.system.lagrangian, x, self._v_active).grad
         return grad_v[:, self._nonreg]
 
@@ -596,7 +650,7 @@ class MixedHamiltonian:
         c2 = self._probes(c2_probe, len(q))
         p1 = np.asarray(p1, dtype=float)
         v1 = self.solver.solve_many(q, p1, c2)
-        x = self._points(q, v1, c2)
+        x = self.solver._points(q, v1, c2)
         d = eval_dual2_many(self.system.lagrangian, x, self._v_active)
         psi_here = d.grad[:, self._nonreg]
         return contract(p1.T, v1.T) + contract(c2.T, psi_here.T) - d.value
@@ -654,60 +708,23 @@ class MixedHamiltonian:
         v_cur = None
         if self.k:
             v_cur, failed = solver.solve_lanes(q, p1, v2)
-            lanes = np.arange(count)
-            ok = ~np.isnan(v_cur[:, 0])  # a row that failed is NaN
-            lq, lv1, lv2, lp1, lv = q, v1, v2, p1.copy(), v_cur.copy()
-            norms = []  # (lanes, their residual norms) at every iteration
-            for _ in range(solver.max_iter):
-                # lanes leave here, converged or failed
-                rho = lv1 - lv
-                rnorm = np.abs(rho).max(axis=1)
-                converged = rnorm <= solver.newton_tol
-                live = ok & ~converged
-                if not live.all():
-                    p1[lanes[converged]] = lp1[converged]
-                    v_cur[lanes[converged]] = lv[converged]
-                    lanes, lq, lv1, lv2, lp1, lv, rho, rnorm = (
-                        x[live]
-                        for x in (lanes, lq, lv1, lv2, lp1, lv, rho, rnorm))
-                    if not lanes.size:
-                        break
-                    ok = np.ones(len(lanes), dtype=bool)
-                norms.append((lanes, rnorm))
-                w11 = eval_dual2_many(self.system.lagrangian, self._points(
-                    lq, lv, lv2), solver._v1_active).hess
+
+            def step(lanes, _, rho, state):
+                x = solver._points(q[lanes], state[0], v2[lanes])
+                w11 = eval_dual2_many(self.system.lagrangian, x,
+                                      solver._v1_active).hess
                 # W11 rho, one column of W11 per term
-                delta = contract(w11.transpose(2, 0, 1), rho.T[:, :, None])
-                alpha = np.ones(len(lanes))
-                pending = np.arange(len(lanes))
-                for _ in range(solver.max_backtracks + 1):
-                    trial = lp1[pending] + alpha[pending, None] * delta[pending]
-                    v_trial, bad = solver.solve_lanes(
-                        lq[pending], trial, lv2[pending],
-                        v1_guess=lv[pending],
-                    )
-                    # a nested solve that failed is NaN, so never better
-                    stop = (np.abs(lv1[pending] - v_trial).max(axis=1)
-                            < rnorm[pending])
-                    done = pending[stop]
-                    lp1[done] = trial[stop]
-                    lv[done] = v_trial[stop]
-                    for j, err in bad.items():
-                        failed[int(lanes[pending[j]])] = err
-                        ok[pending[j]] = False
-                        stop[j] = True
-                    pending = pending[~stop]
-                    if not pending.size:
-                        break
-                    alpha[pending] *= 0.5
-                if pending.size:
-                    _diverged(failed, lanes[pending], norms, "backtracking "
-                              "could not reduce the inverse-transform residual")
-                    ok[pending] = False
-            else:
-                _diverged(failed, lanes[ok], norms,
-                          f"no convergence within {solver.max_iter} Newton "
-                          "iterations of the inverse transform")
+                return contract(w11.transpose(2, 0, 1), rho.T[:, :, None]), {}
+
+            def trial(rows, p1, state):
+                # warm-started at the current V; any nested failure ends
+                v_trial, bad = solver.solve_lanes(q[rows], p1, v2[rows],
+                                                  v1_guess=state[0])
+                return v1[rows] - v_trial, [v_trial], bad
+
+            p1, (v_cur,), failed = _newton_lanes(
+                solver, p1, v1 - v_cur, [v_cur], failed, step, trial,
+                "inverse-transform", " of the inverse transform")
             if failed:
                 raise failed[min(failed)]
         p_full = np.empty((count, self.n))

@@ -115,7 +115,11 @@ def _is_int(val) -> bool:
 
 
 def _is_real(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A JSON number that converts to a float: not a bool, nor an integer
+    too large for a float."""
+    if isinstance(val, int):
+        return not isinstance(val, bool) and abs(val) <= sys.float_info.max
+    return isinstance(val, float)
 
 
 def load_problem(path) -> Problem:
@@ -158,8 +162,13 @@ def load_problem(path) -> Problem:
 
     initial = raw.get("initial", {})
     _require(isinstance(initial, dict), "'initial' must be an object")
-    for key in initial:
+    for key, val in initial.items():
         _require(key in {"q", "v", "p"}, f"unknown initial key {key!r}")
+        _require(
+            isinstance(val, list) and len(val) == n
+            and all(_is_real(x) for x in val),
+            f"initial {key!r} must be a list of n = {n} numbers",
+        )
 
     integrate = raw.get("integrate", {})
     _require(isinstance(integrate, dict), "'integrate' must be an object")
@@ -168,6 +177,8 @@ def load_problem(path) -> Problem:
             key in {"t0", "t1", "dt", "enforce_primary"},
             f"unknown integrate key {key!r}",
         )
+    _require(isinstance(integrate.get("enforce_primary", False), bool),
+             "integrate 'enforce_primary' must be true or false")
 
     verify = dict(VERIFY_DEFAULTS)
     user_verify = raw.get("verify", {})
@@ -446,7 +457,6 @@ def _initial_data(problem: Problem, ham: MixedHamiltonian, gauge):
         "initial data needs exactly one of 'v' (velocities) or 'p' (momenta)",
     )
     q0 = np.asarray(initial["q"], dtype=float)
-    _require(q0.shape == (n,), f"initial 'q' must have {n} entries")
     for i in range(n):
         if not _in_box(q0[i], system.domain_lo[i], system.domain_hi[i]):
             raise OutOfDomainError(
@@ -459,7 +469,6 @@ def _initial_data(problem: Problem, ham: MixedHamiltonian, gauge):
 
     if "v" in initial:
         v = np.asarray(initial["v"], dtype=float)
-        _require(v.shape == (n,), f"initial 'v' must have {n} entries")
         if nonreg and float(np.max(np.abs(v[nonreg,] - c2))) > 1e-8:
             raise ProblemError(
                 "initial velocities conflict with the gauge at q0: "
@@ -471,7 +480,6 @@ def _initial_data(problem: Problem, ham: MixedHamiltonian, gauge):
         ).grad
     else:
         p0 = np.asarray(initial["p"], dtype=float)
-        _require(p0.shape == (n,), f"initial 'p' must have {n} entries")
         v1 = ham.solve_velocity(q0, p0[reg,], c2)
         v = ham.assemble_velocity(v1, c2)
     for i in range(n):
@@ -498,7 +506,7 @@ def cmd_integrate(problem: Problem, args, out):
         _validate_span(t_span, dt)
     except ValueError as exc:
         raise ProblemError(f"bad integrate span: {exc}") from None
-    enforce = bool(icfg.get("enforce_primary", False))
+    enforce = icfg.get("enforce_primary", False)
     q0, v1, p0 = _initial_data(problem, ham, gauge)
 
     outdir = args.out or "."

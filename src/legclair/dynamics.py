@@ -71,6 +71,7 @@ from .expr import (
     EvalDomainError,
     Expression,
     Var,
+    _nodes,
     eval_dual2,
     evaluate,
     parse,
@@ -223,15 +224,6 @@ def _dot(a, x) -> list:
     """a x as a float list, for a matrix ``a`` given as float rows: one
     :func:`~legclair.clairaut.contract` per row."""
     return [contract(row, x) for row in a]
-
-
-def _nodes(node):
-    """Every node of an expression tree."""
-    yield node
-    for child in (getattr(node, name, None)
-                  for name in ("arg", "left", "right", "base")):
-        if child is not None:
-            yield from _nodes(child)
 
 
 def _gauge_terms(gauge: GaugeChoice, phi=None):

@@ -278,80 +278,23 @@ class _Parser:
         raise ParseError(f"unknown identifier '{name}'", col)
 
     def _fold_exponent(self, node, col):
+        if isinstance(node, Num):
+            return node.value
+        if any(isinstance(x, Var) for x in _nodes(node)):
+            raise ParseError("exponent must be a constant expression", col)
         try:
-            value = _fold_const(node)
-        except _NotConstant:
-            raise ParseError(
-                "exponent must be a constant expression", col
-            ) from None
+            return _compile(node, 0, None, checked=True)([])
         except EvalDomainError as err:
             raise ParseError(f"invalid constant exponent: {err}", col) from None
-        if not math.isfinite(value):
-            raise ParseError("constant exponent overflows", col)
-        return value
 
 
-class _NotConstant(Exception):
-    pass
-
-
-def _fold_const(node) -> float:
-    """Evaluate a variable-free subtree to a float."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        raise _NotConstant
-    if isinstance(node, Neg):
-        return -_fold_const(node.arg)
-    if isinstance(node, Add):
-        return _fold_const(node.left) + _fold_const(node.right)
-    if isinstance(node, Sub):
-        return _fold_const(node.left) - _fold_const(node.right)
-    if isinstance(node, Mul):
-        return _fold_const(node.left) * _fold_const(node.right)
-    if isinstance(node, Div):
-        den = _fold_const(node.right)
-        if den == 0.0:
-            raise EvalDomainError("division by zero", to_source(node))
-        return _fold_const(node.left) / den
-    if isinstance(node, Pow):
-        return _pow_value(_fold_const(node.base), node.exponent, node)
-    if isinstance(node, Call):
-        return _call_value(node.func, _fold_const(node.arg), node)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _call_value(func: str, x: float, node) -> float:
-    if func == "sin":
-        return math.sin(x)
-    if func == "cos":
-        return math.cos(x)
-    if func == "tan":
-        return math.tan(x)
-    if func == "exp":
-        return math.exp(x)
-    if func == "ln":
-        if x <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {x!r}", to_source(node))
-        return math.log(x)
-    if func == "sqrt":
-        if x < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {x!r}", to_source(node))
-        return math.sqrt(x)
-    raise TypeError(f"unknown function {func!r}")  # pragma: no cover
-
-
-def _pow_value(x: float, b: float, node) -> float:
-    n = round(b)
-    if b == n:  # integer exponent: any base, except 0 with n < 0
-        if x == 0.0 and n < 0:
-            raise EvalDomainError("zero raised to a negative power", to_source(node))
-        return float(x ** int(n))
-    if x <= 0.0:
-        raise EvalDomainError(
-            f"non-integer power of non-positive base {x!r}", to_source(node)
-        )
-    return x ** b
+def _nodes(node):
+    """Every node of an expression tree, parents before their children."""
+    yield node
+    for child in (getattr(node, name, None)
+                  for name in ("arg", "left", "right", "base")):
+        if child is not None:
+            yield from _nodes(child)
 
 
 def parse(source: str, variables) -> Expression:
@@ -470,7 +413,11 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # --------------------------------------------------------------------------
 #
 # Each expression is compiled on first use into one Python function per
-# active-index tuple, plus one value-only function for ``evaluate``.  The
+# active-index tuple, plus one value-only function for ``evaluate``.  A
+# constant exponent is folded while parsing by the checked value-only
+# function of its subtree (a plain number is taken as it is), so it meets
+# ``evaluate``'s domain and overflow checks, and a failing one is a
+# ``ParseError`` that quotes the ``EvalDomainError``.  The
 # function takes the point as plain floats and runs straight-line code, one
 # statement per operation: every value, gradient and Hessian entry goes
 # through the operations a forward pass over (value, gradient, Hessian)

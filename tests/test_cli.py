@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -5,10 +7,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from legclair import cli
 from legclair.cli import main
 
 
@@ -179,6 +185,10 @@ def test_bad_json_exits_2(tmp_path, capsys):
         ({"domain": {"q1": [-1e308, 1e308]}}, "needs a finite width"),
         ({"domain": {"v1": [True, 2]}}, "domain entry 'v1' must be [lo, hi]"),
         ({"domain": {"q1": [-1, False]}}, "domain entry 'q1' must be [lo, hi]"),
+        ({"lagrangian": "0.5*v1^exp(1000)"},
+         "invalid constant exponent: overflow"),
+        ({"domain": {"q1": [-1, 10 ** 400]}},
+         "domain entry 'q1' must be [lo, hi]"),
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "verify"])
@@ -354,6 +364,9 @@ def test_integrate_initial_out_of_domain_exits_5(tmp_path, capsys):
         ({"t0": 0.0, "t1": 1.0, "dt": -0.01}, "need a positive finite step"),
         ({"t0": 0.0, "t1": "1", "dt": 0.01}, "'t1' must be a number"),
         ({"t0": 0.0, "t1": 1.0, "dt": None}, "'dt' must be a number"),
+        ({"t0": 0.0, "t1": 1.0, "dt": 0.01, "enforce_primary": "false"},
+         "'enforce_primary' must be true or false"),
+        ({"t0": 0.0, "t1": 10 ** 400, "dt": 0.01}, "'t1' must be a number"),
     ],
 )
 def test_integrate_bad_span_exits_2_before_writing(tmp_path, capsys, span,
@@ -369,6 +382,64 @@ def test_integrate_bad_span_exits_2_before_writing(tmp_path, capsys, span,
     assert main(["--out", str(out_dir), "integrate", path]) == 2
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", [["a", 0.0], [[0.0], 0.0], [True, 0.0]])
+@pytest.mark.parametrize("key", ["q", "v", "p"])
+def test_integrate_bad_initial_entry_exits_2(tmp_path, capsys, key, value):
+    initial = {"q": [0.0, 0.0], "v" if key == "q" else key: [1.0, 1.0]}
+    initial[key] = value
+    out_dir = tmp_path / "run"
+    path = deg1_problem(tmp_path, initial=initial)
+    assert main(["--out", str(out_dir), "integrate", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: initial {key!r} must be a list of n = 2 numbers\n")
+    assert not out_dir.exists()
+
+
+# wrong-typed values for an entry of the 'initial' or 'integrate' block of a
+# one-dof problem, or for the block itself (key None)
+WRONG = st.sampled_from(["1", "", True, False, None, math.nan, [], [0.5, 0.5],
+                         [[0.5]], {"q": [0.5]}, 10 ** 400])
+TARGETS = [("initial", key) for key in ("q", "v", "p", None)] + [
+    ("integrate", key) for key in ("t0", "t1", "dt", "enforce_primary", None)]
+
+
+@st.composite
+def integrate_blocks(draw):
+    """Valid 'initial' and 'integrate' blocks with up to two of their
+    entries, or whole blocks, replaced by wrong-typed values."""
+    blocks = {
+        "initial": {"q": [0.5], draw(st.sampled_from(["v", "p"])): [0.1]},
+        "integrate": {"t0": 0.0, "t1": 0.05, "dt": 0.01,
+                      "enforce_primary": draw(st.booleans())},
+    }
+    targets = draw(st.lists(st.sampled_from(TARGETS), max_size=2, unique=True))
+    for block, key in sorted(targets, key=lambda t: t[1] is None):
+        if key is None:
+            blocks[block] = draw(WRONG)
+        else:
+            blocks[block][key] = draw(WRONG)
+    return blocks
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(integrate_blocks())
+def test_integrate_wrong_typed_entries_end_in_an_exit_code(blocks):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump({"n": 1, "lagrangian": "0.5*v1^2 - 0.5*q1^2", **blocks},
+                      fh)
+        err = io.StringIO()
+        with (contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            code = main(["--out", os.path.join(tmp, "run"), "integrate",
+                         path])
+    assert code in (cli.EXIT_OK, cli.EXIT_PROBLEM, cli.EXIT_SOLVER,
+                    cli.EXIT_DOMAIN, cli.EXIT_EQUIV)
+    if code not in (cli.EXIT_OK, cli.EXIT_EQUIV):
+        assert err.getvalue().startswith("error: ")
 
 
 # --------------------------------------------------------------------------

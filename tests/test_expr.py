@@ -83,6 +83,31 @@ def test_parse_variable_exponent_rejected():
         parse("v1^v2", ["v1", "v2"])
 
 
+OVERFLOW = "overflow to a non-finite value or derivative"
+
+
+@pytest.mark.parametrize("source, column, message", [
+    ("q1^exp(1000)", 4, f"{OVERFLOW} in 'exp(1000)'"),
+    ("0.5*q1^exp(1000)", 8, f"{OVERFLOW} in 'exp(1000)'"),
+    ("q1^(10^400)", 4, f"{OVERFLOW} in '10^400'"),
+    ("q1^(2^(10^400))", 7, f"{OVERFLOW} in '10^400'"),
+    ("q1^(1e308*10)", 4, f"{OVERFLOW} in '1e+308*10'"),
+    ("q1^(1/0)", 4, "division by zero in '1/0'"),
+    ("q1^ln(0)", 4, "ln of non-positive value 0.0 in 'ln(0)'"),
+    ("q1^(0^-1)", 4, "zero raised to a negative power in '0^-1'"),
+    ("q1^((-1)^0.5)", 4,
+     "non-integer power of non-positive base -1.0 in '-1^0.5'"),
+    ("q1^sqrt(-1)", 4, "sqrt of negative value -1.0 in 'sqrt(-1)'"),
+])
+def test_parse_invalid_constant_exponent_names_column_and_fragment(
+        source, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(source, ["q1"])
+    assert err.value.column == column
+    assert str(err.value) == (f"invalid constant exponent: {message} "
+                              f"(column {column})")
+
+
 def test_parse_constant_exponent_subexpressions_fold():
     e = parse("v1^(1+1)", ["v1"])
     assert isinstance(e.root, Pow)

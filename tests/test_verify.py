@@ -175,6 +175,13 @@ LANE_STACKS = {
         ["converged", "SingularJacobianError", "converged",
          "SingularJacobianError", "converged"],
     ),
+    # a lane that has converged at its guess leaves before the W11 = 1e-8
+    # lane's first trial overflows to inf, which ends that lane
+    "non_finite_trial": (
+        "v1^4/12", {"v1": (-1.0, 1.0)}, [1 / 3, 1e305, 0.5, 3.0],
+        [1.0, 1e-4, 1.0, np.nan], {},
+        ["converged", "EvalDomainError", "converged", "EvalDomainError"],
+    ),
     # an exactly singular 2x2 block must not stop the other lanes' solve
     "singular_2x2_guess": (
         "v1^4/12 + v2^4/12", {"v1": (-1.0, 1.0), "v2": (-1.0, 1.0)},
@@ -203,34 +210,46 @@ LANE_STACKS = {
 }
 
 
+def row_orders(count):
+    """The rows in their given order, reversed, and shuffled: lanes leave a
+    stack in another order, and each must still end under its own row."""
+    given, rng = np.arange(count), np.random.default_rng(0)
+    shuffled = given
+    while shuffled[0] in (0, count - 1):  # neither given nor reversed
+        shuffled = rng.permutation(count)
+    return given, given[::-1], shuffled
+
+
 @pytest.mark.parametrize("case", sorted(LANE_STACKS))
 def test_solve_lanes_end_as_solve_ends(case):
-    source, domain, p1, guess, limits, kinds = LANE_STACKS[case]
+    source, domain, p1_given, guess_given, limits, kinds = LANE_STACKS[case]
     n = len(domain)
     system = LagrangianSystem.from_source(n, source, domain)
     partition = MixedHamiltonian.from_system(system).partition
     solver = EnvelopeSolver(system, partition, **limits)
-    count = len(p1)
+    count = len(p1_given)
     q, c2 = np.zeros((count, n)), np.zeros((count, 0))
-    p1 = np.array(p1, dtype=float).reshape(count, n)
-    guess = None if guess is None else np.c_[guess]
-    out, failed = solver.solve_lanes(q, p1, c2, guess)
-    want = [outcome(lambda: solver.solve(q[i], p1[i], c2[i],
-                                         None if guess is None else guess[i]))
-            for i in range(count)]
-    for i, w in enumerate(want):
-        if i in failed:
-            err = failed.pop(i)
-            assert np.isnan(out[i]).all()
-            assert_same_outcome((type(err), str(err)), w)
-        else:
-            assert_same_outcome(out[i], w)
-    assert not failed
-    assert [w[0].__name__ if isinstance(w, tuple) else "converged"
-            for w in want] == kinds
-    first = next((w for w in want if isinstance(w, tuple)), out)
-    assert_same_outcome(outcome(lambda: solver.solve_many(q, p1, c2, guess)),
-                        first)
+    p1_given = np.array(p1_given, dtype=float).reshape(count, n)
+    for order in row_orders(count):
+        p1 = p1_given[order]
+        guess = None if guess_given is None else np.c_[guess_given][order]
+        out, failed = solver.solve_lanes(q, p1, c2, guess)
+        want = [outcome(lambda: solver.solve(
+                    q[i], p1[i], c2[i], None if guess is None else guess[i]))
+                for i in range(count)]
+        for i, w in enumerate(want):
+            if i in failed:
+                err = failed.pop(i)
+                assert np.isnan(out[i]).all()
+                assert_same_outcome((type(err), str(err)), w)
+            else:
+                assert_same_outcome(out[i], w)
+        assert not failed
+        assert [w[0].__name__ if isinstance(w, tuple) else "converged"
+                for w in want] == [kinds[i] for i in order]
+        first = next((w for w in want if isinstance(w, tuple)), out)
+        assert_same_outcome(
+            outcome(lambda: solver.solve_many(q, p1, c2, guess)), first)
 
 
 @pytest.mark.parametrize("source, domain", [
@@ -257,9 +276,11 @@ def test_inverse_transform_many_ends_as_inverse_transform_ends(
         got = outcome(lambda: ham.inverse_transform_many(q[one], v[one],
                                                          p2[one]))
         assert_same_outcome(got if isinstance(got, tuple) else got[0], w)
-    first = next((w for w in want if isinstance(w, tuple)), None)
-    assert_same_outcome(outcome(lambda: ham.inverse_transform_many(q, v, p2)),
-                        first)
+    for order in row_orders(len(v)):
+        first = next((want[i] for i in order if isinstance(want[i], tuple)),
+                     None)
+        got = outcome(lambda: ham.inverse_transform_many(q, v[order], p2))
+        assert_same_outcome(got, first)
 
 
 def test_stacked_solve_names_the_first_singular_lane():

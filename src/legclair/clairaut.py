@@ -22,6 +22,7 @@ sample over the domain box.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,12 @@ def contract(a, b):
     return total
 
 
+# the 2×2 closed form decides only outside this many ulps of the larger
+# singular value, which is floored at the least normal float (see check_w11)
+W11_MARGIN = 16 * sys.float_info.epsilon
+_LEAST_NORMAL = sys.float_info.min
+
+
 def check_w11(w11, tol: float, where: str, **at):
     """Raise ``SingularJacobianError`` if W11's smallest singular value is at
     most ``tol * max(largest, 1)``, else return (smallest, largest).  The
@@ -105,21 +112,51 @@ def check_w11(w11, tol: float, where: str, **at):
     W11 is one block, as an array (k, k) or as k float rows, or a stack of
     blocks (count, k, k), checked block by block with one row of each
     ``at`` value per block; the first singular block is named, and the
-    singular values come back as one entry per block.  A single 1×1 block
-    [[w]] has the singular value |w|, which is used directly when w is
-    finite; a non-finite one goes through the SVD like every other block.
+    singular values come back as one entry per block.  Every check is
+    decided as ``np.linalg.svd`` decides it; one small block skips the SVD:
+
+    - 1×1 [[w]] with w finite has the singular value |w|, exactly.
+    - 2×2 [[a, b], [c, d]] has the singular values (s ± t) / 2, where s =
+      hypot(a + d, c - b) and t = hypot(a - d, c + b).  Since s² - t² =
+      4 det, the larger is (s + t) / 2 and the smaller |s - t| / 2 for
+      either sign of det.  The block passes here when the smaller exceeds
+      ``tol * max(larger, 1)`` by ``W11_MARGIN * max(larger, tiny)``, 16ε
+      of the larger (ε the machine epsilon, ``tiny`` the least normal
+      float); every other 2×2 block goes to the SVD, whose values a
+      failure's message shows.
+
+      The margin covers both sides' errors, σ being the larger value.  The
+      sums round by ε/2 and ``math.hypot`` by under 1 ulp, so s and t are
+      within 1.5ε relative and both closed forms within 2εσ.  LAPACK
+      reduces the block to bidiagonal form by Householder reflections,
+      whose backward error moves each singular value by a few εσ (Weyl's
+      inequality), and takes the bidiagonal 2×2's values to a few ε
+      relative (``dlas2``; Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11,
+      1990); against 200-bit arithmetic its error reached 3.7εσ on 30,000
+      random blocks.  The two thresholds differ by tol times these errors,
+      less than the errors themselves, since for tol ≥ 1 no block passes
+      here (smaller ≤ larger).  Subnormal roundings stay below ε·tiny.  A
+      non-finite entry or an overflow makes the comparison false.
+    - Larger blocks and stacks always take the SVD.
     """
-    if type(w11) is not np.ndarray:
-        w11 = np.array(w11) if len(w11) > 1 else float(w11[0][0])
-    elif w11.shape == (1, 1):
-        w11 = float(w11[0, 0])
-    if type(w11) is float:
-        if math.isfinite(w11):
-            smallest = largest = abs(w11)
+    if type(w11) is np.ndarray and w11.ndim == 2 and len(w11) < 3:
+        w11 = w11.tolist()
+    if type(w11) is not np.ndarray and len(w11) < 3:
+        if len(w11) == 1:
+            smallest = largest = abs(w11[0][0])
+            closed = math.isfinite(smallest)
         else:
-            sv = np.linalg.svd(np.array([[w11]]), compute_uv=False)
+            (a, b), (c, d) = w11
+            s, t = math.hypot(a + d, c - b), math.hypot(a - d, c + b)
+            smallest, largest = abs(s - t) / 2, (s + t) / 2
+            margin = W11_MARGIN * max(largest, _LEAST_NORMAL)
+            closed = smallest > tol * max(largest, 1.0) + margin
+        if not closed:
+            sv = np.linalg.svd(np.array(w11, dtype=float), compute_uv=False)
             smallest, largest = sv[-1], sv[0]
     else:
+        if type(w11) is not np.ndarray:
+            w11 = np.array(w11)
         sv = np.linalg.svd(w11, compute_uv=False)
         smallest, largest = sv[..., -1], sv[..., 0]
         if w11.ndim == 3:
@@ -192,6 +229,20 @@ def gepp(a, cols) -> list:
     """W11^{-1} b, a list, for each list b of ``cols``; W11 is k float rows."""
     return _eliminate([list(row) for row in a], [list(col) for col in cols],
                       _pivot_floats)
+
+
+def abs_det(a) -> float:
+    """|det| of k float rows: the product, left to right, of the pivots
+    that :func:`_eliminate` leaves, so its bits depend on the rows alone."""
+    a = [list(row) for row in a]
+    try:
+        _eliminate(a, [], _pivot_floats)
+    except ZeroDivisionError:  # a pivot column is zero: the rows are singular
+        return 0.0
+    det = 1.0
+    for i, row in enumerate(a):
+        det = det * row[i]
+    return abs(det)
 
 
 def gepp_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .clairaut import (
     MixedHamiltonian,
     NewtonDivergedError,
     SingularJacobianError,
+    abs_det,
 )
 from .dynamics import (
     GaugeChoice,
@@ -257,7 +258,7 @@ def cmd_analyze(problem: Problem, args, out):
             system.lagrangian, x, range(n, 2 * n)
         ).hess
         if k:
-            dets.append(abs(float(np.linalg.det(w[np.ix_(reg, reg)]))))
+            dets.append(abs_det(w[np.ix_(reg, reg)].tolist()))
         else:
             dets.append(0.0)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -522,10 +523,16 @@ def svd_check(w11, tol, where, **at):
 
 
 def check_outcome(check, w, tol):
-    """The exception type and message a check ends in, or None."""
+    """The exception type and message a check of [[w]] ends in, or None."""
+    return block_outcome(check, np.array([[w]]), tol, v1=np.array([w]))
+
+
+def block_outcome(check, block, tol, **at):
+    """The exception type and message a check of one block ends in, or
+    None."""
     try:
         with np.errstate(invalid="ignore"):
-            check(np.array([[w]]), tol, "W11 is singular at", v1=np.array([w]))
+            check(block, tol, "W11 is singular at", **at)
     except Exception as exc:  # noqa: BLE001 - the outcome is compared
         return type(exc), str(exc)
     return None
@@ -569,6 +576,110 @@ def test_check_w11_returns_the_extreme_singular_values():
     assert_allclose(smallest, [0.5, 1.0], rtol=1e-15)
     assert_allclose(largest, [2.0, 3.0], rtol=1e-15)
     assert clairaut.check_w11(np.array([[-4.0]]), TOL, "") == (4.0, 4.0)
+
+
+def assert_2x2_decides_as_the_svd(block, tol):
+    """``check_w11`` on a 2x2 block, as an array and as float rows, ends as
+    the SVD check ends; a block it passes comes back with singular values
+    within ``W11_MARGIN`` of the SVD's."""
+    block = np.asarray(block, dtype=float)
+    at = {"v1": np.array([0.5, -0.25])}
+    want = block_outcome(svd_check, block, tol, **at)
+    for form in (block, block.tolist()):
+        assert block_outcome(clairaut.check_w11, form, tol, **at) == want
+    if want is None:
+        sv = np.linalg.svd(block, compute_uv=False)
+        margin = clairaut.W11_MARGIN * max(sv[0], sys.float_info.min)
+        assert_allclose(clairaut.check_w11(block.tolist(), tol, ""),
+                        (sv[-1], sv[0]), rtol=0.0, atol=margin)
+    return want
+
+
+def rotation(angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@BLOCK_PROPERTY
+@given(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi),
+       st.floats(1e-6, 1e6),
+       # the smaller singular value: tol * max(larger, 1) * (1 + delta)
+       # just either side of the threshold, or larger * ratio anywhere
+       st.one_of(st.tuples(st.just(True), st.floats(-1e-5, 1e-5)),
+                 st.tuples(st.just(False), st.floats(0.0, 1.0))),
+       st.sampled_from([-1.0, 1.0]), st.floats(1e-15, 0.5))
+def test_check_w11_2x2_decides_as_the_svd(theta, phi, largest, smaller,
+                                          det_sign, tol):
+    near, x = smaller
+    smallest = tol * max(largest, 1.0) * (1.0 + x) if near else largest * x
+    smallest = min(smallest, largest)
+    block = (rotation(theta) @ np.diag([largest, det_sign * smallest])
+             @ rotation(phi))
+    assert_2x2_decides_as_the_svd(block, tol)
+
+
+@BLOCK_PROPERTY
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=4, max_size=4),
+       st.floats(1e-15, 0.5))
+def test_check_w11_2x2_decides_as_the_svd_on_any_finite_block(entries, tol):
+    assert_2x2_decides_as_the_svd(np.reshape(entries, (2, 2)), tol)
+
+
+BIG = 1.7976931348623157e308
+EDGE_2X2 = {
+    "zero_first_row": [[0.0, 0.0], [1.0, 2.0]],
+    "zero_second_row": [[3.0, -1.0], [0.0, 0.0]],
+    "zero": [[0.0, -0.0], [0.0, 0.0]],
+    "subnormal_diagonal": [[5e-324, 0.0], [0.0, 5e-324]],
+    "subnormal": [[1e-310, 3e-310], [-2e-310, 1e-310]],
+    "least_normal": [[2.2250738585072014e-308, 0.0], [0.0, 1.0]],
+    "at_the_threshold": [[TOL, 0.0], [0.0, 1.0]],
+    "above_the_threshold": [[np.nextafter(TOL, 1.0), 0.0], [0.0, 1.0]],
+    "sum_a_plus_d_overflows": [[1e308, 0.0], [0.0, 1e308]],
+    "difference_a_minus_d_overflows": [[1e308, 0.0], [0.0, -1e308]],
+    "s_plus_t_overflows": [[1e308, 0.0], [1e308, 1e307]],
+    "largest_finite": [[BIG, BIG], [-BIG, BIG]],
+    "nan": [[math.nan, 0.0], [0.0, 1.0]],
+    "inf": [[math.inf, 0.0], [0.0, 1.0]],
+    "minus_inf": [[1.0, -math.inf], [0.0, 1.0]],
+    "inf_minus_inf": [[math.inf, 0.0], [0.0, -math.inf]],
+    "swap": [[0.0, 1.0], [1.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("name", EDGE_2X2)
+def test_check_w11_2x2_decides_as_the_svd_at_the_edges(name):
+    want = assert_2x2_decides_as_the_svd(EDGE_2X2[name], TOL)
+    if name in ("zero_first_row", "at_the_threshold", "largest_finite"):
+        assert want is not None and want[0] is SingularJacobianError
+    if name in ("above_the_threshold", "sum_a_plus_d_overflows",
+                "s_plus_t_overflows", "swap"):
+        assert want is None
+
+
+def test_check_w11_2x2_with_a_negative_determinant_skips_the_svd(
+        monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert clairaut.check_w11([[0.0, 1.0], [1.0, 0.0]], TOL, "") == (1.0, 1.0)
+    assert clairaut.check_w11(np.array([[2.0, 0.0], [0.0, -0.5]]), TOL,
+                              "") == (0.5, 2.0)
+
+
+def test_abs_det_is_the_product_of_the_pivots():
+    # the pivots are 4 (row 1), then 3 (row 2), then 0.75 - (1.75/3)*2
+    # from row 0 after its first update to [1.75, 0.75]
+    rows = [[1.0, 2.0, 0.5], [4.0, 1.0, -1.0], [0.0, 3.0, 2.0]]
+    assert clairaut.abs_det(rows) == abs(1.0 * 4.0 * 3.0
+                                         * (0.75 - 1.75 / 3.0 * 2.0))
+    assert_allclose(clairaut.abs_det(rows), 5.0, rtol=1e-15)
+    assert clairaut.abs_det([[-3.0]]) == 3.0
+    assert clairaut.abs_det([[0.0, 1.0], [0.0, 2.0]]) == 0.0  # zero column
+    assert clairaut.abs_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+    assert rows == [[1.0, 2.0, 0.5], [4.0, 1.0, -1.0], [0.0, 3.0, 2.0]]
 
 
 # --------------------------------------------------------------------------

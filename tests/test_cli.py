@@ -325,6 +325,23 @@ def test_integrate_enforce_primary_violation_exits_4(tmp_path, capsys):
     assert "phi_1 = 3" in err
 
 
+def test_integrate_singular_2x2_block_exits_4(tmp_path, capsys):
+    # W11 = diag(3 v1^2, 1) is singular at v1 = 0, where both flows start
+    path = write_problem(
+        tmp_path,
+        n=3,
+        lagrangian="0.25*v1^4 + 0.5*v2^2 + q1*v3",
+        gauge={"v3": "0.0"},
+        initial={"q": [0.5, 0.0, 0.0], "v": [0.0, 0.0, 0.0]},
+        integrate={"t0": 0.0, "t1": 0.1, "dt": 0.01},
+    )
+    code = main(["--out", str(tmp_path / "x"), "integrate", path])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: regular velocity block is singular at")
+    assert "(smallest singular value 0.000e+00) at RK4 step 0" in err
+
+
 def test_integrate_momentum_initial_data(tmp_path, capsys):
     path = deg1_problem(tmp_path, initial={"q": [0.0, 0.0], "p": [2.0, 2.0]})
     code = main(["--out", str(tmp_path / "y"), "integrate", path])
@@ -547,12 +564,25 @@ def test_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
         integrate={"t0": 0.0, "t1": 2.0, "dt": 0.05},
         verify={"samples": 20},
     )
+    # analyze reports |det W11| over 100 samples; with k = 3 its LU factors
+    # round, as a BLAS determinant's bits followed the kernel
+    regular = write_problem(
+        tmp_path,
+        name="regular.json",
+        n=3,
+        lagrangian="0.5*(1+q1^2)*v1^2 + 0.5*(2+sin(q2))*v2^2"
+                   " + 0.5*(3+q3^2)*v3^2 + 0.9*v1*v2 + 0.2*q1*v2*v3"
+                   " - 0.1*q2*v1*v3",
+        domain={name: [-1, 1] for name in ("q1", "q2", "q3",
+                                           "v1", "v2", "v3")},
+    )
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     commands = {
         "integrate": ["--out", ".", "integrate", path],
         "transform": ["transform", path, "--grid", "p1=-1:1:20",
                       "--grid", "p2=0.3,0.7", "--grid", "q1=-1,0.5"],
         "verify": ["--json", "verify", path],
+        "analyze": ["--json", "analyze", regular],
     }
     outputs = []
     for coretype in (None, "Sandybridge"):

@@ -581,6 +581,51 @@ def test_singular_block_in_a_flow_keeps_its_message():
         assert str(got.value) == f"{want.value} at RK4 step 0 (t = 0)"
 
 
+def test_singular_2x2_block_in_a_flow_keeps_its_message():
+    # W = diag(3 v1^2, 1, 0): at v1 = 0 the 2x2 block W11 = diag(0, 1) is
+    # singular, which the closed form leaves to the SVD and its message
+    ham = MixedHamiltonian.from_system(
+        LagrangianSystem.from_source(3, "0.25*v1^4 + 0.5*v2^2 + q1*v3")
+    )
+    assert ham.partition.regular == (0, 1)
+    gauge = GaugeChoice.constant(3, [0.0])
+    for ours, oracle, x10 in (
+        (integrate_el, rk4_oracle.integrate_el, [0.0, 0.0]),
+        (integrate_ham, rk4_oracle.integrate_ham, [0.0, 0.0, 0.5]),
+    ):
+        args = (ham, gauge, [0.5, 0.0, 0.0], x10, (0.0, 0.1), 0.01)
+        with pytest.raises(SingularJacobianError) as want:
+            oracle(*args)
+        with pytest.raises(SingularJacobianError) as got:
+            ours(*args)
+        assert str(want.value).startswith("regular velocity block is singular")
+        assert str(want.value).endswith("(smallest singular value 0.000e+00)")
+        assert str(got.value) == f"{want.value} at RK4 step 0 (t = 0)"
+
+
+def test_2x2_flows_take_no_svd(monkeypatch):
+    # deg3 has k = 2: every W11 check of both flows is decided in closed
+    # form, at each Newton iterate and each RK4 stage
+    ham = make_ham("deg3")
+    gauge = gauge_of(3, CORPUS_GAUGES["deg3"])
+    q0, v10 = [0.1, 0.2, 0.3], [0.4, -0.2]
+    p0 = eval_dual2(ham.system.lagrangian,
+                    ham.system.point(q0, ham.assemble_velocity(
+                        v10, gauge.value(q0))), range(3, 6)).grad
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    span, dt = (0.0, 0.05), 1e-3  # 50 steps
+    assert integrate_el(ham, gauge, q0, v10, span, dt).times.size == 51
+    assert integrate_ham(ham, gauge, q0, p0, span, dt).times.size == 51
+    assert calls == []
+
+
 def test_singular_block_at_a_stage_that_is_not_recorded():
     # stages 2-4 skip the monitors but must still check W11, with the
     # message of the recorded stage

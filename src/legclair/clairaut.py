@@ -138,6 +138,9 @@ def check_w11(w11, tol: float, where: str, **at):
       here (smaller ≤ larger).  Subnormal roundings stay below ε·tiny.  A
       non-finite entry or an overflow makes the comparison false.
     - Larger blocks and stacks always take the SVD.
+
+    A block with a non-finite entry is singular, with NaN singular values;
+    it never reaches LAPACK, which returns NaN or fails to converge there.
     """
     if type(w11) is np.ndarray and w11.ndim == 2 and len(w11) < 3:
         w11 = w11.tolist()
@@ -152,28 +155,37 @@ def check_w11(w11, tol: float, where: str, **at):
             margin = W11_MARGIN * max(largest, _LEAST_NORMAL)
             closed = smallest > tol * max(largest, 1.0) + margin
         if not closed:
-            sv = np.linalg.svd(np.array(w11, dtype=float), compute_uv=False)
+            sv = _singular_values(w11)
             smallest, largest = sv[-1], sv[0]
     else:
-        if type(w11) is not np.ndarray:
-            w11 = np.array(w11)
-        sv = np.linalg.svd(w11, compute_uv=False)
+        sv = _singular_values(w11)
         smallest, largest = sv[..., -1], sv[..., 0]
-        if w11.ndim == 3:
-            singular = smallest <= tol * np.maximum(largest, 1.0)
+        if sv.ndim == 2:
+            singular = ~(smallest > tol * np.maximum(largest, 1.0))
             if not singular.any():
                 return smallest, largest
             first = int(np.argmax(singular))
             sv = sv[first]
             at = {name: x[first] for name, x in at.items()}
             smallest, largest = sv[-1], sv[0]
-    if smallest <= tol * max(largest, 1.0):
+    if not smallest > tol * max(largest, 1.0):  # NaN is singular too
         point = ", ".join(f"{name}={np.asarray(x, dtype=float).tolist()}"
                           for name, x in at.items())
         raise SingularJacobianError(
             f"{where} {point} (smallest singular value {smallest:.3e})"
         )
     return smallest, largest
+
+
+def _singular_values(w11) -> np.ndarray:
+    """``np.linalg.svd``'s singular values, NaN for a non-finite block."""
+    w11 = np.asarray(w11, dtype=float)
+    if np.isfinite(w11).all():
+        return np.linalg.svd(w11, compute_uv=False)
+    finite = np.isfinite(w11).all(axis=(-2, -1))
+    sv = np.full(w11.shape[:-1], np.nan)
+    sv[finite] = np.linalg.svd(w11[finite], compute_uv=False)
+    return sv
 
 
 def _eliminate(a, cols, pivot):

@@ -39,7 +39,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -514,31 +514,26 @@ def cmd_integrate(problem: Problem, args, out):
     os.makedirs(outdir, exist_ok=True)
     report = {}
     trajectories = {}
-    if args.method in ("el", "both"):
-        traj = integrate_el(ham, gauge, q0, v1, t_span, dt)
-        path = os.path.join(outdir, "trajectory_el.csv")
+    # each flow's monitor and run, in report order
+    flows = {
+        "el": ("el_i2_res",
+               lambda: integrate_el(ham, gauge, q0, v1, t_span, dt)),
+        "ham": ("hs3_res",
+                lambda: integrate_ham(ham, gauge, q0, p0, t_span, dt,
+                                      enforce_primary=enforce)),
+    }
+    for side, (monitor, run) in flows.items():
+        if args.method not in (side, "both"):
+            continue
+        traj = trajectories[side] = run()
+        path = os.path.join(outdir, f"trajectory_{side}.csv")
         write_trajectory_csv(traj, path)
-        trajectories["el"] = traj
-        report["el"] = {
+        report[side] = {
             "path": path,
             "nodes": int(traj.times.size),
             "max_abs_phi": float(np.max(np.abs(traj.phi)))
             if traj.phi.size else 0.0,
-            "max_el_i2_res": float(np.max(traj.el_i2_res)),
-        }
-    if args.method in ("ham", "both"):
-        traj = integrate_ham(
-            ham, gauge, q0, p0, t_span, dt, enforce_primary=enforce
-        )
-        path = os.path.join(outdir, "trajectory_ham.csv")
-        write_trajectory_csv(traj, path)
-        trajectories["ham"] = traj
-        report["ham"] = {
-            "path": path,
-            "nodes": int(traj.times.size),
-            "max_abs_phi": float(np.max(np.abs(traj.phi)))
-            if traj.phi.size else 0.0,
-            "max_hs3_res": float(np.max(traj.hs3_res)),
+            f"max_{monitor}": float(np.max(getattr(traj, monitor))),
         }
 
     code = EXIT_OK
@@ -547,32 +542,19 @@ def cmd_integrate(problem: Problem, args, out):
             trajectories["el"], trajectories["ham"],
             tol=problem.verify["tol_equiv"],
         )
-        report["comparison"] = {
-            "dq": rep.dq,
-            "dv": rep.dv,
-            "dp1": rep.dp1,
-            "max_discrepancy": rep.max_discrepancy,
-            "tol": rep.tol,
-            "passed": rep.passed,
-        }
+        report["comparison"] = asdict(rep)
         if not rep.passed:
             code = EXIT_EQUIV
 
     if args.json:
         out.write(json.dumps(report, indent=2) + "\n")
         return code
-    for side in ("el", "ham"):
-        if side not in report:
-            continue
-        r = report[side]
-        monitor = (
-            f"max el_i2_res = {r['max_el_i2_res']:.3e}"
-            if side == "el"
-            else f"max hs3_res = {r['max_hs3_res']:.3e}"
-        )
+    for side in trajectories:
+        r, monitor = report[side], flows[side][0]
         out.write(
             f"{r['path']}: {r['nodes']} nodes, "
-            f"max |phi| = {r['max_abs_phi']:.3e}, {monitor}\n"
+            f"max |phi| = {r['max_abs_phi']:.3e}, "
+            f"max {monitor} = {r[f'max_{monitor}']:.3e}\n"
         )
     if "comparison" in report:
         c = report["comparison"]
@@ -687,6 +669,17 @@ def build_parser():
     return parser
 
 
+# the exit code of each library error (README, "Exit codes")
+_EXIT_CODES = {
+    ParseError: EXIT_PROBLEM, ProblemError: EXIT_PROBLEM,
+    RankNotConstantError: EXIT_RANK,
+    NoValidMinorError: EXIT_SOLVER, NewtonDivergedError: EXIT_SOLVER,
+    SingularJacobianError: EXIT_SOLVER, PrimaryConstraintError: EXIT_SOLVER,
+    OutOfDomainError: EXIT_DOMAIN, EvalDomainError: EXIT_DOMAIN,
+    NonFiniteStateError: EXIT_DOMAIN,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -703,22 +696,10 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 return handler(problem, args, fh)
         return handler(problem, args, sys.stdout)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROBLEM
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROBLEM
-    except RankNotConstantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK
-    except (NoValidMinorError, NewtonDivergedError, SingularJacobianError,
-            PrimaryConstraintError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (OutOfDomainError, EvalDomainError, NonFiniteStateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return next(code for cls, code in _EXIT_CODES.items()
+                    if isinstance(exc, cls))
 
 
 def entry():

@@ -336,9 +336,12 @@ def el_rhs(system, partition, gauge, q, v1):
 def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
     """Integrate the gauge-fixed Euler-Lagrange flow with fixed-step RK4.
 
-    State is (q, v1); the non-regular velocities follow the gauge.  Momenta,
-    primary-constraint values and the non-regular row defect are recorded at
-    every node.
+    State is (q, v1); the non-regular velocities follow the gauge.  Momenta
+    p = dL/dv and the non-regular row defect are recorded at every node.
+    The momenta lie on the Legendre image, where the primary constraints
+    hold identically: Phi = p2 - Psi(q, p1) is 0 by construction (the
+    envelope solve at p1 = dL/dv1 returns v1 itself, and dL/dv2 has the
+    same bits for every active set), so its column is recorded as 0.0.
     """
     system, partition = ham.system, ham.partition
     n, k = system.n, partition.k
@@ -346,19 +349,12 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
     t0, _, nsteps, h = _validate_span(t_span, dt)
     y0 = (checked_vector(q0, n, "q0").tolist()
           + checked_vector(v10, k, "v10").tolist())
-    reg, nonreg = list(partition.regular), list(partition.nonregular)
-    lag, solver = system.lagrangian, ham.solver
-    v_active = tuple(range(n, 2 * n))
+    phi = [0.0] * (n - k)
     rows = []
 
     def record(i, t, y, info):
         i2_res, v, lv = info
-        q = y[:n]
-        # Psi at (q, p1 = dL/dv1) with the probe v2, warm-started at v1
-        point = q + v
-        solver.iterate(point, [lv[r] for r in reg], y[n:])
-        psi = eval_dual2(lag, point, v_active).floats()[0]
-        rows.append((t, q, v, lv, [lv[j] - psi[j] for j in nonreg], i2_res))
+        rows.append((t, y[:n], v, lv, phi, i2_res))
 
     _rk4(_el_field(system, partition, gauge), y0, t0, h, nsteps, record)
     return _trajectory(rows, n, k, partition.regular, el=True)

@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -288,13 +288,15 @@ class _Parser:
             raise ParseError(f"invalid constant exponent: {err}", col) from None
 
 
+_CHILDREN = ("arg", "left", "right", "base")  # the subtree fields of a node
+
+
 def _nodes(node):
     """Every node of an expression tree, parents before their children."""
     yield node
-    for child in (getattr(node, name, None)
-                  for name in ("arg", "left", "right", "base")):
-        if child is not None:
-            yield from _nodes(child)
+    for name in _CHILDREN:
+        if hasattr(node, name):
+            yield from _nodes(getattr(node, name))
 
 
 def parse(source: str, variables) -> Expression:
@@ -370,30 +372,12 @@ def to_source(node_or_expr) -> str:
 
 
 def _remap(node, variables, index_map):
-    if isinstance(node, (Num,)):
-        return node
     if isinstance(node, Var):
         j = index_map[node.index]
         return Var(j, variables[j])
-    if isinstance(node, Neg):
-        return Neg(_remap(node.arg, variables, index_map))
-    if isinstance(node, Add):
-        return Add(_remap(node.left, variables, index_map),
-                   _remap(node.right, variables, index_map))
-    if isinstance(node, Sub):
-        return Sub(_remap(node.left, variables, index_map),
-                   _remap(node.right, variables, index_map))
-    if isinstance(node, Mul):
-        return Mul(_remap(node.left, variables, index_map),
-                   _remap(node.right, variables, index_map))
-    if isinstance(node, Div):
-        return Div(_remap(node.left, variables, index_map),
-                   _remap(node.right, variables, index_map))
-    if isinstance(node, Pow):
-        return Pow(_remap(node.base, variables, index_map), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.func, _remap(node.arg, variables, index_map))
-    raise TypeError(f"unknown node {node!r}")
+    return replace(node, **{
+        name: _remap(getattr(node, name), variables, index_map)
+        for name in _CHILDREN if hasattr(node, name)})
 
 
 def with_variables(e: Expression, variables, index_map: dict) -> Expression:
@@ -413,16 +397,21 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # --------------------------------------------------------------------------
 #
 # Each expression is compiled on first use into one Python function per
-# active-index tuple, plus one value-only function for ``evaluate``.  A
-# constant exponent is folded while parsing by the checked value-only
+# active-index tuple, plus one value-only function for ``evaluate``.  One
+# node emitter writes them all: the value-only function is the forward pass
+# with no active variable, whose derivative rules emit nothing.  Two rules
+# hold for it alone: ``sqrt(0)`` is legal, and a quotient's divisor is
+# tested before its numerator is visited, so ``ln(q1)/q2`` at (-1, 0) is a
+# division by zero to ``evaluate`` and an ln domain error to ``eval_dual2``.
+# A constant exponent is folded while parsing by the checked value-only
 # function of its subtree (a plain number is taken as it is), so it meets
 # ``evaluate``'s domain and overflow checks, and a failing one is a
 # ``ParseError`` that quotes the ``EvalDomainError``.  The
 # function takes the point as plain floats and runs straight-line code, one
 # statement per operation: every value, gradient and Hessian entry goes
 # through the operations a forward pass over (value, gradient, Hessian)
-# triples performs, in its order, except that a value is computed as
-# ``evaluate`` computes it (a quotient as num / den, x^1 as x).  Operations
+# triples performs, in its order, except that a quotient's value is num /
+# den and x^1 is x, in every function.  Operations
 # on constants are done while generating (the same float arithmetic, so
 # nothing changes), and derivative terms known to be zero are dropped, which
 # can flip the sign of a zero entry and nothing else.
@@ -511,13 +500,15 @@ class _Codegen:
     """Emit the straight-line body of one kernel.
 
     A quantity is either a float known at generation time or the name of a
-    local of the generated function.  ``active`` is the tuple of variable
-    indices to differentiate against, or None for a value-only kernel with
-    the value-only domain rules (``sqrt(0)`` allowed).  In ``checked`` mode
-    every operation is guarded and every node's outputs are tested, so the
-    first node that overflows raises with its own fragment.  In ``stacked``
-    mode the locals are numpy columns: each operation takes its stacked form
-    and a guard marks its rows in ``_bad`` instead of raising.
+    local of the generated function, and a node's output is its (value,
+    gradient, Hessian) triple.  ``active`` is the tuple of variable indices
+    to differentiate against, or None for a value-only kernel: no slot, so
+    the triples are (value, [], []), under the two value-only rules of the
+    Evaluation section (``sqrt(0)`` allowed, divisor first).  In ``checked``
+    mode every operation is guarded and every node's outputs are tested, so
+    the first node that overflows raises with its own fragment.  In
+    ``stacked`` mode the locals are numpy columns: each operation takes its
+    stacked form and a guard marks its rows in ``_bad`` instead of raising.
     """
 
     def __init__(self, active, checked, stacked=False):
@@ -631,60 +622,19 @@ class _Codegen:
     def visit(self, node):
         """Emit ``node`` after its subtree; checked mode tests its outputs."""
         if not self.checked:
-            return self.node(node)
+            return self._dual(node)
         self.frags.append(self.const(to_source(node)))
-        out = self.node(node)
+        out = self._dual(node)
         every = ", ".join(map(self.lit, self.flat(out)))
         self.lines.append(
             f"if not _finite({every}): raise _E(_NONFINITE, {self.frags.pop()})"
         )
         return out
 
-    def node(self, node):
-        return self._value(node) if self.value_only else self._dual(node)
-
-    def flat(self, out) -> list:
-        if self.value_only:
-            return [out]
+    @staticmethod
+    def flat(out) -> list:
         v, g, h = out
         return [v, *g, *(x for row in h for x in row)]
-
-    def _value(self, node):
-        if isinstance(node, Num):
-            return float(node.value)
-        if isinstance(node, Var):
-            return f"x{node.index}"
-        if isinstance(node, Neg):
-            return self.op("-{}", self.visit(node.arg))
-        if isinstance(node, (Add, Sub, Mul)):
-            sym = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
-            left = self.visit(node.left)
-            return self.op(f"{{}} {sym} {{}}", left, self.visit(node.right))
-        if isinstance(node, Div):
-            den = self.visit(node.right)
-            self.guard("{} == 0.0", den, "division by zero", node, False)
-            return self.op("{} / {}", self.visit(node.left), den)
-        if isinstance(node, Pow):
-            x = self.visit(node.base)
-            b = node.exponent
-            n = round(b)
-            if b == n:
-                if n < 0:
-                    self.guard("{} == 0.0", x, "zero raised to a negative power",
-                               node, False)
-                return self.ipow(x, n)
-            self.guard("{} <= 0.0", x,
-                       "non-integer power of non-positive base ", node)
-            return self.op(f"{{}} ** {self.lit(b)}", x)
-        if isinstance(node, Call):
-            x = self.visit(node.arg)
-            if node.func == "ln":
-                self.guard("{} <= 0.0", x, "ln of non-positive value ", node)
-                return self.op("log({})", x)
-            if node.func == "sqrt":
-                self.guard("{} < 0.0", x, "sqrt of negative value ", node)
-            return self.op(f"{node.func}({{}})", x)
-        raise TypeError(f"unknown node {node!r}")
 
     # -- value, gradient and Hessian ------------------------------------------
 
@@ -747,17 +697,20 @@ class _Codegen:
         if isinstance(node, Mul):
             return self.mul(self.visit(node.left), self.visit(node.right))
         if isinstance(node, Div):
-            num = self.visit(node.left)
+            # a value kernel tests the divisor before it visits the numerator
+            num = None if self.value_only else self.visit(node.left)
             den = self.visit(node.right)
             x = den[0]
             self.guard("{} == 0.0", x, "division by zero", node, False)
+            if self.value_only:
+                return self.op("{} / {}", self.visit(node.left)[0], x), [], []
             xx = lambda: self.op("{} * {}", x, x)  # noqa: E731
             inv = self.chain(
                 den, self.op("1.0 / {}", x),
                 lambda: self.op("-1.0 / {}", xx()),
                 lambda: self.op("2.0 / {}", self.op("{} * {}", xx(), x)),
             )
-            # the derivatives are num * (1/x)'s; the value is evaluate's
+            # the derivatives are num * (1/x)'s, the value num / x
             return self.mul(num, inv, self.op("{} / {}", num[0], x))
         if isinstance(node, Pow):
             return self._pow(self.visit(node.base), node.exponent, node)
@@ -815,9 +768,12 @@ class _Codegen:
             return self.chain(u, op("log({})", x), lambda: op("1.0 / {}", x),
                               lambda: op("-1.0 / {}", op("{} * {}", x, x)))
         if func == "sqrt":
-            self.guard("{} <= 0.0", x,
-                       "sqrt needs a positive argument for derivatives, got ",
-                       node)
+            if self.value_only:
+                self.guard("{} < 0.0", x, "sqrt of negative value ", node)
+            else:
+                self.guard(
+                    "{} <= 0.0", x,
+                    "sqrt needs a positive argument for derivatives, got ", node)
             s = op("sqrt({})", x)
             return self.chain(u, s, lambda: op("0.5 / {}", s),
                               lambda: op("-0.25 / {}", op("{} * {}", x, s)))
@@ -872,15 +828,13 @@ def _compile(root, nvars: int, active, checked=False):
     as a list of floats and returns a float or a :class:`Dual2`.
     """
     cg = _Codegen(active, checked)
-    out = cg.visit(root)
+    v, g, h = out = cg.visit(root)
     outputs = cg.flat(out)
-    if cg.value_only:
-        result = cg.lit(out)
-    else:
-        v, g, h = out
+    result = cg.lit(v)
+    if not cg.value_only:
         grad = _tuple_source(map(cg.lit, g))
         hess = _tuple_source(_tuple_source(map(cg.lit, row)) for row in h)
-        result = f"_Dual2({cg.lit(v)}, {grad}, {hess})"
+        result = f"_Dual2({result}, {grad}, {hess})"
     src = ["def kernel(p):"]
     if nvars:
         src.append("    " + "".join(f"x{i}, " for i in range(nvars)) + "= p")
@@ -962,11 +916,17 @@ def _active_key(e: Expression, active) -> tuple:
     return key
 
 
-def _dual_kernel(e: Expression, active):
-    key = _active_key(e, active)
+def _kernel(e: Expression, key):
+    """The scalar kernel for an active tuple or ``_VALUE_ONLY``."""
     kernel = e._kernels.get(key)
     if kernel is None:
-        kernel = e._kernels[key] = _compile(e.root, len(e.variables), key)
+        kernel = e._kernels[key] = _compile(
+            e.root, len(e.variables), None if key is _VALUE_ONLY else key)
+    return kernel
+
+
+def _dual_kernel(e: Expression, active):
+    kernel = _kernel(e, _active_key(e, active))
     if active is None or type(active) in (tuple, range):
         e._kernels[active] = kernel  # the caller's own form hits next time
     return kernel
@@ -1005,17 +965,8 @@ def evaluate(e: Expression, point) -> float:
     try:
         kernel = e._kernels[_VALUE_ONLY]
     except KeyError:
-        kernel = _value_kernel(e)
+        kernel = _kernel(e, _VALUE_ONLY)
     return kernel(p)
-
-
-def _value_kernel(e: Expression):
-    kernel = e._kernels.get(_VALUE_ONLY)
-    if kernel is None:
-        kernel = e._kernels[_VALUE_ONLY] = _compile(
-            e.root, len(e.variables), None
-        )
-    return kernel
 
 
 _STACKED = object()  # first half of the cache key of every stacked kernel
@@ -1045,8 +996,7 @@ def _run_many(e: Expression, points, key, width):
         out, bad = np.empty((count, width)), np.ones(count, dtype=bool)
     rows = np.flatnonzero(bad)
     if rows.size:
-        scalar = (_value_kernel(e) if key is _VALUE_ONLY
-                  else _dual_kernel(e, key))
+        scalar = _kernel(e, key)
     failed = {}
     for i in rows.tolist():
         try:

@@ -513,9 +513,13 @@ def test_an_overflowing_stacked_solve_prints_no_warning():
 
 
 def svd_check(w11, tol, where, **at):
-    """``check_w11`` with the SVD on every block, 1x1 ones included."""
-    sv = np.linalg.svd(w11, compute_uv=False)
-    if sv[-1] <= tol * max(sv[0], 1.0):
+    """``check_w11`` with the SVD on every block, 1x1 ones included; a block
+    with a non-finite entry is singular, with NaN singular values."""
+    if np.isfinite(w11).all():
+        sv = np.linalg.svd(w11, compute_uv=False)
+    else:
+        sv = np.full(len(w11), np.nan)
+    if not sv[-1] > tol * max(sv[0], 1.0):
         point = ", ".join(f"{name}={x.tolist()}" for name, x in at.items())
         raise SingularJacobianError(
             f"{where} {point} (smallest singular value {sv[-1]:.3e})"
@@ -556,6 +560,8 @@ def test_check_w11_1x1_decides_as_the_svd_at_the_edges(w):
         assert want is not None and want[0] is SingularJacobianError
     if w == np.nextafter(TOL, 1.0) or w == 1e300:
         assert want is None
+    if not math.isfinite(w):
+        assert want is not None and want[0] is SingularJacobianError
 
 
 @BLOCK_PROPERTY
@@ -656,6 +662,32 @@ def test_check_w11_2x2_decides_as_the_svd_at_the_edges(name):
     if name in ("above_the_threshold", "sum_a_plus_d_overflows",
                 "s_plus_t_overflows", "swap"):
         assert want is None
+    if not np.isfinite(EDGE_2X2[name]).all():
+        assert want == (SingularJacobianError, "W11 is singular at "
+                        "v1=[0.5, -0.25] (smallest singular value nan)")
+
+
+@pytest.mark.parametrize("block", [
+    [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -math.inf]],
+])
+def test_check_w11_calls_a_non_finite_3x3_block_singular(block):
+    for form in (block, np.array(block)):
+        with pytest.raises(SingularJacobianError,
+                           match=r"^at v1=\[1\.0\] \(smallest singular "
+                                 r"value nan\)$"):
+            clairaut.check_w11(form, TOL, "at", v1=[1.0])
+
+
+def test_check_w11_names_the_first_non_finite_block_of_a_stack():
+    blocks = np.array([[[1.0, 0.0], [0.0, 2.0]], [[math.inf, 0.0], [0.0, 1.0]],
+                       [[math.nan, 0.0], [0.0, 1.0]]])
+    with pytest.raises(SingularJacobianError,
+                       match=r"^at v1=\[1\.0\] \(smallest singular "
+                             r"value nan\)$"):
+        clairaut.check_w11(blocks, TOL, "at", v1=np.array([[0.0], [1.0], [2.0]]))
+    smallest, largest = clairaut.check_w11(blocks[:1], TOL, "", v1=np.zeros(1))
+    assert (smallest.tolist(), largest.tolist()) == ([1.0], [2.0])
 
 
 def test_check_w11_2x2_with_a_negative_determinant_skips_the_svd(

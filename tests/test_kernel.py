@@ -164,8 +164,15 @@ def _check_against_oracle(call, oracle_call):
 # agreement with the tree walker
 # --------------------------------------------------------------------------
 
+# a value kernel tests the divisor first: evaluate raises "division by
+# zero" here, eval_dual2 "ln of non-positive value"
+LN_OVER_ZERO = (Div(Call("ln", Var(0, "q1")), Var(1, "q2")),
+                [-1.0, 0.0, 0.0, 0.0])
+
+
 @PROPERTY
 @given(trees, points, actives)
+@example(*LN_OVER_ZERO, None)
 def test_eval_dual2_matches_tree_walker(tree, point, active):
     e = _expression(tree)
     _check_against_oracle(lambda: eval_dual2(e, point, active),
@@ -174,6 +181,7 @@ def test_eval_dual2_matches_tree_walker(tree, point, active):
 
 @PROPERTY
 @given(trees, points)
+@example(*LN_OVER_ZERO)
 def test_evaluate_matches_tree_walker(tree, point):
     e = _expression(tree)
     _check_against_oracle(lambda: evaluate(e, point),
@@ -187,6 +195,10 @@ def test_one_kernel_serves_many_points(tree, pts, active):
     for point in pts:
         _check_against_oracle(lambda: eval_dual2(e, point, active),
                               lambda: oracle_eval_dual2(e, point, active))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
 
 
 def _dual_bytes(d):
@@ -223,6 +235,32 @@ def test_floats_are_the_array_entries_for_every_form_of_point(
     assert np.array(after[1], float).reshape(m, m).tobytes() == d.hess.tobytes()
     for form in forms:
         assert _dual_bytes(eval_dual2(e, form, active)) == _dual_bytes(d)
+
+
+signed_zero_points = st.lists(
+    st.one_of(st.sampled_from((0.0, -0.0)),
+              st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)),
+    min_size=len(NAMES), max_size=len(NAMES),
+)
+
+
+@PROPERTY
+@given(trees, signed_zero_points, actives)
+def test_derivative_entries_do_not_depend_on_the_active_set(
+        tree, point, active):
+    # every entry is computed from its own slots alone, so a subset of the
+    # active variables gets the full kernel's entries bit for bit (the EL
+    # flow records Phi = dL/dv2 - Psi as 0.0 on this)
+    e = _expression(tree)
+    try:
+        full = eval_dual2(e, point)
+    except EvalDomainError:
+        return
+    slots = list(range(len(NAMES)) if active is None else active)
+    d = eval_dual2(e, point, active)
+    assert _bits(d.value) == _bits(full.value)
+    assert d.grad.tobytes() == full.grad[slots].tobytes()
+    assert d.hess.tobytes() == full.hess[np.ix_(slots, slots)].tobytes()
 
 
 @PROPERTY
@@ -463,10 +501,6 @@ def test_stacked_kernels_match_scalar_kernels_row_by_row(tree, points, active):
                    _scalar_rows(lambda x: evaluate(e, x), points))
     _check_stacked(_outcome(lambda: eval_dual2_many(e, points, active)),
                    _scalar_rows(lambda x: eval_dual2(e, x, active), points))
-
-
-def _bits(x) -> bytes:
-    return np.float64(x).tobytes()
 
 
 @settings(PROPERTY, max_examples=200)

@@ -615,9 +615,9 @@ class MixedHamiltonian:
 
     # The other single-point maps are one-row calls of their stacked twins
     # below, after the single-point solve's argument checks.  ``psi`` and
-    # ``solve_velocity`` stay scalar, on the float iteration that the RK4
-    # flows call at every stage (``EnvelopeSolver.iterate``), where a
-    # one-row stacked call costs several times as much.
+    # ``solve_velocity`` stay scalar: an integrate command compiles scalar
+    # kernels only, and a one-row stacked ``psi`` would add two stacked
+    # kernel compiles to every ``integrate_ham``.
 
     def _row(self, q, p, c2):
         """q, p and c2 as one row each, checked as a single point: p as a
@@ -640,7 +640,7 @@ class MixedHamiltonian:
         """H0(q, p1) = p1*V + c2*Psi - L(q, V, c2), any probe c2."""
         probe = self.default_probe() if c2_probe is None else c2_probe
         rows = (x[None] for x in self.solver._checked(q, p1, probe))
-        return float(self.h_zero_many(*rows)[0])
+        return float(self.envelope_many(*rows)[2][0])
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -672,17 +672,15 @@ class MixedHamiltonian:
     # Each ``*_many`` map takes one row per point (q as (count, n), and so
     # on) and is the one body of its map: ``value``, ``phi``, ``h_zero``,
     # ``clairaut_residual`` and ``inverse_transform`` call it on one row.
-    # No row depends on the others: Newton lanes end as ``solve`` ends
+    # ``envelope_many`` is the one body of the envelope point: one solve
+    # and one evaluation give V, Psi and H0 together, so ``phi_many``,
+    # ``h_zero`` and the commands solve a row once for all three.  No row
+    # depends on the others: Newton lanes end as ``solve`` ends
     # (``solve_lanes``), and row-wise dot products are :func:`contract` over
-    # columns, so ``psi_many`` equals ``psi`` row by row too.  A
+    # columns, so ``envelope_many``'s Psi equals ``psi`` row by row too.  A
     # map raises if some row fails, the lowest row's error; on one row it
     # meets that row's errors in a point's own order, as shifted momenta are
     # stacked in central-difference order.
-
-    def _probes(self, probe, count) -> np.ndarray:
-        if probe is None:
-            return np.broadcast_to(self.default_probe(), (count, self.n - self.k))
-        return checked_rows(probe, self.n - self.k, "v2 probe", count)
 
     def value_many(self, q, p, v2, v1_guess=None) -> np.ndarray:
         """H = p1*V + p2*v2 - L(q, V, v2) at every row."""
@@ -693,30 +691,26 @@ class MixedHamiltonian:
         lval = evaluate_many(self.system.lagrangian, x)
         return contract(p1.T, v1.T) + contract(p2.T, v2.T) - lval
 
-    def psi_many(self, q, p1, v2_probe=None, v1_guess=None) -> np.ndarray:
-        """:meth:`psi` at every row; the default probe serves every row."""
-        probe = self._probes(v2_probe, len(q))
-        v1 = self.solver.solve_many(q, p1, probe, v1_guess)
-        x = self.solver._points(q, v1, probe)
-        grad_v = eval_dual2_many(self.system.lagrangian, x, self._v_active).grad
-        return grad_v[:, self._nonreg]
+    def envelope_many(self, q, p1, c2_probe=None, v1_guess=None):
+        """(V, Psi, H0) at every row, from one envelope solve at (q, p1, c2)
+        and one evaluation there: V = V(q, p1, c2), Psi = dL/dv2 and H0 =
+        p1*V + c2*Psi - L(q, V, c2).  The default probe serves every row."""
+        shape = (len(q), self.n - self.k)
+        c2 = (np.broadcast_to(self.default_probe(), shape) if c2_probe is None
+              else checked_rows(c2_probe, shape[1], "v2 probe", shape[0]))
+        p1 = np.asarray(p1, dtype=float)
+        v1 = self.solver.solve_many(q, p1, c2, v1_guess)
+        x = self.solver._points(q, v1, c2)
+        d = eval_dual2_many(self.system.lagrangian, x, self._v_active)
+        psi = d.grad[:, self._nonreg]
+        h0 = contract(p1.T, v1.T) + contract(c2.T, psi.T) - d.value
+        return v1, psi, h0
 
     def phi_many(self, q, p, v2_probe=None, v1_guess=None) -> np.ndarray:
         """Phi = p2 - Psi(q, p1) at every row."""
         p = checked_rows(p, self.n, "p")
-        psi = self.psi_many(q, p[:, self._reg], v2_probe, v1_guess)
+        _, psi, _ = self.envelope_many(q, p[:, self._reg], v2_probe, v1_guess)
         return p[:, self._nonreg] - psi
-
-    def h_zero_many(self, q, p1, c2_probe=None) -> np.ndarray:
-        """H0 = p1*V + c2*Psi - L(q, V, c2) at every row; the default probe
-        serves every row."""
-        c2 = self._probes(c2_probe, len(q))
-        p1 = np.asarray(p1, dtype=float)
-        v1 = self.solver.solve_many(q, p1, c2)
-        x = self.solver._points(q, v1, c2)
-        d = eval_dual2_many(self.system.lagrangian, x, self._v_active)
-        psi_here = d.grad[:, self._nonreg]
-        return contract(p1.T, v1.T) + contract(c2.T, psi_here.T) - d.value
 
     def momentum_gradient_many(self, q, p, v2):
         """(V, H, dH/dp) at every row: V and H at (q, p, v2), and dH/dp by

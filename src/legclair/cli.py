@@ -272,12 +272,11 @@ def cmd_analyze(problem: Problem, args, out):
     )
     q, p1, p2 = rows[:, :n], rows[:, n:n + k], rows[:, n + k:]
     try:
-        psi, h_zero = ham.psi_many(q, p1), ham.h_zero_many(q, p1)
+        _, psi, h_zero = ham.envelope_many(q, p1)
     except (NewtonDivergedError, SingularJacobianError, EvalDomainError):
         # the first sample that fails on its own raises its error
         for one in range(len(rows)):
-            ham.psi_many(q[one:one + 1], p1[one:one + 1])
-            ham.h_zero_many(q[one:one + 1], p1[one:one + 1])
+            ham.envelope_many(q[one:one + 1], p1[one:one + 1])
         raise
     samples = [
         {
@@ -406,13 +405,14 @@ def cmd_transform(problem: Problem, args, out):
     status = ["ok" if ok else "domain" for ok in inside]
 
     def evaluate(at):
-        """Fill the table at rows ``at``, each map's column once it returns."""
+        """Fill the table at rows ``at``, each map's column once it returns;
+        the cold solve's V warm-starts the rest, which converge at once."""
         q, p, v2 = rows[at, :n], rows[at, n:2 * n], rows[at, 2 * n:]
         p1 = p[:, reg]
         v1 = ham.solver.solve_many(q, p1, v2)
         table[at, 0] = ham.value_many(q, p, v2, v1_guess=v1)
-        table[at, 1] = ham.h_zero_many(q, p1, c2_probe=v2)
-        table[at, 2:] = ham.phi_many(q, p, v2_probe=v2, v1_guess=v1)
+        _, psi, table[at, 1] = ham.envelope_many(q, p1, v2, v1_guess=v1)
+        table[at, 2:] = p[:, nonreg] - psi
 
     live = np.flatnonzero(inside)
     for start in range(0, len(live), CHUNK_ROWS):

@@ -364,16 +364,18 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
 # Hamiltonian side
 # --------------------------------------------------------------------------
 
-def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
-    """The mixed-Hamiltonian right-hand side on y = (q, p1) at constraint
-    values ``phi``: ``rhs(y, monitor)`` returns ((qdot, p1dot), (qdot,
-    ``hs3_res``, dL/dv)).  When ``monitor`` is false the second entry is
-    None and ``hs3_res`` is not built, but W11 is still checked.
+def _ham_field(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
+    """(phi, rhs) for the mixed-Hamiltonian flow from (q, p1, p2): the
+    constraint values phi = p2 - Psi(q, p1), from the envelope solve at
+    v2 = C2(q), and the right-hand side on y = (q, p1) at those values.
+    ``rhs(y, monitor)`` returns ((qdot, p1dot), (qdot, ``hs3_res``,
+    dL/dv)).  When ``monitor`` is false the second entry is None and
+    ``hs3_res`` is not built, but W11 is still checked.
 
     Each call warm-starts the envelope solve at the previous call's v1 (the
-    first at ``v1``).  dH/dq is the composite derivative from the module
-    docstring.  ``hs3_res`` is the residual of the non-regular momentum
-    equation given that p2 is reconstructed from Psi:
+    first at the start's V).  dH/dq is the composite derivative from the
+    module docstring.  ``hs3_res`` is the residual of the non-regular
+    momentum equation given that p2 is reconstructed from Psi:
 
         d(Psi)/dt + dH/dq2|_comp - R2   (R2 dropped when include_r=False)
 
@@ -386,9 +388,12 @@ def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
     lag, tol = system.lagrangian, partition.rank_tolerance
     reg, nonreg = list(partition.regular), list(partition.nonregular)
     v1_slots, v2_slots = [n + i for i in reg], [n + j for j in nonreg]
-    gauge_at = _gauge_terms(gauge, np.asarray(phi, dtype=float).tolist())
+    c2 = gauge.value(q)
+    v1 = ham.solve_velocity(q, p1, c2)
+    phi = p2 - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
+    gauge_at = _gauge_terms(gauge, phi.tolist())
     solver = ham.solver
-    v1 = np.asarray(v1, dtype=float).tolist()
+    v1 = v1.tolist()
     no_r = [0.0] * n  # include_r=False adds 0.0 in place of R
 
     def rhs(y, monitor):
@@ -435,7 +440,7 @@ def _ham_field(ham: MixedHamiltonian, gauge, phi, include_r, v1):
             hs3_res = _inf_norm(defect)
         return dy, (qdot, hs3_res, grad[n:])
 
-    return rhs
+    return phi, rhs
 
 
 def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
@@ -446,10 +451,7 @@ def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
     """
     gauge = _resolve_gauge(gauge, ham.partition, ham.n)
     p1, p2 = ham.split_momenta(p)
-    c2 = gauge.value(q)
-    v1 = ham.solve_velocity(q, p1, c2)
-    phi = p2 - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
-    rhs = _ham_field(ham, gauge, phi, include_r, v1)
+    _, rhs = _ham_field(ham, gauge, q, p1, p2, include_r)
     y = checked_vector(q, ham.n, "q").tolist() + p1.tolist()
     dy, (qdot, hs3_res, _) = rhs(y, True)
     return np.array(qdot), np.array(dy[ham.n:]), hs3_res
@@ -480,9 +482,7 @@ def integrate_ham(
     p0 = checked_vector(p0, n, "p0")
     p1 = p0[reg]
 
-    c2 = gauge.value(q)
-    v1 = ham.solve_velocity(q, p1, c2)
-    phi0 = p0[nonreg] - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
+    phi0, rhs = _ham_field(ham, gauge, q, p1, p0[nonreg], include_r)
     if enforce_primary and phi0.size and np.max(np.abs(phi0)) > PRIMARY_TOL:
         bad = ", ".join(
             f"phi_{j + 1} = {val:.6g}"
@@ -509,7 +509,6 @@ def integrate_ham(
         phi = [x - lv[j] for j, x in zip(nonreg, p2)]
         rows.append((t, y[:n], qdot, p, phi, hs3_res))
 
-    rhs = _ham_field(ham, gauge, phi0, include_r, v1)
     _rk4(rhs, q.tolist() + p1.tolist(), t0, h, nsteps, record)
     return _trajectory(rows, n, k, partition.regular, el=False)
 

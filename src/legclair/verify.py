@@ -10,11 +10,14 @@ Each property runs on stacked samples: a chunk of up to ``CHUNK_ROWS``
 samples is drawn with one ``Generator.uniform`` call and evaluated by the
 stacked maps of ``MixedHamiltonian`` (``value_many`` and the rest), so a
 Newton iteration is one kernel call and one batched solve for the whole
-chunk.  A sample row holds the numbers in the order the sample-by-sample
-suite drew them, so the stream, the samples and the worst values are the
-same.  The stacked maps are the only bodies of the maps (``value`` and
-the rest are their one-row calls), so a row alone raises that sample's own
-error.  A property calls several maps in turn, and a later sample may fail
+chunk.  Psi and H0 come with V from one ``envelope_many`` call, so no
+property solves a row set twice: ``probe_independence`` solves its rows at
+the default probe and at the five drawn probes, ``decomposition`` at v2 for
+H and at the default probe for Psi and H0.  A sample row holds the numbers
+in the order the sample-by-sample suite drew them, so the stream, the
+samples and the worst values are the same.  The stacked maps are the only
+bodies of the maps (``value`` and the rest are their one-row calls), so a
+row alone raises that sample's own error.  A property calls several maps in turn, and a later sample may fail
 in an earlier map than the first failing sample does, so a chunk that
 raises is rerun one row at a time through the same body: the first failing
 sample's error is raised, as the sample-by-sample suite raised it.
@@ -203,14 +206,13 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
             q, p, _ = parts(rows)
             count = len(rows)
             p1 = p[:, reg]
-            psi_ref = ham.psi_many(q, p1)
-            h0_ref = ham.h_zero_many(q, p1)
+            _, psi_ref, h0_ref = ham.envelope_many(q, p1)
             # block j holds probe j of every row
             probes = rows[:, 3 * n:].reshape(count, 5, n - k).swapaxes(0, 1)
             probes = probes.reshape(5 * count, n - k)
-            qs, p1s = np.tile(q, (5, 1)), np.tile(p1, (5, 1))
-            psi = ham.psi_many(qs, p1s, probes).reshape(5, count, n - k)
-            h0 = ham.h_zero_many(qs, p1s, probes).reshape(5, count)
+            _, psi, h0 = ham.envelope_many(np.tile(q, (5, 1)),
+                                           np.tile(p1, (5, 1)), probes)
+            psi, h0 = psi.reshape(5, count, n - k), h0.reshape(5, count)
             dpsi = np.abs(psi - psi_ref).max(axis=2)
             scale = 1.0 + np.abs(psi_ref).max(axis=1)
             dh0 = np.abs(h0 - h0_ref)
@@ -228,8 +230,8 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
     def decomposition(rows):
         q, p, v2 = parts(rows)
         h = ham.value_many(q, p, v2)
-        split = (ham.h_zero_many(q, p[:, reg])
-                 + contract(v2.T, ham.phi_many(q, p).T))
+        _, psi, h0 = ham.envelope_many(q, p[:, reg])
+        split = h0 + contract(v2.T, (p[:, nonreg] - psi).T)
         return np.abs(h - split) / (1.0 + np.abs(h))
 
     worst = sweep(samples, *drawn, decomposition)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legclair import cli
+from legclair.clairaut import EnvelopeSolver
 from legclair.cli import main
 
 
@@ -496,6 +497,47 @@ def test_verify_honors_seed_and_tolerances(tmp_path, capsys):
     assert data["seed"] == 7
     names = {p["name"]: p for p in data["properties"]}
     assert names["clairaut_residual"]["tol"] == 1e-12
+
+
+# --------------------------------------------------------------------------
+# one cold envelope solve per row
+# --------------------------------------------------------------------------
+
+def record_cold_lanes(monkeypatch):
+    """The (q, p1, c2) rows of every cold ``EnvelopeSolver.solve_lanes``
+    lane (one with no ``v1_guess``), appended as the solver meets them."""
+    lanes = []
+    solve_lanes = EnvelopeSolver.solve_lanes
+
+    def counted(self, q, p1, c2, v1_guess=None):
+        if v1_guess is None:
+            rows = np.concatenate(
+                [np.reshape(x, (len(q), -1)) for x in (q, p1, c2)], axis=1)
+            lanes.extend(map(tuple, rows.tolist()))
+        return solve_lanes(self, q, p1, c2, v1_guess)
+
+    monkeypatch.setattr(EnvelopeSolver, "solve_lanes", counted)
+    return lanes
+
+
+# deg1_problem: n = 2, k = 1, 25 verify samples, and 2n^2 + 1 = 9 points of
+# H's momentum-Hessian stencil per rank sample
+@pytest.mark.parametrize("args, cold, distinct", [
+    (["transform", "--grid", "p1=-1:1:150"], 150, 150),
+    (["analyze", "--points", "12"], 12, 12),
+    # clairaut_residual 25, envelope_grad 25, probe_independence 25 at the
+    # default probe + 5 x 25 at the drawn probes, decomposition 25 for H +
+    # 25 for (V, Psi, H0), involutivity 25, rank_agreement 8 x 9; the
+    # stencil's 9 momenta hold only 3 values of p1, so 8 x 6 rows repeat
+    (["verify"], 25 + 25 + (25 + 5 * 25) + (25 + 25) + 25 + 8 * 9,
+     25 + 25 + (25 + 5 * 25) + (25 + 25) + 25 + 8 * 3),
+])
+def test_commands_solve_each_row_once(tmp_path, capsys, monkeypatch, args,
+                                      cold, distinct):
+    lanes = record_cold_lanes(monkeypatch)
+    assert main([args[0], deg1_problem(tmp_path), *args[1:]]) == 0
+    assert len(lanes) == cold
+    assert len(set(lanes)) == distinct
 
 
 # --------------------------------------------------------------------------

@@ -633,12 +633,13 @@ def test_singular_block_at_a_stage_that_is_not_recorded():
         LagrangianSystem.from_source(2, "0.25*v1^4 + q1*v2")
     )
     gauge = GaugeChoice.constant(2, [0.0])
-    # (q, v1) and (q, p1), both at v1 = 0; the fields run on float lists
+    # (q, v1) and (q, p1), both at v1 = 0; the fields run on float lists.
+    # The Hamiltonian field starts at p1 = 0, where V = 0 at iteration 0,
+    # and p2 = Psi = q1, so phi = 0
     y = np.array([0.5, 0.0, 0.0]).tolist()
-    for field in (
-        _el_field(ham.system, ham.partition, gauge),
-        _ham_field(ham, gauge, np.zeros(1), True, np.zeros(1)),
-    ):
+    _, ham_field = _ham_field(ham, gauge, y[:2], np.zeros(1), np.array([0.5]),
+                              True)
+    for field in (_el_field(ham.system, ham.partition, gauge), ham_field):
         messages = []
         for monitor in (True, False):
             with pytest.raises(SingularJacobianError) as err:

@@ -325,17 +325,19 @@ def test_stacked_maps_equal_single_point_maps(name):
          [ham.solver.solve(*a) for a in zip(q, p[:, reg], v2)]),
         (ham.value_many(q, p, v2),
          [maps_oracle.value(ham, *a) for a in zip(q, p, v2)]),
-        (ham.psi_many(q, p[:, reg], probe),
-         [ham.psi(*a) for a in zip(q, p[:, reg], probe)]),
         (ham.phi_many(q, p), [maps_oracle.phi(ham, *a) for a in zip(q, p)]),
-        (ham.h_zero_many(q, p[:, reg]),
-         [maps_oracle.h_zero(ham, *a) for a in zip(q, p[:, reg])]),
         (ham.clairaut_residual_many(q, p, v2),
          [maps_oracle.clairaut_residual(ham, *a) for a in zip(q, p, v2)]),
         (ham.inverse_transform_many(q, v, p[:, nonreg]),
          [maps_oracle.inverse_transform(ham, *a)
           for a in zip(q, v, p[:, nonreg])]),
     ]
+    # V, Psi and H0 of envelope_many, at the drawn probes and at the default
+    refs = (ham.solver.solve, ham.psi, lambda *a: maps_oracle.h_zero(ham, *a))
+    for c2, given in [(probe, probe), ([ham.default_probe()] * len(q), None)]:
+        env = ham.envelope_many(q, p[:, reg], given)
+        pairs += [(got, [ref(*a) for a in zip(q, p[:, reg], c2)])
+                  for got, ref in zip(env, refs)]
     for got, want in pairs:
         want = np.array(want).reshape(got.shape)
         assert got.tobytes() == want.tobytes()

@@ -33,26 +33,38 @@ offset Phi_0; this is exact because the corrected momentum equation forces
 d(p2)/dt = d(Psi)/dt.
 
 Both flows run on one RK4 driver, which names the step and time of any
-failure.  Their right-hand sides build the index plan once per run and test
-W11 with the envelope solver's own check, ``clairaut.check_w11``, at every
-stage.  The monitors above come from the recorded stage only, the first of
-each step: the other three stages return the derivative alone.
+failure.  Each stage is one generated straight-line function, the stage
+kernel of the flow (``_stage``), compiled at its first stage: the gauge's
+(value, gradient, Hessian) triples and L's full triple, each by the
+operations of its own ``eval_dual2`` kernel, then K, dv2/dt, R, dH/dq, the
+W11 check and solve, and p1dot.  The Hamiltonian stage runs the envelope
+Newton (``EnvelopeSolver.iterate``) between the gauge and L.  The monitors
+above follow an early return, so only the recorded stage, the first of
+each step, builds them.
+
+Errors are those of the calls the stage replaces.  A fault, a domain guard
+or a non-finite output of a triple sends the stage down a slow path
+(``_failed_stage``) that reruns its evaluations as calls in the flows'
+order, the gauge and then L, to raise their exact ``EvalDomainError``.
+W11 fails with ``check_w11``'s message: a block known at generation is
+decided once, and any other block by a ``check_w11`` call at each stage.
 
 The RK4 state, the stage points and all per-stage algebra, the monitors
-and the envelope Newton (``EnvelopeSolver.iterate``) included, are lists
-of Python floats, and their bits are fixed by Python's float arithmetic
-in a fixed order: every contraction (K, the gauge chain rule, R, the
-blocks of d(Psi)/dt) is ``clairaut.contract``, summed left to right, and
-every W11 solve is ``clairaut.gepp``, Gaussian elimination with partial
-pivoting in a fixed order.  No output depends on the BLAS kernel.
-
-The gauge takes one evaluation per stage: one ``eval_dual2`` per
-expression, whose value is C2.  A gauge free of q is evaluated once per
-run, and R with it.
+and the envelope Newton included, are Python floats, and their bits are
+fixed by Python's float arithmetic in a fixed order: every contraction (K,
+the gauge chain rule, R, the blocks of d(Psi)/dt) is ``clairaut.contract``
+summed left to right, and every W11 solve is ``clairaut.gepp``, Gaussian
+elimination with partial pivoting in a fixed order (unrolled for a block
+known at generation, a call for any other).  The kernel folds only what
+leaves every bit as it is: operations on known floats, x + -0.0, x - 0.0,
+x * +-1.0 and x / +-1.0, and a contraction's term where a known 0.0 meets
+a tested finite output (see ``expr._Codegen.contract``).  No output
+depends on the BLAS kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,14 +76,13 @@ from .clairaut import (
     SingularJacobianError,
     _inf_norm,
     check_w11,
-    contract,
     gepp,
 )
 from .expr import (
     EvalDomainError,
     Expression,
-    Var,
-    _nodes,
+    _Codegen,
+    _Term,
     eval_dual2,
     evaluate,
     parse,
@@ -178,7 +189,7 @@ def _validate_span(t_span, dt):
 
 
 # --------------------------------------------------------------------------
-# The RK4 driver and the per-stage algebra on float lists
+# The RK4 driver and the generated stage kernels
 # --------------------------------------------------------------------------
 
 class NonFiniteStateError(ArithmeticError):
@@ -220,116 +231,192 @@ def _rk4(rhs, y0, t0, h, nsteps, record):
             raise
 
 
-def _dot(a, x) -> list:
-    """a x as a float list, for a matrix ``a`` given as float rows: one
-    :func:`~legclair.clairaut.contract` per row."""
-    return [contract(row, x) for row in a]
+def _failed_stage(lag, gauge, reg, nonreg, q, v1):
+    """Raise the ``EvalDomainError`` of a stage its kernel could not finish:
+    its evaluations rerun as calls in the flows' order, the gauge (where an
+    ``eval_dual2`` fails, ``GaugeChoice.value`` first) and then, given the
+    regular velocities ``v1``, L at (q, v).  One of them raises there."""
+    try:
+        c2 = [eval_dual2(e, q).value for e in gauge.exprs]
+    except EvalDomainError:
+        gauge.value(q)
+        raise
+    if v1 is not None:
+        v = [0.0] * len(q)
+        for i, x in (*zip(reg, v1), *zip(nonreg, c2)):
+            v[i] = x
+        eval_dual2(lag, q + v)
+    return AssertionError("a stage kernel failed where its evaluations pass")
 
 
-def _gauge_terms(gauge: GaugeChoice, phi=None):
-    """The gauge at one stage: a function q -> (C2, dC2/dq rows, R), all
-    float lists, with R = (dC2/dq)^T phi (None without ``phi``).
-
-    Each expression is evaluated once, by ``eval_dual2``, whose value has
-    ``evaluate``'s bits.  A failing evaluation raises ``value``'s error if
-    the value fails too, as ``value`` runs first in a stage.  A gauge free
-    of q (constant, or no gauge) is evaluated once, at the first stage, and
-    R with it.
-    """
-    exprs, n = gauge.exprs, gauge.n
-
-    def terms(q):
-        try:
-            duals = [eval_dual2(e, q) for e in exprs]
-        except EvalDomainError:
-            gauge.value(q)
-            raise
-        jac = [d.floats()[0] for d in duals]
-        if phi is None:
-            r = None
-        else:
-            r = _dot(zip(*jac), phi) if jac else [0.0] * n
-        return [d.value for d in duals], jac, r
-
-    if any(isinstance(x, Var) for e in exprs for x in _nodes(e.root)):
-        return terms
-    once = []
-
-    def constant(q):
-        if not once:
-            once.append(terms(q))
-        return once[0]
-
-    return constant
+def _stage(system: LagrangianSystem, partition, gauge, ham=False,
+           include_r=True):
+    """The stage kernel of the Euler-Lagrange flow, or with ``ham`` of the
+    mixed-Hamiltonian flow, compiled at first use and kept on ``system``
+    for its (flow, partition, gauge, include_r).  It is a factory of
+    ``rhs(y, monitor)``: the Hamiltonian one takes the first stage's warm
+    start V (a list), the solver's ``iterate`` and the offsets Phi_0."""
+    key = ("ham", include_r) if ham else ("el",)
+    key += (partition, gauge)
+    if key not in system._stages:
+        system._stages[key] = _build_stage(system, partition, gauge, ham,
+                                           include_r)
+    return system._stages[key]
 
 
-def _block(hess, rows, cols) -> list:
-    """The block of a Hessian given as float rows."""
-    return [[hess[i][j] for j in cols] for i in rows]
+def _build_stage(system, partition, gauge, ham, include_r):
+    """Generate and compile one stage kernel (see the module docstring)."""
+    n, k, lag = system.n, partition.k, system.lagrangian
+    tol, reg, nonreg = (partition.rank_tolerance, partition.regular,
+                        partition.nonregular)
+    # one slot per variable of L: a gauge's slots past q stay known zeros
+    cg = _Codegen(tuple(range(2 * n)), checked=False)
+    cg.ns.update(_inf_norm=_inf_norm, _check_w11=check_w11, _gepp=gepp,
+                 _fail=functools.partial(_failed_stage, lag, gauge, reg,
+                                         nonreg))
+    lines, lit = cg.lines, cg.lit
+
+    def lst(xs):
+        return f"[{', '.join(map(lit, xs))}]"
+
+    def slots(rows):  # a placeholder per entry, for cg.op
+        return lst(lst(["{}"] * len(row)) for row in rows)
+
+    def dot(a, x):
+        return [cg.contract(row, x) for row in a]
+
+    def term(x):  # an output that cg.guarded tested finite
+        return x if isinstance(x, float) else _Term(x, cg, True)
+
+    def known(a):
+        return all(isinstance(x, float) for row in a for x in row)
+
+    def check(w11, **at):
+        if known(w11):  # a known block is decided once
+            try:
+                return check_w11(w11, tol, "")
+            except SingularJacobianError:
+                pass
+        lines.append(f"_check_w11({lst(map(lst, w11))}, {lit(tol)}, "
+                     "'regular velocity block is singular at', "
+                     + ", ".join(f"{name}={lst(x)}" for name, x in at.items())
+                     + ")")
+
+    def solve(a, cols):  # gepp(a, cols): unrolled for a known block
+        if known(a):
+            try:
+                return gepp(a, cols)
+            except ZeroDivisionError:  # a known zero pivot: gepp raises
+                pass
+        out = cg.op(f"_gepp({slots(a)}, {slots(cols)})",
+                    *(x for row in (*a, *cols) for x in row))
+        return [[_Term(cg.op(f"{{}}[{c}][{i}]", out), cg)
+                 for i in range(len(a))] for c in range(len(cols))]
+
+    def norm(xs):
+        return cg.op(f"_inf_norm({lst(['{}'] * len(xs))})", *xs)
+
+    # the gauge's triples, v2 = C2(q) and L's triple at (q, v), each by the
+    # operations of its own kernel, then tested as eval_dual2 tests them
+    q, xv = [f"x{i}" for i in range(n)], [f"x{n + i}" for i in range(n)]
+    v1_names = [xv[i] for i in reg]
+    lines.append("".join(x + ", " for x in (q if ham else q + v1_names))
+                 + (f"= y[:{n}]" if ham else "= y"))
+    start = len(lines)
+    gauge_out = [cg.visit(e.root) for e in gauge.exprs]
+    outputs = [x for t in gauge_out for x in cg.flat(t)]
+    if ham:
+        cg.guarded(start, outputs, f"raise _fail({lst(q)}, None)")
+        x = q + ["0.0"] * n
+        for j, t in zip(nonreg, gauge_out):
+            x[n + j] = lit(t[0])
+        lines += [f"_x = {lst(x)}", f"_v = _iterate(_x, y[{n}:], _v)",
+                  "".join(name + ", " for name in xv) + f"= _x[{n}:]"]
+        start, outputs = len(lines), []
+    else:
+        lines += [f"{xv[j]} = {lit(t[0])}" for j, t in zip(nonreg, gauge_out)]
+    out = cg.visit(lag.root)
+    cg.guarded(start, outputs + cg.flat(out),
+               f"raise _fail({lst(q)}, {'_v' if ham else lst(v1_names)})")
+
+    jac = [[term(x) for x in t[1][:n]] for t in gauge_out]
+    grad = [term(x) for x in out[1]]
+    hess = [[term(x) for x in row] for row in out[2]]
+    v = [None] * n  # the full velocity: the state's or V, then C2
+    for i in reg:
+        v[i] = _Term(xv[i], cg)
+    for j, t in zip(nonreg, gauge_out):
+        v[j] = term(t[0])
+    lvq = [row[:n] for row in hess[n:]]
+
+    def block(rs, cs):
+        return [[hess[n + i][n + j] for j in cs] for i in rs]
+
+    w11 = block(reg, reg)
+    if not ham:
+        # W11 a1 = K1 - W12 v2dot, K_i = dL/dq_i - sum_j (d2L/dv_i dq_j) v_j
+        kvec = [a - b for a, b in zip(grad[:n], dot(lvq, v))]
+        v2dot = dot(jac, v)
+        if k:
+            check(w11, q=q, v=v)
+        accel1 = solve(w11, [[kvec[i] - b for i, b in
+                              zip(reg, dot(block(reg, nonreg), v2dot))]])[0]
+        dy = v + accel1
+        lines.append(f"if not monitor: return {lst(dy)}, None")
+        vdot = [None] * n
+        for i, a in (*zip(reg, accel1), *zip(nonreg, v2dot)):
+            vdot[i] = a
+        w2 = [hess[n + j][n:] for j in nonreg]
+        defect = [a - kvec[j] for a, j in zip(dot(w2, vdot), nonreg)]
+        info = f"{lit(norm(defect))}, {lst(v)}, {lst(grad[n:])}"
+    else:
+        phi = [_Term(f"f{j}", cg) for j in range(len(nonreg))]
+        r_full = [cg.contract(c, phi) for c in zip(*jac)] if jac else [0.0] * n
+        dhdq = [-a + b for a, b in zip(grad[:n], r_full)]
+        r_kept = r_full if include_r else [0.0] * n
+        p1dot = [-dhdq[i] + r_kept[i] for i in reg]
+        if k and nonreg:
+            check(w11, q=q)
+        dy = v + p1dot  # (qdot, p1dot)
+        lines.append(f"if not monitor: return {lst(dy)}, None")
+        hs3_res = 0.0
+        if nonreg:
+            w12, w21 = block(reg, nonreg), block(nonreg, reg)
+            jac_cols = list(zip(*jac))
+            # dV/dq column by column: one right-hand column per q_j
+            dvdq_cols = solve(w11, [
+                [lvq[i][j] + u for i, u in zip(reg, dot(w12, col))]
+                for j, col in enumerate(jac_cols)])
+            dvdq_cols = [[-u for u in col] for col in dvdq_cols]
+            # dPsi/dp1 row by row, from the transposed system W11^T X = W21^T
+            dpsi_dp1 = solve(list(zip(*w11)), w21)
+            w21_dvdq = [dot(dvdq_cols, row) for row in w21]
+            psi_p1 = dot(dpsi_dp1, p1dot)
+            w22_jac = [dot(jac_cols, row) for row in block(nonreg, nonreg)]
+            dpsi_dq = [[x + y + z for x, y, z in zip(lvq[j], row1, row2)]
+                       for j, row1, row2 in zip(nonreg, w21_dvdq, w22_jac)]
+            psidot = [x + y for x, y in zip(dot(dpsi_dq, v), psi_p1)]
+            hs3_res = norm([dhdq[j] + x - r_kept[j]
+                            for j, x in zip(nonreg, psidot)])
+        info = f"{lst(v)}, {lit(hs3_res)}, {lst(grad[n:])}"
+    lines.append(f"return {lst(dy)}, ({info})")
+    params = ["_v", "_iterate", *(f"f{j}" for j in range(len(nonreg)))]
+    src = [f"def kernel({', '.join(params) if ham else ''}):",
+           "    def stage(y, monitor):", *["        nonlocal _v"] * ham,
+           *("        " + line for line in lines), "    return stage"]
+    return cg.build(src, "<legclair stage kernel>")
 
 
 # --------------------------------------------------------------------------
 # Euler-Lagrange side
 # --------------------------------------------------------------------------
 
-def _el_field(system: LagrangianSystem, partition, gauge):
-    """The gauge-fixed Euler-Lagrange right-hand side on y = (q, v1).
-
-    It solves the regular rows  W11 a1 = K1 - W12 v2dot  of
-    W vdot = K,  K_i = dL/dq_i - sum_j (d2L/dv_i dq_j) v_j,
-    with v2dot from the chain rule through the gauge.  ``rhs(y, monitor)``
-    returns ((v, a1), (non-regular row defect, full velocity v, dL/dv)),
-    with None in place of the second entry when ``monitor`` is false.
-    """
-    n, k = system.n, partition.k
-    lag, tol = system.lagrangian, partition.rank_tolerance
-    reg, nonreg = list(partition.regular), list(partition.nonregular)
-    v1_slots, v2_slots = [n + i for i in reg], [n + j for j in nonreg]
-    gauge_at = _gauge_terms(gauge)
-
-    def rhs(y, monitor):
-        q = y[:n]
-        c2, jac, _ = gauge_at(q)
-        v = [0.0] * n
-        for i, x in zip(reg, y[n:]):
-            v[i] = x
-        for j, x in zip(nonreg, c2):
-            v[j] = x
-        d = eval_dual2(lag, q + v)
-        grad, hess = d.floats()
-        lvq = [row[:n] for row in hess[n:]]
-        kvec = [a - b for a, b in zip(grad[:n], _dot(lvq, v))]
-        v2dot = _dot(jac, v)
-        w11 = _block(hess, v1_slots, v1_slots)
-        if k:
-            check_w11(w11, tol, "regular velocity block is singular at",
-                      q=q, v=v)
-        w12 = _block(hess, v1_slots, v2_slots)
-        accel1 = gepp(w11, [[kvec[i] - b for i, b in
-                             zip(reg, _dot(w12, v2dot))]])[0]
-        dy = v + accel1
-        if not monitor:
-            return dy, None
-        defect = []
-        if nonreg:
-            vdot = [0.0] * n
-            for i, a in zip(reg, accel1):
-                vdot[i] = a
-            for j, a in zip(nonreg, v2dot):
-                vdot[j] = a
-            w2 = [hess[n + j][n:] for j in nonreg]
-            defect = [a - kvec[j] for a, j in zip(_dot(w2, vdot), nonreg)]
-        return dy, (_inf_norm(defect), v, grad[n:])
-
-    return rhs
-
-
 def el_rhs(system, partition, gauge, q, v1):
     """Gauge-fixed regular accelerations and the non-regular row defect."""
     gauge = _resolve_gauge(gauge, partition, system.n)
     y = (checked_vector(q, system.n, "q").tolist()
          + checked_vector(v1, partition.k, "v1").tolist())
-    dy, (i2_res, _, _) = _el_field(system, partition, gauge)(y, True)
+    dy, (i2_res, _, _) = _stage(system, partition, gauge)()(y, True)
     return np.array(dy[system.n:]), i2_res
 
 
@@ -356,7 +443,7 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
         i2_res, v, lv = info
         rows.append((t, y[:n], v, lv, phi, i2_res))
 
-    _rk4(_el_field(system, partition, gauge), y0, t0, h, nsteps, record)
+    _rk4(_stage(system, partition, gauge)(), y0, t0, h, nsteps, record)
     return _trajectory(rows, n, k, partition.regular, el=True)
 
 
@@ -364,17 +451,13 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
 # Hamiltonian side
 # --------------------------------------------------------------------------
 
-def _ham_field(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
-    """(phi, rhs) for the mixed-Hamiltonian flow from (q, p1, p2): the
-    constraint values phi = p2 - Psi(q, p1), from the envelope solve at
-    v2 = C2(q), and the right-hand side on y = (q, p1) at those values.
-    ``rhs(y, monitor)`` returns ((qdot, p1dot), (qdot, ``hs3_res``,
-    dL/dv)).  When ``monitor`` is false the second entry is None and
-    ``hs3_res`` is not built, but W11 is still checked.
-
-    Each call warm-starts the envelope solve at the previous call's v1 (the
-    first at the start's V).  dH/dq is the composite derivative from the
-    module docstring.  ``hs3_res`` is the residual of the non-regular
+def _ham_rhs(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
+    """(Phi_0, rhs) of a Hamiltonian run from (q, p1, p2): Phi_0 = p2 -
+    Psi(q, p1) from the envelope solve at v2 = C2(q), and ``rhs(y,
+    monitor)``, which returns ((qdot, p1dot), (qdot, ``hs3_res``, dL/dv)),
+    None in place of the second entry when ``monitor`` is false.  Each
+    stage warm-starts the envelope solve at the previous stage's V (the
+    first at the start's).  ``hs3_res`` is the residual of the non-regular
     momentum equation given that p2 is reconstructed from Psi:
 
         d(Psi)/dt + dH/dq2|_comp - R2   (R2 dropped when include_r=False)
@@ -382,65 +465,11 @@ def _ham_field(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
     with d(Psi)/dt assembled by the chain rule through
     dV/dp1 = W11^{-1} and dV/dq = -W11^{-1} (d2L/dv1 dq + W12 dC2/dq).
     """
-    system, partition = ham.system, ham.partition
-    n, k = system.n, partition.k
-    m = n - k
-    lag, tol = system.lagrangian, partition.rank_tolerance
-    reg, nonreg = list(partition.regular), list(partition.nonregular)
-    v1_slots, v2_slots = [n + i for i in reg], [n + j for j in nonreg]
     c2 = gauge.value(q)
     v1 = ham.solve_velocity(q, p1, c2)
     phi = p2 - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
-    gauge_at = _gauge_terms(gauge, phi.tolist())
-    solver = ham.solver
-    v1 = v1.tolist()
-    no_r = [0.0] * n  # include_r=False adds 0.0 in place of R
-
-    def rhs(y, monitor):
-        nonlocal v1
-        q, p1 = y[:n], y[n:]
-        c2, jac, r_full = gauge_at(q)
-        x = q + [0.0] * n
-        for slot, c in zip(v2_slots, c2):
-            x[slot] = c
-        v1 = solver.iterate(x, p1, v1)
-        qdot = x[n:]
-        d = eval_dual2(lag, x)
-        grad, hess = d.floats()
-        dhdq = [-a + b for a, b in zip(grad[:n], r_full)]
-        r_kept = r_full if include_r else no_r
-        p1dot = [-dhdq[i] + r_kept[i] for i in reg]
-        w11 = _block(hess, v1_slots, v1_slots)
-        if k and m:
-            check_w11(w11, tol, "regular velocity block is singular at", q=q)
-        dy = qdot + p1dot
-        if not monitor:
-            return dy, None
-        hs3_res = 0.0
-        if m:
-            lvq = [row[:n] for row in hess[n:]]
-            w12 = _block(hess, v1_slots, v2_slots)
-            w21 = _block(hess, v2_slots, v1_slots)
-            w22 = _block(hess, v2_slots, v2_slots)
-            jac_cols = list(zip(*jac))
-            # dV/dq column by column: one right-hand column per q_j
-            dvdq_cols = gepp(w11, [
-                [lvq[i][j] + u for i, u in zip(reg, _dot(w12, col))]
-                for j, col in enumerate(jac_cols)])
-            dvdq_cols = [[-u for u in col] for col in dvdq_cols]
-            # dPsi/dp1 row by row, from the transposed system W11^T X = W21^T
-            dpsi_dp1 = gepp(list(zip(*w11)), w21)
-            w21_dvdq = [_dot(dvdq_cols, row) for row in w21]
-            psi_p1 = _dot(dpsi_dp1, p1dot)
-            w22_jac = [_dot(jac_cols, row) for row in w22]
-            dpsi_dq = [[x + y + z for x, y, z in zip(lvq[j], row1, row2)]
-                       for j, row1, row2 in zip(nonreg, w21_dvdq, w22_jac)]
-            psidot = [x + y for x, y in zip(_dot(dpsi_dq, qdot), psi_p1)]
-            defect = [dhdq[j] + x - r_kept[j] for j, x in zip(nonreg, psidot)]
-            hs3_res = _inf_norm(defect)
-        return dy, (qdot, hs3_res, grad[n:])
-
-    return phi, rhs
+    make = _stage(ham.system, ham.partition, gauge, True, include_r)
+    return phi, make(v1.tolist(), ham.solver.iterate, *phi.tolist())
 
 
 def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
@@ -451,7 +480,7 @@ def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
     """
     gauge = _resolve_gauge(gauge, ham.partition, ham.n)
     p1, p2 = ham.split_momenta(p)
-    _, rhs = _ham_field(ham, gauge, q, p1, p2, include_r)
+    _, rhs = _ham_rhs(ham, gauge, q, p1, p2, include_r)
     y = checked_vector(q, ham.n, "q").tolist() + p1.tolist()
     dy, (qdot, hs3_res, _) = rhs(y, True)
     return np.array(qdot), np.array(dy[ham.n:]), hs3_res
@@ -482,7 +511,7 @@ def integrate_ham(
     p0 = checked_vector(p0, n, "p0")
     p1 = p0[reg]
 
-    phi0, rhs = _ham_field(ham, gauge, q, p1, p0[nonreg], include_r)
+    phi0, rhs = _ham_rhs(ham, gauge, q, p1, p0[nonreg], include_r)
     if enforce_primary and phi0.size and np.max(np.abs(phi0)) > PRIMARY_TOL:
         bad = ", ".join(
             f"phi_{j + 1} = {val:.6g}"

@@ -437,6 +437,15 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # cube included: Python's ``/`` raises there and sends the scalar kernel
 # down its checked path, while numpy returns an inf that a constant factor
 # of 0 can drop from every output.
+#
+# Stage mode (``dynamics``' stage kernels) writes several trees into one
+# body with a slot per variable of L: each tree's triple takes the
+# operations of its own kernel (the extra slots are known zeros and emit
+# nothing), and ``guarded`` sends a fault, a guard or a non-finite output
+# down the caller's slow path, as ``_slow`` does for a scalar kernel (a
+# finite sum that overflows goes on).  The float algebra after them runs on
+# ``_Term`` locals: ``exact`` folds only identities exact for every float,
+# and ``contract`` emits ``clairaut.contract``'s sum as one expression.
 
 class Dual2:
     """Value, gradient, and Hessian of one scalar quantity.
@@ -509,6 +518,8 @@ class _Codegen:
     the first node that overflows raises with its own fragment.  In
     ``stacked`` mode the locals are numpy columns: each operation takes its
     stacked form and a guard marks its rows in ``_bad`` instead of raising.
+    Stage mode writes several trees and float algebra into one body
+    (``guarded``, ``exact`` and ``contract``).
     """
 
     def __init__(self, active, checked, stacked=False):
@@ -779,6 +790,90 @@ class _Codegen:
                               lambda: op("-0.25 / {}", op("{} * {}", x, s)))
         raise TypeError(f"unknown function {func!r}")  # pragma: no cover
 
+    # -- stage mode (see Evaluation) -----------------------------------------------
+
+    def guarded(self, start, outputs, fail: str):
+        """Run the statement ``fail`` where the lines from ``start`` fault or
+        raise, or where an output is not finite (the sum is tested first, and
+        a finite sum that overflows goes on)."""
+        self.ns["_STAGE_FAULTS"] = (*_FAULTS, EvalDomainError)
+        body = self.lines[start:]
+        if body:
+            self.lines[start:] = ["try:", *("    " + x for x in body),
+                                  "except _STAGE_FAULTS:", "    " + fail]
+        live = self.live(outputs)
+        if live:
+            self.lines.append(f"if not _isfinite({' + '.join(live)}) and not "
+                              f"_finite({', '.join(live)}): {fail}")
+
+    def exact(self, template, a, b=None):
+        """One operation on terms, where only identities exact for every
+        float fold: x + -0.0, x - 0.0, and x * ±1.0 and x / ±1.0."""
+        if template == "{} + {}" and (_minus_zero(a) or _minus_zero(b)):
+            return b if _minus_zero(a) else a
+        if template == "{} - {}" and _zero(b) and not _minus_zero(b):
+            return a
+        if template == "{} * {}" and a in (1.0, -1.0):
+            a, b = b, a
+        if template in ("{} * {}", "{} / {}") and b in (1.0, -1.0):
+            return a if b == 1.0 else -a
+        return _Term(self.op(template, *(a,) if b is None else (a, b)), self)
+
+    def contract(self, a, b):
+        """:func:`~legclair.clairaut.contract`'s 0.0 + a1*b1 + ... as one
+        operation.  A known 0.0 times a finite factor is ±0.0, which leaves
+        a sum from +0.0 (never -0.0) as it is, so its term is dropped."""
+        known, text, args = 0.0, "{}", []
+        for x, y in zip(a, b):
+            if (_zero(x) and _finite_term(y)) or (_zero(y) and _finite_term(x)):
+                continue
+            if isinstance(x, float) and isinstance(y, float) and not args:
+                known = known + x * y
+            else:
+                text, args = text + " + {} * {}", args + [x, y]
+        return _Term(self.op(text, known, *args), self) if args else known
+
+    # -- compiling ----------------------------------------------------------------
+
+    def live(self, outputs) -> list:
+        """The outputs a finiteness test covers: locals and non-finite floats."""
+        return list(dict.fromkeys(self.lit(q) for q in outputs
+                                  if isinstance(q, str) or not math.isfinite(q)))
+
+    def build(self, src, filename):
+        """Compile the source lines ``src``, which define ``kernel``."""
+        exec(compile("\n".join(src), filename, "exec"), self.ns)
+        return self.ns.pop("kernel")  # no cycle through its own globals
+
+
+class _Term(str):
+    """A local of a stage body, ``finite`` where it has been tested.  Its
+    arithmetic emits through :meth:`_Codegen.exact`, so float code written
+    for numbers (``clairaut.gepp``) runs on terms unchanged."""
+
+    def __new__(cls, name, cg, finite=False):
+        term = super().__new__(cls, name)
+        term.cg, term.finite = cg, finite
+        return term
+
+    def __neg__(self):
+        return self.cg.exact("-{}", self)
+
+
+for _op, _sym in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
+    setattr(_Term, f"__{_op}__", lambda a, b, t=f"{{}} {_sym} {{}}":
+            a.cg.exact(t, a, b))
+    setattr(_Term, f"__r{_op}__", lambda a, b, t=f"{{}} {_sym} {{}}":
+            a.cg.exact(t, b, a))
+
+
+def _minus_zero(q) -> bool:
+    return isinstance(q, float) and q == 0.0 and math.copysign(1.0, q) < 0.0
+
+
+def _finite_term(q) -> bool:
+    return math.isfinite(q) if isinstance(q, float) else q.finite
+
 
 def _int_lit(n: int) -> str:
     return str(n) if n >= 0 else f"({n})"
@@ -847,13 +942,11 @@ def _compile(root, nvars: int, active, checked=False):
             src += ["    except _FAULTS:", "        return _slow(p)"]
         # One finiteness test on the sum: any inf or NaN makes it non-finite.
         # A finite sum that overflows only sends the call down the slow path.
-        live = dict.fromkeys(cg.lit(q) for q in outputs
-                             if isinstance(q, str) or not math.isfinite(q))
+        live = cg.live(outputs)
         if live:
             src.append(f"    if not _isfinite({' + '.join(live)}): return _slow(p)")
     src.append(f"    return {result}")
-    exec(compile("\n".join(src), "<legclair kernel>", "exec"), cg.ns)
-    return cg.ns.pop("kernel")  # no cycle through its own globals
+    return cg.build(src, "<legclair kernel>")
 
 
 def _run_checked(root, nvars, active, cell, p):
@@ -879,16 +972,14 @@ def _compile_many(root, nvars: int, active):
     src += ["    " + line for line in cg.lines]
     src.append(f"    _out = _empty((_n, {len(outputs)}))")
     src += [f"    _out[:, {j}] = {cg.lit(q)}" for j, q in enumerate(outputs)]
-    live = dict.fromkeys(cg.lit(q) for q in outputs
-                         if isinstance(q, str) or not math.isfinite(q))
+    live = cg.live(outputs)
     if live:
         src.append(f"    _bad |= ~_isfinite({' + '.join(live)})")
     src.append("    return _out, _bad")
     cg.ns.update(_zeros=np.zeros, _empty=np.empty, _isfinite=np.isfinite,
                  _each=_each, _ipow=operator.pow, _fpow=math.pow,
                  _sqrt=np.sqrt)
-    exec(compile("\n".join(src), "<legclair stacked kernel>", "exec"), cg.ns)
-    return cg.ns.pop("kernel")
+    return cg.build(src, "<legclair stacked kernel>")
 
 
 _FLOAT = {float}

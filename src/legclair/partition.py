@@ -11,7 +11,7 @@ certificate needs, and all samples are decomposed in one batched call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class LagrangianSystem:
     lagrangian: Expression
     domain_lo: np.ndarray
     domain_hi: np.ndarray
+    # the flows' compiled stage kernels (see dynamics._stage)
+    _stages: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         names = qv_names(self.n)

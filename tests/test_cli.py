@@ -305,6 +305,61 @@ def test_integrate_both_oscillator(tmp_path, capsys):
     assert float(el[-1].split(",")[1]) == pytest.approx(np.cos(1.0), abs=1e-6)
 
 
+# the parent's report on the shipped problems, output directory as <out>
+SHIPPED_REPORTS = {
+    "chained_pair": [
+        "<out>/trajectory_el.csv: 2001 nodes, max |phi| = 0.000e+00, "
+        "max el_i2_res = 0.000e+00",
+        "<out>/trajectory_ham.csv: 2001 nodes, max |phi| = 0.000e+00, "
+        "max hs3_res = 0.000e+00",
+        "comparison: dq = 0.000e+00  dv = 0.000e+00  dp1 = 0.000e+00  "
+        "max = 0.000e+00  tol = 1.0e-06  -> PASS",
+    ],
+    "oscillator": [
+        "<out>/trajectory_el.csv: 6284 nodes, max |phi| = 0.000e+00, "
+        "max el_i2_res = 0.000e+00",
+        "<out>/trajectory_ham.csv: 6284 nodes, max |phi| = 0.000e+00, "
+        "max hs3_res = 0.000e+00",
+        "comparison: dq = 4.362e-11  dv = 9.271e-11  dp1 = 3.345e-11  "
+        "max = 9.271e-11  tol = 1.0e-06  -> PASS",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_REPORTS))
+def test_consistent_runs_pass_the_verdict_and_keep_their_report(
+        tmp_path, capsys, name):
+    path = pathlib.Path(__file__).resolve().parent.parent / "problems"
+    out_dir = str(tmp_path / "run")
+    code = main(["--out", out_dir, "integrate", str(path / f"{name}.json")])
+    lines = capsys.readouterr().out.replace(out_dir, "<out>").splitlines()
+    assert code == 0
+    assert lines.pop(2) == (
+        "consistency: max residual = 0.000e+00  tol = 1.0e-06  -> PASS")
+    assert lines == SHIPPED_REPORTS[name]
+
+
+def test_an_inconsistent_run_fails_the_verdict_and_exits_0(tmp_path, capsys):
+    # the q2 row of L = 0.5*v1^2 + q1*v2 reads v1 = 0, which v1(0) = 1
+    # breaks whatever the gauge: both flows agree, and both break the row
+    path = write_problem(
+        tmp_path, n=2, lagrangian="0.5*v1^2 + q1*v2", gauge={"v2": "1.0"},
+        initial={"q": [0.0, 0.0], "v": [1.0, 1.0]},
+        integrate={"t0": 0.0, "t1": 1.0, "dt": 0.01})
+    out_dir = str(tmp_path / "run")
+    assert main(["--out", out_dir, "integrate", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == (
+        "consistency: max residual = 2.000e+00  tol = 1.0e-06  -> FAIL")
+    assert lines[-1].startswith("comparison:") and lines[-1].endswith("PASS")
+    assert main(["--json", "--out", out_dir, "integrate", path]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["el", "ham", "consistency", "comparison"]
+    verdict = data["consistency"]
+    assert verdict["max_residual"] == pytest.approx(2.0, rel=1e-12)
+    assert (verdict["tol"], verdict["passed"]) == (1e-6, False)
+
+
 def test_integrate_json_report(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main(["--json", "--out", str(out_dir), "integrate",

@@ -10,9 +10,13 @@ from numpy.testing import assert_allclose
 import corpus
 import helpers
 import rk4_oracle
-from legclair import dynamics
-from legclair.clairaut import MixedHamiltonian, SingularJacobianError
-from legclair.cli import _initial_data, build_gauge, load_problem
+from legclair import dynamics, expr
+from legclair.clairaut import (
+    MixedHamiltonian,
+    NewtonDivergedError,
+    SingularJacobianError,
+)
+from legclair.cli import _initial_data, build_gauge, load_problem, main
 from legclair.dynamics import (
     ComparisonReport,
     GaugeChoice,
@@ -25,9 +29,8 @@ from legclair.dynamics import (
     integrate_ham,
     write_trajectory_csv,
     _alloc,
-    _el_field,
-    _gauge_terms,
-    _ham_field,
+    _ham_rhs,
+    _stage,
 )
 from legclair.expr import (
     FUNCTIONS,
@@ -45,7 +48,7 @@ from legclair.expr import (
     eval_dual2,
     to_source,
 )
-from legclair.partition import LagrangianSystem, qv_names
+from legclair.partition import HessianPartition, LagrangianSystem, qv_names
 
 
 def make_ham(name, **kw):
@@ -88,7 +91,7 @@ def test_gauge_count_checked_against_partition():
 
 
 # --------------------------------------------------------------------------
-# one gauge evaluation per stage
+# the stage kernels against the oracle's per-stage cores
 # --------------------------------------------------------------------------
 
 QNAMES = ("q1", "q2")
@@ -110,38 +113,129 @@ q_points = st.lists(
     st.sampled_from((0.0, -0.0, 1.0)) | st.floats(-3.0, 3.0, allow_nan=False),
     min_size=2, max_size=2,
 )
+V1, V2 = Var(2, "v1"), Var(3, "v2")
+# n = 2 with W = (1 + A^2) [[1, 1], [1, 1]]: rank 1, the first row regular
+K1_PARTITION = HessianPartition(1, (0,), (1,), 1e-9, 0)
+
+
+def family(a=Num(0.0), b=Num(0.0), c=Num(0.0), u=Num(0.0)):
+    """L = 0.5*(1+A^2)*(v1+v2)^2 + B*v1 + C*v2 - U over (q1, q2, v1, v2)."""
+    root = Sub(Add(Add(Mul(Mul(Num(0.5), Add(Num(1.0), Pow(a, 2.0))),
+                           Pow(Add(V1, V2), 2.0)), Mul(b, V1)), Mul(c, V2)), u)
+    lag = Expression(root, qv_names(2), to_source(root))
+    system = LagrangianSystem(2, lag, [-2.0] * 4, [2.0] * 4)
+    return MixedHamiltonian(system, K1_PARTITION)
 
 
 def outcome(call):
+    """("ok", the bytes of every returned float) or ("error", its text)."""
     try:
-        return "ok", call()
-    except EvalDomainError as err:
-        return "error", str(err)
+        return "ok", [np.asarray(x, dtype=float).tobytes() for x in call()]
+    except (EvalDomainError, SingularJacobianError, NewtonDivergedError) as err:
+        return "error", f"{type(err).__name__}: {err}"
+
+
+def in_flow_order(gauge, q, core):
+    """``core()`` after the gauge's evaluations as a flow stage orders them
+    (``eval_dual2`` per expression, ``value`` first where both fail); the
+    oracle's cores take value, then L, then the Jacobian."""
+    try:
+        for e in gauge.exprs:
+            eval_dual2(e, q)
+    except EvalDomainError:
+        gauge.value(q)
+        raise
+    return core()
+
+
+def assert_stage_matches_oracle(ham, gauge, q, v1, p):
+    """el_rhs and ham_rhs give the bits or the error text of the cores."""
+    system, partition = ham.system, ham.partition
+    want = outcome(lambda: in_flow_order(gauge, q, lambda: rk4_oracle._el_core(
+        system, partition, gauge, q, v1)[:2]))
+    assert outcome(lambda: el_rhs(system, partition, gauge, q, v1)) == want
+
+    def oracle():
+        p1, p2 = ham.split_momenta(p)
+        c2 = gauge.value(q)
+        v = ham.solve_velocity(q, p1, c2)
+        phi = p2 - ham.psi(q, p1, v2_probe=c2, v1_guess=v)
+        return in_flow_order(gauge, q, lambda: rk4_oracle._ham_core(
+            ham, gauge, q, p1, phi, True, v1_guess=v)[:3])
+
+    assert outcome(lambda: ham_rhs(ham, gauge, q, p)) == outcome(oracle)
+
+
+DEG1 = family()
+# n = 3 with W = [[1] * 3] * 3: rank 1, so a gauge fixes two velocities
+DEG1_PAIR = MixedHamiltonian(
+    LagrangianSystem.from_source(3, "0.5*(v1+v2+v3)^2"),
+    HessianPartition(1, (0,), (1, 2), 1e-9, 0))
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(st.lists(gauge_trees, min_size=1, max_size=2), q_points)
 @example([Pow(Var(0, "q1"), 1.0)], [-0.0, 1.0])  # -0.0 by value, +0.0 by dual
 @example([Div(Var(0, "q1"), Num(3.0))], [0.1, 0.0])  # q1 * (1/3) by dual
+# a finite value whose Jacobian overflows without a fault
+@example([Mul(Mul(Num(1e300), Var(0, "q1")), Mul(Num(1e300), Var(1, "q2")))],
+         [1e-320, 1e-290])
+# both expressions fail, the second in its value: the first one's error
+@example([Pow(Var(0, "q1"), -1.0), Call("ln", Var(1, "q2"))], [0.0, -1.0])
 def test_one_dual_evaluation_per_stage_gives_the_gauge_value_and_jacobian(
         trees, q):
-    # each stage used to call value and then jacobian; its one evaluation
-    # must give their bits (quotients and powers 1 included) or their error
-    gauge = GaugeChoice(2, tuple(Expression(t, QNAMES, to_source(t))
-                                 for t in trees))
-    kind, want = outcome(lambda: (gauge.value(q), gauge.jacobian(q)))
-    got_kind, got = outcome(lambda: _gauge_terms(gauge)(q))
-    assert got_kind == kind
-    if kind == "ok":
-        c2, jac, r = got
-        assert np.array(c2).tobytes() == want[0].tobytes()
-        assert np.array(jac).tobytes() == want[1].tobytes()
-        assert r is None
-    else:
-        assert got == want
+    # a stage's gauge triples must give the bits of value and jacobian, which
+    # the oracle calls, or the first failing expression's error; L passes
+    # them on.  Two expressions share one try and one finiteness test.
+    ham = DEG1 if len(trees) == 1 else DEG1_PAIR
+    names = qv_names(ham.n)[:ham.n]
+    gauge = GaugeChoice(ham.n, tuple(Expression(t, names, to_source(t))
+                                     for t in trees))
+    assert_stage_matches_oracle(ham, gauge, q + [0.2] * (ham.n - 2), [0.7],
+                                [0.4, 1.1, -0.3][:ham.n])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.lists(gauge_trees, min_size=4, max_size=4), gauge_trees, q_points,
+       st.sampled_from((0.0, -0.0, 1.0)) | st.floats(-3.0, 3.0),
+       q_points)
+# every output of L is finite but their sum overflows: the stage goes on
+@example([Num(0.0), Num(1.5e308), Num(1.5e308), Num(0.0)], Num(0.0),
+         [0.0, 0.0], 0.5, [0.5, 0.5])
+def test_stage_kernels_match_the_oracle_cores(terms, gauge_tree, q, v1, p):
+    # random A, B, C, U and gauge: K, the chain rule, R, a varying W11 and
+    # both monitors, and every domain or overflow error on the way
+    gauge = GaugeChoice(2, (Expression(gauge_tree, QNAMES,
+                                       to_source(gauge_tree)),))
+    assert_stage_matches_oracle(family(*terms), gauge, q, [v1], p)
+
+
+def test_an_unused_hessian_entry_that_overflows_still_raises():
+    # at q1 = 1e-300 only d2L/dq1^2 = -0.25/(q1*sqrt(q1)) overflows: no
+    # stage uses it, yet eval_dual2 raises there, and so must the stages
+    ham = MixedHamiltonian.from_system(
+        LagrangianSystem.from_source(1, "0.5*v1^2 + sqrt(q1)",
+                                     {"q1": (1e-300, 1.0)}))
+    message = r"^overflow to a non-finite value or derivative in 'sqrt\(q1\)'$"
+    with pytest.raises(EvalDomainError, match=message):
+        el_rhs(ham.system, ham.partition, None, [1e-300], [0.5])
+    with pytest.raises(EvalDomainError, match=message):
+        ham_rhs(ham, None, [1e-300], [0.5])
+
+
+def test_a_known_zero_factor_keeps_a_non_finite_offset():
+    # R_1 = (dC2/dq1) Phi with dC2/dq1 = 0 known: 0.0 * inf is NaN, as the
+    # unrolled sum must leave it, so p1dot = dL/dq1 - ... + R_1 is NaN too
+    ham = make_ham("deg2")
+    gauge = gauge_of(2, "0.5*sin(q2)")
+    qdot, p1dot, _ = ham_rhs(ham, gauge, [0.3, 0.2], [0.5, np.inf])
+    assert np.isfinite(qdot).all() and np.isnan(p1dot).all()
 
 
 def test_a_gauge_free_of_q_is_evaluated_once_per_flow(monkeypatch):
+    # a stage evaluates its gauge inside the kernel, a constant one not at
+    # all: no flow calls eval_dual2 or evaluate on the gauge per stage, and
+    # the Hamiltonian flow evaluates it once, for the initial Phi_0
     ham = make_ham("deg1")
     calls = []
     for name in ("eval_dual2", "evaluate"):
@@ -151,14 +245,12 @@ def test_a_gauge_free_of_q_is_evaluated_once_per_flow(monkeypatch):
             return _f(e, *args)
         monkeypatch.setattr(dynamics, name, counting)
     span, dt = (0.0, 0.1), 0.01  # 10 steps: 41 stages
-    for source, per_flow in (("1.0", 1), ("0.5*sin(q1)", 41)):
+    for source in ("1.0", "0.5*sin(q1)"):
         gauge = gauge_of(2, source)
         integrate_el(ham, gauge, [0.0, 0.3], [1.0], span, dt)
-        assert calls == ["eval_dual2"] * per_flow
-        calls.clear()
+        assert calls == []
         integrate_ham(ham, gauge, [0.0, 0.3], [2.0, 2.5], span, dt)
-        # the initial Phi_0 takes its value, then the flow its stages
-        assert calls == ["evaluate"] + ["eval_dual2"] * per_flow
+        assert calls == ["evaluate"]
         calls.clear()
 
 
@@ -519,6 +611,18 @@ def test_rk4_driver_matches_hand_rolled_loops_with_two_gauged_velocities():
         offset=np.array([0.3, -0.7]))
 
 
+def test_rk4_driver_matches_hand_rolled_loops_on_a_pivoting_2x2_block():
+    # W11 = [[0.5 + q1^2, 0.6 + 0.1 q2], [0.6 + 0.1 q2, 0.1]] varies, so
+    # gepp picks its pivot row at run time: the second row leads until q1
+    # passes about 0.32, the first after
+    ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(
+        3, "0.5*(0.5+q1^2)*v1^2 + (0.6+0.1*q2)*v1*v2 + 0.05*v2^2 + q3*v3"
+        " + 0.5*q1*v2", {f"q{i}": (-1.0, 1.0) for i in (1, 2, 3)}))
+    assert ham.partition.regular == (0, 1)
+    assert_driver_matches_oracle(ham, gauge_of(3, "0.5*sin(q1)"),
+                                 q0=[0.25, 0.1, 0.2], v10=[0.4, 0.3])
+
+
 @pytest.mark.parametrize("name", ["osc", "deg1", "deg2", "deg3",
                                   "varying_w11"])
 def test_rk4_driver_matches_hand_rolled_loops_from_rest_below_the_surface(
@@ -633,20 +737,59 @@ def test_singular_block_at_a_stage_that_is_not_recorded():
         LagrangianSystem.from_source(2, "0.25*v1^4 + q1*v2")
     )
     gauge = GaugeChoice.constant(2, [0.0])
-    # (q, v1) and (q, p1), both at v1 = 0; the fields run on float lists.
-    # The Hamiltonian field starts at p1 = 0, where V = 0 at iteration 0,
+    # (q, v1) and (q, p1), both at v1 = 0; the stages run on float lists.
+    # The Hamiltonian stage starts at p1 = 0, where V = 0 at iteration 0,
     # and p2 = Psi = q1, so phi = 0
     y = np.array([0.5, 0.0, 0.0]).tolist()
-    _, ham_field = _ham_field(ham, gauge, y[:2], np.zeros(1), np.array([0.5]),
-                              True)
-    for field in (_el_field(ham.system, ham.partition, gauge), ham_field):
+    _, ham_stage = _ham_rhs(ham, gauge, y[:2], np.zeros(1), np.array([0.5]),
+                            True)
+    for stage in (_stage(ham.system, ham.partition, gauge)(), ham_stage):
         messages = []
         for monitor in (True, False):
             with pytest.raises(SingularJacobianError) as err:
-                field(y, monitor)
+                stage(y, monitor)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("regular velocity block is singular")
+
+
+def test_a_3x3_block_goes_through_check_w11_and_gepp(monkeypatch):
+    # k = 3 with a gauge: the stages call check_w11 and gepp, which are not
+    # unrolled, and keep the oracle's bits; W11 varies with q1
+    calls = []
+    for name in ("check_w11", "gepp"):
+        def counting(*args, _f=getattr(dynamics, name), _name=name, **kw):
+            calls.append(_name)
+            return _f(*args, **kw)
+        monkeypatch.setattr(dynamics, name, counting)
+    ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(
+        4, "0.5*(v1^2 + (1+q1^2)*v2^2 + v3^2) + 0.2*v1*v3 + q2*v4 + q4*v1"))
+    assert (ham.k, ham.partition.nonregular) == (3, (3,))
+    assert_driver_matches_oracle(ham, gauge_of(4, "0.5*sin(q1)"))
+    calls.clear()
+    span, dt = (0.0, 0.01), 1e-3  # 10 steps: 41 stages, 11 recorded
+    integrate_el(ham, gauge_of(4, "0.5*sin(q1)"), [0.1] * 4, [0.2] * 3, span,
+                 dt)
+    assert calls == ["check_w11", "gepp"] * 41
+
+
+def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
+    sources = []
+
+    def recording(source, filename, mode):
+        if filename == "<legclair stage kernel>":
+            sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", recording, raising=False)
+    path = str(PROBLEMS[0])
+    # the benchmark's set-up compiles none: an eager compile raised it 27 %
+    problem = load_problem(path)
+    build_gauge(problem, MixedHamiltonian.from_system(problem.system))
+    assert sources == []
+    out = str(tmp_path / "run")
+    assert main(["--out", out, "integrate", path, "--method", "both"]) == 0
+    assert ["_iterate" in src for src in sources] == [False, True]
 
 
 def test_non_finite_state_stops_the_flow_at_its_step():

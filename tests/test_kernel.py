@@ -14,6 +14,7 @@ row's error; and both must agree with sympy's symbolic derivatives.
 """
 
 import gc
+import hashlib
 import math
 import re
 import weakref
@@ -657,3 +658,41 @@ def test_derivatives_match_sympy(tree, point):
         want = np.array(want)
         assert np.all(want.imag == 0.0)
         assert np.allclose(got, want.real, rtol=1e-9, atol=1e-9), (got, want)
+
+
+# --------------------------------------------------------------------------
+# generated sources
+# --------------------------------------------------------------------------
+
+# sha256 of the sources below, joined by NUL bytes in generation order: any
+# change to an operation, its order, a local's name or a constant's slot in
+# a kernel the library compiles moves it
+CORPUS_KERNEL_SOURCES_SHA256 = (
+    "40654134a12715d0178c0a1480a52dd69df684ce5263f1de12af45691fe815bf")
+
+
+def test_corpus_kernel_sources_are_frozen(monkeypatch):
+    # every scalar, checked and stacked kernel over the active tuples the
+    # library uses (all slots, v slots, v1 slots, value-only)
+    import corpus
+    from legclair.clairaut import MixedHamiltonian
+
+    systems = [corpus.make_system(name) for name in sorted(corpus.SYSTEMS)]
+    v1_slots = [MixedHamiltonian.from_system(s).solver._v1_active
+                for s in systems]
+    sources = []
+
+    def recording(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", recording, raising=False)
+    for system, v1 in zip(systems, v1_slots):
+        n, root = system.n, system.lagrangian.root
+        for active in (tuple(range(2 * n)), tuple(range(n, 2 * n)), v1, None):
+            expr._compile(root, 2 * n, active)
+            expr._compile(root, 2 * n, active, checked=True)
+            expr._compile_many(root, 2 * n, active)
+    assert len(sources) == 6 * 4 * 3
+    digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
+    assert digest == CORPUS_KERNEL_SOURCES_SHA256

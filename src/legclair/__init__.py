@@ -30,6 +30,7 @@ from .clairaut import (
     generic_transform,
 )
 from .dynamics import (
+    BoxExitError,
     ComparisonReport,
     GaugeChoice,
     NonFiniteStateError,
@@ -37,6 +38,7 @@ from .dynamics import (
     Trajectory,
     compare_trajectories,
     el_rhs,
+    first_box_exit,
     ham_rhs,
     integrate_el,
     integrate_ham,
@@ -65,6 +67,7 @@ from .partition import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BoxExitError",
     "ComparisonReport",
     "EnvelopeSolver",
     "EvalDomainError",
@@ -88,6 +91,7 @@ __all__ = [
     "eval_dual2_many",
     "evaluate",
     "evaluate_many",
+    "first_box_exit",
     "general_solution",
     "generic_transform",
     "ham_rhs",

@@ -21,6 +21,7 @@ sample over the domain box.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -28,8 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
+    _FAULTS,
     EvalDomainError,
     Expression,
+    _Codegen,
+    _Term,
     eval_dual2,
     eval_dual2_many,
     eval_dual2_rows,
@@ -268,6 +272,186 @@ def gepp_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array(cols).transpose(2, 1, 0)
 
 
+# --------------------------------------------------------------------------
+# generated W11 algebra: the envelope Newton here, the flows' stage kernels
+# in dynamics
+# --------------------------------------------------------------------------
+
+def _known(a) -> bool:
+    return all(isinstance(x, float) for row in a for x in row)
+
+
+def _list_source(cg, xs) -> str:
+    return f"[{', '.join(map(cg.lit, xs))}]"
+
+
+def emit_check_w11(cg, w11, tol, where, **at):
+    """``check_w11(w11, tol, where, **at)`` in the body ``cg`` writes, on
+    its quantities: a block known at generation is decided here, once, and
+    emits nothing if it passes."""
+    if _known(w11):
+        try:
+            check_w11(w11, tol, "")
+            return
+        except SingularJacobianError:
+            pass
+    cg.ns["_check_w11"] = check_w11
+    cg.lines.append(
+        f"_check_w11({_list_source(cg, (_list_source(cg, r) for r in w11))}, "
+        f"{cg.lit(tol)}, {where!r}, "
+        + ", ".join(f"{name}={_list_source(cg, x)}" for name, x in at.items())
+        + ")")
+
+
+def emit_gepp(cg, a, cols):
+    """``gepp(a, cols)`` in the body ``cg`` writes: run on terms, i.e.
+    unrolled in its pivot and operation order, for a block known at
+    generation, and a call for any other."""
+    if _known(a):
+        try:
+            return gepp(a, cols)
+        except ZeroDivisionError:  # a known zero pivot: gepp raises
+            pass
+    cg.ns["_gepp"] = gepp
+
+    def slots(rows):  # a placeholder per entry, for cg.op
+        return _list_source(cg, (_list_source(cg, ["{}"] * len(r))
+                                 for r in rows))
+
+    out = cg.op(f"_gepp({slots(a)}, {slots(cols)})",
+                *(x for row in (*a, *cols) for x in row))
+    return [[_Term(cg.op(f"{{}}[{c}][{i}]", out), cg) for i in range(len(a))]
+            for c in range(len(cols))]
+
+
+def _failed_newton(lag, active, point, v1):
+    """Raise the ``EvalDomainError`` of L's evaluation at ``point`` with the
+    v1 slots set to ``v1``, where the Newton kernel's evaluation failed."""
+    for slot, x in zip(active, v1):
+        point[slot] = x
+    eval_dual2(lag, point, active)
+    return AssertionError("the Newton kernel failed where eval_dual2 passes")
+
+
+def _evaluates(lag, active, point) -> bool:
+    """Whether ``eval_dual2`` returns at ``point``: its checked rerun decides
+    where the outputs are finite but their sum overflows."""
+    try:
+        eval_dual2(lag, point, active)
+    except EvalDomainError:
+        return False
+    return True
+
+
+def _build_newton(system, partition):
+    """Generate and compile the envelope Newton of (system, partition).
+
+    The kernel ``kernel(tol, max_iter, max_backtracks, point, p1, v1)`` is
+    :meth:`EnvelopeSolver.iterate` on Python floats.  Each evaluation calls
+    ``_ev``, L's v1-active triple by the operations of ``eval_dual2(lag,
+    point, active)``'s kernel, which returns the gradient and W11 locals,
+    or None where ``eval_dual2`` raises (a fault, a domain guard or a
+    non-finite output).  From a residual r = p1 - dL/dv1 with max-norm
+    above ``tol``, W11 is checked and the step solves W11 d = r, both as
+    :func:`emit_check_w11` and :func:`emit_gepp` emit them; the step is
+    halved, up to ``max_backtracks`` times, until the trial's residual
+    norm is smaller.  A finite trial whose evaluation fails is halved too.
+    An evaluation that fails at the start or at a non-finite trial reruns
+    as an ``eval_dual2`` call, to raise its exact error; a halving that
+    runs out, or ``max_iter`` iterations, raise ``NewtonDivergedError``
+    with the residual norms of the iterates.  ``point`` is left at the
+    last v1 evaluated, which is V on return.
+    """
+    n, lag, tol = system.n, system.lagrangian, partition.rank_tolerance
+    active = tuple(n + i for i in partition.regular)
+    xs = [f"x{i}" for i in range(2 * n)]
+    v1 = [xs[a] for a in active]
+    cg = _Codegen(active, checked=False)
+    _, grad, hess = out = cg.visit(lag.root)
+    outputs = cg.flat(out)
+    used = [x for x in dict.fromkeys(grad if _known(hess) else outputs[1:])
+            if isinstance(x, str) and x not in xs]
+    live = cg.live(outputs)
+    ev = [f"def _ev({', '.join(xs)}):"]
+    if cg.lines:
+        ev += ["    try:", *("        " + x for x in cg.lines),
+               "    except _EVAL_FAULTS:", "        return None"]
+    if live:
+        ev.append(f"    if not _isfinite({' + '.join(live)}) and not ("
+                  f"_finite({', '.join(live)}) and _evaluates([{', '.join(xs)}"
+                  "])): return None")
+    ev.append(f"    return ({''.join(x + ', ' for x in used)})")
+
+    # the iteration's float algebra, on the outputs unpacked as g0, g1, ...
+    cg.lines, cg.memo = [], {}
+    names = {x: f"g{j}" for j, x in enumerate(used)}
+
+    def term(x):  # an output, tested finite
+        return x if isinstance(x, float) else _Term(names.get(x, x), cg, True)
+
+    r = [_Term(f"a{i}", cg) - term(g) for i, g in enumerate(grad)]
+    # then norm = _inf_norm(r): the largest |r_i|, the first NaN one if any
+    rsrc = [str(cg.lit(x)) for x in r]  # a term's + would emit
+    residual = [*(["".join(g + ", " for g in names.values()) + "= e"]
+                  if used else []), *cg.lines, f"norm = abs({rsrc[0]})"]
+    for x in rsrc[1:]:
+        residual += [f"_r = abs({x})",
+                     "if not _r <= norm and norm == norm: norm = _r"]
+    cg.lines = []
+    w11 = [[term(x) for x in row] for row in hess]
+    emit_check_w11(cg, w11, tol, "W11 is singular at Newton iterate", v1=v1)
+    delta = emit_gepp(cg, w11, [r])[0]
+    step = cg.lines + [f"d{i} = {cg.lit(d)}" for i, d in enumerate(delta)]
+    store = [f"point[{a}] = {x}" for a, x in zip(active, v1)]
+    at, call = f"[{', '.join(v1)}]", f"_ev({', '.join(xs)})"
+
+    def block(depth, lines):
+        return ["    " * depth + x for x in lines]
+
+    src = [
+        *ev,
+        "def kernel(tol, max_iter, max_backtracks, point, p1, v1):",
+        "    " + "".join(x + ", " for x in xs) + "= point",
+        "    " + "".join(f"a{i}, " for i in range(len(v1))) + "= p1",
+        "    " + "".join(x + ", " for x in v1) + "= v1",
+        f"    e = {call}",
+        f"    if e is None: raise _fail(point, {at})",
+        *block(1, residual),
+        "    history = []",
+        "    for _ in range(max_iter):",
+        "        rnorm = norm",
+        "        history.append(rnorm)",
+        "        if rnorm <= tol:",
+        *block(3, store),
+        f"            return {at}",
+        *block(2, step),
+        "        " + "".join(f"w{i}, " for i in range(len(v1))) + "= "
+        + "".join(x + ", " for x in v1),
+        "        alpha = 1.0",
+        "        for _ in range(max_backtracks + 1):",
+        *block(3, [f"{x} = w{i} + alpha * d{i}" for i, x in enumerate(v1)]),
+        f"            e = {call}",
+        "            if e is not None:",
+        *block(4, residual),
+        "                if norm < rnorm: break",
+        f"            elif not _finite({', '.join(v1)}):",
+        f"                raise _fail(point, {at})",
+        "            alpha *= 0.5",
+        "        else:",
+        *block(3, store),
+        "            raise _Diverged('backtracking could not reduce the "
+        "envelope residual', history)",
+        *block(1, store),
+        "    raise _Diverged(f'no convergence within {max_iter} Newton "
+        "iterations', history)",
+    ]
+    cg.ns.update(_Diverged=NewtonDivergedError,
+                 _EVAL_FAULTS=(*_FAULTS, EvalDomainError),
+                 _fail=functools.partial(_failed_newton, lag, active),
+                 _evaluates=functools.partial(_evaluates, lag, active))
+    return cg.build(src, "<legclair newton kernel>")
+
+
 @dataclass
 class EnvelopeSolver:
     """Damped Newton solver for the envelope condition p1 = dL/dv1.
@@ -320,52 +504,28 @@ class EnvelopeSolver:
 
         ``point`` is the list (q, v) with its v2 entries set, ``p1`` the
         regular momenta and ``v1`` the starting regular velocities.  Returns
-        V as a list and leaves ``point`` at (q, V, v2).  The Newton step is
-        :func:`gepp`'s, and element-wise float arithmetic has numpy's bits,
-        so :meth:`solve_lanes` reproduces every lane.
+        V as a list and leaves ``point`` at (q, V, v2).  The iteration is
+        the generated kernel of :meth:`newton`.
         """
-        active = self._v1_active
-        if not active:
+        if not self._v1_active:
             return []
-        lag, tol = self.system.lagrangian, self.partition.rank_tolerance
-        for slot, x in zip(active, v1):
-            point[slot] = x
-        d = eval_dual2(lag, point, active)
-        r = [p - g for p, g in zip(p1, d.floats()[0])]
-        history = []
-        for _ in range(self.max_iter):
-            rnorm = _inf_norm(r)
-            history.append(rnorm)
-            if rnorm <= self.newton_tol:
-                return v1
-            w11 = d.floats()[1]
-            check_w11(w11, tol, "W11 is singular at Newton iterate", v1=v1)
-            delta = gepp(w11, [r])[0]
-            alpha = 1.0
-            for _ in range(self.max_backtracks + 1):
-                trial = [x + alpha * dx for x, dx in zip(v1, delta)]
-                for slot, x in zip(active, trial):
-                    point[slot] = x
-                try:
-                    d_trial = eval_dual2(lag, point, active)
-                except EvalDomainError:
-                    # halving cannot make a non-finite step finite
-                    if not all(map(math.isfinite, trial)):
-                        raise
-                else:
-                    r_trial = [p - g for p, g in zip(p1, d_trial.floats()[0])]
-                    if _inf_norm(r_trial) < rnorm:
-                        break
-                alpha *= 0.5
-            else:
-                raise NewtonDivergedError(
-                    "backtracking could not reduce the envelope residual", history
-                )
-            # the accepted trial's evaluation serves the next iterate
-            v1, d, r = trial, d_trial, r_trial
-        raise NewtonDivergedError(
-            f"no convergence within {self.max_iter} Newton iterations", history
-        )
+        return self.newton()(point, p1, v1)
+
+    def newton(self):
+        """The envelope Newton kernel of (system, partition), bound to this
+        solver's settings: ``newton()(point, p1, v1)`` is ``iterate(point,
+        p1, v1)`` where k > 0.
+
+        The kernel is generated by :func:`_build_newton` at the first call
+        and kept on the system, beside the flows' stage kernels.
+        """
+        key = ("newton", self.partition)
+        kernel = self.system._stages.get(key)
+        if kernel is None:
+            kernel = self.system._stages[key] = _build_newton(self.system,
+                                                              self.partition)
+        return functools.partial(kernel, self.newton_tol, self.max_iter,
+                                 self.max_backtracks)
 
     def solve_many(self, q, p1, c2, v1_guess=None) -> np.ndarray:
         """:meth:`solve_lanes`'s solutions; raises the lowest row's error."""

@@ -28,8 +28,9 @@ Subcommands:
 
 Exit codes: 0 success; 2 problem-file or expression errors; 3 inconsistent
 Hessian rank over the domain; 4 solver failures (including rejected initial
-data); 5 out-of-domain requests; 6 flow-equivalence failure; 7 property
-failures from ``verify``.
+data); 5 out-of-domain requests, including an ``integrate`` run that leaves
+the declared box; 6 flow-equivalence failure; 7 property failures from
+``verify``.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ from .clairaut import (
     abs_det,
 )
 from .dynamics import (
+    BoxExitError,
     GaugeChoice,
     NonFiniteStateError,
     PrimaryConstraintError,
     _validate_span,
     compare_trajectories,
+    first_box_exit,
     integrate_el,
     integrate_ham,
     write_trajectory_csv,
@@ -535,6 +538,15 @@ def cmd_integrate(problem: Problem, args, out):
             if traj.phi.size else 0.0,
             f"max_{monitor}": float(np.max(getattr(traj, monitor))),
         }
+    # no verdict on a run that left the box where the partition holds
+    names, lo, hi = qv_names(ham.n), system.domain_lo, system.domain_hi
+    for side, traj in trajectories.items():
+        exit_ = first_box_exit(traj, lo, hi)
+        if exit_ is not None:
+            t, i, x = exit_
+            raise BoxExitError(
+                f"the {side} flow leaves the declared box at t = {t:.6g}: "
+                f"{names[i]} = {x!r} outside [{lo[i]:g}, {hi[i]:g}]")
 
     # the gauge-fixed equations leave the non-regular rows unenforced: the
     # run is consistent only where their defect stays within tol_equiv
@@ -686,7 +698,7 @@ _EXIT_CODES = {
     NoValidMinorError: EXIT_SOLVER, NewtonDivergedError: EXIT_SOLVER,
     SingularJacobianError: EXIT_SOLVER, PrimaryConstraintError: EXIT_SOLVER,
     OutOfDomainError: EXIT_DOMAIN, EvalDomainError: EXIT_DOMAIN,
-    NonFiniteStateError: EXIT_DOMAIN,
+    NonFiniteStateError: EXIT_DOMAIN, BoxExitError: EXIT_DOMAIN,
 }
 
 

@@ -32,13 +32,18 @@ are reconstructed as p2 = Psi(q, p1) + Phi_0 with the constant initial
 offset Phi_0; this is exact because the corrected momentum equation forces
 d(p2)/dt = d(Psi)/dt.
 
+The rank partition holds on the declared box only: ``first_box_exit``
+finds a trajectory's first node outside it, and ``integrate`` refuses a
+verdict there (``BoxExitError``).
+
 Both flows run on one RK4 driver, which names the step and time of any
 failure.  Each stage is one generated straight-line function, the stage
 kernel of the flow (``_stage``), compiled at its first stage: the gauge's
 (value, gradient, Hessian) triples and L's full triple, each by the
 operations of its own ``eval_dual2`` kernel, then K, dv2/dt, R, dH/dq, the
-W11 check and solve, and p1dot.  The Hamiltonian stage runs the envelope
-Newton (``EnvelopeSolver.iterate``) between the gauge and L.  The monitors
+W11 check and solve, and p1dot.  The Hamiltonian stage calls the envelope
+Newton kernel (``EnvelopeSolver.newton``, generated by
+``clairaut._build_newton``) between the gauge and L.  The monitors
 above follow an early return, so only the recorded stage, the first of
 each step, builds them.
 
@@ -75,8 +80,8 @@ from .clairaut import (
     NewtonDivergedError,
     SingularJacobianError,
     _inf_norm,
-    check_w11,
-    gepp,
+    emit_check_w11,
+    emit_gepp,
 )
 from .expr import (
     EvalDomainError,
@@ -98,6 +103,7 @@ __all__ = [
     "GaugeChoice",
     "PrimaryConstraintError",
     "NonFiniteStateError",
+    "BoxExitError",
     "Trajectory",
     "ComparisonReport",
     "el_rhs",
@@ -105,6 +111,7 @@ __all__ = [
     "integrate_el",
     "integrate_ham",
     "compare_trajectories",
+    "first_box_exit",
     "write_trajectory_csv",
     "PRIMARY_TOL",
 ]
@@ -255,7 +262,8 @@ def _stage(system: LagrangianSystem, partition, gauge, ham=False,
     mixed-Hamiltonian flow, compiled at first use and kept on ``system``
     for its (flow, partition, gauge, include_r).  It is a factory of
     ``rhs(y, monitor)``: the Hamiltonian one takes the first stage's warm
-    start V (a list), the solver's ``iterate`` and the offsets Phi_0."""
+    start V (a list), the solver's Newton kernel (``EnvelopeSolver.newton``,
+    None where k = 0) and the offsets Phi_0."""
     key = ("ham", include_r) if ham else ("el",)
     key += (partition, gauge)
     if key not in system._stages:
@@ -271,7 +279,7 @@ def _build_stage(system, partition, gauge, ham, include_r):
                         partition.nonregular)
     # one slot per variable of L: a gauge's slots past q stay known zeros
     cg = _Codegen(tuple(range(2 * n)), checked=False)
-    cg.ns.update(_inf_norm=_inf_norm, _check_w11=check_w11, _gepp=gepp,
+    cg.ns.update(_inf_norm=_inf_norm,
                  _fail=functools.partial(_failed_stage, lag, gauge, reg,
                                          nonreg))
     lines, lit = cg.lines, cg.lit
@@ -279,39 +287,18 @@ def _build_stage(system, partition, gauge, ham, include_r):
     def lst(xs):
         return f"[{', '.join(map(lit, xs))}]"
 
-    def slots(rows):  # a placeholder per entry, for cg.op
-        return lst(lst(["{}"] * len(row)) for row in rows)
-
     def dot(a, x):
         return [cg.contract(row, x) for row in a]
 
     def term(x):  # an output that cg.guarded tested finite
         return x if isinstance(x, float) else _Term(x, cg, True)
 
-    def known(a):
-        return all(isinstance(x, float) for row in a for x in row)
-
     def check(w11, **at):
-        if known(w11):  # a known block is decided once
-            try:
-                return check_w11(w11, tol, "")
-            except SingularJacobianError:
-                pass
-        lines.append(f"_check_w11({lst(map(lst, w11))}, {lit(tol)}, "
-                     "'regular velocity block is singular at', "
-                     + ", ".join(f"{name}={lst(x)}" for name, x in at.items())
-                     + ")")
+        emit_check_w11(cg, w11, tol, "regular velocity block is singular at",
+                       **at)
 
-    def solve(a, cols):  # gepp(a, cols): unrolled for a known block
-        if known(a):
-            try:
-                return gepp(a, cols)
-            except ZeroDivisionError:  # a known zero pivot: gepp raises
-                pass
-        out = cg.op(f"_gepp({slots(a)}, {slots(cols)})",
-                    *(x for row in (*a, *cols) for x in row))
-        return [[_Term(cg.op(f"{{}}[{c}][{i}]", out), cg)
-                 for i in range(len(a))] for c in range(len(cols))]
+    def solve(a, cols):  # unrolled for a block known at generation
+        return emit_gepp(cg, a, cols)
 
     def norm(xs):
         return cg.op(f"_inf_norm({lst(['{}'] * len(xs))})", *xs)
@@ -330,7 +317,8 @@ def _build_stage(system, partition, gauge, ham, include_r):
         x = q + ["0.0"] * n
         for j, t in zip(nonreg, gauge_out):
             x[n + j] = lit(t[0])
-        lines += [f"_x = {lst(x)}", f"_v = _iterate(_x, y[{n}:], _v)",
+        lines += [f"_x = {lst(x)}",
+                  *[f"_v = _newton(_x, y[{n}:], _v)"] * bool(k),
                   "".join(name + ", " for name in xv) + f"= _x[{n}:]"]
         start, outputs = len(lines), []
     else:
@@ -400,7 +388,7 @@ def _build_stage(system, partition, gauge, ham, include_r):
                             for j, x in zip(nonreg, psidot)])
         info = f"{lst(v)}, {lit(hs3_res)}, {lst(grad[n:])}"
     lines.append(f"return {lst(dy)}, ({info})")
-    params = ["_v", "_iterate", *(f"f{j}" for j in range(len(nonreg)))]
+    params = ["_v", "_newton", *(f"f{j}" for j in range(len(nonreg)))]
     src = [f"def kernel({', '.join(params) if ham else ''}):",
            "    def stage(y, monitor):", *["        nonlocal _v"] * ham,
            *("        " + line for line in lines), "    return stage"]
@@ -465,11 +453,16 @@ def _ham_rhs(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
     with d(Psi)/dt assembled by the chain rule through
     dV/dp1 = W11^{-1} and dV/dq = -W11^{-1} (d2L/dv1 dq + W12 dC2/dq).
     """
+    system = ham.system
     c2 = gauge.value(q)
     v1 = ham.solve_velocity(q, p1, c2)
-    phi = p2 - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
-    make = _stage(ham.system, ham.partition, gauge, True, include_r)
-    return phi, make(v1.tolist(), ham.solver.iterate, *phi.tolist())
+    # Psi = dL/dv2 at the envelope point of that one solve
+    x = system.point(q, ham.assemble_velocity(v1, c2))
+    psi = eval_dual2(system.lagrangian, x, range(ham.n, 2 * ham.n)).grad
+    phi = p2 - psi[list(ham.partition.nonregular)]
+    make = _stage(system, ham.partition, gauge, True, include_r)
+    return phi, make(v1.tolist(), ham.solver.newton() if ham.k else None,
+                     *phi.tolist())
 
 
 def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
@@ -596,6 +589,24 @@ def _trajectory(rows, n, k, regular, el) -> Trajectory:
     traj.phi[:] = phi
     (traj.el_i2_res if el else traj.hs3_res)[:] = monitor
     return traj
+
+
+class BoxExitError(Exception):
+    """A trajectory left the declared box, where the rank partition is
+    certified."""
+
+
+def first_box_exit(traj: Trajectory, lo, hi):
+    """The first node of ``traj`` with a q or v entry outside [lo, hi], the
+    bounds aligned with the variable table (q1..qn, v1..vn): (t, index of
+    the variable, its value), the lowest index at that node; None if every
+    node lies inside."""
+    x = np.concatenate([traj.q, traj.v], axis=1)
+    outside = np.argwhere((x < lo) | (x > hi))
+    if not outside.size:
+        return None
+    node, index = outside[0]  # row-major: the first node, then variable
+    return float(traj.times[node]), int(index), float(x[node, index])
 
 
 @dataclass(frozen=True)

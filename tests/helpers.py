@@ -10,8 +10,10 @@ tolerance being certified and can therefore certify nothing.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from legclair.expr import (
+    FUNCTIONS,
     Add,
     Call,
     Div,
@@ -237,3 +239,21 @@ def random_tree(rng, names, depth=3):
     return ctor(
         random_tree(rng, names, depth - 1), random_tree(rng, names, depth - 1)
     )
+
+
+# random trees over (q1, q2): the grammar of gauges, and of the q-dependent
+# coefficients of the Newton tests' Lagrangians
+gauge_trees = st.recursive(
+    st.one_of(
+        st.builds(Num, st.sampled_from((0.0, 0.5, 1.0, 3.0))
+                  | st.floats(-4.0, 4.0, allow_nan=False)),
+        st.sampled_from((Var(0, "q1"), Var(1, "q2"))),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Neg, kids),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        st.builds(Pow, kids, st.sampled_from((1.0, 2.0, 3.0, -1.0, 0.5))),
+        *(st.builds(ctor, kids, kids) for ctor in (Add, Sub, Mul, Div)),
+    ),
+    max_leaves=8,
+)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import root
@@ -22,8 +22,16 @@ from legclair.clairaut import (
     general_solution,
     generic_transform,
 )
-from legclair.expr import EvalDomainError, eval_dual2, evaluate, parse
+from legclair.expr import (
+    EvalDomainError,
+    Num,
+    eval_dual2,
+    evaluate,
+    parse,
+    to_source,
+)
 from legclair.partition import (
+    HessianPartition,
     LagrangianSystem,
     RankNotConstantError,
     numerical_rank,
@@ -255,18 +263,25 @@ def assert_same_outcome(solver, *args):
     return got
 
 
+def newton_evaluations(monkeypatch, solver):
+    """A list that gains an entry at each evaluation of L by the solver's
+    generated Newton: a counting wrapper on the kernel's ``_ev``."""
+    namespace = solver.newton().func.__globals__
+    calls, evaluate_l = [], namespace["_ev"]
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate_l(*args)
+
+    monkeypatch.setitem(namespace, "_ev", counting)
+    return calls
+
+
 def test_quadratic_cold_start_takes_two_evaluations(monkeypatch):
     # one evaluation at the guess and one at the Newton point, which is
     # exact for a quadratic and is accepted without a second evaluation
     ham = make_ham("deg3")
-    calls = []
-    counted = clairaut.eval_dual2
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return counted(*args, **kwargs)
-
-    monkeypatch.setattr(clairaut, "eval_dual2", counting)
+    calls = newton_evaluations(monkeypatch, ham.solver)
     v1 = ham.solve_velocity([0.1, 0.2, 0.3], [1.0, -0.5], [0.4])
     assert len(calls) == 2
     assert_allclose(v1, [0.7, -0.2], rtol=0, atol=1e-12)
@@ -380,6 +395,121 @@ def test_newton_converges_or_raises_a_solver_error_on_random_boxes(case):
         at = system.point(q, ham.assemble_velocity(got, v[nonreg]))
         grad = eval_dual2(system.lagrangian, at, solver._v1_active).grad
         assert np.max(np.abs(p1 - grad)) <= solver.newton_tol
+
+
+# L over n = k + 1 degrees of freedom, v1..vk regular and v(k+1) set by c2,
+# with q-dependent coefficients A_i, B, C from the gauge grammar:
+#   regular   0.5*(1 + A_i^2)*v_i^2 per slot and 0.3*v_i*v_j per pair,
+#   rank_one  0.5*(1 + A_1^2)*(v1 + ... + vk)^2, singular for k > 1,
+#   linear    no quadratic part, so W11 is the extra term's,
+# plus B*v1 + C*v1*v(k+1) and an extra term in v1 that needs iterations.
+# Constant A_i make W11 known at generation unless the extra term is in.
+NEWTON_SHAPES = ("regular", "rank_one", "linear")
+NEWTON_EXTRAS = ("", " + exp(v1)", " + 0.25*v1^4")
+
+
+def drawn_lagrangian(k, shape, extra, a, b, c):
+    v = [f"v{i + 1}" for i in range(k)]
+    if shape == "regular":
+        terms = [f"0.5*(1 + ({ai})^2)*{vi}^2" for ai, vi in zip(a, v)]
+        terms += [f"0.3*{x}*{y}" for i, x in enumerate(v) for y in v[i + 1:]]
+    elif shape == "rank_one":
+        terms = [f"0.5*(1 + ({a[0]})^2)*({' + '.join(v)})^2"]
+    else:
+        terms = []
+    terms += [f"({b})*v1", f"({c})*v1*v{k + 1}"]
+    return " + ".join(terms) + extra
+
+
+constant_trees = st.builds(Num, st.floats(-2.0, 2.0))
+
+
+@st.composite
+def drawn_newton_cases(draw):
+    k = draw(st.integers(1, 3))
+    constant = draw(st.booleans())
+    a = draw(st.lists(constant_trees if constant else helpers.gauge_trees,
+                      min_size=k, max_size=k))
+    b, c = draw(helpers.gauge_trees), draw(helpers.gauge_trees)
+    source = drawn_lagrangian(k, draw(st.sampled_from(NEWTON_SHAPES)),
+                              draw(st.sampled_from(NEWTON_EXTRAS)),
+                              *(list(map(to_source, a)),
+                                to_source(b), to_source(c)))
+    q = draw(st.lists(st.floats(-3.0, 3.0), min_size=k + 1, max_size=k + 1))
+    c2 = draw(st.floats(-2.0, 2.0))
+    v = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    # momenta: reachable at v, drawn, or with a first entry so large that
+    # the first step is not finite
+    momentum = draw(st.sampled_from(["reachable", "free", "huge"]))
+    p1 = draw(st.lists(st.floats(-4.0, 4.0), min_size=k, max_size=k))
+    if momentum == "huge":
+        p1[0] = 1e308
+    # the default guess, or warm starts near v or far away
+    guess = draw(st.none()
+                 | st.lists(st.floats(-3.0, 3.0) | st.sampled_from(
+                     [-10.0, 30.0, 1e12]), min_size=k, max_size=k))
+    limits = draw(st.sampled_from([(50, 20), (3, 20), (50, 1)]))
+    return source, k, q, c2, v, momentum == "reachable", p1, guess, limits
+
+
+NEWTON_CASE = settings(derandomize=True, database=None, max_examples=300,
+                       deadline=None,
+                       suppress_health_check=[HealthCheck.too_slow])
+
+
+@NEWTON_CASE
+@given(drawn_newton_cases())
+# exp(v1) from -10 towards p1 = 1: the first trial, near v1 = 22,000,
+# overflows and is halved
+@example(("exp(v1)", 1, [0.0, 0.0], 0.0, [0.0], False, [1.0], [-10.0],
+          (50, 20)))
+# the same from p1 = 1e308: the first trial is inf, which raises
+@example(("exp(v1)", 1, [0.0, 0.0], 0.0, [0.0], False, [1e308], [-10.0],
+          (50, 20)))
+# a triple root converges linearly: the iteration cap
+@example(("0.25*v1^4", 1, [0.0, 0.0], 0.0, [0.0], False, [0.0], [1e12],
+          (50, 20)))
+# W11 = 0 known at generation; W11 = 3*v1^2 = 0 reached at the guess
+@example(("(q1)*v1", 1, [0.5, 0.0], 0.0, [0.0], False, [1.0], None,
+          (50, 20)))
+@example(("0.25*v1^4 + (q1)*v1", 1, [0.5, 0.0], 0.0, [0.0], False, [1.0],
+          None, (50, 20)))
+# a 2x2 rank-one block known at generation, and one that varies with q1
+@example(("0.5*(1 + (0.5)^2)*(v1 + v2)^2", 2, [0.5, 0.0, 0.0], 0.0,
+          [0.0, 0.0], False, [1.0, 0.0], None, (50, 20)))
+@example(("0.5*(1 + (q1)^2)*(v1 + v2)^2", 2, [0.5, 0.0, 0.0], 0.0,
+          [0.0, 0.0], False, [1.0, 0.0], None, (50, 20)))
+# a NaN second momentum: the residual norm is NaN, never within tol, and
+# the NaN step's trial raises
+@example(("0.5*(v1^2 + v2^2)", 2, [0.0, 0.0, 0.0], 0.0, [0.0, 0.0], False,
+          [0.0, math.nan], None, (50, 20)))
+# every output is finite, but their sum overflows, and q1*q1 overflowed on
+# the way: eval_dual2's checked rerun raises there, and so must the Newton
+@example(("1/(q1*q1) + 0.5*(v1^2 + v2^2) + 0.9e308*(v1 + v2)", 2,
+          [1e200, 0.0, 0.0], 0.0, [0.0, 0.0], False, [1.0, 1.0], None,
+          (50, 20)))
+def test_generated_newton_matches_the_reference_loop(case):
+    # the generated Newton against reference_newton on drawn Lagrangians
+    # with k = 1, 2 and 3: the same bits, or the same error type, text and
+    # residual history; on success iterate leaves the point at V
+    source, k, q, c2, v, reachable, p1, guess, (max_iter, backtracks) = case
+    n = k + 1
+    system = LagrangianSystem.from_source(n, source)
+    partition = HessianPartition(k, tuple(range(k)), (k,), 1e-9, 0)
+    solver = EnvelopeSolver(system, partition, max_iter=max_iter,
+                            max_backtracks=backtracks)
+    if reachable:
+        try:
+            p1 = eval_dual2(system.lagrangian, q + v + [c2],
+                            solver._v1_active).grad
+        except EvalDomainError:
+            pass
+    got = assert_same_outcome(solver, q, p1, [c2], guess)
+    if not isinstance(got, Exception):
+        point = q + [0.0] * k + [c2]
+        start = solver.default_guess().tolist() if guess is None else guess
+        got = solver.iterate(point, np.asarray(p1, float).tolist(), start)
+        assert point == q + got + [c2]
 
 
 # --------------------------------------------------------------------------

@@ -341,9 +341,11 @@ def test_consistent_runs_pass_the_verdict_and_keep_their_report(
 
 def test_an_inconsistent_run_fails_the_verdict_and_exits_0(tmp_path, capsys):
     # the q2 row of L = 0.5*v1^2 + q1*v2 reads v1 = 0, which v1(0) = 1
-    # breaks whatever the gauge: both flows agree, and both break the row
+    # breaks whatever the gauge: both flows agree, and both break the row.
+    # v1 = 1 + t reaches 2 at t1, so the box holds v1 in [-3, 3]
     path = write_problem(
         tmp_path, n=2, lagrangian="0.5*v1^2 + q1*v2", gauge={"v2": "1.0"},
+        domain={"v1": [-3, 3]},
         initial={"q": [0.0, 0.0], "v": [1.0, 1.0]},
         integrate={"t0": 0.0, "t1": 1.0, "dt": 0.01})
     out_dir = str(tmp_path / "run")
@@ -358,6 +360,31 @@ def test_an_inconsistent_run_fails_the_verdict_and_exits_0(tmp_path, capsys):
     verdict = data["consistency"]
     assert verdict["max_residual"] == pytest.approx(2.0, rel=1e-12)
     assert (verdict["tol"], verdict["passed"]) == (1e-6, False)
+
+
+def test_a_run_that_leaves_the_box_exits_5_before_any_verdict(tmp_path,
+                                                              capsys):
+    # q1 = t leaves q1 in [-0.5, 0.5] at t = 0.5, where the rank partition
+    # is no longer certified: the CSVs are written, but no report line and
+    # no PASS, in text or JSON
+    path = write_problem(
+        tmp_path, n=2, lagrangian="0.5*(v1+v2)^2", domain={"q1": [-0.5, 0.5]},
+        gauge={"v2": "1.0"}, initial={"q": [0.0, 0.0], "v": [1.0, 1.0]},
+        integrate={"t0": 0.0, "t1": 2.0, "dt": 0.001})
+    out_dir = tmp_path / "run"
+    for json_flag in ([], ["--json"]):
+        assert main([*json_flag, "--out", str(out_dir), "integrate",
+                     path]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the el flow leaves the declared box at t = 0.5: "
+            "q1 = 0.5000000000000003 outside [-0.5, 0.5]\n")
+    for side in ("el", "ham"):
+        assert (out_dir / f"trajectory_{side}.csv").stat().st_size > 0
+    assert main(["--out", str(out_dir), "integrate", path, "--method",
+                 "ham"]) == 5
+    assert "the ham flow leaves" in capsys.readouterr().err
 
 
 def test_integrate_json_report(tmp_path, capsys):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import corpus
 import helpers
 import rk4_oracle
-from legclair import dynamics, expr
+from legclair import clairaut, dynamics, expr
 from legclair.clairaut import (
     MixedHamiltonian,
     NewtonDivergedError,
@@ -24,6 +24,7 @@ from legclair.dynamics import (
     PrimaryConstraintError,
     compare_trajectories,
     el_rhs,
+    first_box_exit,
     ham_rhs,
     integrate_el,
     integrate_ham,
@@ -33,14 +34,12 @@ from legclair.dynamics import (
     _stage,
 )
 from legclair.expr import (
-    FUNCTIONS,
     Add,
     Call,
     Div,
     EvalDomainError,
     Expression,
     Mul,
-    Neg,
     Num,
     Pow,
     Sub,
@@ -95,20 +94,7 @@ def test_gauge_count_checked_against_partition():
 # --------------------------------------------------------------------------
 
 QNAMES = ("q1", "q2")
-gauge_trees = st.recursive(
-    st.one_of(
-        st.builds(Num, st.sampled_from((0.0, 0.5, 1.0, 3.0))
-                  | st.floats(-4.0, 4.0, allow_nan=False)),
-        st.sampled_from((Var(0, "q1"), Var(1, "q2"))),
-    ),
-    lambda kids: st.one_of(
-        st.builds(Neg, kids),
-        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
-        st.builds(Pow, kids, st.sampled_from((1.0, 2.0, 3.0, -1.0, 0.5))),
-        *(st.builds(ctor, kids, kids) for ctor in (Add, Sub, Mul, Div)),
-    ),
-    max_leaves=8,
-)
+gauge_trees = helpers.gauge_trees
 q_points = st.lists(
     st.sampled_from((0.0, -0.0, 1.0)) | st.floats(-3.0, 3.0, allow_nan=False),
     min_size=2, max_size=2,
@@ -758,10 +744,10 @@ def test_a_3x3_block_goes_through_check_w11_and_gepp(monkeypatch):
     # unrolled, and keep the oracle's bits; W11 varies with q1
     calls = []
     for name in ("check_w11", "gepp"):
-        def counting(*args, _f=getattr(dynamics, name), _name=name, **kw):
+        def counting(*args, _f=getattr(clairaut, name), _name=name, **kw):
             calls.append(_name)
             return _f(*args, **kw)
-        monkeypatch.setattr(dynamics, name, counting)
+        monkeypatch.setattr(clairaut, name, counting)
     ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(
         4, "0.5*(v1^2 + (1+q1^2)*v2^2 + v3^2) + 0.2*v1*v3 + q2*v4 + q4*v1"))
     assert (ham.k, ham.partition.nonregular) == (3, (3,))
@@ -775,10 +761,11 @@ def test_a_3x3_block_goes_through_check_w11_and_gepp(monkeypatch):
 
 def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
     sources = []
+    stage, newton = "<legclair stage kernel>", "<legclair newton kernel>"
 
     def recording(source, filename, mode):
-        if filename == "<legclair stage kernel>":
-            sources.append(source)
+        if filename in (stage, newton):
+            sources.append((filename, source))
         return compile(source, filename, mode)
 
     monkeypatch.setattr(expr, "compile", recording, raising=False)
@@ -787,9 +774,17 @@ def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
     problem = load_problem(path)
     build_gauge(problem, MixedHamiltonian.from_system(problem.system))
     assert sources == []
+    # the other commands never run the single-point Newton
+    report = str(tmp_path / "report.txt")
+    for argv in (["analyze", path], ["transform", path, "--grid", "p1=-1:1:3"],
+                 ["verify", path]):
+        assert main(["--out", report, *argv]) == 0
+    assert sources == []
     out = str(tmp_path / "run")
     assert main(["--out", out, "integrate", path, "--method", "both"]) == 0
-    assert ["_iterate" in src for src in sources] == [False, True]
+    # the start's solve compiles the Newton, which the Hamiltonian stage calls
+    assert [name for name, _ in sources] == [stage, newton, stage]
+    assert ["_newton(" in src for _, src in sources] == [False, False, True]
 
 
 def test_non_finite_state_stops_the_flow_at_its_step():
@@ -845,6 +840,20 @@ def test_compare_trajectories_identity_and_mismatch():
     )
     with pytest.raises(ValueError, match="different systems"):
         compare_trajectories(a, c)
+
+
+def test_first_box_exit_names_the_first_node_and_variable():
+    traj = _alloc(3, 2, 1, (0,))
+    traj.times[:] = [0.0, 0.1, 0.2, 0.3]
+    traj.q[:] = [[0.0, 0.0], [0.5, 0.0], [0.5, 1.5], [2.0, 3.0]]
+    traj.v[:] = [[1.0, 0.0], [1.0, 0.0], [-1.5, 0.0], [1.0, 0.0]]
+    lo, hi = np.array([-1.0, -1.0, -1.0, -1.0]), np.array([1.0, 2.0, 1.0, 1.0])
+    # node 2 holds the first exit, v1 = -1.5 (q2 = 1.5 is inside its box)
+    assert first_box_exit(traj, lo, hi) == (0.2, 2, -1.5)
+    hi[1] = 1.0  # now q2 = 1.5 at the same node comes first
+    assert first_box_exit(traj, lo, hi) == (0.2, 1, 1.5)
+    # the bounds themselves are inside
+    assert first_box_exit(traj, np.full(4, -1.5), np.full(4, 3.0)) is None
 
 
 def test_write_trajectory_csv():

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,10 +102,12 @@ def contract(a, b):
     return total
 
 
-# the 2×2 closed form decides only outside this many ulps of the larger
+# the closed forms decide only outside this many ulps of the larger
 # singular value, which is floored at the least normal float (see check_w11)
 W11_MARGIN = 16 * sys.float_info.epsilon
 _LEAST_NORMAL = sys.float_info.min
+# the numpy functions _closed_form and _clears call, for float entries
+_FLOAT_OPS = types.SimpleNamespace(hypot=math.hypot, maximum=max)
 
 
 def check_w11(w11, tol: float, where: str, **at):
@@ -117,68 +120,100 @@ def check_w11(w11, tol: float, where: str, **at):
     blocks (count, k, k), checked block by block with one row of each
     ``at`` value per block; the first singular block is named, and the
     singular values come back as one entry per block.  Every check is
-    decided as ``np.linalg.svd`` decides it; one small block skips the SVD:
+    decided as ``np.linalg.svd`` decides it.  A 1×1 or 2×2 block, alone or
+    in a stack, first meets one closed form (:func:`_closed_form`, on
+    floats for a block and on numpy columns for a stack), which only ever
+    passes a block; the SVD takes every block it does not pass, and only
+    those, and a failure's message shows the SVD's value:
 
-    - 1×1 [[w]] with w finite has the singular value |w|, exactly.
+    - 1×1 [[w]] has the singular value |w|, exactly.
     - 2×2 [[a, b], [c, d]] has the singular values (s ± t) / 2, where s =
       hypot(a + d, c - b) and t = hypot(a - d, c + b).  Since s² - t² =
       4 det, the larger is (s + t) / 2 and the smaller |s - t| / 2 for
-      either sign of det.  The block passes here when the smaller exceeds
+      either sign of det.  The block passes when the smaller exceeds
       ``tol * max(larger, 1)`` by ``W11_MARGIN * max(larger, tiny)``, 16ε
       of the larger (ε the machine epsilon, ``tiny`` the least normal
-      float); every other 2×2 block goes to the SVD, whose values a
-      failure's message shows.
+      float).
 
       The margin covers both sides' errors, σ being the larger value.  The
-      sums round by ε/2 and ``math.hypot`` by under 1 ulp, so s and t are
-      within 1.5ε relative and both closed forms within 2εσ.  LAPACK
-      reduces the block to bidiagonal form by Householder reflections,
-      whose backward error moves each singular value by a few εσ (Weyl's
-      inequality), and takes the bidiagonal 2×2's values to a few ε
-      relative (``dlas2``; Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11,
-      1990); against 200-bit arithmetic its error reached 3.7εσ on 30,000
-      random blocks.  The two thresholds differ by tol times these errors,
-      less than the errors themselves, since for tol ≥ 1 no block passes
-      here (smaller ≤ larger).  Subnormal roundings stay below ε·tiny.  A
-      non-finite entry or an overflow makes the comparison false.
-    - Larger blocks and stacks always take the SVD.
+      sums round by ε/2 and hypot (Python's or the C library's) by under
+      1 ulp, so s and t are within 1.5ε relative and both closed forms
+      within 2εσ.  LAPACK reduces the block to bidiagonal form by
+      Householder reflections, whose backward error moves each singular
+      value by a few εσ (Weyl's inequality), and takes the bidiagonal
+      2×2's values to a few ε relative (``dlas2``; Demmel and Kahan, SIAM
+      J. Sci. Stat. Comput. 11, 1990); against 200-bit arithmetic its
+      error reached 3.7εσ on 30,000 random blocks.  The two thresholds
+      differ by tol times these errors, less than the errors themselves,
+      since for tol ≥ 1 no block passes here (smaller ≤ larger).
+      Subnormal roundings stay below ε·tiny.  So every block passed here
+      passes the SVD, and a stack's first singular block and its message
+      are the SVD's.
+    - A non-finite entry, or an overflow, makes the comparison false.
+      Larger blocks always take the SVD.
 
     A block with a non-finite entry is singular, with NaN singular values;
     it never reaches LAPACK, which returns NaN or fails to converge there.
     """
-    if type(w11) is np.ndarray and w11.ndim == 2 and len(w11) < 3:
-        w11 = w11.tolist()
-    if type(w11) is not np.ndarray and len(w11) < 3:
-        if len(w11) == 1:
-            smallest = largest = abs(w11[0][0])
-            closed = math.isfinite(smallest)
+    if type(w11) is np.ndarray and w11.ndim == 3:
+        count, k = len(w11), w11.shape[-1]
+        if k < 3:
+            with np.errstate(all="ignore"):  # non-finite and overflowing lanes
+                smallest, largest, passes = _closed_form(
+                    [[w11[:, i, j] for j in range(k)] for i in range(k)],
+                    tol, np)
         else:
-            (a, b), (c, d) = w11
-            s, t = math.hypot(a + d, c - b), math.hypot(a - d, c + b)
-            smallest, largest = abs(s - t) / 2, (s + t) / 2
-            margin = W11_MARGIN * max(largest, _LEAST_NORMAL)
-            closed = smallest > tol * max(largest, 1.0) + margin
-        if not closed:
+            smallest, largest = np.empty(count), np.empty(count)
+            passes = np.zeros(count, dtype=bool)
+        if passes.all():
+            return smallest, largest
+        rest = ~passes
+        sv = _singular_values(w11[rest])
+        smallest[rest], largest[rest] = sv[:, -1], sv[:, 0]
+        singular = ~_clears(smallest, largest, tol, np)
+        if not singular.any():
+            return smallest, largest
+        first = int(np.argmax(singular))
+        smallest, largest = smallest[first], largest[first]
+        at = {name: x[first] for name, x in at.items()}
+    else:
+        passes = False
+        if len(w11) < 3:
+            smallest, largest, passes = _closed_form(
+                w11.tolist() if type(w11) is np.ndarray else w11, tol,
+                _FLOAT_OPS)
+        if not passes:
             sv = _singular_values(w11)
             smallest, largest = sv[-1], sv[0]
-    else:
-        sv = _singular_values(w11)
-        smallest, largest = sv[..., -1], sv[..., 0]
-        if sv.ndim == 2:
-            singular = ~(smallest > tol * np.maximum(largest, 1.0))
-            if not singular.any():
-                return smallest, largest
-            first = int(np.argmax(singular))
-            sv = sv[first]
-            at = {name: x[first] for name, x in at.items()}
-            smallest, largest = sv[-1], sv[0]
-    if not smallest > tol * max(largest, 1.0):  # NaN is singular too
+    if not _clears(smallest, largest, tol, _FLOAT_OPS):  # NaN is singular too
         point = ", ".join(f"{name}={np.asarray(x, dtype=float).tolist()}"
                           for name, x in at.items())
         raise SingularJacobianError(
             f"{where} {point} (smallest singular value {smallest:.3e})"
         )
     return smallest, largest
+
+
+def _clears(smallest, largest, tol, ops, margin=0.0):
+    """smallest > tol * max(largest, 1) + margin, on floats (``ops`` is
+    ``_FLOAT_OPS``) or numpy arrays (``ops`` is ``np``); false on NaN."""
+    return smallest > tol * ops.maximum(largest, 1.0) + margin
+
+
+def _closed_form(w11, tol, ops):
+    """(smallest, largest, passes) of a 1×1 or 2×2 block's rows by
+    :func:`check_w11`'s closed form: entries are floats (``ops`` is
+    ``_FLOAT_OPS``) or numpy columns, one entry per block of a stack
+    (``ops`` is ``np``)."""
+    if len(w11) == 1:
+        smallest, largest = abs(w11[0][0]), abs(w11[0][0])
+        margin = 0.0  # exact
+    else:
+        (a, b), (c, d) = w11
+        s, t = ops.hypot(a + d, c - b), ops.hypot(a - d, c + b)
+        smallest, largest = abs(s - t) / 2, (s + t) / 2
+        margin = W11_MARGIN * ops.maximum(largest, _LEAST_NORMAL)
+    return smallest, largest, _clears(smallest, largest, tol, ops, margin)
 
 
 def _singular_values(w11) -> np.ndarray:
@@ -846,10 +881,15 @@ class MixedHamiltonian:
         """H = p1*V + p2*v2 - L(q, V, v2) at every row."""
         p, v2 = checked_rows(p, self.n, "p"), np.asarray(v2, dtype=float)
         p1, p2 = p[:, self._reg], p[:, self._nonreg]
+        v1, lval = self.lagrangian_many(q, p1, v2, v1_guess)
+        return contract(p1.T, v1.T) + contract(p2.T, v2.T) - lval
+
+    def lagrangian_many(self, q, p1, v2, v1_guess=None):
+        """(V, L) at every row: V = V(q, p1, v2) and L = L(q, V, v2), the
+        part of H that p2 does not enter."""
         v1 = self.solver.solve_many(q, p1, v2, v1_guess)
         x = self.solver._points(q, v1, v2)
-        lval = evaluate_many(self.system.lagrangian, x)
-        return contract(p1.T, v1.T) + contract(p2.T, v2.T) - lval
+        return v1, evaluate_many(self.system.lagrangian, x)
 
     def envelope_many(self, q, p1, c2_probe=None, v1_guess=None):
         """(V, Psi, H0) at every row, from one envelope solve at (q, p1, c2)

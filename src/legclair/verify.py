@@ -13,14 +13,16 @@ Newton iteration is one kernel call and one batched solve for the whole
 chunk.  Psi and H0 come with V from one ``envelope_many`` call, so no
 property solves a row set twice: ``probe_independence`` solves its rows at
 the default probe and at the five drawn probes, ``decomposition`` at v2 for
-H and at the default probe for Psi and H0.  A sample row holds the numbers
-in the order the sample-by-sample suite drew them, so the stream, the
-samples and the worst values are the same.  The stacked maps are the only
-bodies of the maps (``value`` and the rest are their one-row calls), so a
-row alone raises that sample's own error.  A property calls several maps in turn, and a later sample may fail
-in an earlier map than the first failing sample does, so a chunk that
-raises is rerun one row at a time through the same body: the first failing
-sample's error is raised, as the sample-by-sample suite raised it.
+H and at the default probe for Psi and H0, and ``rank_agreement`` once for
+the momentum stencil's points that differ only in p2.  A sample row holds
+the numbers in the order the sample-by-sample suite drew them, so the
+stream, the samples and the worst values are the same.  The stacked maps
+are the only bodies of the maps (``value`` and the rest are their one-row
+calls), so a row alone raises that sample's own error.  A property calls
+several maps in turn, and a later sample may fail in an earlier map than
+the first failing sample does, so a chunk that raises is rerun one row at a
+time through the same body: the first failing sample's error is raised, as
+the sample-by-sample suite raised it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,16 @@ def _fd_hessian(f, x, h=1e-4):
             out[:, i, j] = out[:, j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
             at += 4
     return out
+
+
+def _distinct_rows(x):
+    """(first, inverse) for the rows of x, compared bit for bit: ``first``
+    indexes each distinct row's first occurrence, in the order they occur,
+    and ``x[first][inverse]`` is x."""
+    ids = {}
+    inverse = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in x],
+                       dtype=int)
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def _full_newton_legendre(system, q, p, tol=1e-12, max_iter=60):
@@ -251,9 +263,18 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
         m = 2 * n * n + 1  # stencil points per row
 
         def values(points):
-            flat = points.reshape(-1, n)
-            return ham.value_many(np.repeat(q, m, axis=0), flat,
-                                  np.repeat(v2, m, axis=0)).reshape(-1, m)
+            # H at every stencil point, as value_many forms it; points that
+            # differ only in p2 share (q, p1, v2), so V and L are taken once
+            # per such row, the rows in the order they first occur: the
+            # lowest failing point's error is raised, as value_many raises
+            p = points.reshape(-1, n)
+            qs, v2s = np.repeat(q, m, axis=0), np.repeat(v2, m, axis=0)
+            p1, p2 = p[:, reg], p[:, nonreg]
+            first, inverse = _distinct_rows(np.concatenate([qs, p1, v2s], 1))
+            v1, lval = ham.lagrangian_many(qs[first], p1[first], v2s[first])
+            v1, lval = v1[inverse], lval[inverse]
+            h = contract(p1.T, v1.T) + contract(p2.T, v2s.T) - lval
+            return h.reshape(-1, m)
 
         hess = _fd_hessian(values, rows[:, 3 * n:])
         sv = np.linalg.svd(hess, compute_uv=False)

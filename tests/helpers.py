@@ -9,6 +9,8 @@ tolerance being certified and can therefore certify nothing.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -257,3 +259,20 @@ gauge_trees = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+def record_svd_calls(monkeypatch):
+    """The arrays ``np.linalg.svd`` receives while the test runs, appended as
+    (array, whether ``check_w11`` is among its callers)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "check_w11":
+            frame = frame.f_back
+        calls.append((np.array(a), frame is not None))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls

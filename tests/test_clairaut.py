@@ -822,13 +822,138 @@ def test_check_w11_names_the_first_non_finite_block_of_a_stack():
 
 def test_check_w11_2x2_with_a_negative_determinant_skips_the_svd(
         monkeypatch):
-    def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd was called")
-
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    calls = helpers.record_svd_calls(monkeypatch)
     assert clairaut.check_w11([[0.0, 1.0], [1.0, 0.0]], TOL, "") == (1.0, 1.0)
     assert clairaut.check_w11(np.array([[2.0, 0.0], [0.0, -0.5]]), TOL,
                               "") == (0.5, 2.0)
+    # and a stack of clear blocks, negative determinants among them
+    blocks = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, -0.5]],
+                       rotation(0.3) @ np.diag([3.0, 1e-3]) @ rotation(1.1),
+                       rotation(2.0) @ np.diag([1e5, -7.0]) @ rotation(0.4)])
+    smallest, largest = clairaut.check_w11(blocks, TOL, "", v1=np.zeros(4))
+    assert calls == []
+    margin = clairaut.W11_MARGIN * np.array([1.0, 2.0, 3.0, 1e5])
+    assert (np.abs(smallest - [1.0, 0.5, 1e-3, 7.0]) <= margin).all()
+    assert (np.abs(largest - [1.0, 2.0, 3.0, 1e5]) <= margin).all()
+
+
+def test_check_w11_sends_only_the_undecided_lanes_of_a_stack_to_the_svd(
+        monkeypatch):
+    calls = helpers.record_svd_calls(monkeypatch)
+    clear = np.array([[2.0, 0.5], [0.5, 1.0]])
+    near = np.array([[np.nextafter(TOL, 1.0), 0.0], [0.0, 1.0]])  # passes
+    clairaut.check_w11(np.array([clear, near, clear]), TOL, "",
+                       v1=np.zeros((3, 2)))
+    assert [(a.tolist(), inside) for a, inside in calls] == [
+        ([near.tolist()], True)]
+    calls.clear()
+    with pytest.raises(SingularJacobianError,
+                       match=r"^at v1=\[2\.0\] \(smallest singular value "
+                             r"0\.000e\+00\)$"):
+        clairaut.check_w11(np.array([[[1.0]], [[-3.0]], [[0.0]], [[4.0]]]),
+                           TOL, "at", v1=np.arange(4.0)[:, None])
+    assert [(a.tolist(), inside) for a, inside in calls] == [([[[0.0]]], True)]
+
+
+# --------------------------------------------------------------------------
+# stacks: every lane ends as the SVD check of its block ends
+# --------------------------------------------------------------------------
+
+def lane_by_lane(blocks, tol, where, **at):
+    """``svd_check`` on each block of a stack in turn, with that block's row
+    of each ``at`` value."""
+    for j, block in enumerate(blocks):
+        svd_check(block, tol, where, **{name: x[j] for name, x in at.items()})
+
+
+def stack_outcome(check, blocks, tol):
+    """The exception type and message a check of a stack ends in, or None;
+    block j is at v1 = [j, -j]."""
+    lanes = np.arange(float(len(blocks)))
+    try:
+        check(blocks, tol, "W11 is singular at",
+              v1=np.stack([lanes, -lanes], axis=1))
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+    return None
+
+
+def assert_stack_decides_as_the_svd(blocks, tol):
+    """``check_w11`` on a stack ends as ``svd_check`` ends lane by lane; a
+    stack it passes comes back with each block's singular values within
+    ``W11_MARGIN`` of the SVD's."""
+    blocks = np.array(blocks, dtype=float)
+    want = stack_outcome(lane_by_lane, blocks, tol)
+    assert stack_outcome(clairaut.check_w11, blocks, tol) == want
+    if want is None:
+        sv = np.linalg.svd(blocks, compute_uv=False)
+        smallest, largest = clairaut.check_w11(blocks, tol, "",
+                                               v1=np.zeros(len(blocks)))
+        margin = clairaut.W11_MARGIN * np.maximum(sv[:, 0], sys.float_info.min)
+        assert (np.abs(smallest - sv[:, -1]) <= margin).all()
+        assert (np.abs(largest - sv[:, 0]) <= margin).all()
+    return want
+
+
+LANE_KINDS = ("clear", "near", "singular", "non_finite", "overflowing",
+              "edge")
+
+
+@st.composite
+def stack_lanes(draw, k, tol, kinds):
+    """One k×k block (k = 1 or 2) of a kind from ``kinds``."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "edge":
+        if k == 1:
+            return [[draw(st.sampled_from(EDGE_BLOCKS))]]
+        return EDGE_2X2[draw(st.sampled_from(sorted(EDGE_2X2)))]
+    if kind == "overflowing":
+        huge = st.sampled_from([BIG, -BIG, 1e308, -1e308, 1e307, 1.0, 0.0])
+        return [[draw(huge) for _ in range(k)] for _ in range(k)]
+    # |w| for k = 1; the larger singular value for k = 2
+    largest = draw(st.floats(1e-2, 1e6))
+    scale = max(largest, 1.0) if k == 2 else 1.0
+    if kind == "near":  # tol * max(largest, 1) * (1 ± delta)
+        smallest = tol * scale * (1.0 + draw(st.floats(-1e-5, 1e-5)))
+    elif kind == "singular":
+        smallest = largest * draw(st.sampled_from([0.0, 1e-17, 1e-300]))
+    else:  # clear: at least twice the threshold
+        smallest = max(largest * draw(st.floats(0.0, 1.0)), 2 * tol * scale)
+    smallest = min(smallest, largest)
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    if k == 1:
+        block = np.array([[sign * smallest]])
+    else:
+        block = (rotation(draw(st.floats(0.0, 2 * math.pi)))
+                 @ np.diag([largest, sign * smallest])
+                 @ rotation(draw(st.floats(0.0, 2 * math.pi))))
+    if kind == "non_finite":
+        block[draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))] = (
+            draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+    return block.tolist()
+
+
+@BLOCK_PROPERTY
+@given(st.data(), st.sampled_from([1, 2]), st.floats(1e-15, 1e-3),
+       # every kind, or only the kinds that pass, so stacks pass too
+       st.sampled_from([LANE_KINDS, ("clear", "near")]))
+def test_check_w11_decides_a_stack_as_the_svd_lane_by_lane(data, k, tol,
+                                                           kinds):
+    blocks = data.draw(st.lists(stack_lanes(k, tol, kinds), min_size=1,
+                                max_size=20))
+    assert_stack_decides_as_the_svd(blocks, tol)
+
+
+@pytest.mark.parametrize("block", [[[w]] for w in EDGE_BLOCKS]
+                         + list(EDGE_2X2.values()),
+                         ids=[f"1x1_{float(w)!r}" for w in EDGE_BLOCKS]
+                         + [f"2x2_{name}" for name in EDGE_2X2])
+def test_check_w11_decides_an_edge_lane_between_clear_lanes_as_the_svd(
+        block):
+    clear = np.eye(len(block)) * 2.0
+    want = assert_stack_decides_as_the_svd([clear, block, clear], TOL)
+    if want is not None:  # the edge lane, at v1 = [1, -1], is named
+        assert "v1=[1.0, -1.0] " in want[1]
 
 
 def test_abs_det_is_the_product_of_the_pivots():

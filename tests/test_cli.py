@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from legclair import cli
 from legclair.clairaut import EnvelopeSolver
 from legclair.cli import main
@@ -609,9 +610,9 @@ def record_cold_lanes(monkeypatch):
     (["analyze", "--points", "12"], 12, 12),
     # clairaut_residual 25, envelope_grad 25, probe_independence 25 at the
     # default probe + 5 x 25 at the drawn probes, decomposition 25 for H +
-    # 25 for (V, Psi, H0), involutivity 25, rank_agreement 8 x 9; the
-    # stencil's 9 momenta hold only 3 values of p1, so 8 x 6 rows repeat
-    (["verify"], 25 + 25 + (25 + 5 * 25) + (25 + 25) + 25 + 8 * 9,
+    # 25 for (V, Psi, H0), involutivity 25, rank_agreement 8 x 3: the
+    # stencil's 9 momenta hold only 3 values of p1, each solved once
+    (["verify"], 25 + 25 + (25 + 5 * 25) + (25 + 25) + 25 + 8 * 3,
      25 + 25 + (25 + 5 * 25) + (25 + 25) + 25 + 8 * 3),
 ])
 def test_commands_solve_each_row_once(tmp_path, capsys, monkeypatch, args,
@@ -620,6 +621,26 @@ def test_commands_solve_each_row_once(tmp_path, capsys, monkeypatch, args,
     assert main([args[0], deg1_problem(tmp_path), *args[1:]]) == 0
     assert len(lanes) == cold
     assert len(set(lanes)) == distinct
+
+
+# deg3 (as the benchmark runs it), and a k = 2 system whose W11 varies with
+# q1 and has a negative determinant
+@pytest.mark.parametrize("problem", [
+    None,  # problems/chained_pair.json
+    {"n": 3, "lagrangian": "0.5*(v1^2+v2^2) + q3*(v1-v2)"},
+    {"n": 3, "lagrangian": "0.5*(v1^2-v2^2) + 0.5*q1*v1*v2 + q3*(v1-v2)"},
+])
+def test_verify_decides_every_w11_block_without_the_svd(tmp_path, capsys,
+                                                        monkeypatch, problem):
+    path = (pathlib.Path(__file__).resolve().parent.parent / "problems"
+            / "chained_pair.json")
+    if problem is not None:
+        path = write_problem(tmp_path, verify={"samples": 50}, **problem)
+    calls = helpers.record_svd_calls(monkeypatch)
+    assert main(["verify", str(path)]) == 0
+    assert [a.shape for a, in_check_w11 in calls if in_check_w11] == []
+    # the rank partition and the rank property keep their own SVDs
+    assert any(not in_check_w11 for _, in_check_w11 in calls)
 
 
 # --------------------------------------------------------------------------

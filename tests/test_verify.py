@@ -295,6 +295,18 @@ def test_stacked_solve_names_the_first_singular_lane():
     assert str(err.value) == str(one.value)
 
 
+def test_distinct_rows_come_in_the_order_they_first_occur():
+    # rank_agreement solves these rows, so the lowest failing stencil point
+    # is the first occurrence of the lowest failing row; rows compare bit
+    # for bit, so -0.0 and 0.0 stay apart
+    x = np.array([[1.0, 2.0], [0.5, 2.0], [1.0, 2.0], [-0.0, 1.0],
+                  [0.0, 1.0], [0.5, 2.0]])
+    first, inverse = verify._distinct_rows(x)
+    assert first.tolist() == [0, 1, 3, 4]
+    assert inverse.tolist() == [0, 1, 0, 2, 3, 1]
+    assert x[first][inverse].tobytes() == x.tobytes()
+
+
 @pytest.mark.parametrize("name", ["deg3", "coupled", "chained_pair"])
 def test_chunk_size_does_not_change_results(name, monkeypatch):
     ham = MixedHamiltonian.from_system(SYSTEMS[name](name))

@@ -805,14 +805,13 @@ class MixedHamiltonian:
         )
         v1 = self.solve_velocity(q, p1, probe, v1_guess)
         x = self.system.point(q, self.assemble_velocity(v1, probe))
-        grad_v = eval_dual2(self.system.lagrangian, x, self._v_active).grad
-        return grad_v[self._nonreg]
+        d = eval_dual2_many(self.system.lagrangian, x[None], self._v_active)
+        return d.grad[0, self._nonreg]
 
     # The other single-point maps are one-row calls of their stacked twins
-    # below, after the single-point solve's argument checks.  ``psi`` and
-    # ``solve_velocity`` stay scalar: an integrate command compiles scalar
-    # kernels only, and a one-row stacked ``psi`` would add two stacked
-    # kernel compiles to every ``integrate_ham``.
+    # below, after the single-point solve's argument checks.  The solve in
+    # ``psi`` and ``solve_velocity`` stays scalar (the generated Newton);
+    # dL/dv is a one-row call of the stacked v-active kernel, as everywhere.
 
     def _row(self, q, p, c2):
         """q, p and c2 as one row each, checked as a single point: p as a
@@ -868,28 +867,29 @@ class MixedHamiltonian:
     # on) and is the one body of its map: ``value``, ``phi``, ``h_zero``,
     # ``clairaut_residual`` and ``inverse_transform`` call it on one row.
     # ``envelope_many`` is the one body of the envelope point: one solve
-    # and one evaluation give V, Psi and H0 together, so ``phi_many``,
-    # ``h_zero`` and the commands solve a row once for all three.  No row
-    # depends on the others: Newton lanes end as ``solve`` ends
-    # (``solve_lanes``), and row-wise dot products are :func:`contract` over
-    # columns, so ``envelope_many``'s Psi equals ``psi`` row by row too.  A
-    # map raises if some row fails, the lowest row's error; on one row it
-    # meets that row's errors in a point's own order, as shifted momenta are
-    # stacked in central-difference order.
+    # and one evaluation give V, Psi and H0 together.  ``value_many`` and
+    # ``envelope_many`` are a solve and then ``value_at`` and
+    # ``envelope_at``, which take V as given, so ``transform`` solves a row
+    # once for H, Psi and H0.  No row depends on the others: Newton lanes
+    # end as ``solve`` ends (``solve_lanes``), and row-wise dot products
+    # are :func:`contract` over columns, so ``envelope_many``'s Psi equals
+    # ``psi`` row by row too.  A map raises if some row fails, the lowest
+    # row's error; on one row it meets that row's errors in a point's own
+    # order, as shifted momenta are stacked in central-difference order.
 
     def value_many(self, q, p, v2, v1_guess=None) -> np.ndarray:
         """H = p1*V + p2*v2 - L(q, V, v2) at every row."""
-        p, v2 = checked_rows(p, self.n, "p"), np.asarray(v2, dtype=float)
-        p1, p2 = p[:, self._reg], p[:, self._nonreg]
-        v1, lval = self.lagrangian_many(q, p1, v2, v1_guess)
-        return contract(p1.T, v1.T) + contract(p2.T, v2.T) - lval
+        p = checked_rows(p, self.n, "p")
+        v1 = self.solver.solve_many(q, p[:, self._reg], v2, v1_guess)
+        return self.value_at(q, p, v2, v1)
 
-    def lagrangian_many(self, q, p1, v2, v1_guess=None):
-        """(V, L) at every row: V = V(q, p1, v2) and L = L(q, V, v2), the
-        part of H that p2 does not enter."""
-        v1 = self.solver.solve_many(q, p1, v2, v1_guess)
-        x = self.solver._points(q, v1, v2)
-        return v1, evaluate_many(self.system.lagrangian, x)
+    def value_at(self, q, p, v2, v1) -> np.ndarray:
+        """:meth:`value_many`'s H, given V as ``v1``."""
+        p, v2 = np.asarray(p, dtype=float), np.asarray(v2, dtype=float)
+        p1, p2 = p[:, self._reg], p[:, self._nonreg]
+        lval = evaluate_many(self.system.lagrangian,
+                             self.solver._points(q, v1, v2))
+        return contract(p1.T, v1.T) + contract(p2.T, v2.T) - lval
 
     def envelope_many(self, q, p1, c2_probe=None, v1_guess=None):
         """(V, Psi, H0) at every row, from one envelope solve at (q, p1, c2)
@@ -900,11 +900,15 @@ class MixedHamiltonian:
               else checked_rows(c2_probe, shape[1], "v2 probe", shape[0]))
         p1 = np.asarray(p1, dtype=float)
         v1 = self.solver.solve_many(q, p1, c2, v1_guess)
+        return (v1, *self.envelope_at(q, p1, c2, v1))
+
+    def envelope_at(self, q, p1, c2, v1):
+        """:meth:`envelope_many`'s (Psi, H0), given V as ``v1``."""
         x = self.solver._points(q, v1, c2)
         d = eval_dual2_many(self.system.lagrangian, x, self._v_active)
         psi = d.grad[:, self._nonreg]
         h0 = contract(p1.T, v1.T) + contract(c2.T, psi.T) - d.value
-        return v1, psi, h0
+        return psi, h0
 
     def phi_many(self, q, p, v2_probe=None, v1_guess=None) -> np.ndarray:
         """Phi = p2 - Psi(q, p1) at every row."""

@@ -62,7 +62,7 @@ from .dynamics import (
     integrate_ham,
     write_trajectory_csv,
 )
-from .expr import EvalDomainError, ParseError, eval_dual2
+from .expr import EvalDomainError, ParseError, eval_dual2_many
 from .partition import (
     LagrangianSystem,
     NoValidMinorError,
@@ -254,16 +254,11 @@ def cmd_analyze(problem: Problem, args, out):
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(seed)
 
-    dets = []
     reg = list(part.regular)
-    for x in system.sample(rng, 100):
-        w = eval_dual2(
-            system.lagrangian, x, range(n, 2 * n)
-        ).hess
-        if k:
-            dets.append(abs_det(w[np.ix_(reg, reg)].tolist()))
-        else:
-            dets.append(0.0)
+    w = eval_dual2_many(system.lagrangian, system.sample(rng, 100),
+                        range(n, 2 * n)).hess
+    dets = ([abs_det(w11) for w11 in w[:, reg][:, :, reg].tolist()] if k
+            else [0.0] * len(w))
 
     nonreg = list(part.nonregular)
     lo, hi = system.domain_lo, system.domain_hi
@@ -409,12 +404,12 @@ def cmd_transform(problem: Problem, args, out):
 
     def evaluate(at):
         """Fill the table at rows ``at``, each map's column once it returns;
-        the cold solve's V warm-starts the rest, which converge at once."""
+        one solve gives V, at which H and (Psi, H0) are formed."""
         q, p, v2 = rows[at, :n], rows[at, n:2 * n], rows[at, 2 * n:]
         p1 = p[:, reg]
         v1 = ham.solver.solve_many(q, p1, v2)
-        table[at, 0] = ham.value_many(q, p, v2, v1_guess=v1)
-        _, psi, table[at, 1] = ham.envelope_many(q, p1, v2, v1_guess=v1)
+        table[at, 0] = ham.value_at(q, p, v2, v1)
+        psi, table[at, 1] = ham.envelope_at(q, p1, v2, v1)
         table[at, 2:] = p[:, nonreg] - psi
 
     live = np.flatnonzero(inside)
@@ -479,9 +474,9 @@ def _initial_data(problem: Problem, ham: MixedHamiltonian, gauge):
                 f"v2 = {v[nonreg,].tolist()} but C2(q0) = {c2.tolist()}"
             )
         v1 = v[reg,]
-        p0 = eval_dual2(
-            system.lagrangian, system.point(q0, v), range(n, 2 * n)
-        ).grad
+        p0 = eval_dual2_many(
+            system.lagrangian, system.point(q0, v)[None], range(n, 2 * n)
+        ).grad[0]
     else:
         p0 = np.asarray(initial["p"], dtype=float)
         v1 = ham.solve_velocity(q0, p0[reg,], c2)

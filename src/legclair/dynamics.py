@@ -89,6 +89,7 @@ from .expr import (
     _Codegen,
     _Term,
     eval_dual2,
+    eval_dual2_many,
     evaluate,
     parse,
 )
@@ -458,7 +459,8 @@ def _ham_rhs(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
     v1 = ham.solve_velocity(q, p1, c2)
     # Psi = dL/dv2 at the envelope point of that one solve
     x = system.point(q, ham.assemble_velocity(v1, c2))
-    psi = eval_dual2(system.lagrangian, x, range(ham.n, 2 * ham.n)).grad
+    psi = eval_dual2_many(system.lagrangian, x[None],
+                          range(ham.n, 2 * ham.n)).grad[0]
     phi = p2 - psi[list(ham.partition.nonregular)]
     make = _stage(system, ham.partition, gauge, True, include_r)
     return phi, make(v1.tolist(), ham.solver.newton() if ham.k else None,

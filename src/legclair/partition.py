@@ -4,9 +4,11 @@ For a Lagrangian L(q, v) the velocity Hessian W = d2L/dv dv decides which
 velocities the Legendre map can invert.  This module samples W over the
 declared domain box, insists its rank (and inertia) is constant, and picks a
 maximal nonsingular principal block W11.  Indices in that block are the
-*regular* velocities; the rest stay unresolved downstream.  One symmetric
-eigendecomposition per sample gives the rank, the inertia and the scale the
-certificate needs, and all samples are decomposed in one batched call.
+*regular* velocities; the rest stay unresolved downstream.  The sampled
+Hessians come from one call of L's stacked kernel with every velocity
+active (the kernel the commands' envelope maps run as well), and one
+symmetric eigendecomposition per sample, all in one batched call, gives the
+rank, the inertia and the scale the certificate needs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expression, eval_dual2, parse
+from .expr import Expression, eval_dual2, eval_dual2_many, parse
 
 __all__ = [
     "LagrangianSystem",
@@ -206,10 +208,8 @@ def partition_indices(
     points = system.sample(rng, num_samples)
     n = system.n
 
-    hessians = np.empty((num_samples, n, n))
-    for s, x in enumerate(points):
-        hessians[s] = eval_dual2(system.lagrangian, x, range(n, 2 * n)).hess
-
+    # the lowest failing sample raises its own error, as a scalar loop would
+    hessians = eval_dual2_many(system.lagrangian, points, range(n, 2 * n)).hess
     eig = np.linalg.eigvalsh(hessians)
     scale = np.abs(eig).max(axis=1)
     cut = rel_tol * scale[:, None]

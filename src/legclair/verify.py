@@ -264,17 +264,15 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
 
         def values(points):
             # H at every stencil point, as value_many forms it; points that
-            # differ only in p2 share (q, p1, v2), so V and L are taken once
-            # per such row, the rows in the order they first occur: the
-            # lowest failing point's error is raised, as value_many raises
+            # differ only in p2 share (q, p1, v2), so V is solved once per
+            # such row, the rows in the order they first occur: the lowest
+            # failing point's error is raised, as value_many raises
             p = points.reshape(-1, n)
             qs, v2s = np.repeat(q, m, axis=0), np.repeat(v2, m, axis=0)
-            p1, p2 = p[:, reg], p[:, nonreg]
+            p1 = p[:, reg]
             first, inverse = _distinct_rows(np.concatenate([qs, p1, v2s], 1))
-            v1, lval = ham.lagrangian_many(qs[first], p1[first], v2s[first])
-            v1, lval = v1[inverse], lval[inverse]
-            h = contract(p1.T, v1.T) + contract(p2.T, v2s.T) - lval
-            return h.reshape(-1, m)
+            v1 = ham.solver.solve_many(qs[first], p1[first], v2s[first])
+            return ham.value_at(qs, p, v2s, v1[inverse]).reshape(-1, m)
 
         hess = _fd_hessian(values, rows[:, 3 * n:])
         sv = np.linalg.svd(hess, compute_uv=False)

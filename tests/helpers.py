@@ -14,6 +14,7 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
+from legclair import expr
 from legclair.expr import (
     FUNCTIONS,
     Add,
@@ -275,4 +276,40 @@ def record_svd_calls(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def record_kernel_compiles(monkeypatch):
+    """The kernels generated while the test runs, appended as (filename,
+    active, source).  The filename names the kind: ``<legclair kernel>``
+    (scalar), ``<legclair stacked kernel>``, ``<legclair stage kernel>`` or
+    ``<legclair newton kernel>``; ``active`` is the tuple of variable
+    indices the kernel differentiates against, None for a value-only one."""
+    compiles = []
+    build = expr._Codegen.build
+
+    def recording(cg, src, filename):
+        active = None if cg.value_only else tuple(cg.slot)
+        compiles.append((filename, active, "\n".join(src)))
+        return build(cg, src, filename)
+
+    monkeypatch.setattr(expr._Codegen, "build", recording)
+    return compiles
+
+
+def record_eval_dual2_calls(monkeypatch):
+    """The (source, active) of every scalar ``eval_dual2`` call while the
+    test runs, through every binding a ``legclair`` module holds."""
+    calls = []
+    original = expr.eval_dual2
+
+    def counted(e, point, active=None):
+        calls.append((e.source, active))
+        return original(e, point, active)
+
+    for name, module in list(sys.modules.items()):
+        if name == "legclair" or name.startswith("legclair."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
     return calls

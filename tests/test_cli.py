@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from legclair import cli
+from legclair import cli, verify
 from legclair.clairaut import EnvelopeSolver
 from legclair.cli import main
 
@@ -623,6 +623,23 @@ def test_commands_solve_each_row_once(tmp_path, capsys, monkeypatch, args,
     assert len(set(lanes)) == distinct
 
 
+def test_transform_solves_each_chunk_once(tmp_path, capsys, monkeypatch):
+    # H, Psi and H0 are formed at the V of the chunk's one cold solve: no
+    # warm solve re-evaluates W11 to confirm it
+    solves = []
+    solve_lanes = EnvelopeSolver.solve_lanes
+
+    def counted(self, q, p1, c2, v1_guess=None):
+        solves.append((len(q), v1_guess is None))
+        return solve_lanes(self, q, p1, c2, v1_guess)
+
+    monkeypatch.setattr(EnvelopeSolver, "solve_lanes", counted)
+    rows = verify.CHUNK_ROWS + 22
+    assert main(["transform", deg1_problem(tmp_path),
+                 "--grid", f"p1=-1:1:{rows}"]) == 0
+    assert solves == [(verify.CHUNK_ROWS, True), (22, True)]
+
+
 # deg3 (as the benchmark runs it), and a k = 2 system whose W11 varies with
 # q1 and has a negative determinant
 @pytest.mark.parametrize("problem", [
@@ -641,6 +658,43 @@ def test_verify_decides_every_w11_block_without_the_svd(tmp_path, capsys,
     assert [a.shape for a, in_check_w11 in calls if in_check_w11] == []
     # the rank partition and the rank property keep their own SVDs
     assert any(not in_check_w11 for _, in_check_w11 in calls)
+
+
+# every sampled velocity Hessian and every one-point dL/dv on L's stacked
+# v-active kernel: no command compiles the scalar one
+DEG3 = {"n": 3, "lagrangian": "0.5*(v1^2+v2^2) + q3*(v1-v2)",
+        "gauge": {"v3": "0.5*sin(q1)"},
+        "initial": {"q": [0.1, -0.2, 0.3],
+                    "v": [0.2, -0.1, 0.5 * math.sin(0.1)]},
+        "integrate": {"t0": 0.0, "t1": 0.05, "dt": 0.001},
+        "verify": {"samples": 20}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["transform", "--grid", "p1=-1:1:150"], ["verify"],
+    ["integrate", "--method", "both"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("problem", ["chained_pair", "oscillator", "deg3"])
+def test_commands_evaluate_dl_dv_on_the_stacked_kernel_only(
+        tmp_path, capsys, monkeypatch, problem, argv):
+    # point by point, the partition's 64 samples, analyze's 100 |det W11|
+    # samples, p0 and the Hamiltonian start's Psi would be scalar eval_dual2
+    # calls on a scalar v-active kernel
+    if problem == "deg3":
+        path = write_problem(tmp_path, **DEG3)
+    else:
+        path = str(pathlib.Path(__file__).resolve().parent.parent
+                   / "problems" / f"{problem}.json")
+    n = json.loads(pathlib.Path(path).read_text())["n"]
+    calls = helpers.record_eval_dual2_calls(monkeypatch)
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    out = str(tmp_path / "out")
+    assert main(["--out", out, argv[0], path, *argv[1:]]) == 0
+    assert calls == []
+    kernels = [(name, active) for name, active, _ in compiles]
+    v_active = tuple(range(n, 2 * n))
+    assert ("<legclair kernel>", v_active) not in kernels
+    assert kernels.count(("<legclair stacked kernel>", v_active)) == 1
 
 
 # --------------------------------------------------------------------------

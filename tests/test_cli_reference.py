@@ -19,6 +19,7 @@ import pytest
 import corpus
 import transform_oracle
 from legclair import cli, verify
+from legclair.partition import partition_indices
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = ("chained_pair", "oscillator")
@@ -191,3 +192,20 @@ def test_analyze_failing_sample_matches_reference(tmp_path, capsys,
     got = assert_same_as_reference(["analyze", path, "--points", "5"],
                                    capsys, monkeypatch)
     assert got[0] == cli.EXIT_SOLVER and got[2].startswith("error: ")
+
+
+def test_analyze_failing_det_sample_matches_reference(tmp_path, capsys,
+                                                      monkeypatch):
+    # L leaves the domain of sqrt only where |q1 - 0.3| < 0.0141: the
+    # partition's 64 seed-0 samples miss that slab, and the |det W11| sweep
+    # at seed 9 meets it at its samples 42 and 83; 42 raises
+    path = problem(tmp_path, "0.5*v1^2*(1 + 1/sqrt((q1 - 0.3)^2 - 0.0002))",
+                   {"q1": [-1, 1], "v1": [-0.5, 0.5]})
+    system = cli.load_problem(path).system
+    assert partition_indices(system).regular == (0,)
+    q1 = system.sample(np.random.default_rng(9), 100)[:, 0]
+    assert np.flatnonzero((q1 - 0.3) ** 2 < 0.0002).tolist() == [42, 83]
+    got = assert_same_as_reference(["--seed", "9", "analyze", path], capsys,
+                                   monkeypatch)
+    assert got[0] == cli.EXIT_DOMAIN
+    assert got[2].startswith("error: sqrt needs a positive argument")

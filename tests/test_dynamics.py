@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import corpus
 import helpers
 import rk4_oracle
-from legclair import clairaut, dynamics, expr
+from legclair import clairaut, dynamics
 from legclair.clairaut import (
     MixedHamiltonian,
     NewtonDivergedError,
@@ -760,31 +760,29 @@ def test_a_3x3_block_goes_through_check_w11_and_gepp(monkeypatch):
 
 
 def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
-    sources = []
+    compiles = helpers.record_kernel_compiles(monkeypatch)
     stage, newton = "<legclair stage kernel>", "<legclair newton kernel>"
 
-    def recording(source, filename, mode):
-        if filename in (stage, newton):
-            sources.append((filename, source))
-        return compile(source, filename, mode)
+    def sources():
+        return [(name, src) for name, _, src in compiles
+                if name in (stage, newton)]
 
-    monkeypatch.setattr(expr, "compile", recording, raising=False)
     path = str(PROBLEMS[0])
     # the benchmark's set-up compiles none: an eager compile raised it 27 %
     problem = load_problem(path)
     build_gauge(problem, MixedHamiltonian.from_system(problem.system))
-    assert sources == []
+    assert sources() == []
     # the other commands never run the single-point Newton
     report = str(tmp_path / "report.txt")
     for argv in (["analyze", path], ["transform", path, "--grid", "p1=-1:1:3"],
                  ["verify", path]):
         assert main(["--out", report, *argv]) == 0
-    assert sources == []
+    assert sources() == []
     out = str(tmp_path / "run")
     assert main(["--out", out, "integrate", path, "--method", "both"]) == 0
     # the start's solve compiles the Newton, which the Hamiltonian stage calls
-    assert [name for name, _ in sources] == [stage, newton, stage]
-    assert ["_newton(" in src for _, src in sources] == [False, False, True]
+    assert [name for name, _ in sources()] == [stage, newton, stage]
+    assert ["_newton(" in src for _, src in sources()] == [False, False, True]
 
 
 def test_non_finite_state_stops_the_flow_at_its_step():

@@ -296,6 +296,32 @@ def abs_det(a) -> float:
     return abs(det)
 
 
+def abs_det_many(a: np.ndarray) -> np.ndarray:
+    """:func:`abs_det` on each lane of a (count, k, k) stack, bit for bit.
+
+    Numpy's ``-``, ``*``, ``/`` and ``abs`` round as Python's do, and its
+    ``/`` overflows to inf as Python's does; only a zero divisor differs
+    (Python raises), so a lane whose pivot is ever ±0 before the last
+    column gives 0.0, as :func:`abs_det`'s ``ZeroDivisionError`` branch.
+    """
+    count, k = a.shape[:2]
+    rows = [[a[:, i, j] for j in range(k)] for i in range(k)]
+    singular = np.zeros(count, dtype=bool)
+
+    def pivot(rows, cols, c):
+        _pivot_lanes(rows, cols, c)
+        singular[rows[c][c] == 0.0] = True
+
+    det = np.ones(count)
+    with np.errstate(all="ignore"):
+        _eliminate(rows, [], pivot)
+        for i, row in enumerate(rows):
+            det = det * row[i]
+    det = np.abs(det)
+    det[singular] = 0.0
+    return det
+
+
 def gepp_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """:func:`gepp` on each lane of a (count, k, k) and b (count, k, m), bit
     for bit; a lane that overflows ends non-finite, with no warning."""
@@ -921,7 +947,11 @@ class MixedHamiltonian:
         the central differences of :meth:`clairaut_residual`.
 
         H at p and at the 2n shifted momenta of every row is one stacked
-        :meth:`value_many` call, warm-started from V at p.
+        solve, warm-started from V at p, and one :meth:`value_at`.  The
+        +-p2 shifts share (q, p1, v2) and the guess with the unshifted
+        point, so they take its V: only the unshifted and the +-p1 rows are
+        solved, in stencil order, so the lowest failing point's error is
+        raised, as ``value_many`` raises.
         """
         q = checked_rows(q, self.n, "q")
         p = checked_rows(p, self.n, "p", len(q))
@@ -935,9 +965,20 @@ class MixedHamiltonian:
         for i in range(n):
             shifted[1 + 2 * i, :, i] += step[:, i]
             shifted[2 + 2 * i, :, i] -= step[:, i]
-        h_all = self.value_many(
+        k = self.k
+        solved = [0, *(b for i in self.partition.regular
+                       for b in (1 + 2 * i, 2 + 2 * i))]
+        reps = (len(solved), 1)
+        v1 = self.solver.solve_many(
+            np.tile(q, reps),
+            shifted[solved][:, :, self._reg].reshape(len(solved) * count, k),
+            np.tile(v2, reps), np.tile(v1_warm, reps),
+        ).reshape(len(solved), count, k)
+        # the solved block each stencil block takes its V from
+        source = [solved.index(b) if b in solved else 0 for b in range(blocks)]
+        h_all = self.value_at(
             np.tile(q, (blocks, 1)), shifted.reshape(blocks * count, n),
-            np.tile(v2, (blocks, 1)), v1_guess=np.tile(v1_warm, (blocks, 1)),
+            np.tile(v2, (blocks, 1)), v1[source].reshape(blocks * count, k),
         ).reshape(blocks, count)
         dhdp = ((h_all[1::2] - h_all[2::2]) / (2.0 * step.T)).T
         return v1_warm, h_all[0], dhdp

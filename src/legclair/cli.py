@@ -48,7 +48,7 @@ from .clairaut import (
     MixedHamiltonian,
     NewtonDivergedError,
     SingularJacobianError,
-    abs_det,
+    abs_det_many,
 )
 from .dynamics import (
     BoxExitError,
@@ -233,10 +233,6 @@ def build_gauge(problem: Problem, ham: MixedHamiltonian):
 # small numeric helpers
 # --------------------------------------------------------------------------
 
-def _fmt(x):
-    return "%.17g" % x
-
-
 def _in_box(value, lo, hi):
     return bool(lo <= value <= hi)
 
@@ -257,7 +253,7 @@ def cmd_analyze(problem: Problem, args, out):
     reg = list(part.regular)
     w = eval_dual2_many(system.lagrangian, system.sample(rng, 100),
                         range(n, 2 * n)).hess
-    dets = ([abs_det(w11) for w11 in w[:, reg][:, :, reg].tolist()] if k
+    dets = (abs_det_many(w[:, reg][:, :, reg]).tolist() if k
             else [0.0] * len(w))
 
     nonreg = list(part.nonregular)
@@ -431,9 +427,10 @@ def cmd_transform(problem: Problem, args, out):
 
     header = (columns + ["H", "H0"] + [f"phi_{j + 1}" for j in range(n - k)]
               + ["status"])
-    lines = [",".join(header)]
-    for row, cells, state in zip(rows.tolist(), table.tolist(), status):
-        lines.append(",".join(map(_fmt, row + cells)) + "," + state)
+    line = ",".join(["%.17g"] * (len(header) - 1)) + ",%s"
+    lines = [",".join(header)] + [
+        line % (*row, *cells, state)
+        for row, cells, state in zip(rows.tolist(), table.tolist(), status)]
     out.write("\n".join(lines) + "\n")
     if "solver" in status:
         return EXIT_SOLVER

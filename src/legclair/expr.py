@@ -436,7 +436,13 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # also marks the rows where its divisor is zero, an underflowed square or
 # cube included: Python's ``/`` raises there and sends the scalar kernel
 # down its checked path, while numpy returns an inf that a constant factor
-# of 0 can drop from every output.
+# of 0 can drop from every output.  A request whose own stacked kernel is
+# not compiled runs on a compiled one whose active tuple holds its slots in
+# the same order (any dual kernel, for the value alone) and takes its own
+# columns: no entry depends on the active set, and the wider kernel marks
+# every row the narrow one would, since its guards are the same or stricter
+# (``sqrt``'s ``<= 0`` against the value's ``< 0``) and it tests more
+# divisors and more outputs.
 #
 # Stage mode (``dynamics``' stage kernels) writes several trees into one
 # body with a slot per variable of L: each tree's triple takes the
@@ -1063,28 +1069,59 @@ def evaluate(e: Expression, point) -> float:
 _STACKED = object()  # first half of the cache key of every stacked kernel
 
 
+def _stacked(e: Expression, key):
+    """The stacked kernel that serves ``key`` and ``key``'s columns of its
+    flat outputs (None for all): a compiled wider kernel if there is one
+    (see Evaluation), else ``key``'s own; cached under ``key``."""
+    served = e._kernels.get((_STACKED, key))
+    if served is None:
+        served = e._kernels[_STACKED, key] = _wide_kernel(e, key) or (
+            _compile_many(e.root, len(e.variables),
+                          None if key is _VALUE_ONLY else key), None)
+    return served
+
+
+def _wide_kernel(e: Expression, key):
+    """(kernel, columns) of a compiled kernel that serves ``key``, or None."""
+    for cached in e._kernels:
+        if type(cached) is not tuple or cached[:1] != (_STACKED,):
+            continue
+        kernel, cols = e._kernels[cached]
+        wide = cached[1]
+        if cols is not None or wide is _VALUE_ONLY:
+            continue  # itself served, or value-only
+        if key is _VALUE_ONLY:
+            return kernel, np.zeros(1, dtype=int)
+        pos = [wide.index(a) for a in key if a in wide]
+        if len(pos) == len(key) and pos == sorted(pos):
+            m = len(wide)
+            return kernel, np.array(
+                [0, *(1 + i for i in pos),
+                 *(1 + m + i * m + j for i in pos for j in pos)], dtype=int)
+    return None
+
+
 def _run_many(e: Expression, points, key, width):
-    """Flat outputs of the stacked kernel for ``key`` at every row of
-    ``points``, and ``{row: error}`` for the rows that raise.  The rows the
-    kernel marks are rerun through the scalar kernel, which is compiled only
-    then; a row that raises there is left NaN."""
+    """Flat outputs of the stacked kernel that serves ``key`` at every row
+    of ``points``, and ``{row: error}`` for the rows that raise.  The rows
+    the kernel marks are rerun through ``key``'s scalar kernel, which is
+    compiled only then; a row that raises there is left NaN."""
     points = np.asarray(points, dtype=float)
     nv = len(e.variables)
     if points.ndim != 2 or points.shape[1] != nv:
         raise ValueError(
             f"points have shape {points.shape}, expected (count, {nv})"
         )
-    kernel = e._kernels.get((_STACKED, key))
-    if kernel is None:
-        kernel = e._kernels[_STACKED, key] = _compile_many(
-            e.root, nv, None if key is _VALUE_ONLY else key
-        )
+    kernel, cols = _stacked(e, key)
     count = len(points)
     try:
         with np.errstate(all="ignore"):
             out, bad = kernel(points.T.copy(), count)
     except _FAULTS:  # a Python operation overflowed or left its domain
         out, bad = np.empty((count, width)), np.ones(count, dtype=bool)
+    else:
+        if cols is not None:
+            out = out[:, cols]
     rows = np.flatnonzero(bad)
     if rows.size:
         scalar = _kernel(e, key)

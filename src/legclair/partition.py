@@ -239,7 +239,12 @@ def partition_indices(
         )
 
     k = int(ranks[0])
-    mean_w = hessians.mean(axis=0)
+    with np.errstate(over="ignore"):
+        mean_w = hessians.mean(axis=0)
+    if not np.isfinite(mean_w).all():
+        # the sum of entries near the largest float overflowed: average
+        # each sample scaled by its largest |eigenvalue| instead
+        mean_w = (hessians / scale[:, None, None]).mean(axis=0)
 
     chosen: list[int] = []
     for _ in range(k):

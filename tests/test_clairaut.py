@@ -969,6 +969,38 @@ def test_abs_det_is_the_product_of_the_pivots():
     assert rows == [[1.0, 2.0, 0.5], [4.0, 1.0, -1.0], [0.0, 3.0, 2.0]]
 
 
+# singular blocks come from repeated and zero entries; the rest reach the
+# extremes of the float range
+det_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, math.nan, math.inf,
+                     -math.inf, 5e-324, -2.5e-310, 1e308, -1.7e308]),
+    entries,
+)
+
+
+def _blocks(count, k, flat, zero_column):
+    a = np.array(flat).reshape(count, k, k)
+    if zero_column is not None:
+        a[:, :, zero_column % k] = 0.0
+    return a
+
+
+@BLOCK_PROPERTY
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda dims: st.builds(
+        _blocks, st.just(dims[0]), st.just(dims[1]),
+        st.lists(det_entries, min_size=dims[0] * dims[1] ** 2,
+                 max_size=dims[0] * dims[1] ** 2),
+        st.none() | st.integers(0, 3))))
+@example(np.array([[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [-0.0, 2.0]]]))
+@example(np.array([[[math.nan, 0.0], [0.0, 1.0]], [[1e308, 1e308],
+                                                   [-1e308, 1e308]]]))
+def test_abs_det_on_lanes_is_abs_det_on_each_block(blocks):
+    got = clairaut.abs_det_many(blocks)
+    want = np.array([clairaut.abs_det(a) for a in blocks.tolist()])
+    assert_bits(got, want)
+
+
 # --------------------------------------------------------------------------
 # mixed Hamiltonian: frozen closed forms
 # --------------------------------------------------------------------------

@@ -623,6 +623,28 @@ def test_commands_solve_each_row_once(tmp_path, capsys, monkeypatch, args,
     assert len(set(lanes)) == distinct
 
 
+def test_verify_solves_each_warm_row_once(capsys, monkeypatch):
+    # clairaut_residual's and envelope_grad's +-p2 shifted momenta share
+    # (q, p1, v2) and the warm guess with the unshifted point: 250 rows of
+    # 5 stencil points hold 3 distinct rows each (750 warm lanes, not
+    # 1,250); the inverse transform's nested warm solves add 400
+    lanes = []
+    solve_lanes = EnvelopeSolver.solve_lanes
+
+    def counted(self, q, p1, c2, v1_guess=None):
+        if v1_guess is not None:
+            rows = np.concatenate([np.reshape(x, (len(q), -1))
+                                   for x in (q, p1, c2, v1_guess)], axis=1)
+            lanes.extend(map(tuple, rows.tolist()))
+        return solve_lanes(self, q, p1, c2, v1_guess)
+
+    monkeypatch.setattr(EnvelopeSolver, "solve_lanes", counted)
+    path = (pathlib.Path(__file__).resolve().parent.parent / "problems"
+            / "chained_pair.json")
+    assert main(["verify", str(path)]) == 0
+    assert len(lanes) == len(set(lanes)) == 750 + 400
+
+
 def test_transform_solves_each_chunk_once(tmp_path, capsys, monkeypatch):
     # H, Psi and H0 are formed at the V of the chunk's one cold solve: no
     # warm solve re-evaluates W11 to confirm it
@@ -695,6 +717,11 @@ def test_commands_evaluate_dl_dv_on_the_stacked_kernel_only(
     v_active = tuple(range(n, 2 * n))
     assert ("<legclair kernel>", v_active) not in kernels
     assert kernels.count(("<legclair stacked kernel>", v_active)) == 1
+    if argv[0] != "integrate":
+        # the envelope Newton's v1-active triples, L's values and dL/dv all
+        # read their columns from the partition's v-active kernel
+        assert [active for name, active in kernels
+                if name == "<legclair stacked kernel>"] == [v_active]
 
 
 # --------------------------------------------------------------------------

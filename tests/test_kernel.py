@@ -25,6 +25,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from legclair import expr
 from legclair.expr import (
     FUNCTIONS,
@@ -583,6 +584,109 @@ def test_stacked_kernels_take_any_number_of_rows():
     d = eval_dual2_many(e, [POINT], ())
     assert (d.grad.shape, d.hess.shape) == ((1, 0), (1, 0, 0))
     assert d.value[0] == evaluate(e, POINT)
+
+
+# --------------------------------------------------------------------------
+# one compiled stacked kernel serves every narrower request
+# --------------------------------------------------------------------------
+
+def _served(e, key):
+    """Whether ``key``'s stacked evaluations run on another key's kernel."""
+    return e._kernels[expr._STACKED, key][1] is not None
+
+
+def _wide_and_narrow(draw):
+    # a wide active tuple in any order, and a proper sub-tuple of it in the
+    # same slot order (possibly empty)
+    perm, m, keep = draw
+    wide = tuple(perm[:m])
+    narrow = tuple(a for a, k in zip(wide, keep) if k)
+    return wide, narrow[:m - 1]
+
+
+wide_and_narrow = st.tuples(
+    st.permutations(range(len(NAMES))), st.integers(1, len(NAMES)),
+    st.lists(st.booleans(), min_size=len(NAMES), max_size=len(NAMES)),
+).map(_wide_and_narrow)
+random_trees = st.integers(0, 2**32 - 1).map(
+    lambda seed: helpers.random_tree(np.random.default_rng(seed), NAMES, 4))
+# zeros of either sign, negative entries (domain guards) and entries at the
+# 1e308 scale (overflow), besides the random rows
+extreme_stacks = st.builds(
+    _stack,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(((-3.0, 3.0), (0.1, 3.0))),
+    st.integers(1, 30),
+    st.lists(st.tuples(
+        st.integers(0, 29), st.integers(0, len(NAMES) - 1),
+        st.sampled_from((0.0, -0.0, -1.0, -2.5, 1e308, -1e308, 1.7e308,
+                         5e307, 1e-308, 5e-324, math.nan)),
+    ), max_size=4),
+)
+
+
+def _same_errors(got, want):
+    """Two ``{row: error}`` dicts: the same rows, error types and messages."""
+    assert sorted(got) == sorted(want)
+    for i, err in want.items():
+        assert type(got[i]) is type(err) and str(got[i]) == str(err)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(random_trees, extreme_stacks, wide_and_narrow)
+# a Hessian whose (q1, v1) entry differs from its (v1, q1) entry in the
+# last bit: a served sub-tuple must take its entries, not their transposes
+@example(helpers.random_tree(np.random.default_rng(4), NAMES, 4),
+         np.random.default_rng(0).uniform(0.1, 3.0, (10, len(NAMES))),
+         ((0, 1, 2, 3), (0, 2)))
+def test_a_wide_stacked_kernel_serves_every_narrower_request(
+        tree, points, wide_and_narrow):
+    # a sub-tuple and the value alone, served by a wide kernel, give what a
+    # fresh expression gives on its own narrow kernels, NaN rows included
+    wide, narrow = wide_and_narrow
+    e = _expression(tree)
+    eval_dual2_rows(e, points[:1], wide)
+
+    (got, got_failed), (want, want_failed) = (
+        eval_dual2_rows(x, points, narrow) for x in (e, _expression(tree)))
+    for field in ("value", "grad", "hess"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    _same_errors(got_failed, want_failed)
+
+    fresh = _expression(tree)
+    (got, got_failed), (want, want_failed) = (
+        expr._run_many(x, points, expr._VALUE_ONLY, 1) for x in (e, fresh))
+    assert got.tobytes() == want.tobytes()
+    _same_errors(got_failed, want_failed)
+    assert _served(e, narrow) and _served(e, expr._VALUE_ONLY)
+    assert not _served(fresh, expr._VALUE_ONLY)
+
+    got, want = (_outcome(lambda: evaluate_many(x, points))
+                 for x in (e, _expression(tree)))
+    if isinstance(want, EvalDomainError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_only_a_kernel_holding_the_slots_in_order_serves_them(monkeypatch):
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    e = parse(SOURCE, NAMES)
+    eval_dual2_many(e, [POINT], (2, 3))
+    for key in ((2,), (3,), (2, 3), ()):
+        eval_dual2_many(e, [POINT], key)
+    evaluate_many(e, [POINT])
+    eval_dual2_many(e, [POINT], (3, 2))  # the other slot order
+    eval_dual2_many(e, [POINT], (0, 2))  # a slot the kernel lacks
+    assert [(kind, active) for kind, active, _ in compiles] == [
+        ("<legclair stacked kernel>", (2, 3)),
+        ("<legclair stacked kernel>", (3, 2)),
+        ("<legclair stacked kernel>", (0, 2)),
+    ]
+    # a key's lookup is paid once: its kernel and columns stay cached
+    assert e._kernels[expr._STACKED, (3,)][0] is e._kernels[
+        expr._STACKED, (2, 3)][0]
+    assert e._kernels[expr._STACKED, (3,)][1].tolist() == [0, 2, 6]
 
 
 # --------------------------------------------------------------------------

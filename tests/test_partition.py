@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -143,6 +145,19 @@ def test_partition_deterministic():
     a = partition_indices(corpus.make_system("deg3"), seed=42)
     b = partition_indices(corpus.make_system("deg3"), seed=42)
     assert a == b
+
+
+def test_partition_survives_hessians_whose_sum_overflows():
+    # W = 1 + exp(710 - 1000*(q1 - 0.3)^2) reaches 1e308 near q1 = 0.3:
+    # the samples' sum overflows, so the greedy choice runs on each sample
+    # scaled by its largest |eigenvalue| instead of finding no index at all
+    sys = LagrangianSystem.from_source(
+        1, "0.5*v1^2*(1 + exp(710 - 1000*(q1 - 0.3)^2))",
+        {"q1": (-1.0, 1.0), "v1": (-0.5, 0.5)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        part = partition_indices(sys, seed=0)
+    assert (part.k, part.regular, part.nonregular) == (1, (0,), ())
 
 
 def test_partition_tie_breaks_to_lowest_index():

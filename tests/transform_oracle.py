@@ -24,7 +24,6 @@ from legclair.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     ProblemError,
-    _fmt,
     _in_box,
     _parse_grid_spec,
 )
@@ -35,6 +34,10 @@ from legclair.clairaut import (
 )
 from legclair.expr import EvalDomainError, eval_dual2
 from legclair.partition import qv_names
+
+
+def _fmt(x):
+    return "%.17g" % x
 
 
 def cmd_analyze(problem, args, out):

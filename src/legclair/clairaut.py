@@ -282,27 +282,14 @@ def gepp(a, cols) -> list:
                       _pivot_floats)
 
 
-def abs_det(a) -> float:
-    """|det| of k float rows: the product, left to right, of the pivots
-    that :func:`_eliminate` leaves, so its bits depend on the rows alone."""
-    a = [list(row) for row in a]
-    try:
-        _eliminate(a, [], _pivot_floats)
-    except ZeroDivisionError:  # a pivot column is zero: the rows are singular
-        return 0.0
-    det = 1.0
-    for i, row in enumerate(a):
-        det = det * row[i]
-    return abs(det)
-
-
 def abs_det_many(a: np.ndarray) -> np.ndarray:
-    """:func:`abs_det` on each lane of a (count, k, k) stack, bit for bit.
-
-    Numpy's ``-``, ``*``, ``/`` and ``abs`` round as Python's do, and its
-    ``/`` overflows to inf as Python's does; only a zero divisor differs
-    (Python raises), so a lane whose pivot is ever ±0 before the last
-    column gives 0.0, as :func:`abs_det`'s ``ZeroDivisionError`` branch.
+    """|det| of each lane of a (count, k, k) stack: the product, left to
+    right, of the pivots that :func:`_eliminate` leaves on the lane, so its
+    bits depend on the lane alone.  A lane whose pivot is ever ±0 before
+    the last column is singular and gives 0.0 (where Python's ``/`` would
+    raise on floats); numpy's ``-``, ``*``, ``/`` and ``abs`` otherwise round
+    and overflow as Python's do, so each lane has the bits of the same
+    elimination on floats.
     """
     count, k = a.shape[:2]
     rows = [[a[:, i, j] for j in range(k)] for i in range(k)]

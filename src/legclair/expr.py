@@ -411,25 +411,29 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # statement per operation: every value, gradient and Hessian entry goes
 # through the operations a forward pass over (value, gradient, Hessian)
 # triples performs, in its order, except that a quotient's value is num /
-# den and x^1 is x, in every function.  Operations
+# den, x^1 is x and x^2 is x * x (one correctly rounded multiplication,
+# where ``x ** 2`` calls libm's ``pow``), in every function.  Operations
 # on constants are done while generating (the same float arithmetic, so
 # nothing changes), and derivative terms known to be zero are dropped, which
 # can flip the sign of a zero entry and nothing else.
 #
 # Overflow: the function computes unchecked, then tests the sum of its
 # outputs for finiteness.  If that fails, or an operation raised (``x ** n``
-# and ``exp`` raise ``OverflowError``; dividing by an underflowed square
-# raises ``ZeroDivisionError``), it reruns a checked variant that tests every
-# node and raises ``EvalDomainError`` quoting the first one that overflowed.
+# for n other than 2 and ``exp`` raise ``OverflowError``, where a square,
+# like any product, gives inf; dividing by an underflowed square raises
+# ``ZeroDivisionError``), it reruns a checked variant that tests every node
+# and raises ``EvalDomainError`` quoting the first one that overflowed.  A
+# square that overflows but leaves every output finite (1/x^2 = 0.0) is
+# not an error, as 1/(x*x) is not.
 #
 # Stacked kernels (``eval_dual2_many``/``evaluate_many``) run the same
 # operations in the same order on numpy columns, one entry per point.
 # ``+ - * /`` and ``sqrt`` are correctly rounded in numpy as in Python, so
-# they run as array operations; powers, ``exp``, ``ln``, ``tan``, ``sin``
-# and ``cos`` are applied entry by entry with the Python operator or
-# ``math`` function the scalar kernel calls, because numpy's versions differ
-# in the last ulp (``x**2`` included).  Every row therefore equals the scalar
-# kernel's result bit for bit.  Domain guards only mark their rows, and so
+# they run as array operations, squares included; other powers, ``exp``,
+# ``ln``, ``tan``, ``sin`` and ``cos`` are applied entry by entry with the
+# Python operator or ``math`` function the scalar kernel calls, because
+# numpy's versions differ in the last ulp.  Every row therefore equals the
+# scalar kernel's result bit for bit.  Domain guards only mark their rows, and so
 # does a non-finite output sum; a marked row, or every row if a Python
 # operation raised, is rerun through the scalar kernel, which returns its
 # value or raises its exact error (the lowest row first).  Every division
@@ -673,7 +677,10 @@ class _Codegen:
 
     def ipow(self, x, n: int):
         """x ** n for an integer n: 1.0 for n = 0 and x for n = 1, as
-        Python's ``**`` gives them for every float x."""
+        Python's ``**`` gives them for every float x, and x * x for n = 2
+        (see Evaluation), a plain array multiply in a stacked kernel."""
+        if n == 2:
+            return self.op("{} * {}", x, x)
         return 1.0 if n == 0 else x if n == 1 else self.op(
             f"{{}} ** {_int_lit(n)}", x)
 

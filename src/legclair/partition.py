@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expression, eval_dual2, eval_dual2_many, parse
+from .expr import Expression, eval_dual2_many, parse
 
 __all__ = [
     "LagrangianSystem",
@@ -157,13 +157,6 @@ def checked_rows(x, size: int, name: str, count=None) -> np.ndarray:
         rows = "count" if count is None else count
         raise ValueError(f"{name} has shape {x.shape}, expected ({rows}, {size})")
     return x
-
-
-def hessian(system: LagrangianSystem, q, v) -> np.ndarray:
-    """Velocity Hessian W(q, v) = d2L/dv dv, exact and symmetric."""
-    x = system.point(q, v)
-    active = range(system.n, 2 * system.n)
-    return eval_dual2(system.lagrangian, x, active).hess
 
 
 def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from legclair import expr
+from legclair import clairaut, expr
 from legclair.expr import (
     FUNCTIONS,
     Add,
@@ -155,6 +155,29 @@ def gepp_solve(a, b):
                 x[i] = x[i] - a[i, j] * x[j]
             x[i] = x[i] / a[i, i]
     return x[:, 0] if vector else x
+
+
+def abs_det(a) -> float:
+    """|det| of k float rows: the product, left to right, of the pivots
+    that ``clairaut._eliminate`` leaves, so its bits depend on the rows
+    alone; 0.0 where a pivot column is zero (Python's ``/`` raises).  The
+    float form of ``clairaut.abs_det_many``."""
+    a = [list(row) for row in a]
+    try:
+        clairaut._eliminate(a, [], clairaut._pivot_floats)
+    except ZeroDivisionError:
+        return 0.0
+    det = 1.0
+    for i, row in enumerate(a):
+        det = det * row[i]
+    return abs(det)
+
+
+def hessian(system, q, v) -> np.ndarray:
+    """Velocity Hessian W(q, v) = d2L/dv dv of one point, by ``eval_dual2``."""
+    x = system.point(q, v)
+    active = range(system.n, 2 * system.n)
+    return eval_dual2(system.lagrangian, x, active).hess
 
 
 # --------------------------------------------------------------------------

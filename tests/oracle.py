@@ -130,12 +130,17 @@ def _call_dual(func: str, u: Dual2, node) -> Dual2:
     raise TypeError(f"unknown function {func!r}")  # pragma: no cover
 
 
+def _ipow(x: float, n: int) -> float:
+    """x ** n, and x * x for n = 2 (one correctly rounded multiplication)."""
+    return float(x * x if n == 2 else x ** n)
+
+
 def _pow_value(x: float, b: float, node) -> float:
     n = round(b)
     if b == n:  # integer exponent: any base, except 0 with n < 0
         if x == 0.0 and n < 0:
             raise EvalDomainError("zero raised to a negative power", to_source(node))
-        return float(x ** int(n))
+        return _ipow(x, int(n))
     if x <= 0.0:
         raise EvalDomainError(
             f"non-integer power of non-positive base {x!r}", to_source(node)
@@ -156,9 +161,9 @@ def _pow_dual(u: Dual2, b: float, node) -> Dual2:
                 )
             table = {0: (1.0, 0.0, 0.0), 1: (x, 1.0, 0.0), 2: (0.0, 0.0, 2.0)}
             return u.chain(*table[n])
-        f0 = float(x ** n)
-        f1 = n * float(x ** (n - 1)) if n != 0 else 0.0
-        f2 = n * (n - 1) * float(x ** (n - 2)) if n not in (0, 1) else 0.0
+        f0 = _ipow(x, n)
+        f1 = n * _ipow(x, n - 1) if n != 0 else 0.0
+        f2 = n * (n - 1) * _ipow(x, n - 2) if n not in (0, 1) else 0.0
         return u.chain(f0, f1, f2)
     if x <= 0.0:
         raise EvalDomainError(

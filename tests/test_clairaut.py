@@ -960,12 +960,13 @@ def test_abs_det_is_the_product_of_the_pivots():
     # the pivots are 4 (row 1), then 3 (row 2), then 0.75 - (1.75/3)*2
     # from row 0 after its first update to [1.75, 0.75]
     rows = [[1.0, 2.0, 0.5], [4.0, 1.0, -1.0], [0.0, 3.0, 2.0]]
-    assert clairaut.abs_det(rows) == abs(1.0 * 4.0 * 3.0
-                                         * (0.75 - 1.75 / 3.0 * 2.0))
-    assert_allclose(clairaut.abs_det(rows), 5.0, rtol=1e-15)
-    assert clairaut.abs_det([[-3.0]]) == 3.0
-    assert clairaut.abs_det([[0.0, 1.0], [0.0, 2.0]]) == 0.0  # zero column
-    assert clairaut.abs_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
+    want = abs(1.0 * 4.0 * 3.0 * (0.75 - 1.75 / 3.0 * 2.0))
+    assert helpers.abs_det(rows) == want
+    assert clairaut.abs_det_many(np.array([rows]))[0] == want
+    assert_allclose(want, 5.0, rtol=1e-15)
+    assert helpers.abs_det([[-3.0]]) == 3.0
+    assert helpers.abs_det([[0.0, 1.0], [0.0, 2.0]]) == 0.0  # zero column
+    assert helpers.abs_det([[1.0, 2.0], [2.0, 4.0]]) == 0.0
     assert rows == [[1.0, 2.0, 0.5], [4.0, 1.0, -1.0], [0.0, 3.0, 2.0]]
 
 
@@ -997,7 +998,7 @@ def _blocks(count, k, flat, zero_column):
                                                    [-1e308, 1e308]]]))
 def test_abs_det_on_lanes_is_abs_det_on_each_block(blocks):
     got = clairaut.abs_det_many(blocks)
-    want = np.array([clairaut.abs_det(a) for a in blocks.tolist()])
+    want = np.array([helpers.abs_det(a) for a in blocks.tolist()])
     assert_bits(got, want)
 
 

@@ -399,6 +399,8 @@ def test_kernels_are_freed_with_the_expression():
         ("1 + 2*v1^400", 1e10, "v1^400"),
         ("sin(exp(v1))", 1e3, "exp(v1)"),
         ("v1*v1*v1", 1e200, "v1*v1"),  # multiplication overflows silently
+        ("v1^2", 1e200, "v1^2"),  # and so does a square, x*x
+        ("v1^2*0", 1e200, "v1^2"),
         ("v1", math.nan, "v1"),
         ("v1 - v1", math.inf, "v1"),
     ],
@@ -407,9 +409,29 @@ def test_overflow_raises_domain_error_quoting_fragment(source, x, fragment):
     e = parse(source, ["v1"])
     for call in (lambda: evaluate(e, [x]), lambda: eval_dual2(e, [x])):
         for _ in range(2):  # the slow path is compiled once, then reused
-            with pytest.raises(EvalDomainError, match="overflow") as err:
+            with pytest.raises(EvalDomainError) as err:
                 call()
             assert err.value.fragment == fragment
+            assert str(err.value) == (f"{expr._NONFINITE} in {fragment!r}")
+
+
+@pytest.mark.parametrize("source, fragment", [("1/v1^2", "v1^2"),
+                                              ("1/(v1*v1)", "v1*v1")])
+def test_the_reciprocal_of_an_overflowing_square_is_zero(source, fragment):
+    # v1^2 is v1*v1, which gives inf where Python's v1 ** 2 raises
+    # OverflowError: 1/inf is a finite value, while the derivatives still
+    # overflow at the square
+    e = parse(source, ["v1"])
+    rows = [[1e200], [2.0]]
+    assert evaluate(e, rows[0]) == 0.0
+    assert evaluate_many(e, rows).tolist() == [0.0, 0.25]
+    with pytest.raises(EvalDomainError) as err:
+        eval_dual2(e, rows[0])
+    assert (str(err.value), err.value.fragment) == (
+        f"{expr._NONFINITE} in {fragment!r}", fragment)
+    d, failed = eval_dual2_rows(e, rows)
+    assert list(failed) == [0] and str(failed[0]) == str(err.value)
+    assert d.value[1] == 0.25
 
 
 def test_derivative_overflow_raises_where_the_value_is_finite():
@@ -443,8 +465,8 @@ def _stack(seed, box, count, special):
     return rows
 
 
-# Random points, where numpy's powers, exp, ln and tan would miss the
-# scalar kernel by an ulp somewhere, and a few values that overflow,
+# Random points, where numpy's powers other than squares, exp, ln and tan
+# would miss the scalar kernel by an ulp somewhere, and a few values that overflow,
 # underflow a square or hit a domain boundary.
 stacks = st.builds(
     _stack,
@@ -482,6 +504,13 @@ def _check_stacked(stacked, rows):
         assert getattr(stacked, field).tobytes() == want.tobytes(), field
 
 
+def _same_errors(got, want):
+    """Two ``{row: error}`` dicts: the same rows, error types and messages."""
+    assert sorted(got) == sorted(want)
+    for i, err in want.items():
+        assert type(got[i]) is type(err) and str(got[i]) == str(err)
+
+
 def _scalar_rows(call, points):
     rows = []
     for x in points:
@@ -496,8 +525,9 @@ def _scalar_rows(call, points):
 @example(Div(Num(0.0), Var(0, "q1")), np.array([[1e-110, 0.5, 0.5, 0.5]]),
          None)
 def test_stacked_kernels_match_scalar_kernels_row_by_row(tree, points, active):
-    # bit for bit on every function: powers, exp, ln, tan, sin and cos go
-    # through the scalar kernel's own Python operations entry by entry
+    # bit for bit on every function: squares are x*x on both, and other
+    # powers, exp, ln, tan, sin and cos go through the scalar kernel's own
+    # Python operations entry by entry
     e = _expression(tree)
     _check_stacked(_outcome(lambda: evaluate_many(e, points)),
                    _scalar_rows(lambda x: evaluate(e, x), points))
@@ -547,6 +577,8 @@ def test_stacked_kernels_mark_a_division_by_an_underflowed_power(source, x):
         ("v1^400", 1e10, "v1^400"),
         ("exp(v1)", 1e3, "exp(v1)"),
         ("v1*v1*v1", 1e200, "v1*v1"),
+        ("v1^2", 1e200, "v1^2"),
+        ("v1^2*0", 1e200, "v1^2"),
         ("ln(v1)", -1.0, "ln(v1)"),
         ("1/v1", 0.0, "1/v1"),
         ("v1", math.nan, "v1"),
@@ -573,6 +605,48 @@ def test_stacked_kernels_raise_the_lowest_failing_row(source, x, fragment):
         for field in ("value", "grad", "hess"):
             got = getattr(d, field)[i]
             assert got.tobytes() == np.asarray(getattr(want, field)).tobytes()
+
+
+_TINY = 2.2250738585072014e-308  # the smallest normal double
+# log-uniform magnitudes up to 1e±160, whose squares overflow or turn
+# subnormal, with signed zeros and subnormals
+square_inputs = st.one_of(
+    st.builds(lambda sign, e: sign * 10.0 ** e,
+              st.sampled_from((1.0, -1.0)), st.floats(-160.0, 160.0)),
+    st.sampled_from((0.0, -0.0)),
+    st.floats(-_TINY, _TINY, exclude_min=True, exclude_max=True),
+)
+
+
+@PROPERTY
+@given(st.lists(square_inputs, min_size=1, max_size=20))
+# Python's x ** 2 (libm's pow) and x*x differ in the last bit on the first two
+@example([-4851.194350792479, 1.2547456608010745e-90, -0.0, 5e-324, 1e160])
+def test_squares_are_bit_exact_on_every_path(xs):
+    # x^2 is x*x, one correctly rounded multiplication, on the scalar and
+    # the stacked kernels alike; x^3 and 1/x^2 take it as a factor
+    square = parse("q1^2", ["q1"])
+    for x in xs:
+        d = _outcome(lambda: eval_dual2(square, [x]))
+        assert isinstance(d, EvalDomainError) is not math.isfinite(x * x)
+        if not isinstance(d, EvalDomainError):
+            assert _bits(d.value) == _bits(x * x)
+    rows = [[x] for x in xs]
+    for source in ("q1^2", "q1^3", "1/q1^2"):
+        e = parse(source, ["q1"])
+        _check_stacked(_outcome(lambda: evaluate_many(e, rows)),
+                       _scalar_rows(lambda x: evaluate(e, x), rows))
+        duals, failed = eval_dual2_rows(e, rows)
+        want = {}
+        for i, x in enumerate(rows):
+            one = _outcome(lambda: eval_dual2(e, x))
+            if isinstance(one, EvalDomainError):
+                want[i] = one
+            else:
+                for field in ("value", "grad", "hess"):
+                    assert getattr(duals, field)[i].tobytes() == np.asarray(
+                        getattr(one, field)).tobytes(), field
+        _same_errors(failed, want)
 
 
 def test_stacked_kernels_take_any_number_of_rows():
@@ -623,13 +697,6 @@ extreme_stacks = st.builds(
                          5e307, 1e-308, 5e-324, math.nan)),
     ), max_size=4),
 )
-
-
-def _same_errors(got, want):
-    """Two ``{row: error}`` dicts: the same rows, error types and messages."""
-    assert sorted(got) == sorted(want)
-    for i, err in want.items():
-        assert type(got[i]) is type(err) and str(got[i]) == str(err)
 
 
 @settings(PROPERTY, max_examples=200)
@@ -772,12 +839,20 @@ def test_derivatives_match_sympy(tree, point):
 # change to an operation, its order, a local's name or a constant's slot in
 # a kernel the library compiles moves it
 CORPUS_KERNEL_SOURCES_SHA256 = (
-    "40654134a12715d0178c0a1480a52dd69df684ce5263f1de12af45691fe815bf")
+    "ed374c2e75280e69a27bb662456d87103996f755595a614a290ec002fbfb7320")
+
+
+def _compile_corpus_kernels(system, v1):
+    """Compile L's scalar, checked and stacked kernels over the active
+    tuples the library uses (all slots, v slots, v1 slots, value-only)."""
+    n, root = system.n, system.lagrangian.root
+    for active in (tuple(range(2 * n)), tuple(range(n, 2 * n)), v1, None):
+        expr._compile(root, 2 * n, active)
+        expr._compile(root, 2 * n, active, checked=True)
+        expr._compile_many(root, 2 * n, active)
 
 
 def test_corpus_kernel_sources_are_frozen(monkeypatch):
-    # every scalar, checked and stacked kernel over the active tuples the
-    # library uses (all slots, v slots, v1 slots, value-only)
     import corpus
     from legclair.clairaut import MixedHamiltonian
 
@@ -792,11 +867,36 @@ def test_corpus_kernel_sources_are_frozen(monkeypatch):
 
     monkeypatch.setattr(expr, "compile", recording, raising=False)
     for system, v1 in zip(systems, v1_slots):
-        n, root = system.n, system.lagrangian.root
-        for active in (tuple(range(2 * n)), tuple(range(n, 2 * n)), v1, None):
-            expr._compile(root, 2 * n, active)
-            expr._compile(root, 2 * n, active, checked=True)
-            expr._compile_many(root, 2 * n, active)
+        _compile_corpus_kernels(system, v1)
     assert len(sources) == 6 * 4 * 3
     digest = hashlib.sha256("\0".join(sources).encode()).hexdigest()
     assert digest == CORPUS_KERNEL_SOURCES_SHA256
+
+
+def test_no_kernel_takes_a_square_through_pow(monkeypatch):
+    # every kernel the library compiles for the corpus (scalar, checked,
+    # stacked, both stage kernels and the Newton kernel) squares by x*x,
+    # a gauge's squares included
+    import corpus
+    from legclair.clairaut import MixedHamiltonian
+    from legclair.dynamics import GaugeChoice, el_rhs, ham_rhs
+
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    for name in sorted(corpus.SYSTEMS):
+        ham = MixedHamiltonian.from_system(corpus.make_system(name))
+        system, partition, n = ham.system, ham.partition, ham.n
+        _compile_corpus_kernels(system, ham.solver._v1_active)
+        gauge = GaugeChoice.from_sources(n, ["0.25*q1^2"] * (n - ham.k))
+        q = system.center()[:n]
+        el_rhs(system, partition, gauge, q, [0.5] * ham.k)
+        for include_r in (True, False):
+            ham_rhs(ham, gauge, q, [0.5] * n, include_r)
+    kinds = {kind for kind, _, _ in compiles}
+    assert kinds == {"<legclair kernel>", "<legclair stacked kernel>",
+                     "<legclair stage kernel>", "<legclair newton kernel>"}
+    for kind in kinds:
+        sources = [src for k, _, src in compiles if k == kind]
+        assert any(re.search(r"\b(x\d+) \* \1\b", src) for src in sources)
+        for src in sources:
+            assert not re.search(r"\*\* 2(?![\w.])", src), src
+            assert "_each(_ipow" not in src, src

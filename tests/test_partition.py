@@ -6,13 +6,13 @@ from numpy.testing import assert_allclose
 
 import corpus
 import partition_oracle
+from helpers import hessian
 from legclair.expr import EvalDomainError
 from legclair.partition import (
     HessianPartition,
     LagrangianSystem,
     NoValidMinorError,
     RankNotConstantError,
-    hessian,
     numerical_rank,
     partition_indices,
     qv_names,

@@ -36,8 +36,13 @@ The rank partition holds on the declared box only: ``first_box_exit``
 finds a trajectory's first node outside it, and ``integrate`` refuses a
 verdict there (``BoxExitError``).
 
-Both flows run on one RK4 driver, which names the step and time of any
-failure.  Each stage is one generated straight-line function, the stage
+Both flows run on one RK4 loop, which names the step and time of any
+failure.  It is generated for the state's length, n + k on both sides, and
+compiled once per system, so once per command (``_build_rk4``): the state,
+the slopes and the stage points are locals, and each node records the raw
+state and info of its first stage.  The trajectory's arrays are built from
+these records in one pass, by numpy operations that round as Python's do.
+Each stage is one generated straight-line function, the stage
 kernel of the flow (``_stage``), compiled at its first stage: the gauge's
 (value, gradient, Hessian) triples and L's full triple, each by the
 operations of its own ``eval_dual2`` kernel, then K, dv2/dt, R, dH/dq, the
@@ -197,46 +202,73 @@ def _validate_span(t_span, dt):
 
 
 # --------------------------------------------------------------------------
-# The RK4 driver and the generated stage kernels
+# The generated RK4 loop and stage kernels
 # --------------------------------------------------------------------------
 
 class NonFiniteStateError(ArithmeticError):
     """An RK4 step left the state with an inf or NaN entry."""
 
 
-def _rk4(rhs, y0, t0, h, nsteps, record):
-    """Classical RK4 over the nodes t0 + i*h, i = 0..nsteps, on a state
-    held as a list of floats.
+def _rk4(system, stage, y0, t0, h, nsteps):
+    """Classical RK4 over the nodes t0 + i*h, i = 0..nsteps, from the state
+    y0, a list of floats: the node times, the node states (one row each)
+    and the columns of the info their first stages return.
 
-    ``rhs(y, monitor)`` returns (dy/dt, info); ``record(i, t, y, info)``
-    stores node i from its first stage.  Only that stage is called with
-    ``monitor`` true: the other three return info None and skip the
-    diagnostics nothing records.  Step i starts at node i (step nsteps only
-    records).  Errors raised in step i, including ``NonFiniteStateError``
-    when it leaves y non-finite, get ``step``/``t`` attributes and
-    "at RK4 step i (t = ...)" appended to their message.
+    ``stage(y, monitor)`` returns (dy/dt, info).  Only a step's first stage
+    is called with ``monitor`` true: the other three return info None and
+    skip the diagnostics nothing records.  Step i starts at node i (step
+    nsteps only records).  The loop (``_build_rk4``) appends node i's state
+    before its first stage, so an error raised in step i, including
+    ``NonFiniteStateError`` when it leaves y non-finite, finds i + 1 nodes
+    recorded; it gets ``step``/``t`` attributes and "at RK4 step i (t =
+    ...)" appended to its message.  The records become arrays in one pass
+    at the end, where numpy's t0 + i*h and array copies keep every bit.
     """
-    y = y0
-    half, sixth = 0.5 * h, h / 6.0
-    for i in range(nsteps + 1):
-        t = t0 + i * h
-        try:
-            k1, info = rhs(y, True)
-            record(i, t, y, info)
-            if i == nsteps:
-                break
-            k2, _ = rhs([a + half * b for a, b in zip(y, k1)], False)
-            k3, _ = rhs([a + half * b for a, b in zip(y, k2)], False)
-            k4, _ = rhs([a + h * b for a, b in zip(y, k3)], False)
-            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            if not all(map(math.isfinite, y)):
-                raise NonFiniteStateError("overflow to a non-finite state")
-        except (EvalDomainError, SingularJacobianError, NewtonDivergedError,
-                NonFiniteStateError) as exc:
-            exc.step, exc.t = i, t
-            exc.args = (f"{exc} at RK4 step {i} (t = {t:.6g})",)
-            raise
+    key = ("rk4", len(y0))
+    if key not in system._stages:
+        system._stages[key] = _build_rk4(len(y0))
+    ys, infos = [], []
+    try:
+        system._stages[key](stage, y0, h, nsteps, ys, infos)
+    except (EvalDomainError, SingularJacobianError, NewtonDivergedError,
+            NonFiniteStateError) as exc:
+        i = len(ys) - 1
+        exc.step, exc.t = i, t0 + i * h
+        exc.args = (f"{exc} at RK4 step {i} (t = {exc.t:.6g})",)
+        raise
+    return (t0 + h * np.arange(nsteps + 1), np.array(ys),
+            [np.array(c) for c in zip(*infos)])
+
+
+def _build_rk4(m):
+    """Generate and compile the RK4 loop of ``_rk4`` for a state of length
+    m: the state a, the slopes b, c, d, e and the stage points are locals,
+    and each entry is updated as a + sixth*(b + 2.0*c + 2.0*d + e)."""
+    cg = _Codegen(None, checked=False)
+
+    def row(fmt):  # fmt of entry {0}, for each entry
+        return "".join(fmt.format(j) + ", " for j in range(m))
+
+    src = ["def kernel(stage, y, h, nsteps, ys, infos):",
+           "    half, sixth = 0.5 * h, h / 6.0",
+           f"    {row('a{0}')}= y",
+           "    for _ in range(nsteps):",
+           "        ys.append(y)",
+           f"        ({row('b{0}')}), info = stage(y, True)",
+           "        infos.append(info)"]
+    for k, x, w in (("c", "b", "half"), ("d", "c", "half"), ("e", "d", "h")):
+        src.append(f"        ({row(k + '{0}')}), _ = stage(["
+                   f"{row(f'a{{0}} + {w} * {x}{{0}}')}], False)")
+    src += [*(f"        a{j} = a{j} + sixth * (b{j} + 2.0 * c{j} + 2.0 * d{j}"
+              f" + e{j})" for j in range(m)),
+            "        if not (" + " and ".join(f"_isfinite(a{j})"
+                                              for j in range(m)) + "):",
+            f"            raise {cg.const(NonFiniteStateError)}("
+            "'overflow to a non-finite state')",
+            f"        y = [{row('a{0}')}]",
+            "    ys.append(y)",
+            "    infos.append(stage(y, True)[1])"]
+    return cg.build(src, "<legclair rk4 loop>")
 
 
 def _failed_stage(lag, gauge, reg, nonreg, q, v1):
@@ -425,15 +457,11 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
     t0, _, nsteps, h = _validate_span(t_span, dt)
     y0 = (checked_vector(q0, n, "q0").tolist()
           + checked_vector(v10, k, "v10").tolist())
-    phi = [0.0] * (n - k)
-    rows = []
-
-    def record(i, t, y, info):
-        i2_res, v, lv = info
-        rows.append((t, y[:n], v, lv, phi, i2_res))
-
-    _rk4(_stage(system, partition, gauge)(), y0, t0, h, nsteps, record)
-    return _trajectory(rows, n, k, partition.regular, el=True)
+    times, y, (i2_res, v, lv) = _rk4(
+        system, _stage(system, partition, gauge)(), y0, t0, h, nsteps)
+    return Trajectory(times, y[:, :n], v, lv, np.zeros((times.size, n - k)),
+                      i2_res, np.full(times.size, np.nan), n, k,
+                      partition.regular)
 
 
 # --------------------------------------------------------------------------
@@ -519,22 +547,15 @@ def integrate_ham(
             phi0,
         )
 
-    offset = phi0.tolist()
-    rows = []
-
-    def record(i, t, y, info):
-        qdot, hs3_res, lv = info
-        p2 = [lv[j] + off for j, off in zip(nonreg, offset)]
-        p = [0.0] * n
-        for r, x in zip(reg, y[n:]):
-            p[r] = x
-        for j, x in zip(nonreg, p2):
-            p[j] = x
-        phi = [x - lv[j] for j, x in zip(nonreg, p2)]
-        rows.append((t, y[:n], qdot, p, phi, hs3_res))
-
-    _rk4(rhs, q.tolist() + p1.tolist(), t0, h, nsteps, record)
-    return _trajectory(rows, n, k, partition.regular, el=False)
+    times, y, (v, hs3_res, lv) = _rk4(system, rhs, q.tolist() + p1.tolist(),
+                                      t0, h, nsteps)
+    # p1 is the state's, p2 = Psi + Phi_0 and Phi = p2 - Psi, as floats do
+    p = np.empty_like(lv)
+    p[:, reg] = y[:, n:]
+    p[:, nonreg] = p2 = lv[:, nonreg] + phi0
+    return Trajectory(times, y[:, :n], v, p, p2 - lv[:, nonreg],
+                      np.full(times.size, np.nan), hs3_res, n, k,
+                      partition.regular)
 
 
 # --------------------------------------------------------------------------
@@ -576,21 +597,6 @@ def _alloc(nsteps, n, k, regular) -> Trajectory:
         k=k,
         regular=tuple(regular),
     )
-
-
-def _trajectory(rows, n, k, regular, el) -> Trajectory:
-    """The trajectory of a flow's node rows (t, q, v, p, phi, monitor); the
-    monitor fills ``el_i2_res`` for the Euler-Lagrange flow (``el``), else
-    ``hs3_res``."""
-    traj = _alloc(len(rows) - 1, n, k, regular)
-    times, q, v, p, phi, monitor = zip(*rows)
-    traj.times[:] = times
-    traj.q[:] = q
-    traj.v[:] = v
-    traj.p[:] = p
-    traj.phi[:] = phi
-    (traj.el_i2_res if el else traj.hs3_res)[:] = monitor
-    return traj
 
 
 class BoxExitError(Exception):
@@ -656,9 +662,9 @@ def write_trajectory_csv(traj: Trajectory, path):
     )
     table = np.column_stack([traj.times, traj.q, traj.v, traj.p, traj.phi,
                              traj.el_i2_res, traj.hs3_res])
-    row = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [row % tuple(x) for x in table.tolist()]
-    text = "\n".join(lines) + "\n"
+    # one format over the whole table: each value through the same %.17g
+    rows = (",".join(["%.17g"] * len(header)) + "\n") * len(table)
+    text = ",".join(header) + "\n" + rows % tuple(table.ravel().tolist())
     if hasattr(path, "write"):
         path.write(text)
     else:

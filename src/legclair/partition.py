@@ -67,7 +67,8 @@ class LagrangianSystem:
     lagrangian: Expression
     domain_lo: np.ndarray
     domain_hi: np.ndarray
-    # the flows' compiled stage kernels (see dynamics._stage)
+    # the compiled stage kernels and RK4 loops of the flows (dynamics._stage,
+    # dynamics._rk4) and the envelope Newton kernel
     _stages: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 

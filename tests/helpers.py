@@ -9,17 +9,20 @@ tolerance being certified and can therefore certify nothing.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
 from hypothesis import strategies as st
 
 from legclair import clairaut, expr
+from legclair.dynamics import NonFiniteStateError
 from legclair.expr import (
     FUNCTIONS,
     Add,
     Call,
     Div,
+    EvalDomainError,
     Mul,
     Neg,
     Num,
@@ -178,6 +181,35 @@ def hessian(system, q, v) -> np.ndarray:
     x = system.point(q, v)
     active = range(system.n, 2 * system.n)
     return eval_dual2(system.lagrangian, x, active).hess
+
+
+def rk4_list_driver(rhs, y0, t0, h, nsteps, record):
+    """The list-comprehension RK4 driver both flows ran before the loop was
+    generated per state length, kept as the reference for
+    ``dynamics._rk4``: ``record(i, t, y, info)`` stores node i from its
+    first stage, and an error raised in step i gets ``step``/``t`` and
+    "at RK4 step i (t = ...)"."""
+    y = y0
+    half, sixth = 0.5 * h, h / 6.0
+    for i in range(nsteps + 1):
+        t = t0 + i * h
+        try:
+            k1, info = rhs(y, True)
+            record(i, t, y, info)
+            if i == nsteps:
+                break
+            k2, _ = rhs([a + half * b for a, b in zip(y, k1)], False)
+            k3, _ = rhs([a + half * b for a, b in zip(y, k2)], False)
+            k4, _ = rhs([a + h * b for a, b in zip(y, k3)], False)
+            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, y)):
+                raise NonFiniteStateError("overflow to a non-finite state")
+        except (EvalDomainError, clairaut.SingularJacobianError,
+                clairaut.NewtonDivergedError, NonFiniteStateError) as exc:
+            exc.step, exc.t = i, t
+            exc.args = (f"{exc} at RK4 step {i} (t = {t:.6g})",)
+            raise
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import io
+import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -762,10 +764,11 @@ def test_a_3x3_block_goes_through_check_w11_and_gepp(monkeypatch):
 def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
     compiles = helpers.record_kernel_compiles(monkeypatch)
     stage, newton = "<legclair stage kernel>", "<legclair newton kernel>"
+    loop = "<legclair rk4 loop>"
 
     def sources():
         return [(name, src) for name, _, src in compiles
-                if name in (stage, newton)]
+                if name in (stage, newton, loop)]
 
     path = str(PROBLEMS[0])
     # the benchmark's set-up compiles none: an eager compile raised it 27 %
@@ -780,9 +783,14 @@ def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
     assert sources() == []
     out = str(tmp_path / "run")
     assert main(["--out", out, "integrate", path, "--method", "both"]) == 0
-    # the start's solve compiles the Newton, which the Hamiltonian stage calls
-    assert [name for name, _ in sources()] == [stage, newton, stage]
-    assert ["_newton(" in src for _, src in sources()] == [False, False, True]
+    # the start's solve compiles the Newton, which the Hamiltonian stage
+    # calls; both flows carry n + k entries, so they share one RK4 loop
+    assert [name for name, _ in sources()] == [stage, loop, newton, stage]
+    assert ["_newton(" in src for _, src in sources()] == [False, False,
+                                                           False, True]
+    compiles.clear()
+    assert main(["--out", out, "integrate", path, "--method", "el"]) == 0
+    assert [name for name, _ in sources()] == [stage, loop]
 
 
 def test_non_finite_state_stops_the_flow_at_its_step():
@@ -818,6 +826,126 @@ def test_domain_error_inside_a_step_names_the_step_and_time():
         step, t = err.value.step, err.value.t
         assert 0 < step < 100 and t == 0.01 * step
         assert str(err.value).endswith(f"at RK4 step {step} (t = {t:.6g})")
+
+
+def test_an_error_at_the_last_node_names_the_last_step(monkeypatch):
+    # the recorded first stage of node nsteps, the loop's last call, fails:
+    # the error names step nsteps and t = t1 on both flows
+    nsteps, span, dt = 4, (0.0, 0.5), 0.125
+    make_stage = dynamics._stage
+
+    def failing_at_the_last_node(*args):
+        make = make_stage(*args)
+
+        def factory(*bound):
+            stage, nodes = make(*bound), []
+
+            def run(y, monitor):
+                if monitor:
+                    nodes.append(y)
+                    if len(nodes) == nsteps + 1:
+                        raise EvalDomainError("overflow", "the last node")
+                return stage(y, monitor)
+            return run
+        return factory
+
+    monkeypatch.setattr(dynamics, "_stage", failing_at_the_last_node)
+    ham, gauge = make_ham("deg2"), GaugeChoice.constant(2, [0.0])
+    for run in (
+        lambda: integrate_el(ham, gauge, [0.1, 0.2], [0.3], span, dt),
+        lambda: integrate_ham(ham, gauge, [0.1, 0.2], [0.3, 0.1], span, dt),
+    ):
+        with pytest.raises(EvalDomainError) as err:
+            run()
+        assert (err.value.step, err.value.t) == (nsteps, 0.5)
+        assert str(err.value) == ("overflow in 'the last node' at RK4 step 4 "
+                                  "(t = 0.5)")
+
+
+# entries of the drawn states and constants: signed zeros, subnormals,
+# magnitudes near 1e300 and the overflow threshold, and ordinary floats
+RK4_ENTRIES = st.sampled_from(
+    (-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e308, -1.5e308)
+) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def rk4_cases(draw):
+    """(recipe, y0, t0, h, nsteps, fail_at) of ``drawn_stage`` runs with a
+    state of length m = 1..6."""
+    m = draw(st.integers(1, 6))
+    entry = st.integers(0, m - 1)
+    kinds = st.sampled_from(("sin", "mul", "shift", "scale"))
+    recipe = draw(st.lists(st.tuples(kinds, entry, entry, RK4_ENTRIES),
+                           min_size=m, max_size=m))
+    y0 = draw(st.lists(RK4_ENTRIES, min_size=m, max_size=m))
+    nsteps = draw(st.integers(1, 4))
+    fail_at = draw(st.none() | st.integers(1, 4 * nsteps + 1))
+    return (recipe, y0, draw(st.sampled_from((0.0, -0.0, 1.0, -2.5))),
+            draw(st.sampled_from((0.1, 0.5, 1.0, 1e10))), nsteps, fail_at)
+
+
+def drawn_stage(recipe, fail_at):
+    """A stage callable: output j is sin(y_a), y_a * y_b, y_a + c or c * y_a
+    for recipe[j] = (kind, a, b, c), and the recorded info is (dy_0, y).
+    It raises ``EvalDomainError`` at its call number ``fail_at`` and, as a
+    stage kernel's guards do, on a non-finite entry in or out."""
+    calls = []
+
+    def stage(y, monitor):
+        calls.append(monitor)
+        if len(calls) == fail_at:
+            raise EvalDomainError("drawn failure", f"call {fail_at}")
+        if not all(map(math.isfinite, y)):
+            raise EvalDomainError("overflow", "stage point")
+        dy = [math.sin(y[a]) if kind == "sin" else y[a] * y[b]
+              if kind == "mul" else y[a] + c if kind == "shift" else c * y[a]
+              for kind, a, b, c in recipe]
+        if not all(map(math.isfinite, dy)):
+            raise EvalDomainError("overflow", "stage output")
+        return dy, ((dy[0], list(y)) if monitor else None)
+    return stage
+
+
+def hexes(xs):
+    return [hexes(x) if isinstance(x, list) else float.hex(x) for x in xs]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(rk4_cases())
+# the update's sum overflows from finite slopes: NonFiniteStateError at step 0
+@example(([("shift", 0, 0, 0.0)], [1e308], 0.0, 0.5, 2, None))
+# y' = 10 y from 1e300: a slope overflows in step 2
+@example(([("scale", 0, 0, 10.0)], [1e300], 0.0, 1.0, 4, None))
+# the last node's recorded stage fails
+@example(([("sin", 0, 0, 0.0)], [-0.0], 1.0, 0.1, 2, 9))
+def test_generated_rk4_loop_matches_the_list_driver(case):
+    # every node's time, state and info bit for bit, or the same error with
+    # the same step, time and message
+    recipe, y0, t0, h, nsteps, fail_at = case
+    want, want_err, got_err = [], None, None
+    try:
+        helpers.rk4_list_driver(
+            drawn_stage(recipe, fail_at), list(y0), t0, h, nsteps,
+            lambda i, t, y, info: want.append([t, y, *info]))
+    except (EvalDomainError, NonFiniteStateError) as exc:
+        want_err = exc
+    try:
+        times, y, (dy0, states) = dynamics._rk4(
+            types.SimpleNamespace(_stages={}), drawn_stage(recipe, fail_at),
+            list(y0), t0, h, nsteps)
+    except (EvalDomainError, NonFiniteStateError) as exc:
+        got_err = exc
+    if want_err is not None:
+        assert type(got_err) is type(want_err)
+        assert got_err.step == want_err.step
+        assert float.hex(got_err.t) == float.hex(want_err.t)
+        assert str(got_err) == str(want_err)
+        return
+    assert got_err is None
+    got = [[t, x, d, state] for t, x, d, state in
+           zip(times.tolist(), y.tolist(), dy0.tolist(), states.tolist())]
+    assert hexes(got) == hexes(want)
 
 
 # --------------------------------------------------------------------------

@@ -69,7 +69,7 @@ from .partition import (
     RankNotConstantError,
     qv_names,
 )
-from .verify import CHUNK_ROWS, run_property_suite
+from .verify import CHUNK_ROWS, failing_rows, run_property_suite
 
 EXIT_OK = 0
 EXIT_PROBLEM = 2
@@ -401,6 +401,7 @@ def cmd_transform(problem: Problem, args, out):
     def evaluate(at):
         """Fill the table at rows ``at``, each map's column once it returns;
         one solve gives V, at which H and (Psi, H0) are formed."""
+        table[at] = np.nan
         q, p, v2 = rows[at, :n], rows[at, n:2 * n], rows[at, 2 * n:]
         p1 = p[:, reg]
         v1 = ham.solver.solve_many(q, p1, v2)
@@ -409,21 +410,17 @@ def cmd_transform(problem: Problem, args, out):
         table[at, 2:] = p[:, nonreg] - psi
 
     live = np.flatnonzero(inside)
+    errors = (NewtonDivergedError, SingularJacobianError, EvalDomainError)
     for start in range(0, len(live), CHUNK_ROWS):
         chunk = live[start:start + CHUNK_ROWS]
         try:
             evaluate(chunk)
-        except (NewtonDivergedError, SingularJacobianError, EvalDomainError):
-            # one row at a time: each row takes its own status and keeps the
+        except errors:
+            # each row that fails alone takes its own status and keeps the
             # columns computed before its error
-            table[chunk] = np.nan
-            for i in chunk:
-                try:
-                    evaluate([i])
-                except (NewtonDivergedError, SingularJacobianError):
-                    status[i] = "solver"
-                except EvalDomainError:
-                    status[i] = "domain"
+            for i, error in failing_rows(evaluate, chunk, errors):
+                domain = isinstance(error, EvalDomainError)
+                status[i] = "domain" if domain else "solver"
 
     header = (columns + ["H", "H0"] + [f"phi_{j + 1}" for j in range(n - k)]
               + ["status"])

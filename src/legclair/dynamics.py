@@ -583,22 +583,6 @@ class Trajectory:
     regular: tuple
 
 
-def _alloc(nsteps, n, k, regular) -> Trajectory:
-    nodes = nsteps + 1
-    return Trajectory(
-        times=np.empty(nodes),
-        q=np.empty((nodes, n)),
-        v=np.empty((nodes, n)),
-        p=np.empty((nodes, n)),
-        phi=np.empty((nodes, n - k)),
-        el_i2_res=np.full(nodes, np.nan),
-        hs3_res=np.full(nodes, np.nan),
-        n=n,
-        k=k,
-        regular=tuple(regular),
-    )
-
-
 class BoxExitError(Exception):
     """A trajectory left the declared box, where the rank partition is
     certified."""

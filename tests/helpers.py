@@ -15,8 +15,8 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from legclair import clairaut, expr
-from legclair.dynamics import NonFiniteStateError
+from legclair import clairaut, cli, expr, verify
+from legclair.dynamics import NonFiniteStateError, Trajectory
 from legclair.expr import (
     FUNCTIONS,
     Add,
@@ -181,6 +181,24 @@ def hessian(system, q, v) -> np.ndarray:
     x = system.point(q, v)
     active = range(system.n, 2 * system.n)
     return eval_dual2(system.lagrangian, x, active).hess
+
+
+def alloc_trajectory(nsteps, n, k, regular) -> Trajectory:
+    """An empty trajectory of nsteps + 1 nodes, both residual channels NaN,
+    for the hand-built trajectories of the reference integrators and tests."""
+    nodes = nsteps + 1
+    return Trajectory(
+        times=np.empty(nodes),
+        q=np.empty((nodes, n)),
+        v=np.empty((nodes, n)),
+        p=np.empty((nodes, n)),
+        phi=np.empty((nodes, n - k)),
+        el_i2_res=np.full(nodes, np.nan),
+        hs3_res=np.full(nodes, np.nan),
+        n=n,
+        k=k,
+        regular=tuple(regular),
+    )
 
 
 def rk4_list_driver(rhs, y0, t0, h, nsteps, record):
@@ -368,3 +386,10 @@ def record_eval_dual2_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def set_chunk_rows(monkeypatch, rows):
+    """Make ``verify`` and ``transform`` evaluate ``rows`` rows per chunk;
+    the CLI binds ``CHUNK_ROWS`` at import, so both names are patched."""
+    monkeypatch.setattr(verify, "CHUNK_ROWS", rows)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", rows)

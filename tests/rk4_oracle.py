@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from helpers import gepp_solve, lr_dot
+from helpers import alloc_trajectory, gepp_solve, lr_dot
 from legclair.clairaut import MixedHamiltonian, SingularJacobianError
 from legclair.dynamics import (
     PRIMARY_TOL,
     PrimaryConstraintError,
-    _alloc,
     _resolve_gauge,
     _validate_span,
 )
@@ -89,7 +88,7 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
     if v1.shape != (k,):
         raise ValueError(f"v10 has shape {v1.shape}, expected ({k},)")
 
-    traj = _alloc(nsteps, n, k, partition.regular)
+    traj = alloc_trajectory(nsteps, n, k, partition.regular)
     for i in range(nsteps + 1):
         accel1, i2_res, v, lv = _el_core(system, partition, gauge, q, v1)
         traj.times[i] = t0 + i * h
@@ -227,7 +226,7 @@ def integrate_ham(
             phi0,
         )
 
-    traj = _alloc(nsteps, n, k, partition.regular)
+    traj = alloc_trajectory(nsteps, n, k, partition.regular)
     for i in range(nsteps + 1):
         qdot, p1dot, hs3_res, v1, lv = _ham_core(
             ham, gauge, q, p1, phi0, include_r, v1_guess=v1

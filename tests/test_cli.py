@@ -656,6 +656,8 @@ def test_transform_solves_each_chunk_once(tmp_path, capsys, monkeypatch):
         return solve_lanes(self, q, p1, c2, v1_guess)
 
     monkeypatch.setattr(EnvelopeSolver, "solve_lanes", counted)
+    # a small chunk keeps the grid small and still crosses a boundary
+    helpers.set_chunk_rows(monkeypatch, 32)
     rows = verify.CHUNK_ROWS + 22
     assert main(["transform", deg1_problem(tmp_path),
                  "--grid", f"p1=-1:1:{rows}"]) == 0

@@ -5,8 +5,9 @@ reference.
 stacked rows.  Each command must write the same bytes, to stdout and to an
 ``--out`` file, and exit with the same code: on the shipped problems, on
 every corpus system, and on grids with rows outside the box, rows whose
-envelope solve fails, rows whose evaluation leaves the domain of L, and a
-grid of more than one chunk whose only failing row sits in the second.
+envelope solve fails, rows whose evaluation leaves the domain of L, and
+grids of several chunks whose failing rows sit first, last, side by side,
+on both sides of a chunk boundary, or fill a chunk.
 """
 
 import json
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import corpus
+import helpers
 import transform_oracle
 from legclair import cli, verify
 from legclair.partition import partition_indices
@@ -153,6 +155,7 @@ def test_transform_overflowing_newton_step_prints_nothing_to_stderr(
 
 def test_transform_failing_row_in_the_second_chunk_matches_reference(
         tmp_path, capsys, monkeypatch):
+    helpers.set_chunk_rows(monkeypatch, 16)
     path = problem(tmp_path, "exp(v1)", {"v1": [-12, -8]})
     p1 = np.linspace(1e-4, 1.0, verify.CHUNK_ROWS + 40)
     p1[verify.CHUNK_ROWS + 17] = -1.0
@@ -164,6 +167,37 @@ def test_transform_failing_row_in_the_second_chunk_matches_reference(
     assert len(statuses) == len(p1) > verify.CHUNK_ROWS
     assert [i for i, s in enumerate(statuses) if s != "ok"] == [
         verify.CHUNK_ROWS + 17]
+
+
+# failing rows of a 20-row grid in chunks of 8 (rows 0-7, 8-15, 16-19): the
+# index of each failing row and its status; p1 = -1 is out of reach of exp
+# (solver) and p1 = 1e308 overflows its first Newton step (domain)
+FAILING_ROWS = {
+    "first": {0: "solver"},
+    "last": {19: "domain"},
+    "adjacent": {4: "solver", 5: "domain"},
+    "both_sides_of_a_boundary": {7: "domain", 8: "solver"},
+    "whole_chunk": {i: ("solver", "domain")[i % 2] for i in range(8, 16)},
+    "scattered": {1: "domain", 3: "solver", 6: "solver", 17: "domain"},
+}
+
+
+@pytest.mark.parametrize("case", FAILING_ROWS)
+def test_transform_failing_rows_match_reference(case, tmp_path, capsys,
+                                                 monkeypatch):
+    helpers.set_chunk_rows(monkeypatch, 8)
+    path = problem(tmp_path, "exp(v1)", {"v1": [-12, -8]})
+    p1 = np.linspace(1e-4, 1.0, 20)
+    for i, status in FAILING_ROWS[case].items():
+        p1[i] = -1.0 if status == "solver" else 1e308
+    grid = "p1=" + ",".join(map(repr, p1.tolist()))
+    got = assert_same_as_reference(["transform", path, "--grid", grid],
+                                   capsys, monkeypatch)
+    statuses = [row.rsplit(",", 1)[1] for row in got[1].splitlines()[1:]]
+    want = FAILING_ROWS[case]
+    assert statuses == [want.get(i, "ok") for i in range(20)]
+    solver = "solver" in want.values()
+    assert got[0] == (cli.EXIT_SOLVER if solver else cli.EXIT_DOMAIN)
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from legclair.dynamics import (
     integrate_el,
     integrate_ham,
     write_trajectory_csv,
-    _alloc,
     _ham_rhs,
     _stage,
 )
@@ -969,7 +968,7 @@ def test_compare_trajectories_identity_and_mismatch():
 
 
 def test_first_box_exit_names_the_first_node_and_variable():
-    traj = _alloc(3, 2, 1, (0,))
+    traj = helpers.alloc_trajectory(3, 2, 1, (0,))
     traj.times[:] = [0.0, 0.1, 0.2, 0.3]
     traj.q[:] = [[0.0, 0.0], [0.5, 0.0], [0.5, 1.5], [2.0, 3.0]]
     traj.v[:] = [[1.0, 0.0], [1.0, 0.0], [-1.5, 0.0], [1.0, 0.0]]
@@ -1036,7 +1035,7 @@ def test_write_trajectory_csv_matches_the_row_loop(n, k):
     special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308,
                -1e308, 0.1, 1 / 3, 2.5e-17]
     rng = np.random.default_rng(n + 10 * k)
-    traj = _alloc(6, n, k, range(k))
+    traj = helpers.alloc_trajectory(6, n, k, range(k))
     for channel in ("times", "q", "v", "p", "phi", "el_i2_res", "hs3_res"):
         values = getattr(traj, channel)
         values[...] = rng.choice(special, values.shape)

@@ -420,31 +420,116 @@ def test_worst_values_skip_nan_samples_as_max_does(monkeypatch):
     assert vars(got) == vars(want) and got.worst == 2e-7
 
 
-def test_a_failing_chunk_ends_in_the_first_failing_sample_error(monkeypatch):
-    # a stacked map may meet a later sample's error first, as when that
-    # sample fails at an earlier stage; the suite must still end in the
-    # first failing sample's error, as the reference does
-    ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
+def residual_samples(ham, samples, monkeypatch):
+    """The q rows of the Clairaut residual's samples, in order, and the
+    sizes of its stacked calls; the residual reads 0 at every sample."""
+    seen = []
+
+    def stacked(q, p, v2):
+        seen.append(q.copy())
+        return np.zeros(len(q))
+
+    with monkeypatch.context() as m:
+        m.setattr(ham, "clairaut_residual_many", stacked)
+        verify.run_property_suite(ham, samples, 0, 1e-6, 1e-7)
+    return np.concatenate(seen), [len(q) for q in seen]
+
+
+def fail_residual_at(ham, failing_q, monkeypatch):
+    """Make the Clairaut residual raise at the samples whose q1 is in
+    ``failing_q``: the single-point map at its own sample, the stacked map
+    at the last such sample of its rows.  Returns the stacked map's calls."""
+    calls = []
 
     def single(ham, q, p, v2):
-        if q[0] > 0.0:
+        if q[0] in failing_q:
             raise SingularJacobianError(f"sample at q={q.tolist()}")
         return 0.0
 
     def stacked(q, p, v2):
-        failing = [i for i, row in enumerate(q) if row[0] > 0.0]
+        calls.append(len(q))
+        failing = [i for i, row in enumerate(q) if row[0] in failing_q]
         if failing:
             single(ham, q[failing[-1]], p, v2)
         return np.zeros(len(q))
 
     monkeypatch.setattr(maps_oracle, "clairaut_residual", single)
     monkeypatch.setattr(ham, "clairaut_residual_many", stacked)
-    errors = []
-    for suite in (verify.run_property_suite, verify_oracle.run_property_suite):
-        with pytest.raises(SingularJacobianError) as err:
-            suite(ham, 20, 0, 1e-6, 1e-7)
-        errors.append(str(err.value))
-    assert errors[0] == errors[1]
+    return calls
+
+
+# (chunk rows, indices of the failing samples among 20)
+FAILING_SAMPLES = [
+    (verify.CHUNK_ROWS, (0,)),
+    (verify.CHUNK_ROWS, (19,)),
+    (verify.CHUNK_ROWS, (4, 5)),
+    (verify.CHUNK_ROWS, (2, 9, 13, 19)),
+    (verify.CHUNK_ROWS, tuple(range(1, 20, 2))),
+    (8, (7, 8)),
+    (8, (9, 12, 14)),
+    (8, tuple(range(8, 16))),
+]
+
+
+def test_a_failing_chunk_ends_in_the_first_failing_sample_error(monkeypatch):
+    # a stacked map may meet a later sample's error first, as when that
+    # sample fails at an earlier stage; the suite must still end in the
+    # first failing sample's error, as the reference does
+    ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
+    for chunk, failing in FAILING_SAMPLES:
+        with monkeypatch.context() as m:
+            m.setattr(verify, "CHUNK_ROWS", chunk)
+            q = residual_samples(ham, 20, m)[0]
+            fail_residual_at(ham, {q[i, 0] for i in failing}, m)
+            errors = []
+            for suite in (verify.run_property_suite,
+                          verify_oracle.run_property_suite):
+                with pytest.raises(SingularJacobianError) as err:
+                    suite(ham, 20, 0, 1e-6, 1e-7)
+                errors.append(str(err.value))
+        first = f"sample at q={q[failing[0]].tolist()}"
+        assert errors[0] == errors[1] == first, (chunk, failing)
+
+
+@pytest.mark.parametrize("count, failing", [
+    (1, {0}), (2, {1}), (5, {0, 4}), (7, {2, 3}), (64, {17}),
+    (64, set(range(64))),
+])
+def test_failing_rows_yields_each_failing_row_in_order(count, failing):
+    calls = []
+
+    def run(rows):
+        calls.append(len(rows))
+        bad = [i for i in rows.tolist() if i in failing]
+        if bad:
+            raise ValueError(bad[-1])
+
+    got = [(int(row), str(error))
+           for row, error in verify.failing_rows(run, np.arange(count))]
+    assert got == [(i, str(i)) for i in sorted(failing)]
+    assert 0 not in calls  # no empty half runs
+
+
+@pytest.mark.parametrize("failing", [0, 1, 31, 32, 62, 63])
+def test_a_failing_chunk_is_narrowed_by_bisection(failing, monkeypatch):
+    # 64 rows with one failing row: the chunk's own call, then at most two
+    # calls per halving
+    ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
+    q = residual_samples(ham, 64, monkeypatch)[0]
+    calls = fail_residual_at(ham, {q[failing, 0]}, monkeypatch)
+    with pytest.raises(SingularJacobianError) as err:
+        verify.run_property_suite(ham, 64, 0, 1e-6, 1e-7)
+    assert str(err.value) == f"sample at q={q[failing].tolist()}"
+    assert calls[0] == 64 and len(calls) <= 1 + 2 * 6
+
+
+def test_a_property_evaluates_at_most_chunk_rows_samples_at_once(
+        monkeypatch):
+    # the chunk bounds the suite's memory whatever the problem's samples
+    ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
+    samples = 2 * verify.CHUNK_ROWS + 1
+    sizes = residual_samples(ham, samples, monkeypatch)[1]
+    assert sizes == [verify.CHUNK_ROWS, verify.CHUNK_ROWS, 1]
 
 
 def test_stacked_maps_check_shapes():

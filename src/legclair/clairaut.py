@@ -395,20 +395,20 @@ def _build_newton(system, partition):
     """Generate and compile the envelope Newton of (system, partition).
 
     The kernel ``kernel(tol, max_iter, max_backtracks, point, p1, v1)`` is
-    :meth:`EnvelopeSolver.iterate` on Python floats.  Each evaluation calls
-    ``_ev``, L's v1-active triple by the operations of ``eval_dual2(lag,
-    point, active)``'s kernel, which returns the gradient and W11 locals,
-    or None where ``eval_dual2`` raises (a fault, a domain guard or a
-    non-finite output).  From a residual r = p1 - dL/dv1 with max-norm
-    above ``tol``, W11 is checked and the step solves W11 d = r, both as
-    :func:`emit_check_w11` and :func:`emit_gepp` emit them; the step is
-    halved, up to ``max_backtracks`` times, until the trial's residual
+    :meth:`EnvelopeSolver.solve`'s damped Newton on Python floats.  Each
+    evaluation calls ``_ev``, L's v1-active triple by the operations of
+    ``eval_dual2(lag, point, active)``'s kernel, which returns the gradient
+    and W11 locals, or None where ``eval_dual2`` raises (a fault, a domain
+    guard or a non-finite output).  From a residual r = p1 - dL/dv1 with
+    max-norm above ``tol``, W11 is checked and the step solves W11 d = r,
+    both as :func:`emit_check_w11` and :func:`emit_gepp` emit them; the step
+    is halved, up to ``max_backtracks`` times, until the trial's residual
     norm is smaller.  A finite trial whose evaluation fails is halved too.
-    An evaluation that fails at the start or at a non-finite trial reruns
-    as an ``eval_dual2`` call, to raise its exact error; a halving that
-    runs out, or ``max_iter`` iterations, raise ``NewtonDivergedError``
-    with the residual norms of the iterates.  ``point`` is left at the
-    last v1 evaluated, which is V on return.
+    An evaluation that fails at the start or at a non-finite trial reruns as
+    an ``eval_dual2`` call, to raise its exact error; a halving that runs
+    out, or ``max_iter`` iterations, raise ``NewtonDivergedError`` with the
+    residual norms of the iterates.  ``point`` is left at the last v1
+    evaluated, which is V on return.
     """
     n, lag, tol = system.n, system.lagrangian, partition.rank_tolerance
     active = tuple(n + i for i in partition.regular)
@@ -545,24 +545,13 @@ class EnvelopeSolver:
         point = q.tolist() + [0.0] * len(q)
         for slot, x in zip(self._v2_slots, c2.tolist()):
             point[slot] = x
-        return np.array(self.iterate(point, p1.tolist(), v1.tolist()))
-
-    def iterate(self, point: list, p1: list, v1: list) -> list:
-        """:meth:`solve`'s damped Newton iteration on Python floats.
-
-        ``point`` is the list (q, v) with its v2 entries set, ``p1`` the
-        regular momenta and ``v1`` the starting regular velocities.  Returns
-        V as a list and leaves ``point`` at (q, V, v2).  The iteration is
-        the generated kernel of :meth:`newton`.
-        """
-        if not self._v1_active:
-            return []
-        return self.newton()(point, p1, v1)
+        return np.array(self.newton()(point, p1.tolist(), v1.tolist()))
 
     def newton(self):
         """The envelope Newton kernel of (system, partition), bound to this
-        solver's settings: ``newton()(point, p1, v1)`` is ``iterate(point,
-        p1, v1)`` where k > 0.
+        solver's settings: for k > 0, ``newton()(point, p1, v1)`` takes float
+        lists, ``point`` being (q, v) with v2 set, returns V and leaves
+        ``point`` at (q, V, v2).
 
         The kernel is generated by :func:`_build_newton` at the first call
         and kept on the system, beside the flows' stage kernels.

@@ -26,11 +26,11 @@ Subcommands:
 * ``integrate``  - run one or both gauge-fixed flows, write CSV trajectories
 * ``verify``     - run the numerical property suite against the system
 
-Exit codes: 0 success; 2 problem-file or expression errors; 3 inconsistent
-Hessian rank over the domain; 4 solver failures (including rejected initial
-data); 5 out-of-domain requests, including an ``integrate`` run that leaves
-the declared box; 6 flow-equivalence failure; 7 property failures from
-``verify``.
+Exit codes: 0 success; 2 problem-file or expression errors, or output that
+cannot be written; 3 inconsistent Hessian rank over the domain; 4 solver
+failures (including rejected initial data); 5 out-of-domain requests,
+including an ``integrate`` run that leaves the declared box; 6 flow-
+equivalence failure; 7 property failures from ``verify``.
 """
 
 from __future__ import annotations
@@ -124,6 +124,14 @@ def _is_real(val) -> bool:
     if isinstance(val, int):
         return not isinstance(val, bool) and abs(val) <= sys.float_info.max
     return isinstance(val, float)
+
+
+def _written(write, *args, **kwargs):
+    """``write(*args, **kwargs)``, whose OSError is a ProblemError (exit 2)."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:
+        raise ProblemError(f"cannot write output: {exc}") from exc
 
 
 def load_problem(path) -> Problem:
@@ -265,12 +273,15 @@ def cmd_analyze(problem: Problem, args, out):
         size=(args.points, 2 * n),
     )
     q, p1, p2 = rows[:, :n], rows[:, n:n + k], rows[:, n + k:]
+    errors = (NewtonDivergedError, SingularJacobianError, EvalDomainError)
     try:
         _, psi, h_zero = ham.envelope_many(q, p1)
-    except (NewtonDivergedError, SingularJacobianError, EvalDomainError):
-        # the first sample that fails on its own raises its error
-        for one in range(len(rows)):
-            ham.envelope_many(q[one:one + 1], p1[one:one + 1])
+    except errors:
+        # the lowest sample that fails on its own raises its error
+        for _, error in failing_rows(
+                lambda at: ham.envelope_many(q[at], p1[at]),
+                np.arange(len(rows)), errors):
+            raise error
         raise
     samples = [
         {
@@ -503,7 +514,7 @@ def cmd_integrate(problem: Problem, args, out):
     q0, v1, p0 = _initial_data(problem, ham, gauge)
 
     outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
+    _written(os.makedirs, outdir, exist_ok=True)
     report = {}
     trajectories = {}
     # each flow's monitor and run, in report order
@@ -519,7 +530,7 @@ def cmd_integrate(problem: Problem, args, out):
             continue
         traj = trajectories[side] = run()
         path = os.path.join(outdir, f"trajectory_{side}.csv")
-        write_trajectory_csv(traj, path)
+        _written(write_trajectory_csv, traj, path)
         report[side] = {
             "path": path,
             "nodes": int(traj.times.size),
@@ -704,7 +715,7 @@ def main(argv=None) -> int:
         problem = load_problem(args.problem)
         handler = handlers[args.command]
         if use_file:
-            with open(args.out, "w") as fh:
+            with _written(open, args.out, "w") as fh:
                 return handler(problem, args, fh)
         return handler(problem, args, sys.stdout)
     except tuple(_EXIT_CODES) as exc:

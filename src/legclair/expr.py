@@ -134,7 +134,8 @@ class Expression:
     root: object
     variables: tuple[str, ...]
     source: str = field(compare=False, default="")
-    # compiled kernels, keyed by active-index tuple (see eval_dual2)
+    # compiled kernels: scalar ones keyed by _active_key's tuple or
+    # _VALUE_ONLY, stacked ones by (_STACKED, that key) (see Evaluation)
     _kernels: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
 
@@ -406,8 +407,10 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # A constant exponent is folded while parsing by the checked value-only
 # function of its subtree (a plain number is taken as it is), so it meets
 # ``evaluate``'s domain and overflow checks, and a failing one is a
-# ``ParseError`` that quotes the ``EvalDomainError``.  The
-# function takes the point as plain floats and runs straight-line code, one
+# ``ParseError`` that quotes the ``EvalDomainError``.  The function takes
+# the point as plain floats and returns the value, or for a dual kernel the
+# tuple of flat outputs that a stacked kernel's row holds (the value, the
+# gradient, then the Hessian row by row).  It runs straight-line code, one
 # statement per operation: every value, gradient and Hessian entry goes
 # through the operations a forward pass over (value, gradient, Hessian)
 # triples performs, in its order, except that a quotient's value is num /
@@ -464,37 +467,12 @@ class Dual2:
     index list was given; the Hessian is square over the same slots.  From
     :func:`eval_dual2_many` each field carries one more leading axis, one
     entry per point.
-
-    A scalar kernel hands over its gradient and Hessian as tuples of floats:
-    ``grad`` and ``hess`` build their arrays at first use, and
-    :meth:`floats` gives the floats without building any.
     """
 
-    __slots__ = ("value", "_grad", "_hess")
+    __slots__ = ("value", "grad", "hess")
 
     def __init__(self, value, grad, hess):
-        self.value = value
-        self._grad = grad
-        self._hess = hess
-
-    @property
-    def grad(self) -> np.ndarray:
-        if type(self._grad) is tuple:
-            self._grad = np.array(self._grad, dtype=float)
-        return self._grad
-
-    @property
-    def hess(self) -> np.ndarray:
-        if type(self._hess) is tuple:
-            self._hess = (np.array(self._hess, dtype=float) if self._hess
-                          else np.zeros((0, 0)))
-        return self._hess
-
-    def floats(self):
-        """(gradient, Hessian rows) of a single point as float sequences."""
-        g, h = self._grad, self._hess
-        return (g if type(g) is tuple else g.tolist(),
-                h if type(h) is tuple else h.tolist())
+        self.value, self.grad, self.hess = value, grad, hess
 
     def __repr__(self):
         return f"Dual2(value={self.value!r}, grad={self.grad!r}, hess={self.hess!r})"
@@ -544,7 +522,7 @@ class _Codegen:
         self.frags = []     # checked mode: fragment of the node being emitted
         self.ns = dict(_MATH, _E=EvalDomainError, _FAULTS=_FAULTS,
                        _NONFINITE=_NONFINITE, _finite=_all_finite,
-                       _isfinite=math.isfinite, _Dual2=Dual2)
+                       _isfinite=math.isfinite)
 
     def const(self, obj) -> str:
         name = f"_k{len(self.ns)}"
@@ -925,24 +903,17 @@ def _each(func, column, *args) -> np.ndarray:
     )
 
 
-def _tuple_source(items) -> str:
-    return f"({''.join(item + ', ' for item in items)})"
-
-
 def _compile(root, nvars: int, active, checked=False):
     """Generate, compile and return the kernel for one active tuple.
 
     ``active`` None gives the value-only kernel.  The kernel takes the point
-    as a list of floats and returns a float or a :class:`Dual2`.
+    as a list of floats and returns the value, or a dual kernel's flat
+    outputs as a tuple, the row a stacked kernel gives (see :func:`_dual2`).
     """
     cg = _Codegen(active, checked)
-    v, g, h = out = cg.visit(root)
-    outputs = cg.flat(out)
-    result = cg.lit(v)
-    if not cg.value_only:
-        grad = _tuple_source(map(cg.lit, g))
-        hess = _tuple_source(_tuple_source(map(cg.lit, row)) for row in h)
-        result = f"_Dual2({result}, {grad}, {hess})"
+    outputs = cg.flat(cg.visit(root))
+    result = (cg.lit(outputs[0]) if cg.value_only
+              else "".join(f"{cg.lit(q)}, " for q in outputs))
     src = ["def kernel(p):"]
     if nvars:
         src.append("    " + "".join(f"x{i}, " for i in range(nvars)) + "= p")
@@ -995,13 +966,7 @@ def _compile_many(root, nvars: int, active):
     return cg.build(src, "<legclair stacked kernel>")
 
 
-_FLOAT = {float}
-
-
 def _point(e: Expression, point) -> list:
-    if (type(point) is list and len(point) == len(e.variables)
-            and set(map(type, point)) == _FLOAT):
-        return point  # already what the kernels take
     point = np.asarray(point, dtype=float)
     nv = len(e.variables)
     if point.shape != (nv,):
@@ -1029,11 +994,14 @@ def _kernel(e: Expression, key):
     return kernel
 
 
-def _dual_kernel(e: Expression, active):
-    kernel = _kernel(e, _active_key(e, active))
-    if active is None or type(active) in (tuple, range):
-        e._kernels[active] = kernel  # the caller's own form hits next time
-    return kernel
+def _dual2(flat, m: int) -> Dual2:
+    """The :class:`Dual2` of flat outputs over m slots: a scalar kernel's
+    tuple, whose value stays a Python float, or a stacked kernel's (count,
+    1 + m + m*m) array of rows (value, gradient, Hessian row by row)."""
+    out = np.asarray(flat, dtype=float)
+    value = flat[0] if type(flat) is tuple else out[:, 0]
+    lead = out.shape[:-1]
+    return Dual2(value, out[..., 1:m + 1], out[..., m + 1:].reshape(*lead, m, m))
 
 
 def eval_dual2(e: Expression, point, active=None) -> Dual2:
@@ -1050,11 +1018,8 @@ def eval_dual2(e: Expression, point, active=None) -> Dual2:
     value, gradient or Hessian overflows to a non-finite number.
     """
     p = _point(e, point)
-    try:
-        kernel = e._kernels[active]
-    except (KeyError, TypeError):  # first use of this tuple, or unhashable
-        kernel = _dual_kernel(e, active)
-    return kernel(p)
+    key = _active_key(e, active)
+    return _dual2(_kernel(e, key)(p), len(key))
 
 
 def evaluate(e: Expression, point) -> float:
@@ -1066,11 +1031,7 @@ def evaluate(e: Expression, point) -> float:
     ``EvalDomainError``.
     """
     p = _point(e, point)
-    try:
-        kernel = e._kernels[_VALUE_ONLY]
-    except KeyError:
-        kernel = _kernel(e, _VALUE_ONLY)
-    return kernel(p)
+    return _kernel(e, _VALUE_ONLY)(p)
 
 
 _STACKED = object()  # first half of the cache key of every stacked kernel
@@ -1129,18 +1090,12 @@ def _run_many(e: Expression, points, key, width):
     else:
         if cols is not None:
             out = out[:, cols]
-    rows = np.flatnonzero(bad)
-    if rows.size:
-        scalar = _kernel(e, key)
     failed = {}
-    for i in rows.tolist():
+    for i in np.flatnonzero(bad).tolist():
         try:
-            d = scalar(points[i].tolist())
+            out[i] = _kernel(e, key)(points[i].tolist())
         except EvalDomainError as err:
             out[i], failed[i] = np.nan, err
-        else:
-            out[i] = d if key is _VALUE_ONLY else np.concatenate(
-                ([d.value], d.grad, d.hess.ravel()))
     return out, failed
 
 
@@ -1156,8 +1111,7 @@ def eval_dual2_rows(e: Expression, points, active=None):
     key = _active_key(e, active)
     m = len(key)
     out, failed = _run_many(e, points, key, 1 + m + m * m)
-    return Dual2(out[:, 0], out[:, 1:m + 1],
-                 out[:, m + 1:].reshape(len(out), m, m)), failed
+    return _dual2(out, m), failed
 
 
 def eval_dual2_many(e: Expression, points, active=None) -> Dual2:

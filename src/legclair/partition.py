@@ -25,7 +25,6 @@ __all__ = [
     "RankNotConstantError",
     "NoValidMinorError",
     "qv_names",
-    "hessian",
     "numerical_rank",
     "partition_indices",
 ]

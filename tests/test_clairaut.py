@@ -491,7 +491,7 @@ NEWTON_CASE = settings(derandomize=True, database=None, max_examples=300,
 def test_generated_newton_matches_the_reference_loop(case):
     # the generated Newton against reference_newton on drawn Lagrangians
     # with k = 1, 2 and 3: the same bits, or the same error type, text and
-    # residual history; on success iterate leaves the point at V
+    # residual history; on success the kernel leaves the point at V
     source, k, q, c2, v, reachable, p1, guess, (max_iter, backtracks) = case
     n = k + 1
     system = LagrangianSystem.from_source(n, source)
@@ -508,7 +508,7 @@ def test_generated_newton_matches_the_reference_loop(case):
     if not isinstance(got, Exception):
         point = q + [0.0] * k + [c2]
         start = solver.default_guess().tolist() if guess is None else guess
-        got = solver.iterate(point, np.asarray(p1, float).tolist(), start)
+        got = solver.newton()(point, np.asarray(p1, float).tolist(), start)
         assert point == q + got + [c2]
 
 

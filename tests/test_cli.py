@@ -1,9 +1,11 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import legclair
 from legclair import cli, verify
 from legclair.clairaut import EnvelopeSolver
 from legclair.cli import main
@@ -142,6 +145,29 @@ def test_blowing_up_flow_names_the_step_and_time(tmp_path, capsys):
     step = int(re.search(r"at RK4 step (\d+) \(t = ", err).group(1))
     assert 0 < step < 300
     assert err.endswith(f"at RK4 step {step} (t = {0.01 * step:.6g})")
+
+
+def test_unwritable_report_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["--out", str(out), "analyze", osc_problem(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert not out.parent.exists()
+
+
+def test_integrate_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--out", str(taken), "integrate", osc_problem(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert taken.read_text() == ""
+
+
+def test_unwritable_trajectory_csv_exits_2(tmp_path, capsys):
+    (tmp_path / "w" / "trajectory_el.csv").mkdir(parents=True)
+    code = main(["--out", str(tmp_path / "w"), "integrate", "--method", "el",
+                 osc_problem(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
 def test_unknown_problem_key_exits_2(tmp_path, capsys):
@@ -763,6 +789,15 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "no primary constraints" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["legclair", *(
+    f"legclair.{m.name}" for m in pkgutil.iter_modules(legclair.__path__))])
+def test_star_import_resolves_every_public_name(module):
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    public = getattr(importlib.import_module(module), "__all__", ())
+    assert all(name in namespace for name in public)
 
 
 def _cpu_has_fma():

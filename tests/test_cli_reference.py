@@ -226,6 +226,20 @@ def test_analyze_failing_sample_matches_reference(tmp_path, capsys,
     got = assert_same_as_reference(["analyze", path, "--points", "5"],
                                    capsys, monkeypatch)
     assert got[0] == cli.EXIT_SOLVER and got[2].startswith("error: ")
+    # dL/dv1 = v1/sqrt(1 + v1^2) never reaches |p1| >= 1, and W vanishes on
+    # the way there, so exactly the samples with |p1| >= 1 fail: at seed 1
+    # sample 5 alone, at seed 4 samples 1, 4 and 5, at seed 7 samples 1-4
+    path = problem(tmp_path, "sqrt(1 + v1^2) + 0.5*q1^2", {"v1": [-2, 2]})
+    for seed, first in ((1, 5), (4, 1), (7, 1)):
+        system = cli.load_problem(path).system
+        rng = np.random.default_rng(seed)
+        system.sample(rng, 100)  # the |det W11| sweep's draw
+        p1 = rng.uniform(system.domain_lo, system.domain_hi, (6, 2))[:, 1]
+        assert np.flatnonzero(abs(p1) >= 1.0)[0] == first
+        got = assert_same_as_reference(
+            ["--seed", str(seed), "analyze", path, "--points", "6"],
+            capsys, monkeypatch)
+        assert got[0] == cli.EXIT_SOLVER and got[2].startswith("error: ")
 
 
 def test_analyze_failing_det_sample_matches_reference(tmp_path, capsys,

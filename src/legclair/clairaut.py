@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
-    _FAULTS,
-    EvalDomainError,
     Expression,
     _Codegen,
     _Term,
+    _evaluates,
     eval_dual2,
     eval_dual2_many,
     eval_dual2_rows,
@@ -117,10 +116,9 @@ def check_w11(w11, tol: float, where: str, **at):
     (arrays or float lists), built only on failure.
 
     W11 is one block, as an array (k, k) or as k float rows, or a stack of
-    blocks (count, k, k), checked block by block with one row of each
-    ``at`` value per block; the first singular block is named, and the
-    singular values come back as one entry per block.  Every check is
-    decided as ``np.linalg.svd`` decides it.  A 1×1 or 2×2 block, alone or
+    blocks (count, k, k), whose lowest singular lane's error from
+    :func:`singular_lanes` is raised.  Every check is decided as
+    ``np.linalg.svd`` decides it.  A 1×1 or 2×2 block, alone or
     in a stack, first meets one closed form (:func:`_closed_form`, on
     floats for a block and on numpy columns for a stack), which only ever
     passes a block; the SVD takes every block it does not pass, and only
@@ -156,42 +154,50 @@ def check_w11(w11, tol: float, where: str, **at):
     it never reaches LAPACK, which returns NaN or fails to converge there.
     """
     if type(w11) is np.ndarray and w11.ndim == 3:
-        count, k = len(w11), w11.shape[-1]
-        if k < 3:
-            with np.errstate(all="ignore"):  # non-finite and overflowing lanes
-                smallest, largest, passes = _closed_form(
-                    [[w11[:, i, j] for j in range(k)] for i in range(k)],
-                    tol, np)
-        else:
-            smallest, largest = np.empty(count), np.empty(count)
-            passes = np.zeros(count, dtype=bool)
-        if passes.all():
-            return smallest, largest
-        rest = ~passes
-        sv = _singular_values(w11[rest])
-        smallest[rest], largest[rest] = sv[:, -1], sv[:, 0]
-        singular = ~_clears(smallest, largest, tol, np)
-        if not singular.any():
-            return smallest, largest
-        first = int(np.argmax(singular))
-        smallest, largest = smallest[first], largest[first]
-        at = {name: x[first] for name, x in at.items()}
-    else:
-        passes = False
-        if len(w11) < 3:
-            smallest, largest, passes = _closed_form(
-                w11.tolist() if type(w11) is np.ndarray else w11, tol,
-                _FLOAT_OPS)
-        if not passes:
-            sv = _singular_values(w11)
-            smallest, largest = sv[-1], sv[0]
+        smallest, largest, errors = singular_lanes(w11, tol, where, **at)
+        if errors:
+            raise errors[min(errors)]
+        return smallest, largest
+    passes = False
+    if len(w11) < 3:
+        smallest, largest, passes = _closed_form(
+            w11.tolist() if type(w11) is np.ndarray else w11, tol, _FLOAT_OPS)
+    if not passes:
+        sv = _singular_values(w11)
+        smallest, largest = sv[-1], sv[0]
     if not _clears(smallest, largest, tol, _FLOAT_OPS):  # NaN is singular too
-        point = ", ".join(f"{name}={np.asarray(x, dtype=float).tolist()}"
-                          for name, x in at.items())
-        raise SingularJacobianError(
-            f"{where} {point} (smallest singular value {smallest:.3e})"
-        )
+        raise _singular(where, smallest, at)
     return smallest, largest
+
+
+def singular_lanes(w11, tol, where, **at):
+    """:func:`check_w11` on each block of a stack (count, k, k) and its row
+    of each ``at`` value: (smallest, largest) by block, and ``{lane: the
+    error check_w11 raises on that block alone}`` for every singular one."""
+    count, k = len(w11), w11.shape[-1]
+    if k < 3:
+        with np.errstate(all="ignore"):  # non-finite and overflowing lanes
+            smallest, largest, passes = _closed_form(
+                [[w11[:, i, j] for j in range(k)] for i in range(k)], tol, np)
+    else:
+        smallest, largest = np.empty(count), np.empty(count)
+        passes = np.zeros(count, dtype=bool)
+    rest = ~passes
+    if not rest.any():
+        return smallest, largest, {}
+    sv = _singular_values(w11[rest])
+    smallest[rest], largest[rest] = sv[:, -1], sv[:, 0]
+    singular = np.flatnonzero(~_clears(smallest, largest, tol, np))
+    return smallest, largest, {int(j): _singular(
+        where, smallest[j], {name: x[j] for name, x in at.items()})
+        for j in singular}
+
+
+def _singular(where, smallest, at) -> SingularJacobianError:
+    point = ", ".join(f"{name}={np.asarray(x, dtype=float).tolist()}"
+                      for name, x in at.items())
+    return SingularJacobianError(
+        f"{where} {point} (smallest singular value {smallest:.3e})")
 
 
 def _clears(smallest, largest, tol, ops, margin=0.0):
@@ -329,10 +335,6 @@ def _known(a) -> bool:
     return all(isinstance(x, float) for row in a for x in row)
 
 
-def _list_source(cg, xs) -> str:
-    return f"[{', '.join(map(cg.lit, xs))}]"
-
-
 def emit_check_w11(cg, w11, tol, where, **at):
     """``check_w11(w11, tol, where, **at)`` in the body ``cg`` writes, on
     its quantities: a block known at generation is decided here, once, and
@@ -345,9 +347,9 @@ def emit_check_w11(cg, w11, tol, where, **at):
             pass
     cg.ns["_check_w11"] = check_w11
     cg.lines.append(
-        f"_check_w11({_list_source(cg, (_list_source(cg, r) for r in w11))}, "
+        f"_check_w11({cg.list_source(map(cg.list_source, w11))}, "
         f"{cg.lit(tol)}, {where!r}, "
-        + ", ".join(f"{name}={_list_source(cg, x)}" for name, x in at.items())
+        + ", ".join(f"{name}={cg.list_source(x)}" for name, x in at.items())
         + ")")
 
 
@@ -363,8 +365,7 @@ def emit_gepp(cg, a, cols):
     cg.ns["_gepp"] = gepp
 
     def slots(rows):  # a placeholder per entry, for cg.op
-        return _list_source(cg, (_list_source(cg, ["{}"] * len(r))
-                                 for r in rows))
+        return cg.list_source(cg.list_source(["{}"] * len(r)) for r in rows)
 
     out = cg.op(f"_gepp({slots(a)}, {slots(cols)})",
                 *(x for row in (*a, *cols) for x in row))
@@ -372,23 +373,12 @@ def emit_gepp(cg, a, cols):
             for c in range(len(cols))]
 
 
-def _failed_newton(lag, active, point, v1):
-    """Raise the ``EvalDomainError`` of L's evaluation at ``point`` with the
-    v1 slots set to ``v1``, where the Newton kernel's evaluation failed."""
-    for slot, x in zip(active, v1):
-        point[slot] = x
+def _failed_newton(lag, active, point):
+    """Raise the ``EvalDomainError`` of L's evaluation at ``point``, where
+    the Newton kernel's evaluation failed, or return an AssertionError
+    where ``eval_dual2`` passes."""
     eval_dual2(lag, point, active)
     return AssertionError("the Newton kernel failed where eval_dual2 passes")
-
-
-def _evaluates(lag, active, point) -> bool:
-    """Whether ``eval_dual2`` returns at ``point``: its checked rerun decides
-    where the outputs are finite but their sum overflows."""
-    try:
-        eval_dual2(lag, point, active)
-    except EvalDomainError:
-        return False
-    return True
 
 
 def _build_newton(system, partition):
@@ -398,17 +388,17 @@ def _build_newton(system, partition):
     :meth:`EnvelopeSolver.solve`'s damped Newton on Python floats.  Each
     evaluation calls ``_ev``, L's v1-active triple by the operations of
     ``eval_dual2(lag, point, active)``'s kernel, which returns the gradient
-    and W11 locals, or None where ``eval_dual2`` raises (a fault, a domain
-    guard or a non-finite output).  From a residual r = p1 - dL/dv1 with
-    max-norm above ``tol``, W11 is checked and the step solves W11 d = r,
-    both as :func:`emit_check_w11` and :func:`emit_gepp` emit them; the step
-    is halved, up to ``max_backtracks`` times, until the trial's residual
-    norm is smaller.  A finite trial whose evaluation fails is halved too.
-    An evaluation that fails at the start or at a non-finite trial reruns as
+    and W11 locals, or None where ``eval_dual2`` raises (``_Codegen.guarded``
+    tests it).  From a residual r = p1 - dL/dv1 with max-norm above
+    ``tol``, W11 is checked and the step solves W11 d = r, both as
+    :func:`emit_check_w11` and :func:`emit_gepp` emit them; the step is
+    halved, up to ``max_backtracks`` times, until the trial's residual norm
+    is smaller.  A finite trial whose evaluation fails is halved too.  An
+    evaluation that fails at the start or at a non-finite trial reruns as
     an ``eval_dual2`` call, to raise its exact error; a halving that runs
     out, or ``max_iter`` iterations, raise ``NewtonDivergedError`` with the
-    residual norms of the iterates.  ``point`` is left at the last v1
-    evaluated, which is V on return.
+    residual norms of the iterates.  Unless an evaluation's error is
+    raised, ``point`` is left at the last v1 evaluated, which is V on return.
     """
     n, lag, tol = system.n, system.lagrangian, partition.rank_tolerance
     active = tuple(n + i for i in partition.regular)
@@ -419,16 +409,10 @@ def _build_newton(system, partition):
     outputs = cg.flat(out)
     used = [x for x in dict.fromkeys(grad if _known(hess) else outputs[1:])
             if isinstance(x, str) and x not in xs]
-    live = cg.live(outputs)
-    ev = [f"def _ev({', '.join(xs)}):"]
-    if cg.lines:
-        ev += ["    try:", *("        " + x for x in cg.lines),
-               "    except _EVAL_FAULTS:", "        return None"]
-    if live:
-        ev.append(f"    if not _isfinite({' + '.join(live)}) and not ("
-                  f"_finite({', '.join(live)}) and _evaluates([{', '.join(xs)}"
-                  "])): return None")
-    ev.append(f"    return ({''.join(x + ', ' for x in used)})")
+    here = f"[{', '.join(xs)}]"  # the point evaluated
+    cg.guarded(0, outputs, "return None", f"_evaluates(_fail, {here})")
+    ev = [f"def _ev({', '.join(xs)}):", *("    " + x for x in cg.lines),
+          f"    return ({''.join(x + ', ' for x in used)})"]
 
     # the iteration's float algebra, on the outputs unpacked as g0, g1, ...
     cg.lines, cg.memo = [], {}
@@ -463,7 +447,7 @@ def _build_newton(system, partition):
         "    " + "".join(f"a{i}, " for i in range(len(v1))) + "= p1",
         "    " + "".join(x + ", " for x in v1) + "= v1",
         f"    e = {call}",
-        f"    if e is None: raise _fail(point, {at})",
+        f"    if e is None: raise _fail({here})",
         *block(1, residual),
         "    history = []",
         "    for _ in range(max_iter):",
@@ -483,7 +467,7 @@ def _build_newton(system, partition):
         *block(4, residual),
         "                if norm < rnorm: break",
         f"            elif not _finite({', '.join(v1)}):",
-        f"                raise _fail(point, {at})",
+        f"                raise _fail({here})",
         "            alpha *= 0.5",
         "        else:",
         *block(3, store),
@@ -493,10 +477,8 @@ def _build_newton(system, partition):
         "    raise _Diverged(f'no convergence within {max_iter} Newton "
         "iterations', history)",
     ]
-    cg.ns.update(_Diverged=NewtonDivergedError,
-                 _EVAL_FAULTS=(*_FAULTS, EvalDomainError),
-                 _fail=functools.partial(_failed_newton, lag, active),
-                 _evaluates=functools.partial(_evaluates, lag, active))
+    cg.ns.update(_Diverged=NewtonDivergedError, _evaluates=_evaluates,
+                 _fail=functools.partial(_failed_newton, lag, active))
     return cg.build(src, "<legclair newton kernel>")
 
 
@@ -599,17 +581,10 @@ class EnvelopeSolver:
 
         def step(lanes, v1, r, state):
             hess, = state
-            ended = {}
-            try:
-                check_w11(hess, tol, where, v1=v1)
-            except SingularJacobianError:
-                # each singular lane ends in its own block's error, as in solve
-                for j in range(len(lanes)):
-                    try:
-                        check_w11(hess[j], tol, where, v1=v1[j])
-                    except SingularJacobianError as err:
-                        ended[j] = err
-                        hess[j] = np.eye(k)  # solved for, never used
+            # each singular lane ends in its own block's error, as in solve
+            _, _, ended = singular_lanes(hess, tol, where, v1=v1)
+            if ended:
+                hess[list(ended)] = np.eye(k)  # solved for, never used
             return gepp_many(hess, r[:, :, None])[:, :, 0], ended
 
         def trial(rows, v1, _):
@@ -800,20 +775,12 @@ class MixedHamiltonian:
 
     def psi(self, q, p1, v2_probe=None, v1_guess=None) -> np.ndarray:
         """Psi(q, p1) = dL/dv2 on the envelope; independent of the probe."""
-        probe = (
-            np.asarray(v2_probe, dtype=float)
-            if v2_probe is not None
-            else self.default_probe()
-        )
-        v1 = self.solve_velocity(q, p1, probe, v1_guess)
-        x = self.system.point(q, self.assemble_velocity(v1, probe))
-        d = eval_dual2_many(self.system.lagrangian, x[None], self._v_active)
-        return d.grad[0, self._nonreg]
+        probe = self.default_probe() if v2_probe is None else v2_probe
+        rows = (x[None] for x in self.solver._checked(q, p1, probe))
+        return self.envelope_many(*rows, _guess_row(v1_guess))[1][0]
 
     # The other single-point maps are one-row calls of their stacked twins
-    # below, after the single-point solve's argument checks.  The solve in
-    # ``psi`` and ``solve_velocity`` stays scalar (the generated Newton);
-    # dL/dv is a one-row call of the stacked v-active kernel, as everywhere.
+    # below, after ``solve``'s argument checks.
 
     def _row(self, q, p, c2):
         """q, p and c2 as one row each, checked as a single point: p as a
@@ -866,18 +833,18 @@ class MixedHamiltonian:
     # -- stacked maps -----------------------------------------------------------
     #
     # Each ``*_many`` map takes one row per point (q as (count, n), and so
-    # on) and is the one body of its map: ``value``, ``phi``, ``h_zero``,
-    # ``clairaut_residual`` and ``inverse_transform`` call it on one row.
-    # ``envelope_many`` is the one body of the envelope point: one solve
-    # and one evaluation give V, Psi and H0 together.  ``value_many`` and
-    # ``envelope_many`` are a solve and then ``value_at`` and
+    # on) and is the one body of its map: the single-point map of its name
+    # calls it on one row, and ``psi`` and ``h_zero`` call
+    # ``envelope_many``, the one body of the envelope point, whose one
+    # solve and one evaluation give V, Psi and H0 together.  ``value_many``
+    # and ``envelope_many`` are a solve and then ``value_at`` and
     # ``envelope_at``, which take V as given, so ``transform`` solves a row
     # once for H, Psi and H0.  No row depends on the others: Newton lanes
     # end as ``solve`` ends (``solve_lanes``), and row-wise dot products
-    # are :func:`contract` over columns, so ``envelope_many``'s Psi equals
-    # ``psi`` row by row too.  A map raises if some row fails, the lowest
-    # row's error; on one row it meets that row's errors in a point's own
-    # order, as shifted momenta are stacked in central-difference order.
+    # are :func:`contract` over columns.  A map raises if some row fails,
+    # the lowest row's error; on one row it meets that row's errors in a
+    # point's own order, as shifted momenta are stacked in central-difference
+    # order.
 
     def value_many(self, q, p, v2, v1_guess=None) -> np.ndarray:
         """H = p1*V + p2*v2 - L(q, V, v2) at every row."""

@@ -36,6 +36,7 @@ equivalence failure; 7 property failures from ``verify``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -715,8 +716,15 @@ def main(argv=None) -> int:
         problem = load_problem(args.problem)
         handler = handlers[args.command]
         if use_file:
-            with _written(open, args.out, "w") as fh:
-                return handler(problem, args, fh)
+            fh = _written(open, args.out, "w")
+            try:
+                code = _written(handler, problem, args, fh)
+            except BaseException:
+                with contextlib.suppress(OSError):  # keep the command's error
+                    fh.close()
+                raise
+            _written(fh.close)
+            return code
         return handler(problem, args, sys.stdout)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

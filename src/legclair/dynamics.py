@@ -55,7 +55,8 @@ each step, builds them.
 Errors are those of the calls the stage replaces.  A fault, a domain guard
 or a non-finite output of a triple sends the stage down a slow path
 (``_failed_stage``) that reruns its evaluations as calls in the flows'
-order, the gauge and then L, to raise their exact ``EvalDomainError``.
+order (the gauge's value and Jacobian, then L) to raise their exact
+``EvalDomainError``, and decide an overflowing sum (``_Codegen.guarded``).
 W11 fails with ``check_w11``'s message: a block known at generation is
 decided once, and any other block by a ``check_w11`` call at each stage.
 
@@ -92,6 +93,7 @@ from .expr import (
     EvalDomainError,
     Expression,
     _Codegen,
+    _evaluates,
     _Term,
     eval_dual2,
     eval_dual2_many,
@@ -272,15 +274,11 @@ def _build_rk4(m):
 
 
 def _failed_stage(lag, gauge, reg, nonreg, q, v1):
-    """Raise the ``EvalDomainError`` of a stage its kernel could not finish:
-    its evaluations rerun as calls in the flows' order, the gauge (where an
-    ``eval_dual2`` fails, ``GaugeChoice.value`` first) and then, given the
-    regular velocities ``v1``, L at (q, v).  One of them raises there."""
-    try:
-        c2 = [eval_dual2(e, q).value for e in gauge.exprs]
-    except EvalDomainError:
-        gauge.value(q)
-        raise
+    """Raise the ``EvalDomainError`` of a stage its kernel could not finish
+    (else return an AssertionError): its calls rerun in the flows' order,
+    ``gauge.value(q)``, ``gauge.jacobian(q)``, then L at (q, v) given v1."""
+    c2 = gauge.value(q).tolist()
+    gauge.jacobian(q)
     if v1 is not None:
         v = [0.0] * len(q)
         for i, x in (*zip(reg, v1), *zip(nonreg, c2)):
@@ -312,13 +310,10 @@ def _build_stage(system, partition, gauge, ham, include_r):
                         partition.nonregular)
     # one slot per variable of L: a gauge's slots past q stay known zeros
     cg = _Codegen(tuple(range(2 * n)), checked=False)
-    cg.ns.update(_inf_norm=_inf_norm,
+    cg.ns.update(_inf_norm=_inf_norm, _evaluates=_evaluates,
                  _fail=functools.partial(_failed_stage, lag, gauge, reg,
                                          nonreg))
-    lines, lit = cg.lines, cg.lit
-
-    def lst(xs):
-        return f"[{', '.join(map(lit, xs))}]"
+    lines, lit, lst = cg.lines, cg.lit, cg.list_source
 
     def dot(a, x):
         return [cg.contract(row, x) for row in a]
@@ -340,13 +335,19 @@ def _build_stage(system, partition, gauge, ham, include_r):
     # operations of its own kernel, then tested as eval_dual2 tests them
     q, xv = [f"x{i}" for i in range(n)], [f"x{n + i}" for i in range(n)]
     v1_names = [xv[i] for i in reg]
+
+    def guarded(start, outputs, v1):  # fails where a call of _fail raises
+        at = f"{lst(q)}, {v1}"
+        cg.guarded(start, outputs, f"raise _fail({at})",
+                   f"_evaluates(_fail, {at})")
+
     lines.append("".join(x + ", " for x in (q if ham else q + v1_names))
                  + (f"= y[:{n}]" if ham else "= y"))
     start = len(lines)
     gauge_out = [cg.visit(e.root) for e in gauge.exprs]
     outputs = [x for t in gauge_out for x in cg.flat(t)]
     if ham:
-        cg.guarded(start, outputs, f"raise _fail({lst(q)}, None)")
+        guarded(start, outputs, None)
         x = q + ["0.0"] * n
         for j, t in zip(nonreg, gauge_out):
             x[n + j] = lit(t[0])
@@ -357,8 +358,7 @@ def _build_stage(system, partition, gauge, ham, include_r):
     else:
         lines += [f"{xv[j]} = {lit(t[0])}" for j, t in zip(nonreg, gauge_out)]
     out = cg.visit(lag.root)
-    cg.guarded(start, outputs + cg.flat(out),
-               f"raise _fail({lst(q)}, {'_v' if ham else lst(v1_names)})")
+    guarded(start, outputs + cg.flat(out), "_v" if ham else lst(v1_names))
 
     jac = [[term(x) for x in t[1][:n]] for t in gauge_out]
     grad = [term(x) for x in out[1]]

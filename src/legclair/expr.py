@@ -454,11 +454,13 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # Stage mode (``dynamics``' stage kernels) writes several trees into one
 # body with a slot per variable of L: each tree's triple takes the
 # operations of its own kernel (the extra slots are known zeros and emit
-# nothing), and ``guarded`` sends a fault, a guard or a non-finite output
-# down the caller's slow path, as ``_slow`` does for a scalar kernel (a
-# finite sum that overflows goes on).  The float algebra after them runs on
-# ``_Term`` locals: ``exact`` folds only identities exact for every float,
-# and ``contract`` emits ``clairaut.contract``'s sum as one expression.
+# nothing).  ``guarded`` tests the evaluations of scalar, Newton and stage
+# kernels alike: a fault, a guard or a non-finite output sends a stage or
+# Newton evaluation down the caller's slow path, and so does a finite sum
+# that overflows where ``eval_dual2`` raises (a node overflowed on the
+# way).  The float algebra after them runs on ``_Term`` locals: ``exact``
+# folds only identities exact for every float, and ``contract`` emits
+# ``clairaut.contract``'s sum as one expression.
 
 class Dual2:
     """Value, gradient, and Hessian of one scalar quantity.
@@ -491,6 +493,15 @@ def _zero(q) -> bool:
 
 def _all_finite(*xs) -> bool:
     return all(map(math.isfinite, xs))
+
+
+def _evaluates(calls, *args) -> bool:
+    """Whether ``calls(*args)`` returns rather than raise EvalDomainError."""
+    try:
+        calls(*args)
+    except EvalDomainError:
+        return False
+    return True
 
 
 class _Codegen:
@@ -781,21 +792,24 @@ class _Codegen:
                               lambda: op("-0.25 / {}", op("{} * {}", x, s)))
         raise TypeError(f"unknown function {func!r}")  # pragma: no cover
 
-    # -- stage mode (see Evaluation) -----------------------------------------------
+    # -- the evaluation test and stage mode (see Evaluation) ------------------
 
-    def guarded(self, start, outputs, fail: str):
-        """Run the statement ``fail`` where the lines from ``start`` fault or
-        raise, or where an output is not finite (the sum is tested first, and
-        a finite sum that overflows goes on)."""
-        self.ns["_STAGE_FAULTS"] = (*_FAULTS, EvalDomainError)
+    def guarded(self, start, outputs, fail: str, rerun=None):
+        """Run ``fail`` where the lines from ``start`` fault or the outputs'
+        sum is not finite.  An inline evaluation gives ``rerun``, true where
+        its ``eval_dual2`` calls return: a guard fails too, and a finite sum
+        that overflows fails only where ``rerun`` is false."""
         body = self.lines[start:]
         if body:
+            faults = "_FAULTS" if rerun is None else "(*_FAULTS, _E)"
             self.lines[start:] = ["try:", *("    " + x for x in body),
-                                  "except _STAGE_FAULTS:", "    " + fail]
+                                  f"except {faults}:", "    " + fail]
         live = self.live(outputs)
         if live:
-            self.lines.append(f"if not _isfinite({' + '.join(live)}) and not "
-                              f"_finite({', '.join(live)}): {fail}")
+            test = f"not _isfinite({' + '.join(live)})"
+            if rerun is not None:
+                test += f" and not (_finite({', '.join(live)}) and {rerun})"
+            self.lines.append(f"if {test}: {fail}")
 
     def exact(self, template, a, b=None):
         """One operation on terms, where only identities exact for every
@@ -825,6 +839,10 @@ class _Codegen:
         return _Term(self.op(text, known, *args), self) if args else known
 
     # -- compiling ----------------------------------------------------------------
+
+    def list_source(self, xs) -> str:
+        """A list display of the quantities ``xs``."""
+        return f"[{', '.join(map(self.lit, xs))}]"
 
     def live(self, outputs) -> list:
         """The outputs a finiteness test covers: locals and non-finite floats."""
@@ -917,18 +935,10 @@ def _compile(root, nvars: int, active, checked=False):
     src = ["def kernel(p):"]
     if nvars:
         src.append("    " + "".join(f"x{i}, " for i in range(nvars)) + "= p")
-    if checked:
-        src += ["    " + line for line in cg.lines]
-    else:
+    if not checked:
         cg.ns["_slow"] = functools.partial(_run_checked, root, nvars, active, [])
-        if cg.lines:
-            src += ["    try:"] + ["        " + line for line in cg.lines]
-            src += ["    except _FAULTS:", "        return _slow(p)"]
-        # One finiteness test on the sum: any inf or NaN makes it non-finite.
-        # A finite sum that overflows only sends the call down the slow path.
-        live = cg.live(outputs)
-        if live:
-            src.append(f"    if not _isfinite({' + '.join(live)}): return _slow(p)")
+        cg.guarded(0, outputs, "return _slow(p)")
+    src += ["    " + line for line in cg.lines]
     src.append(f"    return {result}")
     return cg.build(src, "<legclair kernel>")
 

@@ -1,9 +1,9 @@
 """The single-point maps of ``MixedHamiltonian``, kept as the reference.
 
-These are ``value``, ``phi``, ``h_zero``, ``clairaut_residual`` and
-``inverse_transform`` as they were before each became a one-row call of its
-stacked twin (``value_many`` and the rest): one scalar envelope solve and
-scalar kernel calls per point.  Each takes the ``MixedHamiltonian`` first.
+These are ``value``, ``psi``, ``phi``, ``h_zero``, ``clairaut_residual``
+and ``inverse_transform`` as they were before each became a one-row call of
+its stacked twin (``value_many`` and the rest): one scalar envelope solve
+and scalar kernel calls per point.  Each takes the ``MixedHamiltonian`` first.
 The tests require the stacked maps to equal them row by row, values and
 errors included, and ``verify_oracle.py`` runs the property suite on them.
 Their dot products follow the output contract through ``helpers.lr_dot``.
@@ -34,10 +34,20 @@ def value(ham, q, p, v2, v1_guess=None) -> float:
     return float(lr_dot(p1, v1) + lr_dot(p2, v2) - lval)
 
 
+def psi(ham, q, p1, v2_probe=None, v1_guess=None) -> np.ndarray:
+    """Psi(q, p1) = dL/dv2 on the envelope; independent of the probe."""
+    probe = (ham.default_probe() if v2_probe is None
+             else np.asarray(v2_probe, dtype=float))
+    v1 = ham.solve_velocity(q, p1, probe, v1_guess)
+    x = ham.system.point(q, ham.assemble_velocity(v1, probe))
+    d = eval_dual2(ham.system.lagrangian, x, ham._v_active)
+    return d.grad[ham._nonreg]
+
+
 def phi(ham, q, p, v2_probe=None, v1_guess=None) -> np.ndarray:
     """Primary constraints Phi(q, p) = p2 - Psi(q, p1)."""
     p1, p2 = ham.split_momenta(p)
-    return p2 - ham.psi(q, p1, v2_probe, v1_guess)
+    return p2 - psi(ham, q, p1, v2_probe, v1_guess)
 
 
 def h_zero(ham, q, p1, c2_probe=None) -> float:

@@ -287,6 +287,23 @@ def test_quadratic_cold_start_takes_two_evaluations(monkeypatch):
     assert_allclose(v1, [0.7, -0.2], rtol=0, atol=1e-12)
 
 
+def test_a_trial_whose_output_sum_overflows_passes_where_eval_dual2_returns(
+        monkeypatch):
+    # L = 1.6e308 + 2^1022*v1^2 with W11 = 2^1023: from the guess 0 the
+    # Newton point p1 / W11 = 0.25 is exact, and there the value and dL/dv1
+    # are finite but their sum overflows, with no node overflowing on the
+    # way; the trial is redone as an eval_dual2 call, which returns, and
+    # accepted
+    sys = LagrangianSystem.from_source(1, "1.6e308 + 2^1022*v1^2",
+                                       {"v1": (-0.5, 0.5)})
+    solver = MixedHamiltonian.from_system(sys).solver
+    calls = newton_evaluations(monkeypatch, solver)
+    reruns = helpers.record_eval_dual2_calls(monkeypatch)
+    assert solver.solve([0.0], [2.0 ** 1021], []).tolist() == [0.25]
+    assert [args[1] for args in calls] == [0.0, 0.25]
+    assert reruns == [(sys.lagrangian.source, (1,))]
+
+
 def test_residual_history_matches_the_reference_loop():
     # linear convergence exhausts the iterations; a zero Hessian at the
     # guess is singular; a reachable momentum converges
@@ -818,6 +835,25 @@ def test_check_w11_names_the_first_non_finite_block_of_a_stack():
         clairaut.check_w11(blocks, TOL, "at", v1=np.array([[0.0], [1.0], [2.0]]))
     smallest, largest = clairaut.check_w11(blocks[:1], TOL, "", v1=np.zeros(1))
     assert (smallest.tolist(), largest.tolist()) == ([1.0], [2.0])
+
+
+def test_check_w11_names_the_singular_lane_of_a_3x3_stack():
+    # k >= 3 takes the SVD on every lane; the lane's error is the one the
+    # check of its block alone raises, and singular_lanes files it
+    blocks = np.array([np.eye(3), np.diag([1.0, 0.0, 2.0]),
+                       np.diag([3.0, 3.0, 3.0])])
+    at = np.arange(9.0).reshape(3, 3)
+    with pytest.raises(SingularJacobianError) as raised:
+        clairaut.check_w11(blocks, TOL, "at", v1=at)
+    with pytest.raises(SingularJacobianError) as alone:
+        clairaut.check_w11(blocks[1], TOL, "at", v1=at[1])
+    assert str(raised.value) == str(alone.value) == (
+        "at v1=[3.0, 4.0, 5.0] (smallest singular value 0.000e+00)")
+    smallest, largest, errors = clairaut.singular_lanes(blocks, TOL, "at",
+                                                        v1=at)
+    assert list(errors) == [1] and str(errors[1]) == str(raised.value)
+    assert (smallest.tolist(), largest.tolist()) == ([1.0, 0.0, 3.0],
+                                                     [1.0, 2.0, 3.0])
 
 
 def test_check_w11_2x2_with_a_negative_determinant_skips_the_svd(

@@ -154,6 +154,46 @@ def test_unwritable_report_file_exits_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", ["analyze", "transform", "verify"])
+def test_report_that_opens_but_cannot_be_written_exits_2(
+        tmp_path, capsys, command):
+    # /dev/full opens, and the flush at the close fails with ENOSPC
+    code = main(["--out", "/dev/full", command, osc_problem(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n")
+
+
+def failing_analyze(problem, args, out):
+    out.write("written before the error\n")
+    raise cli.OutOfDomainError("the command's own error")
+
+
+@pytest.mark.parametrize("dev_full", [
+    pytest.param(True, marks=needs_dev_full), False])
+def test_a_command_that_fails_keeps_its_error_and_what_it_wrote(
+        tmp_path, capsys, monkeypatch, dev_full):
+    monkeypatch.setattr(cli, "cmd_analyze", failing_analyze)
+    report = "/dev/full" if dev_full else str(tmp_path / "report.txt")
+    assert main(["--out", report, "analyze", osc_problem(tmp_path)]) == 5
+    assert capsys.readouterr().err == "error: the command's own error\n"
+    if not dev_full:
+        assert (tmp_path / "report.txt").read_text() == (
+            "written before the error\n")
+
+
+def test_unreadable_problem_file_exits_2(tmp_path, capsys):
+    # a directory opens as no problem file
+    assert main(["analyze", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read problem file: ")
+
+
 def test_integrate_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -477,6 +517,29 @@ def test_integrate_velocity_gauge_conflict_exits_2(tmp_path, capsys):
     assert "conflict" in capsys.readouterr().err
 
 
+def test_integrate_initial_velocity_out_of_domain_exits_5(tmp_path, capsys):
+    path = osc_problem(tmp_path, domain={"v1": [-1.0, 1.0]})
+    problem = json.loads(pathlib.Path(path).read_text())
+    problem["initial"] = {"q": [0.0], "v": [2.0]}
+    pathlib.Path(path).write_text(json.dumps(problem))
+    assert main(["--out", str(tmp_path / "w"), "integrate", path]) == 5
+    assert capsys.readouterr().err == (
+        "error: initial v1 = 2 lies outside [-1, 1]\n")
+
+
+def test_flows_that_differ_beyond_tol_equiv_exit_6(tmp_path, capsys):
+    # the two flows of a q-dependent kinetic term differ by about 4e-11
+    path = write_problem(
+        tmp_path, n=1, lagrangian="0.5*v1^2*(2 + sin(q1))",
+        initial={"q": [0.5], "v": [0.3]},
+        integrate={"t0": 0.0, "t1": 1.0, "dt": 0.01},
+        verify={"tol_equiv": 1e-15})
+    assert main(["--out", str(tmp_path / "w"), "integrate", path]) == 6
+    comparison = capsys.readouterr().out.splitlines()[-1]
+    assert comparison.startswith("comparison: ")
+    assert comparison.endswith("tol = 1.0e-15  -> FAIL")
+
+
 def test_integrate_initial_out_of_domain_exits_5(tmp_path, capsys):
     path = deg1_problem(tmp_path, initial={"q": [9.0, 0.0], "v": [1.0, 1.0]})
     assert main(["--out", str(tmp_path / "w"), "integrate", path]) == 5
@@ -580,6 +643,19 @@ def test_verify_regular_system(tmp_path, capsys):
     assert "regular_reduction" in out
     assert "vacuous (k = n)" in out
     assert "FAILED" not in out
+
+
+def test_verify_text_report_names_the_failed_properties_and_exits_7(
+        tmp_path, capsys):
+    path = write_problem(
+        tmp_path, n=1, lagrangian="0.5*v1^2 - 0.5*q1^2",
+        verify={"samples": 25, "tol_residual": 1e-300,
+                "tol_involution": 1e-300})
+    assert main(["verify", path]) == 7
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "FAILED: clairaut_residual, involutivity"
+    statuses = {line.split()[0]: line.split()[-1] for line in lines[2:-1]}
+    assert statuses["clairaut_residual"] == statuses["involutivity"] == "FAIL"
 
 
 def test_verify_degenerate_system_json(tmp_path, capsys):

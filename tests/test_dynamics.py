@@ -210,6 +210,38 @@ def test_an_unused_hessian_entry_that_overflows_still_raises():
         ham_rhs(ham, None, [1e-300], [0.5])
 
 
+def overflow_system(source):
+    system = LagrangianSystem.from_source(1, source, {"q1": (-1.0, 1.0),
+                                                     "v1": (-1.0, 1.0)})
+    return MixedHamiltonian.from_system(system)
+
+
+def test_a_node_that_overflows_under_a_finite_output_sum_that_overflows():
+    # at (q1, v1) = (1, 0.5) every output of L is finite and their sum
+    # overflows; 1e300*1e300 is inf on the way, so eval_dual2's checked
+    # rerun raises there, and so must the stages
+    ham = overflow_system("0.5*v1^2 + 1e308*exp(q1 - 1) + 1/(1e300*1e300)")
+    message = (r"^overflow to a non-finite value or derivative in "
+               r"'1e\+300\*1e\+300'$")
+    with pytest.raises(EvalDomainError, match=message):
+        eval_dual2(ham.system.lagrangian, [1.0, 0.5])
+    with pytest.raises(EvalDomainError, match=message):
+        el_rhs(ham.system, ham.partition, None, [1.0], [0.5])
+    with pytest.raises(EvalDomainError, match=message):
+        ham_rhs(ham, None, [1.0], [0.5])
+
+
+def test_a_finite_output_sum_that_overflows_goes_on():
+    # the same point with no node overflowing: eval_dual2 returns, and so
+    # do the stages
+    ham = overflow_system("0.5*v1^2 + 1e308*exp(q1 - 1)")
+    eval_dual2(ham.system.lagrangian, [1.0, 0.5])
+    accel, i2_res = el_rhs(ham.system, ham.partition, None, [1.0], [0.5])
+    assert (accel.tolist(), i2_res) == ([1e308], 0.0)
+    qdot, p1dot, hs3_res = ham_rhs(ham, None, [1.0], [0.5])
+    assert (qdot.tolist(), p1dot.tolist(), hs3_res) == ([0.5], [1e308], 0.0)
+
+
 def test_a_known_zero_factor_keeps_a_non_finite_offset():
     # R_1 = (dC2/dq1) Phi with dC2/dq1 = 0 known: 0.0 * inf is NaN, as the
     # unrolled sum must leave it, so p1dot = dL/dq1 - ... + R_1 is NaN too

@@ -189,6 +189,14 @@ LANE_STACKS = {
         [[1.0, 1.0], [0.0, 0.0], [0.5, -0.5]], {},
         ["converged", "SingularJacobianError", "converged"],
     ),
+    # the same with 3x3 blocks, which only the SVD decides
+    "singular_3x3_guess": (
+        "v1^4/12 + v2^4/12 + v3^4/12",
+        {"v1": (-1.0, 1.0), "v2": (-1.0, 1.0), "v3": (-1.0, 1.0)},
+        [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.1, -0.2, 0.3]],
+        [[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.5, -0.5, 0.5]], {},
+        ["converged", "SingularJacobianError", "converged"],
+    ),
     "backtracking_exhausted": (
         "-cos(v1)", {"v1": (-1.0, 1.0)}, [2.0, 0.5, -1.2, 0.99], None, {},
         ["NewtonDivergedError", "converged", "NewtonDivergedError",
@@ -345,7 +353,8 @@ def test_stacked_maps_equal_single_point_maps(name):
           for a in zip(q, v, p[:, nonreg])]),
     ]
     # V, Psi and H0 of envelope_many, at the drawn probes and at the default
-    refs = (ham.solver.solve, ham.psi, lambda *a: maps_oracle.h_zero(ham, *a))
+    refs = (ham.solver.solve, lambda *a: maps_oracle.psi(ham, *a),
+            lambda *a: maps_oracle.h_zero(ham, *a))
     for c2, given in [(probe, probe), ([ham.default_probe()] * len(q), None)]:
         env = ham.envelope_many(q, p[:, reg], given)
         pairs += [(got, [ref(*a) for a in zip(q, p[:, reg], c2)])
@@ -379,6 +388,10 @@ ONE_ROW_CALLS = [
     ("inverse_transform", ([0.1], [1.0, 1.0], [0.5])),
     ("inverse_transform", ([0.1, 0.2], [1.0, 1.0], [0.5], [0.0, 0.0])),
     ("inverse_transform", ([0.1, 0.2], [1.0, 1.0], [0.5], [0.9])),
+    ("psi", ([0.1], [1.0])),
+    ("psi", ([0.1, 0.2], [1.0, 2.0])),
+    ("psi", ([0.1, 0.2], [1.0], [0.5, 0.5])),
+    ("psi", ([0.1, 0.2], [1.0], [0.5], [0.3])),
 ]
 
 

@@ -67,7 +67,7 @@ def cmd_analyze(problem, args, out):
         q = rng.uniform(system.domain_lo[:n], system.domain_hi[:n])
         p1 = rng.uniform(vlo[reg,], vhi[reg,]) if k else np.zeros(0)
         p2 = rng.uniform(vlo[nonreg,], vhi[nonreg,]) if k < n else np.zeros(0)
-        psi = ham.psi(q, p1)
+        psi = maps_oracle.psi(ham, q, p1)
         samples.append(
             {
                 "q": [float(x) for x in q],

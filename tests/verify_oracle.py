@@ -141,12 +141,13 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
         for _ in range(ind_samples):
             q, p, _ = draw()
             p1 = p[reg,]
-            psi_ref = ham.psi(q, p1)
+            psi_ref = maps_oracle.psi(ham, q, p1)
             h0_ref = maps_oracle.h_zero(ham, q, p1)
             scale = 1.0 + float(np.max(np.abs(psi_ref)))
             for _ in range(5):
                 probe = rng.uniform(lo2, hi2)
-                dpsi = float(np.max(np.abs(ham.psi(q, p1, probe) - psi_ref)))
+                dpsi = float(np.max(np.abs(maps_oracle.psi(ham, q, p1, probe)
+                                           - psi_ref)))
                 dh0 = abs(maps_oracle.h_zero(ham, q, p1, probe) - h0_ref)
                 worst = max(
                     worst, dpsi / scale, dh0 / (1.0 + abs(h0_ref))

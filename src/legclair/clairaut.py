@@ -33,10 +33,10 @@ from .expr import (
     Expression,
     _Codegen,
     _Term,
+    _columns,
     _evaluates,
     eval_dual2,
     eval_dual2_many,
-    eval_dual2_rows,
     evaluate,
     evaluate_many,
     with_variables,
@@ -115,14 +115,13 @@ def check_w11(w11, tol: float, where: str, **at):
     message is ``where`` followed by the ``name=value`` pairs of ``at``
     (arrays or float lists), built only on failure.
 
-    W11 is one block, as an array (k, k) or as k float rows, or a stack of
-    blocks (count, k, k), whose lowest singular lane's error from
-    :func:`singular_lanes` is raised.  Every check is decided as
-    ``np.linalg.svd`` decides it.  A 1×1 or 2×2 block, alone or
-    in a stack, first meets one closed form (:func:`_closed_form`, on
-    floats for a block and on numpy columns for a stack), which only ever
-    passes a block; the SVD takes every block it does not pass, and only
-    those, and a failure's message shows the SVD's value:
+    W11 is one block, as an array (k, k) or as k float rows; the lanes of a
+    stacked solve are checked by :func:`singular_lanes`.  Every check is
+    decided as ``np.linalg.svd`` decides it.  A 1×1 or 2×2 block first
+    meets one closed form (:func:`_closed_form`, on floats for a block and
+    on numpy columns for lanes), which only ever passes a block; the SVD
+    takes every block it does not pass, and only those, and a failure's
+    message shows the SVD's value:
 
     - 1×1 [[w]] has the singular value |w|, exactly.
     - 2×2 [[a, b], [c, d]] has the singular values (s ± t) / 2, where s =
@@ -145,52 +144,68 @@ def check_w11(w11, tol: float, where: str, **at):
       differ by tol times these errors, less than the errors themselves,
       since for tol ≥ 1 no block passes here (smaller ≤ larger).
       Subnormal roundings stay below ε·tiny.  So every block passed here
-      passes the SVD, and a stack's first singular block and its message
-      are the SVD's.
+      passes the SVD, and a lane's error and its message are the SVD's.
     - A non-finite entry, or an overflow, makes the comparison false.
       Larger blocks always take the SVD.
 
     A block with a non-finite entry is singular, with NaN singular values;
     it never reaches LAPACK, which returns NaN or fails to converge there.
     """
-    if type(w11) is np.ndarray and w11.ndim == 3:
-        smallest, largest, errors = singular_lanes(w11, tol, where, **at)
-        if errors:
-            raise errors[min(errors)]
-        return smallest, largest
-    passes = False
-    if len(w11) < 3:
-        smallest, largest, passes = _closed_form(
-            w11.tolist() if type(w11) is np.ndarray else w11, tol, _FLOAT_OPS)
-    if not passes:
-        sv = _singular_values(w11)
-        smallest, largest = sv[-1], sv[0]
+    smallest, largest = _extremes(w11, tol)
     if not _clears(smallest, largest, tol, _FLOAT_OPS):  # NaN is singular too
         raise _singular(where, smallest, at)
     return smallest, largest
 
 
-def singular_lanes(w11, tol, where, **at):
-    """:func:`check_w11` on each block of a stack (count, k, k) and its row
-    of each ``at`` value: (smallest, largest) by block, and ``{lane: the
-    error check_w11 raises on that block alone}`` for every singular one."""
-    count, k = len(w11), w11.shape[-1]
+def _extremes(w11, tol):
+    """(smallest, largest) singular value of one block, by the closed form
+    where it passes the block, else by the SVD (see :func:`check_w11`)."""
+    if len(w11) < 3:
+        smallest, largest, passes = _closed_form(
+            w11.tolist() if type(w11) is np.ndarray else w11, tol, _FLOAT_OPS)
+        if passes:
+            return smallest, largest
+    sv = _singular_values(w11)
+    return sv[-1], sv[0]
+
+
+def singular_lanes(w11, count, tol, where, **at):
+    """:func:`check_w11` on each of ``count`` lanes of a stacked solve:
+    (smallest, largest) by lane, and ``{lane: the error check_w11 raises on
+    that lane's block alone}`` for every singular one.
+
+    W11's k rows hold lane columns, or for an entry known at generation its
+    float, and each ``at`` value is a list of lane columns.  A block known
+    at generation is decided once, on floats, as :func:`emit_check_w11`
+    decides it, and its singular values are floats; otherwise the closed
+    form runs on the columns and the SVD on the lanes it does not pass.
+    """
+    def error(j, smallest):
+        return _singular(where, smallest,
+                         {name: [c[j] for c in x] for name, x in at.items()})
+
+    k = len(w11)
+    if _known(w11):
+        smallest, largest = _extremes(w11, tol)
+        if _clears(smallest, largest, tol, _FLOAT_OPS):
+            return smallest, largest, {}
+        return smallest, largest, {j: error(j, smallest) for j in range(count)}
     if k < 3:
         with np.errstate(all="ignore"):  # non-finite and overflowing lanes
-            smallest, largest, passes = _closed_form(
-                [[w11[:, i, j] for j in range(k)] for i in range(k)], tol, np)
+            smallest, largest, passes = _closed_form(w11, tol, np)
     else:
         smallest, largest = np.empty(count), np.empty(count)
         passes = np.zeros(count, dtype=bool)
     rest = ~passes
     if not rest.any():
         return smallest, largest, {}
-    sv = _singular_values(w11[rest])
+    blocks = np.stack([np.broadcast_to(x, count)[rest]
+                       for row in w11 for x in row], axis=-1)
+    sv = _singular_values(blocks.reshape(-1, k, k))
     smallest[rest], largest[rest] = sv[:, -1], sv[:, 0]
     singular = np.flatnonzero(~_clears(smallest, largest, tol, np))
-    return smallest, largest, {int(j): _singular(
-        where, smallest[j], {name: x[j] for name, x in at.items()})
-        for j in singular}
+    return smallest, largest, {int(j): error(j, smallest[j])
+                               for j in singular}
 
 
 def _singular(where, smallest, at) -> SingularJacobianError:
@@ -235,13 +250,14 @@ def _singular_values(w11) -> np.ndarray:
 
 def _eliminate(a, cols, pivot):
     """Solve the k rows ``a`` for the columns ``cols`` (lists of k entries,
-    floats or numpy columns), in place, by Gaussian elimination with partial
-    pivoting (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-    ed., ch. 9) in one order, so the bits depend on the inputs alone:
-    ``pivot(a, cols, c)`` swaps the first row of largest |a_rc| into row c;
-    each row r below takes f = a_rc / a_cc and its entries become x - f*y;
-    back substitution takes s = b_i - a_ij*x_j over ascending j, then x_i =
-    s / a_ii (so a 1×1 block with one column gives r / w)."""
+    floats or numpy lane columns, mixed at will), in place, by Gaussian
+    elimination with partial pivoting (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 9) in one order, so the bits depend
+    on the inputs alone: ``pivot(a, cols, c)`` swaps the first row of
+    largest |a_rc| into row c; each row r below takes f = a_rc / a_cc and
+    its entries become x - f*y; back substitution takes s = b_i - a_ij*x_j
+    over ascending j, then x_i = s / a_ii (so a 1×1 block with one column
+    gives r / w)."""
     k = len(a)
     for c in range(k - 1):
         pivot(a, cols, c)
@@ -268,7 +284,11 @@ def _pivot_floats(a, cols, c):
 
 
 def _pivot_lanes(a, cols, c):
-    """:func:`_pivot_floats` lane by lane, one row swap per lane."""
+    """:func:`_pivot_floats` lane by lane, one row swap per lane; a pivot
+    column of floats (entries known at generation) is the same in every
+    lane and pivots as floats do."""
+    if all(isinstance(row[c], float) for row in a[c:]):
+        return _pivot_floats(a, cols, c)
     p, best = c, np.abs(a[c][c])
     for r in range(c + 1, len(a)):
         mag = np.abs(a[r][c])
@@ -277,9 +297,13 @@ def _pivot_lanes(a, cols, c):
     for r in range(c + 1, len(a)):
         lane = p == r
         if lane.any():
-            for x in (a, *cols):  # whole rows of a, entries of a column
-                x[c], x[r] = (np.where(lane, x[r], x[c]),
-                              np.where(lane, x[c], x[r]))
+            top, row = a[c], a[r]
+            for j in range(c, len(a)):  # no entry left of c is read again
+                top[j], row[j] = (np.where(lane, row[j], top[j]),
+                                  np.where(lane, top[j], row[j]))
+            for col in cols:
+                col[c], col[r] = (np.where(lane, col[r], col[c]),
+                                  np.where(lane, col[c], col[r]))
 
 
 def gepp(a, cols) -> list:
@@ -313,17 +337,6 @@ def abs_det_many(a: np.ndarray) -> np.ndarray:
     det = np.abs(det)
     det[singular] = 0.0
     return det
-
-
-def gepp_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`gepp` on each lane of a (count, k, k) and b (count, k, m), bit
-    for bit; a lane that overflows ends non-finite, with no warning."""
-    k, m = b.shape[1:]
-    rows = [[a[:, i, j] for j in range(k)] for i in range(k)]
-    cols = [[b[:, i, j] for i in range(k)] for j in range(m)]
-    with np.errstate(all="ignore"):
-        cols = _eliminate(rows, cols, _pivot_lanes)
-    return np.array(cols).transpose(2, 1, 0)
 
 
 # --------------------------------------------------------------------------
@@ -560,9 +573,8 @@ class EnvelopeSolver:
 
         Each lane runs :meth:`solve`'s iteration and ends as it ends: row i
         equals ``solve`` at row i bit for bit, or is NaN and files the error
-        ``solve`` raises there, residual history included.  An iteration
-        makes one stacked evaluation, W11 check and solve over its lanes
-        (see :func:`_newton_lanes`).
+        ``solve`` raises there, residual history included.  The iteration
+        runs on lane columns (:meth:`_solve_columns`).
         """
         n, k = self.system.n, self.partition.k
         q = checked_rows(q, n, "q")
@@ -571,45 +583,73 @@ class EnvelopeSolver:
         c2 = checked_rows(c2, n - k, "c2", count)
         if k == 0:
             return np.zeros((count, 0)), {}
-        v1 = (checked_rows(v1_guess, k, "v1_guess", count).copy()
-              if v1_guess is not None
-              else np.tile(self.default_guess(), (count, 1)))
-        lag, active = self.system.lagrangian, self._v1_active
+        if v1_guess is not None:
+            v1_guess = list(checked_rows(v1_guess, k, "v1_guess", count).T)
+        v1, failed = self._solve_columns(self._point_columns(q, c2),
+                                         list(np.array(p1.T)), v1_guess)
+        return np.stack(v1, axis=1), failed
+
+    def _solve_columns(self, point, p1, v1=None):
+        """:meth:`solve_lanes` on lane columns: ``point`` is the (2n, count)
+        array of the points (q, v) with q and v2 set, whose v1 rows it sets,
+        and ``p1`` and the optional guess ``v1`` are lists of k lane
+        columns.  Returns the k columns of V, NaN where a lane failed, and
+        ``{lane: error}``.
+
+        An iteration makes one stacked evaluation of L's v1-active kernel
+        (:func:`~legclair.expr._columns`), whose W11 entries known at
+        generation stay floats, one :func:`singular_lanes` check and one
+        elimination of the step on the columns (see :func:`_newton_lanes`).
+        """
+        lag, active, k = self.system.lagrangian, self._v1_active, len(p1)
         tol = self.partition.rank_tolerance
         where = "W11 is singular at Newton iterate"
-        point = self._points(q, v1, c2)
+        if v1 is None:
+            v1 = np.broadcast_to(self.default_guess()[:, None],
+                                 (k, point.shape[1]))
+        point[self._v1_cols] = v1
 
-        def step(lanes, v1, r, state):
-            hess, = state
+        def step(lanes, v1, r, hess):
+            w11 = [hess[i * k:(i + 1) * k] for i in range(k)]
             # each singular lane ends in its own block's error, as in solve
-            _, _, ended = singular_lanes(hess, tol, where, v1=v1)
-            if ended:
-                hess[list(ended)] = np.eye(k)  # solved for, never used
-            return gepp_many(hess, r[:, :, None])[:, :, 0], ended
+            _, _, ended = singular_lanes(w11, len(lanes), tol, where, v1=v1)
+            if len(ended) == len(lanes):
+                return None, ended
+            with np.errstate(all="ignore"):  # singular lanes step nowhere
+                return _eliminate(w11, [list(r)], _pivot_lanes)[0], ended
 
         def trial(rows, v1, _):
-            x = point[rows]
-            x[:, self._v1_cols] = v1
-            d, bad = eval_dual2_rows(lag, x, active)
-            # a finite trial that fails is halved; halving cannot make a
-            # non-finite step finite
-            ended = {j: err for j, err in bad.items()
-                     if not np.isfinite(v1[j]).all()}
-            return p1[rows] - d.grad, [d.hess], ended
+            every = len(rows) == point.shape[1]  # no gather needed
+            x = point.copy() if every else point[:, rows]
+            x[self._v1_cols] = v1
+            out, bad = _columns(lag, x, active)
+            if bad:
+                # a finite trial that fails is halved, as its NaN residual
+                # is never accepted (a gradient entry known at generation
+                # would leave W11 a zero row, so no trial meets one);
+                # halving cannot make a non-finite step finite, so such a
+                # lane ends
+                finite = np.logical_and.reduce([np.isfinite(c) for c in v1])
+                bad = {j: err for j, err in bad.items() if not finite[j]}
+            return ([(a if every else a[rows]) - g
+                     for a, g in zip(p1, out[1:k + 1])], out[k + 1:], bad)
 
-        d, failed = eval_dual2_rows(lag, point, active)
-        out, _, failed = _newton_lanes(self, v1, p1 - d.grad, [d.hess], failed,
-                                       step, trial, "envelope",
-                                       return_state=False)
-        return out, failed
+        out, failed = _columns(lag, point, active)
+        v1, _, failed = _newton_lanes(
+            self, [np.array(c) for c in v1],
+            [a - g for a, g in zip(p1, out[1:k + 1])], out[k + 1:], failed,
+            step, trial, "envelope", return_state=False)
+        return v1, failed
 
-    def _points(self, q, v1, v2) -> np.ndarray:
-        """Rows (q, v) with the regular/nonregular velocity columns set."""
+    def _point_columns(self, q, v2, v1=None) -> np.ndarray:
+        """The (2n, count) columns of the points (q, v) at rows q, v2 and
+        v1; without v1, its rows are left for a solve to set."""
         n = self.system.n
-        x = np.empty((len(q), 2 * n))
-        x[:, :n] = q
-        x[:, self._v1_cols] = v1
-        x[:, self._v2_cols] = v2
+        x = np.empty((2 * n, len(q)))
+        x[:n] = np.transpose(q)
+        x[self._v2_cols] = np.transpose(v2)
+        if v1 is not None:
+            x[self._v1_cols] = np.transpose(v1)
         return x
 
 
@@ -618,25 +658,48 @@ def _guess_row(x):
     return None if x is None else np.asarray(x, dtype=float)[None]
 
 
+def _take(cols, lanes):
+    """The entries ``lanes`` of each lane column; a float is every lane's."""
+    return [c if isinstance(c, float) else c[lanes] for c in cols]
+
+
+def _put(cols, lanes, new, sel):
+    """Set the entries ``lanes`` of each lane column of ``cols`` to the
+    entries ``sel`` of its counterpart in ``new``.  A float in ``cols`` is
+    an entry known at generation, which ``new`` holds too, so it stays."""
+    for c, t in zip(cols, new):
+        if not isinstance(c, float):
+            c[lanes] = t if isinstance(t, float) else t[sel]
+
+
+def _lane_norm(r):
+    """max |r_i| of each lane, NaN where an entry is NaN."""
+    norm = np.abs(r[0])
+    for c in r[1:]:
+        norm = np.maximum(norm, np.abs(c))
+    return norm
+
+
 def _newton_lanes(solver, x, r, state, failed, step, trial, residual, of="",
                   return_state=True):
-    """Damped Newton on stacked lanes, each ending as one scalar iteration
-    ends; the body behind :meth:`EnvelopeSolver.solve_lanes` and
+    """Damped Newton on lane columns, each lane ending as one scalar
+    iteration ends; the body behind :meth:`EnvelopeSolver.solve_lanes` and
     :meth:`MixedHamiltonian.inverse_transform_many`.
 
-    ``x`` (count, k) holds the starting iterates and ``r`` their residuals,
-    ``state`` a list of per-lane arrays that an accepted trial replaces
-    (both updated in place), and ``failed`` ``{row: error}`` for the rows
-    that have already failed, whose residuals are NaN.  The caller
+    ``x`` holds the k columns of the starting iterates and ``r`` those of
+    their residuals, one entry per lane, ``state`` a list of lane columns
+    (or floats, each every lane's entry) that an accepted trial replaces,
+    all three updated in place, and ``failed`` ``{row: error}`` for the
+    rows that have already failed, whose residuals are NaN.  The caller
     supplies the step and the trial:
 
-    - ``step(lanes, x, r, state)`` returns the Newton steps of the live
-      lanes, whose original rows are ``lanes``, and ``{lane: error}`` for
-      the lanes that end there;
-    - ``trial(rows, x, state)`` returns the residuals and the state at the
-      trial iterates ``x`` of the lanes at original ``rows``, and ``{lane:
-      error}`` for the lanes that end there.  A trial whose residual is NaN
-      is never accepted.
+    - ``step(lanes, x, r, state)`` returns the columns of the Newton steps
+      of the live lanes, whose original rows are ``lanes``, and ``{lane:
+      error}`` for the lanes that end there (every lane, with no steps);
+    - ``trial(rows, x, state)`` returns the residual and state columns at
+      the trial iterates ``x`` of the lanes at original ``rows``, and
+      ``{lane: error}`` for the lanes that end there.  A trial whose
+      residual is NaN is never accepted.
 
     A lane converges once its residual's max-norm is at most
     ``solver.newton_tol``.  Each iteration halves a lane's step, up to
@@ -645,31 +708,31 @@ def _newton_lanes(solver, x, r, state, failed, step, trial, residual, of="",
     iterating after ``solver.max_iter`` iterations, files a
     ``NewtonDivergedError`` that names the ``residual`` (the iteration
     limit's message ends in ``of``) and carries its residual history.
-    Returns x and (unless ``return_state`` is false) the state where each
-    lane converged, NaN elsewhere, and ``failed``, with every error under
-    its lane's original row.
+    Returns the columns of x and (unless ``return_state`` is false) of the
+    state where each lane converged, NaN elsewhere, and ``failed``, with
+    every error under its lane's original row.
     """
-    out = np.full(x.shape, np.nan)
-    out_state = [np.full(s.shape, np.nan) for s in state if return_state]
-    lanes = np.arange(len(x))  # original row of each lane still iterating
-    ok = np.ones(len(x), dtype=bool)
+    count = len(x[0])
+    out = [np.full(count, np.nan) for _ in x]
+    out_state = [np.full(count, np.nan) for _ in state if return_state]
+    lanes = np.arange(count)  # original row of each lane still iterating
+    ok = np.ones(count, dtype=bool)
     if failed:
         ok[list(failed)] = False
     norms = []  # (lanes, their residual norms) at every iteration
     for _ in range(solver.max_iter):
         # lanes leave here, converged or failed; a NaN residual stays live
-        rnorm = np.abs(r).max(axis=1)
+        rnorm = _lane_norm(r)
         converged = rnorm <= solver.newton_tol
         live = ok & ~converged
         if not live.all():
             rows = lanes[converged]
-            out[rows] = x[converged]
-            for o, s in zip(out_state, state):
-                o[rows] = s[converged]
+            _put(out, rows, x, converged)
+            _put(out_state, rows, state, converged)
             if not live.any():
                 return out, out_state, failed
-            lanes, x, r, rnorm = (a[live] for a in (lanes, x, r, rnorm))
-            state = [s[live] for s in state]
+            lanes, rnorm = lanes[live], rnorm[live]
+            x, r, state = _take(x, live), _take(r, live), _take(state, live)
             ok = np.ones(len(lanes), dtype=bool)
         norms.append((lanes, rnorm))
         delta, ended = step(lanes, x, r, state)
@@ -679,24 +742,26 @@ def _newton_lanes(solver, x, r, state, failed, step, trial, residual, of="",
         alpha = np.ones(len(lanes))
         pending = np.flatnonzero(ok)  # lanes still backtracking
         for _ in range(solver.max_backtracks + 1):
-            x_trial = x[pending] + alpha[pending, None] * delta[pending]
-            r_trial, s_trial, ended = trial(
-                lanes[pending], x_trial, [s[pending] for s in state])
+            if not pending.size:
+                break
+            # every lane pending (the common case) needs no gather
+            sel = slice(None) if pending.size == len(lanes) else pending
+            x_trial = [w + alpha[sel] * d
+                       for w, d in zip(_take(x, sel), _take(delta, sel))]
+            r_trial, s_trial, ended = trial(lanes[sel], x_trial,
+                                            _take(state, sel))
             # a NaN residual is never better
-            stop = np.abs(r_trial).max(axis=1) < rnorm[pending]
+            stop = _lane_norm(r_trial) < rnorm[sel]
             done = pending[stop]
             # the accepted trial's evaluation serves the next iterate
-            x[done] = x_trial[stop]
-            r[done] = r_trial[stop]
-            for s, t in zip(state, s_trial):
-                s[done] = t[stop]
+            _put(x, done, x_trial, stop)
+            _put(r, done, r_trial, stop)
+            _put(state, done, s_trial, stop)
             for j, err in ended.items():
                 failed[int(lanes[pending[j]])] = err
                 ok[pending[j]] = False
                 stop[j] = True
             pending = pending[~stop]
-            if not pending.size:
-                break
             alpha[pending] *= 0.5
         if pending.size:
             _diverged(failed, lanes[pending], norms,
@@ -857,7 +922,7 @@ class MixedHamiltonian:
         p, v2 = np.asarray(p, dtype=float), np.asarray(v2, dtype=float)
         p1, p2 = p[:, self._reg], p[:, self._nonreg]
         lval = evaluate_many(self.system.lagrangian,
-                             self.solver._points(q, v1, v2))
+                             self.solver._point_columns(q, v2, v1).T)
         return contract(p1.T, v1.T) + contract(p2.T, v2.T) - lval
 
     def envelope_many(self, q, p1, c2_probe=None, v1_guess=None):
@@ -873,7 +938,7 @@ class MixedHamiltonian:
 
     def envelope_at(self, q, p1, c2, v1):
         """:meth:`envelope_many`'s (Psi, H0), given V as ``v1``."""
-        x = self.solver._points(q, v1, c2)
+        x = self.solver._point_columns(q, c2, v1).T
         d = eval_dual2_many(self.system.lagrangian, x, self._v_active)
         psi = d.grad[:, self._nonreg]
         h0 = contract(p1.T, v1.T) + contract(c2.T, psi.T) - d.value
@@ -948,30 +1013,40 @@ class MixedHamiltonian:
         v1 = v[:, self._reg]
         v2 = v[:, self._nonreg]
         solver = self.solver
-        p1 = (checked_rows(p1_guess, self.k, "p1_guess", count).copy()
+        p1 = (checked_rows(p1_guess, self.k, "p1_guess", count)
               if p1_guess is not None else np.zeros((count, self.k)))
         v_cur = None
         if self.k:
-            v_cur, failed = solver.solve_lanes(q, p1, v2)
+            k, active = self.k, solver._v1_active
+            base = solver._point_columns(q, v2)
+            v_cur, failed = solver._solve_columns(base.copy(),
+                                                  list(np.array(p1.T)))
+            v1_cols = list(v1.T)
 
             def step(lanes, _, rho, state):
-                x = solver._points(q[lanes], state[0], v2[lanes])
-                w11 = eval_dual2_many(self.system.lagrangian, x,
-                                      solver._v1_active).hess
-                # W11 rho, one column of W11 per term
-                return contract(w11.transpose(2, 0, 1), rho.T[:, :, None]), {}
+                x = base[:, lanes]
+                x[solver._v1_cols] = state
+                out, bad = _columns(self.system.lagrangian, x, active)
+                if bad:
+                    raise bad[min(bad)]
+                w11 = out[1 + k:]
+                # W11 rho, one row of W11 per entry
+                return [contract(w11[i * k:(i + 1) * k], rho)
+                        for i in range(k)], {}
 
             def trial(rows, p1, state):
                 # warm-started at the current V; any nested failure ends
-                v_trial, bad = solver.solve_lanes(q[rows], p1, v2[rows],
-                                                  v1_guess=state[0])
-                return v1[rows] - v_trial, [v_trial], bad
+                v_trial, bad = solver._solve_columns(base[:, rows], p1, state)
+                return ([a[rows] - v for a, v in zip(v1_cols, v_trial)],
+                        v_trial, bad)
 
-            p1, (v_cur,), failed = _newton_lanes(
-                solver, p1, v1 - v_cur, [v_cur], failed, step, trial,
-                "inverse-transform", " of the inverse transform")
+            p1, v_cur, failed = _newton_lanes(
+                solver, list(np.array(p1.T)),
+                [a - b for a, b in zip(v1_cols, v_cur)], v_cur, failed,
+                step, trial, "inverse-transform", " of the inverse transform")
             if failed:
                 raise failed[min(failed)]
+            p1, v_cur = np.stack(p1, axis=1), np.stack(v_cur, axis=1)
         p_full = np.empty((count, self.n))
         p_full[:, self._reg] = p1
         p_full[:, self._nonreg] = p2

@@ -429,27 +429,32 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # square that overflows but leaves every output finite (1/x^2 = 0.0) is
 # not an error, as 1/(x*x) is not.
 #
-# Stacked kernels (``eval_dual2_many``/``evaluate_many``) run the same
-# operations in the same order on numpy columns, one entry per point.
-# ``+ - * /`` and ``sqrt`` are correctly rounded in numpy as in Python, so
-# they run as array operations, squares included; other powers, ``exp``,
-# ``ln``, ``tan``, ``sin`` and ``cos`` are applied entry by entry with the
-# Python operator or ``math`` function the scalar kernel calls, because
-# numpy's versions differ in the last ulp.  Every row therefore equals the
-# scalar kernel's result bit for bit.  Domain guards only mark their rows, and so
-# does a non-finite output sum; a marked row, or every row if a Python
-# operation raised, is rerun through the scalar kernel, which returns its
-# value or raises its exact error (the lowest row first).  Every division
-# also marks the rows where its divisor is zero, an underflowed square or
-# cube included: Python's ``/`` raises there and sends the scalar kernel
-# down its checked path, while numpy returns an inf that a constant factor
-# of 0 can drop from every output.  A request whose own stacked kernel is
-# not compiled runs on a compiled one whose active tuple holds its slots in
-# the same order (any dual kernel, for the value alone) and takes its own
-# columns: no entry depends on the active set, and the wider kernel marks
-# every row the narrow one would, since its guards are the same or stricter
-# (``sqrt``'s ``<= 0`` against the value's ``< 0``) and it tests more
-# divisors and more outputs.
+# Stacked kernels (``eval_dual2_many``/``evaluate_many`` and the lane
+# solves of ``clairaut``) run the same operations in the same order on numpy
+# columns, one entry per point.  ``+ - * /`` and ``sqrt`` are correctly
+# rounded in numpy as in Python, so they run as array operations, squares
+# included; other powers, ``exp``, ``ln``, ``tan``, ``sin`` and ``cos`` are
+# applied entry by entry with the Python operator or ``math`` function the
+# scalar kernel calls, because numpy's versions differ in the last ulp.
+# Every row therefore equals the scalar kernel's result bit for bit.  Domain
+# guards only mark their rows, and so does a non-finite output sum; a marked
+# row, or every row if a Python operation raised, is rerun through the
+# scalar kernel, which returns its value or raises its exact error (the
+# lowest row first).  Every division also marks the rows where its divisor
+# is zero, an underflowed square or cube included: Python's ``/`` raises
+# there and sends the scalar kernel down its checked path, while numpy
+# returns an inf that a constant factor of 0 can drop from every output.
+# A stacked kernel returns its flat outputs as a tuple of columns, in which
+# an output known at generation stays a Python float, the entry of every
+# point.  Lane callers take the columns as they are (``_columns``); the row
+# functions assemble the columns of their request into one row per point
+# (``_run_many``).  A request whose own stacked kernel is not compiled runs
+# on a compiled one whose active tuple holds its slots in the same order
+# (any dual kernel, for the value alone) and takes its own columns: no
+# entry depends on the active set, and the wider kernel marks every row the
+# narrow one would, since its guards are the same or stricter (``sqrt``'s
+# ``<= 0`` against the value's ``< 0``) and it tests more divisors and more
+# outputs.
 #
 # Stage mode (``dynamics``' stage kernels) writes several trees into one
 # body with a slot per variable of L: each tree's triple takes the
@@ -954,9 +959,11 @@ def _compile_many(root, nvars: int, active):
     """Generate and compile the stacked kernel for one active tuple.
 
     The kernel takes the points as an (nvars, count) array of columns and
-    returns the flat outputs, one row per point ((value, gradient, Hessian
-    row by row), or the value alone when ``active`` is None), and a mask of
-    the rows that must be rerun through the scalar kernel.
+    returns the tuple of flat outputs ((value, gradient, Hessian row by
+    row), or the value alone when ``active`` is None), each a column with
+    one entry per point or, for an output known at generation, that Python
+    float, and a mask of the rows that must be rerun through the scalar
+    kernel.
     """
     cg = _Codegen(active, checked=False, stacked=True)
     outputs = cg.flat(cg.visit(root))
@@ -964,15 +971,13 @@ def _compile_many(root, nvars: int, active):
     if nvars:
         src.append("    " + "".join(f"x{i}, " for i in range(nvars)) + "= p")
     src += ["    " + line for line in cg.lines]
-    src.append(f"    _out = _empty((_n, {len(outputs)}))")
-    src += [f"    _out[:, {j}] = {cg.lit(q)}" for j, q in enumerate(outputs)]
     live = cg.live(outputs)
     if live:
         src.append(f"    _bad |= ~_isfinite({' + '.join(live)})")
-    src.append("    return _out, _bad")
-    cg.ns.update(_zeros=np.zeros, _empty=np.empty, _isfinite=np.isfinite,
-                 _each=_each, _ipow=operator.pow, _fpow=math.pow,
-                 _sqrt=np.sqrt)
+    result = "".join(f"{cg.lit(q)}, " for q in outputs)
+    src.append(f"    return ({result}), _bad")
+    cg.ns.update(_zeros=np.zeros, _isfinite=np.isfinite, _each=_each,
+                 _ipow=operator.pow, _fpow=math.pow, _sqrt=np.sqrt)
     return cg.build(src, "<legclair stacked kernel>")
 
 
@@ -1079,33 +1084,61 @@ def _wide_kernel(e: Expression, key):
     return None
 
 
-def _run_many(e: Expression, points, key, width):
-    """Flat outputs of the stacked kernel that serves ``key`` at every row
-    of ``points``, and ``{row: error}`` for the rows that raise.  The rows
-    the kernel marks are rerun through ``key``'s scalar kernel, which is
-    compiled only then; a row that raises there is left NaN."""
+def _columns(e: Expression, p, key):
+    """The flat outputs of ``key``'s kernel at the points ``p``, an
+    (nvars, count) array of columns, as a list of columns, and ``{row:
+    error}`` for the rows that raise.
+
+    The stacked kernel that serves ``key`` runs on every row.  An output it
+    knows at generation stays its Python float, the entry of every row that
+    does not raise.  The rows the kernel marks (every row, if a Python
+    operation raised) are rerun into a copy of each other output through
+    ``key``'s scalar kernel, which is compiled only then, and a row that
+    raises there is left NaN.
+    """
+    kernel, cols = _stacked(e, key)
+    count = p.shape[1]
+    try:
+        with np.errstate(all="ignore"):
+            out, bad = kernel(p, count)
+    except _FAULTS:  # a Python operation overflowed or left its domain
+        width = 1 if key is _VALUE_ONLY else 1 + len(key) * (len(key) + 1)
+        out = [np.empty(count) for _ in range(width)]
+        bad = np.ones(count, dtype=bool)
+    else:
+        out = list(out) if cols is None else [out[j] for j in cols.tolist()]
+        if not bad.any():
+            return out, {}
+        out = [c if isinstance(c, float) else c.copy() for c in out]
+    failed = {}
+    for i in np.flatnonzero(bad).tolist():
+        try:
+            row = _kernel(e, key)(p[:, i].tolist())
+        except EvalDomainError as err:
+            row, failed[i] = [np.nan] * len(out), err
+        else:
+            row = (row,) if key is _VALUE_ONLY else row
+        for c, x in zip(out, row):
+            if not isinstance(c, float):
+                c[i] = x
+    return out, failed
+
+
+def _run_many(e: Expression, points, key):
+    """:func:`_columns` at every row of ``points`` (shape (count, nvars)),
+    assembled as one (count, width) array, NaN in the rows that raise."""
     points = np.asarray(points, dtype=float)
     nv = len(e.variables)
     if points.ndim != 2 or points.shape[1] != nv:
         raise ValueError(
             f"points have shape {points.shape}, expected (count, {nv})"
         )
-    kernel, cols = _stacked(e, key)
-    count = len(points)
-    try:
-        with np.errstate(all="ignore"):
-            out, bad = kernel(points.T.copy(), count)
-    except _FAULTS:  # a Python operation overflowed or left its domain
-        out, bad = np.empty((count, width)), np.ones(count, dtype=bool)
-    else:
-        if cols is not None:
-            out = out[:, cols]
-    failed = {}
-    for i in np.flatnonzero(bad).tolist():
-        try:
-            out[i] = _kernel(e, key)(points[i].tolist())
-        except EvalDomainError as err:
-            out[i], failed[i] = np.nan, err
+    cols, failed = _columns(e, points.T.copy(), key)
+    out = np.empty((len(points), len(cols)))
+    for j, c in enumerate(cols):
+        out[:, j] = c
+    if failed:
+        out[list(failed)] = np.nan
     return out, failed
 
 
@@ -1119,9 +1152,8 @@ def eval_dual2_rows(e: Expression, points, active=None):
     raises the error filed under i.
     """
     key = _active_key(e, active)
-    m = len(key)
-    out, failed = _run_many(e, points, key, 1 + m + m * m)
-    return _dual2(out, m), failed
+    out, failed = _run_many(e, points, key)
+    return _dual2(out, len(key)), failed
 
 
 def eval_dual2_many(e: Expression, points, active=None) -> Dual2:
@@ -1142,7 +1174,7 @@ def evaluate_many(e: Expression, points) -> np.ndarray:
     Entry i equals ``evaluate(e, points[i])`` bit for bit; if any row raises
     there, the lowest such row's error is raised here.
     """
-    out, failed = _run_many(e, points, _VALUE_ONLY, 1)
+    out, failed = _run_many(e, points, _VALUE_ONLY)
     if failed:
         raise failed[min(failed)]
     return out[:, 0]

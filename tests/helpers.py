@@ -337,13 +337,15 @@ gauge_trees = st.recursive(
 
 def record_svd_calls(monkeypatch):
     """The arrays ``np.linalg.svd`` receives while the test runs, appended as
-    (array, whether ``check_w11`` is among its callers)."""
+    (array, whether a W11 check, ``check_w11`` or ``singular_lanes``, is
+    among its callers)."""
     calls = []
     svd = np.linalg.svd
+    checks = ("check_w11", "singular_lanes")
 
     def counted(a, *args, **kwargs):
         frame = sys._getframe(1)
-        while frame is not None and frame.f_code.co_name != "check_w11":
+        while frame is not None and frame.f_code.co_name not in checks:
             frame = frame.f_back
         calls.append((np.array(a), frame is not None))
         return svd(a, *args, **kwargs)

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import warnings
@@ -553,6 +554,22 @@ def gepp_floats(a, b):
     return np.array(clairaut.gepp(a.tolist(), b.T.tolist())).T
 
 
+def eliminate_lanes(a, b, known=()):
+    """The elimination of ``solve_lanes``' step (``clairaut._eliminate``
+    with ``_pivot_lanes`` on lane columns) on each lane of a (count, k, k)
+    and b (count, k, m), as a (count, k, m) array; the entries (i, j) in
+    ``known``, the same in every lane, are given as the float of lane 0,
+    as a W11 entry known at generation is.  A lane that overflows ends
+    non-finite."""
+    k, m = b.shape[1:]
+    rows = [[float(a[0, i, j]) if (i, j) in known else a[:, i, j]
+             for j in range(k)] for i in range(k)]
+    cols = [[b[:, i, j] for i in range(k)] for j in range(m)]
+    with np.errstate(all="ignore"):
+        cols = clairaut._eliminate(rows, cols, clairaut._pivot_lanes)
+    return np.array(cols).transpose(2, 1, 0)
+
+
 @BLOCK_PROPERTY
 @given(st.integers(1, 5).flatmap(lambda count: st.tuples(
     st.lists(entries, min_size=count, max_size=count),
@@ -562,7 +579,7 @@ def test_gepp_solves_a_1x1_one_column_system_as_lapack(case):
     # r / w is what LAPACK computes for a 1x1 block with one column
     a = np.array(case[0])[:, None, None]
     b = np.array(case[1])[:, None, None]
-    assert_bits(clairaut.gepp_many(a, b), np.linalg.solve(a, b))
+    assert_bits(eliminate_lanes(a, b), np.linalg.solve(a, b))
     for i in range(len(a)):
         assert_bits(gepp_floats(a[i], b[i]), np.linalg.solve(a[i], b[i]))
 
@@ -573,7 +590,7 @@ def test_gepp_solves_many_random_1x1_one_column_systems_as_lapack():
     w, b = (10.0 ** rng.uniform(-8, 8, (2, count))
             * rng.choice([-1.0, 1.0], (2, count)))
     a, rhs = w[:, None, None], b[:, None, None]
-    assert_bits(clairaut.gepp_many(a, rhs), np.linalg.solve(a, rhs))
+    assert_bits(eliminate_lanes(a, rhs), np.linalg.solve(a, rhs))
     for i in range(0, count, 20):
         assert_bits(gepp_floats(a[i], rhs[i]), np.linalg.solve(a[i], rhs[i]))
 
@@ -596,7 +613,7 @@ def systems(element):
 @given(systems(tied_entries))
 def test_gepp_on_floats_and_on_stacks_agree_bit_for_bit(system):
     a, b = system
-    stacked = clairaut.gepp_many(a, b)
+    stacked = eliminate_lanes(a, b)
     for i in range(len(a)):
         try:
             want = gepp_floats(a[i], b[i])
@@ -606,6 +623,34 @@ def test_gepp_on_floats_and_on_stacks_agree_bit_for_bit(system):
         else:
             assert_bits(stacked[i], want)
             assert_bits(want, helpers.gepp_solve(a[i], b[i]))
+
+
+@BLOCK_PROPERTY
+@given(systems(tied_entries), st.lists(st.booleans(), min_size=16,
+                                       max_size=16))
+def test_gepp_with_entries_known_at_generation_agrees_bit_for_bit(system,
+                                                                  mask):
+    # W11 entries known at generation (where the mask holds) are floats
+    # among the lane columns; every lane still takes the bits of the float
+    # elimination of its block
+    a, b = system
+    k = a.shape[1]
+    known = {(i, j) for i in range(k) for j in range(k) if mask[4 * i + j]}
+    for i, j in known:
+        a[:, i, j] = a[0, i, j]
+    try:
+        got = eliminate_lanes(a, b, known)
+    except ZeroDivisionError:
+        # a zero pivot among floats alone: every lane's floats divide by it
+        got = None
+    for i in range(len(a)):
+        try:
+            want = gepp_floats(a[i], b[i])
+        except ZeroDivisionError:
+            assert got is None or not np.isfinite(got[i]).all()
+        else:
+            assert got is not None
+            assert_bits(got[i], want)
 
 
 def backward_error(a, x, b):
@@ -629,7 +674,7 @@ def test_gepp_agrees_with_scipy_within_the_backward_error_bound(system):
     a, b = system
     k, u = a.shape[1], 2.0 ** -53
     bound = 1.01 * 3 * k * u * (1 + 2 * (k * k - k) * 2.0 ** (k - 1))
-    got = clairaut.gepp_many(a, b)
+    got = eliminate_lanes(a, b)
     for i in range(len(a)):
         try:
             with warnings.catch_warnings():
@@ -651,12 +696,19 @@ def test_an_overflowing_stacked_solve_prints_no_warning():
     # the update -1e308 - 1e308 and the back substitution overflow in lane 0
     a = np.array([[[1.0, 1e308], [1.0, -1e308]], [[2.0, 1.0], [1.0, 3.0]]])
     b = np.array([[[1e308], [-1e308]], [[1.0], [2.0]]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = clairaut.gepp_many(a, b)
+    got = eliminate_lanes(a, b)
     assert not np.isfinite(got[0]).all()
     for i in range(2):
         assert_bits(got[i], gepp_floats(a[i], b[i]))
+    # in a lane solve, the step r / w = 1e305 / 1e-8 of lane 0 overflows
+    system = LagrangianSystem.from_source(1, "v1^4/12", {"v1": (-1.0, 1.0)})
+    solver = EnvelopeSolver(system, partition_indices(system))
+    q, p1, guess = np.zeros((2, 1)), [[1e305], [0.5]], [[1e-4], [1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, failed = solver.solve_lanes(q, p1, np.zeros((2, 0)), guess)
+    assert list(failed) == [0] and isinstance(failed[0], EvalDomainError)
+    assert_bits(out[1], solver.solve(q[1], p1[1], [], guess[1]))
 
 
 def svd_check(w11, tol, where, **at):
@@ -671,6 +723,29 @@ def svd_check(w11, tol, where, **at):
         raise SingularJacobianError(
             f"{where} {point} (smallest singular value {sv[-1]:.3e})"
         )
+
+
+def lanes_check(blocks, tol, where, known=False, **at):
+    """``clairaut.singular_lanes`` on a stack (count, k, k) given as the
+    entry columns of ``solve_lanes``' step, each ``at`` value as one row
+    per lane: raises the lowest singular lane's error, else returns
+    (smallest, largest) by lane.  With ``known``, an entry with the same
+    bits in every lane is given as its float, as an entry known at
+    generation is."""
+    blocks = np.asarray(blocks, dtype=float)
+    count, k = len(blocks), blocks.shape[-1]
+
+    def entry(x):
+        same = x.tobytes() == np.full(count, x[0]).tobytes()
+        return float(x[0]) if known and same else x
+
+    w11 = [[entry(blocks[:, i, j]) for j in range(k)] for i in range(k)]
+    at = {name: list(np.reshape(x, (count, -1)).T) for name, x in at.items()}
+    smallest, largest, errors = clairaut.singular_lanes(w11, count, tol,
+                                                        where, **at)
+    if errors:
+        raise errors[min(errors)]
+    return np.broadcast_to(smallest, count), np.broadcast_to(largest, count)
 
 
 def check_outcome(check, w, tol):
@@ -725,7 +800,7 @@ def test_check_w11_returns_the_extreme_singular_values():
     blocks = np.array([[[2.0, 0.0], [0.0, -0.5]], [[3.0, 0.0], [0.0, 1.0]]])
     smallest, largest = clairaut.check_w11(blocks[0], TOL, "")
     assert (smallest, largest) == (0.5, 2.0)
-    smallest, largest = clairaut.check_w11(blocks, TOL, "", v1=np.zeros(2))
+    smallest, largest = lanes_check(blocks, TOL, "", v1=np.zeros(2))
     assert_allclose(smallest, [0.5, 1.0], rtol=1e-15)
     assert_allclose(largest, [2.0, 3.0], rtol=1e-15)
     assert clairaut.check_w11(np.array([[-4.0]]), TOL, "") == (4.0, 4.0)
@@ -832,8 +907,8 @@ def test_check_w11_names_the_first_non_finite_block_of_a_stack():
     with pytest.raises(SingularJacobianError,
                        match=r"^at v1=\[1\.0\] \(smallest singular "
                              r"value nan\)$"):
-        clairaut.check_w11(blocks, TOL, "at", v1=np.array([[0.0], [1.0], [2.0]]))
-    smallest, largest = clairaut.check_w11(blocks[:1], TOL, "", v1=np.zeros(1))
+        lanes_check(blocks, TOL, "at", v1=np.array([[0.0], [1.0], [2.0]]))
+    smallest, largest = lanes_check(blocks[:1], TOL, "", v1=np.zeros(1))
     assert (smallest.tolist(), largest.tolist()) == ([1.0], [2.0])
 
 
@@ -844,13 +919,14 @@ def test_check_w11_names_the_singular_lane_of_a_3x3_stack():
                        np.diag([3.0, 3.0, 3.0])])
     at = np.arange(9.0).reshape(3, 3)
     with pytest.raises(SingularJacobianError) as raised:
-        clairaut.check_w11(blocks, TOL, "at", v1=at)
+        lanes_check(blocks, TOL, "at", v1=at)
     with pytest.raises(SingularJacobianError) as alone:
         clairaut.check_w11(blocks[1], TOL, "at", v1=at[1])
     assert str(raised.value) == str(alone.value) == (
         "at v1=[3.0, 4.0, 5.0] (smallest singular value 0.000e+00)")
-    smallest, largest, errors = clairaut.singular_lanes(blocks, TOL, "at",
-                                                        v1=at)
+    smallest, largest, errors = clairaut.singular_lanes(
+        [[blocks[:, i, j] for j in range(3)] for i in range(3)], 3, TOL, "at",
+        v1=list(at.T))
     assert list(errors) == [1] and str(errors[1]) == str(raised.value)
     assert (smallest.tolist(), largest.tolist()) == ([1.0, 0.0, 3.0],
                                                      [1.0, 2.0, 3.0])
@@ -866,7 +942,7 @@ def test_check_w11_2x2_with_a_negative_determinant_skips_the_svd(
     blocks = np.array([[[0.0, 1.0], [1.0, 0.0]], [[2.0, 0.0], [0.0, -0.5]],
                        rotation(0.3) @ np.diag([3.0, 1e-3]) @ rotation(1.1),
                        rotation(2.0) @ np.diag([1e5, -7.0]) @ rotation(0.4)])
-    smallest, largest = clairaut.check_w11(blocks, TOL, "", v1=np.zeros(4))
+    smallest, largest = lanes_check(blocks, TOL, "", v1=np.zeros(4))
     assert calls == []
     margin = clairaut.W11_MARGIN * np.array([1.0, 2.0, 3.0, 1e5])
     assert (np.abs(smallest - [1.0, 0.5, 1e-3, 7.0]) <= margin).all()
@@ -878,16 +954,15 @@ def test_check_w11_sends_only_the_undecided_lanes_of_a_stack_to_the_svd(
     calls = helpers.record_svd_calls(monkeypatch)
     clear = np.array([[2.0, 0.5], [0.5, 1.0]])
     near = np.array([[np.nextafter(TOL, 1.0), 0.0], [0.0, 1.0]])  # passes
-    clairaut.check_w11(np.array([clear, near, clear]), TOL, "",
-                       v1=np.zeros((3, 2)))
+    lanes_check(np.array([clear, near, clear]), TOL, "", v1=np.zeros((3, 2)))
     assert [(a.tolist(), inside) for a, inside in calls] == [
         ([near.tolist()], True)]
     calls.clear()
     with pytest.raises(SingularJacobianError,
                        match=r"^at v1=\[2\.0\] \(smallest singular value "
                              r"0\.000e\+00\)$"):
-        clairaut.check_w11(np.array([[[1.0]], [[-3.0]], [[0.0]], [[4.0]]]),
-                           TOL, "at", v1=np.arange(4.0)[:, None])
+        lanes_check(np.array([[[1.0]], [[-3.0]], [[0.0]], [[4.0]]]), TOL,
+                    "at", v1=np.arange(4.0)[:, None])
     assert [(a.tolist(), inside) for a, inside in calls] == [([[[0.0]]], True)]
 
 
@@ -915,19 +990,23 @@ def stack_outcome(check, blocks, tol):
 
 
 def assert_stack_decides_as_the_svd(blocks, tol):
-    """``check_w11`` on a stack ends as ``svd_check`` ends lane by lane; a
-    stack it passes comes back with each block's singular values within
-    ``W11_MARGIN`` of the SVD's."""
+    """The lane check of a stack ends as ``svd_check`` ends lane by lane,
+    with every entry a lane column and with the entries that agree in every
+    lane given as floats; a stack it passes comes back with each block's
+    singular values within ``W11_MARGIN`` of the SVD's."""
     blocks = np.array(blocks, dtype=float)
     want = stack_outcome(lane_by_lane, blocks, tol)
-    assert stack_outcome(clairaut.check_w11, blocks, tol) == want
-    if want is None:
-        sv = np.linalg.svd(blocks, compute_uv=False)
-        smallest, largest = clairaut.check_w11(blocks, tol, "",
-                                               v1=np.zeros(len(blocks)))
-        margin = clairaut.W11_MARGIN * np.maximum(sv[:, 0], sys.float_info.min)
-        assert (np.abs(smallest - sv[:, -1]) <= margin).all()
-        assert (np.abs(largest - sv[:, 0]) <= margin).all()
+    for known in (False, True):
+        check = functools.partial(lanes_check, known=known)
+        assert stack_outcome(check, blocks, tol) == want
+        if want is None:
+            sv = np.linalg.svd(blocks, compute_uv=False)
+            smallest, largest = check(blocks, tol, "",
+                                      v1=np.zeros(len(blocks)))
+            margin = clairaut.W11_MARGIN * np.maximum(sv[:, 0],
+                                                      sys.float_info.min)
+            assert (np.abs(smallest - sv[:, -1]) <= margin).all()
+            assert (np.abs(largest - sv[:, 0]) <= margin).all()
     return want
 
 

@@ -688,20 +688,23 @@ def test_verify_honors_seed_and_tolerances(tmp_path, capsys):
 # one cold envelope solve per row
 # --------------------------------------------------------------------------
 
-def record_cold_lanes(monkeypatch):
-    """The (q, p1, c2) rows of every cold ``EnvelopeSolver.solve_lanes``
-    lane (one with no ``v1_guess``), appended as the solver meets them."""
+def record_lanes(monkeypatch, warm):
+    """The (q, p1, c2) rows of every cold lane of an envelope solve (one
+    with no guess), or with ``warm`` the (q, p1, c2, guess) rows of every
+    warm one, appended as the solver meets them.  Every lane solve, of
+    ``solve_lanes`` or of the inverse transform, runs through
+    ``EnvelopeSolver._solve_columns``, which takes lane columns."""
     lanes = []
-    solve_lanes = EnvelopeSolver.solve_lanes
+    solve_columns = EnvelopeSolver._solve_columns
 
-    def counted(self, q, p1, c2, v1_guess=None):
-        if v1_guess is None:
-            rows = np.concatenate(
-                [np.reshape(x, (len(q), -1)) for x in (q, p1, c2)], axis=1)
-            lanes.extend(map(tuple, rows.tolist()))
-        return solve_lanes(self, q, p1, c2, v1_guess)
+    def counted(self, point, p1, v1=None):
+        if (v1 is not None) == warm:
+            cols = [*point[:self.system.n], *p1, *point[self._v2_cols],
+                    *(v1 or ())]
+            lanes.extend(map(tuple, np.array(cols).T.tolist()))
+        return solve_columns(self, point, p1, v1)
 
-    monkeypatch.setattr(EnvelopeSolver, "solve_lanes", counted)
+    monkeypatch.setattr(EnvelopeSolver, "_solve_columns", counted)
     return lanes
 
 
@@ -719,7 +722,7 @@ def record_cold_lanes(monkeypatch):
 ])
 def test_commands_solve_each_row_once(tmp_path, capsys, monkeypatch, args,
                                       cold, distinct):
-    lanes = record_cold_lanes(monkeypatch)
+    lanes = record_lanes(monkeypatch, warm=False)
     assert main([args[0], deg1_problem(tmp_path), *args[1:]]) == 0
     assert len(lanes) == cold
     assert len(set(lanes)) == distinct
@@ -730,17 +733,7 @@ def test_verify_solves_each_warm_row_once(capsys, monkeypatch):
     # (q, p1, v2) and the warm guess with the unshifted point: 250 rows of
     # 5 stencil points hold 3 distinct rows each (750 warm lanes, not
     # 1,250); the inverse transform's nested warm solves add 400
-    lanes = []
-    solve_lanes = EnvelopeSolver.solve_lanes
-
-    def counted(self, q, p1, c2, v1_guess=None):
-        if v1_guess is not None:
-            rows = np.concatenate([np.reshape(x, (len(q), -1))
-                                   for x in (q, p1, c2, v1_guess)], axis=1)
-            lanes.extend(map(tuple, rows.tolist()))
-        return solve_lanes(self, q, p1, c2, v1_guess)
-
-    monkeypatch.setattr(EnvelopeSolver, "solve_lanes", counted)
+    lanes = record_lanes(monkeypatch, warm=True)
     path = (pathlib.Path(__file__).resolve().parent.parent / "problems"
             / "chained_pair.json")
     assert main(["verify", str(path)]) == 0
@@ -859,9 +852,14 @@ def test_trajectory_files_are_deterministic(tmp_path):
 
 def test_console_script_entry_point(tmp_path):
     path = write_problem(tmp_path, n=1, lagrangian="0.5*v1^2")
+    # the child imports legclair from where this process imported it, so
+    # the test needs neither an installed package nor PYTHONPATH
+    here = os.path.dirname(os.path.dirname(legclair.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [here, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-m", "legclair.cli", "analyze", path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "no primary constraints" in proc.stdout

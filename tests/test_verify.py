@@ -15,8 +15,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
+import helpers
 import maps_oracle
 import verify_oracle
 from legclair import cli, verify
@@ -25,7 +28,13 @@ from legclair.clairaut import (
     MixedHamiltonian,
     SingularJacobianError,
 )
-from legclair.partition import LagrangianSystem
+from legclair.expr import EvalDomainError, to_source
+from legclair.partition import (
+    LagrangianSystem,
+    RankNotConstantError,
+    partition_indices,
+    qv_names,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = ("chained_pair", "oscillator")
@@ -215,6 +224,24 @@ LANE_STACKS = {
         ["converged", "converged", "SingularJacobianError",
          "SingularJacobianError", "converged"],
     ),
+    # W11 = [[1, 0], [0, v2^2]]: three entries known at generation stay
+    # floats beside a lane column, and a guess with v2 = 0 is singular
+    "partly_known_w11": (
+        "0.5*v1^2 + v2^4/12", {"v1": (-1.0, 1.0), "v2": (-1.0, 1.0)},
+        [[0.5, 0.1], [0.5, 0.1], [-0.3, -0.2], [0.2, 0.3]],
+        [[1.0, 1.0], [0.5, 0.0], [0.0, -0.5], [0.5, -0.0]], {},
+        ["converged", "SingularJacobianError", "converged",
+         "SingularJacobianError"],
+    ),
+    # a constant W11, decided once on floats: the NaN guess fails its first
+    # evaluation while the other lanes converge
+    "known_w11": (
+        "0.5*v1^2 + 0.5*v2^2 + 0.25*v1*v2",
+        {"v1": (-1.0, 1.0), "v2": (-1.0, 1.0)},
+        [[0.5, 0.1], [0.5, 0.1], [-0.3, 0.2]],
+        [[1.0, 1.0], [np.nan, 0.0], [0.5, -0.5]], {},
+        ["converged", "EvalDomainError", "converged"],
+    ),
 }
 
 
@@ -258,6 +285,57 @@ def test_solve_lanes_end_as_solve_ends(case):
         first = next((w for w in want if isinstance(w, tuple)), out)
         assert_same_outcome(
             outcome(lambda: solver.solve_many(q, p1, c2, guess)), first)
+
+
+def random_lagrangian(rng, kind):
+    """The first of up to ten random n = 2 Lagrangians of ``kind`` (a
+    ``helpers`` random source) on [-1, 1]^4 that partitions with k > 0, as
+    (system, partition), or None."""
+    names = qv_names(2)
+    for _ in range(10):
+        if kind == "tree":
+            source = to_source(helpers.random_tree(rng, names))
+        else:
+            source = getattr(helpers, f"random_{kind}_source")(rng, names)
+        system = LagrangianSystem.from_source(
+            2, source, {name: (-1.0, 1.0) for name in names})
+        try:
+            partition = partition_indices(system)
+        except (RankNotConstantError, EvalDomainError):
+            continue
+        if partition.k:
+            return system, partition
+    return None
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["smooth", "polynomial", "tree"]), st.booleans())
+def test_solve_lanes_rows_end_as_solve_on_random_systems(seed, kind,
+                                                          guessed):
+    # constant, partly known and varying W11 blocks; lanes that converge,
+    # meet a singular W11, diverge or leave L's domain
+    rng = np.random.default_rng(seed)
+    drawn = random_lagrangian(rng, kind)
+    if drawn is None:
+        return
+    solver = EnvelopeSolver(*drawn)
+    k, count = solver.partition.k, 6
+    q = rng.uniform(-1.0, 1.0, (count, 2))
+    p1 = rng.uniform(-2.0, 2.0, (count, k))
+    c2 = rng.uniform(-1.0, 1.0, (count, 2 - k))
+    guess = rng.uniform(-1.0, 1.0, (count, k)) if guessed else None
+    out, failed = solver.solve_lanes(q, p1, c2, guess)
+    for i in range(count):
+        want = outcome(lambda: solver.solve(
+            q[i], p1[i], c2[i], None if guess is None else guess[i]))
+        if i in failed:
+            err = failed.pop(i)
+            assert np.isnan(out[i]).all()
+            assert_same_outcome((type(err), str(err)), want)
+        else:
+            assert_same_outcome(out[i], want)
+    assert not failed
 
 
 @pytest.mark.parametrize("source, domain", [

@@ -795,6 +795,13 @@ class MixedHamiltonian:
         self._reg = np.array(self.partition.regular, dtype=int)
         self._nonreg = np.array(self.partition.nonregular, dtype=int)
         self._v_active = tuple(range(n, 2 * n))
+        # the momentum stencil's blocks (p, then +e_i and -e_i for each i)
+        # that are solved: the unshifted and the +-p1 ones; a +-p2 block
+        # takes the unshifted block's V
+        self._solved = [0, *(b for i in self.partition.regular
+                             for b in (1 + 2 * i, 2 + 2 * i))]
+        self._source = [self._solved.index(b) if b in self._solved else 0
+                        for b in range(2 * n + 1)]
 
     @classmethod
     def from_system(
@@ -901,15 +908,17 @@ class MixedHamiltonian:
     # on) and is the one body of its map: the single-point map of its name
     # calls it on one row, and ``psi`` and ``h_zero`` call
     # ``envelope_many``, the one body of the envelope point, whose one
-    # solve and one evaluation give V, Psi and H0 together.  ``value_many``
-    # and ``envelope_many`` are a solve and then ``value_at`` and
-    # ``envelope_at``, which take V as given, so ``transform`` solves a row
-    # once for H, Psi and H0.  No row depends on the others: Newton lanes
-    # end as ``solve`` ends (``solve_lanes``), and row-wise dot products
-    # are :func:`contract` over columns.  A map raises if some row fails,
-    # the lowest row's error; on one row it meets that row's errors in a
-    # point's own order, as shifted momenta are stacked in central-difference
-    # order.
+    # solve and one evaluation give V, Psi and H0 together.  A map that
+    # solves is its solves and then a solve-free body that takes V as given
+    # (``value_at``, ``envelope_at``, ``clairaut_residual_at``,
+    # ``momentum_gradient_at`` and ``inverse_transform_at``), so
+    # ``transform`` solves a row once for H, Psi and H0, and ``verify``
+    # solves the rows of all its maps together.  No row depends on the
+    # others: Newton lanes end as ``solve`` ends (``solve_lanes``), and
+    # row-wise dot products are :func:`contract` over columns.  A map raises
+    # if some row fails, the lowest row's error; on one row it meets that
+    # row's errors in a point's own order, as shifted momenta are stacked in
+    # central-difference order.
 
     def value_many(self, q, p, v2, v1_guess=None) -> np.ndarray:
         """H = p1*V + p2*v2 - L(q, V, v2) at every row."""
@@ -950,77 +959,98 @@ class MixedHamiltonian:
         _, psi, _ = self.envelope_many(q, p[:, self._reg], v2_probe, v1_guess)
         return p[:, self._nonreg] - psi
 
-    def momentum_gradient_many(self, q, p, v2):
-        """(V, H, dH/dp) at every row: V and H at (q, p, v2), and dH/dp by
-        the central differences of :meth:`clairaut_residual`.
-
-        H at p and at the 2n shifted momenta of every row is one stacked
-        solve, warm-started from V at p, and one :meth:`value_at`.  The
-        +-p2 shifts share (q, p1, v2) and the guess with the unshifted
-        point, so they take its V: only the unshifted and the +-p1 rows are
-        solved, in stencil order, so the lowest failing point's error is
-        raised, as ``value_many`` raises.
-        """
-        q = checked_rows(q, self.n, "q")
-        p = checked_rows(p, self.n, "p", len(q))
-        v2 = checked_rows(v2, self.n - self.k, "v2", len(q))
-        n, count = self.n, len(q)
-        v1_warm = self.solver.solve_many(q, p[:, self._reg], v2)
+    def _stencil(self, p):
+        """The central-difference momenta of :meth:`clairaut_residual` at
+        every row of p, (2n + 1, count, n): p, then +e_i and -e_i for each
+        i, the order a point meets errors in; and the steps, (count, n)."""
         step = FD_MOMENTUM_STEP * (1.0 + np.abs(p))
-        # p, then +e_i and -e_i for each i: the order a point meets errors in
-        blocks = 2 * n + 1
-        shifted = np.repeat(p[None], blocks, axis=0)
-        for i in range(n):
+        shifted = np.repeat(p[None], 2 * self.n + 1, axis=0)
+        for i in range(self.n):
             shifted[1 + 2 * i, :, i] += step[:, i]
             shifted[2 + 2 * i, :, i] -= step[:, i]
-        k = self.k
-        solved = [0, *(b for i in self.partition.regular
-                       for b in (1 + 2 * i, 2 + 2 * i))]
-        reps = (len(solved), 1)
-        v1 = self.solver.solve_many(
-            np.tile(q, reps),
-            shifted[solved][:, :, self._reg].reshape(len(solved) * count, k),
-            np.tile(v2, reps), np.tile(v1_warm, reps),
-        ).reshape(len(solved), count, k)
-        # the solved block each stencil block takes its V from
-        source = [solved.index(b) if b in solved else 0 for b in range(blocks)]
+        return shifted, step
+
+    def momentum_stencil(self, q, p, v2, v1):
+        """The envelope rows that :meth:`momentum_gradient_at` takes V at,
+        as (q, p1, v2, guess) rows: those of p and of its +-p1 shifts,
+        block after block in stencil order, each warm-started from V at p
+        (``v1``).  The +-p2 shifts share (q, p1, v2) and the guess with
+        the unshifted point, so they take its V and are not solved."""
+        shifted, _ = self._stencil(p)
+        reps = (len(self._solved), 1)
+        return (np.tile(q, reps),
+                shifted[self._solved][:, :, self._reg].reshape(
+                    len(self._solved) * len(q), self.k),
+                np.tile(v2, reps), np.tile(v1, reps))
+
+    def momentum_gradient_at(self, q, p, v2, v1_stencil):
+        """(H, dH/dp) at every row: H at (q, p, v2), and dH/dp by the
+        central differences of :meth:`clairaut_residual`, given V at the
+        rows of :meth:`momentum_stencil` as ``v1_stencil``: one
+        :meth:`value_at` at p and at its 2n shifted momenta."""
+        n, k, count = self.n, self.k, len(q)
+        shifted, step = self._stencil(p)
+        blocks = len(shifted)
+        v1 = np.reshape(v1_stencil, (len(self._solved), count, k))
         h_all = self.value_at(
             np.tile(q, (blocks, 1)), shifted.reshape(blocks * count, n),
-            np.tile(v2, (blocks, 1)), v1[source].reshape(blocks * count, k),
+            np.tile(v2, (blocks, 1)),
+            v1[self._source].reshape(blocks * count, k),
         ).reshape(blocks, count)
         dhdp = ((h_all[1::2] - h_all[2::2]) / (2.0 * step.T)).T
-        return v1_warm, h_all[0], dhdp
+        return h_all[0], dhdp
 
     def clairaut_residual_many(self, q, p, v2) -> np.ndarray:
         """|H - p*dH/dp + L(dH/dp)| at every row (see
-        :meth:`clairaut_residual`)."""
-        _, h_val, dhdp = self.momentum_gradient_many(q, p, v2)
-        q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+        :meth:`clairaut_residual`): a cold solve at (q, p1, v2), one warm
+        solve of the rows of :meth:`momentum_stencil`, in stencil order, so
+        the lowest failing point's error is raised, as ``value_many``
+        raises, then :meth:`clairaut_residual_at`."""
+        q = checked_rows(q, self.n, "q")
+        p = checked_rows(p, self.n, "p", len(q))
+        v2 = checked_rows(v2, self.n - self.k, "v2", len(q))
+        v1 = self.solver.solve_many(q, p[:, self._reg], v2)
+        v1_stencil = self.solver.solve_many(
+            *self.momentum_stencil(q, p, v2, v1))
+        return self.clairaut_residual_at(q, p, v2, v1_stencil)
+
+    def clairaut_residual_at(self, q, p, v2, v1_stencil) -> np.ndarray:
+        """:meth:`clairaut_residual_many`'s residual, given V at the rows
+        of :meth:`momentum_stencil` as ``v1_stencil``."""
+        h_val, dhdp = self.momentum_gradient_at(q, p, v2, v1_stencil)
         lval = evaluate_many(self.system.lagrangian,
                              np.concatenate([q, dhdp], axis=1))
         return np.abs(h_val - contract(p.T, dhdp.T) + lval)
 
     def inverse_transform_many(self, q, v, p2, p1_guess=None) -> np.ndarray:
         """The inverse transform (see :meth:`inverse_transform`) at every
-        row: the outer Newton on P runs lane by lane, each iteration one
-        stacked W11 evaluation and one stacked nested solve per backtracking
-        round.  The lowest failing lane's error is raised.
+        row: a cold solve at the start P = ``p1_guess`` (0 by default), then
+        :meth:`inverse_transform_at`, whose outer Newton on P runs lane by
+        lane, each iteration one stacked W11 evaluation and one stacked
+        nested solve per backtracking round.  The lowest failing lane's
+        error is raised.
         """
         q = checked_rows(q, self.n, "q")
         count = len(q)
         v = checked_rows(v, self.n, "v", count)
         p2 = checked_rows(p2, self.n - self.k, "p2", count)
+        p1 = (checked_rows(p1_guess, self.k, "p1_guess", count)
+              if p1_guess is not None else np.zeros((count, self.k)))
+        v_start, failed = self.solver.solve_lanes(q, p1, v[:, self._nonreg])
+        return self.inverse_transform_at(q, v, p2, p1, v_start, failed)
+
+    def inverse_transform_at(self, q, v, p2, p1, v_start, failed):
+        """:meth:`inverse_transform_many` from the start P = ``p1``, given
+        V there as ``v_start``, NaN at the rows where its solve failed, and
+        ``{row: error}`` for those rows, which end in their error."""
         v1 = v[:, self._reg]
         v2 = v[:, self._nonreg]
         solver = self.solver
-        p1 = (checked_rows(p1_guess, self.k, "p1_guess", count)
-              if p1_guess is not None else np.zeros((count, self.k)))
         v_cur = None
         if self.k:
             k, active = self.k, solver._v1_active
             base = solver._point_columns(q, v2)
-            v_cur, failed = solver._solve_columns(base.copy(),
-                                                  list(np.array(p1.T)))
+            v_cur = [np.array(c) for c in np.transpose(v_start)]
             v1_cols = list(v1.T)
 
             def step(lanes, _, rho, state):
@@ -1042,12 +1072,12 @@ class MixedHamiltonian:
 
             p1, v_cur, failed = _newton_lanes(
                 solver, list(np.array(p1.T)),
-                [a - b for a, b in zip(v1_cols, v_cur)], v_cur, failed,
+                [a - b for a, b in zip(v1_cols, v_cur)], v_cur, dict(failed),
                 step, trial, "inverse-transform", " of the inverse transform")
             if failed:
                 raise failed[min(failed)]
             p1, v_cur = np.stack(p1, axis=1), np.stack(v_cur, axis=1)
-        p_full = np.empty((count, self.n))
+        p_full = np.empty((len(q), self.n))
         p_full[:, self._reg] = p1
         p_full[:, self._nonreg] = p2
         h_val = self.value_many(q, p_full, v2, v1_guess=v_cur)

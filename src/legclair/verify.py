@@ -6,27 +6,40 @@ the envelope gradients dH/dp = (V, v2), probe independence of Psi and H0,
 the split H = H0 + v2*Phi, involutivity, the rank of H's momentum Hessian
 and, for k = n, agreement with a plain classical Legendre transform.
 
-Each property runs on stacked samples: a chunk of up to ``CHUNK_ROWS``
-samples is drawn with one ``Generator.uniform`` call and evaluated by the
-stacked maps of ``MixedHamiltonian`` (``value_many`` and the rest), so a
-Newton iteration is one kernel call and one batched solve for the whole
-chunk.  Psi and H0 come with V from one ``envelope_many`` call, so no
-property solves a row set twice: ``probe_independence`` solves its rows at
-the default probe and at the five drawn probes, ``decomposition`` at v2 for
-H and at the default probe for Psi and H0, and ``rank_agreement`` once for
-the momentum stencil's points that differ only in p2.  A sample row holds
-the numbers in the order the sample-by-sample suite drew them, so the
-stream, the samples and the worst values are the same.  The stacked maps
-are the only bodies of the maps (``value`` and the rest are their one-row
-calls), so a row alone raises that sample's own error.  A property calls
-several maps in turn, and a later sample may fail in an earlier map than
-the first failing sample does, so a chunk that raises is bisected by
-``failing_rows`` down to the lowest sample that raises alone, whose error
-is raised, as the sample-by-sample suite raised it.
+The suite runs in three steps, on stacked samples:
+
+1. **Draw.**  Each property draws its samples a chunk of up to
+   ``CHUNK_ROWS`` at a time, one ``Generator.uniform`` call per chunk, the
+   properties in turn.  A sample row holds the numbers in the order the
+   sample-by-sample suite drew them, so the stream, the samples and the
+   worst values are the same.
+2. **Solve.**  Every envelope row of the drawn chunks that starts from
+   the default guess (a cold row) goes to one stacked solve, and the +-p1
+   stencil rows of the Clairaut residual and ``envelope_grad``,
+   warm-started from that V, to one more.  Chunks join one batch until its
+   cold rows would pass ``LANE_CHUNKS * CHUNK_ROWS``, and no solve takes
+   more rows, so memory does not grow with ``samples``.
+3. **Finish.**  Each chunk forms its property from its slice of V through
+   the solve-free bodies of the maps of ``MixedHamiltonian``
+   (``value_at``, ``envelope_at``, ``clairaut_residual_at``,
+   ``momentum_gradient_at`` and ``inverse_transform_at``), chunk after
+   chunk in the order they were drawn.
+
+A lane ends as ``solve`` ends at its row, so a row of a merged solve has
+the bits and the error of the row alone.  A finish takes V through
+``_Solved.take``, which raises the error of the first row that failed, in
+the order its map solves them, so a row alone raises that sample's own
+error, in its map order.  A property calls several maps in turn, and a
+later sample may fail in an earlier map than the first failing sample does,
+so a chunk that raises is bisected by ``failing_rows``, on the V already
+solved, down to the lowest sample that raises alone, whose error is raised,
+as the sample-by-sample suite raised it.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +57,9 @@ __all__ = ["PropertyResult", "run_property_suite"]
 # rows evaluated together by verify and transform: bounds their memory (one
 # verify of deg3 at 1,024 samples peaks at 3.4 MB under tracemalloc)
 CHUNK_ROWS = 1024
+# a stacked envelope solve of the suite takes at most LANE_CHUNKS *
+# CHUNK_ROWS rows, so its memory does not grow with the samples either
+LANE_CHUNKS = 4
 
 
 def failing_rows(run, rows, errors=Exception):
@@ -62,16 +78,12 @@ def failing_rows(run, rows, errors=Exception):
                 yield half[0], error
 
 
-def _fd_hessian(f, x, h=1e-4):
-    """Central-difference Hessians of f at every row of x (count, d).
-
-    ``f`` maps stencil points (count, m, d) to their values (count, m).
-    Each row's m points come in the order x, then for each i: x + e_i,
-    x - e_i, and x + e_i + e_j, x + e_i - e_j, x - e_i + e_j, x - e_i - e_j
-    for j > i.
-    """
+def _fd_stencil(x, h=1e-4):
+    """The central-difference stencil points at every row of x (count, d),
+    as (count, m, d): x, then for each i: x + e_i, x - e_i, and x + e_i +
+    e_j, x + e_i - e_j, x - e_i + e_j, x - e_i - e_j for j > i."""
     x = np.asarray(x, dtype=float)
-    count, d = x.shape
+    d = x.shape[1]
     stencil = [x]
     for i in range(d):
         ei = np.zeros(d)
@@ -81,9 +93,14 @@ def _fd_hessian(f, x, h=1e-4):
             ej = np.zeros(d)
             ej[j] = h
             stencil += [x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]
-    values = f(np.stack(stencil, axis=1))
+    return np.stack(stencil, axis=1)
+
+
+def _fd_hessian(values, d, h=1e-4):
+    """Central-difference Hessians (count, d, d) from the values (count, m)
+    of a function at the points of :func:`_fd_stencil`."""
     f0 = values[:, 0]
-    out = np.empty((count, d, d))
+    out = np.empty((len(values), d, d))
     at = 1
     for i in range(d):
         out[:, i, i] = (values[:, at] - 2.0 * f0 + values[:, at + 1]) / (h * h)
@@ -157,6 +174,118 @@ class PropertyResult:
     status: str
 
 
+@dataclass
+class _Solved:
+    """V at a block of envelope rows, NaN at the rows whose solve failed,
+    and ``{row: error}`` for those rows."""
+
+    v1: np.ndarray
+    failed: dict
+
+    def part(self, rows):
+        """V at ``rows`` (an index array) and ``{i: error}`` for each
+        ``rows[i]`` that failed."""
+        failed = {i: self.failed[row] for i, row in enumerate(rows.tolist())
+                  if row in self.failed} if self.failed else {}
+        return self.v1[rows], failed
+
+    def take(self, rows, count=None):
+        """V at ``rows``; raises the error of the first of them that failed.
+        With ``count``, the block is a stack of ``count``-row blocks, and
+        ``rows`` is taken from each, block after block."""
+        if count is not None:
+            blocks = np.arange(len(self.v1) // count)[:, None]
+            rows = (blocks * count + rows).ravel()
+        v1, failed = self.part(rows)
+        if failed:
+            raise failed[min(failed)]
+        return v1
+
+
+def _solve(solver, blocks, bound):
+    """Solve the envelope rows of ``blocks``, each (q, p1, c2) or (q, p1,
+    c2, guess) arrays, together, in stacked solves of at most ``bound``
+    rows: one :class:`_Solved` per block.  A lane ends as ``solve`` ends at
+    its row, so each row has its bits and its error alone."""
+    sizes = [len(block[0]) for block in blocks]
+    stacked = [np.concatenate(x) for x in zip(*blocks)]
+    v1, failed = np.empty((sum(sizes), solver.partition.k)), {}
+    for start in range(0, len(v1), bound):
+        v1[start:start + bound], bad = solver.solve_lanes(
+            *(x[start:start + bound] for x in stacked))
+        failed.update((start + lane, error) for lane, error in bad.items())
+    out, start = [], 0
+    for size in sizes:
+        out.append(_Solved(v1[start:start + size],
+                           {row - start: error for row, error in failed.items()
+                            if start <= row < start + size}))
+        start += size
+    return out
+
+
+@dataclass
+class _Chunk:
+    """One drawn chunk of a property: ``cold`` holds the (q, p1, c2)
+    blocks of its rows solved from the default start, and ``warm``, if
+    any, gives the (q, p1, c2, guess) block warm-started from the first
+    cold block's V.  ``finish(solved, sel)`` forms the property's values at
+    the rows ``sel`` of the chunk from the :class:`_Solved` of its blocks,
+    cold then warm."""
+
+    cold: list
+    finish: Callable
+    warm: Callable | None = None
+
+
+def _sweep(solver, rng, sweeps):
+    """The worst value of each sweep (per column, if it has several), a
+    sweep being (count, low, high, chunk): ``count`` samples drawn, up to
+    ``CHUNK_ROWS`` rows at a time, from [low, high), and made into a
+    :class:`_Chunk` by ``chunk(rows)``; the chunks are drawn, solved and
+    finished in batches, as the module docstring says."""
+    bound = LANE_CHUNKS * CHUNK_ROWS
+    worst = [0.0] * len(sweeps)
+    batch, held = [], 0
+
+    def flush():
+        cold = iter(_solve(solver, [b for _, c, _ in batch for b in c.cold],
+                           bound))
+        solved = [[next(cold) for _ in c.cold] for _, c, _ in batch]
+        warm = [(s, c.warm(s[0].v1))
+                for s, (_, c, _) in zip(solved, batch) if c.warm]
+        for (s, _), w in zip(warm, _solve(solver, [b for _, b in warm],
+                                          bound)):
+            s.append(w)
+        for (i, c, size), s in zip(batch, solved):
+            run = functools.partial(c.finish, s)
+            rows = np.arange(size)
+            try:
+                values = run(rows)
+            except Exception:
+                # the lowest sample that fails on its own raises its error
+                for _, error in failing_rows(run, rows):
+                    raise error
+                raise
+            # NaN never becomes the worst value, as with max(worst, value)
+            worst[i] = np.fmax(worst[i],
+                               np.fmax.reduce(values, axis=0, initial=0.0))
+
+    for i, (count, low, high, chunk) in enumerate(sweeps):
+        low, high = np.concatenate(low), np.concatenate(high)
+        for start in range(0, count, CHUNK_ROWS):
+            size = min(CHUNK_ROWS, count - start)
+            c = chunk(rng.uniform(low, high, size=(size, len(low))))
+            lanes = sum(len(block[0]) for block in c.cold)
+            if batch and held + lanes > bound:
+                flush()
+                batch, held = [], 0
+            batch.append((i, c, size))
+            held += lanes
+    if batch:
+        flush()
+    return worst
+
+
 def run_property_suite(ham: MixedHamiltonian, samples, seed,
                        tol_residual, tol_involution):
     """Numerical checks of the transform's defining identities.
@@ -185,63 +314,62 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
                            f"vacuous ({reason})")
         )
 
-    def sweep(count, low, high, stacked):
-        """Worst value of one property (per column, if it has several)
-        over ``count`` samples, each one row drawn from [low, high)."""
-        low, high = np.concatenate(low), np.concatenate(high)
-        worst = 0.0
-        for start in range(0, count, CHUNK_ROWS):
-            size = (min(CHUNK_ROWS, count - start), len(low))
-            rows = rng.uniform(low, high, size=size)
-            try:
-                values = stacked(rows)
-            except Exception:
-                # the lowest sample that fails on its own raises its error
-                for _, error in failing_rows(stacked, rows):
-                    raise error
-                raise
-            # NaN never becomes the worst value, as with max(worst, value)
-            worst = np.fmax(worst, np.fmax.reduce(values, axis=0, initial=0.0))
-        return worst
-
     def parts(rows):
         """(q, p, v2) of a row, or of every row of a chunk."""
         return rows[..., :n], rows[..., 2 * n:3 * n], rows[..., n:2 * n][..., nonreg]
 
+    def at_probe(q, p1):
+        """(q, p1, c2) rows at the default probe."""
+        return q, p1, np.broadcast_to(ham.default_probe(), (len(q), n - k))
+
+    def momentum(finish):
+        """A chunk whose property ``finish(q, p, v2, v1, v1_stencil)`` takes
+        V at (q, p1, v2) and at the rows of ``ham.momentum_stencil``."""
+        def chunk(rows):
+            q, p, v2 = parts(rows)
+
+            def done(solved, sel):
+                cold, warm = solved
+                v1 = cold.take(sel)
+                return finish(*parts(rows[sel]), v1,
+                              warm.take(sel, len(rows)))
+
+            return _Chunk([(q, p[:, reg], v2)], done,
+                          lambda v1: ham.momentum_stencil(q, p, v2, v1))
+        return chunk
+
     # one row of the sample-by-sample suite's draw(): (q, v), then p
     drawn = ([lo, vlo], [hi, vhi])
+    sweeps = [(samples, *drawn, momentum(
+        lambda q, p, v2, _, v1_stencil:
+            ham.clairaut_residual_at(q, p, v2, v1_stencil)))]
 
-    worst = sweep(samples, *drawn,
-                  lambda rows: ham.clairaut_residual_many(*parts(rows)))
-    record("clairaut_residual", samples, worst, tol_residual)
-
-    def grad(rows):
-        q, p, v2 = parts(rows)
-        v1, _, slope = ham.momentum_gradient_many(q, p, v2)
+    def grad(q, p, v2, v1, v1_stencil):
+        _, slope = ham.momentum_gradient_at(q, p, v2, v1_stencil)
         return np.stack([
             np.fmax.reduce(np.abs(slope[:, reg] - v1), axis=1, initial=0.0),
             np.fmax.reduce(np.abs(slope[:, nonreg] - v2), axis=1, initial=0.0),
         ], axis=1)
 
     grad_samples = min(samples, 50)
-    worst_p1, worst_p2 = sweep(grad_samples, *drawn, grad)
-    record("envelope_grad_p1", grad_samples, worst_p1, 1e-6)
-    if k < n:
-        record("envelope_grad_p2", grad_samples, worst_p2, 1e-8)
-    else:
-        vacuous("envelope_grad_p2", "k = n")
+    sweeps.append((grad_samples, *drawn, momentum(grad)))
 
-    if k < n:
-        def independence(rows):
+    def independence(rows):
+        def stacks(rows):
+            """(q, p1) rows, then (q, p1, c2) rows with probe j of every
+            row in block j."""
             q, p, _ = parts(rows)
-            count = len(rows)
-            p1 = p[:, reg]
-            _, psi_ref, h0_ref = ham.envelope_many(q, p1)
-            # block j holds probe j of every row
+            count, p1 = len(rows), p[:, reg]
             probes = rows[:, 3 * n:].reshape(count, 5, n - k).swapaxes(0, 1)
-            probes = probes.reshape(5 * count, n - k)
-            _, psi, h0 = ham.envelope_many(np.tile(q, (5, 1)),
-                                           np.tile(p1, (5, 1)), probes)
+            return (q, p1), (np.tile(q, (5, 1)), np.tile(p1, (5, 1)),
+                             probes.reshape(5 * count, n - k))
+
+        def finish(solved, sel):
+            (q, p1), probed = stacks(rows[sel])
+            count = len(sel)
+            psi_ref, h0_ref = ham.envelope_at(*at_probe(q, p1),
+                                              solved[0].take(sel))
+            psi, h0 = ham.envelope_at(*probed, solved[1].take(sel, len(rows)))
             psi, h0 = psi.reshape(5, count, n - k), h0.reshape(5, count)
             dpsi = np.abs(psi - psi_ref).max(axis=2)
             scale = 1.0 + np.abs(psi_ref).max(axis=1)
@@ -250,69 +378,100 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
                 [dpsi / scale, dh0 / (1.0 + np.abs(h0_ref))], axis=(0, 1)
             )
 
-        ind_samples = min(samples, 25)
-        worst = sweep(ind_samples, drawn[0] + [lo2] * 5, drawn[1] + [hi2] * 5,
-                      independence)
-        record("probe_independence", ind_samples, worst, 1e-8)
-    else:
-        vacuous("probe_independence", "k = n")
+        (q, p1), probed = stacks(rows)
+        return _Chunk([at_probe(q, p1), probed], finish)
+
+    ind_samples = min(samples, 25)
+    if k < n:
+        sweeps.append((ind_samples, drawn[0] + [lo2] * 5,
+                       drawn[1] + [hi2] * 5, independence))
 
     def decomposition(rows):
-        q, p, v2 = parts(rows)
-        h = ham.value_many(q, p, v2)
-        _, psi, h0 = ham.envelope_many(q, p[:, reg])
-        split = h0 + contract(v2.T, (p[:, nonreg] - psi).T)
-        return np.abs(h - split) / (1.0 + np.abs(h))
+        def finish(solved, sel):
+            q, p, v2 = parts(rows[sel])
+            h = ham.value_at(q, p, v2, solved[0].take(sel))
+            psi, h0 = ham.envelope_at(*at_probe(q, p[:, reg]),
+                                      solved[1].take(sel))
+            split = h0 + contract(v2.T, (p[:, nonreg] - psi).T)
+            return np.abs(h - split) / (1.0 + np.abs(h))
 
-    worst = sweep(samples, *drawn, decomposition)
-    record("decomposition", samples, worst, 1e-8)
+        q, p, v2 = parts(rows)
+        return _Chunk([(q, p[:, reg], v2), at_probe(q, p[:, reg])], finish)
+
+    sweeps.append((samples, *drawn, decomposition))
 
     def involution(rows):
-        x, p2 = rows[:, :2 * n], rows[:, 2 * n:]
-        lval = evaluate_many(system.lagrangian, x)
-        back = ham.inverse_transform_many(x[:, :n], x[:, n:], p2)
-        return np.abs(back - lval) / (1.0 + np.abs(lval))
+        def finish(solved, sel):
+            x, p2 = rows[sel, :2 * n], rows[sel, 2 * n:]
+            lval = evaluate_many(system.lagrangian, x)
+            back = ham.inverse_transform_at(
+                x[:, :n], x[:, n:], p2, np.zeros((len(sel), k)),
+                *solved[0].part(sel))
+            return np.abs(back - lval) / (1.0 + np.abs(lval))
 
-    worst = sweep(samples, [lo, lo2], [hi, hi2], involution)
-    record("involutivity", samples, worst, tol_involution)
+        # the inverse transform's start, p1 = 0, solved cold
+        v2 = rows[:, n:2 * n][:, nonreg]
+        return _Chunk([(rows[:, :n], np.zeros((len(rows), k)), v2)], finish)
+
+    sweeps.append((samples, [lo, lo2], [hi, hi2], involution))
+
+    m = 2 * n * n + 1  # points of H's momentum-Hessian stencil per row
 
     def rank(rows):
+        def finish(solved, sel):
+            # H at every stencil point, as value_many forms it, at the V of
+            # its distinct row: the first failing point's error is raised,
+            # as value_many raises
+            at = (sel[:, None] * m + np.arange(m)).ravel()
+            v1 = solved[0].take(inverse[at])
+            values = ham.value_at(qs[at], p[at], v2s[at], v1).reshape(-1, m)
+            hess = _fd_hessian(values, n)
+            sv = np.linalg.svd(hess, compute_uv=False)
+            cut = 1e-6 * np.maximum(sv[:, :1], 1.0)
+            return np.abs(np.count_nonzero(sv > cut, axis=1) - k).astype(float)
+
+        # points that differ only in p2 share (q, p1, v2), so V is solved
+        # once per such row, the rows in the order they first occur
         q, _, v2 = parts(rows)
-        m = 2 * n * n + 1  # stencil points per row
-
-        def values(points):
-            # H at every stencil point, as value_many forms it; points that
-            # differ only in p2 share (q, p1, v2), so V is solved once per
-            # such row, the rows in the order they first occur: the lowest
-            # failing point's error is raised, as value_many raises
-            p = points.reshape(-1, n)
-            qs, v2s = np.repeat(q, m, axis=0), np.repeat(v2, m, axis=0)
-            p1 = p[:, reg]
-            first, inverse = _distinct_rows(np.concatenate([qs, p1, v2s], 1))
-            v1 = ham.solver.solve_many(qs[first], p1[first], v2s[first])
-            return ham.value_at(qs, p, v2s, v1[inverse]).reshape(-1, m)
-
-        hess = _fd_hessian(values, rows[:, 3 * n:])
-        sv = np.linalg.svd(hess, compute_uv=False)
-        cut = 1e-6 * np.maximum(sv[:, :1], 1.0)
-        return np.abs(np.count_nonzero(sv > cut, axis=1) - k).astype(float)
+        qs, v2s = np.repeat(q, m, axis=0), np.repeat(v2, m, axis=0)
+        p = _fd_stencil(rows[:, 3 * n:]).reshape(-1, n)
+        first, inverse = _distinct_rows(np.concatenate([qs, p[:, reg], v2s],
+                                                       axis=1))
+        return _Chunk([(qs[first], p[first][:, reg], v2s[first])], finish)
 
     rank_samples = min(samples, 8)
     ones = np.ones(n)
-    worst = sweep(rank_samples, drawn[0] + [-ones], drawn[1] + [ones], rank)
-    record("rank_agreement", rank_samples, float(worst), 0.0)
+    sweeps.append((rank_samples, drawn[0] + [-ones], drawn[1] + [ones], rank))
 
-    if k == n:
-        def reduction(rows):
-            q, p, v2 = parts(rows)
+    def reduction(rows):
+        def finish(solved, sel):
+            q, p, v2 = parts(rows[sel])
             classical = _full_newton_legendre(system, q, p)
-            mixed = ham.value_many(q, p, v2)
+            mixed = ham.value_at(q, p, v2, solved[0].take(sel))
             return np.abs(mixed - classical) / (1.0 + np.abs(classical))
 
-        red_samples = min(samples, 50)
-        worst = sweep(red_samples, *drawn, reduction)
-        record("regular_reduction", red_samples, worst, 1e-9)
+        q, p, v2 = parts(rows)
+        return _Chunk([(q, p[:, reg], v2)], finish)
+
+    red_samples = min(samples, 50)
+    if k == n:
+        sweeps.append((red_samples, *drawn, reduction))
+
+    worst = iter(_sweep(ham.solver, rng, sweeps))
+    record("clairaut_residual", samples, next(worst), tol_residual)
+    worst_p1, worst_p2 = next(worst)
+    record("envelope_grad_p1", grad_samples, worst_p1, 1e-6)
+    if k < n:
+        record("envelope_grad_p2", grad_samples, worst_p2, 1e-8)
+        record("probe_independence", ind_samples, next(worst), 1e-8)
+    else:
+        vacuous("envelope_grad_p2", "k = n")
+        vacuous("probe_independence", "k = n")
+    record("decomposition", samples, next(worst), 1e-8)
+    record("involutivity", samples, next(worst), tol_involution)
+    record("rank_agreement", rank_samples, next(worst), 0.0)
+    if k == n:
+        record("regular_reduction", red_samples, next(worst), 1e-9)
     else:
         vacuous("regular_reduction", "k < n")
-
     return results

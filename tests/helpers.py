@@ -390,6 +390,29 @@ def record_eval_dual2_calls(monkeypatch):
     return calls
 
 
+def record_lanes(monkeypatch):
+    """Every envelope lane solve while the test runs: every one, of
+    ``solve_lanes`` or of the inverse transform, runs through
+    ``EnvelopeSolver._solve_columns``, which takes lane columns.  Returns
+    (calls, lanes), appended as the solver meets them: ``calls`` gets
+    (rows, warm) for each call, warm when it has a guess, and
+    ``lanes[warm]`` the (q, p1, c2) row of each cold lane, or the (q, p1,
+    c2, guess) row of each warm one."""
+    calls, lanes = [], {False: [], True: []}
+    solve_columns = clairaut.EnvelopeSolver._solve_columns
+
+    def counted(self, point, p1, v1=None):
+        warm = v1 is not None
+        calls.append((point.shape[1], warm))
+        cols = [*point[:self.system.n], *p1, *point[self._v2_cols],
+                *(v1 if warm else ())]
+        lanes[warm].extend(map(tuple, np.array(cols).T.tolist()))
+        return solve_columns(self, point, p1, v1)
+
+    monkeypatch.setattr(clairaut.EnvelopeSolver, "_solve_columns", counted)
+    return calls, lanes
+
+
 def set_chunk_rows(monkeypatch, rows):
     """Make ``verify`` and ``transform`` evaluate ``rows`` rows per chunk;
     the CLI binds ``CHUNK_ROWS`` at import, so both names are patched."""

@@ -688,26 +688,6 @@ def test_verify_honors_seed_and_tolerances(tmp_path, capsys):
 # one cold envelope solve per row
 # --------------------------------------------------------------------------
 
-def record_lanes(monkeypatch, warm):
-    """The (q, p1, c2) rows of every cold lane of an envelope solve (one
-    with no guess), or with ``warm`` the (q, p1, c2, guess) rows of every
-    warm one, appended as the solver meets them.  Every lane solve, of
-    ``solve_lanes`` or of the inverse transform, runs through
-    ``EnvelopeSolver._solve_columns``, which takes lane columns."""
-    lanes = []
-    solve_columns = EnvelopeSolver._solve_columns
-
-    def counted(self, point, p1, v1=None):
-        if (v1 is not None) == warm:
-            cols = [*point[:self.system.n], *p1, *point[self._v2_cols],
-                    *(v1 or ())]
-            lanes.extend(map(tuple, np.array(cols).T.tolist()))
-        return solve_columns(self, point, p1, v1)
-
-    monkeypatch.setattr(EnvelopeSolver, "_solve_columns", counted)
-    return lanes
-
-
 # deg1_problem: n = 2, k = 1, 25 verify samples, and 2n^2 + 1 = 9 points of
 # H's momentum-Hessian stencil per rank sample
 @pytest.mark.parametrize("args, cold, distinct", [
@@ -722,7 +702,7 @@ def record_lanes(monkeypatch, warm):
 ])
 def test_commands_solve_each_row_once(tmp_path, capsys, monkeypatch, args,
                                       cold, distinct):
-    lanes = record_lanes(monkeypatch, warm=False)
+    lanes = helpers.record_lanes(monkeypatch)[1][False]
     assert main([args[0], deg1_problem(tmp_path), *args[1:]]) == 0
     assert len(lanes) == cold
     assert len(set(lanes)) == distinct
@@ -733,11 +713,24 @@ def test_verify_solves_each_warm_row_once(capsys, monkeypatch):
     # (q, p1, v2) and the warm guess with the unshifted point: 250 rows of
     # 5 stencil points hold 3 distinct rows each (750 warm lanes, not
     # 1,250); the inverse transform's nested warm solves add 400
-    lanes = record_lanes(monkeypatch, warm=True)
+    lanes = helpers.record_lanes(monkeypatch)[1][True]
     path = (pathlib.Path(__file__).resolve().parent.parent / "problems"
             / "chained_pair.json")
     assert main(["verify", str(path)]) == 0
     assert len(lanes) == len(set(lanes)) == 750 + 400
+
+
+def test_verify_makes_one_cold_and_one_warm_solve_per_chunk(capsys,
+                                                            monkeypatch):
+    # every cold row of the suite (1,024 of them) is one stacked solve, and
+    # the clairaut_residual and envelope_grad stencils' warm rows a second;
+    # the inverse transform adds its nested warm solves, here one Newton
+    # trial and the final H: 4 calls, where one solve per map call made 12
+    calls = helpers.record_lanes(monkeypatch)[0]
+    path = (pathlib.Path(__file__).resolve().parent.parent / "problems"
+            / "chained_pair.json")
+    assert main(["verify", str(path)]) == 0
+    assert calls == [(1024, False), (750, True), (200, True), (200, True)]
 
 
 def test_transform_solves_each_chunk_once(tmp_path, capsys, monkeypatch):

@@ -13,9 +13,10 @@ are neither constant nor known at generation.  For each command:
     of the other flow, which holds ``nan``;
 (c) the rerun writes the same bytes;
 (d) stderr holds one ``error:`` line exactly when the exit code is not 0,
-    but for ``transform``'s documented row verdicts: exit 4 marks a row
-    ``solver`` and exit 5 (with no ``solver`` row) a row ``domain``, and
-    the table is the report.
+    but for ``transform``'s row verdicts, which README's ``transform``
+    section and exit-code table document: a failing row exits 4 (a row
+    marked ``solver``) or 5 (a row marked ``domain``, and none ``solver``)
+    with no ``error:`` line, and the table is the report.
 """
 
 import contextlib

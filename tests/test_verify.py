@@ -501,7 +501,7 @@ def test_stacked_solve_backtracks_like_solve():
 def test_worst_values_skip_nan_samples_as_max_does(monkeypatch):
     ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
     values = [np.nan, 2e-7, np.nan, 1e-7]
-    monkeypatch.setattr(ham, "clairaut_residual_many",
+    monkeypatch.setattr(ham, "clairaut_residual_at",
                         lambda *args: np.array(values))
     stream = iter(values)
     monkeypatch.setattr(maps_oracle, "clairaut_residual",
@@ -516,12 +516,12 @@ def residual_samples(ham, samples, monkeypatch):
     sizes of its stacked calls; the residual reads 0 at every sample."""
     seen = []
 
-    def stacked(q, p, v2):
+    def stacked(q, p, v2, v1_stencil):
         seen.append(q.copy())
         return np.zeros(len(q))
 
     with monkeypatch.context() as m:
-        m.setattr(ham, "clairaut_residual_many", stacked)
+        m.setattr(ham, "clairaut_residual_at", stacked)
         verify.run_property_suite(ham, samples, 0, 1e-6, 1e-7)
     return np.concatenate(seen), [len(q) for q in seen]
 
@@ -537,7 +537,7 @@ def fail_residual_at(ham, failing_q, monkeypatch):
             raise SingularJacobianError(f"sample at q={q.tolist()}")
         return 0.0
 
-    def stacked(q, p, v2):
+    def stacked(q, p, v2, v1_stencil):
         calls.append(len(q))
         failing = [i for i, row in enumerate(q) if row[0] in failing_q]
         if failing:
@@ -545,7 +545,7 @@ def fail_residual_at(ham, failing_q, monkeypatch):
         return np.zeros(len(q))
 
     monkeypatch.setattr(maps_oracle, "clairaut_residual", single)
-    monkeypatch.setattr(ham, "clairaut_residual_many", stacked)
+    monkeypatch.setattr(ham, "clairaut_residual_at", stacked)
     return calls
 
 
@@ -616,11 +616,17 @@ def test_a_failing_chunk_is_narrowed_by_bisection(failing, monkeypatch):
 
 def test_a_property_evaluates_at_most_chunk_rows_samples_at_once(
         monkeypatch):
-    # the chunk bounds the suite's memory whatever the problem's samples
+    # the chunk bounds the suite's memory whatever the problem's samples,
+    # and so does the row bound of its stacked envelope solves, which merge
+    # the rows of several chunks
     ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
     samples = 2 * verify.CHUNK_ROWS + 1
+    calls = helpers.record_lanes(monkeypatch)[0]
     sizes = residual_samples(ham, samples, monkeypatch)[1]
     assert sizes == [verify.CHUNK_ROWS, verify.CHUNK_ROWS, 1]
+    bound = verify.LANE_CHUNKS * verify.CHUNK_ROWS
+    assert max(rows for rows, _ in calls) <= bound
+    assert any(verify.CHUNK_ROWS < rows < bound for rows, _ in calls)
 
 
 def test_stacked_maps_check_shapes():

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import types
 from dataclasses import dataclass, field
 
@@ -44,6 +43,7 @@ from .expr import (
 from .partition import (
     HessianPartition,
     LagrangianSystem,
+    _closed_form,
     checked_rows,
     checked_vector,
     partition_indices,
@@ -101,10 +101,6 @@ def contract(a, b):
     return total
 
 
-# the closed forms decide only outside this many ulps of the larger
-# singular value, which is floored at the least normal float (see check_w11)
-W11_MARGIN = 16 * sys.float_info.epsilon
-_LEAST_NORMAL = sys.float_info.min
 # the numpy functions _closed_form and _clears call, for float entries
 _FLOAT_OPS = types.SimpleNamespace(hypot=math.hypot, maximum=max)
 
@@ -123,30 +119,34 @@ def check_w11(w11, tol: float, where: str, **at):
     takes every block it does not pass, and only those, and a failure's
     message shows the SVD's value:
 
-    - 1×1 [[w]] has the singular value |w|, exactly.
+    - 1×1 [[w]] has the singular value |w|.
     - 2×2 [[a, b], [c, d]] has the singular values (s ± t) / 2, where s =
       hypot(a + d, c - b) and t = hypot(a - d, c + b).  Since s² - t² =
       4 det, the larger is (s + t) / 2 and the smaller |s - t| / 2 for
-      either sign of det.  The block passes when the smaller exceeds
-      ``tol * max(larger, 1)`` by ``W11_MARGIN * max(larger, tiny)``, 16ε
-      of the larger (ε the machine epsilon, ``tiny`` the least normal
-      float).
+      either sign of det.
 
-      The margin covers both sides' errors, σ being the larger value.  The
-      sums round by ε/2 and hypot (Python's or the C library's) by under
-      1 ulp, so s and t are within 1.5ε relative and both closed forms
-      within 2εσ.  LAPACK reduces the block to bidiagonal form by
+    The block passes when the smaller exceeds ``tol * max(larger, 1)`` by
+    ``W11_MARGIN * max(larger, tiny)``, 16ε of the larger (ε the machine
+    epsilon, ``tiny`` the least normal float).  The margin covers both
+    sides' errors, σ being the larger value:
+
+    - 1×1: LAPACK returns |w| exactly, except that it rescales a block
+      beyond about 1e±138 and then returns |w| to within 2 ulps.
+    - 2×2: the sums round by ε/2 and hypot (Python's or the C library's)
+      by under 1 ulp, so s and t are within 1.5ε relative and both closed
+      forms within 2εσ.  LAPACK reduces the block to bidiagonal form by
       Householder reflections, whose backward error moves each singular
       value by a few εσ (Weyl's inequality), and takes the bidiagonal
       2×2's values to a few ε relative (``dlas2``; Demmel and Kahan, SIAM
       J. Sci. Stat. Comput. 11, 1990); against 200-bit arithmetic its
-      error reached 3.7εσ on 30,000 random blocks.  The two thresholds
-      differ by tol times these errors, less than the errors themselves,
-      since for tol ≥ 1 no block passes here (smaller ≤ larger).
-      Subnormal roundings stay below ε·tiny.  So every block passed here
-      passes the SVD, and a lane's error and its message are the SVD's.
-    - A non-finite entry, or an overflow, makes the comparison false.
-      Larger blocks always take the SVD.
+      error reached 3.7εσ on 30,000 random blocks.
+    - The two thresholds differ by tol times these errors, less than the
+      errors themselves, since for tol ≥ 1 no block passes here (smaller
+      ≤ larger).  Subnormal roundings stay below ε·tiny.
+
+    So every block passed here passes the SVD, and a lane's error and its
+    message are the SVD's.  A non-finite entry, or an overflow, makes the
+    comparison false.  Larger blocks always take the SVD.
 
     A block with a non-finite entry is singular, with NaN singular values;
     it never reaches LAPACK, which returns NaN or fails to converge there.
@@ -161,9 +161,9 @@ def _extremes(w11, tol):
     """(smallest, largest) singular value of one block, by the closed form
     where it passes the block, else by the SVD (see :func:`check_w11`)."""
     if len(w11) < 3:
-        smallest, largest, passes = _closed_form(
-            w11.tolist() if type(w11) is np.ndarray else w11, tol, _FLOAT_OPS)
-        if passes:
+        smallest, largest, margin = _closed_form(
+            w11.tolist() if type(w11) is np.ndarray else w11, _FLOAT_OPS)
+        if _clears(smallest, largest, tol, _FLOAT_OPS, margin):
             return smallest, largest
     sv = _singular_values(w11)
     return sv[-1], sv[0]
@@ -192,7 +192,8 @@ def singular_lanes(w11, count, tol, where, **at):
         return smallest, largest, {j: error(j, smallest) for j in range(count)}
     if k < 3:
         with np.errstate(all="ignore"):  # non-finite and overflowing lanes
-            smallest, largest, passes = _closed_form(w11, tol, np)
+            smallest, largest, margin = _closed_form(w11, np)
+            passes = _clears(smallest, largest, tol, np, margin)
     else:
         smallest, largest = np.empty(count), np.empty(count)
         passes = np.zeros(count, dtype=bool)
@@ -219,22 +220,6 @@ def _clears(smallest, largest, tol, ops, margin=0.0):
     """smallest > tol * max(largest, 1) + margin, on floats (``ops`` is
     ``_FLOAT_OPS``) or numpy arrays (``ops`` is ``np``); false on NaN."""
     return smallest > tol * ops.maximum(largest, 1.0) + margin
-
-
-def _closed_form(w11, tol, ops):
-    """(smallest, largest, passes) of a 1×1 or 2×2 block's rows by
-    :func:`check_w11`'s closed form: entries are floats (``ops`` is
-    ``_FLOAT_OPS``) or numpy columns, one entry per block of a stack
-    (``ops`` is ``np``)."""
-    if len(w11) == 1:
-        smallest, largest = abs(w11[0][0]), abs(w11[0][0])
-        margin = 0.0  # exact
-    else:
-        (a, b), (c, d) = w11
-        s, t = ops.hypot(a + d, c - b), ops.hypot(a - d, c + b)
-        smallest, largest = abs(s - t) / 2, (s + t) / 2
-        margin = W11_MARGIN * ops.maximum(largest, _LEAST_NORMAL)
-    return smallest, largest, _clears(smallest, largest, tol, ops, margin)
 
 
 def _singular_values(w11) -> np.ndarray:
@@ -381,7 +366,8 @@ def emit_gepp(cg, a, cols):
         return cg.list_source(cg.list_source(["{}"] * len(r)) for r in rows)
 
     out = cg.op(f"_gepp({slots(a)}, {slots(cols)})",
-                *(x for row in (*a, *cols) for x in row))
+                *(x for row in (*a, *cols) for x in row),
+                fold=lambda *_: gepp(a, cols))
     return [[_Term(cg.op(f"{{}}[{c}][{i}]", out), cg) for i in range(len(a))]
             for c in range(len(cols))]
 
@@ -1046,7 +1032,7 @@ class MixedHamiltonian:
         v1 = v[:, self._reg]
         v2 = v[:, self._nonreg]
         solver = self.solver
-        v_cur = None
+        v_cur = np.zeros((len(q), 0))
         if self.k:
             k, active = self.k, solver._v1_active
             base = solver._point_columns(q, v2)
@@ -1080,7 +1066,8 @@ class MixedHamiltonian:
         p_full = np.empty((len(q), self.n))
         p_full[:, self._reg] = p1
         p_full[:, self._nonreg] = p2
-        h_val = self.value_many(q, p_full, v2, v1_guess=v_cur)
+        # V converged at P in the accepted trial, so H needs no further solve
+        h_val = self.value_at(q, p_full, v2, v_cur)
         return contract(v1.T, p1.T) + contract(v2.T, p2.T) - h_val
 
 

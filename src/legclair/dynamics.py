@@ -329,7 +329,8 @@ def _build_stage(system, partition, gauge, ham, include_r):
         return emit_gepp(cg, a, cols)
 
     def norm(xs):
-        return cg.op(f"_inf_norm({lst(['{}'] * len(xs))})", *xs)
+        return cg.op(f"_inf_norm({lst(['{}'] * len(xs))})", *xs,
+                     fold=lambda *x: _inf_norm(x))
 
     # the gauge's triples, v2 = C2(q) and L's triple at (q, v), each by the
     # operations of its own kernel, then tested as eval_dual2 tests them

@@ -22,6 +22,7 @@ derivative that overflows to inf/NaN raises ``EvalDomainError``.
 
 from __future__ import annotations
 
+import builtins
 import functools
 import itertools
 import math
@@ -416,9 +417,14 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # triples performs, in its order, except that a quotient's value is num /
 # den, x^1 is x and x^2 is x * x (one correctly rounded multiplication,
 # where ``x ** 2`` calls libm's ``pow``), in every function.  Operations
-# on constants are done while generating (the same float arithmetic, so
-# nothing changes), and derivative terms known to be zero are dropped, which
-# can flip the sign of a zero entry and nothing else.
+# on constants are done while generating: the generator calls the Python
+# operator or ``math`` function that the operation's text calls, on the
+# same floats (no ``eval()`` of the text), so nothing changes.  Derivative
+# terms known to be zero are dropped, which can flip the sign of a zero
+# entry and nothing else.  A slope-free factor (gradient and Hessian all
+# known zeros: a constant, or a subtree of inactive variables only) skips
+# the per-slot product and chain rules, which would emit the same
+# operations in the same order.
 #
 # Overflow: the function computes unchecked, then tests the sum of its
 # outputs for finiteness.  If that fails, or an operation raised (``x ** n``
@@ -490,6 +496,10 @@ _NONFINITE = "overflow to a non-finite value or derivative"
 _VALUE_ONLY = object()  # cache key of the kernel behind ``evaluate``
 _MATH = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
          "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
+# the binary operators of operation and guard templates
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "**": operator.pow, "==": operator.eq,
+           "<=": operator.le, "<": operator.lt}
 
 
 def _zero(q) -> bool:
@@ -555,13 +565,16 @@ class _Codegen:
 
     # -- operations ---------------------------------------------------------
 
-    def op(self, template: str, *args):
-        """Emit ``template`` over quantities, or fold it if all are known."""
+    def op(self, template: str, *args, fold=None):
+        """Emit ``template`` over quantities, or fold it if all are known:
+        ``fold`` on the floats, by default the operation the template
+        writes (:meth:`compute`)."""
         text = template.format(*map(self.lit, args))
         known = all(isinstance(a, float) for a in args)
         if known:
+            self.folding()
             try:
-                q = eval(text, self.ns)
+                q = fold(*args) if fold else self.compute(template, args)
             except _FAULTS:
                 q = None
             if isinstance(q, float) and math.isfinite(q):
@@ -590,7 +603,8 @@ class _Codegen:
         """Raise EvalDomainError quoting ``node`` where ``test`` holds for x."""
         cond = test.format(self.lit(x))
         if isinstance(x, float):
-            if not eval(cond, self.ns):
+            self.folding()
+            if not self.compute(test, (x,)):
                 return
             cond = "True"
         if self.stacked:
@@ -599,6 +613,38 @@ class _Codegen:
         msg = repr(message) + (f" + repr({self.lit(x)})" if show_value else "")
         frag = self.const(to_source(node))
         self.lines.append(f"if {cond}: raise _E({msg}, {frag})")
+
+    def folding(self):
+        """Hold the ``__builtins__`` slot from the first fold on, so the
+        ``_kN`` names of the constants made after it keep their numbers
+        (folds once evaluated their text, which added that slot)."""
+        self.ns.setdefault("__builtins__", builtins.__dict__)
+
+    def compute(self, template: str, args):
+        """The value of ``template`` (``-{}``, ``f({})``, or ``a SYM b``
+        whose a and b are each ``{}`` or a literal) at the floats ``args``,
+        with the Python operator or ``math`` function its text calls."""
+        if template == "-{}":
+            return -args[0]
+        call = _CALL.fullmatch(template)
+        if call:
+            return _MATH[call.group(1)](args[0])
+        parts = template.split(" ")
+        if len(parts) != 3 or parts[1] not in _BINARY:
+            raise TypeError(f"no fold for {template!r}")
+        left, sym, right = parts
+        it = iter(args)
+        a = next(it) if left == "{}" else self.literal(left)
+        b = next(it) if right == "{}" else self.literal(right)
+        return _BINARY[sym](a, b)
+
+    def literal(self, text: str):
+        """The number a template's literal stands for: an int or a float as
+        ``_int_lit`` or :meth:`lit` writes it, or a constant's ``_kN``."""
+        text = text.strip("()")
+        if text.startswith("_k"):
+            return self.ns[text]
+        return int(text) if text.lstrip("-").isdigit() else float(text)
 
     # Derivative arithmetic: known zeros drop out, factors of 1.0 vanish, and
     # commutative operands are ordered so that equal products are shared.
@@ -659,6 +705,8 @@ class _Codegen:
 
     def chain(self, u, f0, f1, f2):
         """Compose u with a scalar map; f1 and f2 are emitted only if used."""
+        if _slope_free(u):  # every term below is a known zero
+            return (f0, *self.zeros())
         _, g, h = u
         r = range(self.m)
         grad = [0.0 if _zero(g[i]) else self.dmul(f1(), g[i]) for i in r]
@@ -682,12 +730,23 @@ class _Codegen:
         """The product of two triples; ``value`` replaces its value."""
         av, ga, ha = a
         bv, gb, hb = b
-        r = range(self.m)
-        grad = [self.dadd(self.dmul(ga[i], bv), self.dmul(gb[i], av)) for i in r]
-        hess = [[self.dadd(self.dadd(self.dadd(
-                    self.dmul(ha[i][j], bv), self.dmul(hb[i][j], av)),
-                    self.dmul(ga[i], gb[j])), self.dmul(ga[j], gb[i]))
-                 for j in r] for i in r]
+        dmul = self.dmul
+        # with a slope-free factor, one product per entry is left; the dadd
+        # sums of the full rule pass it on as it is in the gradient when a
+        # is that factor, and elsewhere turn a zero of either sign to +0.0
+        if _slope_free(a):
+            grad = [dmul(x, av) for x in gb]
+            hess = [[dmul(x, av) or 0.0 for x in row] for row in hb]
+        elif _slope_free(b):
+            grad = [dmul(x, bv) or 0.0 for x in ga]
+            hess = [[dmul(x, bv) or 0.0 for x in row] for row in ha]
+        else:
+            r = range(self.m)
+            grad = [self.dadd(dmul(ga[i], bv), dmul(gb[i], av)) for i in r]
+            hess = [[self.dadd(self.dadd(self.dadd(
+                        dmul(ha[i][j], bv), dmul(hb[i][j], av)),
+                        dmul(ga[i], gb[j])), dmul(ga[j], gb[i]))
+                     for j in r] for i in r]
         if value is None:
             value = self.op("{} * {}", av, bv)
         return value, grad, hess
@@ -879,6 +938,13 @@ for _op, _sym in (("add", "+"), ("sub", "-"), ("mul", "*"), ("truediv", "/")):
             a.cg.exact(t, a, b))
     setattr(_Term, f"__r{_op}__", lambda a, b, t=f"{{}} {_sym} {{}}":
             a.cg.exact(t, b, a))
+
+
+def _slope_free(triple) -> bool:
+    """Whether a triple's gradient and Hessian are all known zeros (a
+    local's name, like a nonzero or NaN float, is truthy)."""
+    _, g, h = triple
+    return not (any(g) or any(map(any, h)))
 
 
 def _minus_zero(q) -> bool:

@@ -8,11 +8,14 @@ maximal nonsingular principal block W11.  Indices in that block are the
 Hessians come from one call of L's stacked kernel with every velocity
 active (the kernel the commands' envelope maps run as well), and one
 symmetric eigendecomposition per sample, all in one batched call, gives the
-rank, the inertia and the scale the certificate needs.
+rank, the inertia and the scale the certificate needs.  The closed form
+that checks a 1×1 or 2×2 W11 block before any SVD lives here too, shared
+with the envelope solver's checks in ``clairaut``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +34,11 @@ __all__ = [
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_SAMPLES = 64
+# the closed forms decide only outside this many ulps of the larger
+# singular value, which is floored at the least normal float (see
+# clairaut.check_w11)
+W11_MARGIN = 16 * sys.float_info.epsilon
+_LEAST_NORMAL = sys.float_info.min
 
 
 class RankNotConstantError(Exception):
@@ -175,6 +183,23 @@ def numerical_rank(matrix, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
+def _closed_form(w11, ops):
+    """(smallest, largest, margin) of a 1×1 or 2×2 block's rows by the
+    closed form of :func:`clairaut.check_w11`: entries are floats (``ops``
+    has ``math.hypot`` and ``max``) or numpy columns, one entry per block of
+    a stack (``ops`` is ``np``).  The SVD's singular values lie within
+    ``margin`` of these, so a block whose smallest one clears a threshold
+    by ``margin`` clears it on the SVD; a non-finite entry or an overflow
+    leaves NaN or inf, which clears nothing."""
+    if len(w11) == 1:
+        smallest = largest = abs(w11[0][0])
+    else:
+        (a, b), (c, d) = w11
+        s, t = ops.hypot(a + d, c - b), ops.hypot(a - d, c + b)
+        smallest, largest = abs(s - t) / 2, (s + t) / 2
+    return smallest, largest, W11_MARGIN * ops.maximum(largest, _LEAST_NORMAL)
+
+
 def partition_indices(
     system: LagrangianSystem,
     num_samples: int = DEFAULT_SAMPLES,
@@ -192,8 +217,14 @@ def partition_indices(
     the crossing, so borderline systems are rejected rather than silently
     partitioned.  Regular indices are grown greedily on the sample-averaged
     Hessian, each step taking the candidate that maximizes the smallest
-    singular value of the block (ties to the lowest index), and the final
-    block is re-checked for nonsingularity at every sample.
+    singular value of the block (ties to the lowest index), from one
+    batched SVD over every candidate's block; for k = n every index is
+    regular and no SVD runs.  The final block is re-checked for
+    nonsingularity at every sample: its smallest singular value must exceed
+    ``rel_tol`` times the sample's scale.  A 1×1 or 2×2 block first meets
+    the closed form of :func:`clairaut.check_w11`, which passes only the
+    samples the SVD passes; one batched SVD decides the others, and larger
+    blocks.
     """
     if num_samples < 2:
         raise ValueError("need at least two samples to certify constancy")
@@ -203,8 +234,8 @@ def partition_indices(
 
     # the lowest failing sample raises its own error, as a scalar loop would
     hessians = eval_dual2_many(system.lagrangian, points, range(n, 2 * n)).hess
-    eig = np.linalg.eigvalsh(hessians)
-    scale = np.abs(eig).max(axis=1)
+    eig = np.linalg.eigvalsh(hessians)  # each row ascending
+    scale = np.maximum(-eig[:, 0], eig[:, -1])
     cut = rel_tol * scale[:, None]
     positive = np.count_nonzero(eig > cut, axis=1)
     negative = np.count_nonzero(eig < -cut, axis=1)
@@ -239,29 +270,35 @@ def partition_indices(
         # each sample scaled by its largest |eigenvalue| instead
         mean_w = (hessians / scale[:, None, None]).mean(axis=0)
 
-    chosen: list[int] = []
-    for _ in range(k):
-        best_j = -1
-        best_s = -np.inf
-        for j in range(n):
-            if j in chosen:
-                continue
-            idx = chosen + [j]
-            block = mean_w[np.ix_(idx, idx)]
-            s_min = np.linalg.svd(block, compute_uv=False)[-1]
-            if s_min > best_s:
-                best_j, best_s = j, s_min
-        chosen.append(best_j)
+    # each greedy step takes one batched SVD over its candidates' blocks,
+    # the first largest smallest singular value winning; k = n needs none
+    chosen = list(range(n)) if k == n else []
+    while len(chosen) < k:
+        rest = [j for j in range(n) if j not in chosen]
+        idx = np.array([chosen + [j] for j in rest])
+        s_min = np.linalg.svd(mean_w[idx[:, :, None], idx[:, None, :]],
+                              compute_uv=False)[:, -1]
+        chosen.append(rest[int(np.argmax(s_min))])
 
     regular = tuple(sorted(chosen))
     nonregular = tuple(i for i in range(n) if i not in regular)
 
     if k > 0:
-        reg = np.array(regular)
-        smallest = np.linalg.svd(
-            hessians[:, reg[:, None], reg], compute_uv=False
-        )[:, -1]
-        singular = smallest <= rel_tol * scale
+        threshold = rel_tol * scale
+        # the closed form passes the samples it can, the SVD decides the rest
+        undecided = np.ones(num_samples, dtype=bool)
+        if k < 3:
+            with np.errstate(all="ignore"):  # overflowing samples
+                smallest, _, margin = _closed_form(
+                    [[hessians[:, i, j] for j in regular] for i in regular],
+                    np)
+            undecided = ~(smallest > threshold + margin)
+        singular = np.zeros(num_samples, dtype=bool)
+        if undecided.any():
+            reg = np.array(regular)
+            blocks = hessians[undecided][:, reg[:, None], reg]
+            singular[undecided] = np.linalg.svd(
+                blocks, compute_uv=False)[:, -1] <= threshold[undecided]
         if singular.any():
             s = int(np.argmax(singular))
             raise NoValidMinorError(

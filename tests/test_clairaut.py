@@ -32,6 +32,7 @@ from legclair.expr import (
     to_source,
 )
 from legclair.partition import (
+    W11_MARGIN,
     HessianPartition,
     LagrangianSystem,
     RankNotConstantError,
@@ -817,7 +818,7 @@ def assert_2x2_decides_as_the_svd(block, tol):
         assert block_outcome(clairaut.check_w11, form, tol, **at) == want
     if want is None:
         sv = np.linalg.svd(block, compute_uv=False)
-        margin = clairaut.W11_MARGIN * max(sv[0], sys.float_info.min)
+        margin = W11_MARGIN * max(sv[0], sys.float_info.min)
         assert_allclose(clairaut.check_w11(block.tolist(), tol, ""),
                         (sv[-1], sv[0]), rtol=0.0, atol=margin)
     return want
@@ -944,7 +945,7 @@ def test_check_w11_2x2_with_a_negative_determinant_skips_the_svd(
                        rotation(2.0) @ np.diag([1e5, -7.0]) @ rotation(0.4)])
     smallest, largest = lanes_check(blocks, TOL, "", v1=np.zeros(4))
     assert calls == []
-    margin = clairaut.W11_MARGIN * np.array([1.0, 2.0, 3.0, 1e5])
+    margin = W11_MARGIN * np.array([1.0, 2.0, 3.0, 1e5])
     assert (np.abs(smallest - [1.0, 0.5, 1e-3, 7.0]) <= margin).all()
     assert (np.abs(largest - [1.0, 2.0, 3.0, 1e5]) <= margin).all()
 
@@ -1003,7 +1004,7 @@ def assert_stack_decides_as_the_svd(blocks, tol):
             sv = np.linalg.svd(blocks, compute_uv=False)
             smallest, largest = check(blocks, tol, "",
                                       v1=np.zeros(len(blocks)))
-            margin = clairaut.W11_MARGIN * np.maximum(sv[:, 0],
+            margin = W11_MARGIN * np.maximum(sv[:, 0],
                                                       sys.float_info.min)
             assert (np.abs(smallest - sv[:, -1]) <= margin).all()
             assert (np.abs(largest - sv[:, 0]) <= margin).all()

@@ -900,3 +900,86 @@ def test_no_kernel_takes_a_square_through_pow(monkeypatch):
         for src in sources:
             assert not re.search(r"\*\* 2(?![\w.])", src), src
             assert "_each(_ipow" not in src, src
+
+
+# sha256, joined as above, of the sources of 60 random trees
+# (helpers.random_tree at seeds 0 to 59, depth 4), each compiled scalar,
+# checked and stacked over the four active tuples of _compile_corpus_kernels
+RANDOM_TREE_SOURCES_SHA256 = (
+    "328db014835c05d2296537282b0c0305e630b111be8bcc4579fc0a0a70081d04")
+# and of the kernels that both flows compile for each corpus system under
+# each gauge of FLOW_GAUGES (stage, Newton and RK4 kernels, and the scalar
+# and stacked kernels of L and the gauge), in compile order
+CORPUS_FLOW_SOURCES_SHA256 = (
+    "3d8b8712c68c81705e7dc43ad552fcb72d8fc48e09cda29918a94e7b9886bd5e")
+FLOW_GAUGES = ("0.25*q1^2", "1.5 - 2*3*sin(q1) + exp(-1)*q1")
+
+
+def test_random_tree_kernel_sources_are_frozen(monkeypatch):
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    for seed in range(60):
+        root = helpers.random_tree(np.random.default_rng(seed), NAMES, 4)
+        for active in ((0, 1, 2, 3), (2, 3), (2,), None):
+            expr._compile(root, len(NAMES), active)
+            expr._compile(root, len(NAMES), active, checked=True)
+            expr._compile_many(root, len(NAMES), active)
+    assert len(compiles) == 60 * 4 * 3
+    sources = "\0".join(src for _, _, src in compiles)
+    assert hashlib.sha256(sources.encode()).hexdigest() == (
+        RANDOM_TREE_SOURCES_SHA256)
+
+
+def test_corpus_flow_kernel_sources_are_frozen(monkeypatch):
+    import corpus
+    from legclair.clairaut import MixedHamiltonian
+    from legclair.dynamics import GaugeChoice, integrate_el, integrate_ham
+
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    for name in sorted(corpus.SYSTEMS):
+        ham = MixedHamiltonian.from_system(corpus.make_system(name))
+        n, k = ham.n, ham.k
+        q = ham.system.center()[:n]
+        for source in FLOW_GAUGES:
+            gauge = GaugeChoice.from_sources(n, [source] * (n - k))
+            integrate_el(ham, gauge, q, [0.5] * k, (0.0, 0.02), 0.01)
+            for include_r in (True, False):
+                integrate_ham(ham, gauge, q, [0.5] * n, (0.0, 0.02), 0.01,
+                              include_r=include_r)
+    kinds = {kind for kind, _, _ in compiles}
+    assert kinds >= {"<legclair stage kernel>", "<legclair newton kernel>",
+                     "<legclair rk4 loop>"}
+    sources = "\0".join(src for _, _, src in compiles)
+    assert hashlib.sha256(sources.encode()).hexdigest() == (
+        CORPUS_FLOW_SOURCES_SHA256)
+
+
+def test_generating_a_kernel_calls_no_eval(monkeypatch):
+    # operations on known operands fold by calling the operation on the
+    # floats: every kernel kind generates with eval() raising
+    import corpus
+    from legclair.clairaut import MixedHamiltonian
+    from legclair.dynamics import GaugeChoice, integrate_el, integrate_ham
+
+    def no_eval(*args):
+        raise AssertionError(f"eval{args[:1]!r} while generating a kernel")
+
+    monkeypatch.setattr(expr, "eval", no_eval, raising=False)
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    # constants to fold under every template, and guards decided on them
+    e = parse("2*3*v1^2 + sin(0.5)*cos(2)*q1*v2 - exp(-1)*q2^2*v2^2/ln(3)"
+              " + tan(0.25)^(-2)*sqrt(2)^2.5*v1 + 1/(1 - 1)*q1 + (-4)^0.5",
+              NAMES)
+    for active in ((0, 1, 2, 3), (2, 3), (3,), None):
+        expr._compile(e.root, len(NAMES), active)
+        expr._compile(e.root, len(NAMES), active, checked=True)
+        expr._compile_many(e.root, len(NAMES), active)
+    ham = MixedHamiltonian.from_system(corpus.make_system("deg3"))
+    gauge = GaugeChoice.from_sources(3, [FLOW_GAUGES[1]])
+    q = ham.system.center()[:3]
+    integrate_el(ham, gauge, q, [0.5, 0.5], (0.0, 0.02), 0.01)
+    integrate_ham(ham, gauge, q, [0.5] * 3, (0.0, 0.02), 0.01)
+    assert {kind for kind, _, _ in compiles} == {
+        "<legclair kernel>", "<legclair stacked kernel>",
+        "<legclair stage kernel>", "<legclair newton kernel>",
+        "<legclair rk4 loop>"}
+    assert "sin(0.5)" not in compiles[0][2]  # folded

@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import corpus
+import helpers
 import partition_oracle
 from helpers import hessian
 from legclair.expr import EvalDomainError
@@ -268,6 +271,96 @@ def test_partition_matches_reference_on_edge_cases(n, source, domain, kwargs,
             assert outcome in str(got)
         else:
             assert isinstance(got, outcome)
+
+
+@st.composite
+def velocity_quadratics(draw):
+    """(n, source, domain, rel_tol): L = s * (a form or a sum of squares in
+    v, with constant or q-dependent coefficients) plus a term linear in v.
+    The coefficients make W regular, singular, rank-varying or tied
+    between candidates; the scale s puts W where LAPACK rescales (beyond
+    about 1e±138) or not."""
+    n = draw(st.integers(1, 3))
+    qs = [f"q{i + 1}" for i in range(n)]
+    q = st.sampled_from(qs)
+    coefficient = st.one_of(
+        st.sampled_from(("0", "1", "-1", "2", "0.5", "1e-9")),
+        st.builds("{}*{}".format, st.sampled_from(("1", "3")), q),
+        q.map("(1 + {}^2)".format), q.map("{}^2".format))
+    if draw(st.booleans()):
+        terms = [f"{draw(coefficient)}*v{i + 1}*v{j + 1}"
+                 for i in range(n) for j in range(i, n)]
+    else:  # rank at most the number of squares
+        terms = ["0.5*(" + " + ".join(f"{draw(coefficient)}*v{i + 1}"
+                                      for i in range(n)) + ")^2"
+                 for _ in range(draw(st.integers(1, n)))]
+    scale = draw(st.sampled_from(("1", "1e160", "1e-160", "1e145")))
+    linear = draw(st.sampled_from(("", f" + q1*v{n}", f" + sin(q{n})*v1")))
+    lo = draw(st.sampled_from((-1.0, 0.5)))
+    return (n, f"{scale}*({' + '.join(terms)}){linear}",
+            {name: (lo, 1.5) for name in qs},
+            draw(st.sampled_from((1e-9, 1e-3, 0.25, 0.5))))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(velocity_quadratics())
+def test_partition_matches_reference_on_drawn_systems(case):
+    n, source, domain, rel_tol = case
+    sys = LagrangianSystem.from_source(n, source, domain)
+    for seed in range(4):
+        assert_same_partition(sys, seed=seed, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("n, source, regular", [
+    (2, "0.5*(v1^2+v2^2)", (0, 1)),  # k = n: every index, no greedy step
+    (2, "0.5*(v1+v2)^2", (0,)),  # two equal 1x1 blocks
+    (3, "0.5*(v1+v2+v3)^2", (0,)),  # three
+    # mean W = [[2, 1, 1], [1, 1, 0], [1, 0, 1]]: v1 first, then a tie
+    # between the equal blocks on (v1, v2) and (v1, v3)
+    (3, "0.5*((v1+v2)^2 + (v1+v3)^2)", (0, 1)),
+])
+def test_partition_breaks_exact_greedy_ties_to_the_lowest_index(n, source,
+                                                                regular):
+    sys = LagrangianSystem.from_source(n, source)
+    for seed in range(8):
+        assert assert_same_partition(sys, seed=seed).regular == regular
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e-160"])
+@pytest.mark.parametrize("n, source, rel_tol", [
+    # the 1x1 blocks sit at the threshold 0.5 * scale: LAPACK, rescaling
+    # them, may put either side of it
+    (2, "0.5*(v1+v2)^2", 0.5),
+    (2, "0.5*(v1+q1*v2)^2", 0.25),
+    (2, "v1^2 + 2*q1*v1*v2 + 2*v2^2", 1e-9),
+    (3, "0.5*(v1^2 + v2^2 + v3^2) + q1*v1*v3", 0.3),
+    (3, "0.5*(v1 + v2)^2 + 0.5*q1*v3^2", 1e-9),
+])
+def test_partition_matches_reference_where_lapack_rescales(scale, n, source,
+                                                           rel_tol):
+    sys = LagrangianSystem.from_source(n, f"{scale}*({source})",
+                                       {"q1": (0.5, 2.0)})
+    for seed in range(8):
+        assert_same_partition(sys, seed=seed, rel_tol=rel_tol)
+
+
+def test_partition_takes_one_svd_per_greedy_step_and_none_for_clear_blocks(
+        monkeypatch):
+    calls = helpers.record_svd_calls(monkeypatch)
+    # k = n: no greedy step, and W11 = W passes the closed form everywhere
+    partition_indices(corpus.make_system("coupled"))
+    assert calls == []
+    # k = 2 < n = 3: one batched SVD over the candidates of each step
+    partition_indices(corpus.make_system("deg3"))
+    assert [a.shape for a, _ in calls] == [(3, 1, 1), (2, 2, 2)]
+    calls.clear()
+    # the SVD decides the samples the closed form does not pass, and only
+    # those (|q1| large enough passes here)
+    with pytest.raises(NoValidMinorError):
+        partition_indices(LagrangianSystem.from_source(
+            2, "0.5*(v1+q1*v2)^2", {"q1": (-3.0, 3.0)}), rel_tol=0.5)
+    assert len(calls) == 2 and calls[0][0].shape == (2, 1, 1)
+    assert 0 < len(calls[1][0]) < 64
 
 
 def test_variable_table_helpers():

@@ -380,41 +380,52 @@ def _failed_newton(lag, active, point):
     return AssertionError("the Newton kernel failed where eval_dual2 passes")
 
 
-def _build_newton(system, partition):
-    """Generate and compile the envelope Newton of (system, partition).
+def emit_newton(system, partition, ns, store=()):
+    """The envelope Newton of (system, partition) for a kernel whose
+    namespace is ``ns``, as the lines (``ev``, ``body``) of two hosts: the
+    standalone kernel (:func:`_build_newton`) and the Hamiltonian stage
+    kernel (``dynamics._build_stage``).
 
-    The kernel ``kernel(tol, max_iter, max_backtracks, point, p1, v1)`` is
-    :meth:`EnvelopeSolver.solve`'s damped Newton on Python floats.  Each
-    evaluation calls ``_ev``, L's v1-active triple by the operations of
-    ``eval_dual2(lag, point, active)``'s kernel, which returns the gradient
+    ``ev`` defines ``_ev(x0, x1, ...)``, which the host puts at the top of
+    its source: L's v1-active triple at the point (q, v) by the operations
+    of ``eval_dual2(lag, point, active)``'s kernel, returning the gradient
     and W11 locals, or None where ``eval_dual2`` raises (``_Codegen.guarded``
-    tests it).  From a residual r = p1 - dL/dv1 with max-norm above
-    ``tol``, W11 is checked and the step solves W11 d = r, both as
-    :func:`emit_check_w11` and :func:`emit_gepp` emit them; the step is
-    halved, up to ``max_backtracks`` times, until the trial's residual norm
-    is smaller.  A finite trial whose evaluation fails is halved too.  An
-    evaluation that fails at the start or at a non-finite trial reruns as
-    an ``eval_dual2`` call, to raise its exact error; a halving that runs
-    out, or ``max_iter`` iterations, raise ``NewtonDivergedError`` with the
-    residual norms of the iterates.  Unless an evaluation's error is
-    raised, ``point`` is left at the last v1 evaluated, which is V on return.
+    tests it).  ``body`` is :meth:`EnvelopeSolver.solve`'s damped Newton on
+    Python floats, run on the host's locals: the point as x0, x1, ... (the
+    v1 ones holding the start), p1 as a0, a1, ..., and ``tol``, ``max_iter``
+    and ``max_backtracks``; it ends with the v1 locals at V.
+
+    From a residual r = p1 - dL/dv1 with max-norm above ``tol``, W11 is
+    checked and the step solves W11 d = r, both as :func:`emit_check_w11`
+    and :func:`emit_gepp` emit them; the step is halved, up to
+    ``max_backtracks`` times, until the trial's residual norm is smaller.
+    A finite trial whose evaluation fails is halved too.  An evaluation
+    that fails at the start or at a non-finite trial reruns as an
+    ``eval_dual2`` call, to raise its exact error; a halving that runs out,
+    or ``max_iter`` iterations, raise ``NewtonDivergedError`` with the
+    residual norms of the iterates, after the lines ``store``.
+
+    The body's other locals are u0, u1, ... (its operations), g0, ...,
+    d0, ..., w0, ..., ``e``, ``norm``, ``_r``, ``rnorm``, ``history`` and
+    ``alpha``; its constants and functions join ``ns`` beside the host's.
     """
     n, lag, tol = system.n, system.lagrangian, partition.rank_tolerance
     active = tuple(n + i for i in partition.regular)
     xs = [f"x{i}" for i in range(2 * n)]
     v1 = [xs[a] for a in active]
     cg = _Codegen(active, checked=False)
+    cg.ns = ns
     _, grad, hess = out = cg.visit(lag.root)
     outputs = cg.flat(out)
     used = [x for x in dict.fromkeys(grad if _known(hess) else outputs[1:])
             if isinstance(x, str) and x not in xs]
     here = f"[{', '.join(xs)}]"  # the point evaluated
-    cg.guarded(0, outputs, "return None", f"_evaluates(_fail, {here})")
+    cg.guarded(0, outputs, "return None", f"_evaluates(_newton_fail, {here})")
     ev = [f"def _ev({', '.join(xs)}):", *("    " + x for x in cg.lines),
           f"    return ({''.join(x + ', ' for x in used)})"]
 
     # the iteration's float algebra, on the outputs unpacked as g0, g1, ...
-    cg.lines, cg.memo = [], {}
+    cg.lines, cg.memo, cg.temp = [], {}, "u"
     names = {x: f"g{j}" for j, x in enumerate(used)}
 
     def term(x):  # an output, tested finite
@@ -433,51 +444,68 @@ def _build_newton(system, partition):
     emit_check_w11(cg, w11, tol, "W11 is singular at Newton iterate", v1=v1)
     delta = emit_gepp(cg, w11, [r])[0]
     step = cg.lines + [f"d{i} = {cg.lit(d)}" for i, d in enumerate(delta)]
-    store = [f"point[{a}] = {x}" for a, x in zip(active, v1)]
-    at, call = f"[{', '.join(v1)}]", f"_ev({', '.join(xs)})"
+    call = f"_ev({', '.join(xs)})"
 
     def block(depth, lines):
         return ["    " * depth + x for x in lines]
 
-    src = [
-        *ev,
-        "def kernel(tol, max_iter, max_backtracks, point, p1, v1):",
-        "    " + "".join(x + ", " for x in xs) + "= point",
-        "    " + "".join(f"a{i}, " for i in range(len(v1))) + "= p1",
-        "    " + "".join(x + ", " for x in v1) + "= v1",
-        f"    e = {call}",
-        f"    if e is None: raise _fail({here})",
-        *block(1, residual),
-        "    history = []",
-        "    for _ in range(max_iter):",
-        "        rnorm = norm",
-        "        history.append(rnorm)",
-        "        if rnorm <= tol:",
-        *block(3, store),
-        f"            return {at}",
-        *block(2, step),
-        "        " + "".join(f"w{i}, " for i in range(len(v1))) + "= "
+    body = [
+        f"e = {call}",
+        f"if e is None: raise _newton_fail({here})",
+        *residual,
+        "history = []",
+        "for _ in range(max_iter):",
+        "    rnorm = norm",
+        "    history.append(rnorm)",
+        "    if rnorm <= tol: break",
+        *block(1, step),
+        "    " + "".join(f"w{i}, " for i in range(len(v1))) + "= "
         + "".join(x + ", " for x in v1),
-        "        alpha = 1.0",
-        "        for _ in range(max_backtracks + 1):",
-        *block(3, [f"{x} = w{i} + alpha * d{i}" for i, x in enumerate(v1)]),
-        f"            e = {call}",
-        "            if e is not None:",
-        *block(4, residual),
-        "                if norm < rnorm: break",
-        f"            elif not _finite({', '.join(v1)}):",
-        f"                raise _fail({here})",
-        "            alpha *= 0.5",
-        "        else:",
-        *block(3, store),
-        "            raise _Diverged('backtracking could not reduce the "
-        "envelope residual', history)",
+        "    alpha = 1.0",
+        "    for _ in range(max_backtracks + 1):",
+        *block(2, [f"{x} = w{i} + alpha * d{i}" for i, x in enumerate(v1)]),
+        f"        e = {call}",
+        "        if e is not None:",
+        *block(3, residual),
+        "            if norm < rnorm: break",
+        f"        elif not _finite({', '.join(v1)}):",
+        f"            raise _newton_fail({here})",
+        "        alpha *= 0.5",
+        "    else:",
+        *block(2, store),
+        "        raise _Diverged('backtracking could not reduce the envelope "
+        "residual', history)",
+        "else:",
         *block(1, store),
         "    raise _Diverged(f'no convergence within {max_iter} Newton "
         "iterations', history)",
     ]
-    cg.ns.update(_Diverged=NewtonDivergedError, _evaluates=_evaluates,
-                 _fail=functools.partial(_failed_newton, lag, active))
+    ns.update(_Diverged=NewtonDivergedError, _evaluates=_evaluates,
+              _newton_fail=functools.partial(_failed_newton, lag, active))
+    return ev, body
+
+
+def _build_newton(system, partition):
+    """Generate and compile the standalone envelope Newton of (system,
+    partition): ``kernel(tol, max_iter, max_backtracks, point, p1, v1)``
+    runs :func:`emit_newton`'s body on the float lists ``point`` (q, v with
+    v2 set), ``p1`` and the start ``v1``, and returns V as a list.  Unless
+    an evaluation's error is raised, ``point`` is left at the last v1
+    evaluated, which is V on return."""
+    n = system.n
+    xs = [f"x{i}" for i in range(2 * n)]
+    active = [n + i for i in partition.regular]
+    v1 = [xs[a] for a in active]
+    store = [f"point[{a}] = {x}" for a, x in zip(active, v1)]
+    cg = _Codegen(None, checked=False)
+    ev, body = emit_newton(system, partition, cg.ns, store)
+    src = [*ev,
+           "def kernel(tol, max_iter, max_backtracks, point, p1, v1):",
+           "    " + "".join(x + ", " for x in xs) + "= point",
+           "    " + "".join(f"a{i}, " for i in range(len(v1))) + "= p1",
+           "    " + "".join(x + ", " for x in v1) + "= v1",
+           *("    " + x for x in body + store),
+           f"    return [{', '.join(v1)}]"]
     return cg.build(src, "<legclair newton kernel>")
 
 

@@ -59,6 +59,7 @@ from .dynamics import (
     _validate_span,
     compare_trajectories,
     first_box_exit,
+    format_table,
     integrate_el,
     integrate_ham,
     write_trajectory_csv,
@@ -436,11 +437,8 @@ def cmd_transform(problem: Problem, args, out):
 
     header = (columns + ["H", "H0"] + [f"phi_{j + 1}" for j in range(n - k)]
               + ["status"])
-    line = ",".join(["%.17g"] * (len(header) - 1)) + ",%s"
-    lines = [",".join(header)] + [
-        line % (*row, *cells, state)
-        for row, cells, state in zip(rows.tolist(), table.tolist(), status)]
-    out.write("\n".join(lines) + "\n")
+    out.write(",".join(header) + "\n"
+              + format_table(np.concatenate([rows, table], axis=1), status))
     if "solver" in status:
         return EXIT_SOLVER
     if "domain" in status:

@@ -41,22 +41,25 @@ failure.  It is generated for the state's length, n + k on both sides, and
 compiled once per system, so once per command (``_build_rk4``): the state,
 the slopes and the stage points are locals, and each node records the raw
 state and info of its first stage.  The trajectory's arrays are built from
-these records in one pass, by numpy operations that round as Python's do.
-Each stage is one generated straight-line function, the stage
+these records in one pass, read flat, by numpy operations that round as
+Python's do.  Each stage is one generated straight-line function, the stage
 kernel of the flow (``_stage``), compiled at its first stage: the gauge's
 (value, gradient, Hessian) triples and L's full triple, each by the
 operations of its own ``eval_dual2`` kernel, then K, dv2/dt, R, dH/dq, the
-W11 check and solve, and p1dot.  The Hamiltonian stage calls the envelope
-Newton kernel (``EnvelopeSolver.newton``, generated by
-``clairaut._build_newton``) between the gauge and L.  The monitors
-above follow an early return, so only the recorded stage, the first of
-each step, builds them.
+W11 check and solve, and p1dot.  The Hamiltonian stage runs its own
+envelope Newton between the gauge and L, inline on its locals, from the
+previous stage's V: the body of ``EnvelopeSolver.solve``'s kernel, written
+by the same emitter (``clairaut.emit_newton``), with its ``_ev`` at the top
+of the stage's source.  The monitors above follow an early return, so only
+the recorded stage, the first of each step, builds them.
 
-Errors are those of the calls the stage replaces.  A fault, a domain guard
-or a non-finite output of a triple sends the stage down a slow path
-(``_failed_stage``) that reruns its evaluations as calls in the flows'
-order (the gauge's value and Jacobian, then L) to raise their exact
-``EvalDomainError``, and decide an overflowing sum (``_Codegen.guarded``).
+Errors are those of the calls the stage replaces, and the envelope
+Newton's are those of ``EnvelopeSolver.solve`` from the same start.  A
+fault, a domain guard or a non-finite output of a triple sends the stage
+down a slow path (``_failed_stage``) that reruns its evaluations as calls
+in the flows' order (the gauge's value and Jacobian, then L) to raise
+their exact ``EvalDomainError``, and decide an overflowing sum
+(``_Codegen.guarded``).
 W11 fails with ``check_w11``'s message: a block known at generation is
 decided once, and any other block by a ``check_w11`` call at each stage.
 
@@ -76,6 +79,7 @@ depends on the BLAS kernel.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -88,6 +92,7 @@ from .clairaut import (
     _inf_norm,
     emit_check_w11,
     emit_gepp,
+    emit_newton,
 )
 from .expr import (
     EvalDomainError,
@@ -121,6 +126,7 @@ __all__ = [
     "compare_trajectories",
     "first_box_exit",
     "write_trajectory_csv",
+    "format_table",
     "PRIMARY_TOL",
 ]
 
@@ -224,7 +230,7 @@ def _rk4(system, stage, y0, t0, h, nsteps):
     ``NonFiniteStateError`` when it leaves y non-finite, finds i + 1 nodes
     recorded; it gets ``step``/``t`` attributes and "at RK4 step i (t =
     ...)" appended to its message.  The records become arrays in one pass
-    at the end, where numpy's t0 + i*h and array copies keep every bit.
+    at the end, where numpy's t0 + i*h and flat copies keep every bit.
     """
     key = ("rk4", len(y0))
     if key not in system._stages:
@@ -238,8 +244,19 @@ def _rk4(system, stage, y0, t0, h, nsteps):
         exc.step, exc.t = i, t0 + i * h
         exc.args = (f"{exc} at RK4 step {i} (t = {exc.t:.6g})",)
         raise
-    return (t0 + h * np.arange(nsteps + 1), np.array(ys),
-            [np.array(c) for c in zip(*infos)])
+    count = nsteps + 1
+    return (t0 + h * np.arange(count), _flat_array(ys, count),
+            [_flat_array(c, count) for c in zip(*infos)])
+
+
+def _flat_array(rows, count):
+    """``np.array(rows)`` for ``count`` rows that are all floats or all
+    float lists of one length, read flat by ``np.fromiter``."""
+    if not isinstance(rows[0], list):
+        return np.fromiter(rows, float, count)
+    width = len(rows[0])
+    return np.fromiter(itertools.chain.from_iterable(rows), float,
+                       count * width).reshape(count, width)
 
 
 def _build_rk4(m):
@@ -293,8 +310,9 @@ def _stage(system: LagrangianSystem, partition, gauge, ham=False,
     mixed-Hamiltonian flow, compiled at first use and kept on ``system``
     for its (flow, partition, gauge, include_r).  It is a factory of
     ``rhs(y, monitor)``: the Hamiltonian one takes the first stage's warm
-    start V (a list), the solver's Newton kernel (``EnvelopeSolver.newton``,
-    None where k = 0) and the offsets Phi_0."""
+    start V (a list), the solver's ``newton_tol``, ``max_iter`` and
+    ``max_backtracks``, which its envelope Newton runs with, and the
+    offsets Phi_0."""
     key = ("ham", include_r) if ham else ("el",)
     key += (partition, gauge)
     if key not in system._stages:
@@ -342,22 +360,23 @@ def _build_stage(system, partition, gauge, ham, include_r):
         cg.guarded(start, outputs, f"raise _fail({at})",
                    f"_evaluates(_fail, {at})")
 
-    lines.append("".join(x + ", " for x in (q if ham else q + v1_names))
-                 + (f"= y[:{n}]" if ham else "= y"))
+    # the state: (q, v1), or (q, p1) with p1 as a0, a1, ... for the Newton
+    state = q + ([f"a{i}" for i in range(k)] if ham else v1_names)
+    lines.append("".join(x + ", " for x in state) + "= y")
     start = len(lines)
     gauge_out = [cg.visit(e.root) for e in gauge.exprs]
     outputs = [x for t in gauge_out for x in cg.flat(t)]
     if ham:
         guarded(start, outputs, None)
-        x = q + ["0.0"] * n
-        for j, t in zip(nonreg, gauge_out):
-            x[n + j] = lit(t[0])
-        lines += [f"_x = {lst(x)}",
-                  *[f"_v = _newton(_x, y[{n}:], _v)"] * bool(k),
-                  "".join(name + ", " for name in xv) + f"= _x[{n}:]"]
+    lines += [f"{xv[j]} = {lit(t[0])}" for j, t in zip(nonreg, gauge_out)]
+    ev = []
+    if ham:
+        if k:
+            # the envelope Newton from the warm start _v, left at V
+            ev, body = emit_newton(system, partition, cg.ns)
+            lines += ["".join(x + ", " for x in v1_names) + "= _v", *body,
+                      f"_v = {lst(v1_names)}"]
         start, outputs = len(lines), []
-    else:
-        lines += [f"{xv[j]} = {lit(t[0])}" for j, t in zip(nonreg, gauge_out)]
     out = cg.visit(lag.root)
     guarded(start, outputs + cg.flat(out), "_v" if ham else lst(v1_names))
 
@@ -422,8 +441,9 @@ def _build_stage(system, partition, gauge, ham, include_r):
                             for j, x in zip(nonreg, psidot)])
         info = f"{lst(v)}, {lit(hs3_res)}, {lst(grad[n:])}"
     lines.append(f"return {lst(dy)}, ({info})")
-    params = ["_v", "_newton", *(f"f{j}" for j in range(len(nonreg)))]
-    src = [f"def kernel({', '.join(params) if ham else ''}):",
+    params = ["_v", "tol", "max_iter", "max_backtracks",
+              *(f"f{j}" for j in range(len(nonreg)))]
+    src = [*ev, f"def kernel({', '.join(params) if ham else ''}):",
            "    def stage(y, monitor):", *["        nonlocal _v"] * ham,
            *("        " + line for line in lines), "    return stage"]
     return cg.build(src, "<legclair stage kernel>")
@@ -473,27 +493,31 @@ def _ham_rhs(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
     """(Phi_0, rhs) of a Hamiltonian run from (q, p1, p2): Phi_0 = p2 -
     Psi(q, p1) from the envelope solve at v2 = C2(q), and ``rhs(y,
     monitor)``, which returns ((qdot, p1dot), (qdot, ``hs3_res``, dL/dv)),
-    None in place of the second entry when ``monitor`` is false.  Each
-    stage warm-starts the envelope solve at the previous stage's V (the
-    first at the start's).  ``hs3_res`` is the residual of the non-regular
-    momentum equation given that p2 is reconstructed from Psi:
+    None in place of the second entry when ``monitor`` is false.  The start
+    takes V and Psi from one row of the envelope's stacked body
+    (``EnvelopeSolver.solve_many``, whose row has ``solve``'s bits, and L's
+    v-active row there).  Each stage runs its own envelope Newton, as
+    ``solve`` runs it, warm-started at the previous stage's V (the first at
+    the start's).  ``hs3_res`` is the residual of the non-regular momentum
+    equation given that p2 is reconstructed from Psi:
 
         d(Psi)/dt + dH/dq2|_comp - R2   (R2 dropped when include_r=False)
 
     with d(Psi)/dt assembled by the chain rule through
     dV/dp1 = W11^{-1} and dV/dq = -W11^{-1} (d2L/dv1 dq + W12 dC2/dq).
     """
-    system = ham.system
-    c2 = gauge.value(q)
-    v1 = ham.solve_velocity(q, p1, c2)
-    # Psi = dL/dv2 at the envelope point of that one solve
-    x = system.point(q, ham.assemble_velocity(v1, c2))
-    psi = eval_dual2_many(system.lagrangian, x[None],
-                          range(ham.n, 2 * ham.n)).grad[0]
+    system, solver = ham.system, ham.solver
+    q = checked_vector(q, ham.n, "q")[None]
+    c2 = gauge.value(q[0])[None]
+    # V and Psi = dL/dv2 from one row of the envelope's stacked body (H0,
+    # which may overflow where the flow runs, is not formed)
+    v1 = solver.solve_many(q, p1[None], c2)
+    x = solver._point_columns(q, c2, v1).T
+    psi = eval_dual2_many(system.lagrangian, x, ham._v_active).grad[0]
     phi = p2 - psi[list(ham.partition.nonregular)]
     make = _stage(system, ham.partition, gauge, True, include_r)
-    return phi, make(v1.tolist(), ham.solver.newton() if ham.k else None,
-                     *phi.tolist())
+    return phi, make(v1[0].tolist(), solver.newton_tol, solver.max_iter,
+                     solver.max_backtracks, *phi.tolist())
 
 
 def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
@@ -647,11 +671,36 @@ def write_trajectory_csv(traj: Trajectory, path):
     )
     table = np.column_stack([traj.times, traj.q, traj.v, traj.p, traj.phi,
                              traj.el_i2_res, traj.hs3_res])
-    # one format over the whole table: each value through the same %.17g
-    rows = (",".join(["%.17g"] * len(header)) + "\n") * len(table)
-    text = ",".join(header) + "\n" + rows % tuple(table.ravel().tolist())
+    text = ",".join(header) + "\n" + format_table(table)
     if hasattr(path, "write"):
         path.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def format_table(table, *texts) -> str:
+    """The rows of the float array ``table`` as comma-separated lines, each
+    value as ``%.17g``, followed by the row's entry of each text column of
+    ``texts`` as ``%s``.
+
+    One format runs over the whole table.  A column whose entries all have
+    one bit pattern (compared as int64, so 0.0 and -0.0 differ, and so do
+    NaNs of other sign or payload) is formatted once, into the row
+    template, with the same ``%.17g``."""
+    count, width = table.shape
+    if not count:
+        return ""
+    bits = table.view(np.int64)
+    fixed = (bits == bits[0]).all(axis=0)
+    template = ",".join(
+        ["%.17g" % x if f else "%.17g"
+         for x, f in zip(table[0].tolist(), fixed.tolist())]
+        + ["%s"] * len(texts)) + "\n"
+    values = table[:, ~fixed]
+    if texts:
+        values = itertools.chain.from_iterable(
+            row + list(t) for row, t in zip(values.tolist(), zip(*texts)))
+    else:
+        values = values.ravel().tolist()
+    return template * count % tuple(values)

@@ -536,6 +536,8 @@ class _Codegen:
     (``guarded``, ``exact`` and ``contract``).
     """
 
+    temp = "t"  # the locals that hold operations are t0, t1, ...
+
     def __init__(self, active, checked, stacked=False):
         self.value_only = active is None
         self.m = 0 if self.value_only else len(active)
@@ -568,9 +570,15 @@ class _Codegen:
     def op(self, template: str, *args, fold=None):
         """Emit ``template`` over quantities, or fold it if all are known:
         ``fold`` on the floats, by default the operation the template
-        writes (:meth:`compute`)."""
-        text = template.format(*map(self.lit, args))
-        known = all(isinstance(a, float) for a in args)
+        writes (:meth:`compute`).  The text is formatted once, after the
+        fold and in the form the kernel runs, except where an operand is a
+        non-finite float: each :meth:`lit` of one makes a ``_kN`` constant,
+        so its text is also formatted before the fold, which keeps the
+        numbers of the constants made after it."""
+        floats = [a for a in args if isinstance(a, float)]
+        text = (None if _all_finite(*floats)
+                else template.format(*map(self.lit, args)))
+        known = len(floats) == len(args)
         if known:
             self.folding()
             try:
@@ -582,9 +590,11 @@ class _Codegen:
         if self.stacked:
             text = _stacked_form(template, not known).format(
                 *map(self.lit, args))
+        elif text is None:
+            text = template.format(*map(self.lit, args))
         name = self.memo.get(text)
         if name is None:
-            name = self.memo[text] = f"t{len(self.memo)}"
+            name = self.memo[text] = f"{self.temp}{len(self.memo)}"
             if self.checked:
                 self.lines += ["try:", f"    {name} = {text}",
                                "except _FAULTS:",

@@ -14,7 +14,7 @@ from scipy.optimize import root
 
 import corpus
 import helpers
-from legclair import clairaut
+from legclair import clairaut, dynamics
 from legclair.clairaut import (
     EnvelopeSolver,
     MixedHamiltonian,
@@ -529,6 +529,75 @@ def test_generated_newton_matches_the_reference_loop(case):
         start = solver.default_guess().tolist() if guess is None else guess
         got = solver.newton()(point, np.asarray(p1, float).tolist(), start)
         assert point == q + got + [c2]
+
+
+def stage_outcome(stage, y):
+    """The V a Hamiltonian stage keeps after ``stage(y, False)`` (its warm
+    start for the next stage), and the error the call raised or None."""
+    try:
+        stage(y, False)
+        error = None
+    except (NewtonDivergedError, SingularJacobianError,
+            EvalDomainError) as exc:
+        error = exc
+    cells = dict(zip(stage.__code__.co_freevars, stage.__closure__))
+    return cells["_v"].cell_contents, error
+
+
+@NEWTON_CASE
+@given(drawn_newton_cases())
+# a backtrack: exp(v1) from -10 towards p1 = 1, whose first trial overflows
+@example(("exp(v1)", 1, [0.0, 0.0], 0.0, [0.0], False, [1.0], [-10.0],
+          (50, 20)))
+# EvalDomainError at a trial: from p1 = 1e308 the first trial is inf
+@example(("exp(v1)", 1, [0.0, 0.0], 0.0, [0.0], False, [1e308], [-10.0],
+          (50, 20)))
+# EvalDomainError at the start, exp(1000)
+@example(("exp(v1)", 1, [0.0, 0.0], 0.0, [0.0], False, [1.0], [1000.0],
+          (50, 20)))
+# the iteration cap: a triple root converges linearly
+@example(("0.25*v1^4", 1, [0.0, 0.0], 0.0, [0.0], False, [0.0], [1e12],
+          (50, 20)))
+# W11 = 3*v1^2 = 0 reached at run time, at the default guess
+@example(("0.25*v1^4 + (q1)*v1", 1, [0.5, 0.0], 0.0, [0.0], False, [1.0],
+          None, (50, 20)))
+def test_hamiltonian_stage_newton_ends_as_solve(case):
+    # each Hamiltonian stage runs the envelope Newton inline from the
+    # previous stage's V: it ends as solve ends from that start, with V's
+    # bits, or with solve's error type, text and residual history; a
+    # second stage, at a shifted p1, starts from the first one's V
+    source, k, q, c2, v, reachable, p1, guess, (max_iter, backtracks) = case
+    n = k + 1
+    system = LagrangianSystem.from_source(n, source)
+    partition = HessianPartition(k, tuple(range(k)), (k,), 1e-9, 0)
+    solver = EnvelopeSolver(system, partition, max_iter=max_iter,
+                            max_backtracks=backtracks)
+    if reachable:
+        try:
+            p1 = eval_dual2(system.lagrangian, q + v + [c2],
+                            solver._v1_active).grad
+        except EvalDomainError:
+            pass
+    p1 = np.asarray(p1, float).tolist()
+    start = solver.default_guess().tolist() if guess is None else guess
+    make = dynamics._stage(system, partition,
+                           dynamics.GaugeChoice.constant(n, [c2]), True)
+    stage = make(list(start), solver.newton_tol, max_iter, backtracks, 0.0)
+    for p1 in (p1, [p1[0] + 0.125, *p1[1:]]):
+        want = outcome(solver.solve, q, p1, [c2], start)
+        got, error = stage_outcome(stage, q + p1)
+        if isinstance(want, Exception):
+            assert type(error) is type(want)
+            assert str(error) == str(want)
+            if isinstance(want, NewtonDivergedError):
+                assert error.residual_history == want.residual_history
+            return
+        # past V, L's full triple or the flow's W11 check may still fail
+        assert not isinstance(error, NewtonDivergedError)
+        if isinstance(error, SingularJacobianError):
+            assert str(error).startswith("regular velocity block")
+        assert np.array(got).tobytes() == want.tobytes()
+        start = got
 
 
 # --------------------------------------------------------------------------

@@ -814,11 +814,12 @@ def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
     assert sources() == []
     out = str(tmp_path / "run")
     assert main(["--out", out, "integrate", path, "--method", "both"]) == 0
-    # the start's solve compiles the Newton, which the Hamiltonian stage
-    # calls; both flows carry n + k entries, so they share one RK4 loop
-    assert [name for name, _ in sources()] == [stage, loop, newton, stage]
-    assert ["_newton(" in src for _, src in sources()] == [False, False,
-                                                           False, True]
+    # the Hamiltonian stage runs its own envelope Newton, and the start
+    # solves on the stacked body, so no standalone Newton compiles; both
+    # flows carry n + k entries, so they share one RK4 loop
+    assert [name for name, _ in sources()] == [stage, loop, stage]
+    assert ["def _ev(" in src for _, src in sources()] == [False, False,
+                                                           True]
     compiles.clear()
     assert main(["--out", out, "integrate", path, "--method", "el"]) == 0
     assert [name for name, _ in sources()] == [stage, loop]
@@ -1075,3 +1076,58 @@ def test_write_trajectory_csv_matches_the_row_loop(n, k):
     write_trajectory_csv(traj, buf)
     assert buf.getvalue() == reference_trajectory_csv(traj)
     assert "-0," in buf.getvalue() and "nan" in buf.getvalue()
+
+
+def single_format_table(table, *texts):
+    """The one-format formula ``format_table`` replaced, kept as the oracle
+    of its bytes: every value through ``%.17g``, every text through
+    ``%s``."""
+    line = ",".join(["%.17g"] * table.shape[1] + ["%s"] * len(texts)) + "\n"
+    rows = table.tolist()
+    entries = list(zip(*texts)) if texts else [()] * len(rows)
+    return "".join(line % (*row, *entry) for row, entry in zip(rows, entries))
+
+
+def _nan(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# NaNs of both signs and of other payloads than numpy's
+TABLE_CONSTANTS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                   _nan(0x7FF8000000000001), _nan(0xFFF0000000000002), 1.0,
+                   5e-324, -1e308, 0.1)
+table_entries = st.sampled_from(TABLE_CONSTANTS) | st.floats()
+
+
+@st.composite
+def drawn_tables(draw):
+    """(table, texts): columns that are constant, constant but in one row,
+    or free, then zero to two text columns."""
+    count = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("constant", "all but one", "free")))
+        if kind == "free":
+            column = draw(st.lists(table_entries, min_size=count,
+                                   max_size=count))
+        else:
+            column = [draw(st.sampled_from(TABLE_CONSTANTS))] * count
+            if kind == "all but one":
+                column[draw(st.integers(0, count - 1))] = draw(table_entries)
+        columns.append(column)
+    texts = draw(st.lists(st.lists(st.sampled_from(("ok", "domain", "x,y")),
+                                   min_size=count, max_size=count),
+                          max_size=2))
+    return np.array(columns, dtype=float).T.copy(), texts
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(drawn_tables())
+# a single row: every column is constant, the template has no field
+@example((np.array([[0.0, -0.0, math.nan]]), []))
+# 0.0 and -0.0 share a column: not constant
+@example((np.array([[0.0], [-0.0], [0.0]]), [["ok", "ok", "domain"]]))
+def test_format_table_matches_the_single_format(case):
+    table, texts = case
+    assert dynamics.format_table(table, *texts) == single_format_table(
+        table, *texts)

@@ -891,6 +891,8 @@ def test_no_kernel_takes_a_square_through_pow(monkeypatch):
         el_rhs(system, partition, gauge, q, [0.5] * ham.k)
         for include_r in (True, False):
             ham_rhs(ham, gauge, q, [0.5] * n, include_r)
+        # the standalone Newton, which no flow compiles
+        ham.solver.solve(q, [0.5] * ham.k, [0.0] * (n - ham.k))
     kinds = {kind for kind, _, _ in compiles}
     assert kinds == {"<legclair kernel>", "<legclair stacked kernel>",
                      "<legclair stage kernel>", "<legclair newton kernel>"}
@@ -908,10 +910,11 @@ def test_no_kernel_takes_a_square_through_pow(monkeypatch):
 RANDOM_TREE_SOURCES_SHA256 = (
     "328db014835c05d2296537282b0c0305e630b111be8bcc4579fc0a0a70081d04")
 # and of the kernels that both flows compile for each corpus system under
-# each gauge of FLOW_GAUGES (stage, Newton and RK4 kernels, and the scalar
-# and stacked kernels of L and the gauge), in compile order
+# each gauge of FLOW_GAUGES (stage and RK4 kernels, the Hamiltonian stage
+# with its envelope Newton, and the scalar and stacked kernels of L and the
+# gauge), in compile order
 CORPUS_FLOW_SOURCES_SHA256 = (
-    "3d8b8712c68c81705e7dc43ad552fcb72d8fc48e09cda29918a94e7b9886bd5e")
+    "e338bdf8c852117dd6f146a25b7fbed00b67c5134c1464e73d78615e2d8bf4ef")
 FLOW_GAUGES = ("0.25*q1^2", "1.5 - 2*3*sin(q1) + exp(-1)*q1")
 
 
@@ -927,6 +930,38 @@ def test_random_tree_kernel_sources_are_frozen(monkeypatch):
     sources = "\0".join(src for _, _, src in compiles)
     assert hashlib.sha256(sources.encode()).hexdigest() == (
         RANDOM_TREE_SOURCES_SHA256)
+
+
+# and of trees with non-finite constants (1e400*q1*v1^2 and the like,
+# built as nodes since parse rejects them), compiled as the random trees
+# are: each lit of a non-finite operand makes a _kN constant, so this pins
+# the order in which _Codegen.op formats around a fold
+NON_FINITE_SOURCES_SHA256 = (
+    "531ea1551f6f5f7178af7b0e4e9cf2f76660e8ccdf263898b13351bdba88b8be")
+
+
+def test_non_finite_constant_kernel_sources_are_frozen(monkeypatch):
+    q1, q2, v1, v2 = (Var(i, name) for i, name in enumerate(NAMES))
+    inf, nan = Num(math.inf), Num(math.nan)
+    trees = (
+        Mul(Mul(inf, q1), Pow(v1, 2.0)),
+        # 1/inf folds to 0.0 and inf - inf does not fold
+        Add(Mul(Div(Num(1.0), inf), v1), Mul(Mul(Sub(inf, inf), q2), v2)),
+        Add(Sub(Mul(Neg(inf), Pow(v1, 2.0)), Mul(Call("exp", inf), q1)),
+            Div(Mul(Call("sqrt", inf), Pow(v2, 3.0)), q1)),
+        Add(Mul(nan, Mul(v1, v2)), Pow(Add(q1, Num(-math.inf)), 0.5)),
+    )
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    for root in trees:
+        for active in ((0, 1, 2, 3), (2, 3), (2,), None):
+            expr._compile(root, len(NAMES), active)
+            expr._compile(root, len(NAMES), active, checked=True)
+            expr._compile_many(root, len(NAMES), active)
+    assert len(compiles) == 4 * 4 * 3
+    sources = "\0".join(src for _, _, src in compiles)
+    assert "_k" in sources
+    assert hashlib.sha256(sources.encode()).hexdigest() == (
+        NON_FINITE_SOURCES_SHA256)
 
 
 def test_corpus_flow_kernel_sources_are_frozen(monkeypatch):
@@ -946,8 +981,8 @@ def test_corpus_flow_kernel_sources_are_frozen(monkeypatch):
                 integrate_ham(ham, gauge, q, [0.5] * n, (0.0, 0.02), 0.01,
                               include_r=include_r)
     kinds = {kind for kind, _, _ in compiles}
-    assert kinds >= {"<legclair stage kernel>", "<legclair newton kernel>",
-                     "<legclair rk4 loop>"}
+    assert kinds == {"<legclair kernel>", "<legclair stacked kernel>",
+                     "<legclair stage kernel>", "<legclair rk4 loop>"}
     sources = "\0".join(src for _, _, src in compiles)
     assert hashlib.sha256(sources.encode()).hexdigest() == (
         CORPUS_FLOW_SOURCES_SHA256)
@@ -978,6 +1013,7 @@ def test_generating_a_kernel_calls_no_eval(monkeypatch):
     q = ham.system.center()[:3]
     integrate_el(ham, gauge, q, [0.5, 0.5], (0.0, 0.02), 0.01)
     integrate_ham(ham, gauge, q, [0.5] * 3, (0.0, 0.02), 0.01)
+    ham.solver.solve(q, [0.5, 0.5], [0.0])  # the standalone Newton
     assert {kind for kind, _, _ in compiles} == {
         "<legclair kernel>", "<legclair stacked kernel>",
         "<legclair stage kernel>", "<legclair newton kernel>",

@@ -374,26 +374,26 @@ def emit_gepp(cg, a, cols):
 
 def _failed_newton(lag, active, point):
     """Raise the ``EvalDomainError`` of L's evaluation at ``point``, where
-    the Newton kernel's evaluation failed, or return an AssertionError
-    where ``eval_dual2`` passes."""
+    the stage's envelope Newton failed to evaluate it, or return an
+    AssertionError where ``eval_dual2`` passes."""
     eval_dual2(lag, point, active)
-    return AssertionError("the Newton kernel failed where eval_dual2 passes")
+    return AssertionError("the envelope Newton failed where eval_dual2 passes")
 
 
-def emit_newton(system, partition, ns, store=()):
-    """The envelope Newton of (system, partition) for a kernel whose
-    namespace is ``ns``, as the lines (``ev``, ``body``) of two hosts: the
-    standalone kernel (:func:`_build_newton`) and the Hamiltonian stage
-    kernel (``dynamics._build_stage``).
+def emit_newton(system, partition, ns):
+    """The envelope Newton of (system, partition) for the Hamiltonian stage
+    kernel (``dynamics._build_stage``), whose namespace is ``ns``, as the
+    lines (``ev``, ``body``).
 
-    ``ev`` defines ``_ev(x0, x1, ...)``, which the host puts at the top of
+    ``ev`` defines ``_ev(x0, x1, ...)``, which the stage puts at the top of
     its source: L's v1-active triple at the point (q, v) by the operations
     of ``eval_dual2(lag, point, active)``'s kernel, returning the gradient
     and W11 locals, or None where ``eval_dual2`` raises (``_Codegen.guarded``
-    tests it).  ``body`` is :meth:`EnvelopeSolver.solve`'s damped Newton on
-    Python floats, run on the host's locals: the point as x0, x1, ... (the
-    v1 ones holding the start), p1 as a0, a1, ..., and ``tol``, ``max_iter``
-    and ``max_backtracks``; it ends with the v1 locals at V.
+    tests it).  ``body`` is the damped Newton of one lane of
+    :meth:`EnvelopeSolver.solve_lanes` on Python floats, run on the stage's
+    locals: the point as x0, x1, ... (the v1 ones holding the start), p1 as
+    a0, a1, ..., and ``tol``, ``max_iter`` and ``max_backtracks``; it ends
+    with the v1 locals at V.
 
     From a residual r = p1 - dL/dv1 with max-norm above ``tol``, W11 is
     checked and the step solves W11 d = r, both as :func:`emit_check_w11`
@@ -403,7 +403,7 @@ def emit_newton(system, partition, ns, store=()):
     that fails at the start or at a non-finite trial reruns as an
     ``eval_dual2`` call, to raise its exact error; a halving that runs out,
     or ``max_iter`` iterations, raise ``NewtonDivergedError`` with the
-    residual norms of the iterates, after the lines ``store``.
+    residual norms of the iterates.
 
     The body's other locals are u0, u1, ... (its operations), g0, ...,
     d0, ..., w0, ..., ``e``, ``norm``, ``_r``, ``rnorm``, ``history`` and
@@ -472,41 +472,15 @@ def emit_newton(system, partition, ns, store=()):
         f"            raise _newton_fail({here})",
         "        alpha *= 0.5",
         "    else:",
-        *block(2, store),
         "        raise _Diverged('backtracking could not reduce the envelope "
         "residual', history)",
         "else:",
-        *block(1, store),
         "    raise _Diverged(f'no convergence within {max_iter} Newton "
         "iterations', history)",
     ]
     ns.update(_Diverged=NewtonDivergedError, _evaluates=_evaluates,
               _newton_fail=functools.partial(_failed_newton, lag, active))
     return ev, body
-
-
-def _build_newton(system, partition):
-    """Generate and compile the standalone envelope Newton of (system,
-    partition): ``kernel(tol, max_iter, max_backtracks, point, p1, v1)``
-    runs :func:`emit_newton`'s body on the float lists ``point`` (q, v with
-    v2 set), ``p1`` and the start ``v1``, and returns V as a list.  Unless
-    an evaluation's error is raised, ``point`` is left at the last v1
-    evaluated, which is V on return."""
-    n = system.n
-    xs = [f"x{i}" for i in range(2 * n)]
-    active = [n + i for i in partition.regular]
-    v1 = [xs[a] for a in active]
-    store = [f"point[{a}] = {x}" for a, x in zip(active, v1)]
-    cg = _Codegen(None, checked=False)
-    ev, body = emit_newton(system, partition, cg.ns, store)
-    src = [*ev,
-           "def kernel(tol, max_iter, max_backtracks, point, p1, v1):",
-           "    " + "".join(x + ", " for x in xs) + "= point",
-           "    " + "".join(f"a{i}, " for i in range(len(v1))) + "= p1",
-           "    " + "".join(x + ", " for x in v1) + "= v1",
-           *("    " + x for x in body + store),
-           f"    return [{', '.join(v1)}]"]
-    return cg.build(src, "<legclair newton kernel>")
 
 
 @dataclass
@@ -529,9 +503,8 @@ class EnvelopeSolver:
     def __post_init__(self):
         n = self.system.n
         self._v1_active = tuple(n + i for i in self.partition.regular)
-        self._v2_slots = tuple(n + i for i in self.partition.nonregular)
         self._v1_cols = np.array(self._v1_active, dtype=int)
-        self._v2_cols = np.array(self._v2_slots, dtype=int)
+        self._v2_cols = n + np.array(self.partition.nonregular, dtype=int)
 
     def default_guess(self) -> np.ndarray:
         return self.system.center()[self._v1_cols]
@@ -544,34 +517,16 @@ class EnvelopeSolver:
                 checked_vector(c2, n - k, "c2"))
 
     def solve(self, q, p1, c2, v1_guess=None) -> np.ndarray:
-        """Return v1 = V(q, p1, c2) with ||p1 - dL/dv1||_inf <= newton_tol."""
+        """Return v1 = V(q, p1, c2) with ||p1 - dL/dv1||_inf <= newton_tol:
+        one row of :meth:`solve_many`, after the checks of a single point
+        (a guess broadcasts to p1's shape)."""
         q, p1, c2 = self._checked(q, p1, c2)
         if not p1.size:
             return np.zeros(0)
-        v1 = self.default_guess() if v1_guess is None else v1_guess
-        v1 = np.broadcast_to(np.asarray(v1, dtype=float), p1.shape)
-        # (q, v) with v2 = c2 fixed; the iteration sets the v1 slots
-        point = q.tolist() + [0.0] * len(q)
-        for slot, x in zip(self._v2_slots, c2.tolist()):
-            point[slot] = x
-        return np.array(self.newton()(point, p1.tolist(), v1.tolist()))
-
-    def newton(self):
-        """The envelope Newton kernel of (system, partition), bound to this
-        solver's settings: for k > 0, ``newton()(point, p1, v1)`` takes float
-        lists, ``point`` being (q, v) with v2 set, returns V and leaves
-        ``point`` at (q, V, v2).
-
-        The kernel is generated by :func:`_build_newton` at the first call
-        and kept on the system, beside the flows' stage kernels.
-        """
-        key = ("newton", self.partition)
-        kernel = self.system._stages.get(key)
-        if kernel is None:
-            kernel = self.system._stages[key] = _build_newton(self.system,
-                                                              self.partition)
-        return functools.partial(kernel, self.newton_tol, self.max_iter,
-                                 self.max_backtracks)
+        if v1_guess is not None:
+            v1_guess = np.broadcast_to(np.asarray(v1_guess, dtype=float),
+                                       p1.shape)[None]
+        return self.solve_many(q[None], p1[None], c2[None], v1_guess)[0]
 
     def solve_many(self, q, p1, c2, v1_guess=None) -> np.ndarray:
         """:meth:`solve_lanes`'s solutions; raises the lowest row's error."""
@@ -581,14 +536,15 @@ class EnvelopeSolver:
         return out
 
     def solve_lanes(self, q, p1, c2, v1_guess=None):
-        """:meth:`solve` at every row of q (count, n), p1 (count, k) and c2
-        (count, n - k), with an optional (count, k) guess, and ``{row:
-        error}`` for the rows where :meth:`solve` raises.
+        """V at every row of q (count, n), p1 (count, k) and c2 (count,
+        n - k), with an optional (count, k) guess, and ``{row: error}`` for
+        the rows whose iteration fails.
 
-        Each lane runs :meth:`solve`'s iteration and ends as it ends: row i
-        equals ``solve`` at row i bit for bit, or is NaN and files the error
-        ``solve`` raises there, residual history included.  The iteration
-        runs on lane columns (:meth:`_solve_columns`).
+        Each lane runs the damped Newton of its row and ends as the row
+        alone ends, whatever the other rows: with the same bits, or NaN and
+        the same error, residual history included; :meth:`solve` is one
+        such row.  The iteration runs on lane columns
+        (:meth:`_solve_columns`).
         """
         n, k = self.system.n, self.partition.k
         q = checked_rows(q, n, "q")
@@ -625,7 +581,7 @@ class EnvelopeSolver:
 
         def step(lanes, v1, r, hess):
             w11 = [hess[i * k:(i + 1) * k] for i in range(k)]
-            # each singular lane ends in its own block's error, as in solve
+            # each singular lane ends in its own block's error, as alone
             _, _, ended = singular_lanes(w11, len(lanes), tol, where, v1=v1)
             if len(ended) == len(lanes):
                 return None, ended
@@ -810,11 +766,12 @@ class MixedHamiltonian:
         self._nonreg = np.array(self.partition.nonregular, dtype=int)
         self._v_active = tuple(range(n, 2 * n))
         # the momentum stencil's blocks (p, then +e_i and -e_i for each i)
-        # that are solved: the unshifted and the +-p1 ones; a +-p2 block
-        # takes the unshifted block's V
-        self._solved = [0, *(b for i in self.partition.regular
-                             for b in (1 + 2 * i, 2 + 2 * i))]
-        self._source = [self._solved.index(b) if b in self._solved else 0
+        # that are solved: the +-p1 ones; the unshifted block and the +-p2
+        # ones take V at p.  _source gives each block's V: 0 for V at p, or
+        # 1 + j for the j-th solved block
+        self._solved = [b for i in self.partition.regular
+                        for b in (1 + 2 * i, 2 + 2 * i)]
+        self._source = [1 + self._solved.index(b) if b in self._solved else 0
                         for b in range(2 * n + 1)]
 
     @classmethod
@@ -865,8 +822,8 @@ class MixedHamiltonian:
         rows = (x[None] for x in self.solver._checked(q, p1, probe))
         return self.envelope_many(*rows, _guess_row(v1_guess))[1][0]
 
-    # The other single-point maps are one-row calls of their stacked twins
-    # below, after ``solve``'s argument checks.
+    # The other single-point maps, like ``solve``, are one-row calls of
+    # their stacked twins below, after ``solve``'s argument checks.
 
     def _row(self, q, p, c2):
         """q, p and c2 as one row each, checked as a single point: p as a
@@ -928,7 +885,7 @@ class MixedHamiltonian:
     # ``momentum_gradient_at`` and ``inverse_transform_at``), so
     # ``transform`` solves a row once for H, Psi and H0, and ``verify``
     # solves the rows of all its maps together.  No row depends on the
-    # others: Newton lanes end as ``solve`` ends (``solve_lanes``), and
+    # others: a Newton lane ends as its row alone (``solve_lanes``), and
     # row-wise dot products are :func:`contract` over columns.  A map raises
     # if some row fails, the lowest row's error; on one row it meets that
     # row's errors in a point's own order, as shifted momenta are stacked in
@@ -985,11 +942,11 @@ class MixedHamiltonian:
         return shifted, step
 
     def momentum_stencil(self, q, p, v2, v1):
-        """The envelope rows that :meth:`momentum_gradient_at` takes V at,
-        as (q, p1, v2, guess) rows: those of p and of its +-p1 shifts,
-        block after block in stencil order, each warm-started from V at p
-        (``v1``).  The +-p2 shifts share (q, p1, v2) and the guess with
-        the unshifted point, so they take its V and are not solved."""
+        """The envelope rows that :meth:`momentum_gradient_at` solves, as
+        (q, p1, v2, guess) rows: those of the +-p1 shifts of p, block after
+        block in stencil order, each warm-started from V at p (``v1``).
+        The unshifted point and its +-p2 shifts share (q, p1, v2) with p,
+        so they take ``v1`` and are not solved."""
         shifted, _ = self._stencil(p)
         reps = (len(self._solved), 1)
         return (np.tile(q, reps),
@@ -997,15 +954,17 @@ class MixedHamiltonian:
                     len(self._solved) * len(q), self.k),
                 np.tile(v2, reps), np.tile(v1, reps))
 
-    def momentum_gradient_at(self, q, p, v2, v1_stencil):
+    def momentum_gradient_at(self, q, p, v2, v1, v1_stencil):
         """(H, dH/dp) at every row: H at (q, p, v2), and dH/dp by the
-        central differences of :meth:`clairaut_residual`, given V at the
-        rows of :meth:`momentum_stencil` as ``v1_stencil``: one
-        :meth:`value_at` at p and at its 2n shifted momenta."""
+        central differences of :meth:`clairaut_residual`, given V at
+        (q, p1, v2) as ``v1`` and at the rows of :meth:`momentum_stencil`
+        as ``v1_stencil``: one :meth:`value_at` at p and at its 2n shifted
+        momenta."""
         n, k, count = self.n, self.k, len(q)
         shifted, step = self._stencil(p)
         blocks = len(shifted)
-        v1 = np.reshape(v1_stencil, (len(self._solved), count, k))
+        v1 = np.concatenate([np.reshape(v1, (1, count, k)), np.reshape(
+            v1_stencil, (len(self._solved), count, k))])
         h_all = self.value_at(
             np.tile(q, (blocks, 1)), shifted.reshape(blocks * count, n),
             np.tile(v2, (blocks, 1)),
@@ -1026,12 +985,13 @@ class MixedHamiltonian:
         v1 = self.solver.solve_many(q, p[:, self._reg], v2)
         v1_stencil = self.solver.solve_many(
             *self.momentum_stencil(q, p, v2, v1))
-        return self.clairaut_residual_at(q, p, v2, v1_stencil)
+        return self.clairaut_residual_at(q, p, v2, v1, v1_stencil)
 
-    def clairaut_residual_at(self, q, p, v2, v1_stencil) -> np.ndarray:
-        """:meth:`clairaut_residual_many`'s residual, given V at the rows
-        of :meth:`momentum_stencil` as ``v1_stencil``."""
-        h_val, dhdp = self.momentum_gradient_at(q, p, v2, v1_stencil)
+    def clairaut_residual_at(self, q, p, v2, v1, v1_stencil) -> np.ndarray:
+        """:meth:`clairaut_residual_many`'s residual, given V at (q, p1, v2)
+        as ``v1`` and at the rows of :meth:`momentum_stencil` as
+        ``v1_stencil``."""
+        h_val, dhdp = self.momentum_gradient_at(q, p, v2, v1, v1_stencil)
         lval = evaluate_many(self.system.lagrangian,
                              np.concatenate([q, dhdp], axis=1))
         return np.abs(h_val - contract(p.T, dhdp.T) + lval)

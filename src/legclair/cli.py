@@ -136,6 +136,20 @@ def _written(write, *args, **kwargs):
         raise ProblemError(f"cannot write output: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _fitting(what, rows, width):
+    """Run a block that builds ``rows`` rows of ``width`` floats for
+    ``what``; a request beyond the address space, or one that memory
+    cannot hold, is a ProblemError (exit 2)."""
+    message = f"{what} needs {rows} x {width} numbers, more than memory holds"
+    if rows * width * 8 > np.iinfo(np.intp).max:  # numpy could not index it
+        raise ProblemError(message)
+    try:
+        yield
+    except MemoryError:
+        raise ProblemError(message) from None
+
+
 def load_problem(path) -> Problem:
     try:
         with open(path) as fh:
@@ -269,11 +283,12 @@ def cmd_analyze(problem: Problem, args, out):
     nonreg = list(part.nonregular)
     lo, hi = system.domain_lo, system.domain_hi
     # one row per sample: q, p1, p2, drawn in the order of one sample at a time
-    rows = rng.uniform(
-        np.concatenate([lo[:n], lo[n:][reg], lo[n:][nonreg]]),
-        np.concatenate([hi[:n], hi[n:][reg], hi[n:][nonreg]]),
-        size=(args.points, 2 * n),
-    )
+    with _fitting(f"--points {args.points}", args.points, 2 * n):
+        rows = rng.uniform(
+            np.concatenate([lo[:n], lo[n:][reg], lo[n:][nonreg]]),
+            np.concatenate([hi[:n], hi[n:][reg], hi[n:][nonreg]]),
+            size=(args.points, 2 * n),
+        )
     q, p1, p2 = rows[:, :n], rows[:, n:n + k], rows[:, n + k:]
     errors = (NewtonDivergedError, SingularJacobianError, EvalDomainError)
     try:
@@ -364,7 +379,8 @@ def _parse_grid_spec(spec):
             a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise ValueError
-            values = np.linspace(a, b, count)
+            with _fitting(f"grid spec {spec!r}", count, 1):
+                values = np.linspace(a, b, count)
         elif "," in rhs:
             values = np.array([float(x) for x in rhs.split(",")])
         else:
@@ -396,20 +412,20 @@ def cmd_transform(problem: Problem, args, out):
         if name not in columns:
             raise ProblemError(f"unknown grid variable {name!r}")
     values = [vals for _, vals in grids]
-    rows = np.tile(
-        np.concatenate([system.center()[:n], np.zeros(n), ham.default_probe()]),
-        (math.prod(map(len, values)), 1),
-    )
-    # the last grid varies fastest; a repeated name takes its last grid
-    for (name, _), column in zip(grids, np.meshgrid(*values, indexing="ij")):
-        rows[:, columns.index(name)] = column.ravel()
-    boxed = rows[:, list(range(n)) + list(range(2 * n, 3 * n - k))]
+    count = math.prod(map(len, values))
     lo = np.concatenate([system.domain_lo[:n], system.domain_lo[n:][nonreg]])
     hi = np.concatenate([system.domain_hi[:n], system.domain_hi[n:][nonreg]])
-    inside = ((lo <= boxed) & (boxed <= hi)).all(axis=1)
-
-    table = np.full((len(rows), 2 + n - k), np.nan)  # H, H0, phi per row
-    status = ["ok" if ok else "domain" for ok in inside]
+    with _fitting("the grid", count, len(columns) + 2 + n - k):
+        rows = np.tile(np.concatenate([system.center()[:n], np.zeros(n),
+                                       ham.default_probe()]), (count, 1))
+        # the last grid varies fastest; a repeated name takes its last grid
+        for (name, _), column in zip(grids,
+                                     np.meshgrid(*values, indexing="ij")):
+            rows[:, columns.index(name)] = column.ravel()
+        boxed = rows[:, list(range(n)) + list(range(2 * n, 3 * n - k))]
+        inside = ((lo <= boxed) & (boxed <= hi)).all(axis=1)
+        table = np.full((count, 2 + n - k), np.nan)  # H, H0, phi per row
+        status = ["ok" if ok else "domain" for ok in inside]
 
     def evaluate(at):
         """Fill the table at rows ``at``, each map's column once it returns;

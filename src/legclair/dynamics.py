@@ -48,8 +48,8 @@ kernel of the flow (``_stage``), compiled at its first stage: the gauge's
 operations of its own ``eval_dual2`` kernel, then K, dv2/dt, R, dH/dq, the
 W11 check and solve, and p1dot.  The Hamiltonian stage runs its own
 envelope Newton between the gauge and L, inline on its locals, from the
-previous stage's V: the body of ``EnvelopeSolver.solve``'s kernel, written
-by the same emitter (``clairaut.emit_newton``), with its ``_ev`` at the top
+previous stage's V: one lane of ``EnvelopeSolver.solve_lanes`` on Python
+floats, written by ``clairaut.emit_newton``, with its ``_ev`` at the top
 of the stage's source.  The monitors above follow an early return, so only
 the recorded stage, the first of each step, builds them.
 
@@ -495,10 +495,10 @@ def _ham_rhs(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
     monitor)``, which returns ((qdot, p1dot), (qdot, ``hs3_res``, dL/dv)),
     None in place of the second entry when ``monitor`` is false.  The start
     takes V and Psi from one row of the envelope's stacked body
-    (``EnvelopeSolver.solve_many``, whose row has ``solve``'s bits, and L's
-    v-active row there).  Each stage runs its own envelope Newton, as
-    ``solve`` runs it, warm-started at the previous stage's V (the first at
-    the start's).  ``hs3_res`` is the residual of the non-regular momentum
+    (``EnvelopeSolver.solve_many``, as ``solve`` does, and L's v-active row
+    there).  Each stage runs its own envelope Newton, ending as ``solve``
+    ends, warm-started at the previous stage's V (the first at the
+    start's).  ``hs3_res`` is the residual of the non-regular momentum
     equation given that p2 is reconstructed from Psi:
 
         d(Psi)/dt + dH/dq2|_comp - R2   (R2 dropped when include_r=False)

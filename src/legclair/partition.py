@@ -75,7 +75,7 @@ class LagrangianSystem:
     domain_lo: np.ndarray
     domain_hi: np.ndarray
     # the compiled stage kernels and RK4 loops of the flows (dynamics._stage,
-    # dynamics._rk4) and the envelope Newton kernel
+    # dynamics._rk4)
     _stages: dict = field(default_factory=dict, init=False, compare=False,
                           repr=False)
 

@@ -340,12 +340,10 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
 
     # one row of the sample-by-sample suite's draw(): (q, v), then p
     drawn = ([lo, vlo], [hi, vhi])
-    sweeps = [(samples, *drawn, momentum(
-        lambda q, p, v2, _, v1_stencil:
-            ham.clairaut_residual_at(q, p, v2, v1_stencil)))]
+    sweeps = [(samples, *drawn, momentum(ham.clairaut_residual_at))]
 
     def grad(q, p, v2, v1, v1_stencil):
-        _, slope = ham.momentum_gradient_at(q, p, v2, v1_stencil)
+        _, slope = ham.momentum_gradient_at(q, p, v2, v1, v1_stencil)
         return np.stack([
             np.fmax.reduce(np.abs(slope[:, reg] - v1), axis=1, initial=0.0),
             np.fmax.reduce(np.abs(slope[:, nonreg] - v2), axis=1, initial=0.0),

@@ -138,26 +138,104 @@ def gepp_solve(a, b):
     are true quotients, updates are x - f*y, and back substitution
     subtracts the known unknowns in ascending order before it divides.
     Like LAPACK, it prints no warning where a step overflows."""
-    a = np.array(a, dtype=float)
     x = np.array(b, dtype=float)
     vector = x.ndim == 1
     if vector:
         x = x[:, None]
-    k = len(a)
+    k, m = x.shape
+    # rows of numpy float scalars, which round as array entries do
+    a = [list(row) for row in np.array(a, dtype=float)]
+    x = [list(row) for row in x]
     with np.errstate(all="ignore"):
-        for c in range(k):
-            p = c + int(np.argmax(np.abs(a[c:, c])))
-            a[[c, p]] = a[[p, c]]
-            x[[c, p]] = x[[p, c]]
+        for c in range(k - 1):
+            p = c + int(np.argmax([abs(row[c]) for row in a[c:]]))
+            a[c], a[p] = a[p], a[c]
+            x[c], x[p] = x[p], x[c]
             for r in range(c + 1, k):
-                f = a[r, c] / a[c, c]
-                a[r, c + 1:] = a[r, c + 1:] - f * a[c, c + 1:]
-                x[r] = x[r] - f * x[c]
+                f = a[r][c] / a[c][c]
+                a[r][c + 1:] = [y - f * z for y, z in zip(a[r][c + 1:],
+                                                          a[c][c + 1:])]
+                x[r] = [y - f * z for y, z in zip(x[r], x[c])]
         for i in reversed(range(k)):
             for j in range(i + 1, k):
-                x[i] = x[i] - a[i, j] * x[j]
-            x[i] = x[i] / a[i, i]
+                x[i] = [y - a[i][j] * z for y, z in zip(x[i], x[j])]
+            x[i] = [y / a[i][i] for y in x[i]]
+    x = np.array(x, dtype=float).reshape(k, m)
     return x[:, 0] if vector else x
+
+
+def reference_newton(solver, q, p1, c2, v1_guess=None):
+    """The envelope Newton of ``solver`` at one point, written apart from
+    ``clairaut``'s: every iterate is evaluated afresh by ``eval_dual2``,
+    W11 is checked by its SVD and the step is :func:`gepp_solve`.  Returns
+    V, or raises the error ``EnvelopeSolver.solve`` raises."""
+    system, part = solver.system, solver.partition
+    n, active = system.n, list(solver._v1_active)
+    p1 = np.asarray(p1, dtype=float)
+    at = np.empty(2 * n)  # (q, v), v2 = c2 and v1 set by point()
+    at[:n] = q
+    at[[n + i for i in part.nonregular]] = c2
+
+    def point(v1):
+        x = at.copy()
+        x[active] = v1
+        return x
+
+    v1 = (
+        np.array(v1_guess, dtype=float)
+        if v1_guess is not None else solver.default_guess()
+    )
+    history = []
+    for _ in range(solver.max_iter):
+        d = eval_dual2(system.lagrangian, point(v1), solver._v1_active)
+        r = p1 - d.grad
+        rnorm = float(np.abs(r).max())
+        history.append(rnorm)
+        if rnorm <= solver.newton_tol:
+            return v1
+        sv = np.linalg.svd(d.hess, compute_uv=False)
+        if sv[-1] <= part.rank_tolerance * max(sv[0], 1.0):
+            raise clairaut.SingularJacobianError(
+                f"W11 is singular at Newton iterate v1={v1.tolist()} "
+                f"(smallest singular value {sv[-1]:.3e})"
+            )
+        delta = gepp_solve(d.hess, r)
+        alpha = 1.0
+        for _ in range(solver.max_backtracks + 1):
+            trial = v1 + alpha * delta
+            try:
+                d_trial = eval_dual2(
+                    system.lagrangian, point(trial), solver._v1_active
+                )
+            except EvalDomainError:
+                # a finite trial outside L's domain is a rejected trial
+                if not np.all(np.isfinite(trial)):
+                    raise
+            else:
+                if float(np.abs(p1 - d_trial.grad).max()) < rnorm:
+                    break
+            alpha *= 0.5
+        else:
+            raise clairaut.NewtonDivergedError(
+                "backtracking could not reduce the envelope residual", history
+            )
+        v1 = trial
+    raise clairaut.NewtonDivergedError(
+        f"no convergence within {solver.max_iter} Newton iterations", history
+    )
+
+
+def solve_velocity(ham, q, p1, v2, v1_guess=None):
+    """``ham.solve_velocity`` for the sample-by-sample oracles, on
+    :func:`reference_newton`: the same argument checks and guess, and
+    ``zeros(0)`` for k = 0."""
+    q, p1, v2 = ham.solver._checked(q, p1, v2)
+    if not p1.size:
+        return np.zeros(0)
+    if v1_guess is not None:
+        v1_guess = np.broadcast_to(np.asarray(v1_guess, dtype=float),
+                                   p1.shape)
+    return reference_newton(ham.solver, q, p1, v2, v1_guess)
 
 
 def abs_det(a) -> float:
@@ -357,9 +435,10 @@ def record_svd_calls(monkeypatch):
 def record_kernel_compiles(monkeypatch):
     """The kernels generated while the test runs, appended as (filename,
     active, source).  The filename names the kind: ``<legclair kernel>``
-    (scalar), ``<legclair stacked kernel>``, ``<legclair stage kernel>`` or
-    ``<legclair newton kernel>``; ``active`` is the tuple of variable
-    indices the kernel differentiates against, None for a value-only one."""
+    (scalar), ``<legclair stacked kernel>``, ``<legclair stage kernel>``
+    (a flow's stage, the Hamiltonian one with its envelope Newton inline)
+    or ``<legclair rk4 loop>``; ``active`` is the tuple of variable indices
+    the kernel differentiates against, None for a value-only one."""
     compiles = []
     build = expr._Codegen.build
 

@@ -2,8 +2,9 @@
 
 These are ``value``, ``psi``, ``phi``, ``h_zero``, ``clairaut_residual``
 and ``inverse_transform`` as they were before each became a one-row call of
-its stacked twin (``value_many`` and the rest): one scalar envelope solve
-and scalar kernel calls per point.  Each takes the ``MixedHamiltonian`` first.
+its stacked twin (``value_many`` and the rest): one envelope solve point
+by point (``helpers.solve_velocity``, on ``helpers.reference_newton``) and
+scalar kernel calls per point.  Each takes the ``MixedHamiltonian`` first.
 The tests require the stacked maps to equal them row by row, values and
 errors included, and ``verify_oracle.py`` runs the property suite on them.
 Their dot products follow the output contract through ``helpers.lr_dot``.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from helpers import lr_dot
+from helpers import lr_dot, solve_velocity
 from legclair.clairaut import FD_MOMENTUM_STEP, NewtonDivergedError
 from legclair.expr import eval_dual2, evaluate
 from legclair.partition import checked_vector
@@ -27,7 +28,7 @@ def value(ham, q, p, v2, v1_guess=None) -> float:
     """H(q, p, v2) = p1*V + p2*v2 - L(q, V, v2)."""
     v2 = np.asarray(v2, dtype=float)
     p1, p2 = ham.split_momenta(p)
-    v1 = ham.solve_velocity(q, p1, v2, v1_guess)
+    v1 = solve_velocity(ham, q, p1, v2, v1_guess)
     lval = evaluate(ham.system.lagrangian, ham.system.point(
         q, ham.assemble_velocity(v1, v2)
     ))
@@ -38,7 +39,7 @@ def psi(ham, q, p1, v2_probe=None, v1_guess=None) -> np.ndarray:
     """Psi(q, p1) = dL/dv2 on the envelope; independent of the probe."""
     probe = (ham.default_probe() if v2_probe is None
              else np.asarray(v2_probe, dtype=float))
-    v1 = ham.solve_velocity(q, p1, probe, v1_guess)
+    v1 = solve_velocity(ham, q, p1, probe, v1_guess)
     x = ham.system.point(q, ham.assemble_velocity(v1, probe))
     d = eval_dual2(ham.system.lagrangian, x, ham._v_active)
     return d.grad[ham._nonreg]
@@ -57,7 +58,7 @@ def h_zero(ham, q, p1, c2_probe=None) -> float:
         if c2_probe is not None
         else ham.default_probe()
     )
-    v1 = ham.solve_velocity(q, np.asarray(p1, dtype=float), c2)
+    v1 = solve_velocity(ham, q, np.asarray(p1, dtype=float), c2)
     x = ham.system.point(q, ham.assemble_velocity(v1, c2))
     d = eval_dual2(ham.system.lagrangian, x, ham._v_active)
     psi_here = d.grad[ham._nonreg]
@@ -74,7 +75,7 @@ def clairaut_residual(ham, q, p, v2) -> float:
     p = np.asarray(p, dtype=float)
     v2 = np.asarray(v2, dtype=float)
     p1, _ = ham.split_momenta(p)
-    v1_warm = ham.solve_velocity(q, p1, v2)
+    v1_warm = solve_velocity(ham, q, p1, v2)
     h_val = value(ham, q, p, v2, v1_guess=v1_warm)
     dhdp = np.empty(ham.n)
     for i in range(ham.n):
@@ -111,7 +112,7 @@ def inverse_transform(ham, q, v, p2, p1_guess=None) -> float:
     history = []
     v_cur = None
     if ham.k:
-        v_cur = ham.solve_velocity(q, p1, v2)
+        v_cur = solve_velocity(ham, q, p1, v2)
         converged = False
         for _ in range(solver.max_iter):
             rho = v1 - v_cur
@@ -128,7 +129,7 @@ def inverse_transform(ham, q, v, p2, p1_guess=None) -> float:
             alpha = 1.0
             for _ in range(solver.max_backtracks + 1):
                 trial = p1 + alpha * delta
-                v_trial = ham.solve_velocity(q, trial, v2, v1_guess=v_cur)
+                v_trial = solve_velocity(ham, q, trial, v2, v1_guess=v_cur)
                 if _inf_norm(v1 - v_trial) < rnorm:
                     break
                 alpha *= 0.5

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from helpers import alloc_trajectory, gepp_solve, lr_dot
+from helpers import alloc_trajectory, gepp_solve, lr_dot, solve_velocity
 from legclair.clairaut import MixedHamiltonian, SingularJacobianError
 from legclair.dynamics import (
     PRIMARY_TOL,
@@ -137,7 +137,7 @@ def _ham_core(ham: MixedHamiltonian, gauge, q, p1, phi, include_r, v1_guess=None
     nonreg = np.asarray(partition.nonregular, dtype=int)
     q = np.asarray(q, dtype=float)
     c2 = gauge.value(q)
-    v1 = ham.solve_velocity(q, p1, c2, v1_guess)
+    v1 = solve_velocity(ham, q, p1, c2, v1_guess)
     d = eval_dual2(
         system.lagrangian,
         np.concatenate([q, ham.assemble_velocity(v1, c2)]),
@@ -212,7 +212,7 @@ def integrate_ham(
     p1 = p0[reg].copy()
 
     c2 = gauge.value(q)
-    v1 = ham.solve_velocity(q, p1, c2)
+    v1 = solve_velocity(ham, q, p1, c2)
     phi0 = p0[nonreg] - ham.psi(q, p1, v2_probe=c2, v1_guess=v1)
     if enforce_primary and phi0.size and np.max(np.abs(phi0)) > PRIMARY_TOL:
         bad = ", ".join(

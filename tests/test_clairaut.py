@@ -14,7 +14,7 @@ from scipy.optimize import root
 
 import corpus
 import helpers
-from legclair import clairaut, dynamics
+from legclair import clairaut, dynamics, expr
 from legclair.clairaut import (
     EnvelopeSolver,
     MixedHamiltonian,
@@ -187,64 +187,6 @@ def test_solver_validates_shapes():
 # the envelope Newton loop against the loop that evaluates every iterate
 # --------------------------------------------------------------------------
 
-def reference_newton(solver, q, p1, c2, v1_guess=None):
-    """The envelope Newton loop as it was before the accepted trial's
-    evaluation was reused: every iterate is evaluated afresh.  Returns the
-    solution, or raises what the solver raised then."""
-    system, part = solver.system, solver.partition
-    n, reg, nonreg = system.n, list(part.regular), list(part.nonregular)
-    p1 = np.asarray(p1, dtype=float)
-
-    def point(v1):
-        v = np.empty(n)
-        v[reg] = v1
-        v[nonreg] = c2
-        return np.concatenate([np.asarray(q, float), v])
-
-    v1 = (
-        np.array(v1_guess, dtype=float)
-        if v1_guess is not None else solver.default_guess()
-    )
-    history = []
-    for _ in range(solver.max_iter):
-        d = eval_dual2(system.lagrangian, point(v1), solver._v1_active)
-        r = p1 - d.grad
-        rnorm = float(np.max(np.abs(r)))
-        history.append(rnorm)
-        if rnorm <= solver.newton_tol:
-            return v1
-        sv = np.linalg.svd(d.hess, compute_uv=False)
-        if sv[-1] <= part.rank_tolerance * max(sv[0], 1.0):
-            raise SingularJacobianError(
-                f"W11 is singular at Newton iterate v1={v1.tolist()} "
-                f"(smallest singular value {sv[-1]:.3e})"
-            )
-        delta = helpers.gepp_solve(d.hess, r)
-        alpha = 1.0
-        for _ in range(solver.max_backtracks + 1):
-            trial = v1 + alpha * delta
-            try:
-                d_trial = eval_dual2(
-                    system.lagrangian, point(trial), solver._v1_active
-                )
-            except EvalDomainError:
-                # a finite trial outside L's domain is a rejected trial
-                if not np.all(np.isfinite(trial)):
-                    raise
-            else:
-                if float(np.max(np.abs(p1 - d_trial.grad))) < rnorm:
-                    break
-            alpha *= 0.5
-        else:
-            raise NewtonDivergedError(
-                "backtracking could not reduce the envelope residual", history
-            )
-        v1 = trial
-    raise NewtonDivergedError(
-        f"no convergence within {solver.max_iter} Newton iterations", history
-    )
-
-
 def outcome(solve, *args):
     try:
         return solve(*args)
@@ -254,7 +196,7 @@ def outcome(solve, *args):
 
 def assert_same_outcome(solver, *args):
     got = outcome(solver.solve, *args)
-    want = outcome(reference_newton, solver, *args)
+    want = outcome(helpers.reference_newton, solver, *args)
     assert type(got) is type(want)
     if isinstance(want, Exception):
         assert str(got) == str(want)
@@ -265,17 +207,16 @@ def assert_same_outcome(solver, *args):
     return got
 
 
-def newton_evaluations(monkeypatch, solver):
-    """A list that gains an entry at each evaluation of L by the solver's
-    generated Newton: a counting wrapper on the kernel's ``_ev``."""
-    namespace = solver.newton().func.__globals__
-    calls, evaluate_l = [], namespace["_ev"]
+def lane_evaluations(monkeypatch, solver):
+    """A list that gains the v1 rows of the points at each stacked
+    evaluation of L by the solver's lane Newton."""
+    calls, columns = [], clairaut._columns
 
-    def counting(*args):
-        calls.append(args)
-        return evaluate_l(*args)
+    def counting(e, p, key):
+        calls.append(p[solver._v1_cols].tolist())
+        return columns(e, p, key)
 
-    monkeypatch.setitem(namespace, "_ev", counting)
+    monkeypatch.setattr(clairaut, "_columns", counting)
     return calls
 
 
@@ -283,7 +224,7 @@ def test_quadratic_cold_start_takes_two_evaluations(monkeypatch):
     # one evaluation at the guess and one at the Newton point, which is
     # exact for a quadratic and is accepted without a second evaluation
     ham = make_ham("deg3")
-    calls = newton_evaluations(monkeypatch, ham.solver)
+    calls = lane_evaluations(monkeypatch, ham.solver)
     v1 = ham.solve_velocity([0.1, 0.2, 0.3], [1.0, -0.5], [0.4])
     assert len(calls) == 2
     assert_allclose(v1, [0.7, -0.2], rtol=0, atol=1e-12)
@@ -294,16 +235,23 @@ def test_a_trial_whose_output_sum_overflows_passes_where_eval_dual2_returns(
     # L = 1.6e308 + 2^1022*v1^2 with W11 = 2^1023: from the guess 0 the
     # Newton point p1 / W11 = 0.25 is exact, and there the value and dL/dv1
     # are finite but their sum overflows, with no node overflowing on the
-    # way; the trial is redone as an eval_dual2 call, which returns, and
-    # accepted
+    # way; the stacked kernel marks the trial, whose rerun on L's scalar
+    # v1-active kernel returns, and it is accepted (the Hamiltonian stage's
+    # _ev meets it in test_hamiltonian_stage_newton_ends_as_solve)
     sys = LagrangianSystem.from_source(1, "1.6e308 + 2^1022*v1^2",
                                        {"v1": (-0.5, 0.5)})
     solver = MixedHamiltonian.from_system(sys).solver
-    calls = newton_evaluations(monkeypatch, solver)
-    reruns = helpers.record_eval_dual2_calls(monkeypatch)
+    calls = lane_evaluations(monkeypatch, solver)
+    reruns, scalar = [], expr._kernel
+
+    def rerun(e, key):
+        reruns.append(key)
+        return scalar(e, key)
+
+    monkeypatch.setattr(expr, "_kernel", rerun)
     assert solver.solve([0.0], [2.0 ** 1021], []).tolist() == [0.25]
-    assert [args[1] for args in calls] == [0.0, 0.25]
-    assert reruns == [(sys.lagrangian.source, (1,))]
+    assert calls == [[[0.0]], [[0.25]]]
+    assert reruns == [(1,)]
 
 
 def test_residual_history_matches_the_reference_loop():
@@ -508,9 +456,9 @@ NEWTON_CASE = settings(derandomize=True, database=None, max_examples=300,
           [1e200, 0.0, 0.0], 0.0, [0.0, 0.0], False, [1.0, 1.0], None,
           (50, 20)))
 def test_generated_newton_matches_the_reference_loop(case):
-    # the generated Newton against reference_newton on drawn Lagrangians
-    # with k = 1, 2 and 3: the same bits, or the same error type, text and
-    # residual history; on success the kernel leaves the point at V
+    # the lane Newton of solve against reference_newton on drawn
+    # Lagrangians with k = 1, 2 and 3: the same bits, or the same error
+    # type, text and residual history
     source, k, q, c2, v, reachable, p1, guess, (max_iter, backtracks) = case
     n = k + 1
     system = LagrangianSystem.from_source(n, source)
@@ -523,12 +471,7 @@ def test_generated_newton_matches_the_reference_loop(case):
                             solver._v1_active).grad
         except EvalDomainError:
             pass
-    got = assert_same_outcome(solver, q, p1, [c2], guess)
-    if not isinstance(got, Exception):
-        point = q + [0.0] * k + [c2]
-        start = solver.default_guess().tolist() if guess is None else guess
-        got = solver.newton()(point, np.asarray(p1, float).tolist(), start)
-        assert point == q + got + [c2]
+    assert_same_outcome(solver, q, p1, [c2], guess)
 
 
 def stage_outcome(stage, y):
@@ -561,6 +504,10 @@ def stage_outcome(stage, y):
 # W11 = 3*v1^2 = 0 reached at run time, at the default guess
 @example(("0.25*v1^4 + (q1)*v1", 1, [0.5, 0.0], 0.0, [0.0], False, [1.0],
           None, (50, 20)))
+# _ev's guard at a trial whose output sum overflows: the value and dL/dv1
+# at the Newton point 0.25 are finite, and the eval_dual2 rerun returns
+@example(("1.6e308 + 2^1022*v1^2", 1, [0.0, 0.0], 0.0, [0.0], False,
+          [2.0 ** 1021], None, (50, 20)))
 def test_hamiltonian_stage_newton_ends_as_solve(case):
     # each Hamiltonian stage runs the envelope Newton inline from the
     # previous stage's V: it ends as solve ends from that start, with V's

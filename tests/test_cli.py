@@ -289,6 +289,23 @@ def test_negative_points_option_exits_2(tmp_path, capsys):
     assert "constraints (0 sample points" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    # 10^20 rows, more than a C long counts
+    ["transform", "--grid", "p1=0:1:100000", "--grid", "q1=0:1:100000",
+     "--grid", "q2=0:1:100000", "--grid", "p2=0:1:100000"],
+    ["analyze", "--points", "100000000000000000000"],
+    # a count that numpy takes, whose bytes pass the address space
+    ["analyze", "--points", "300000000000000000"],
+], ids=["transform", "analyze", "analyze_bytes"])
+def test_a_request_beyond_the_address_space_exits_2(tmp_path, capsys, argv):
+    # each is refused before anything is allocated; a request that fits
+    # the address space but not memory ends in the same error line
+    assert main([argv[0], deg1_problem(tmp_path), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" numbers, more than memory holds\n")
+
+
 # --------------------------------------------------------------------------
 # transform
 # --------------------------------------------------------------------------
@@ -709,16 +726,16 @@ def test_commands_solve_each_row_once(tmp_path, capsys, monkeypatch, args,
 
 
 def test_verify_solves_each_warm_row_once(capsys, monkeypatch):
-    # clairaut_residual's and envelope_grad's +-p2 shifted momenta share
-    # (q, p1, v2) and the warm guess with the unshifted point: 250 rows of
-    # 5 stencil points hold 3 distinct rows each (750 warm lanes, not
-    # 1,250); the inverse transform's nested warm solve adds 200, and its
-    # H is formed at the V that solve converged to
+    # clairaut_residual's and envelope_grad's unshifted point and +-p2
+    # shifted momenta share (q, p1, v2) with the cold row and take its V:
+    # 250 rows of 5 stencil points hold 2 warm rows each, the +-p1 shifts
+    # (500 warm lanes, not 1,250); the inverse transform's nested warm
+    # solve adds 200, and its H is formed at the V that solve converged to
     lanes = helpers.record_lanes(monkeypatch)[1][True]
     path = (pathlib.Path(__file__).resolve().parent.parent / "problems"
             / "chained_pair.json")
     assert main(["verify", str(path)]) == 0
-    assert len(lanes) == len(set(lanes)) == 750 + 200
+    assert len(lanes) == len(set(lanes)) == 500 + 200
 
 
 def test_verify_makes_one_cold_and_one_warm_solve_per_chunk(capsys,
@@ -732,7 +749,7 @@ def test_verify_makes_one_cold_and_one_warm_solve_per_chunk(capsys,
     path = (pathlib.Path(__file__).resolve().parent.parent / "problems"
             / "chained_pair.json")
     assert main(["verify", str(path)]) == 0
-    assert calls == [(1024, False), (750, True), (200, True)]
+    assert calls == [(1024, False), (500, True), (200, True)]
 
 
 def test_transform_solves_each_chunk_once(tmp_path, capsys, monkeypatch):

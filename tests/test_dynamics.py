@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import pathlib
 import types
@@ -794,12 +795,12 @@ def test_a_3x3_block_goes_through_check_w11_and_gepp(monkeypatch):
 
 def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
     compiles = helpers.record_kernel_compiles(monkeypatch)
-    stage, newton = "<legclair stage kernel>", "<legclair newton kernel>"
-    loop = "<legclair rk4 loop>"
+    stage, loop = "<legclair stage kernel>", "<legclair rk4 loop>"
 
-    def sources():
+    def sources():  # every kernel but L's and the gauge's own
         return [(name, src) for name, _, src in compiles
-                if name in (stage, newton, loop)]
+                if name not in ("<legclair kernel>",
+                                "<legclair stacked kernel>")]
 
     path = str(PROBLEMS[0])
     # the benchmark's set-up compiles none: an eager compile raised it 27 %
@@ -815,14 +816,23 @@ def test_stage_kernels_compile_lazily_once_per_flow(monkeypatch, tmp_path):
     out = str(tmp_path / "run")
     assert main(["--out", out, "integrate", path, "--method", "both"]) == 0
     # the Hamiltonian stage runs its own envelope Newton, and the start
-    # solves on the stacked body, so no standalone Newton compiles; both
-    # flows carry n + k entries, so they share one RK4 loop
+    # solves on the stacked body, so no other Newton compiles; both flows
+    # carry n + k entries, so they share one RK4 loop
     assert [name for name, _ in sources()] == [stage, loop, stage]
     assert ["def _ev(" in src for _, src in sources()] == [False, False,
                                                            True]
     compiles.clear()
     assert main(["--out", out, "integrate", path, "--method", "el"]) == 0
     assert [name for name, _ in sources()] == [stage, loop]
+    # initial momenta find V on the stacked body too: the same kernels
+    raw = json.loads(PROBLEMS[0].read_text())
+    raw["initial"] = {"q": raw["initial"]["q"], "p": [2.0, 2.0]}
+    path = tmp_path / "momenta.json"
+    path.write_text(json.dumps(raw))
+    compiles.clear()
+    assert main(["--out", out, "integrate", str(path), "--method",
+                 "both"]) == 0
+    assert [name for name, _ in sources()] == [stage, loop, stage]
 
 
 def test_non_finite_state_stops_the_flow_at_its_step():

@@ -875,8 +875,8 @@ def test_corpus_kernel_sources_are_frozen(monkeypatch):
 
 def test_no_kernel_takes_a_square_through_pow(monkeypatch):
     # every kernel the library compiles for the corpus (scalar, checked,
-    # stacked, both stage kernels and the Newton kernel) squares by x*x,
-    # a gauge's squares included
+    # stacked and both stage kernels, the Hamiltonian one with its envelope
+    # Newton) squares by x*x, a gauge's squares included
     import corpus
     from legclair.clairaut import MixedHamiltonian
     from legclair.dynamics import GaugeChoice, el_rhs, ham_rhs
@@ -891,11 +891,9 @@ def test_no_kernel_takes_a_square_through_pow(monkeypatch):
         el_rhs(system, partition, gauge, q, [0.5] * ham.k)
         for include_r in (True, False):
             ham_rhs(ham, gauge, q, [0.5] * n, include_r)
-        # the standalone Newton, which no flow compiles
-        ham.solver.solve(q, [0.5] * ham.k, [0.0] * (n - ham.k))
     kinds = {kind for kind, _, _ in compiles}
     assert kinds == {"<legclair kernel>", "<legclair stacked kernel>",
-                     "<legclair stage kernel>", "<legclair newton kernel>"}
+                     "<legclair stage kernel>"}
     for kind in kinds:
         sources = [src for k, _, src in compiles if k == kind]
         assert any(re.search(r"\b(x\d+) \* \1\b", src) for src in sources)
@@ -1013,9 +1011,7 @@ def test_generating_a_kernel_calls_no_eval(monkeypatch):
     q = ham.system.center()[:3]
     integrate_el(ham, gauge, q, [0.5, 0.5], (0.0, 0.02), 0.01)
     integrate_ham(ham, gauge, q, [0.5] * 3, (0.0, 0.02), 0.01)
-    ham.solver.solve(q, [0.5, 0.5], [0.0])  # the standalone Newton
     assert {kind for kind, _, _ in compiles} == {
         "<legclair kernel>", "<legclair stacked kernel>",
-        "<legclair stage kernel>", "<legclair newton kernel>",
-        "<legclair rk4 loop>"}
+        "<legclair stage kernel>", "<legclair rk4 loop>"}
     assert "sin(0.5)" not in compiles[0][2]  # folded

@@ -516,7 +516,7 @@ def residual_samples(ham, samples, monkeypatch):
     sizes of its stacked calls; the residual reads 0 at every sample."""
     seen = []
 
-    def stacked(q, p, v2, v1_stencil):
+    def stacked(q, p, v2, v1, v1_stencil):
         seen.append(q.copy())
         return np.zeros(len(q))
 
@@ -537,7 +537,7 @@ def fail_residual_at(ham, failing_q, monkeypatch):
             raise SingularJacobianError(f"sample at q={q.tolist()}")
         return 0.0
 
-    def stacked(q, p, v2, v1_stencil):
+    def stacked(q, p, v2, v1, v1_stencil):
         calls.append(len(q))
         failing = [i for i, row in enumerate(q) if row[0] in failing_q]
         if failing:

@@ -5,10 +5,10 @@ These are ``legclair.cli.cmd_transform`` and ``cmd_analyze`` as they were
 before both ran on stacked rows: ``transform`` walks the grid one row at a
 time, tests the box per entry and evaluates each row through the
 single-point maps; ``analyze`` draws each constraint sample with its own
-``Generator.uniform`` calls.  The single-point maps are the scalar
-``solve_velocity`` and ``psi`` and the reference bodies in
-``maps_oracle.py``.  ``tests/test_cli.py`` requires the commands to write
-the same bytes and exit with the same code.
+``Generator.uniform`` calls.  The single-point maps are the envelope
+solve point by point (``helpers.solve_velocity``), ``psi`` and the
+reference bodies in ``maps_oracle.py``.  ``tests/test_cli.py`` requires
+the commands to write the same bytes and exit with the same code.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import numpy as np
 
 import maps_oracle
+from helpers import solve_velocity
 from legclair.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -191,7 +192,7 @@ def cmd_transform(problem, args, out):
             saw_domain = True
         else:
             try:
-                v1 = ham.solve_velocity(q, p[reg,], v2)
+                v1 = solve_velocity(ham, q, p[reg,], v2)
                 hval = maps_oracle.value(ham, q, p, v2, v1_guess=v1)
                 h0val = maps_oracle.h_zero(ham, q, p[reg,], c2_probe=v2)
                 phi = maps_oracle.phi(ham, q, p, v2_probe=v2, v1_guess=v1)

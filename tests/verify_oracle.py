@@ -2,9 +2,10 @@
 
 This is ``legclair.verify`` as it was before the suite ran each property on
 stacked samples: every sample is drawn with its own ``Generator.uniform``
-calls and sent through the single-point maps one at a time: the scalar
-``solve_velocity`` and ``psi`` of ``MixedHamiltonian``, and the reference
-bodies of the others in ``maps_oracle.py``.  ``tests/test_verify.py``
+calls and sent through the single-point maps one at a time: the envelope
+solve point by point (``helpers.solve_velocity``), the ``psi`` of
+``MixedHamiltonian`` and the reference bodies of the others in
+``maps_oracle.py``.  ``tests/test_verify.py``
 requires the stacked suite to report the same statuses, sample counts and
 worst values, and the CLI to end in the same error on inputs where a
 property fails.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import maps_oracle
-from helpers import lr_dot
+from helpers import lr_dot, solve_velocity
 from legclair.clairaut import MixedHamiltonian, NewtonDivergedError
 from legclair.expr import eval_dual2, evaluate
 
@@ -111,7 +112,7 @@ def run_property_suite(ham: MixedHamiltonian, samples, seed,
     worst_p1, worst_p2 = 0.0, 0.0
     for _ in range(grad_samples):
         q, p, v2 = draw()
-        v1 = ham.solve_velocity(q, p[reg,], v2)
+        v1 = solve_velocity(ham, q, p[reg,], v2)
         for i in range(n):
             h = 1e-6 * (1.0 + abs(p[i]))
             plus, minus = p.copy(), p.copy()

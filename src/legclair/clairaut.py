@@ -380,81 +380,114 @@ def _failed_newton(lag, active, point):
     return AssertionError("the envelope Newton failed where eval_dual2 passes")
 
 
-def emit_newton(system, partition, ns):
-    """The envelope Newton of (system, partition) for the Hamiltonian stage
-    kernel (``dynamics._build_stage``), whose namespace is ``ns``, as the
-    lines (``ev``, ``body``).
+def emit_newton(system, partition, cg):
+    """The envelope Newton of (system, partition), then L's full triple at
+    V, in the Hamiltonian stage kernel whose body ``cg`` writes
+    (``dynamics._build_stage``): returns (``ev``, ``setup``, ``start``,
+    ``out``).
 
     ``ev`` defines ``_ev(x0, x1, ...)``, which the stage puts at the top of
     its source: L's v1-active triple at the point (q, v) by the operations
-    of ``eval_dual2(lag, point, active)``'s kernel, returning the gradient
-    and W11 locals, or None where ``eval_dual2`` raises (``_Codegen.guarded``
-    tests it).  ``body`` is the damped Newton of one lane of
-    :meth:`EnvelopeSolver.solve_lanes` on Python floats, run on the stage's
-    locals: the point as x0, x1, ... (the v1 ones holding the start), p1 as
-    a0, a1, ..., and ``tol``, ``max_iter`` and ``max_backtracks``; it ends
-    with the v1 locals at V.
+    of ``eval_dual2(lag, point, active)``'s kernel, on locals s0, s1, ...,
+    or None where ``eval_dual2`` raises (``_Codegen.guarded`` tests it).  It
+    returns the locals the Newton reads (dL/dv1, and W11 unless it is known
+    at generation), then those L's full triple reads.
 
-    From a residual r = p1 - dL/dv1 with max-norm above ``tol``, W11 is
-    checked and the step solves W11 d = r, both as :func:`emit_check_w11`
-    and :func:`emit_gepp` emit them; the step is halved, up to
-    ``max_backtracks`` times, until the trial's residual norm is smaller.
-    A finite trial whose evaluation fails is halved too.  An evaluation
-    that fails at the start or at a non-finite trial reruns as an
-    ``eval_dual2`` call, to raise its exact error; a halving that runs out,
-    or ``max_iter`` iterations, raise ``NewtonDivergedError`` with the
+    The body appended to ``cg.lines`` is the damped Newton of one lane of
+    :meth:`EnvelopeSolver.solve_lanes` on Python floats, run on the stage's
+    locals: the point as x0, x1, ..., whose v1 ones start at the warm start
+    _v0, _v1, ... (nonlocal floats of the stage) and end at V, which the
+    body stores back there; p1 as a0, a1, ...; and ``tol``, ``max_iter`` and
+    ``max_backtracks``.  ``setup`` holds the lines of the enclosing factory,
+    whose arguments include ``_v`` (the first warm start), ``max_iter`` and
+    ``max_backtracks``: they set the warm start and build the loops' ranges
+    once.  From a residual r = p1 - dL/dv1 with max-norm above ``tol``, W11
+    is checked and the step solves W11 d = r, both as
+    :func:`emit_check_w11` and :func:`emit_gepp` emit them; the step is
+    halved, up to ``max_backtracks`` times, until the trial's residual norm
+    is smaller.  A finite trial whose evaluation fails is halved too.  An
+    evaluation that fails at the start or at a non-finite trial reruns as
+    an ``eval_dual2`` call, to raise its exact error; a halving that runs
+    out, or ``max_iter`` iterations, raise ``NewtonDivergedError`` with the
     residual norms of the iterates.
 
-    The body's other locals are u0, u1, ... (its operations), g0, ...,
-    d0, ..., w0, ..., ``e``, ``norm``, ``_r``, ``rnorm``, ``history`` and
-    ``alpha``; its constants and functions join ``ns`` beside the host's.
+    ``out`` is L's full triple at V.  Its operations share ``cg``'s memo
+    with ``_ev``'s, so each one ``_ev`` runs is read from the Newton's
+    accepted evaluation (every evaluation unpacks all that ``_ev`` returns,
+    and the accepted one's values overwrite a rejected trial's), and only
+    the others are emitted, from line ``start`` on, where the host tests
+    them as every evaluation is tested; a guard ``_ev`` passed is not
+    emitted again.  The
+    iteration's own locals are u0, u1, ..., d0, ..., w0, ..., ``e``,
+    ``norm``, ``_r``, ``rnorm``, ``history`` and ``alpha``; its constants and
+    functions join ``cg.ns``.
     """
     n, lag, tol = system.n, system.lagrangian, partition.rank_tolerance
     active = tuple(n + i for i in partition.regular)
     xs = [f"x{i}" for i in range(2 * n)]
     v1 = [xs[a] for a in active]
-    cg = _Codegen(active, checked=False)
-    cg.ns = ns
-    _, grad, hess = out = cg.visit(lag.root)
-    outputs = cg.flat(out)
+    here = f"[{', '.join(xs)}]"  # the point evaluated
+    ev = _Codegen(active, checked=False)
+    ev.ns, ev.temp = cg.ns, "s"
+    _, grad, hess = out = ev.visit(lag.root)
+    outputs = ev.flat(out)
+    ev.guarded(0, outputs, "return None", f"_evaluates(_newton_fail, {here})")
+
+    # L's full triple at V, on the operations _ev has not run: _ev's locals
+    # hold the memo for its texts while L is visited, and keep it only
+    # where the stage reads them from e (an operand or a guard's local the
+    # visit emitted, in cg.read, or an output), so no later operation reads
+    # others
+    cg.memo.update(ev.memo)
+    cg.passed = ev.tested
+    at = len(cg.lines)
+    full = cg.visit(lag.root)
+    reads = cg.read | {x for x in cg.flat(full) if isinstance(x, str)}
     used = [x for x in dict.fromkeys(grad if _known(hess) else outputs[1:])
             if isinstance(x, str) and x not in xs]
-    here = f"[{', '.join(xs)}]"  # the point evaluated
-    cg.guarded(0, outputs, "return None", f"_evaluates(_newton_fail, {here})")
-    ev = [f"def _ev({', '.join(xs)}):", *("    " + x for x in cg.lines),
-          f"    return ({''.join(x + ', ' for x in used)})"]
+    rest = [x for x in ev.memo.values() if x in reads and x not in used]
+    for text, name in ev.memo.items():
+        if name not in used and name not in reads:
+            del cg.memo[text]
+    ev.lines.append(f"return ({''.join(x + ', ' for x in used + rest)})")
 
-    # the iteration's float algebra, on the outputs unpacked as g0, g1, ...
-    cg.lines, cg.memo, cg.temp = [], {}, "u"
-    names = {x: f"g{j}" for j, x in enumerate(used)}
+    # the iteration's float algebra, on the outputs read from e
+    it = _Codegen(active, checked=False)
+    it.ns, it.temp = cg.ns, "u"
 
     def term(x):  # an output, tested finite
-        return x if isinstance(x, float) else _Term(names.get(x, x), cg, True)
+        return x if isinstance(x, float) else _Term(x, it, True)
 
-    r = [_Term(f"a{i}", cg) - term(g) for i, g in enumerate(grad)]
+    def unpack(names):
+        return "".join(x + ", " for x in names) + "= e"
+
+    r = [_Term(f"a{i}", it) - term(g) for i, g in enumerate(grad)]
     # then norm = _inf_norm(r): the largest |r_i|, the first NaN one if any
-    rsrc = [str(cg.lit(x)) for x in r]  # a term's + would emit
-    residual = [*(["".join(g + ", " for g in names.values()) + "= e"]
-                  if used else []), *cg.lines, f"norm = abs({rsrc[0]})"]
+    rsrc = [str(it.lit(x)) for x in r]  # a term's + would emit
+    residual = [*([unpack(used + rest)] if used + rest else []), *it.lines,
+                f"norm = abs({rsrc[0]})"]
     for x in rsrc[1:]:
         residual += [f"_r = abs({x})",
                      "if not _r <= norm and norm == norm: norm = _r"]
-    cg.lines = []
+    it.lines = []
     w11 = [[term(x) for x in row] for row in hess]
-    emit_check_w11(cg, w11, tol, "W11 is singular at Newton iterate", v1=v1)
-    delta = emit_gepp(cg, w11, [r])[0]
-    step = cg.lines + [f"d{i} = {cg.lit(d)}" for i, d in enumerate(delta)]
+    emit_check_w11(it, w11, tol, "W11 is singular at Newton iterate", v1=v1)
+    delta = emit_gepp(it, w11, [r])[0]
+    step = it.lines + [f"d{i} = {it.lit(d)}" for i, d in enumerate(delta)]
     call = f"_ev({', '.join(xs)})"
+    warm = ", ".join(f"_v{i}" for i in range(len(v1)))
 
     def block(depth, lines):
         return ["    " * depth + x for x in lines]
 
     body = [
+        f"nonlocal {warm}",
+        f"{', '.join(v1)} = {warm}",
         f"e = {call}",
         f"if e is None: raise _newton_fail({here})",
         *residual,
         "history = []",
-        "for _ in range(max_iter):",
+        "for _ in _iters:",
         "    rnorm = norm",
         "    history.append(rnorm)",
         "    if rnorm <= tol: break",
@@ -462,7 +495,7 @@ def emit_newton(system, partition, ns):
         "    " + "".join(f"w{i}, " for i in range(len(v1))) + "= "
         + "".join(x + ", " for x in v1),
         "    alpha = 1.0",
-        "    for _ in range(max_backtracks + 1):",
+        "    for _ in _trials:",
         *block(2, [f"{x} = w{i} + alpha * d{i}" for i, x in enumerate(v1)]),
         f"        e = {call}",
         "        if e is not None:",
@@ -477,10 +510,15 @@ def emit_newton(system, partition, ns):
         "else:",
         "    raise _Diverged(f'no convergence within {max_iter} Newton "
         "iterations', history)",
+        f"{warm} = {', '.join(v1)}",
     ]
-    ns.update(_Diverged=NewtonDivergedError, _evaluates=_evaluates,
-              _newton_fail=functools.partial(_failed_newton, lag, active))
-    return ev, body
+    cg.lines[at:at] = body
+    cg.ns.update(_Diverged=NewtonDivergedError, _evaluates=_evaluates,
+                 _newton_fail=functools.partial(_failed_newton, lag, active))
+    src = [f"def _ev({', '.join(xs)}):", *("    " + x for x in ev.lines)]
+    setup = [f"{warm}, = _v", "_iters = range(max_iter)",
+             "_trials = range(max_backtracks + 1)"]
+    return src, setup, at + len(body), full
 
 
 @dataclass

@@ -39,19 +39,24 @@ verdict there (``BoxExitError``).
 Both flows run on one RK4 loop, which names the step and time of any
 failure.  It is generated for the state's length, n + k on both sides, and
 compiled once per system, so once per command (``_build_rk4``): the state,
-the slopes and the stage points are locals, and each node records the raw
-state and info of its first stage.  The trajectory's arrays are built from
-these records in one pass, read flat, by numpy operations that round as
-Python's do.  Each stage is one generated straight-line function, the stage
-kernel of the flow (``_stage``), compiled at its first stage: the gauge's
-(value, gradient, Hessian) triples and L's full triple, each by the
-operations of its own ``eval_dual2`` kernel, then K, dv2/dt, R, dH/dq, the
-W11 check and solve, and p1dot.  The Hamiltonian stage runs its own
-envelope Newton between the gauge and L, inline on its locals, from the
-previous stage's V: one lane of ``EnvelopeSolver.solve_lanes`` on Python
-floats, written by ``clairaut.emit_newton``, with its ``_ev`` at the top
-of the stage's source.  The monitors above follow an early return, so only
-the recorded stage, the first of each step, builds them.
+the slopes and the stage points are locals, each stage point is passed as
+positional floats, and each node records the raw state and info of its
+first stage.  The trajectory's arrays are built from these records in one
+pass, read flat, by numpy operations that round as Python's do.  Each stage
+is one generated straight-line function, the stage kernel of the flow
+(``_stage``), compiled at its first stage: ``stage(monitor, x0, x1, ...)``
+returns the tuple (dy/dt..., info).  It holds the gauge's (value, gradient,
+Hessian) triples and L's full triple, each by the operations of its own
+``eval_dual2`` kernel, then K, dv2/dt, R, dH/dq, the W11 check and solve,
+and p1dot.  The Hamiltonian stage runs its own envelope Newton between the
+gauge and L, inline on its locals, from the previous stage's V, which it
+keeps in nonlocal floats: one lane of ``EnvelopeSolver.solve_lanes`` on
+Python floats, written by ``clairaut.emit_newton``, with its ``_ev`` at the
+top of the stage's source.  L's full triple at V shares one operation memo
+with ``_ev``: every operation the Newton's accepted evaluation ran is read
+from it, and only the others are emitted, so no operation of L runs twice
+at V.  The monitors above follow an early return, so only the recorded
+stage, the first of each step, builds them.
 
 Errors are those of the calls the stage replaces, and the envelope
 Newton's are those of ``EnvelopeSolver.solve`` from the same start.  A
@@ -71,9 +76,9 @@ summed left to right, and every W11 solve is ``clairaut.gepp``, Gaussian
 elimination with partial pivoting in a fixed order (unrolled for a block
 known at generation, a call for any other).  The kernel folds only what
 leaves every bit as it is: operations on known floats, x + -0.0, x - 0.0,
-x * +-1.0 and x / +-1.0, and a contraction's term where a known 0.0 meets
-a tested finite output (see ``expr._Codegen.contract``).  No output
-depends on the BLAS kernel.
+x * +-1.0 and x / +-1.0, a contraction's term where a known 0.0 meets a
+tested finite output, and a known +-1.0 factor of a contraction's term
+(see ``expr._Codegen.contract``).  No output depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -222,7 +227,8 @@ def _rk4(system, stage, y0, t0, h, nsteps):
     y0, a list of floats: the node times, the node states (one row each)
     and the columns of the info their first stages return.
 
-    ``stage(y, monitor)`` returns (dy/dt, info).  Only a step's first stage
+    ``stage(monitor, *y)`` takes the stage point as positional floats and
+    returns the tuple (dy_0, dy_1, ..., info).  Only a step's first stage
     is called with ``monitor`` true: the other three return info None and
     skip the diagnostics nothing records.  Step i starts at node i (step
     nsteps only records).  The loop (``_build_rk4``) appends node i's state
@@ -273,11 +279,11 @@ def _build_rk4(m):
            f"    {row('a{0}')}= y",
            "    for _ in range(nsteps):",
            "        ys.append(y)",
-           f"        ({row('b{0}')}), info = stage(y, True)",
+           f"        {row('b{0}')}info = stage(True, {row('a{0}')})",
            "        infos.append(info)"]
     for k, x, w in (("c", "b", "half"), ("d", "c", "half"), ("e", "d", "h")):
-        src.append(f"        ({row(k + '{0}')}), _ = stage(["
-                   f"{row(f'a{{0}} + {w} * {x}{{0}}')}], False)")
+        src.append(f"        {row(k + '{0}')}_ = stage(False, "
+                   f"{row(f'a{{0}} + {w} * {x}{{0}}')})")
     src += [*(f"        a{j} = a{j} + sixth * (b{j} + 2.0 * c{j} + 2.0 * d{j}"
               f" + e{j})" for j in range(m)),
             "        if not (" + " and ".join(f"_isfinite(a{j})"
@@ -286,7 +292,7 @@ def _build_rk4(m):
             "'overflow to a non-finite state')",
             f"        y = [{row('a{0}')}]",
             "    ys.append(y)",
-            "    infos.append(stage(y, True)[1])"]
+            "    infos.append(stage(True, *y)[-1])"]
     return cg.build(src, "<legclair rk4 loop>")
 
 
@@ -309,10 +315,10 @@ def _stage(system: LagrangianSystem, partition, gauge, ham=False,
     """The stage kernel of the Euler-Lagrange flow, or with ``ham`` of the
     mixed-Hamiltonian flow, compiled at first use and kept on ``system``
     for its (flow, partition, gauge, include_r).  It is a factory of
-    ``rhs(y, monitor)``: the Hamiltonian one takes the first stage's warm
-    start V (a list), the solver's ``newton_tol``, ``max_iter`` and
-    ``max_backtracks``, which its envelope Newton runs with, and the
-    offsets Phi_0."""
+    ``rhs(monitor, *y)`` (see ``_rk4``): the Hamiltonian one takes the
+    first stage's warm start V (a sequence of floats), the solver's
+    ``newton_tol``, ``max_iter`` and ``max_backtracks``, which its envelope
+    Newton runs with, and the offsets Phi_0."""
     key = ("ham", include_r) if ham else ("el",)
     key += (partition, gauge)
     if key not in system._stages:
@@ -332,6 +338,9 @@ def _build_stage(system, partition, gauge, ham, include_r):
                  _fail=functools.partial(_failed_stage, lag, gauge, reg,
                                          nonreg))
     lines, lit, lst = cg.lines, cg.lit, cg.list_source
+
+    def tup(xs):  # the entries of a tuple display or a parameter list
+        return ", ".join(map(lit, xs))
 
     def dot(a, x):
         return [cg.contract(row, x) for row in a]
@@ -360,25 +369,23 @@ def _build_stage(system, partition, gauge, ham, include_r):
         cg.guarded(start, outputs, f"raise _fail({at})",
                    f"_evaluates(_fail, {at})")
 
-    # the state: (q, v1), or (q, p1) with p1 as a0, a1, ... for the Newton
+    # the stage point, its parameters: (q, v1), or (q, p1) with p1 as a0,
+    # a1, ... for the Newton
     state = q + ([f"a{i}" for i in range(k)] if ham else v1_names)
-    lines.append("".join(x + ", " for x in state) + "= y")
-    start = len(lines)
     gauge_out = [cg.visit(e.root) for e in gauge.exprs]
     outputs = [x for t in gauge_out for x in cg.flat(t)]
     if ham:
-        guarded(start, outputs, None)
+        guarded(0, outputs, None)
+        outputs = []
     lines += [f"{xv[j]} = {lit(t[0])}" for j, t in zip(nonreg, gauge_out)]
-    ev = []
-    if ham:
-        if k:
-            # the envelope Newton from the warm start _v, left at V
-            ev, body = emit_newton(system, partition, cg.ns)
-            lines += ["".join(x + ", " for x in v1_names) + "= _v", *body,
-                      f"_v = {lst(v1_names)}"]
-        start, outputs = len(lines), []
-    out = cg.visit(lag.root)
-    guarded(start, outputs + cg.flat(out), "_v" if ham else lst(v1_names))
+    start, ev, setup = len(lines) if ham else 0, [], []
+    if ham and k:
+        # the envelope Newton from the warm start, left at V, and L's full
+        # triple there, on what its accepted evaluation has not computed
+        ev, setup, start, out = emit_newton(system, partition, cg)
+    else:
+        out = cg.visit(lag.root)
+    guarded(start, outputs + cg.flat(out), lst(v1_names))
 
     jac = [[term(x) for x in t[1][:n]] for t in gauge_out]
     grad = [term(x) for x in out[1]]
@@ -403,7 +410,7 @@ def _build_stage(system, partition, gauge, ham, include_r):
         accel1 = solve(w11, [[kvec[i] - b for i, b in
                               zip(reg, dot(block(reg, nonreg), v2dot))]])[0]
         dy = v + accel1
-        lines.append(f"if not monitor: return {lst(dy)}, None")
+        lines.append(f"if not monitor: return {tup(dy)}, None")
         vdot = [None] * n
         for i, a in (*zip(reg, accel1), *zip(nonreg, v2dot)):
             vdot[i] = a
@@ -419,7 +426,7 @@ def _build_stage(system, partition, gauge, ham, include_r):
         if k and nonreg:
             check(w11, q=q)
         dy = v + p1dot  # (qdot, p1dot)
-        lines.append(f"if not monitor: return {lst(dy)}, None")
+        lines.append(f"if not monitor: return {tup(dy)}, None")
         hs3_res = 0.0
         if nonreg:
             w12, w21 = block(reg, nonreg), block(nonreg, reg)
@@ -440,11 +447,12 @@ def _build_stage(system, partition, gauge, ham, include_r):
             hs3_res = norm([dhdq[j] + x - r_kept[j]
                             for j, x in zip(nonreg, psidot)])
         info = f"{lst(v)}, {lit(hs3_res)}, {lst(grad[n:])}"
-    lines.append(f"return {lst(dy)}, ({info})")
+    lines.append(f"return {tup(dy)}, ({info})")
     params = ["_v", "tol", "max_iter", "max_backtracks",
               *(f"f{j}" for j in range(len(nonreg)))]
     src = [*ev, f"def kernel({', '.join(params) if ham else ''}):",
-           "    def stage(y, monitor):", *["        nonlocal _v"] * ham,
+           *("    " + line for line in setup),
+           f"    def stage(monitor, {tup(state)}):",
            *("        " + line for line in lines), "    return stage"]
     return cg.build(src, "<legclair stage kernel>")
 
@@ -458,7 +466,7 @@ def el_rhs(system, partition, gauge, q, v1):
     gauge = _resolve_gauge(gauge, partition, system.n)
     y = (checked_vector(q, system.n, "q").tolist()
          + checked_vector(v1, partition.k, "v1").tolist())
-    dy, (i2_res, _, _) = _stage(system, partition, gauge)()(y, True)
+    *dy, (i2_res, _, _) = _stage(system, partition, gauge)()(True, *y)
     return np.array(dy[system.n:]), i2_res
 
 
@@ -491,9 +499,9 @@ def integrate_el(ham: MixedHamiltonian, gauge, q0, v10, t_span, dt):
 
 def _ham_rhs(ham: MixedHamiltonian, gauge, q, p1, p2, include_r):
     """(Phi_0, rhs) of a Hamiltonian run from (q, p1, p2): Phi_0 = p2 -
-    Psi(q, p1) from the envelope solve at v2 = C2(q), and ``rhs(y,
-    monitor)``, which returns ((qdot, p1dot), (qdot, ``hs3_res``, dL/dv)),
-    None in place of the second entry when ``monitor`` is false.  The start
+    Psi(q, p1) from the envelope solve at v2 = C2(q), and ``rhs(monitor,
+    *q, *p1)``, which returns (*qdot, *p1dot, (qdot, ``hs3_res``, dL/dv)),
+    None in place of the last entry when ``monitor`` is false.  The start
     takes V and Psi from one row of the envelope's stacked body
     (``EnvelopeSolver.solve_many``, as ``solve`` does, and L's v-active row
     there).  Each stage runs its own envelope Newton, ending as ``solve``
@@ -530,7 +538,7 @@ def ham_rhs(ham: MixedHamiltonian, gauge, q, p, include_r=True):
     p1, p2 = ham.split_momenta(p)
     _, rhs = _ham_rhs(ham, gauge, q, p1, p2, include_r)
     y = checked_vector(q, ham.n, "q").tolist() + p1.tolist()
-    dy, (qdot, hs3_res, _) = rhs(y, True)
+    *dy, (qdot, hs3_res, _) = rhs(True, *y)
     return np.array(qdot), np.array(dy[ham.n:]), hs3_res
 
 

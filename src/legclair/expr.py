@@ -471,7 +471,9 @@ def with_variables(e: Expression, variables, index_map: dict) -> Expression:
 # that overflows where ``eval_dual2`` raises (a node overflowed on the
 # way).  The float algebra after them runs on ``_Term`` locals: ``exact``
 # folds only identities exact for every float, and ``contract`` emits
-# ``clairaut.contract``'s sum as one expression.
+# ``clairaut.contract``'s sum as one expression.  The Hamiltonian stage's
+# L and its envelope Newton's evaluation share one memo
+# (``clairaut.emit_newton``), so each operation text is emitted once.
 
 class Dual2:
     """Value, gradient, and Hessian of one scalar quantity.
@@ -546,8 +548,12 @@ class _Codegen:
         self.stacked = stacked
         self.lines = []
         self.memo = {}      # operation text -> local holding its result
+        self.count = 0      # locals made, which number the next one
         self.divisors = set()  # stacked mode: locals whose zero rows are marked
         self.frags = []     # checked mode: fragment of the node being emitted
+        self.tested = set()    # conditions of the run-time guards emitted
+        self.read = set()      # locals that the emitted operations and guards read
+        self.passed = frozenset()  # conditions known false where this runs
         self.ns = dict(_MATH, _E=EvalDomainError, _FAULTS=_FAULTS,
                        _NONFINITE=_NONFINITE, _finite=_all_finite,
                        _isfinite=math.isfinite)
@@ -594,7 +600,9 @@ class _Codegen:
             text = template.format(*map(self.lit, args))
         name = self.memo.get(text)
         if name is None:
-            name = self.memo[text] = f"{self.temp}{len(self.memo)}"
+            name = self.memo[text] = f"{self.temp}{self.count}"
+            self.count += 1
+            self.read.update(a for a in args if isinstance(a, str))
             if self.checked:
                 self.lines += ["try:", f"    {name} = {text}",
                                "except _FAULTS:",
@@ -610,13 +618,20 @@ class _Codegen:
         return name
 
     def guard(self, test: str, x, message: str, node, show_value=True):
-        """Raise EvalDomainError quoting ``node`` where ``test`` holds for x."""
+        """Raise EvalDomainError quoting ``node`` where ``test`` holds for x;
+        a run-time condition in ``passed``, known false where this body
+        runs, is not emitted again.  Every emitted one joins ``tested``."""
         cond = test.format(self.lit(x))
         if isinstance(x, float):
             self.folding()
             if not self.compute(test, (x,)):
                 return
             cond = "True"
+        elif cond in self.passed:
+            return
+        else:
+            self.read.add(x)
+        self.tested.add(cond)
         if self.stacked:
             self.lines.append(f"_bad |= {cond}")
             return
@@ -901,13 +916,21 @@ class _Codegen:
     def contract(self, a, b):
         """:func:`~legclair.clairaut.contract`'s 0.0 + a1*b1 + ... as one
         operation.  A known 0.0 times a finite factor is ±0.0, which leaves
-        a sum from +0.0 (never -0.0) as it is, so its term is dropped."""
+        a sum from +0.0 (never -0.0) as it is, so its term is dropped.  A
+        known ±1.0 factor is dropped too: s + 1.0*y is s + y and s +
+        (-1.0)*y is s - y for every float, NaN payloads included."""
         known, text, args = 0.0, "{}", []
         for x, y in zip(a, b):
             if (_zero(x) and _finite_term(y)) or (_zero(y) and _finite_term(x)):
                 continue
             if isinstance(x, float) and isinstance(y, float) and not args:
                 known = known + x * y
+                continue
+            if x in (1.0, -1.0):
+                x, y = y, x
+            if y in (1.0, -1.0):
+                sign = " + " if y > 0.0 else " - "
+                text, args = text + sign + "{}", args + [x]
             else:
                 text, args = text + " + {} * {}", args + [x, y]
         return _Term(self.op(text, known, *args), self) if args else known

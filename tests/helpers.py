@@ -290,13 +290,13 @@ def rk4_list_driver(rhs, y0, t0, h, nsteps, record):
     for i in range(nsteps + 1):
         t = t0 + i * h
         try:
-            k1, info = rhs(y, True)
+            *k1, info = rhs(True, *y)
             record(i, t, y, info)
             if i == nsteps:
                 break
-            k2, _ = rhs([a + half * b for a, b in zip(y, k1)], False)
-            k3, _ = rhs([a + half * b for a, b in zip(y, k2)], False)
-            k4, _ = rhs([a + h * b for a, b in zip(y, k3)], False)
+            *k2, _ = rhs(False, *[a + half * b for a, b in zip(y, k1)])
+            *k3, _ = rhs(False, *[a + half * b for a, b in zip(y, k2)])
+            *k4, _ = rhs(False, *[a + h * b for a, b in zip(y, k3)])
             y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             if not all(map(math.isfinite, y)):

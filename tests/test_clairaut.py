@@ -455,6 +455,10 @@ NEWTON_CASE = settings(derandomize=True, database=None, max_examples=300,
 @example(("1/(q1*q1) + 0.5*(v1^2 + v2^2) + 0.9e308*(v1 + v2)", 2,
           [1e200, 0.0, 0.0], 0.0, [0.0, 0.0], False, [1.0, 1.0], None,
           (50, 20)))
+# a trial whose residual norm equals its iterate's is rejected (see
+# test_hamiltonian_stage_newton_ends_as_solve)
+@example(("0.25*v1^4 - 2.5*v1^2", 1, [0.0, 0.0], 0.0, [0.0], False, [0.0],
+          [1.0], (50, 20)))
 def test_generated_newton_matches_the_reference_loop(case):
     # the lane Newton of solve against reference_newton on drawn
     # Lagrangians with k = 1, 2 and 3: the same bits, or the same error
@@ -475,16 +479,18 @@ def test_generated_newton_matches_the_reference_loop(case):
 
 
 def stage_outcome(stage, y):
-    """The V a Hamiltonian stage keeps after ``stage(y, False)`` (its warm
-    start for the next stage), and the error the call raised or None."""
+    """The V a Hamiltonian stage keeps after ``stage(False, *y)`` (its warm
+    start for the next stage, in the cells _v0, _v1, ...), and the error
+    the call raised or None."""
     try:
-        stage(y, False)
+        stage(False, *y)
         error = None
     except (NewtonDivergedError, SingularJacobianError,
             EvalDomainError) as exc:
         error = exc
     cells = dict(zip(stage.__code__.co_freevars, stage.__closure__))
-    return cells["_v"].cell_contents, error
+    k = sum(name.startswith("_v") for name in cells)
+    return [cells[f"_v{i}"].cell_contents for i in range(k)], error
 
 
 @NEWTON_CASE
@@ -508,6 +514,11 @@ def stage_outcome(stage, y):
 # at the Newton point 0.25 are finite, and the eval_dual2 rerun returns
 @example(("1.6e308 + 2^1022*v1^2", 1, [0.0, 0.0], 0.0, [0.0], False,
           [2.0 ** 1021], None, (50, 20)))
+# a trial whose residual norm equals its iterate's: dL/dv1 = v1^3 - 5 v1
+# is -4 at v1 = 1 and 4 at the full step's -1, exactly, so that trial is
+# rejected and the halved one, 0, is V (accepting it would cycle)
+@example(("0.25*v1^4 - 2.5*v1^2", 1, [0.0, 0.0], 0.0, [0.0], False, [0.0],
+          [1.0], (50, 20)))
 def test_hamiltonian_stage_newton_ends_as_solve(case):
     # each Hamiltonian stage runs the envelope Newton inline from the
     # previous stage's V: it ends as solve ends from that start, with V's
@@ -545,6 +556,34 @@ def test_hamiltonian_stage_newton_ends_as_solve(case):
             assert str(error).startswith("regular velocity block")
         assert np.array(got).tobytes() == want.tobytes()
         start = got
+
+
+@pytest.mark.parametrize("guess", [0.0, -0.0])
+def test_a_starting_residual_of_exactly_newton_tol_converges_at_once(
+        guess, monkeypatch):
+    # 0.5*v1^2 + q1*v2 at p1 = 1e-10 from v1 = +-0.0: the residual is
+    # newton_tol itself, which converges (rnorm <= tol) at iteration 0 with
+    # V = the guess's bits; a test by < would step on to V = 1e-10.  Both
+    # Newton bodies: the lane driver and the Hamiltonian stage's
+    ham = make_ham("deg2")
+    solver = ham.solver
+    q, p1, c2 = [0.3, -0.2], [1e-10], [0.5]
+    assert p1[0] - guess == solver.newton_tol
+    want = np.array([guess])
+    evaluations = lane_evaluations(monkeypatch, solver)
+    for got in (solver.solve(q, p1, c2, guess),
+                solver.solve_many([q, q], [[1.0], p1], [c2, c2],
+                                  [[guess], [guess]])[1],
+                helpers.reference_newton(solver, q, p1, c2, [guess])):
+        assert got.tobytes() == want.tobytes()
+    # solve evaluates its start only; solve_many's first row steps once
+    assert evaluations == [[[guess]], [[guess, guess]], [[1.0]]]
+    make = dynamics._stage(ham.system, ham.partition,
+                           dynamics.GaugeChoice.constant(2, c2), True)
+    stage = make([guess], solver.newton_tol, solver.max_iter,
+                 solver.max_backtracks, 0.0)
+    got, error = stage_outcome(stage, q + p1)
+    assert error is None and np.array(got).tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -725,7 +764,11 @@ def test_an_overflowing_stacked_solve_prints_no_warning():
         warnings.simplefilter("error")
         out, failed = solver.solve_lanes(q, p1, np.zeros((2, 0)), guess)
     assert list(failed) == [0] and isinstance(failed[0], EvalDomainError)
-    assert_bits(out[1], solver.solve(q[1], p1[1], [], guess[1]))
+    with pytest.raises(EvalDomainError) as want:
+        helpers.reference_newton(solver, q[0], p1[0], [], guess[0])
+    assert str(failed[0]) == str(want.value)
+    assert_bits(out[1], helpers.reference_newton(solver, q[1], p1[1], [],
+                                                 guess[1]))
 
 
 def svd_check(w11, tol, where, **at):

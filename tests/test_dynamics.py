@@ -198,6 +198,81 @@ def test_stage_kernels_match_the_oracle_cores(terms, gauge_tree, q, v1, p):
     assert_stage_matches_oracle(family(*terms), gauge, q, [v1], p)
 
 
+# L quartic in v1, whose W11 = 3 v1^2 + 2 + q1 grows with |v1|: from the
+# warm start 0 the full Newton step towards p1 = 40 overshoots, so trials
+# are rejected before one is accepted.  dL/dq1 = 0.5 v1^2 + v2 reads a
+# local of the Newton's evaluations, so p1dot shows which one the stage
+# read.  W11 varies, so it is checked and solved by calls, not unrolled,
+# also at k = 3.  (n, L, its gauge, q, p1, the warm start)
+BACKTRACKING_STAGES = {
+    "quartic": (2, "0.25*v1^4 + v1^2 + 0.5*q1*v1^2 + q1*v2", "0.5*sin(q1)",
+                [0.3, -0.2], [40.0], [0.0]),
+    "quartic_k3": (
+        4, "0.25*v1^4 + v1^2 + 0.5*(1+q1^2)*v2^2 + 0.5*v3^2 + 0.2*v1*v3"
+        " + 0.5*q1*v1^2 + q2*v4", "0.5*sin(q1)",
+        [0.3, -0.2, 0.1, 0.4], [40.0, 0.5, -0.3], [0.0, 0.0, 0.0]),
+}
+
+
+def residual_walk(ham, p1, points):
+    """The Newton's verdict on each evaluation after the first, given the
+    (q, v) points it evaluated in order: a trial is accepted where its
+    residual's max-norm is below its iterate's, else rejected, as is a
+    trial whose evaluation fails."""
+    active = range(ham.n, ham.n + ham.k)
+    norms = []
+    for x in points:
+        try:
+            grad = eval_dual2(ham.system.lagrangian, list(x), active).grad
+            norms.append(float(np.abs(np.asarray(p1) - grad).max()))
+        except EvalDomainError:
+            norms.append(None)
+    verdicts, current = [], norms[0]
+    for norm in norms[1:]:
+        accepted = norm is not None and norm < current
+        verdicts.append(accepted)
+        current = norm if accepted else current
+    return verdicts
+
+
+@pytest.mark.parametrize("include_r", [True, False])
+@pytest.mark.parametrize("name", sorted(BACKTRACKING_STAGES))
+def test_a_backtracking_stage_reads_l_at_the_accepted_v(name, include_r,
+                                                        monkeypatch):
+    # the stage's dy, info and V against the oracle's core from the same
+    # warm start, bit for bit: L's full triple must come from the accepted
+    # evaluation, not from the warm start's or a rejected trial's
+    n, source, gauge_source, q, p1, warm = BACKTRACKING_STAGES[name]
+    ham = MixedHamiltonian.from_system(LagrangianSystem.from_source(n,
+                                                                    source))
+    assert ham.k == len(p1)
+    gauge, phi, solver = gauge_of(n, gauge_source), [0.25], ham.solver
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    stage = _stage(ham.system, ham.partition, gauge, True, include_r)(
+        warm, solver.newton_tol, solver.max_iter, solver.max_backtracks,
+        *phi)
+    assert "_check_w11(" in compiles[-1][2] and "_gepp(" in compiles[-1][2]
+    points, ev = [], stage.__globals__["_ev"]
+
+    def recording(*x):
+        points.append(x)
+        return ev(*x)
+
+    monkeypatch.setitem(stage.__globals__, "_ev", recording)
+    *dy, (v, hs3_res, lv) = stage(True, *q, *p1)
+    qdot, p1dot, want_hs3, v1, want_lv = rk4_oracle._ham_core(
+        ham, gauge, q, p1, np.array(phi), include_r, v1_guess=warm)
+    assert hexes(dy) == hexes(qdot.tolist() + p1dot.tolist())
+    assert hexes(v + [hs3_res] + lv) == hexes(
+        qdot.tolist() + [want_hs3] + want_lv.tolist())
+    cells = dict(zip(stage.__code__.co_freevars, stage.__closure__))
+    assert hexes([cells[f"_v{i}"].cell_contents for i in range(ham.k)]) == (
+        hexes(v1.tolist()))
+    verdicts = residual_walk(ham, p1, points)
+    assert False in verdicts[:verdicts.index(True)]  # a rejection first
+    assert verdicts[-1]  # V is the last trial, accepted
+
+
 def test_an_unused_hessian_entry_that_overflows_still_raises():
     # at q1 = 1e-300 only d2L/dq1^2 = -0.25/(q1*sqrt(q1)) overflows: no
     # stage uses it, yet eval_dual2 raises there, and so must the stages
@@ -767,7 +842,7 @@ def test_singular_block_at_a_stage_that_is_not_recorded():
         messages = []
         for monitor in (True, False):
             with pytest.raises(SingularJacobianError) as err:
-                stage(y, monitor)
+                stage(monitor, *y)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith("regular velocity block is singular")
@@ -882,12 +957,12 @@ def test_an_error_at_the_last_node_names_the_last_step(monkeypatch):
         def factory(*bound):
             stage, nodes = make(*bound), []
 
-            def run(y, monitor):
+            def run(monitor, *y):
                 if monitor:
                     nodes.append(y)
                     if len(nodes) == nsteps + 1:
                         raise EvalDomainError("overflow", "the last node")
-                return stage(y, monitor)
+                return stage(monitor, *y)
             return run
         return factory
 
@@ -934,7 +1009,7 @@ def drawn_stage(recipe, fail_at):
     stage kernel's guards do, on a non-finite entry in or out."""
     calls = []
 
-    def stage(y, monitor):
+    def stage(monitor, *y):
         calls.append(monitor)
         if len(calls) == fail_at:
             raise EvalDomainError("drawn failure", f"call {fail_at}")
@@ -945,7 +1020,7 @@ def drawn_stage(recipe, fail_at):
               for kind, a, b, c in recipe]
         if not all(map(math.isfinite, dy)):
             raise EvalDomainError("overflow", "stage output")
-        return dy, ((dy[0], list(y)) if monitor else None)
+        return (*dy, (dy[0], list(y)) if monitor else None)
     return stage
 
 

@@ -912,7 +912,7 @@ RANDOM_TREE_SOURCES_SHA256 = (
 # with its envelope Newton, and the scalar and stacked kernels of L and the
 # gauge), in compile order
 CORPUS_FLOW_SOURCES_SHA256 = (
-    "e338bdf8c852117dd6f146a25b7fbed00b67c5134c1464e73d78615e2d8bf4ef")
+    "9c28ec7adc6f8a972aea8f104cafa2b1b0898b220f59ee023bf2a2619938666b")
 FLOW_GAUGES = ("0.25*q1^2", "1.5 - 2*3*sin(q1) + exp(-1)*q1")
 
 
@@ -984,6 +984,69 @@ def test_corpus_flow_kernel_sources_are_frozen(monkeypatch):
     sources = "\0".join(src for _, _, src in compiles)
     assert hashlib.sha256(sources.encode()).hexdigest() == (
         CORPUS_FLOW_SOURCES_SHA256)
+
+
+def expanded_operations(src):
+    """The operations of a generated source's s and t locals (the unpacks
+    of the evaluation ``e`` aside) and its domain guards' conditions, each
+    written out in terms of the kernel's arguments, per top-level function;
+    a function reads the names it does not assign from the one before it
+    (the stage unpacks ``_ev``'s)."""
+    names, out = {}, []
+
+    def expand(text):
+        return re.sub(r"\b[st]\d+\b", lambda m: f"({names[m.group()]})",
+                      text)
+
+    for function in re.split(r"^(?=def )", src, flags=re.M):
+        names = dict(names)
+        for name, text, guard in re.findall(
+                r"^\s*(?:([st]\d+) = (.+)|if (.+): raise _E\()",
+                function, re.M):
+            if guard:
+                out.append("guard " + expand(guard))
+            else:
+                names[name] = expand(text)
+                out.append(names[name])
+    return out
+
+
+def test_no_operation_of_l_is_emitted_twice_in_a_hamiltonian_stage(
+        monkeypatch):
+    # the stage reads L's full triple at V from its envelope Newton's
+    # accepted evaluation and emits only the operations that one lacks,
+    # and no domain guard that one passed; the corpus systems, and one
+    # whose sqrt, quotient and ln carry guards
+    import corpus
+    from legclair.clairaut import MixedHamiltonian
+    from legclair.dynamics import GaugeChoice, integrate_ham
+    from legclair.partition import LagrangianSystem
+
+    systems = [(name, corpus.make_system(name))
+               for name in sorted(corpus.SYSTEMS)]
+    systems.append(("guarded", LagrangianSystem.from_source(
+        2, "sqrt(1+v1^2) + v1^2/(1+q2^2) + ln(2+q2^2)*v2")))
+    compiles = helpers.record_kernel_compiles(monkeypatch)
+    flows = set()
+    for name, system in systems:
+        ham = MixedHamiltonian.from_system(system)
+        n, k = ham.n, ham.k
+        for source in FLOW_GAUGES:
+            gauge = GaugeChoice.from_sources(n, [source] * (n - k))
+            flows.add((name, gauge))  # a regular system's gauge is empty
+            integrate_ham(ham, gauge, ham.system.center()[:n], [0.5] * n,
+                          (0.0, 0.02), 0.01)
+    stages = [src for kind, _, src in compiles
+              if kind == "<legclair stage kernel>"]
+    assert len(stages) == len(flows)
+    assert all(src.startswith("def _ev(") for src in stages)
+    for src in stages:
+        ops = expanded_operations(src)
+        assert ops
+        assert len(set(ops)) == len(ops), sorted(
+            op for op in ops if ops.count(op) > 1)
+    # the last stage is the guarded system's: each guard once, in _ev
+    assert sum(op.startswith("guard ") for op in ops) == 3
 
 
 def test_generating_a_kernel_calls_no_eval(monkeypatch):

@@ -5,11 +5,13 @@ stacked samples.  The stacked suite must report the same statuses, sample
 counts and worst values, end in the same CLI error where a property cannot
 be evaluated, and give the same results whatever its chunk size.  The
 stacked maps of ``MixedHamiltonian`` must equal the reference single-point
-maps of ``maps_oracle.py`` (and the scalar ``psi`` and ``solve``) row by
-row, and the single-point maps, now one-row calls of the stacked ones, must
-check their arguments and return as the reference does.
+maps of ``maps_oracle.py`` (and the envelope Newton ``helpers.
+reference_newton``) row by row, and the single-point maps, now one-row
+calls of the stacked ones, must check their arguments and return as the
+reference does.
 """
 
+import functools
 import json
 import os
 
@@ -153,12 +155,24 @@ def test_stacked_residual_meets_errors_in_the_single_point_order():
     assert str(many.value) == str(one.value)
 
 
+def error_outcome(err):
+    """An error as (type, message, residual history or None)."""
+    return type(err), str(err), getattr(err, "residual_history", None)
+
+
 def outcome(call):
-    """The value of ``call()``, or its error as (type, message)."""
+    """The value of ``call()``, or its error as :func:`error_outcome`."""
     try:
         return call()
     except Exception as err:
-        return type(err), str(err)
+        return error_outcome(err)
+
+
+def reference(solver, q, p1, c2, guess=None):
+    """The outcome of ``helpers.reference_newton`` at one row, the envelope
+    Newton written apart from the lane driver."""
+    return outcome(lambda: helpers.reference_newton(solver, q, p1, c2,
+                                                    guess))
 
 
 def assert_same_outcome(got, want):
@@ -169,7 +183,7 @@ def assert_same_outcome(got, want):
 
 
 # (lagrangian, domain, p1 rows, guess rows or None, solver limits, how
-# solve ends at each row)
+# the reference Newton ends at each row)
 LANE_STACKS = {
     # p1 = 1 from v1 = -10: the first trial overflows, is finite, and is
     # halved; p1 = -1 is out of reach; a NaN guess fails the first evaluation
@@ -269,14 +283,14 @@ def test_solve_lanes_end_as_solve_ends(case):
         p1 = p1_given[order]
         guess = None if guess_given is None else np.c_[guess_given][order]
         out, failed = solver.solve_lanes(q, p1, c2, guess)
-        want = [outcome(lambda: solver.solve(
-                    q[i], p1[i], c2[i], None if guess is None else guess[i]))
+        want = [reference(solver, q[i], p1[i], c2[i],
+                          None if guess is None else guess[i])
                 for i in range(count)]
         for i, w in enumerate(want):
             if i in failed:
                 err = failed.pop(i)
                 assert np.isnan(out[i]).all()
-                assert_same_outcome((type(err), str(err)), w)
+                assert_same_outcome(error_outcome(err), w)
             else:
                 assert_same_outcome(out[i], w)
         assert not failed
@@ -327,12 +341,12 @@ def test_solve_lanes_rows_end_as_solve_on_random_systems(seed, kind,
     guess = rng.uniform(-1.0, 1.0, (count, k)) if guessed else None
     out, failed = solver.solve_lanes(q, p1, c2, guess)
     for i in range(count):
-        want = outcome(lambda: solver.solve(
-            q[i], p1[i], c2[i], None if guess is None else guess[i]))
+        want = reference(solver, q[i], p1[i], c2[i],
+                         None if guess is None else guess[i])
         if i in failed:
             err = failed.pop(i)
             assert np.isnan(out[i]).all()
-            assert_same_outcome((type(err), str(err)), want)
+            assert_same_outcome(error_outcome(err), want)
         else:
             assert_same_outcome(out[i], want)
     assert not failed
@@ -377,7 +391,7 @@ def test_stacked_solve_names_the_first_singular_lane():
     with pytest.raises(SingularJacobianError) as err:
         solver.solve_many(q, p1, c2, guess)
     with pytest.raises(SingularJacobianError) as one:
-        solver.solve(q[1], p1[1], c2[1], guess[1])
+        helpers.reference_newton(solver, q[1], p1[1], c2[1], guess[1])
     assert str(err.value) == str(one.value)
 
 
@@ -418,9 +432,10 @@ def test_stacked_maps_equal_single_point_maps(name):
     p = rng.uniform(system.domain_lo[n:], system.domain_hi[n:], (40, n))
     probe = rng.uniform(system.domain_lo[n:], system.domain_hi[n:],
                         (40, n))[:, nonreg]
+    solve = functools.partial(helpers.reference_newton, ham.solver)
     pairs = [
         (ham.solver.solve_many(q, p[:, reg], v2),
-         [ham.solver.solve(*a) for a in zip(q, p[:, reg], v2)]),
+         [solve(*a) for a in zip(q, p[:, reg], v2)]),
         (ham.value_many(q, p, v2),
          [maps_oracle.value(ham, *a) for a in zip(q, p, v2)]),
         (ham.phi_many(q, p), [maps_oracle.phi(ham, *a) for a in zip(q, p)]),
@@ -431,7 +446,7 @@ def test_stacked_maps_equal_single_point_maps(name):
           for a in zip(q, v, p[:, nonreg])]),
     ]
     # V, Psi and H0 of envelope_many, at the drawn probes and at the default
-    refs = (ham.solver.solve, lambda *a: maps_oracle.psi(ham, *a),
+    refs = (solve, lambda *a: maps_oracle.psi(ham, *a),
             lambda *a: maps_oracle.h_zero(ham, *a))
     for c2, given in [(probe, probe), ([ham.default_probe()] * len(q), None)]:
         env = ham.envelope_many(q, p[:, reg], given)
@@ -494,7 +509,8 @@ def test_stacked_solve_backtracks_like_solve():
         guess = rng.uniform(-6.0, 6.0, (60, 1))
         c2 = np.zeros((60, 0))
         got = solver.solve_many(q, p1, c2, guess)
-        want = [solver.solve(*a) for a in zip(q, p1, c2, guess)]
+        want = [helpers.reference_newton(solver, *a)
+                for a in zip(q, p1, c2, guess)]
         assert got.tobytes() == np.array(want).tobytes()
 
 

@@ -21,6 +21,7 @@ sample over the domain box.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import types
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expr import (
+    EvalDomainError,
     Expression,
     _Codegen,
     _Term,
@@ -57,12 +59,18 @@ __all__ = [
     "MixedHamiltonian",
     "general_solution",
     "generic_transform",
+    "analyze_report",
+    "transform_table",
 ]
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 NEWTON_MAX_BACKTRACKS = 20
 FD_MOMENTUM_STEP = 1e-6
+# rows evaluated together by analyze, transform and verify: bounds their
+# memory (one verify of deg3 at 1,024 samples peaks at 3.4 MB under
+# tracemalloc)
+CHUNK_ROWS = 1024
 
 
 class NewtonDivergedError(Exception):
@@ -1162,3 +1170,162 @@ def generic_transform(
         )
     q = system.center()[: system.n]
     return ham.value(q, p, c2)
+
+
+# --------------------------------------------------------------------------
+# rows in chunks, and the reports of the analyze and transform commands
+# --------------------------------------------------------------------------
+
+# what one row of a row-wise map raises alone: its envelope solve fails, or
+# a point leaves the domain of L
+ROW_ERRORS = (NewtonDivergedError, SingularJacobianError, EvalDomainError)
+
+
+def row_failures(run, rows):
+    """Run the row-wise map ``run`` on ``rows`` (an index array),
+    ``CHUNK_ROWS`` rows at a time, and yield (row, error) for each row that
+    raises one of ``ROW_ERRORS`` alone, lowest first."""
+    return _failing_rows(run, [rows[start:start + CHUNK_ROWS]
+                               for start in range(0, len(rows), CHUNK_ROWS)])
+
+
+def _failing_rows(run, parts):
+    """:func:`row_failures` over the index arrays ``parts``, in turn: a part
+    that raises is halved, and its halves are run, left before right.  Row
+    i of ``run`` must have the bits of row i alone, so a part raises
+    exactly when it holds a row that fails alone; one that raises with no
+    such row breaks that, and its error is raised."""
+    for part in parts:
+        try:
+            run(part)
+        except ROW_ERRORS as error:
+            if len(part) == 1:
+                yield part[0], error
+                continue
+            failure, mid = None, len(part) // 2
+            for failure in _failing_rows(run, (part[:mid], part[mid:])):
+                yield failure
+            if failure is None:
+                raise error
+
+
+@contextlib.contextmanager
+def fitting(rows, width):
+    """Run a block that builds ``rows`` rows of ``width`` floats; a request
+    beyond the address space, or one that memory cannot hold, raises a
+    MemoryError that says how many numbers it needs."""
+    message = f"needs {rows} x {width} numbers, more than memory holds"
+    if rows * width * 8 > np.iinfo(np.intp).max:  # numpy could not index it
+        raise MemoryError(message)
+    try:
+        yield
+    except MemoryError:
+        raise MemoryError(message) from None
+
+
+def analyze_report(ham: MixedHamiltonian, seed, points) -> dict:
+    """The rank partition of ``ham``, |det W11| over 100 sampled points and
+    ``points`` samples of the constraints, each holding q, p1, p2, Psi,
+    Phi = p2 - Psi and H0, all drawn from one generator seeded with
+    ``seed``.  A sample whose envelope solve or evaluation fails raises its
+    error, the lowest such sample's."""
+    system, part = ham.system, ham.partition
+    n, k = ham.n, ham.k
+    names = qv_names(n)
+    rng = np.random.default_rng(seed)
+    reg, nonreg = list(part.regular), list(part.nonregular)
+    w = eval_dual2_many(system.lagrangian, system.sample(rng, 100),
+                        range(n, 2 * n)).hess
+    dets = (abs_det_many(w[:, reg][:, :, reg]).tolist() if k
+            else [0.0] * len(w))
+    lo, hi = system.domain_lo, system.domain_hi
+    with fitting(points, 2 * n):
+        # one row per sample: q, p1, p2, drawn in the order of one sample at
+        # a time
+        rows = rng.uniform(
+            np.concatenate([lo[:n], lo[n:][reg], lo[n:][nonreg]]),
+            np.concatenate([hi[:n], hi[n:][reg], hi[n:][nonreg]]),
+            size=(points, 2 * n),
+        )
+        q, p1, p2 = rows[:, :n], rows[:, n:n + k], rows[:, n + k:]
+        psi, h_zero = np.empty((points, n - k)), np.empty(points)
+
+        def envelope(at):
+            _, psi[at], h_zero[at] = ham.envelope_many(q[at], p1[at])
+
+        for _, error in row_failures(envelope, np.arange(points)):
+            raise error
+        keys = ("q", "p1", "p2", "psi", "phi", "h_zero")
+        samples = [dict(zip(keys, sample)) for sample in zip(
+            *(x.tolist() for x in (q, p1, p2, psi, p2 - psi, h_zero)))]
+    return {
+        "n": n,
+        "lagrangian": system.lagrangian.source,
+        "seed": seed,
+        "k": k,
+        "regular": [names[n + i] for i in part.regular],
+        "unresolved": [names[n + i] for i in part.nonregular],
+        "rank_tolerance": part.rank_tolerance,
+        "rank_samples": part.samples_checked,
+        "det_w11": {"min": min(dets), "max": max(dets)},
+        "constraint_samples": samples,
+    }
+
+
+def transform_table(ham: MixedHamiltonian, grids):
+    """H, H0 and Phi over the product of ``grids``, a list of (name,
+    values) over positions, momenta and unresolved velocities, the last
+    grid varying fastest; a name not on a grid keeps the box center (a
+    position), 0 (a momentum) or the default probe (an unresolved
+    velocity), and a repeated name takes its last grid.
+
+    Returns (header, table, status): the column names, one row of floats
+    per grid point (q, p, v2, H, H0, Phi) and each row's status: "ok",
+    "domain" (outside the box, or outside the domain of L), or "solver".
+    A row that fails keeps the columns computed before its error, NaN
+    elsewhere.  A name that is a resolved velocity or no variable raises
+    ValueError.
+    """
+    system = ham.system
+    n, k = ham.n, ham.k
+    names = qv_names(n)
+    reg, nonreg = list(ham.partition.regular), list(ham.partition.nonregular)
+    columns = [*names[:n], *(f"p{i + 1}" for i in range(n)),
+               *(names[n + i] for i in nonreg)]  # of one grid row
+    for name, _ in grids:
+        if name in {names[n + i] for i in reg}:
+            raise ValueError(f"{name!r} is resolved by the envelope; vary "
+                             "its momentum instead")
+        if name not in columns:
+            raise ValueError(f"unknown grid variable {name!r}")
+    values = [vals for _, vals in grids]
+    count = math.prod(map(len, values))
+    lo = np.concatenate([system.domain_lo[:n], system.domain_lo[n:][nonreg]])
+    hi = np.concatenate([system.domain_hi[:n], system.domain_hi[n:][nonreg]])
+    with fitting(count, len(columns) + 2 + n - k):
+        rows = np.tile(np.concatenate([system.center()[:n], np.zeros(n),
+                                       ham.default_probe()]), (count, 1))
+        for (name, _), column in zip(grids,
+                                     np.meshgrid(*values, indexing="ij")):
+            rows[:, columns.index(name)] = column.ravel()
+        boxed = rows[:, list(range(n)) + list(range(2 * n, 3 * n - k))]
+        inside = ((lo <= boxed) & (boxed <= hi)).all(axis=1)
+        table = np.full((count, 2 + n - k), np.nan)  # H, H0, phi per row
+        status = ["ok" if ok else "domain" for ok in inside]
+
+    def evaluate(at):
+        """Fill the table at rows ``at``, each map's column once it returns;
+        one solve gives V, at which H and (Psi, H0) are formed."""
+        table[at] = np.nan
+        q, p, v2 = rows[at, :n], rows[at, n:2 * n], rows[at, 2 * n:]
+        p1 = p[:, reg]
+        v1 = ham.solver.solve_many(q, p1, v2)
+        table[at, 0] = ham.value_at(q, p, v2, v1)
+        psi, table[at, 1] = ham.envelope_at(q, p1, v2, v1)
+        table[at, 2:] = p[:, nonreg] - psi
+
+    for i, error in row_failures(evaluate, np.flatnonzero(inside)):
+        status[i] = "domain" if isinstance(error, EvalDomainError) else "solver"
+    header = (columns + ["H", "H0"] + [f"phi_{j + 1}" for j in range(n - k)]
+              + ["status"])
+    return header, np.concatenate([rows, table], axis=1), status

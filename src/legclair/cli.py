@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: argument parsing, problem-file validation, the
+rendering of the library's reports and the exit-code table.
 
 Problems are JSON files::
 
@@ -41,7 +42,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,29 +50,33 @@ from .clairaut import (
     MixedHamiltonian,
     NewtonDivergedError,
     SingularJacobianError,
-    abs_det_many,
+    analyze_report,
+    fitting,
+    transform_table,
 )
 from .dynamics import (
+    MONITORS,
     BoxExitError,
     GaugeChoice,
     NonFiniteStateError,
+    OutOfDomainError,
     PrimaryConstraintError,
     _validate_span,
-    compare_trajectories,
-    first_box_exit,
+    flow_report,
     format_table,
+    initial_state,
     integrate_el,
     integrate_ham,
     write_trajectory_csv,
 )
-from .expr import EvalDomainError, ParseError, eval_dual2_many
+from .expr import EvalDomainError, ParseError
 from .partition import (
     LagrangianSystem,
     NoValidMinorError,
     RankNotConstantError,
     qv_names,
 )
-from .verify import CHUNK_ROWS, failing_rows, run_property_suite
+from .verify import run_property_suite
 
 EXIT_OK = 0
 EXIT_PROBLEM = 2
@@ -92,10 +97,6 @@ VERIFY_DEFAULTS = {
 
 class ProblemError(Exception):
     """The problem file is malformed or semantically invalid."""
-
-
-class OutOfDomainError(Exception):
-    """Requested data lies outside the declared coordinate boxes."""
 
 
 # --------------------------------------------------------------------------
@@ -137,17 +138,17 @@ def _written(write, *args, **kwargs):
 
 
 @contextlib.contextmanager
-def _fitting(what, rows, width):
-    """Run a block that builds ``rows`` rows of ``width`` floats for
-    ``what``; a request beyond the address space, or one that memory
-    cannot hold, is a ProblemError (exit 2)."""
-    message = f"{what} needs {rows} x {width} numbers, more than memory holds"
-    if rows * width * 8 > np.iinfo(np.intp).max:  # numpy could not index it
-        raise ProblemError(message)
+def _problem(request=None):
+    """Run a block whose ValueError is a ProblemError (exit 2), and so is
+    its MemoryError, given the ``request`` that memory cannot hold."""
     try:
         yield
-    except MemoryError:
-        raise ProblemError(message) from None
+    except ValueError as exc:
+        raise ProblemError(str(exc)) from None
+    except MemoryError as exc:
+        if request is None:
+            raise
+        raise ProblemError(f"{request} {exc}") from None
 
 
 def load_problem(path) -> Problem:
@@ -178,10 +179,8 @@ def load_problem(path) -> Problem:
             and all(_is_real(x) for x in pair),
             f"domain entry {name!r} must be [lo, hi]",
         )
-    try:
+    with _problem():
         system = LagrangianSystem.from_source(n, src, domain)
-    except ValueError as exc:
-        raise ProblemError(str(exc)) from exc
 
     gauge_sources = raw.get("gauge", {})
     _require(isinstance(gauge_sources, dict), "'gauge' must be an object")
@@ -254,111 +253,48 @@ def build_gauge(problem: Problem, ham: MixedHamiltonian):
 
 
 # --------------------------------------------------------------------------
-# small numeric helpers
-# --------------------------------------------------------------------------
-
-def _in_box(value, lo, hi):
-    return bool(lo <= value <= hi)
-
-
-# --------------------------------------------------------------------------
 # analyze
 # --------------------------------------------------------------------------
 
+def _floats(xs):
+    return "[" + ", ".join(f"{x:.6g}" for x in xs) + "]"
+
+
 def cmd_analyze(problem: Problem, args, out):
-    system = problem.system
-    ham = MixedHamiltonian.from_system(system)
-    part = ham.partition
-    n, k = ham.n, ham.k
-    names = qv_names(n)
+    ham = MixedHamiltonian.from_system(problem.system)
     seed = args.seed if args.seed is not None else 0
-    rng = np.random.default_rng(seed)
-
-    reg = list(part.regular)
-    w = eval_dual2_many(system.lagrangian, system.sample(rng, 100),
-                        range(n, 2 * n)).hess
-    dets = (abs_det_many(w[:, reg][:, :, reg]).tolist() if k
-            else [0.0] * len(w))
-
-    nonreg = list(part.nonregular)
-    lo, hi = system.domain_lo, system.domain_hi
-    # one row per sample: q, p1, p2, drawn in the order of one sample at a time
-    with _fitting(f"--points {args.points}", args.points, 2 * n):
-        rows = rng.uniform(
-            np.concatenate([lo[:n], lo[n:][reg], lo[n:][nonreg]]),
-            np.concatenate([hi[:n], hi[n:][reg], hi[n:][nonreg]]),
-            size=(args.points, 2 * n),
-        )
-    q, p1, p2 = rows[:, :n], rows[:, n:n + k], rows[:, n + k:]
-    errors = (NewtonDivergedError, SingularJacobianError, EvalDomainError)
-    try:
-        _, psi, h_zero = ham.envelope_many(q, p1)
-    except errors:
-        # the lowest sample that fails on its own raises its error
-        for _, error in failing_rows(
-                lambda at: ham.envelope_many(q[at], p1[at]),
-                np.arange(len(rows)), errors):
-            raise error
-        raise
-    samples = [
-        {
-            "q": q[i].tolist(),
-            "p1": p1[i].tolist(),
-            "p2": p2[i].tolist(),
-            "psi": psi[i].tolist(),
-            "phi": (p2[i] - psi[i]).tolist(),
-            "h_zero": float(h_zero[i]),
-        }
-        for i in range(len(rows))
-    ]
-
-    report = {
-        "n": n,
-        "lagrangian": system.lagrangian.source,
-        "seed": seed,
-        "k": k,
-        "regular": [names[n + i] for i in part.regular],
-        "unresolved": [names[n + i] for i in part.nonregular],
-        "rank_tolerance": part.rank_tolerance,
-        "rank_samples": part.samples_checked,
-        "det_w11": {"min": min(dets), "max": max(dets)},
-        "constraint_samples": samples,
-    }
+    with _problem(f"--points {args.points}"):
+        report = analyze_report(ham, seed, args.points)
     if args.json:
         out.write(json.dumps(report, indent=2) + "\n")
         return EXIT_OK
-    out.write(f"system: n = {n}, L = {system.lagrangian.source}\n")
+    n, k, dets = report["n"], report["k"], report["det_w11"]
+    out.write(f"system: n = {n}, L = {report['lagrangian']}\n")
     out.write(
-        f"rank: k = {k} of {n} "
-        f"(tolerance {part.rank_tolerance:g}, {part.samples_checked} samples)\n"
+        f"rank: k = {k} of {n} (tolerance {report['rank_tolerance']:g}, "
+        f"{report['rank_samples']} samples)\n"
     )
     out.write("regular velocities:    "
               + (" ".join(report["regular"]) or "(none)") + "\n")
     out.write("unresolved velocities: "
               + (" ".join(report["unresolved"]) or "(none)") + "\n")
     if k:
-        out.write(
-            "|det W11| over 100 samples: "
-            f"min = {min(dets):.6g}, max = {max(dets):.6g}\n"
-        )
+        out.write("|det W11| over 100 samples: "
+                  f"min = {dets['min']:.6g}, max = {dets['max']:.6g}\n")
     if k == n:
         out.write("no primary constraints (the velocity Hessian is "
                   "nonsingular)\n")
-    else:
-        for j, i in enumerate(nonreg):
-            out.write(f"constraint form: phi_{j + 1} = p{i + 1} "
-                      f"- psi_{j + 1}(q, p1)\n")
-        out.write(f"constraints ({len(samples)} sample points, "
-                  f"seed {seed}):\n")
-        for s in samples:
-            out.write(
-                "  q = [" + ", ".join(f"{x:.6g}" for x in s["q"]) + "], "
-                "p1 = [" + ", ".join(f"{x:.6g}" for x in s["p1"]) + "], "
-                "p2 = [" + ", ".join(f"{x:.6g}" for x in s["p2"]) + "]: "
-                "psi = [" + ", ".join(f"{x:.6g}" for x in s["psi"]) + "], "
-                "phi = [" + ", ".join(f"{x:.6g}" for x in s["phi"]) + "], "
-                f"H0 = {s['h_zero']:.6g}\n"
-            )
+        return EXIT_OK
+    for j, name in enumerate(report["unresolved"], 1):
+        out.write(f"constraint form: phi_{j} = p{name[1:]} - psi_{j}(q, p1)\n")
+    samples = report["constraint_samples"]
+    out.write(f"constraints ({len(samples)} sample points, seed {seed}):\n")
+    for s in samples:
+        out.write(
+            f"  q = {_floats(s['q'])}, p1 = {_floats(s['p1'])}, "
+            f"p2 = {_floats(s['p2'])}: psi = {_floats(s['psi'])}, "
+            f"phi = {_floats(s['phi'])}, H0 = {s['h_zero']:.6g}\n"
+        )
     return EXIT_OK
 
 
@@ -379,7 +315,7 @@ def _parse_grid_spec(spec):
             a, b, count = float(parts[0]), float(parts[1]), int(parts[2])
             if count < 1:
                 raise ValueError
-            with _fitting(f"grid spec {spec!r}", count, 1):
+            with _problem(f"grid spec {spec!r}"), fitting(count, 1):
                 values = np.linspace(a, b, count)
         elif "," in rhs:
             values = np.array([float(x) for x in rhs.split(",")])
@@ -392,69 +328,11 @@ def _parse_grid_spec(spec):
 
 
 def cmd_transform(problem: Problem, args, out):
-    system = problem.system
-    ham = MixedHamiltonian.from_system(system)
-    n, k = ham.n, ham.k
-    names = qv_names(n)
-    reg = list(ham.partition.regular)
-    nonreg = list(ham.partition.nonregular)
-    pnames = [f"p{i + 1}" for i in range(n)]
-    v2names = [names[n + i] for i in nonreg]
-
-    columns = [*names[:n], *pnames, *v2names]  # of one grid row
+    ham = MixedHamiltonian.from_system(problem.system)
     grids = [_parse_grid_spec(s) for s in args.grid] or [("p1", np.array([0.0]))]
-    for name, _ in grids:
-        if name in {names[n + i] for i in reg}:
-            raise ProblemError(
-                f"{name!r} is resolved by the envelope; vary its momentum "
-                "instead"
-            )
-        if name not in columns:
-            raise ProblemError(f"unknown grid variable {name!r}")
-    values = [vals for _, vals in grids]
-    count = math.prod(map(len, values))
-    lo = np.concatenate([system.domain_lo[:n], system.domain_lo[n:][nonreg]])
-    hi = np.concatenate([system.domain_hi[:n], system.domain_hi[n:][nonreg]])
-    with _fitting("the grid", count, len(columns) + 2 + n - k):
-        rows = np.tile(np.concatenate([system.center()[:n], np.zeros(n),
-                                       ham.default_probe()]), (count, 1))
-        # the last grid varies fastest; a repeated name takes its last grid
-        for (name, _), column in zip(grids,
-                                     np.meshgrid(*values, indexing="ij")):
-            rows[:, columns.index(name)] = column.ravel()
-        boxed = rows[:, list(range(n)) + list(range(2 * n, 3 * n - k))]
-        inside = ((lo <= boxed) & (boxed <= hi)).all(axis=1)
-        table = np.full((count, 2 + n - k), np.nan)  # H, H0, phi per row
-        status = ["ok" if ok else "domain" for ok in inside]
-
-    def evaluate(at):
-        """Fill the table at rows ``at``, each map's column once it returns;
-        one solve gives V, at which H and (Psi, H0) are formed."""
-        table[at] = np.nan
-        q, p, v2 = rows[at, :n], rows[at, n:2 * n], rows[at, 2 * n:]
-        p1 = p[:, reg]
-        v1 = ham.solver.solve_many(q, p1, v2)
-        table[at, 0] = ham.value_at(q, p, v2, v1)
-        psi, table[at, 1] = ham.envelope_at(q, p1, v2, v1)
-        table[at, 2:] = p[:, nonreg] - psi
-
-    live = np.flatnonzero(inside)
-    errors = (NewtonDivergedError, SingularJacobianError, EvalDomainError)
-    for start in range(0, len(live), CHUNK_ROWS):
-        chunk = live[start:start + CHUNK_ROWS]
-        try:
-            evaluate(chunk)
-        except errors:
-            # each row that fails alone takes its own status and keeps the
-            # columns computed before its error
-            for i, error in failing_rows(evaluate, chunk, errors):
-                domain = isinstance(error, EvalDomainError)
-                status[i] = "domain" if domain else "solver"
-
-    header = (columns + ["H", "H0"] + [f"phi_{j + 1}" for j in range(n - k)]
-              + ["status"])
-    out.write(",".join(header) + "\n"
-              + format_table(np.concatenate([rows, table], axis=1), status))
+    with _problem("the grid"):
+        header, table, status = transform_table(ham, grids)
+    out.write(",".join(header) + "\n" + format_table(table, status))
     if "solver" in status:
         return EXIT_SOLVER
     if "domain" in status:
@@ -466,53 +344,8 @@ def cmd_transform(problem: Problem, args, out):
 # integrate
 # --------------------------------------------------------------------------
 
-def _initial_data(problem: Problem, ham: MixedHamiltonian, gauge):
-    system = problem.system
-    n = ham.n
-    initial = problem.initial
-    _require("q" in initial, "initial data needs 'q'")
-    _require(
-        ("v" in initial) != ("p" in initial),
-        "initial data needs exactly one of 'v' (velocities) or 'p' (momenta)",
-    )
-    q0 = np.asarray(initial["q"], dtype=float)
-    for i in range(n):
-        if not _in_box(q0[i], system.domain_lo[i], system.domain_hi[i]):
-            raise OutOfDomainError(
-                f"initial q{i + 1} = {q0[i]:g} lies outside "
-                f"[{system.domain_lo[i]:g}, {system.domain_hi[i]:g}]"
-            )
-    reg = list(ham.partition.regular)
-    nonreg = list(ham.partition.nonregular)
-    c2 = gauge.value(q0) if gauge is not None else np.zeros(0)
-
-    if "v" in initial:
-        v = np.asarray(initial["v"], dtype=float)
-        if nonreg and float(np.max(np.abs(v[nonreg,] - c2))) > 1e-8:
-            raise ProblemError(
-                "initial velocities conflict with the gauge at q0: "
-                f"v2 = {v[nonreg,].tolist()} but C2(q0) = {c2.tolist()}"
-            )
-        v1 = v[reg,]
-        p0 = eval_dual2_many(
-            system.lagrangian, system.point(q0, v)[None], range(n, 2 * n)
-        ).grad[0]
-    else:
-        p0 = np.asarray(initial["p"], dtype=float)
-        v1 = ham.solve_velocity(q0, p0[reg,], c2)
-        v = ham.assemble_velocity(v1, c2)
-    for i in range(n):
-        if not _in_box(v[i], system.domain_lo[n + i], system.domain_hi[n + i]):
-            raise OutOfDomainError(
-                f"initial v{i + 1} = {v[i]:g} lies outside "
-                f"[{system.domain_lo[n + i]:g}, {system.domain_hi[n + i]:g}]"
-            )
-    return q0, v1, p0
-
-
 def cmd_integrate(problem: Problem, args, out):
-    system = problem.system
-    ham = MixedHamiltonian.from_system(system)
+    ham = MixedHamiltonian.from_system(problem.system)
     gauge = build_gauge(problem, ham)
     icfg = problem.integrate
     _require(icfg, "an 'integrate' block is required")
@@ -526,65 +359,34 @@ def cmd_integrate(problem: Problem, args, out):
     except ValueError as exc:
         raise ProblemError(f"bad integrate span: {exc}") from None
     enforce = icfg.get("enforce_primary", False)
-    q0, v1, p0 = _initial_data(problem, ham, gauge)
+    with _problem():
+        q0, v1, p0 = initial_state(ham, gauge, **problem.initial)
 
     outdir = args.out or "."
     _written(os.makedirs, outdir, exist_ok=True)
-    report = {}
-    trajectories = {}
-    # each flow's monitor and run, in report order
-    flows = {
-        "el": ("el_i2_res",
-               lambda: integrate_el(ham, gauge, q0, v1, t_span, dt)),
-        "ham": ("hs3_res",
-                lambda: integrate_ham(ham, gauge, q0, p0, t_span, dt,
-                                      enforce_primary=enforce)),
+    runs = {
+        "el": lambda: integrate_el(ham, gauge, q0, v1, t_span, dt),
+        "ham": lambda: integrate_ham(ham, gauge, q0, p0, t_span, dt,
+                                     enforce_primary=enforce),
     }
-    for side, (monitor, run) in flows.items():
-        if args.method not in (side, "both"):
-            continue
-        traj = trajectories[side] = run()
-        path = os.path.join(outdir, f"trajectory_{side}.csv")
-        _written(write_trajectory_csv, traj, path)
-        report[side] = {
-            "path": path,
-            "nodes": int(traj.times.size),
-            "max_abs_phi": float(np.max(np.abs(traj.phi)))
-            if traj.phi.size else 0.0,
-            f"max_{monitor}": float(np.max(getattr(traj, monitor))),
-        }
-    # no verdict on a run that left the box where the partition holds
-    names, lo, hi = qv_names(ham.n), system.domain_lo, system.domain_hi
-    for side, traj in trajectories.items():
-        exit_ = first_box_exit(traj, lo, hi)
-        if exit_ is not None:
-            t, i, x = exit_
-            raise BoxExitError(
-                f"the {side} flow leaves the declared box at t = {t:.6g}: "
-                f"{names[i]} = {x!r} outside [{lo[i]:g}, {hi[i]:g}]")
-
-    # the gauge-fixed equations leave the non-regular rows unenforced: the
-    # run is consistent only where their defect stays within tol_equiv
-    tol = problem.verify["tol_equiv"]
-    worst = float(np.max([report[side][f"max_{flows[side][0]}"]
-                          for side in trajectories]))
-    report["consistency"] = {"max_residual": worst, "tol": tol,
-                             "passed": worst <= tol}
-    code = EXIT_OK
-    if args.method == "both":
-        rep = compare_trajectories(
-            trajectories["el"], trajectories["ham"],
-            tol=tol,
-        )
-        report["comparison"] = asdict(rep)
-        if not rep.passed:
-            code = EXIT_EQUIV
+    trajectories, paths = {}, {}
+    for side, run in runs.items():
+        if args.method in (side, "both"):
+            trajectories[side] = run()
+            paths[side] = os.path.join(outdir, f"trajectory_{side}.csv")
+            _written(write_trajectory_csv, trajectories[side], paths[side])
+    report = flow_report(problem.system, trajectories,
+                         problem.verify["tol_equiv"])
+    for side, path in paths.items():
+        report[side] = {"path": path, **report[side]}
+    passed = report.get("comparison", {"passed": True})["passed"]
+    code = EXIT_OK if passed else EXIT_EQUIV
 
     if args.json:
         out.write(json.dumps(report, indent=2) + "\n")
         return code
     for side in trajectories:
-        r, monitor = report[side], flows[side][0]
+        r, monitor = report[side], MONITORS[side]
         out.write(
             f"{r['path']}: {r['nodes']} nodes, "
             f"max |phi| = {r['max_abs_phi']:.3e}, "

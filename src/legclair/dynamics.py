@@ -32,9 +32,10 @@ are reconstructed as p2 = Psi(q, p1) + Phi_0 with the constant initial
 offset Phi_0; this is exact because the corrected momentum equation forces
 d(p2)/dt = d(Psi)/dt.
 
-The rank partition holds on the declared box only: ``first_box_exit``
-finds a trajectory's first node outside it, and ``integrate`` refuses a
-verdict there (``BoxExitError``).
+The rank partition holds on the declared box only: ``initial_state``
+refuses a start outside it (``OutOfDomainError``), ``first_box_exit`` finds
+a trajectory's first node outside it, and ``flow_report`` refuses a verdict
+there (``BoxExitError``).
 
 Both flows run on one RK4 loop, which names the step and time of any
 failure.  It is generated for the state's length, n + k on both sides, and
@@ -86,7 +87,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -121,15 +122,19 @@ __all__ = [
     "GaugeChoice",
     "PrimaryConstraintError",
     "NonFiniteStateError",
+    "OutOfDomainError",
     "BoxExitError",
     "Trajectory",
     "ComparisonReport",
+    "initial_state",
     "el_rhs",
     "ham_rhs",
     "integrate_el",
     "integrate_ham",
     "compare_trajectories",
     "first_box_exit",
+    "flow_report",
+    "MONITORS",
     "write_trajectory_csv",
     "format_table",
     "PRIMARY_TOL",
@@ -458,6 +463,67 @@ def _build_stage(system, partition, gauge, ham, include_r):
 
 
 # --------------------------------------------------------------------------
+# Initial data
+# --------------------------------------------------------------------------
+
+class OutOfDomainError(Exception):
+    """Requested data lies outside the declared coordinate boxes."""
+
+
+def _check_initial(names, x, lo, hi):
+    """Raise OutOfDomainError at the first entry of x outside [lo, hi], a
+    NaN included."""
+    for name, value, a, b in zip(names, x, lo, hi):
+        if not a <= value <= b:
+            raise OutOfDomainError(
+                f"initial {name} = {value:g} lies outside [{a:g}, {b:g}]")
+
+
+def initial_state(ham: MixedHamiltonian, gauge, q=None, v=None, p=None):
+    """(q0, V, p0) of flows started at positions q with velocities v or
+    momenta p: q and exactly one of the others must be given (ValueError
+    otherwise).
+
+    From v, whose unresolved entries must agree with the gauge C2(q0)
+    (ValueError otherwise), V is its regular part and p0 = dL/dv; from p, V
+    solves the envelope at c2 = C2(q0), and v is (V, c2).  q0 and v must
+    lie in the declared box (OutOfDomainError), and L is evaluated only at
+    a v that does.
+    """
+    if q is None:
+        raise ValueError("initial data needs 'q'")
+    if (v is None) == (p is None):
+        raise ValueError("initial data needs exactly one of 'v' "
+                         "(velocities) or 'p' (momenta)")
+    system, n = ham.system, ham.n
+    names, lo, hi = qv_names(n), system.domain_lo, system.domain_hi
+    q0 = np.asarray(q, dtype=float)
+    _check_initial(names[:n], q0, lo[:n], hi[:n])
+    reg = list(ham.partition.regular)
+    nonreg = list(ham.partition.nonregular)
+    c2 = gauge.value(q0) if gauge is not None else np.zeros(0)
+    if p is None:
+        v = np.asarray(v, dtype=float)
+        # written so that a NaN disagrees
+        if nonreg and not float(np.max(np.abs(v[nonreg,] - c2))) <= 1e-8:
+            raise ValueError(
+                "initial velocities conflict with the gauge at q0: "
+                f"v2 = {v[nonreg,].tolist()} but C2(q0) = {c2.tolist()}"
+            )
+        v1 = v[reg,]
+    else:
+        p0 = np.asarray(p, dtype=float)
+        v1 = ham.solve_velocity(q0, p0[reg,], c2)
+        v = ham.assemble_velocity(v1, c2)
+    _check_initial(names[n:], v, lo[n:], hi[n:])
+    if p is None:
+        p0 = eval_dual2_many(
+            system.lagrangian, system.point(q0, v)[None], range(n, 2 * n)
+        ).grad[0]
+    return q0, v1, p0
+
+
+# --------------------------------------------------------------------------
 # Euler-Lagrange side
 # --------------------------------------------------------------------------
 
@@ -663,6 +729,47 @@ def compare_trajectories(a: Trajectory, b: Trajectory, tol=1e-6):
     dp1 = float(np.max(np.abs(a.p[:, reg] - b.p[:, reg]))) if reg else 0.0
     worst = max(dq, dv, dp1)
     return ComparisonReport(dq, dv, dp1, worst, float(tol), worst <= tol)
+
+
+# the defect each flow monitors at its nodes (see the module docstring)
+MONITORS = {"el": "el_i2_res", "ham": "hs3_res"}
+
+
+def flow_report(system: LagrangianSystem, trajectories, tol) -> dict:
+    """The verdicts on ``trajectories``, {"el": ..., "ham": ...} with
+    either flow or both, in that order.
+
+    Each flow gets its nodes, max |phi| and the max of its monitor.  The
+    gauge-fixed equations leave the non-regular rows unenforced, so the run
+    is "consistency"-checked: it passes where the worst monitor stays
+    within ``tol``.  Both flows together also get their "comparison".  A
+    flow that leaves the declared box, where the partition holds, gets no
+    verdict: ``BoxExitError`` names its first node outside.
+    """
+    report = {}
+    names, lo, hi = qv_names(system.n), system.domain_lo, system.domain_hi
+    for side, traj in trajectories.items():
+        report[side] = {
+            "nodes": int(traj.times.size),
+            "max_abs_phi": float(np.max(np.abs(traj.phi)))
+            if traj.phi.size else 0.0,
+            f"max_{MONITORS[side]}":
+                float(np.max(getattr(traj, MONITORS[side]))),
+        }
+        exit_ = first_box_exit(traj, lo, hi)
+        if exit_ is not None:
+            t, i, x = exit_
+            raise BoxExitError(
+                f"the {side} flow leaves the declared box at t = {t:.6g}: "
+                f"{names[i]} = {x!r} outside [{lo[i]:g}, {hi[i]:g}]")
+    worst = float(np.max([report[side][f"max_{MONITORS[side]}"]
+                          for side in trajectories]))
+    report["consistency"] = {"max_residual": worst, "tol": tol,
+                             "passed": worst <= tol}
+    if len(trajectories) == 2:
+        report["comparison"] = asdict(compare_trajectories(
+            trajectories["el"], trajectories["ham"], tol=tol))
+    return report
 
 
 def write_trajectory_csv(traj: Trajectory, path):

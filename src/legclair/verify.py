@@ -9,16 +9,16 @@ and, for k = n, agreement with a plain classical Legendre transform.
 The suite runs in three steps, on stacked samples:
 
 1. **Draw.**  Each property draws its samples a chunk of up to
-   ``CHUNK_ROWS`` at a time, one ``Generator.uniform`` call per chunk, the
-   properties in turn.  A sample row holds the numbers in the order the
-   sample-by-sample suite drew them, so the stream, the samples and the
-   worst values are the same.
+   ``clairaut.CHUNK_ROWS`` at a time, one ``Generator.uniform`` call per
+   chunk, the properties in turn.  A sample row holds the numbers in the
+   order the sample-by-sample suite drew them, so the stream, the samples
+   and the worst values are the same.
 2. **Solve.**  Every envelope row of the drawn chunks that starts from
    the default guess (a cold row) goes to one stacked solve, and the +-p1
    stencil rows of the Clairaut residual and ``envelope_grad``,
    warm-started from that V, to one more.  Chunks join one batch until its
-   cold rows would pass ``LANE_CHUNKS * CHUNK_ROWS``, and no solve takes
-   more rows, so memory does not grow with ``samples``.
+   cold rows would pass ``LANE_CHUNKS * clairaut.CHUNK_ROWS``, and no
+   solve takes more rows, so memory does not grow with ``samples``.
 3. **Finish.**  Each chunk forms its property from its slice of V through
    the solve-free bodies of the maps of ``MixedHamiltonian``
    (``value_at``, ``envelope_at``, ``clairaut_residual_at``,
@@ -31,51 +31,34 @@ the bits and the error of the row alone.  A finish takes V through
 the order its map solves them, so a row alone raises that sample's own
 error, in its map order.  A property calls several maps in turn, and a
 later sample may fail in an earlier map than the first failing sample does,
-so a chunk that raises is bisected by ``failing_rows``, on the V already
-solved, down to the lowest sample that raises alone, whose error is raised,
-as the sample-by-sample suite raised it.
+so a chunk that raises is bisected by :func:`~legclair.clairaut.row_failures`,
+on the V already solved, down to the lowest sample that raises alone, whose
+error is raised, as the sample-by-sample suite raised it.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import clairaut
 from .clairaut import (
     MixedHamiltonian,
     NewtonDivergedError,
     SingularJacobianError,
     contract,
+    row_failures,
 )
 from .expr import eval_dual2_many, evaluate_many
 
 __all__ = ["PropertyResult", "run_property_suite"]
 
-# rows evaluated together by verify and transform: bounds their memory (one
-# verify of deg3 at 1,024 samples peaks at 3.4 MB under tracemalloc)
-CHUNK_ROWS = 1024
 # a stacked envelope solve of the suite takes at most LANE_CHUNKS *
-# CHUNK_ROWS rows, so its memory does not grow with the samples either
+# clairaut.CHUNK_ROWS rows, so its memory does not grow with the samples
+# either
 LANE_CHUNKS = 4
-
-
-def failing_rows(run, rows, errors=Exception):
-    """Yield (row, error), lowest first, for each row of the failing
-    ``rows`` that raises one of ``errors`` alone: halves run left before
-    right, and only one that raises is split.  Row i of ``run`` must have
-    the bits of row i alone, so a half raises exactly when it holds one."""
-    mid = len(rows) // 2
-    for half in filter(len, (rows[:mid], rows[mid:])):  # 1 row: no left half
-        try:
-            run(half)
-        except errors as error:
-            if len(half) > 1:
-                yield from failing_rows(run, half, errors)
-            else:
-                yield half[0], error
 
 
 def _fd_stencil(x, h=1e-4):
@@ -240,10 +223,10 @@ class _Chunk:
 def _sweep(solver, rng, sweeps):
     """The worst value of each sweep (per column, if it has several), a
     sweep being (count, low, high, chunk): ``count`` samples drawn, up to
-    ``CHUNK_ROWS`` rows at a time, from [low, high), and made into a
+    ``clairaut.CHUNK_ROWS`` rows at a time, from [low, high), and made into a
     :class:`_Chunk` by ``chunk(rows)``; the chunks are drawn, solved and
     finished in batches, as the module docstring says."""
-    bound = LANE_CHUNKS * CHUNK_ROWS
+    bound = LANE_CHUNKS * clairaut.CHUNK_ROWS
     worst = [0.0] * len(sweeps)
     batch, held = [], 0
 
@@ -257,23 +240,19 @@ def _sweep(solver, rng, sweeps):
                                           bound)):
             s.append(w)
         for (i, c, size), s in zip(batch, solved):
-            run = functools.partial(c.finish, s)
-            rows = np.arange(size)
-            try:
-                values = run(rows)
-            except Exception:
-                # the lowest sample that fails on its own raises its error
-                for _, error in failing_rows(run, rows):
-                    raise error
-                raise
+            values = []
+            for _, error in row_failures(
+                    lambda sel: values.append(c.finish(s, sel)),
+                    np.arange(size)):
+                raise error  # the lowest sample that fails on its own
             # NaN never becomes the worst value, as with max(worst, value)
-            worst[i] = np.fmax(worst[i],
-                               np.fmax.reduce(values, axis=0, initial=0.0))
+            worst[i] = np.fmax(worst[i], np.fmax.reduce(
+                np.concatenate(values), axis=0, initial=0.0))
 
     for i, (count, low, high, chunk) in enumerate(sweeps):
         low, high = np.concatenate(low), np.concatenate(high)
-        for start in range(0, count, CHUNK_ROWS):
-            size = min(CHUNK_ROWS, count - start)
+        for start in range(0, count, clairaut.CHUNK_ROWS):
+            size = min(clairaut.CHUNK_ROWS, count - start)
             c = chunk(rng.uniform(low, high, size=(size, len(low))))
             lanes = sum(len(block[0]) for block in c.cold)
             if batch and held + lanes > bound:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 from hypothesis import strategies as st
 
-from legclair import clairaut, cli, expr, verify
+from legclair import clairaut, expr
 from legclair.dynamics import NonFiniteStateError, Trajectory
 from legclair.expr import (
     FUNCTIONS,
@@ -493,7 +493,6 @@ def record_lanes(monkeypatch):
 
 
 def set_chunk_rows(monkeypatch, rows):
-    """Make ``verify`` and ``transform`` evaluate ``rows`` rows per chunk;
-    the CLI binds ``CHUNK_ROWS`` at import, so both names are patched."""
-    monkeypatch.setattr(verify, "CHUNK_ROWS", rows)
-    monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+    """Make ``analyze``, ``transform`` and ``verify`` evaluate ``rows`` rows
+    per chunk: every chunked loop reads ``clairaut.CHUNK_ROWS``."""
+    monkeypatch.setattr(clairaut, "CHUNK_ROWS", rows)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import helpers
 import legclair
-from legclair import cli, verify
+from legclair import cli, clairaut
 from legclair.clairaut import EnvelopeSolver
 from legclair.cli import main
 
@@ -563,6 +563,40 @@ def test_integrate_initial_out_of_domain_exits_5(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+CONFLICT = "error: initial velocities conflict with the gauge at q0: "
+
+
+@pytest.mark.parametrize("lagrangian, v, code, err", [
+    # a NaN unresolved velocity agrees with no gauge value, as inf does not
+    ("0.5*(v1+v2)^2", [1.0, math.nan], 2,
+     CONFLICT + "v2 = [nan] but C2(q0) = [1.0]"),
+    ("0.5*(v1+v2)^2", [1.0, math.inf], 2,
+     CONFLICT + "v2 = [inf] but C2(q0) = [1.0]"),
+    ("0.5*v1^2", [1.0, math.nan], 2,
+     CONFLICT + "v2 = [nan] but C2(q0) = [1.0]"),
+    # the box is checked before L is evaluated at v
+    ("0.5*(v1+v2)^2", [1e200, 1.0], 5,
+     "error: initial v1 = 1e+200 lies outside [-3, 3]"),
+    ("0.5*v1^2 + 0.5*v2^2", [1.0, math.nan], 5,
+     "error: initial v2 = nan lies outside [-3, 3]"),
+])
+def test_initial_velocities_are_checked_before_l_is_evaluated(
+        tmp_path, capsys, lagrangian, v, code, err):
+    path = (pathlib.Path(__file__).resolve().parent.parent / "problems"
+            / "chained_pair.json")
+    problem = json.loads(path.read_text())
+    problem["lagrangian"] = lagrangian
+    problem["initial"]["v"] = v
+    if "v2^2" in lagrangian:  # v2 is resolved: no gauge
+        del problem["gauge"]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))  # NaN and Infinity, as json reads
+    out_dir = tmp_path / "run"
+    assert main(["--out", str(out_dir), "integrate", str(path)]) == code
+    assert capsys.readouterr().err == err + "\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "span,message",
     [
@@ -765,10 +799,10 @@ def test_transform_solves_each_chunk_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(EnvelopeSolver, "solve_lanes", counted)
     # a small chunk keeps the grid small and still crosses a boundary
     helpers.set_chunk_rows(monkeypatch, 32)
-    rows = verify.CHUNK_ROWS + 22
+    rows = clairaut.CHUNK_ROWS + 22
     assert main(["transform", deg1_problem(tmp_path),
                  "--grid", f"p1=-1:1:{rows}"]) == 0
-    assert solves == [(verify.CHUNK_ROWS, True), (22, True)]
+    assert solves == [(clairaut.CHUNK_ROWS, True), (22, True)]
 
 
 # deg3 (as the benchmark runs it), and a k = 2 system whose W11 varies with
@@ -875,6 +909,13 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "no primary constraints" in proc.stdout
+
+
+def test_the_cli_binds_no_command_maths():
+    # the chunked row loop, |det W11|, dL/dv and the box test belong to the
+    # library, whose reports the CLI renders
+    assert not {"CHUNK_ROWS", "failing_rows", "abs_det_many",
+                "eval_dual2_many", "_in_box"} & set(vars(cli))
 
 
 @pytest.mark.parametrize("module", ["legclair", *(

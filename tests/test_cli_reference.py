@@ -20,7 +20,8 @@ import pytest
 import corpus
 import helpers
 import transform_oracle
-from legclair import cli, verify
+from legclair import cli, clairaut
+from legclair.clairaut import MixedHamiltonian, SingularJacobianError
 from legclair.partition import partition_indices
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -157,16 +158,16 @@ def test_transform_failing_row_in_the_second_chunk_matches_reference(
         tmp_path, capsys, monkeypatch):
     helpers.set_chunk_rows(monkeypatch, 16)
     path = problem(tmp_path, "exp(v1)", {"v1": [-12, -8]})
-    p1 = np.linspace(1e-4, 1.0, verify.CHUNK_ROWS + 40)
-    p1[verify.CHUNK_ROWS + 17] = -1.0
+    p1 = np.linspace(1e-4, 1.0, clairaut.CHUNK_ROWS + 40)
+    p1[clairaut.CHUNK_ROWS + 17] = -1.0
     grid = "p1=" + ",".join(map(repr, p1.tolist()))
     got = assert_same_as_reference(["transform", path, "--grid", grid],
                                    capsys, monkeypatch)
     assert got[0] == cli.EXIT_SOLVER
     statuses = [row.rsplit(",", 1)[1] for row in got[1].splitlines()[1:]]
-    assert len(statuses) == len(p1) > verify.CHUNK_ROWS
+    assert len(statuses) == len(p1) > clairaut.CHUNK_ROWS
     assert [i for i, s in enumerate(statuses) if s != "ok"] == [
-        verify.CHUNK_ROWS + 17]
+        clairaut.CHUNK_ROWS + 17]
 
 
 # failing rows of a 20-row grid in chunks of 8 (rows 0-7, 8-15, 16-19): the
@@ -240,6 +241,41 @@ def test_analyze_failing_sample_matches_reference(tmp_path, capsys,
             ["--seed", str(seed), "analyze", path, "--points", "6"],
             capsys, monkeypatch)
         assert got[0] == cli.EXIT_SOLVER and got[2].startswith("error: ")
+
+
+def test_analyze_solves_one_chunk_at_a_time(tmp_path, capsys, monkeypatch):
+    # 6 samples in chunks of 4: one stacked envelope solve per chunk
+    helpers.set_chunk_rows(monkeypatch, 4)
+    calls = helpers.record_lanes(monkeypatch)[0]
+    path = os.path.join(ROOT, "problems", "chained_pair.json")
+    assert cli.main(["analyze", path, "--points", "6"]) == cli.EXIT_OK
+    assert calls == [(4, False), (2, False)]
+    capsys.readouterr()
+    assert_same_as_reference(["analyze", path, "--points", "6"], capsys,
+                             monkeypatch)
+
+
+@pytest.mark.parametrize("seed, failing", [(4, [1, 4, 5]), (7, [1, 2, 3, 4])])
+def test_chunked_analyze_raises_the_lowest_failing_sample(
+        seed, failing, tmp_path, capsys, monkeypatch):
+    # dL/dv1 = v1/sqrt(1 + v1^2) never reaches |p1| >= 1: those samples
+    # fail, in both chunks of 4, each with its own Newton iterate in the
+    # message; the lowest one's error ends the run
+    helpers.set_chunk_rows(monkeypatch, 4)
+    path = problem(tmp_path, "sqrt(1 + v1^2) + 0.5*q1^2", {"v1": [-2, 2]})
+    system = cli.load_problem(path).system
+    rng = np.random.default_rng(seed)
+    system.sample(rng, 100)  # the |det W11| sweep's draw
+    q, p1 = rng.uniform(system.domain_lo, system.domain_hi, (6, 2)).T
+    assert np.flatnonzero(abs(p1) >= 1.0).tolist() == failing
+    ham = MixedHamiltonian.from_system(system)
+    first = failing[0]
+    with pytest.raises(SingularJacobianError) as alone:
+        ham.envelope_many(q[first:first + 1, None], p1[first:first + 1, None])
+    got = assert_same_as_reference(
+        ["--seed", str(seed), "analyze", path, "--points", "6"], capsys,
+        monkeypatch)
+    assert got[:3] == (cli.EXIT_SOLVER, "", f"error: {alone.value}\n")
 
 
 def test_analyze_failing_det_sample_matches_reference(tmp_path, capsys,

@@ -42,13 +42,20 @@ The bounds, with u = 2⁻⁵³ and everything componentwise:
 A failure is a defect of the library, never a reason to widen a bound.
 """
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 import mpmath
 import numpy as np
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legclair.clairaut import MixedHamiltonian
+from legclair import cli
+from legclair.clairaut import MixedHamiltonian, analyze_report, transform_table
 from legclair.partition import LagrangianSystem, qv_names
 
 ROUNDINGS = 64
@@ -159,18 +166,96 @@ def absolutes(form, m_abs, b_abs, u_abs, v):
     return grad, lag
 
 
+class RowForms:
+    """The closed forms at one point (q, p1) of a family member, and the
+    checks of the library's V, Psi, H0 and H there against them and their
+    bounds; ``where`` names the point in a failure."""
+
+    def __init__(self, form, reg, nonreg, tol, q, p1, where):
+        self.form, self.reg, self.nonreg, self.tol = form, reg, nonreg, tol
+        self.where = where
+        a, bq, uq, self.m_abs, self.b_abs, self.u_abs = form.at(q)
+        self.a = a
+        self.a_rr = mpmath.matrix([[a[i, j] for j in reg] for i in reg])
+        a_nr = mpmath.matrix([[a[i, j] for j in reg] for i in nonreg]) \
+            if nonreg else None
+        self.inv = mpmath.inverse(self.a_rr)
+        self.p1r = [mpmath.mpf(float(x)) for x in p1]
+        self.shift = mpmath.matrix([self.p1r[i] - bq[r]
+                                    for i, r in enumerate(reg)])
+        self.psi_star = ([(a_nr * self.inv * self.shift)[i] + bq[r]
+                          for i, r in enumerate(nonreg)] if nonreg else [])
+        self.h0_star = (self.shift.T * self.inv * self.shift)[0] / 2 + uq
+
+    def error_bound(self, v1, c2):
+        """e, by regular index: the bound on |V - V*| at (v1, c2)."""
+        v = velocity(v1, c2, self.reg, self.nonreg)
+        grad, _ = absolutes(self.form, self.m_abs, self.b_abs, self.u_abs, v)
+        r = [abs(x) + grad[i] for x, i in zip(self.p1r, self.reg)]
+        k = len(self.reg)
+        return [sum(abs(self.inv[i, j]) * (self.tol + GAMMA * r[j])
+                    for j in range(k)) for i in range(k)]
+
+    def curvature(self, e):
+        k = len(self.reg)
+        return sum(e[i] * abs(self.a_rr[i, j]) * e[j]
+                   for i in range(k) for j in range(k)) / 2
+
+    def check_envelope(self, v1, psi, h0, c2):
+        """V, Psi and H0 of the envelope at the probe c2."""
+        a, reg, nonreg, where = self.a, self.reg, self.nonreg, self.where
+        c2m = [mpmath.mpf(float(x)) for x in c2]
+        # A_RN c2: V*'s shift by the probe, and H0's slope in V at V*
+        slope = [sum(a[r, j] * x for j, x in zip(nonreg, c2m)) for r in reg]
+        v_star = self.inv * (self.shift - mpmath.matrix(slope))
+        e = self.error_bound(v1, c2)
+        for i in range(len(reg)):
+            assert abs(v1[i] - v_star[i]) <= e[i], (where, i)
+        v = velocity(v1, c2, reg, nonreg)
+        grad, lag = absolutes(self.form, self.m_abs, self.b_abs, self.u_abs,
+                              v)
+        for i, r in enumerate(nonreg):
+            bound = (sum(abs(a[r, j]) * e[jj] for jj, j in enumerate(reg))
+                     + GAMMA * grad[r])
+            assert abs(psi[i] - self.psi_star[i]) <= bound, where
+        h0_abs = (sum(abs(x) * abs(y) for x, y in zip(self.p1r, v1))
+                  + sum(abs(x) * grad[r] for x, r in zip(c2m, nonreg))
+                  + lag)
+        bound = (sum(abs(s) * ei for s, ei in zip(slope, e))
+                 + self.curvature(e) + GAMMA * h0_abs)
+        assert abs(h0 - self.h0_star) <= bound, where
+
+    def check_value(self, v1, v2, p2, h):
+        """H at v2 and p2, at the V of its own solve."""
+        e = self.error_bound(v1, v2)
+        v = velocity(v1, v2, self.reg, self.nonreg)
+        _, lag = absolutes(self.form, self.m_abs, self.b_abs, self.u_abs, v)
+        v2m = [mpmath.mpf(float(x)) for x in v2]
+        p2m = [mpmath.mpf(float(x)) for x in p2]
+        h_star = self.h0_star + sum(x * (y - z) for x, y, z in
+                                    zip(v2m, p2m, self.psi_star))
+        h_abs = (sum(abs(x) * abs(y) for x, y in zip(self.p1r, v1))
+                 + sum(abs(x) * abs(y) for x, y in zip(p2m, v2m)) + lag)
+        assert abs(h - h_star) <= self.curvature(e) + GAMMA * h_abs, \
+            self.where
+
+
+def family_member(seed):
+    """(n, k, source, the member's box system, its ClosedForm)."""
+    n, k, source, d, m, b, u = random_family(seed)
+    system = LagrangianSystem.from_source(
+        n, source, {name: (-1.0, 1.0) for name in qv_names(n)})
+    return n, k, source, system, ClosedForm(n, source, d, m, b, u)
+
+
 @settings(derandomize=True, database=None, max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_envelope_maps_match_the_closed_forms(seed):
-    n, k, source, d, m, b, u = random_family(seed)
-    names = qv_names(n)
-    system = LagrangianSystem.from_source(
-        n, source, {name: (-1.0, 1.0) for name in names})
+    n, k, source, system, form = family_member(seed)
     ham = MixedHamiltonian.from_system(system)
     assert ham.k == k, source
     reg, nonreg = list(ham.partition.regular), list(ham.partition.nonregular)
     tol = ham.solver.newton_tol
-    form = ClosedForm(n, source, d, m, b, u)
 
     rng = np.random.default_rng(seed)
     rows = 4
@@ -185,61 +270,76 @@ def test_envelope_maps_match_the_closed_forms(seed):
             (probe, ham.envelope_many(q, p1, probe))]
 
     for row in range(rows):
-        a, bq, uq, m_abs, b_abs, u_abs = form.at(q[row])
-        a_rr = mpmath.matrix([[a[i, j] for j in reg] for i in reg])
-        a_nr = mpmath.matrix([[a[i, j] for j in reg] for i in nonreg]) \
-            if nonreg else None
-        inv = mpmath.inverse(a_rr)
-        p1r = [mpmath.mpf(float(x)) for x in p1[row]]
-        shift = mpmath.matrix([p1r[i] - bq[r] for i, r in enumerate(reg)])
-        psi_star = ([(a_nr * inv * shift)[i] + bq[r]
-                     for i, r in enumerate(nonreg)] if nonreg else [])
-        h0_star = (shift.T * inv * shift)[0] / 2 + uq
-
-        def error_bound(v1, c2):
-            """e, by regular index: the bound on |V - V*| at (v1, c2)."""
-            v = velocity(v1, c2, reg, nonreg)
-            grad, _ = absolutes(form, m_abs, b_abs, u_abs, v)
-            r = [abs(x) + grad[i] for x, i in zip(p1r, reg)]
-            return [sum(abs(inv[i, j]) * (tol + GAMMA * r[j])
-                        for j in range(k)) for i in range(k)]
-
-        def curvature(e):
-            return sum(e[i] * abs(a_rr[i, j]) * e[j]
-                       for i in range(k) for j in range(k)) / 2
-
+        forms = RowForms(form, reg, nonreg, tol, q[row], p1[row],
+                         (source, row))
         for given_probe, (v1, psi, h0) in maps:
             c2 = (ham.default_probe() if given_probe is None
                   else given_probe[row])
-            c2m = [mpmath.mpf(float(x)) for x in c2]
-            # A_RN c2: V*'s shift by the probe, and H0's slope in V at V*
-            slope = [sum(a[r, j] * x for j, x in zip(nonreg, c2m)) for r in reg]
-            v_star = inv * (shift - mpmath.matrix(slope))
-            e = error_bound(v1[row], c2)
-            for i in range(k):
-                assert abs(v1[row, i] - v_star[i]) <= e[i], (source, row, i)
-            v = velocity(v1[row], c2, reg, nonreg)
-            grad, lag = absolutes(form, m_abs, b_abs, u_abs, v)
-            for i, r in enumerate(nonreg):
-                bound = (sum(abs(a[r, j]) * e[jj] for jj, j in enumerate(reg))
-                         + GAMMA * grad[r])
-                assert abs(psi[row, i] - psi_star[i]) <= bound, (source, row)
-            h0_abs = (sum(abs(x) * abs(y) for x, y in zip(p1r, v1[row]))
-                      + sum(abs(x) * grad[r] for x, r in zip(c2m, nonreg))
-                      + lag)
-            bound = (sum(abs(s) * ei for s, ei in zip(slope, e))
-                     + curvature(e) + GAMMA * h0_abs)
-            assert abs(h0[row] - h0_star) <= bound, (source, row)
+            forms.check_envelope(v1[row], psi[row], h0[row], c2)
+        forms.check_value(v_h[row], v2[row], p[row, nonreg], h[row])
 
-        # H at v2 from value_many, at the V of its own solve
-        e = error_bound(v_h[row], v2[row])
-        v = velocity(v_h[row], v2[row], reg, nonreg)
-        _, lag = absolutes(form, m_abs, b_abs, u_abs, v)
-        v2m = [mpmath.mpf(float(x)) for x in v2[row]]
-        p2m = [mpmath.mpf(float(x)) for x in p[row, nonreg]]
-        h_star = h0_star + sum(x * (y - z)
-                               for x, y, z in zip(v2m, p2m, psi_star))
-        h_abs = (sum(abs(x) * abs(y) for x, y in zip(p1r, v_h[row]))
-                 + sum(abs(x) * abs(y) for x, y in zip(p2m, v2m)) + lag)
-        assert abs(h[row] - h_star) <= curvature(e) + GAMMA * h_abs, \
-            (source, row)
+
+def run_cli(argv):
+    """The stdout of a command, which must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == cli.EXIT_OK
+    return out.getvalue()
+
+
+@settings(derandomize=True, database=None, max_examples=5, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_command_reports_match_the_closed_forms(seed):
+    # the analyze report's constraint samples and the transform table, as
+    # the library returns them and as the commands render them
+    n, k, source, system, form = family_member(seed)
+    names = qv_names(n)
+    ham = MixedHamiltonian.from_system(system)
+    reg, nonreg = list(ham.partition.regular), list(ham.partition.nonregular)
+    tol = ham.solver.newton_tol
+    report = analyze_report(ham, seed, 4)
+    assert report["k"] == k, source
+    assert report["regular"] == [names[n + i] for i in reg]
+    assert report["unresolved"] == [names[n + i] for i in nonreg]
+    probe = ham.default_probe()
+    for row, s in enumerate(report["constraint_samples"]):
+        q, p1, p2 = (np.array(s[key]) for key in ("q", "p1", "p2"))
+        # the V the report's samples were formed at: a row solves alone
+        v1 = ham.solver.solve_many(q[None], p1[None], probe[None])[0]
+        forms = RowForms(form, reg, nonreg, tol, q, p1, (source, row))
+        forms.check_envelope(v1, s["psi"], s["h_zero"], probe)
+        assert s["phi"] == (p2 - np.array(s["psi"])).tolist(), source
+
+    grids = [("q1", np.array([-0.75, 0.5])),
+             (f"p{reg[0] + 1}", np.array([-1.5, 0.25, 1.0]))]
+    grids += [(names[n + i], np.array([-0.5, 0.75])) for i in nonreg[:1]]
+    header, table, status = transform_table(ham, grids)
+    assert status == ["ok"] * len(table), source
+    for row, x in enumerate(table):
+        q, p, v2 = x[:n], x[n:2 * n], x[2 * n:3 * n - k]
+        h, h0, phi = x[3 * n - k], x[3 * n - k + 1], x[3 * n - k + 2:]
+        v1 = ham.solver.solve_many(q[None], p[None, reg], v2[None])[0]
+        psi, _ = ham.envelope_at(q[None], p[None, reg], v2[None], v1[None])
+        forms = RowForms(form, reg, nonreg, tol, q, p[reg], (source, row))
+        forms.check_envelope(v1, psi[0], h0, v2)
+        forms.check_value(v1, v2, p[nonreg], h)
+        assert phi.tolist() == (p[nonreg] - psi[0]).tolist(), source
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump({"n": n, "lagrangian": source,
+                       "domain": {name: [-1.0, 1.0] for name in names}}, fh)
+        rendered = run_cli(["--json", "--seed", str(seed), "analyze", path,
+                            "--points", "4"])
+        specs = [f"{name}=" + ",".join(map(repr, values.tolist()))
+                 for name, values in grids]
+        csv = run_cli(["transform", path]
+                      + [a for spec in specs for a in ("--grid", spec)])
+    assert json.loads(rendered) == report
+    lines = csv.splitlines()
+    assert lines[0].split(",") == header
+    assert [line.split(",")[-1] for line in lines[1:]] == status
+    # every float is written as %.17g, which reads back to its bits
+    assert np.array([[float(x) for x in line.split(",")[:-1]]
+                     for line in lines[1:]]).tobytes() == table.tobytes()

@@ -19,7 +19,7 @@ from legclair.clairaut import (
     NewtonDivergedError,
     SingularJacobianError,
 )
-from legclair.cli import _initial_data, build_gauge, load_problem, main
+from legclair.cli import build_gauge, load_problem, main
 from legclair.dynamics import (
     ComparisonReport,
     GaugeChoice,
@@ -29,6 +29,7 @@ from legclair.dynamics import (
     el_rhs,
     first_box_exit,
     ham_rhs,
+    initial_state,
     integrate_el,
     integrate_ham,
     write_trajectory_csv,
@@ -743,7 +744,7 @@ def test_rk4_driver_matches_hand_rolled_loops_on_shipped_problems(path):
     problem = load_problem(str(path))
     ham = MixedHamiltonian.from_system(problem.system)
     gauge = build_gauge(problem, ham)
-    q0, v10, p0 = _initial_data(problem, ham, gauge)
+    q0, v10, p0 = initial_state(ham, gauge, **problem.initial)
     cfg = problem.integrate
     dt = cfg["dt"]
     span = (cfg["t0"], cfg["t0"] + 500 * dt)  # the first 500 of its steps

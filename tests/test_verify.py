@@ -24,7 +24,7 @@ import corpus
 import helpers
 import maps_oracle
 import verify_oracle
-from legclair import cli, verify
+from legclair import clairaut, cli, verify
 from legclair.clairaut import (
     EnvelopeSolver,
     MixedHamiltonian,
@@ -411,7 +411,7 @@ def test_distinct_rows_come_in_the_order_they_first_occur():
 def test_chunk_size_does_not_change_results(name, monkeypatch):
     ham = MixedHamiltonian.from_system(SYSTEMS[name](name))
     want = verify.run_property_suite(ham, 60, 3, 1e-6, 1e-7)
-    monkeypatch.setattr(verify, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(clairaut, "CHUNK_ROWS", 7)
     got = verify.run_property_suite(ham, 60, 3, 1e-6, 1e-7)
     assert_same_results(got, want)
 
@@ -567,11 +567,11 @@ def fail_residual_at(ham, failing_q, monkeypatch):
 
 # (chunk rows, indices of the failing samples among 20)
 FAILING_SAMPLES = [
-    (verify.CHUNK_ROWS, (0,)),
-    (verify.CHUNK_ROWS, (19,)),
-    (verify.CHUNK_ROWS, (4, 5)),
-    (verify.CHUNK_ROWS, (2, 9, 13, 19)),
-    (verify.CHUNK_ROWS, tuple(range(1, 20, 2))),
+    (clairaut.CHUNK_ROWS, (0,)),
+    (clairaut.CHUNK_ROWS, (19,)),
+    (clairaut.CHUNK_ROWS, (4, 5)),
+    (clairaut.CHUNK_ROWS, (2, 9, 13, 19)),
+    (clairaut.CHUNK_ROWS, tuple(range(1, 20, 2))),
     (8, (7, 8)),
     (8, (9, 12, 14)),
     (8, tuple(range(8, 16))),
@@ -585,7 +585,7 @@ def test_a_failing_chunk_ends_in_the_first_failing_sample_error(monkeypatch):
     ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
     for chunk, failing in FAILING_SAMPLES:
         with monkeypatch.context() as m:
-            m.setattr(verify, "CHUNK_ROWS", chunk)
+            m.setattr(clairaut, "CHUNK_ROWS", chunk)
             q = residual_samples(ham, 20, m)[0]
             fail_residual_at(ham, {q[i, 0] for i in failing}, m)
             errors = []
@@ -600,21 +600,43 @@ def test_a_failing_chunk_ends_in_the_first_failing_sample_error(monkeypatch):
 
 @pytest.mark.parametrize("count, failing", [
     (1, {0}), (2, {1}), (5, {0, 4}), (7, {2, 3}), (64, {17}),
-    (64, set(range(64))),
+    (64, set(range(64))), (40, {15, 16, 31, 39}),
 ])
-def test_failing_rows_yields_each_failing_row_in_order(count, failing):
+def test_failing_rows_yields_each_failing_row_in_order(count, failing,
+                                                       monkeypatch):
+    # chunks of 16 rows: 40 rows fail on both sides of each boundary
+    helpers.set_chunk_rows(monkeypatch, 16)
     calls = []
 
     def run(rows):
         calls.append(len(rows))
         bad = [i for i in rows.tolist() if i in failing]
         if bad:
-            raise ValueError(bad[-1])
+            raise SingularJacobianError(bad[-1])
 
     got = [(int(row), str(error))
-           for row, error in verify.failing_rows(run, np.arange(count))]
+           for row, error in clairaut.row_failures(run, np.arange(count))]
     assert got == [(i, str(i)) for i in sorted(failing)]
     assert 0 not in calls  # no empty half runs
+    assert max(calls) == min(count, 16)
+
+
+def test_row_failures_raise_what_no_row_raises_alone(monkeypatch):
+    helpers.set_chunk_rows(monkeypatch, 4)
+
+    def not_a_row_error(rows):
+        if 5 in rows:
+            raise ValueError("not a row's error")
+
+    with pytest.raises(ValueError, match="not a row's error"):
+        list(clairaut.row_failures(not_a_row_error, np.arange(8)))
+
+    def whole_chunk(rows):  # a chunk fails, and no row of it alone
+        if len(rows) > 1 and 5 in rows:
+            raise EvalDomainError("only together", "L")
+
+    with pytest.raises(EvalDomainError, match="only together"):
+        list(clairaut.row_failures(whole_chunk, np.arange(8)))
 
 
 @pytest.mark.parametrize("failing", [0, 1, 31, 32, 62, 63])
@@ -636,13 +658,13 @@ def test_a_property_evaluates_at_most_chunk_rows_samples_at_once(
     # and so does the row bound of its stacked envelope solves, which merge
     # the rows of several chunks
     ham = MixedHamiltonian.from_system(corpus.make_system("osc"))
-    samples = 2 * verify.CHUNK_ROWS + 1
+    samples = 2 * clairaut.CHUNK_ROWS + 1
     calls = helpers.record_lanes(monkeypatch)[0]
     sizes = residual_samples(ham, samples, monkeypatch)[1]
-    assert sizes == [verify.CHUNK_ROWS, verify.CHUNK_ROWS, 1]
-    bound = verify.LANE_CHUNKS * verify.CHUNK_ROWS
+    assert sizes == [clairaut.CHUNK_ROWS, clairaut.CHUNK_ROWS, 1]
+    bound = verify.LANE_CHUNKS * clairaut.CHUNK_ROWS
     assert max(rows for rows, _ in calls) <= bound
-    assert any(verify.CHUNK_ROWS < rows < bound for rows, _ in calls)
+    assert any(clairaut.CHUNK_ROWS < rows < bound for rows, _ in calls)
 
 
 def test_stacked_maps_check_shapes():

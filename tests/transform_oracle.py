@@ -25,7 +25,6 @@ from legclair.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     ProblemError,
-    _in_box,
     _parse_grid_spec,
 )
 from legclair.clairaut import (
@@ -39,6 +38,10 @@ from legclair.partition import qv_names
 
 def _fmt(x):
     return "%.17g" % x
+
+
+def _in_box(value, lo, hi):
+    return bool(lo <= value <= hi)
 
 
 def cmd_analyze(problem, args, out):
